@@ -30,10 +30,11 @@ import numpy as np
 
 from .conformal import (CalibrationResult, calibrate_pooled, conservative_adjust,
                         predict_set, select_strategy)
-from .data import (Dataset, SMECollection, apply_standardization,
+from .data import (SMECollection, apply_standardization,
                    StandardizationStats, generate_hierarchical_population,
-                   load_collection, load_csv, make_synthetic_smes,
-                   save_collection, standardize, stratified_split)
+                   _write_dataset_csv, load_collection, load_csv,
+                   make_synthetic_smes, save_collection, standardize,
+                   stratified_split)
 from .errors import (ChurnpoolError, DataError, DiagnosticError,
                      ValidationError)
 from .evaluate import ExperimentConfig, classification_metrics, run_experiment
@@ -281,22 +282,6 @@ def cmd_pretrain(config: RunConfig, args) -> int:
     print(f"pretrained {model.best_iteration_} trees; "
           f"validation AUC {report.auc:.4f}")
     return EXIT_OK
-
-
-def _write_dataset_csv(ds: Dataset, path: Path, label_column: str,
-                       tag_column: str) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = list(ds.feature_names) + [label_column]
-        if ds.source_tags is not None:
-            header.append(tag_column)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.features[i]]
-            row.append(str(int(ds.labels[i])))
-            if ds.source_tags is not None:
-                row.append(ds.source_tags[i])
-            writer.writerow(row)
 
 
 def cmd_extract_priors(config: RunConfig, args) -> int:

@@ -25,10 +25,10 @@ import numpy as np
 from .conformal import (calibrate_pooled, coverage_audit, predict_set,
                         select_strategy)
 from .data import Dataset, SMECollection, stratified_kfold
-from .errors import ChurnpoolError, ValidationError
+from .errors import ChurnpoolError, ConvergenceError, ValidationError
 from .hier_model import HierarchicalLogistic
 from .logreg import fit_penalized_logreg
-from .numerics import binary_log_loss, sigmoid
+from .numerics import average_ranks, binary_log_loss, sigmoid
 from .validation import as_float_vector
 
 __all__ = [
@@ -85,16 +85,7 @@ def auc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks = average_ranks(scores)
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -376,9 +367,10 @@ def run_experiment(collection: SMECollection, prior, config: ExperimentConfig,
 
     Per entity, stratified folds are built deterministically from
     ``seed``; baselines are refitted on every fold's training data while
-    the hierarchical model follows ``config.protocol``.  Conformal
-    calibration pools nonconformity scores across entities, holding out
-    the audited fold from its own threshold.
+    the hierarchical model follows ``config.protocol``.  A baseline fit
+    that fails to converge is flagged and its rows for that fold are left
+    out.  Conformal calibration pools nonconformity scores across
+    entities, holding out the audited fold from its own threshold.
     """
     config.validate()
     start = time.perf_counter()
@@ -447,7 +439,11 @@ def run_experiment(collection: SMECollection, prior, config: ExperimentConfig,
         labels = np.concatenate([folds_per_sme[j][k][0].labels
                                  for j in folds_per_sme])
         pooled_ds = Dataset(features, labels, collection.feature_names)
-        pooled_models[k] = fit_logreg_l2(pooled_ds, config.l2_c)
+        try:
+            pooled_models[k] = fit_logreg_l2(pooled_ds, config.l2_c)
+        except ConvergenceError as exc:
+            # Like a skipped independent fit: this fold has no pooled rows.
+            flags.append(f"fold {k}: pooled fit skipped: {exc}")
 
     rows: list[dict] = []
     hier_scores: dict[int, list] = {k: [] for k in range(K)}  # fold -> scores
@@ -460,11 +456,13 @@ def run_experiment(collection: SMECollection, prior, config: ExperimentConfig,
             if hier_models is not None:
                 probs_h = hier_probs(j, k, test.features)
                 evals["hierarchical"] = probs_h
-            evals["pooled"] = logreg_predict(pooled_models[k], test.features)
+            if k in pooled_models:
+                evals["pooled"] = logreg_predict(pooled_models[k],
+                                                 test.features)
             try:
                 coefs = fit_logreg_l2(train, config.l2_c)
                 evals["independent"] = logreg_predict(coefs, test.features)
-            except ValidationError as exc:
+            except (ValidationError, ConvergenceError) as exc:
                 flags.append(
                     f"sme {collection.ids[j]} fold {k}: independent fit "
                     f"skipped: {exc}")

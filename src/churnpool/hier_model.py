@@ -65,7 +65,17 @@ _MLE_RIDGE = 1e-6
 
 @dataclass(frozen=True)
 class HierData:
-    """Per-entity design matrices and labels sharing one feature space."""
+    """Per-entity design matrices and labels sharing one feature space.
+
+    The likelihood reads one zero-padded block: ``_X3`` has shape
+    ``(J, n_max, p)`` with entity j's rows first and zero rows after them,
+    and the flat ``_y`` / ``_one_minus_y`` are 0 on padded rows.  A padded
+    row has z = 0, so it adds exactly log 2 to the summed softplus (undone
+    by the constant ``_pad_softplus``) and a zero row to the gradient;
+    entities with no rows need no special case.  The block costs
+    ``J * n_max * p`` float64s, so a collection with one very large entity
+    pays for padding every other entity to that size.
+    """
 
     Xs: tuple[np.ndarray, ...]
     ys: tuple[np.ndarray, ...]
@@ -86,27 +96,18 @@ class HierData:
         object.__setattr__(self, "Xs", tuple(Xs))
         object.__setattr__(self, "ys", tuple(ys))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        # Stacked views for vectorized likelihood work.
-        if sum(x.shape[0] for x in Xs):
-            X_all = np.concatenate(Xs, axis=0)
-            y_all = np.concatenate([y.astype(np.float64) for y in ys])
-        else:
-            X_all = np.empty((0, p))
-            y_all = np.empty(0)
-        sizes = [x.shape[0] for x in Xs]
-        ends = np.cumsum(sizes)
-        row_sme = np.repeat(np.arange(len(Xs)), sizes)
-        object.__setattr__(self, "_X_all", X_all)
-        object.__setattr__(self, "_y_all", y_all)
-        object.__setattr__(self, "_one_minus_y", 1.0 - y_all)
-        object.__setattr__(self, "_starts", np.r_[0, ends[:-1]].astype(np.intp))
-        object.__setattr__(self, "_row_sme", row_sme)
-        equal_n = len(set(sizes)) == 1 and sizes[0] > 0
-        object.__setattr__(self, "_equal_n", equal_n)
-        if equal_n:
-            J, n = len(Xs), sizes[0]
-            object.__setattr__(self, "_X3", X_all.reshape(J, n, p))
-        object.__setattr__(self, "_all_nonempty", min(sizes) > 0)
+        sizes = np.array([x.shape[0] for x in Xs])
+        J, n_max = sizes.size, int(sizes.max())
+        rows = np.arange(n_max) < sizes[:, None]    # real (not padded) rows
+        X3 = np.zeros((J, n_max, p))
+        X3[rows] = np.concatenate(Xs)
+        y = np.zeros((J, n_max))
+        y[rows] = np.concatenate(ys)
+        object.__setattr__(self, "_X3", X3)
+        object.__setattr__(self, "_y", y.ravel())
+        object.__setattr__(self, "_one_minus_y", (rows - y).ravel())
+        object.__setattr__(self, "_pad_softplus",
+                           float(rows.size - sizes.sum()) * math.log(2.0))
 
     @classmethod
     def from_collection(cls, collection: SMECollection,
@@ -240,32 +241,16 @@ class HierTarget:
             return -math.inf, np.zeros(self.dim)
         sigma = math.exp(log_sigma)
 
-        X = data._X_all
-        if X.shape[0]:
-            betas = mu + sigma * braw
-            if data._equal_n:
-                z = np.matmul(data._X3, betas[:, :, None]).ravel()
-            else:
-                z = np.einsum("ij,ij->i", X, betas[data._row_sme])
-            # log(1 + exp(-z)) once covers both label cases:
-            # ll_i = -softplus(-z) - (1 - y_i) * z, and sigmoid = exp(-softplus).
-            softplus = np.logaddexp(0.0, -z)
-            loglik = -(float(softplus.sum()) + float(data._one_minus_y @ z))
-            err = data._y_all - np.exp(-softplus)
-            if data._equal_n:
-                g_beta = np.matmul(err.reshape(J, 1, -1), data._X3)[:, 0, :]
-            elif data._all_nonempty:
-                g_beta = np.add.reduceat(X * err[:, None], data._starts,
-                                         axis=0)
-            else:
-                g_beta = np.zeros((J, p))
-                for j in range(J):
-                    lo, hi = data._starts[j], data._starts[j] + data.Xs[j].shape[0]
-                    if hi > lo:
-                        g_beta[j] = X[lo:hi].T @ err[lo:hi]
-        else:
-            loglik = 0.0
-            g_beta = np.zeros((J, p))
+        # One batched pass over the padded block; see HierData.
+        # log(1 + exp(-z)) once covers both label cases:
+        # ll_i = -softplus(-z) - (1 - y_i) * z, and sigmoid = exp(-softplus).
+        betas = mu + sigma * braw
+        z = np.matmul(data._X3, betas[:, :, None]).ravel()
+        softplus = np.logaddexp(0.0, -z)
+        loglik = data._pad_softplus - (float(softplus.sum())
+                                       + float(data._one_minus_y @ z))
+        err = data._y - np.exp(-softplus)
+        g_beta = np.matmul(err.reshape(J, 1, -1), data._X3)[:, 0, :]
 
         diff = mu - hyper.beta0
         logp = (loglik

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PROB_CLIP", "sigmoid", "binary_log_loss", "log_sigmoid", "norm_ppf"]
+__all__ = ["PROB_CLIP", "sigmoid", "binary_log_loss", "average_ranks",
+           "norm_ppf"]
 
 # Probabilities are clipped to [PROB_CLIP, 1 - PROB_CLIP] before any log.
 PROB_CLIP = 1e-12
@@ -21,17 +22,22 @@ def sigmoid(z):
     return out if out.ndim else float(out)
 
 
-def log_sigmoid(z):
-    """log(sigmoid(z)) computed as -log1p(exp(-z)) without overflow."""
-    z = np.asarray(z, dtype=np.float64)
-    return -np.logaddexp(0.0, -z)
-
-
 def binary_log_loss(labels, probs) -> float:
     """Mean negative log-likelihood with probabilities clipped for stability."""
     labels = np.asarray(labels, dtype=np.float64)
     probs = np.clip(np.asarray(probs, dtype=np.float64), PROB_CLIP, 1.0 - PROB_CLIP)
     return float(-np.mean(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs)))
+
+
+def average_ranks(x) -> np.ndarray:
+    """1-based ranks of a 1-D array, ties sharing their average rank.
+
+    A value's tie block occupies sorted positions ``left+1 .. right``, so
+    its average rank is ``(left + right + 1) / 2``: an exact half-integer.
+    """
+    s = np.sort(x)
+    return (np.searchsorted(s, x, "left") + np.searchsorted(s, x, "right")
+            + 1) / 2.0
 
 
 def norm_ppf(q):

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DiagnosticError, ValidationError
-from .numerics import norm_ppf
+from .numerics import average_ranks, norm_ppf
 from .rng import spawn
 
 __all__ = [
@@ -708,18 +708,7 @@ def _ess_from_chains(chains: np.ndarray) -> float:
 def _rank_normalize(chains: np.ndarray) -> np.ndarray:
     """Average-tie ranks mapped through the normal quantile function."""
     flat = chains.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    ranks = np.empty(flat.size)
-    ranks[order] = np.arange(1, flat.size + 1)
-    sorted_vals = flat[order]
-    i = 0
-    while i < flat.size:
-        j = i
-        while j + 1 < flat.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    ranks = average_ranks(flat)
     z = norm_ppf((ranks - 0.375) / (flat.size + 0.25))
     return z.reshape(chains.shape)
 

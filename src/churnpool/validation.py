@@ -10,8 +10,6 @@ __all__ = [
     "as_float_matrix",
     "as_float_vector",
     "check_binary_labels",
-    "check_in_range",
-    "check_positive",
 ]
 
 
@@ -47,18 +45,3 @@ def check_binary_labels(y, name: str = "labels") -> np.ndarray:
         raise ValidationError(f"{name} must contain only 0/1, found {values.tolist()}")
     return y.astype(np.int8)
 
-
-def check_in_range(value: float, low: float, high: float, name: str,
-                   inclusive: bool = True) -> float:
-    ok = low <= value <= high if inclusive else low < value < high
-    if not ok:
-        bracket = "[]" if inclusive else "()"
-        raise ValidationError(
-            f"{name}={value} outside {bracket[0]}{low}, {high}{bracket[1]}")
-    return float(value)
-
-
-def check_positive(value: float, name: str, strict: bool = True) -> float:
-    if (value <= 0 and strict) or value < 0:
-        raise ValidationError(f"{name} must be {'>' if strict else '>='} 0, got {value}")
-    return float(value)

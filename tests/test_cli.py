@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+import churnpool.evaluate as evaluate
 from churnpool.cli import main
+from churnpool.errors import ConvergenceError
 
 SIM_ARGS = ["--smes", "4", "--n-per", "50", "--features", "2",
             "--sigma-true", "0.4", "--mu-scale", "1.0"]
@@ -199,6 +201,22 @@ class TestEvaluate:
         assert "hierarchical" in report["aggregates"]
         lines = (tmp_path / "evaluations.csv").read_text().splitlines()
         assert len(lines) == 1 + 18  # header + 3 entities x 2 folds x 3 methods
+
+    def test_baseline_convergence_failures_exit_ok(self, tmp_path, monkeypatch):
+        def fail(train, C=1.0):
+            raise ConvergenceError("no convergence (forced)")
+
+        monkeypatch.setattr(evaluate, "fit_logreg_l2", fail)
+        assert run(tmp_path, "gen-data", "--mode", "simulate", "--smes", "3",
+                   "--n-per", "40", "--features", "2",
+                   "--sigma-true", "0.4") == 0
+        code = main(["--out", str(tmp_path), "--seed", "11",
+                     "--config", _config_path(tmp_path),
+                     "evaluate", "--weak-prior"])
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert any("pooled fit skipped" in f for f in report["flags"])
+        assert set(report["aggregates"]) == {"hierarchical"}
 
 
 def _config_path(tmp_path):

@@ -10,7 +10,8 @@ import pytest
 import scipy.stats
 
 from churnpool.data import Dataset, generate_hierarchical_population
-from churnpool.errors import ValidationError
+from churnpool.errors import ConvergenceError, ValidationError
+import churnpool.evaluate as evaluate
 from churnpool.evaluate import (ExperimentConfig, auc, classification_metrics,
                                 cohens_d_paired, fit_baselines, fit_logreg_l2,
                                 paired_t_test, run_experiment, student_t_sf)
@@ -327,3 +328,28 @@ class TestRunExperiment:
         methods = {row["method"] for row in report.rows}
         assert methods == {"pooled", "independent"}
         assert report.diagnostics == {}
+
+    def test_pooled_convergence_failure_flagged(self, monkeypatch):
+        collection, _ = generate_hierarchical_population(
+            p=2, J=3, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=25)
+        prior = PriorSpec(collection.feature_names, np.zeros(2), np.ones(2),
+                          0.0, {})
+        config = ExperimentConfig(folds=2, chains=2, warmup=120, draws=100,
+                                  alpha=0.2)
+
+        def fit_failing_on_pooled(train, C=1.0):
+            # Entity training folds hold 15 rows; the pooled fold holds 45.
+            if train.n > 30:
+                raise ConvergenceError("no convergence (forced)")
+            return fit_logreg_l2(train, C)
+
+        monkeypatch.setattr(evaluate, "fit_logreg_l2", fit_failing_on_pooled)
+        report = run_experiment(collection, prior, config, seed=4)
+        assert [f for f in report.flags if "pooled fit skipped" in f] == [
+            "fold 0: pooled fit skipped: no convergence (forced)",
+            "fold 1: pooled fit skipped: no convergence (forced)"]
+        methods = {row["method"] for row in report.rows}
+        assert methods == {"hierarchical", "independent"}
+        assert "pooled" not in report.aggregates
+        assert "hierarchical_vs_pooled" not in report.paired_tests
+        assert report.n_evaluations == 6

@@ -17,25 +17,32 @@ from churnpool.nuts import PosteriorTrace
 from _oracles import longdouble_log_posterior
 
 
-def _random_instance(p, J, n, seed, empty=False):
+def _random_instance(p, sizes, seed):
+    """Random data, hyperparameters and point for entities of ``sizes`` rows."""
     rng = np.random.default_rng(seed)
     Xs, ys = [], []
-    for _ in range(J):
-        if empty:
-            Xs.append(np.empty((0, p)))
-            ys.append(np.empty(0, dtype=int))
-        else:
-            X = rng.normal(size=(n, p))
-            beta = rng.normal(size=p)
-            probs = 1 / (1 + np.exp(-X @ beta))
-            Xs.append(X)
-            ys.append((rng.random(n) < probs).astype(int))
+    for n in sizes:
+        X = rng.normal(size=(n, p))
+        beta = rng.normal(size=p)
+        probs = 1 / (1 + np.exp(-X @ beta))
+        Xs.append(X)
+        ys.append((rng.random(n) < probs).astype(int))
     data = HierData(tuple(Xs), tuple(ys), tuple(f"x{k}" for k in range(p)))
     hyper = HierHyper(rng.normal(size=p), rng.uniform(0.5, 2.0, size=p),
                       tau=2.0)
     params = HierParams(rng.normal(size=p), float(rng.uniform(-1, 1)),
-                        rng.normal(size=(J, p)))
+                        rng.normal(size=(len(sizes), p)))
     return data, hyper, params
+
+
+# (p, J): J entities of one size, or an explicit tuple of entity sizes.
+LAYOUTS = [(2, 1), (2, 5), (10, 1), (10, 5),
+           pytest.param(3, (5, 17, 9, 40), id="3-unequal"),
+           pytest.param(3, (5, 17, 0, 40), id="3-unequal-with-empty")]
+
+
+def _sizes(J, n):
+    return (n,) * J if isinstance(J, int) else J
 
 
 class TestLogPosterior:
@@ -44,7 +51,7 @@ class TestLogPosterior:
         rng = np.random.default_rng(1)
         beta0 = rng.normal(size=p)
         sigma0 = rng.uniform(0.5, 2.0, size=p)
-        data, hyper, _ = _random_instance(p, J, 0, seed=2, empty=True)
+        data, hyper, _ = _random_instance(p, (0,) * J, seed=2)
         hyper = HierHyper(beta0, sigma0, tau=2.0)
         params = HierParams(beta0, 0.3, np.zeros((J, p)))
         value = log_posterior(params, data, hyper)
@@ -65,10 +72,11 @@ class TestLogPosterior:
                  - log_posterior(params, data_empty, hyper))
         assert delta == pytest.approx(math.log(0.5), abs=1e-14)
 
-    @pytest.mark.parametrize("p,J", [(2, 1), (2, 5), (10, 1), (10, 5)])
+    @pytest.mark.parametrize("p,J", LAYOUTS)
     def test_matches_extended_precision_oracle(self, p, J):
         for seed in range(5):
-            data, hyper, params = _random_instance(p, J, 12, seed=100 + seed)
+            data, hyper, params = _random_instance(p, _sizes(J, 12),
+                                                   seed=100 + seed)
             value = log_posterior(params, data, hyper)
             expected = longdouble_log_posterior(
                 params.mu, params.log_sigma, params.beta_raw, data.Xs,
@@ -76,7 +84,7 @@ class TestLogPosterior:
             assert value == pytest.approx(expected, rel=1e-10)
 
     def test_invariant_to_entity_and_row_order(self):
-        data, hyper, params = _random_instance(3, 4, 15, seed=7)
+        data, hyper, params = _random_instance(3, (15,) * 4, seed=7)
         value = log_posterior(params, data, hyper)
         perm = [2, 0, 3, 1]
         data_perm = HierData(tuple(data.Xs[j] for j in perm),
@@ -100,7 +108,7 @@ class TestLogPosterior:
     def test_extreme_log_sigma_underflows_to_neg_inf(self):
         # The HalfNormal factor drives the density to zero long before
         # exp(log_sigma) overflows; the evaluation must not raise.
-        data, hyper, params = _random_instance(2, 2, 8, seed=99)
+        data, hyper, params = _random_instance(2, (8, 8), seed=99)
         theta = params.pack()
         theta[2] = 400.0
         value, grad = HierTarget(data, hyper).logp_and_grad(theta)
@@ -124,11 +132,12 @@ class TestGradient:
         np.testing.assert_array_equal(grad[p + 1:], np.zeros(J * p))
         assert grad[p] == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("p,J", [(2, 1), (2, 5), (10, 1), (10, 5)])
+    @pytest.mark.parametrize("p,J", LAYOUTS)
     def test_finite_differences(self, p, J):
         h = 1e-5
         for seed in range(25):
-            data, hyper, params = _random_instance(p, J, 10, seed=200 + seed)
+            data, hyper, params = _random_instance(p, _sizes(J, 10),
+                                                   seed=200 + seed)
             target = HierTarget(data, hyper)
             theta = params.pack()
             _, grad = target.logp_and_grad(theta)

@@ -52,6 +52,11 @@ EXIT_DATA = 4
 RHAT_GATE = 1.01
 ESS_GATE = 400.0
 
+# Customer rows per posterior_predict_matrix call in `predict`: each call
+# holds a (rows x retained draws) probability matrix, so bigger chunks buy
+# little speed for a lot of transient memory.
+PREDICT_CHUNK_ROWS = 32
+
 _UNCERTAINTY_WORD = {0: "invalid", 1: "low", 2: "high"}
 _ACTION_TIER = {
     frozenset({1}): "high-risk churner",
@@ -363,7 +368,7 @@ def cmd_fit(config: RunConfig, args) -> int:
         "min_ess": diag.min_ess(),
         "n_divergent": diag.n_divergent,
         "mean_accept": diag.mean_accept,
-        "calibration_dir": str(calib_dir),
+        "calibration_dir": str(calib_dir.relative_to(out)),
         "config": config.echo(),
     })
     print(f"max rhat {diag.max_rhat():.4f}, min ess {diag.min_ess():.0f}, "
@@ -429,6 +434,8 @@ def _load_prediction_rows(path: Path, feature_names, tag_column: str):
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             tags.append(row[tag_idx] if tag_idx is not None else None)
+    if not features:
+        raise DataError(f"{path} has no customer rows")
     return np.asarray(features, dtype=np.float64), tags
 
 
@@ -448,24 +455,34 @@ def cmd_predict(config: RunConfig, args) -> int:
                                     config.tag_column)
     ids = list(collection.ids)
 
-    rows = []
-    for i in range(X.shape[0]):
-        sme = tags[i] if tags[i] else args.sme
+    smes = [tag if tag else args.sme for tag in tags]
+    for sme in smes:
         if sme is None:
             raise ConfigError(
                 "customer rows need a tag column or --sme override")
         if sme not in ids:
             raise DataError(f"unknown entity id {sme!r}")
-        j = ids.index(sme)
-        x = np.append(X[i], 1.0)
-        mean, lo, hi = posterior_predict_matrix(trace, x[None, :], j)
-        pset = predict_set(float(mean[0]), calibration.q_hat)
+    entity = np.array([ids.index(sme) for sme in smes])
+    X = np.column_stack([X, np.ones(X.shape[0])])
+    mean = np.empty(X.shape[0])
+    lo = np.empty(X.shape[0])
+    hi = np.empty(X.shape[0])
+    for j in np.unique(entity):
+        members = np.flatnonzero(entity == j)
+        for start in range(0, members.size, PREDICT_CHUNK_ROWS):
+            chunk = members[start:start + PREDICT_CHUNK_ROWS]
+            mean[chunk], lo[chunk], hi[chunk] = posterior_predict_matrix(
+                trace, X[chunk], int(j))
+
+    rows = []
+    for i, sme in enumerate(smes):
+        pset = predict_set(float(mean[i]), calibration.q_hat)
         rows.append({
             "sme": sme,
-            "probability": float(mean[0]),
-            "prediction": int(mean[0] >= 0.5),
-            "ci_lower": float(lo[0]),
-            "ci_upper": float(hi[0]),
+            "probability": float(mean[i]),
+            "prediction": int(mean[i] >= 0.5),
+            "ci_lower": float(lo[i]),
+            "ci_upper": float(hi[i]),
             "conformal_set": str(pset),
             "uncertainty": _UNCERTAINTY_WORD[pset.size],
             "action": _ACTION_TIER[pset.labels],

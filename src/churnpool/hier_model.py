@@ -244,29 +244,34 @@ class HierTarget:
         # One batched pass over the padded block; see HierData.
         # log(1 + exp(-z)) once covers both label cases:
         # ll_i = -softplus(-z) - (1 - y_i) * z, and sigmoid = exp(-softplus).
+        # Split form max(-z, 0) + log1p(exp(-|z|)): overflow-safe for any z,
+        # and exactly log 2 at z = 0, which _pad_softplus relies on.
         betas = mu + sigma * braw
         z = np.matmul(data._X3, betas[:, :, None]).ravel()
-        softplus = np.logaddexp(0.0, -z)
+        softplus = np.maximum(-z, 0.0)
+        softplus += np.log1p(np.exp(-np.abs(z)))
         loglik = data._pad_softplus - (float(softplus.sum())
                                        + float(data._one_minus_y @ z))
         err = data._y - np.exp(-softplus)
         g_beta = np.matmul(err.reshape(J, 1, -1), data._X3)[:, 0, :]
 
         diff = mu - hyper.beta0
+        scaled = diff / hyper.sigma0_diag
+        braw_flat = theta[p + 1:]
         logp = (loglik
-                - 0.5 * float(np.sum(diff * diff / hyper.sigma0_diag))
+                - 0.5 * float(diff @ scaled)
                 - self._mu_const
                 + self._half_normal_const
                 - sigma * sigma / (2.0 * hyper.tau ** 2)
                 + log_sigma
-                - 0.5 * float(np.sum(braw * braw))
+                - 0.5 * float(braw_flat @ braw_flat)
                 - self._braw_const)
 
         grad = np.empty(self.dim)
-        grad[:p] = g_beta.sum(axis=0) - diff / hyper.sigma0_diag
-        grad[p] = (sigma * float(np.sum(g_beta * braw))
+        grad[:p] = g_beta.sum(axis=0) - scaled
+        grad[p] = (sigma * float(g_beta.ravel() @ braw_flat)
                    - sigma * sigma / hyper.tau ** 2 + 1.0)
-        grad[p + 1:] = (sigma * g_beta - braw).ravel()
+        np.subtract(sigma * g_beta, braw, out=grad[p + 1:].reshape(J, p))
         return logp, grad
 
     def init_point(self) -> np.ndarray:

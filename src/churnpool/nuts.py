@@ -46,6 +46,8 @@ _TRACE_MAGIC = b"CPTRACE1"
 # can push the autocorrelation-based estimate far past the sample size.
 ESS_CAP_FACTOR = 10.0
 
+_LOG_2 = math.log(2.0)
+
 
 class FunctionTarget:
     """Adapter wrapping plain ``logp``/``grad`` callables into a target."""
@@ -388,13 +390,31 @@ def _mass_windows(warmup: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 class _State:
-    __slots__ = ("q", "r", "grad", "logp")
+    """Phase-space point with its cached gradient and log density; ``v`` is
+    the velocity ``inv_mass * r``, read by the kinetic energy and the
+    U-turn check."""
 
-    def __init__(self, q, r, grad, logp):
+    __slots__ = ("q", "r", "grad", "logp", "v")
+
+    def __init__(self, q, r, grad, logp, v):
         self.q = q
         self.r = r
         self.grad = grad
         self.logp = logp
+        self.v = v
+
+
+def _log_add_exp(a: float, b: float) -> float:
+    """Scalar ``np.logaddexp``: the same branches on ``math`` functions, so
+    it returns the same bits, including for infinities and equal inputs."""
+    if a == b:
+        return a + _LOG_2
+    diff = a - b
+    if diff > 0.0:
+        return a + math.log1p(math.exp(-diff))
+    if diff <= 0.0:
+        return b + math.log1p(math.exp(diff))
+    return diff
 
 
 class _Subtree:
@@ -413,11 +433,10 @@ class _Subtree:
         self.divergent = divergent
 
 
-def _no_uturn(minus: _State, plus: _State, inv_mass: np.ndarray) -> bool:
+def _no_uturn(minus: _State, plus: _State) -> bool:
     """Classic criterion on the trajectory ends, in velocity space."""
     dq = plus.q - minus.q
-    return (np.dot(dq, inv_mass * minus.r) >= 0.0
-            and np.dot(dq, inv_mass * plus.r) >= 0.0)
+    return np.dot(dq, minus.v) >= 0.0 and np.dot(dq, plus.v) >= 0.0
 
 
 class _ChainRunner:
@@ -435,10 +454,10 @@ class _ChainRunner:
         r_half = state.r + 0.5 * eps * state.grad
         q_new = state.q + eps * self.inv_mass * r_half
         logp, grad = self.target.logp_and_grad(q_new)
-        if not (np.isfinite(logp) and np.all(np.isfinite(grad))):
+        if not (math.isfinite(logp) and np.isfinite(grad).all()):
             return None
         r_new = r_half + 0.5 * eps * grad
-        return _State(q_new, r_new, grad, logp)
+        return _State(q_new, r_new, grad, logp, self.inv_mass * r_new)
 
     def _build_tree(self, depth: int, edge: _State, direction: float,
                     h0: float) -> _Subtree:
@@ -446,7 +465,7 @@ class _ChainRunner:
             new = self._leapfrog(edge, direction * self.eps)
             if new is None:
                 return _Subtree(edge, edge, None, -np.inf, 0.0, 1, False, True)
-            energy_error = (-new.logp + _kinetic(new.r, self.inv_mass)) - h0
+            energy_error = (-new.logp + 0.5 * float(np.dot(new.v, new.r))) - h0
             accept = math.exp(min(0.0, -energy_error))
             if energy_error > self.config.divergence_energy_threshold:
                 return _Subtree(new, new, None, -np.inf, accept, 1, False, True)
@@ -456,8 +475,8 @@ class _ChainRunner:
         if not first.cont:
             return first
         second = self._build_tree(depth - 1, first.outer, direction, h0)
-        log_sum_weight = float(np.logaddexp(first.log_sum_weight,
-                                            second.log_sum_weight))
+        log_sum_weight = _log_add_exp(first.log_sum_weight,
+                                      second.log_sum_weight)
         proposal = first.proposal
         if second.proposal is not None and (
                 math.log(self.rng.uniform())
@@ -465,9 +484,9 @@ class _ChainRunner:
             proposal = second.proposal
         inner, outer = first.inner, second.outer
         if direction > 0:
-            ok = _no_uturn(inner, outer, self.inv_mass)
+            ok = _no_uturn(inner, outer)
         else:
-            ok = _no_uturn(outer, inner, self.inv_mass)
+            ok = _no_uturn(outer, inner)
         return _Subtree(inner, outer, proposal, log_sum_weight,
                         first.sum_accept + second.sum_accept,
                         first.n_accept + second.n_accept,
@@ -478,8 +497,9 @@ class _ChainRunner:
         """One NUTS draw with biased progressive multinomial selection."""
         rng = self.rng
         r0 = rng.standard_normal(self.target.dim) / np.sqrt(self.inv_mass)
-        current = _State(state.q, r0, state.grad, state.logp)
-        h0 = -current.logp + _kinetic(r0, self.inv_mass)
+        current = _State(state.q, r0, state.grad, state.logp,
+                         self.inv_mass * r0)
+        h0 = -current.logp + 0.5 * float(np.dot(current.v, r0))
         minus, plus, proposal = current, current, current
         log_sum_weight = 0.0
         sum_accept, n_accept = 0.0, 0
@@ -498,13 +518,13 @@ class _ChainRunner:
                     or math.log(rng.uniform())
                     < subtree.log_sum_weight - log_sum_weight):
                 proposal = subtree.proposal
-            log_sum_weight = float(np.logaddexp(log_sum_weight,
-                                                subtree.log_sum_weight))
+            log_sum_weight = _log_add_exp(log_sum_weight,
+                                          subtree.log_sum_weight)
             if direction > 0:
                 plus = subtree.outer
             else:
                 minus = subtree.outer
-            if not _no_uturn(minus, plus, self.inv_mass):
+            if not _no_uturn(minus, plus):
                 break
         return proposal, divergent, sum_accept / max(n_accept, 1)
 
@@ -515,7 +535,7 @@ def _run_chain(target, config: SamplerConfig, rng: np.random.Generator,
     logp, grad = target.logp_and_grad(q0)
     if not (np.isfinite(logp) and np.all(np.isfinite(grad))):
         raise ValidationError("target is not finite at the initial point")
-    state = _State(q0, np.zeros_like(q0), grad, logp)
+    state = _State(q0, np.zeros_like(q0), grad, logp, np.zeros_like(q0))
 
     eps0 = find_reasonable_step_size(target, q0, runner.inv_mass, rng)
     initial_eps = eps0

@@ -132,3 +132,43 @@ def longdouble_log_posterior(mu, log_sigma, beta_raw, Xs, ys, beta0,
             s = ld(2) * ld(float(y[i])) - ld(1)
             total += -np.logaddexp(ld(0), -s * z)
     return float(total)
+
+
+def longdouble_grad_log_posterior(mu, log_sigma, beta_raw, Xs, ys, beta0,
+                                  sigma0_diag, tau):
+    """Loop-based analytic gradient in float80, flat (mu, log_sigma,
+    beta_raw) order."""
+    ld = np.longdouble
+    mu = np.asarray(mu, dtype=ld)
+    beta_raw = np.asarray(beta_raw, dtype=ld)
+    beta0 = np.asarray(beta0, dtype=ld)
+    sigma0 = np.asarray(sigma0_diag, dtype=ld)
+    tau = ld(tau)
+    sigma = np.exp(ld(log_sigma))
+    J, p = beta_raw.shape
+
+    # Likelihood gradient with respect to each entity's coefficients.
+    g_beta = np.zeros((J, p), dtype=ld)
+    for j, (X, y) in enumerate(zip(Xs, ys)):
+        X = np.asarray(X, dtype=ld)
+        beta_j = mu + sigma * beta_raw[j]
+        for i in range(X.shape[0]):
+            z = ld(0)
+            for k in range(p):
+                z += X[i, k] * beta_j[k]
+            err = ld(float(y[i])) - ld(1) / (ld(1) + np.exp(-z))
+            for k in range(p):
+                g_beta[j, k] += err * X[i, k]
+
+    grad = np.zeros(p + 1 + J * p, dtype=ld)
+    for k in range(p):
+        grad[k] = -(mu[k] - beta0[k]) / sigma0[k]
+        for j in range(J):
+            grad[k] += g_beta[j, k]
+    total = ld(0)
+    for j in range(J):
+        for k in range(p):
+            total += g_beta[j, k] * beta_raw[j, k]
+            grad[p + 1 + j * p + k] = sigma * g_beta[j, k] - beta_raw[j, k]
+    grad[p] = sigma * total - sigma * sigma / (tau * tau) + ld(1)
+    return grad.astype(np.float64)

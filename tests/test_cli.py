@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 import churnpool.evaluate as evaluate
 from churnpool.cli import main
 from churnpool.errors import ConvergenceError
+from churnpool.hier_model import posterior_predict_matrix
+from churnpool.nuts import PosteriorTrace
 
 SIM_ARGS = ["--smes", "4", "--n-per", "50", "--features", "2",
             "--sigma-true", "0.4", "--mu-scale", "1.0"]
@@ -133,6 +136,14 @@ class TestFitCalibrate:
         diag = json.loads((pipeline_dir / "diagnostics.json").read_text())
         assert diag["n_divergent"] >= 0
 
+    def test_fit_meta_names_calibration_dir_relative_to_out(self,
+                                                            pipeline_dir):
+        # A path relative to --out keeps the same seeded fit byte-identical
+        # across output directories.
+        meta = json.loads((pipeline_dir / "fit_meta.json").read_text())
+        assert meta["calibration_dir"] == "calibration_data"
+        assert (pipeline_dir / meta["calibration_dir"]).is_dir()
+
     def test_calibration_artifact(self, pipeline_dir):
         doc = json.loads((pipeline_dir / "calibration.json").read_text())
         assert 0.0 <= doc["q_hat"] <= 1.0
@@ -176,6 +187,47 @@ class TestPredict:
             assert row["uncertainty"] in ("low", "high", "invalid")
             if row["conformal_set"] == "{1}":
                 assert row["action"] == "high-risk churner"
+
+    def test_rows_match_per_row_prediction_in_input_order(self, pipeline_dir,
+                                                          tmp_path):
+        # 40 rows per entity, interleaved: each entity spans two chunks.
+        ids = json.loads((pipeline_dir / "smes" / "manifest.json")
+                         .read_text())["ids"]
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(40 * len(ids), 2))
+        owner = rng.permutation(np.arange(X.shape[0]) % len(ids))
+        customers = tmp_path / "customers.csv"
+        with customers.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x00", "x01", "source"])
+            for row, j in zip(X, owner):
+                writer.writerow([*map(repr, row.tolist()), ids[j]])
+        assert main(["--out", str(pipeline_dir), "--force", "predict",
+                     "--customers", str(customers)]) == 0
+        with (pipeline_dir / "predictions.csv").open() as fh:
+            out_rows = list(csv.DictReader(fh))
+        trace = PosteriorTrace.load(pipeline_dir / "trace.bin")
+        assert [row["sme"] for row in out_rows] == [ids[j] for j in owner]
+        for row, x, j in zip(out_rows, X, owner):
+            mean, lo, hi = posterior_predict_matrix(
+                trace, np.append(x, 1.0)[None, :], int(j))
+            assert float(row["probability"]) == pytest.approx(mean[0],
+                                                              rel=1e-12)
+            assert float(row["ci_lower"]) == pytest.approx(lo[0], rel=1e-12)
+            assert float(row["ci_upper"]) == pytest.approx(hi[0], rel=1e-12)
+
+    def test_header_only_customers_is_data_error(self, pipeline_dir,
+                                                 tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("trace.bin", "calibration.json"):
+            shutil.copy(pipeline_dir / name, out / name)
+        shutil.copytree(pipeline_dir / "smes", out / "smes")
+        customers = tmp_path / "empty.csv"
+        customers.write_text("x00,x01,source\n")
+        assert main(["--out", str(out), "predict",
+                     "--customers", str(customers)]) == 4
+        assert not (out / "predictions.csv").exists()
 
     def test_unknown_entity_rejected(self, pipeline_dir, tmp_path):
         customers = tmp_path / "strangers.csv"

@@ -14,7 +14,7 @@ from churnpool.hier_model import (HierData, HierHyper, HierParams, HierTarget,
                                   shrinkage_report, shrinkage_weight)
 from churnpool.nuts import PosteriorTrace
 
-from _oracles import longdouble_log_posterior
+from _oracles import longdouble_grad_log_posterior, longdouble_log_posterior
 
 
 def _random_instance(p, sizes, seed):
@@ -43,6 +43,20 @@ LAYOUTS = [(2, 1), (2, 5), (10, 1), (10, 5),
 
 def _sizes(J, n):
     return (n,) * J if isinstance(J, int) else J
+
+
+def _extreme_margin_instance(p, sizes, seed):
+    """``_random_instance`` with every row rescaled so its margin
+    ``x . beta_j`` has magnitude in [700, 800]; labels keep their draw, so
+    some rows sit on the wrong side with a loss near 750."""
+    data, hyper, params = _random_instance(p, sizes, seed)
+    rng = np.random.default_rng(seed + 1)
+    betas = centered_betas(params)
+    Xs = []
+    for X, beta in zip(data.Xs, betas):
+        z = X @ beta
+        Xs.append(X * (rng.uniform(700.0, 800.0, z.size) / np.abs(z))[:, None])
+    return HierData(tuple(Xs), data.ys, data.feature_names), hyper, params
 
 
 class TestLogPosterior:
@@ -151,6 +165,22 @@ class TestGradient:
                       - target.logp_and_grad(minus)[0]) / (2 * h)
                 denom = max(abs(grad[idx]), abs(fd), 1e-6)
                 assert abs(grad[idx] - fd) / denom < 1e-5
+
+    @pytest.mark.parametrize("p,J", LAYOUTS)
+    def test_extreme_margins_match_oracle(self, p, J):
+        # |z| of 700-800 is past where exp(-z) overflows for z < -709.
+        for seed in range(3):
+            data, hyper, params = _extreme_margin_instance(
+                p, _sizes(J, 12), seed=300 + seed)
+            value, grad = HierTarget(data, hyper).logp_and_grad(params.pack())
+            oracle_args = (params.mu, params.log_sigma, params.beta_raw,
+                           data.Xs, data.ys, hyper.beta0, hyper.sigma0_diag,
+                           hyper.tau)
+            assert math.isfinite(value) and np.all(np.isfinite(grad))
+            assert value == pytest.approx(
+                longdouble_log_posterior(*oracle_args), rel=1e-10)
+            np.testing.assert_allclose(
+                grad, longdouble_grad_log_posterior(*oracle_args), rtol=1e-10)
 
     def test_duplicated_row_doubles_likelihood_gradient(self):
         p, J = 3, 1

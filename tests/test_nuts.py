@@ -9,8 +9,8 @@ import pytest
 
 from churnpool.errors import DiagnosticError, ValidationError
 from churnpool.nuts import (Diagnostics, FunctionTarget, PosteriorTrace,
-                            SamplerConfig, ess, find_reasonable_step_size,
-                            leapfrog, rhat, sample)
+                            SamplerConfig, _log_add_exp, ess,
+                            find_reasonable_step_size, leapfrog, rhat, sample)
 from churnpool.rng import default_rng
 
 
@@ -85,6 +85,20 @@ class TestLeapfrog:
             minus[i] -= h
             jac[:, i] = (step(plus) - step(minus)) / (2 * h)
         assert abs(np.linalg.det(jac) - 1.0) < 1e-8
+
+
+def test_log_add_exp_matches_numpy_bitwise():
+    rng = np.random.default_rng(5)
+    values = [-math.inf, -1e3, -745.0, -1.0, -0.0, 0.0, 5e-324, 1.0, 700.0,
+              1e3, *rng.normal(scale=30.0, size=40)]
+    pairs = [(a, b) for a in values for b in values]
+    pairs += [(a, a) for a in values]
+    pairs += [(a, a + gap) for a in values[1:]
+              for gap in (1e-12, 0.5, 37.0, 1e3)]
+    for a, b in pairs:
+        got, want = _log_add_exp(a, b), float(np.logaddexp(a, b))
+        assert got == want and math.copysign(1.0, got) == math.copysign(
+            1.0, want), (a, b, got, want)
 
 
 class TestFindReasonableStepSize:

@@ -36,7 +36,7 @@ from .data import (SMECollection, apply_standardization,
                    make_synthetic_smes, save_collection, standardize,
                    stratified_split)
 from .errors import (ChurnpoolError, DataError, DiagnosticError,
-                     ValidationError)
+                     ValidationError, malformed_artifact)
 from .evaluate import ExperimentConfig, classification_metrics, run_experiment
 from .gbdt import GradientBoostedTrees, TreeEnsemble
 from .hier_model import HierarchicalLogistic, posterior_predict_matrix
@@ -201,6 +201,14 @@ class RunConfig:
         }
 
 
+def _load_stats(path: Path) -> StandardizationStats:
+    """The means and stds that ``pretrain`` writes; damage is a DataError."""
+    with malformed_artifact(f"standardization stats {path}"):
+        doc = json.loads(path.read_bytes())
+        return StandardizationStats(np.asarray(doc["means"], dtype=np.float64),
+                                    np.asarray(doc["stds"], dtype=np.float64))
+
+
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
@@ -238,9 +246,8 @@ def cmd_gen_data(config: RunConfig, args) -> int:
             raise ConfigError("--mode resample requires --source CSV")
         source = load_csv(args.source, config.label_column, config.tag_column)
         if args.stats is not None:
-            stats_doc = json.loads(Path(args.stats).read_text(encoding="utf-8"))
-            stats = StandardizationStats(np.asarray(stats_doc["means"]),
-                                         np.asarray(stats_doc["stds"]))
+            stats = _load_stats(_require(Path(args.stats),
+                                         "standardization stats"))
             source = apply_standardization(source, stats)
         collection = make_synthetic_smes(source, config.smes, config.n_per,
                                          config.seed)
@@ -296,11 +303,8 @@ def cmd_extract_priors(config: RunConfig, args) -> int:
     _check_force([prior_path, check_path], args.force)
 
     ensemble = TreeEnsemble.load(_require(out / "model.json", "model artifact"))
-    stats_doc = json.loads(
-        _require(out / "standardization.json", "standardization stats")
-        .read_text(encoding="utf-8"))
-    stats = StandardizationStats(np.asarray(stats_doc["means"]),
-                                 np.asarray(stats_doc["stds"]))
+    stats = _load_stats(_require(out / "standardization.json",
+                                 "standardization stats"))
     val = load_csv(_require(out / "pretrain_val.csv", "validation data"),
                    config.label_column, config.tag_column)
     if val.source_tags is None or len(set(val.source_tags)) < 2:

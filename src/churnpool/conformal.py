@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, stratified_kfold
-from .errors import ValidationError
+from .errors import ValidationError, malformed_artifact
 
 __all__ = [
     "nonconformity",
@@ -73,17 +74,23 @@ class CalibrationResult:
         }, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "CalibrationResult":
-        doc = json.loads(text)
-        return cls(doc["q_hat"], doc["alpha"], doc["n_cal"], doc["strategy"],
-                   doc["inflation"])
+    def from_json(cls, text: str | bytes) -> "CalibrationResult":
+        """Inverse of ``to_json``; a malformed document raises ``DataError``."""
+        with malformed_artifact("calibration result"):
+            doc = json.loads(text)
+            strategy = doc["strategy"]
+            if not isinstance(strategy, str):
+                raise TypeError("strategy must be a string")
+            return cls(float(doc["q_hat"]), float(doc["alpha"]),
+                       operator.index(doc["n_cal"]), strategy,
+                       float(doc["inflation"]))
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "CalibrationResult":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(Path(path).read_bytes())
 
 
 def _check_alpha(alpha: float) -> float:

@@ -14,11 +14,10 @@ PROB_CLIP = 1e-12
 def sigmoid(z):
     """Logistic function, overflow-safe for any float64 input."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # With e = exp(-|z|) this is 1 / (1 + exp(-z)) for z >= 0 and
+    # exp(z) / (1 + exp(z)) below: the exponent never overflows.
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 

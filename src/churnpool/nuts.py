@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -23,9 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DiagnosticError, ValidationError
+from .errors import (DataError, DiagnosticError, ValidationError,
+                     malformed_artifact)
 from .numerics import average_ranks, norm_ppf
 from .rng import spawn
+from .validation import as_name_tuple
 
 __all__ = [
     "SamplerConfig",
@@ -184,27 +187,34 @@ class PosteriorTrace:
 
     @classmethod
     def load(cls, path) -> "PosteriorTrace":
+        """Inverse of ``save``; a damaged container raises ``DataError``."""
         raw = Path(path).read_bytes()
         if raw[:len(_TRACE_MAGIC)] != _TRACE_MAGIC:
-            raise ValidationError(f"{path} is not a trace container")
-        offset = len(_TRACE_MAGIC)
-        (header_len,) = struct.unpack_from("<Q", raw, offset)
-        offset += 8
-        header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
-        offset += header_len
-        shape = (header["chains"], header["draws"], header["dim"])
-        count = shape[0] * shape[1] * shape[2]
-        draws = np.frombuffer(raw, dtype="<f8", offset=offset,
-                              count=count).reshape(shape)
-        divergent = np.zeros(shape[:2], dtype=bool)
-        for c, idx in enumerate(header["divergent_draws"]):
-            divergent[c, idx] = True
-        return cls(draws.astype(np.float64), divergent,
-                   np.asarray(header["step_sizes"]),
-                   np.asarray(header["initial_step_sizes"]),
-                   np.asarray(header["mass_diag"]),
-                   tuple(header["param_names"]), header["seed"],
-                   header["config"])
+            raise DataError(f"{path} is not a trace container")
+        with malformed_artifact(f"trace container {path}"):
+            offset = len(_TRACE_MAGIC)
+            (header_len,) = struct.unpack_from("<Q", raw, offset)
+            offset += 8
+            header = json.loads(raw[offset:offset + header_len])
+            offset += header_len
+            shape = tuple(operator.index(header[key])
+                          for key in ("chains", "draws", "dim"))
+            count = shape[0] * shape[1] * shape[2]
+            if len(raw) != offset + 8 * count:
+                raise ValueError(f"payload holds {len(raw) - offset} bytes, "
+                                 f"expected {8 * count}")
+            draws = np.frombuffer(raw, dtype="<f8", offset=offset,
+                                  count=count).reshape(shape)
+            divergent = np.zeros(shape[:2], dtype=bool)
+            for c, idx in enumerate(header["divergent_draws"]):
+                divergent[c, idx] = True
+            return cls(draws.astype(np.float64), divergent,
+                       np.asarray(header["step_sizes"], dtype=np.float64),
+                       np.asarray(header["initial_step_sizes"],
+                                  dtype=np.float64),
+                       np.asarray(header["mass_diag"], dtype=np.float64),
+                       as_name_tuple(header["param_names"], "param_names"),
+                       header["seed"], header["config"])
 
     def to_csv(self, path) -> None:
         """One row per draw, for external inspection."""

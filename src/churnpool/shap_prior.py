@@ -32,10 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, StandardizationStats
-from .errors import ValidationError
+from .errors import ValidationError, malformed_artifact
 from .gbdt import TreeEnsemble, TreeNode
 from .numerics import sigmoid
 from .rng import default_rng
+from .validation import as_name_tuple
 
 __all__ = [
     "TreeShapExplainer",
@@ -238,19 +239,24 @@ class PriorSpec:
         }, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "PriorSpec":
-        doc = json.loads(text)
-        return cls(tuple(doc["feature_names"]),
-                   np.asarray(doc["beta0"], dtype=np.float64),
-                   np.asarray(doc["sigma0_diag"], dtype=np.float64),
-                   float(doc["lambda"]), doc["provenance"])
+    def from_json(cls, text: str | bytes) -> "PriorSpec":
+        """Inverse of ``to_json``; a malformed document raises ``DataError``."""
+        with malformed_artifact("prior"):
+            doc = json.loads(text)
+            provenance = doc["provenance"]
+            if not isinstance(provenance, dict):
+                raise TypeError("provenance must be an object")
+            return cls(as_name_tuple(doc["feature_names"]),
+                       np.asarray(doc["beta0"], dtype=np.float64),
+                       np.asarray(doc["sigma0_diag"], dtype=np.float64),
+                       float(doc["lambda"]), provenance)
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "PriorSpec":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(Path(path).read_bytes())
 
 
 def extract_priors(ensemble: TreeEnsemble, val: Dataset,

@@ -10,6 +10,7 @@ __all__ = [
     "as_float_matrix",
     "as_float_vector",
     "check_binary_labels",
+    "as_name_tuple",
 ]
 
 
@@ -45,3 +46,10 @@ def check_binary_labels(y, name: str = "labels") -> np.ndarray:
         raise ValidationError(f"{name} must contain only 0/1, found {values.tolist()}")
     return y.astype(np.int8)
 
+
+def as_name_tuple(names, name: str = "feature_names") -> tuple[str, ...]:
+    """Require a list or tuple of strings, as read from a JSON artifact."""
+    if not isinstance(names, (list, tuple)) or not all(
+            isinstance(v, str) for v in names):
+        raise ValidationError(f"{name} must be a list of strings")
+    return tuple(names)

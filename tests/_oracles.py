@@ -2,14 +2,17 @@
 
 Everything here is deliberately written as straight-line, readable code on
 a separate path from the library: exhaustive subset enumeration for
-Shapley values, damped Newton for the penalized logistic objective, and an
-extended-precision log-posterior evaluation.
+Shapley values, damped Newton for the penalized logistic objective, an
+extended-precision log-posterior evaluation, the two-branch logistic
+function and the argsort-per-node boosted-tree grower.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
+
+from churnpool.gbdt import _MIN_SPLIT_GAIN, TreeNode
 
 
 # ---------------------------------------------------------------------------
@@ -172,3 +175,74 @@ def longdouble_grad_log_posterior(mu, log_sigma, beta_raw, Xs, ys, beta0,
             grad[p + 1 + j * p + k] = sigma * g_beta[j, k] - beta_raw[j, k]
     grad[p] = sigma * total - sigma * sigma / (tau * tau) + ld(1)
     return grad.astype(np.float64)
+
+
+# ---------------------------------------------------------------------------
+# Two-branch logistic function with boolean-mask indexing
+# ---------------------------------------------------------------------------
+
+def two_branch_sigmoid(z):
+    """1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere,
+    each branch computed on its own masked subset."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out if out.ndim else float(out)
+
+
+# ---------------------------------------------------------------------------
+# Exact-greedy tree grower that sorts every feature at every node
+# ---------------------------------------------------------------------------
+
+def argsort_best_split(x, r, min_leaf):
+    """Best squared-error split of one unsorted column: (gain, threshold)
+    or None, sorting the node's values with a stable argsort."""
+    n = x.size
+    if n < 2 * min_leaf:
+        return None
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    rs = r[order]
+    csum = np.cumsum(rs)
+    total = csum[-1]
+    left_counts = np.arange(min_leaf, n - min_leaf + 1)
+    valid = xs[left_counts - 1] < xs[left_counts]
+    if not valid.any():
+        return None
+    left_counts = left_counts[valid]
+    left_sums = csum[left_counts - 1]
+    gains = (left_sums ** 2 / left_counts
+             + (total - left_sums) ** 2 / (n - left_counts)
+             - total ** 2 / n)
+    best = int(np.argmax(gains))
+    if gains[best] <= _MIN_SPLIT_GAIN:
+        return None
+    cut = left_counts[best]
+    return float(gains[best]), float((xs[cut - 1] + xs[cut]) / 2.0)
+
+
+def argsort_grow_tree(X, r, rows, features, depth, max_depth, min_leaf,
+                      l2_leaf):
+    """Grow a regression tree on ``rows`` (ascending) by exhaustive search
+    over every feature's sorted values at every node."""
+    n = rows.size
+    if depth >= max_depth or n < 2 * min_leaf:
+        return TreeNode(value=float(r[rows].sum() / (n + l2_leaf)), cover=n)
+    best_gain, best_feature, best_threshold = 0.0, None, None
+    for f in features:
+        found = argsort_best_split(X[rows, f], r[rows], min_leaf)
+        if found is not None and found[0] > best_gain:
+            best_gain, best_threshold = found
+            best_feature = int(f)
+    if best_feature is None:
+        return TreeNode(value=float(r[rows].sum() / (n + l2_leaf)), cover=n)
+    go_left = X[rows, best_feature] <= best_threshold
+    left = argsort_grow_tree(X, r, rows[go_left], features, depth + 1,
+                             max_depth, min_leaf, l2_leaf)
+    right = argsort_grow_tree(X, r, rows[~go_left], features, depth + 1,
+                              max_depth, min_leaf, l2_leaf)
+    return TreeNode(feature_index=best_feature, threshold=best_threshold,
+                    left=left, right=right, gain=best_gain, cover=n)

@@ -1,0 +1,230 @@
+"""Saved artifacts: JSON round trips, and damaged files end in DataError.
+
+Each loader must either return an object or raise ``DataError``: a
+truncated file, a missing key or a value of the wrong type never escapes
+as a raw ``json``, ``struct``, numpy or ``KeyError`` exception.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from churnpool.conformal import CalibrationResult
+from churnpool.errors import DataError
+from churnpool.gbdt import TreeEnsemble, TreeNode
+from churnpool.nuts import PosteriorTrace
+from churnpool.shap_prior import PriorSpec
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_positive = st.floats(min_value=1e-300, max_value=1e300)
+_names = st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _finite | st.text(max_size=5),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _tree(p):
+    leaf = st.builds(lambda v, c: TreeNode(value=v, cover=c), _finite,
+                     _positive)
+
+    def split(children):
+        return st.builds(
+            lambda f, t, g, c, left, right: TreeNode(
+                feature_index=f, threshold=t, gain=g, cover=c, left=left,
+                right=right),
+            st.integers(0, p - 1), _finite, _finite, _positive, children,
+            children)
+
+    return st.recursive(leaf, split, max_leaves=8)
+
+
+@st.composite
+def _ensembles(draw):
+    names = draw(_names)
+    trees = draw(st.lists(_tree(len(names)), max_size=3))
+    return TreeEnsemble(draw(_finite), draw(_finite), trees, tuple(names))
+
+
+@st.composite
+def _priors(draw):
+    names = draw(_names)
+    p = len(names)
+    return PriorSpec(tuple(names),
+                     np.array(draw(st.lists(_finite, min_size=p, max_size=p))),
+                     np.array(draw(st.lists(_positive, min_size=p,
+                                            max_size=p))),
+                     draw(_finite),
+                     draw(st.dictionaries(st.text(max_size=5), _json_values,
+                                          max_size=3)))
+
+
+_calibrations = st.builds(CalibrationResult, _finite, _finite,
+                          st.integers(0, 10**6), st.text(max_size=8),
+                          _finite)
+
+_LOADERS = {
+    "model": (_ensembles(), TreeEnsemble.from_json),
+    "prior": (_priors(), PriorSpec.from_json),
+    "calibration": (_calibrations, CalibrationResult.from_json),
+}
+
+
+def _loads_or_data_error(load, payload):
+    try:
+        load(payload)
+    except DataError:
+        pass
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+class TestJsonArtifacts:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, kind, data):
+        strategy, load = _LOADERS[kind]
+        text = data.draw(strategy).to_json()
+        assert load(text).to_json() == text
+        assert load(text.encode("utf-8")).to_json() == text
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncation_is_data_error(self, kind, data):
+        strategy, load = _LOADERS[kind]
+        raw = data.draw(strategy).to_json().encode("utf-8")
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(DataError):
+            load(raw[:cut])
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_wrong_or_missing_field_is_data_error(self, kind, data):
+        strategy, load = _LOADERS[kind]
+        doc = json.loads(data.draw(strategy).to_json())
+        key = data.draw(st.sampled_from(sorted(doc)))
+        del doc[key]
+        with pytest.raises(DataError):
+            load(json.dumps(doc))
+        doc[key] = data.draw(_json_values)
+        _loads_or_data_error(load, json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["", "{", "[]", "null", "7", '"x"',
+                                      "{}", "\xff"])
+    def test_not_an_object_is_data_error(self, kind, text):
+        with pytest.raises(DataError):
+            _LOADERS[kind][1](text)
+
+
+class TestTreeEnsembleFields:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_damaged_node_is_data_error_or_loads(self, data):
+        doc = {"init_logodds": 0.0, "learning_rate": 0.1,
+               "feature_names": ["a", "b"],
+               "trees": [{"feature_index": 1, "threshold": 0.5, "gain": 1.0,
+                          "cover": 4.0,
+                          "left": {"value": -1.0, "cover": 2.0},
+                          "right": {"value": 1.0, "cover": 2.0}}]}
+        assert TreeEnsemble.from_json(json.dumps(doc)).trees[0].gain == 1.0
+        key = data.draw(st.sampled_from(sorted(doc["trees"][0])))
+        doc["trees"][0][key] = data.draw(_json_values)
+        _loads_or_data_error(TreeEnsemble.from_json, json.dumps(doc))
+
+    @pytest.mark.parametrize("feature", [2, -1, 1.0, "0"])
+    def test_feature_index_out_of_range_or_not_int(self, feature):
+        node = {"feature_index": feature, "threshold": 0.0, "gain": 1.0,
+                "cover": 2.0, "left": {"value": 0.0, "cover": 1.0},
+                "right": {"value": 0.0, "cover": 1.0}}
+        doc = {"init_logodds": 0.0, "learning_rate": 0.1,
+               "feature_names": ["a", "b"], "trees": [node]}
+        with pytest.raises(DataError, match="tree ensemble"):
+            TreeEnsemble.from_json(json.dumps(doc))
+
+    def test_missing_key_is_named(self):
+        with pytest.raises(DataError, match="KeyError: 'feature_names'"):
+            TreeEnsemble.from_json('{"init_logodds": 0.1}')
+
+
+def _small_trace():
+    rng = np.random.default_rng(3)
+    return PosteriorTrace(draws=rng.normal(size=(2, 3, 2)),
+                          divergent=np.array([[False, True, False],
+                                              [False, False, False]]),
+                          step_sizes=np.array([0.4, 0.5]),
+                          initial_step_sizes=np.array([1.0, 1.0]),
+                          mass_diag=np.ones((2, 2)),
+                          param_names=("a", "b"), seed=9,
+                          config={"chains": 2})
+
+
+def _container(header, payload):
+    blob = json.dumps(header).encode("utf-8")
+    return b"CPTRACE1" + struct.pack("<Q", len(blob)) + blob + payload
+
+
+@pytest.fixture(scope="module")
+def trace_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("trace") / "trace.bin"
+    _small_trace().save(path)
+    return path.read_bytes()
+
+
+# The hypothesis tests below rewrite one file under tmp_path per example.
+_FILE_SETTINGS = settings(
+    max_examples=80, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestTraceContainer:
+    def test_round_trip(self, trace_bytes, tmp_path):
+        path = tmp_path / "trace.bin"
+        path.write_bytes(trace_bytes)
+        loaded = PosteriorTrace.load(path)
+        original = _small_trace()
+        np.testing.assert_array_equal(loaded.draws, original.draws)
+        np.testing.assert_array_equal(loaded.divergent, original.divergent)
+        assert loaded.param_names == ("a", "b")
+        loaded.save(tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == trace_bytes
+
+    @given(data=st.data())
+    @_FILE_SETTINGS
+    def test_truncation_is_data_error(self, trace_bytes, tmp_path, data):
+        cut = data.draw(st.integers(0, len(trace_bytes) - 1))
+        path = tmp_path / "cut.bin"
+        path.write_bytes(trace_bytes[:cut])
+        with pytest.raises(DataError):
+            PosteriorTrace.load(path)
+
+    def test_trailing_bytes_are_data_error(self, trace_bytes, tmp_path):
+        path = tmp_path / "long.bin"
+        path.write_bytes(trace_bytes + b"\0" * 8)
+        with pytest.raises(DataError, match="payload"):
+            PosteriorTrace.load(path)
+
+    @given(data=st.data())
+    @_FILE_SETTINGS
+    def test_damaged_header_is_data_error_or_loads(self, trace_bytes,
+                                                   tmp_path, data):
+        (header_len,) = struct.unpack_from("<Q", trace_bytes, 8)
+        header = json.loads(trace_bytes[16:16 + header_len])
+        payload = trace_bytes[16 + header_len:]
+        key = data.draw(st.sampled_from(sorted(header)))
+        if data.draw(st.booleans()):
+            del header[key]
+        else:
+            header[key] = data.draw(_json_values)
+        path = tmp_path / "damaged.bin"
+        path.write_bytes(_container(header, payload))
+        _loads_or_data_error(PosteriorTrace.load, path)
+
+    def test_not_a_container_is_data_error(self, tmp_path):
+        path = tmp_path / "other.bin"
+        path.write_bytes(b"PK\x03\x04")
+        with pytest.raises(DataError, match="not a trace container"):
+            PosteriorTrace.load(path)

@@ -126,6 +126,18 @@ class TestPretrainAndPriors:
     def test_missing_model_is_data_error(self, tmp_path):
         assert run(tmp_path, "extract-priors") == 4
 
+    @pytest.mark.parametrize("damaged", ["model.json",
+                                         "standardization.json"])
+    def test_truncated_artifact_is_data_error(self, trained_dir, tmp_path,
+                                              damaged):
+        for name in ("model.json", "standardization.json",
+                     "pretrain_val.csv"):
+            shutil.copy(trained_dir / name, tmp_path / name)
+        raw = (tmp_path / damaged).read_bytes()
+        (tmp_path / damaged).write_bytes(raw[:len(raw) // 2])
+        assert run(tmp_path, "extract-priors", "--prior-draws", "10") == 4
+        assert not (tmp_path / "prior.json").exists()
+
 
 class TestFitCalibrate:
     def test_artifacts_written(self, pipeline_dir):
@@ -225,6 +237,22 @@ class TestPredict:
         shutil.copytree(pipeline_dir / "smes", out / "smes")
         customers = tmp_path / "empty.csv"
         customers.write_text("x00,x01,source\n")
+        assert main(["--out", str(out), "predict",
+                     "--customers", str(customers)]) == 4
+        assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("damaged", ["trace.bin", "calibration.json"])
+    def test_truncated_artifact_is_data_error(self, pipeline_dir, tmp_path,
+                                              damaged):
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("trace.bin", "calibration.json"):
+            shutil.copy(pipeline_dir / name, out / name)
+        shutil.copytree(pipeline_dir / "smes", out / "smes")
+        raw = (out / damaged).read_bytes()
+        (out / damaged).write_bytes(raw[:len(raw) - 9])
+        customers = tmp_path / "customers.csv"
+        customers.write_text("x00,x01,source\n0.1,0.2,sme_00\n")
         assert main(["--out", str(out), "predict",
                      "--customers", str(customers)]) == 4
         assert not (out / "predictions.csv").exists()

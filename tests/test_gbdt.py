@@ -1,5 +1,6 @@
 """Boosting contracts: initialization, monotone training loss, early
-stopping, importance, constraints, determinism, and persistence."""
+stopping, importance, constraints, determinism, persistence, and the
+presorted grower against the argsort-per-node oracle."""
 
 import json
 import math
@@ -7,10 +8,13 @@ import math
 import numpy as np
 import pytest
 
+import churnpool.gbdt as gbdt
 from churnpool.data import Dataset
 from churnpool.errors import ValidationError
 from churnpool.gbdt import (GradientBoostedTrees, TreeEnsemble, TreeNode,
                             feature_importance, fit_gbdt)
+
+from _oracles import argsort_grow_tree
 
 
 def _stump(feature=0, threshold=0.0, left=-1.0, right=1.0, cover=(2.0, 2.0),
@@ -237,3 +241,52 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         assert set(doc) == {"init_logodds", "learning_rate", "feature_names",
                             "trees"}
+
+
+def _tied_problem(n, seed):
+    """Rounded columns with heavy ties, a 0/1 column and a continuous one."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        np.round(rng.normal(size=n)),            # about 7 distinct values
+        np.round(2.0 * rng.normal(size=n)) / 2,  # about 20 distinct values
+        (rng.random(n) < 0.3).astype(float),     # one-hot style 0/1
+        rng.integers(0, 4, size=n).astype(float),
+        rng.normal(size=n),
+    ])
+    margin = X[:, 0] - 0.8 * X[:, 2] + 0.5 * X[:, 4] * X[:, 3]
+    y = (rng.random(n) < 1 / (1 + np.exp(-margin))).astype(int)
+    return X, y
+
+
+class TestPresortedGrower:
+    """Every tree must equal the one grown by sorting at every node."""
+
+    @pytest.mark.parametrize("seed, params", [
+        (0, dict(max_depth=6, min_samples_leaf=1)),
+        (1, dict(max_depth=6, min_samples_leaf=25)),
+        (2, dict(max_depth=1, min_samples_leaf=1)),
+        (3, dict(max_depth=3, min_samples_leaf=29, row_subsample=0.6)),
+        (4, dict(max_depth=6, min_samples_leaf=2, row_subsample=0.7,
+                 feature_subsample=0.6)),
+        (5, dict(max_depth=4, min_samples_leaf=5, row_subsample=0.5,
+                 feature_subsample=0.4)),
+    ])
+    def test_models_match_argsort_oracle_exactly(self, seed, params,
+                                                 monkeypatch):
+        X, y = _tied_problem(500, seed)
+        X_val, y_val = _tied_problem(120, seed + 100)
+        params = dict(dict(iterations=12, learning_rate=0.3, seed=seed,
+                           row_subsample=1.0, feature_subsample=1.0,
+                           early_stopping_rounds=100), **params)
+        presorted = GradientBoostedTrees(**params).fit(X, y, X_val, y_val)
+
+        def oracle(X, r, rows, order, features, mark, *limits):
+            return argsort_grow_tree(X, r, rows, features, *limits)
+
+        monkeypatch.setattr(gbdt, "_grow_tree", oracle)
+        reference = GradientBoostedTrees(**params).fit(X, y, X_val, y_val)
+        assert presorted.ensemble_.to_json() == reference.ensemble_.to_json()
+        # The losses cover the trees after the best round as well.
+        assert len(reference.val_log_loss_) == 12
+        assert presorted.val_log_loss_ == reference.val_log_loss_
+        assert presorted.train_log_loss_ == reference.train_log_loss_

@@ -1,11 +1,14 @@
-"""Average ranks against the scipy oracle, heavy ties included."""
+"""Average ranks against the scipy oracle, heavy ties included; the
+logistic function against its two-branch form."""
 
 import numpy as np
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from churnpool.numerics import average_ranks
+from churnpool.numerics import average_ranks, sigmoid
+
+from _oracles import two_branch_sigmoid
 
 
 # Values are drawn from a small pool, so most arrays repeat some of them.
@@ -34,3 +37,35 @@ class TestAverageRanks:
 
     def test_empty(self):
         assert average_ranks(np.empty(0)).shape == (0,)
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 709.8, -709.8,
+             745.2, -745.2, 1e308, -1e308, 36.7, -36.7, 1.0, -1.0]
+
+    def test_matches_two_branch_form_bitwise(self):
+        rng = np.random.default_rng(0)
+        draws = [rng.normal(scale=s, size=100_000) for s in (1, 10, 100, 1000)]
+        z = np.concatenate([np.array(self.EDGES)] + draws)
+        got = sigmoid(z)
+        want = two_branch_sigmoid(z)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_edge_values(self):
+        got = sigmoid(np.array(self.EDGES))
+        assert got[0] == got[1] == 0.5
+        assert got[2] == 1.0 and got[3] == 0.0
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
+
+    def test_zero_dim_input_returns_float(self):
+        for z in (0.3, np.float64(-2.0), np.array(4.0)):
+            value = sigmoid(z)
+            assert type(value) is float
+            assert value == two_branch_sigmoid(z)
+
+    def test_shape_preserved(self):
+        z = np.linspace(-5, 5, 12).reshape(3, 4)
+        assert sigmoid(z).shape == (3, 4)

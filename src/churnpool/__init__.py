@@ -2,30 +2,27 @@
 datasets, with boosted-tree prior transfer and conformal prediction sets."""
 
 from .conformal import (CalibrationResult, CoverageAudit, PredictionSet,
-                        calibrate_cross, calibrate_pooled, calibrate_split,
-                        conservative_adjust, coverage_audit, nonconformity,
-                        predict_set, select_strategy)
+                        calibrate_pooled, calibrate_split, conservative_adjust,
+                        coverage_audit, predict_set, recommend_conservative)
 from .data import (Dataset, HierGroundTruth, SMECollection,
-                   StandardizationStats, Standardizer, apply_standardization,
+                   StandardizationStats, apply_standardization,
                    generate_hierarchical_population, load_collection, load_csv,
                    make_synthetic_smes, save_collection, standardize,
                    stratified_kfold, stratified_split)
 from .errors import (ChurnpoolError, ConvergenceError, DataError,
                      DiagnosticError, NotFittedError, ValidationError)
 from .evaluate import (ExperimentConfig, ExperimentReport, MetricReport, auc,
-                       classification_metrics, cohens_d_paired, fit_baselines,
-                       fit_logreg_l2, logreg_predict, paired_t_test,
-                       run_experiment, student_t_sf)
+                       classification_metrics, cohens_d_paired, fit_logreg_l2,
+                       logreg_predict, paired_t_test, run_experiment,
+                       student_t_sf)
 from .gbdt import (GradientBoostedTrees, TreeEnsemble, TreeNode,
-                   feature_importance, fit_gbdt)
+                   feature_importance)
 from .hier_model import (HierData, HierHyper, HierParams, HierTarget,
-                         HierarchicalLogistic, centered_betas,
-                         grad_log_posterior, log_posterior, posterior_predict,
-                         posterior_predict_matrix, shrinkage_report,
-                         shrinkage_weight)
+                         HierarchicalLogistic, posterior_predict_matrix,
+                         shrinkage_report, shrinkage_weight)
 from .nuts import (Diagnostics, FunctionTarget, PosteriorTrace, SamplerConfig,
-                   ess, leapfrog, rhat, sample)
+                   ess, rhat, sample)
 from .shap_prior import (PriorSpec, TreeShapExplainer, extract_priors,
-                         mean_abs_shap, prior_only_auc, tree_shap)
+                         prior_only_auc)
 
 __version__ = "0.1.0"

@@ -29,11 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import (CalibrationResult, calibrate_pooled, conservative_adjust,
-                        predict_set, select_strategy)
+                        predict_set, recommend_conservative)
 from .data import (SMECollection, apply_standardization,
                    StandardizationStats, generate_hierarchical_population,
-                   _write_dataset_csv, load_collection, load_csv,
-                   make_synthetic_smes, save_collection, standardize,
+                   _csv_rows, _write_dataset_csv, load_collection,
+                   load_csv, make_synthetic_smes, save_collection, standardize,
                    stratified_split)
 from .errors import (ChurnpoolError, DataError, DiagnosticError,
                      ValidationError, malformed_artifact)
@@ -394,14 +394,8 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     trace = PosteriorTrace.load(_require(out / "trace.bin", "trace artifact"))
     cal_collection = load_collection(
         _require(out / "calibration_data", "calibration rows"))
-    recommended, conservative = select_strategy(
-        cal_collection.J, [ds.n for ds in cal_collection.smes])
-    if recommended == "cross":
-        # This stage always scores the rows the fit held out, which is a
-        # pooled split calibration; cross-conformal refitting is available
-        # in the library for single-entity workflows.
-        print("note: scale table recommends cross-conformal; scoring the "
-              "held-out calibration rows instead (pooled)", file=sys.stderr)
+    conservative = recommend_conservative(
+        [ds.n for ds in cal_collection.smes])
     per_sme_scores = []
     for j, ds in enumerate(cal_collection.smes):
         X = np.column_stack([ds.features, np.ones(ds.n)])
@@ -419,25 +413,20 @@ def cmd_calibrate(config: RunConfig, args) -> int:
 
 
 def _load_prediction_rows(path: Path, feature_names, tag_column: str):
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path} is empty")
-        missing = [name for name in feature_names if name not in header]
-        if missing:
-            raise DataError(f"{path} lacks feature columns {missing}")
-        idx = [header.index(name) for name in feature_names]
-        tag_idx = header.index(tag_column) if tag_column in header else None
-        features, tags = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                features.append([float(row[i]) for i in idx])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            tags.append(row[tag_idx] if tag_idx is not None else None)
+    rows = _csv_rows(path)
+    header = next(rows)
+    missing = [name for name in feature_names if name not in header]
+    if missing:
+        raise DataError(f"{path} lacks feature columns {missing}")
+    idx = [header.index(name) for name in feature_names]
+    tag_idx = header.index(tag_column) if tag_column in header else None
+    features, tags = [], []
+    for i, row in enumerate(rows):
+        try:
+            features.append([float(row[k]) for k in idx])
+        except ValueError as exc:
+            raise DataError(f"{path}: data row {i + 1}: {exc}") from None
+        tags.append(row[tag_idx] if tag_idx is not None else None)
     if not features:
         raise DataError(f"{path} has no customer rows")
     return np.asarray(features, dtype=np.float64), tags

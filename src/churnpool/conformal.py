@@ -1,4 +1,4 @@
-"""Split/cross/pooled conformal calibration and set-valued prediction.
+"""Split/pooled conformal calibration and set-valued prediction.
 
 Nonconformity is ``|y - p_hat|``.  The split threshold is the
 ``ceil((1-alpha)(n+1))``-th smallest calibration score, which under
@@ -23,35 +23,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, stratified_kfold
 from .errors import ValidationError, malformed_artifact
 
 __all__ = [
-    "nonconformity",
     "CalibrationResult",
     "calibrate_split",
-    "calibrate_cross",
     "calibrate_pooled",
     "conservative_adjust",
     "PredictionSet",
     "predict_set",
     "CoverageAudit",
     "coverage_audit",
-    "select_strategy",
+    "recommend_conservative",
 ]
 
 # Documented band for the conservative inflation factor; values outside it
 # are applied with a warning.
 INFLATION_BAND = (0.1, 0.3)
-
-
-def nonconformity(y: int, p_hat: float) -> float:
-    """Absolute-error score ``|y - p_hat|``."""
-    if y not in (0, 1):
-        raise ValidationError(f"y must be 0 or 1, got {y}")
-    if not 0.0 <= p_hat <= 1.0:
-        raise ValidationError(f"p_hat must be in [0, 1], got {p_hat}")
-    return abs(y - p_hat)
 
 
 @dataclass(frozen=True)
@@ -121,29 +109,6 @@ def calibrate_split(scores, alpha: float,
         return CalibrationResult(1.0, alpha, n, strategy)
     ordered = np.sort(scores, kind="stable")
     return CalibrationResult(float(ordered[k - 1]), alpha, n, strategy)
-
-
-def calibrate_cross(data: Dataset, fit, alpha: float, K: int = 5,
-                    seed: int = 0) -> CalibrationResult:
-    """Cross-conformal calibration over stratified folds.
-
-    ``fit`` maps a training ``Dataset`` to a callable scoring feature
-    matrices into probabilities.  Every row is scored exactly once by the
-    model trained on its fold complement, so all ``n`` scores enter the
-    threshold.
-    """
-    folds = stratified_kfold(data, K, seed)
-    scores = []
-    for k, (train, test) in enumerate(folds):
-        try:
-            predict = fit(train)
-            probs = np.asarray(predict(test.features), dtype=np.float64)
-        except Exception as exc:
-            raise ValidationError(f"fold {k} fit failed: {exc}") from exc
-        scores.append(np.abs(test.labels.astype(np.float64) - probs))
-    pooled = np.concatenate(scores)
-    result = calibrate_split(pooled, alpha, strategy="cross")
-    return result
 
 
 def calibrate_pooled(per_sme_scores, alpha: float) -> CalibrationResult:
@@ -249,19 +214,14 @@ def coverage_audit(sets, labels) -> CoverageAudit:
     )
 
 
-def select_strategy(J: int, n_js) -> tuple[str, bool]:
-    """Scale-based calibration strategy: ``(strategy, conservative?)``.
+def recommend_conservative(n_js) -> bool:
+    """Whether the scale table recommends the conservative wrapper.
 
-    Pooling applies once at least five entities are available; below that,
-    cross-conformal maximizes per-entity calibration data, with the
-    conservative wrapper added for very small entities.  Callers can always
-    override explicitly.
+    Pooling five or more entities gives enough calibration scores; below
+    that, the wrapper is recommended once the smallest entity has fewer
+    than 100 rows.  Callers can always override explicitly.
     """
     n_js = [int(n) for n in n_js]
-    if J != len(n_js) or J < 1:
-        raise ValidationError("J must match the number of entity sizes")
-    if J >= 5:
-        return "pooled", False
-    if min(n_js) >= 100:
-        return "cross", False
-    return "cross", True
+    if not n_js:
+        raise ValidationError("need at least one entity size")
+    return len(n_js) < 5 and min(n_js) < 100

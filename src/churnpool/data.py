@@ -17,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import BaseEstimator, check_is_fitted
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, malformed_artifact
 from .rng import default_rng
-from .validation import as_float_matrix, check_binary_labels
+from .validation import as_float_matrix, as_name_tuple, check_binary_labels
 
 __all__ = [
     "Dataset",
@@ -28,7 +27,6 @@ __all__ = [
     "SMECollection",
     "HierGroundTruth",
     "load_csv",
-    "Standardizer",
     "standardize",
     "apply_standardization",
     "stratified_split",
@@ -188,14 +186,6 @@ class HierGroundTruth:
             "seed": int(self.seed),
         }, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "HierGroundTruth":
-        doc = json.loads(text)
-        return cls(np.asarray(doc["mu_true"], dtype=np.float64),
-                   float(doc["sigma_true"]),
-                   np.asarray(doc["betas_true"], dtype=np.float64),
-                   int(doc["seed"]))
-
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
@@ -210,6 +200,35 @@ def _parse_float(cell: str) -> float | None:
         return float(cell)
     except ValueError:
         return None
+
+
+def _csv_rows(path: Path):
+    """Yield the header row, then each nonblank data row, of a UTF-8 CSV.
+
+    A missing or unreadable file, bytes that are not UTF-8, a malformed
+    record or a row whose field count differs from the header's is a
+    ``DataError``; a file without a header is a ``ValidationError``.
+    Rows are read as they are consumed, so a caller that converts each
+    row holds one row of strings at a time.
+    """
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path} is empty")
+            yield header
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{lineno}: expected "
+                                    f"{len(header)} fields, got {len(row)}")
+                yield row
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
 
 
 def load_csv(path, label_column: str = "target",
@@ -237,22 +256,9 @@ def load_csv(path, label_column: str = "target",
     Dataset
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path} is empty") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            rows.append(row)
+    reader = _csv_rows(path)
+    header = next(reader)
+    rows = list(reader)
     if not rows:
         raise ValidationError(f"{path} contains a header but no data rows")
     if label_column not in header:
@@ -318,51 +324,23 @@ def load_csv(path, label_column: str = "target",
 # Standardization
 # ---------------------------------------------------------------------------
 
-class Standardizer(BaseEstimator):
-    """Zero-mean unit-variance scaling with a floor for constant columns.
-
-    Population standard deviations (denominator ``n``) are used throughout.
-    Columns with zero variance get their std floored to 1 so downstream
-    divisions stay defined; a warning is emitted when that happens.
-    """
-
-    def __init__(self):
-        self.stats_: StandardizationStats | None = None
-
-    def fit(self, X) -> "Standardizer":
-        X = as_float_matrix(X)
-        if X.shape[0] < 2:
-            raise ValidationError("standardization needs at least 2 rows")
-        means = X.mean(axis=0)
-        stds = X.std(axis=0)
-        floored = stds < _STD_FLOOR_EPS
-        if np.any(floored):
-            flagged = [i for i in range(X.shape[1]) if floored[i]]
-            warnings.warn(
-                f"zero-variance columns {flagged} floored to std 1", stacklevel=2)
-            stds = np.where(floored, 1.0, stds)
-        self.stats_ = StandardizationStats(means, stds)
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        check_is_fitted(self, "stats_")
-        X = as_float_matrix(X)
-        stats = self.stats_
-        if X.shape[1] != stats.means.shape[0]:
-            raise ValidationError(
-                f"X has {X.shape[1]} columns, expected {stats.means.shape[0]}")
-        return (X - stats.means) / stats.stds
-
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-
 def standardize(data: Dataset) -> tuple[Dataset, StandardizationStats]:
-    """Standardize a Dataset, returning the transformed copy and the stats."""
-    scaler = Standardizer().fit(data.features)
-    out = Dataset(scaler.transform(data.features), data.labels,
-                  data.feature_names, data.source_tags)
-    return out, scaler.stats_
+    """Standardize a Dataset, returning the transformed copy and the stats.
+
+    Population standard deviations (denominator ``n``) are used.  Columns
+    with zero variance get their std floored to 1 so downstream divisions
+    stay defined; a warning is emitted when that happens.
+    """
+    if data.n < 2:
+        raise ValidationError("standardization needs at least 2 rows")
+    stds = data.features.std(axis=0)
+    floored = stds < _STD_FLOOR_EPS
+    if np.any(floored):
+        warnings.warn(f"zero-variance columns {np.flatnonzero(floored).tolist()}"
+                      " floored to std 1", stacklevel=2)
+        stds = np.where(floored, 1.0, stds)
+    stats = StandardizationStats(data.features.mean(axis=0), stds)
+    return apply_standardization(data, stats), stats
 
 
 def apply_standardization(data: Dataset, stats: StandardizationStats) -> Dataset:
@@ -545,6 +523,11 @@ def load_collection(path) -> SMECollection:
     manifest_path = path / "manifest.json" if path.is_dir() else path
     if not manifest_path.exists():
         raise DataError(f"no manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    smes = [load_csv(manifest_path.parent / fname) for fname in manifest["files"]]
-    return SMECollection(tuple(smes), tuple(manifest["ids"]))
+    with malformed_artifact(f"manifest {manifest_path}"):
+        manifest = json.loads(manifest_path.read_bytes())
+        ids = as_name_tuple(manifest["ids"], "ids")
+        files = as_name_tuple(manifest["files"], "files")
+        if len(ids) != len(files):
+            raise ValueError(f"{len(ids)} ids for {len(files)} files")
+    smes = [load_csv(manifest_path.parent / fname) for fname in files]
+    return SMECollection(tuple(smes), ids)

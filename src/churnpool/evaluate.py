@@ -9,6 +9,12 @@ model once on complete data and evaluates it across folds through the
 posterior predictive; this leaks evaluation rows into the Bayesian fit
 and is flagged in the report, with a leakage-free refit-per-fold variant
 available behind ``protocol="refit"``.
+
+The conformal audit is pooled split conformal: each fold's prediction sets
+use a threshold calibrated on the other folds' hierarchical scores, pooled
+across entities.  The report names it ``"pooled"`` and records whether the
+scale table recommends the conservative wrapper, which the audit does not
+apply.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import (calibrate_pooled, coverage_audit, predict_set,
-                        select_strategy)
+                        recommend_conservative)
 from .data import Dataset, SMECollection, stratified_kfold
 from .errors import ChurnpoolError, ConvergenceError, ValidationError
 from .hier_model import HierarchicalLogistic
@@ -37,7 +43,6 @@ __all__ = [
     "classification_metrics",
     "fit_logreg_l2",
     "logreg_predict",
-    "fit_baselines",
     "paired_t_test",
     "cohens_d_paired",
     "student_t_sf",
@@ -144,24 +149,6 @@ def logreg_predict(coefs: np.ndarray, X) -> np.ndarray:
     """Probabilities from a coefficient vector with trailing intercept."""
     X = np.asarray(X, dtype=np.float64)
     return sigmoid(X @ coefs[:-1] + coefs[-1])
-
-
-def fit_baselines(collection: SMECollection, C: float = 1.0):
-    """Per-entity (no pooling) and global (complete pooling) fits.
-
-    Entities with single-class labels get ``None`` in the independent list;
-    a single-class concatenation raises.
-    """
-    independent = []
-    for ds in collection.smes:
-        neg, pos = ds.class_counts()
-        independent.append(None if neg == 0 or pos == 0
-                           else fit_logreg_l2(ds, C))
-    features = np.concatenate([ds.features for ds in collection.smes])
-    labels = np.concatenate([ds.labels for ds in collection.smes])
-    pooled_ds = Dataset(features, labels, collection.feature_names)
-    pooled = fit_logreg_l2(pooled_ds, C)
-    return independent, pooled
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +490,8 @@ def run_experiment(collection: SMECollection, prior, config: ExperimentConfig,
 
     # Conformal audit: per fold, calibrate on the other folds' pooled
     # scores, predict sets for the held-out fold.
-    strategy, conservative = select_strategy(
-        len(folds_per_sme), [collection.smes[j].n for j in folds_per_sme])
+    conservative = recommend_conservative(
+        [collection.smes[j].n for j in folds_per_sme])
     sets, labels_audited = [], []
     thresholds = {}
     for k in range(K):
@@ -519,7 +506,7 @@ def run_experiment(collection: SMECollection, prior, config: ExperimentConfig,
             for prob, label in zip(probs, labels):
                 sets.append(predict_set(float(prob), result.q_hat))
                 labels_audited.append(int(label))
-    conformal: dict = {"strategy": strategy,
+    conformal: dict = {"strategy": "pooled",
                        "conservative_recommended": conservative,
                        "alpha": config.alpha,
                        "fold_thresholds": thresholds}

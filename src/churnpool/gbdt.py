@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
-from .data import Dataset
 from .errors import ValidationError, malformed_artifact
 from .numerics import PROB_CLIP, binary_log_loss, sigmoid
 from .rng import default_rng
@@ -36,7 +35,6 @@ __all__ = [
     "TreeNode",
     "TreeEnsemble",
     "GradientBoostedTrees",
-    "fit_gbdt",
     "feature_importance",
 ]
 
@@ -383,14 +381,6 @@ class GradientBoostedTrees(BaseEstimator):
     def feature_importances_(self) -> np.ndarray:
         check_is_fitted(self, "ensemble_")
         return feature_importance(self.ensemble_)
-
-
-def fit_gbdt(train: Dataset, val: Dataset, **params) -> TreeEnsemble:
-    """Convenience wrapper fitting on Datasets and returning the ensemble."""
-    model = GradientBoostedTrees(**params)
-    model.fit(train.features, train.labels, val.features, val.labels,
-              feature_names=train.feature_names)
-    return model.ensemble_
 
 
 def feature_importance(ensemble: TreeEnsemble) -> np.ndarray:

@@ -37,10 +37,6 @@ __all__ = [
     "HierHyper",
     "HierParams",
     "HierTarget",
-    "log_posterior",
-    "grad_log_posterior",
-    "centered_betas",
-    "posterior_predict",
     "posterior_predict_matrix",
     "shrinkage_weight",
     "ShrinkageReport",
@@ -283,33 +279,6 @@ class HierTarget:
         return param_names(self.p, self.J, self.data.feature_names)
 
 
-def log_posterior(params: HierParams, data: HierData, hyper: HierHyper) -> float:
-    """Joint unnormalized log density in unconstrained coordinates.
-
-    All additive constants are kept: the Gaussian normalizers, the
-    HalfNormal's sqrt(2/pi)/tau factor, and the log-transform Jacobian
-    ``+log_sigma``.  Never returns NaN for finite inputs.
-    """
-    if params.mu.size != data.p or params.beta_raw.shape[0] != data.J:
-        raise ValidationError("params do not match data dimensions")
-    value, _ = HierTarget(data, hyper).logp_and_grad(params.pack())
-    return value
-
-
-def grad_log_posterior(params: HierParams, data: HierData,
-                       hyper: HierHyper) -> np.ndarray:
-    """Exact analytic gradient in the flat (mu, log_sigma, beta_raw) order."""
-    if params.mu.size != data.p or params.beta_raw.shape[0] != data.J:
-        raise ValidationError("params do not match data dimensions")
-    _, grad = HierTarget(data, hyper).logp_and_grad(params.pack())
-    return grad
-
-
-def centered_betas(params: HierParams) -> np.ndarray:
-    """Per-entity coefficients ``beta_j = mu + sigma * beta_raw_j``."""
-    return params.mu + math.exp(params.log_sigma) * params.beta_raw
-
-
 # ---------------------------------------------------------------------------
 # Posterior predictive
 # ---------------------------------------------------------------------------
@@ -359,15 +328,6 @@ def posterior_predict_matrix(trace: PosteriorTrace, X, sme_index: int,
     lower = _order_statistic(sorted_probs, lo_q)
     upper = _order_statistic(sorted_probs, 1.0 - lo_q)
     return mean, lower, upper
-
-
-def posterior_predict(trace: PosteriorTrace, x, sme_index: int,
-                      interval_mass: float = 0.90) -> tuple[float, float, float]:
-    """Predictive mean probability and credible interval for one customer."""
-    x = as_float_vector(x, "x")
-    mean, lower, upper = posterior_predict_matrix(
-        trace, x[None, :], sme_index, interval_mass)
-    return float(mean[0]), float(lower[0]), float(upper[0])
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +505,6 @@ class HierarchicalLogistic(BaseEstimator):
         mean, _, _ = posterior_predict_matrix(self.trace_, self._prepare(X),
                                               sme_index)
         return mean
-
-    def predict_interval(self, X, sme_index: int, interval_mass: float = 0.90):
-        check_is_fitted(self, "trace_")
-        return posterior_predict_matrix(self.trace_, self._prepare(X),
-                                        sme_index, interval_mass)
 
     def shrinkage(self) -> ShrinkageReport:
         check_is_fitted(self, "trace_")

@@ -9,7 +9,7 @@ diagonal mass-matrix windows; both freeze before the sampling phase.
 Targets are anything with a ``dim`` attribute and a ``logp_and_grad(theta)``
 method returning ``(float, ndarray)``.  Chains are pure functions of
 ``(target, config, chain_index)`` given per-chain generator streams, so runs
-are bit-reproducible and chains may execute in any order or in parallel.
+are bit-reproducible and chains may execute in any order.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "PosteriorTrace",
     "Diagnostics",
     "FunctionTarget",
-    "leapfrog",
     "find_reasonable_step_size",
     "sample",
     "compute_diagnostics",
@@ -216,15 +215,6 @@ class PosteriorTrace:
                        as_name_tuple(header["param_names"], "param_names"),
                        header["seed"], header["config"])
 
-    def to_csv(self, path) -> None:
-        """One row per draw, for external inspection."""
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write("chain,draw," + ",".join(self.param_names) + "\n")
-            for c in range(self.n_chains):
-                for s in range(self.n_draws):
-                    values = ",".join(repr(float(v)) for v in self.draws[c, s])
-                    fh.write(f"{c},{s},{values}\n")
-
 
 @dataclass
 class Diagnostics:
@@ -259,32 +249,32 @@ class Diagnostics:
 # Hamiltonian pieces
 # ---------------------------------------------------------------------------
 
-def leapfrog(state, step_size: float, target,
-             inv_mass: np.ndarray | None = None):
-    """One velocity-Verlet step ``(position, momentum) -> (position, momentum)``.
+class _State:
+    """Phase-space point with its cached gradient and log density; ``v`` is
+    the velocity ``inv_mass * r``, read by the kinetic energy and the
+    U-turn check."""
 
-    ``inv_mass`` is the diagonal of the inverse mass matrix (defaults to
-    ones).  The map is volume preserving and time reversible: composing a
-    step, a momentum flip, and another step returns the start up to
-    rounding.
-    """
-    q, r = state
-    q = np.asarray(q, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(r))):
-        raise ValidationError("leapfrog state must be finite")
-    if inv_mass is None:
-        inv_mass = np.ones_like(q)
-    _, grad = target.logp_and_grad(q)
-    r_half = r + 0.5 * step_size * grad
-    q_new = q + step_size * inv_mass * r_half
-    _, grad_new = target.logp_and_grad(q_new)
-    r_new = r_half + 0.5 * step_size * grad_new
-    return q_new, r_new
+    __slots__ = ("q", "r", "grad", "logp", "v")
+
+    def __init__(self, q, r, grad, logp, v):
+        self.q = q
+        self.r = r
+        self.grad = grad
+        self.logp = logp
+        self.v = v
 
 
-def _kinetic(r: np.ndarray, inv_mass: np.ndarray) -> float:
-    return 0.5 * float(np.dot(inv_mass * r, r))
+def _leapfrog(state: _State, eps: float, target,
+              inv_mass: np.ndarray) -> _State | None:
+    """One velocity-Verlet step from ``state``, which carries the gradient
+    at its position; None when the new point is not finite."""
+    r_half = state.r + 0.5 * eps * state.grad
+    q_new = state.q + eps * inv_mass * r_half
+    logp, grad = target.logp_and_grad(q_new)
+    if not (math.isfinite(logp) and np.isfinite(grad).all()):
+        return None
+    r_new = r_half + 0.5 * eps * grad
+    return _State(q_new, r_new, grad, logp, inv_mass * r_new)
 
 
 def find_reasonable_step_size(target, q0: np.ndarray, inv_mass: np.ndarray,
@@ -292,16 +282,14 @@ def find_reasonable_step_size(target, q0: np.ndarray, inv_mass: np.ndarray,
     """Doubling/halving search for a step size with ~50% acceptance."""
     logp0, grad0 = target.logp_and_grad(q0)
     r0 = rng.standard_normal(q0.size) / np.sqrt(inv_mass)
-    h0 = -logp0 + _kinetic(r0, inv_mass)
+    start = _State(q0, r0, grad0, logp0, inv_mass * r0)
+    h0 = -logp0 + 0.5 * float(np.dot(start.v, r0))
 
     def accept_logprob(eps: float) -> float:
-        r_half = r0 + 0.5 * eps * grad0
-        q1 = q0 + eps * inv_mass * r_half
-        logp1, grad1 = target.logp_and_grad(q1)
-        if not (np.isfinite(logp1) and np.all(np.isfinite(grad1))):
+        new = _leapfrog(start, eps, target, inv_mass)
+        if new is None:
             return -np.inf
-        r1 = r_half + 0.5 * eps * grad1
-        return min(0.0, h0 - (-logp1 + _kinetic(r1, inv_mass)))
+        return min(0.0, h0 - (-new.logp + 0.5 * float(np.dot(new.v, new.r))))
 
     eps = 1.0
     log_half = math.log(0.5)
@@ -399,21 +387,6 @@ def _mass_windows(warmup: int) -> list[tuple[int, int]]:
 # Tree construction
 # ---------------------------------------------------------------------------
 
-class _State:
-    """Phase-space point with its cached gradient and log density; ``v`` is
-    the velocity ``inv_mass * r``, read by the kinetic energy and the
-    U-turn check."""
-
-    __slots__ = ("q", "r", "grad", "logp", "v")
-
-    def __init__(self, q, r, grad, logp, v):
-        self.q = q
-        self.r = r
-        self.grad = grad
-        self.logp = logp
-        self.v = v
-
-
 def _log_add_exp(a: float, b: float) -> float:
     """Scalar ``np.logaddexp``: the same branches on ``math`` functions, so
     it returns the same bits, including for infinities and equal inputs."""
@@ -459,20 +432,11 @@ class _ChainRunner:
         self.inv_mass = np.ones(target.dim)
         self.eps = 1.0
 
-    def _leapfrog(self, state: _State, eps: float) -> _State | None:
-        """One integrator step with cached gradients; None when non-finite."""
-        r_half = state.r + 0.5 * eps * state.grad
-        q_new = state.q + eps * self.inv_mass * r_half
-        logp, grad = self.target.logp_and_grad(q_new)
-        if not (math.isfinite(logp) and np.isfinite(grad).all()):
-            return None
-        r_new = r_half + 0.5 * eps * grad
-        return _State(q_new, r_new, grad, logp, self.inv_mass * r_new)
-
     def _build_tree(self, depth: int, edge: _State, direction: float,
                     h0: float) -> _Subtree:
         if depth == 0:
-            new = self._leapfrog(edge, direction * self.eps)
+            new = _leapfrog(edge, direction * self.eps, self.target,
+                            self.inv_mass)
             if new is None:
                 return _Subtree(edge, edge, None, -np.inf, 0.0, 1, False, True)
             energy_error = (-new.logp + 0.5 * float(np.dot(new.v, new.r))) - h0
@@ -595,15 +559,14 @@ def _run_chain(target, config: SamplerConfig, rng: np.random.Generator,
     }
 
 
-def sample(target, config: SamplerConfig, param_names=None,
-           workers: int = 1) -> tuple[PosteriorTrace, Diagnostics]:
+def sample(target, config: SamplerConfig,
+           param_names=None) -> tuple[PosteriorTrace, Diagnostics]:
     """Run NUTS chains on ``target`` and compute convergence diagnostics.
 
     Warmup draws are discarded; the trace holds exactly ``chains x draws``
     post-warmup states.  Chains use independent generator streams, so
-    identical ``(target, config)`` produce bit-identical traces regardless
-    of ``workers``; the target's ``logp_and_grad`` must be thread-safe
-    when ``workers > 1``.
+    identical ``(target, config)`` produce bit-identical traces whatever
+    order the chains run in.
     """
     config.validate()
     dim = target.dim
@@ -622,15 +585,8 @@ def sample(target, config: SamplerConfig, param_names=None,
     rngs = spawn(config.seed, config.chains)
     starts = [base + rngs[c].uniform(-config.jitter, config.jitter, dim)
               for c in range(config.chains)]
-    if workers > 1 and config.chains > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(workers, config.chains)) as pool:
-            results = list(pool.map(
-                lambda c: _run_chain(target, config, rngs[c], starts[c]),
-                range(config.chains)))
-    else:
-        results = [_run_chain(target, config, rngs[c], starts[c])
-                   for c in range(config.chains)]
+    results = [_run_chain(target, config, rngs[c], starts[c])
+               for c in range(config.chains)]
 
     trace = PosteriorTrace(
         draws=np.stack([r["draws"] for r in results]),

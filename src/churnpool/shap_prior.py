@@ -40,8 +40,6 @@ from .validation import as_name_tuple
 
 __all__ = [
     "TreeShapExplainer",
-    "tree_shap",
-    "mean_abs_shap",
     "PriorSpec",
     "extract_priors",
     "prior_only_auc",
@@ -179,20 +177,6 @@ class TreeShapExplainer:
                 # Accumulate in fixed (tree, leaf) order for determinism.
                 out[:, game.features] += lr * rows
         return out[0] if single else out
-
-
-def tree_shap(ensemble: TreeEnsemble, x) -> tuple[np.ndarray, float]:
-    """Per-feature attributions and base value for one input vector."""
-    explainer = TreeShapExplainer(ensemble)
-    return explainer.shap_values(x), explainer.expected_value
-
-
-def mean_abs_shap(ensemble: TreeEnsemble, data: Dataset) -> np.ndarray:
-    """Mean absolute attribution per feature over a dataset."""
-    if data.n == 0:
-        raise ValidationError("dataset is empty")
-    explainer = TreeShapExplainer(ensemble)
-    return np.abs(explainer.shap_values(data.features)).mean(axis=0)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from churnpool.conformal import CalibrationResult
+from churnpool.data import (generate_hierarchical_population, load_collection,
+                            save_collection)
 from churnpool.errors import DataError
 from churnpool.gbdt import TreeEnsemble, TreeNode
 from churnpool.nuts import PosteriorTrace
@@ -228,3 +230,39 @@ class TestTraceContainer:
         path.write_bytes(b"PK\x03\x04")
         with pytest.raises(DataError, match="not a trace container"):
             PosteriorTrace.load(path)
+
+
+@pytest.fixture(scope="module")
+def collection_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("collection")
+    collection, _ = generate_hierarchical_population(
+        p=2, J=3, n_per=10, mu_scale=1.0, sigma_true=0.5, seed=4)
+    save_collection(collection, out)
+    return out
+
+
+class TestManifest:
+    @given(data=st.data())
+    @_FILE_SETTINGS
+    def test_truncation_is_data_error(self, collection_dir, tmp_path, data):
+        raw = (collection_dir / "manifest.json").read_bytes().rstrip()
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        path = tmp_path / "manifest.json"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(DataError):
+            load_collection(path)
+
+    @pytest.mark.parametrize("ids,files", [
+        ("sme_00", ["sme_00.csv"]),
+        (["sme_00", 1], ["sme_00.csv", "sme_01.csv"]),
+        (["sme_00", "sme_01"], ["sme_00.csv"]),
+        (None, ["sme_00.csv"]),
+    ])
+    def test_damaged_field_is_data_error(self, collection_dir, ids, files):
+        path = collection_dir / "damaged.json"
+        path.write_text(json.dumps({"ids": ids, "files": files}))
+        with pytest.raises(DataError):
+            load_collection(path)
+        path.write_text(json.dumps({"files": files}))
+        with pytest.raises(DataError, match="ids"):
+            load_collection(path)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from churnpool.base import BaseEstimator, check_is_fitted
-from churnpool.data import Standardizer
 from churnpool.errors import NotFittedError
 from churnpool.gbdt import GradientBoostedTrees
 from churnpool.hier_model import HierarchicalLogistic
@@ -33,9 +32,8 @@ def test_repr_shows_params():
 
 
 def test_unfitted_guard():
-    scaler = Standardizer()
     with pytest.raises(NotFittedError):
-        scaler.transform(np.ones((2, 2)))
+        HierarchicalLogistic().predict_proba(np.ones((2, 2)), 0)
     with pytest.raises(NotFittedError):
         check_is_fitted(GradientBoostedTrees(), "ensemble_")
 

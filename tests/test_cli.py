@@ -161,7 +161,7 @@ class TestFitCalibrate:
         assert 0.0 <= doc["q_hat"] <= 1.0
         assert doc["alpha"] == 0.10
         # J=4 entities with 10-row calibration holdouts: the scale table
-        # picks cross with the conservative wrapper on top.
+        # recommends the conservative wrapper on the pooled threshold.
         assert doc["strategy"] == "conservative-wrapped"
         assert doc["inflation"] == 0.2
 
@@ -173,6 +173,23 @@ class TestFitCalibrate:
 
     def test_fit_without_data_is_data_error(self, tmp_path):
         assert run(tmp_path, "fit", "--weak-prior") == 4
+
+    def test_truncated_manifest_is_data_error(self, tmp_path):
+        assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "30",
+                   "--features", "3") == 0
+        manifest = tmp_path / "smes" / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:15])
+        assert run(tmp_path, "fit", "--weak-prior") == 4
+        assert not (tmp_path / "trace.bin").exists()
+
+    def test_non_utf8_entity_csv_is_data_error(self, tmp_path):
+        assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "30",
+                   "--features", "3") == 0
+        entity = tmp_path / "smes" / "sme_00.csv"
+        raw = entity.read_bytes()
+        entity.write_bytes(raw[:40] + b"\xe9" + raw[40:])
+        assert run(tmp_path, "fit", "--weak-prior") == 4
+        assert not (tmp_path / "trace.bin").exists()
 
 
 class TestPredict:
@@ -253,6 +270,23 @@ class TestPredict:
         (out / damaged).write_bytes(raw[:len(raw) - 9])
         customers = tmp_path / "customers.csv"
         customers.write_text("x00,x01,source\n0.1,0.2,sme_00\n")
+        assert main(["--out", str(out), "predict",
+                     "--customers", str(customers)]) == 4
+        assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("body", [
+        b"x00,x01,source\n0.1,0.2,sme_\xe900\n",
+        b"x00,x01,source\n0.1,0.2,sme_00\n0.3\n",
+    ], ids=["non-utf8", "ragged"])
+    def test_unreadable_customers_is_data_error(self, pipeline_dir, tmp_path,
+                                                body):
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("trace.bin", "calibration.json"):
+            shutil.copy(pipeline_dir / name, out / name)
+        shutil.copytree(pipeline_dir / "smes", out / "smes")
+        customers = tmp_path / "customers.csv"
+        customers.write_bytes(body)
         assert main(["--out", str(out), "predict",
                      "--customers", str(customers)]) == 4
         assert not (out / "predictions.csv").exists()

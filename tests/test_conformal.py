@@ -8,26 +8,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from churnpool.conformal import (CalibrationResult, calibrate_cross,
-                                 calibrate_pooled, calibrate_split,
-                                 conservative_adjust, coverage_audit,
-                                 nonconformity, predict_set, select_strategy)
-from churnpool.data import Dataset
+from churnpool.conformal import (CalibrationResult, calibrate_pooled,
+                                 calibrate_split, conservative_adjust,
+                                 coverage_audit, predict_set,
+                                 recommend_conservative)
 from churnpool.errors import ValidationError
 from churnpool.rng import default_rng
 
 
 class TestNonconformity:
+    """The score ``|y - p_hat|`` is the smallest threshold whose
+    prediction set contains ``y``."""
+
     @pytest.mark.parametrize("y,p,expected", [(1, 1.0, 0.0), (0, 0.73, 0.73),
                                               (1, 0.73, 0.27)])
     def test_absolute_error(self, y, p, expected):
-        assert nonconformity(y, p) == pytest.approx(expected, abs=1e-15)
+        assert y in predict_set(p, expected + 1e-15)
+        if expected > 0.0:
+            assert y not in predict_set(p, expected - 1e-15)
 
     def test_rejects_bad_inputs(self):
+        assert 2 not in predict_set(0.5, 1.0)
         with pytest.raises(ValidationError):
-            nonconformity(2, 0.5)
-        with pytest.raises(ValidationError):
-            nonconformity(1, 1.5)
+            predict_set(1.5, 0.5)
 
 
 class TestCalibrateSplit:
@@ -69,45 +72,6 @@ class TestCalibrateSplit:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             calibrate_split([], alpha=0.1)
-
-
-def _sme_dataset(n=100, positives=30, seed=0):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, 2))
-    y = np.zeros(n, dtype=int)
-    y[:positives] = 1
-    return Dataset(X, y, ("a", "b"))
-
-
-def _mean_rate_fit(train):
-    rate = float(train.labels.mean())
-    return lambda X: np.full(X.shape[0], rate)
-
-
-class TestCalibrateCross:
-    def test_full_data_utilization(self):
-        ds = _sme_dataset(100, 30, seed=3)
-        result = calibrate_cross(ds, _mean_rate_fit, alpha=0.1, K=5, seed=1)
-        assert result.n_cal == 100
-        assert result.strategy == "cross"
-
-    def test_two_fold_counting(self):
-        ds = _sme_dataset(10, 4, seed=4)
-        result = calibrate_cross(ds, _mean_rate_fit, alpha=0.3, K=2, seed=1)
-        assert result.n_cal == 10
-
-    def test_deterministic(self):
-        ds = _sme_dataset(60, 20, seed=5)
-        a = calibrate_cross(ds, _mean_rate_fit, alpha=0.15, K=3, seed=9)
-        b = calibrate_cross(ds, _mean_rate_fit, alpha=0.15, K=3, seed=9)
-        assert a == b
-
-    def test_fold_failure_named(self):
-        def broken(train):
-            raise RuntimeError("boom")
-        ds = _sme_dataset(40, 12, seed=6)
-        with pytest.raises(ValidationError, match="fold 0"):
-            calibrate_cross(ds, broken, alpha=0.2, K=4, seed=0)
 
 
 class TestCalibratePooled:
@@ -222,10 +186,14 @@ class TestCoverageAudit:
 
 class TestSelectStrategy:
     def test_scale_table(self):
-        assert select_strategy(15, [100] * 15) == ("pooled", False)
-        assert select_strategy(6, [60] * 6) == ("pooled", False)
-        assert select_strategy(3, [150, 200, 120]) == ("cross", False)
-        assert select_strategy(3, [40, 80, 90]) == ("cross", True)
+        # Pooled throughout; the conservative wrapper is recommended only
+        # for fewer than five entities with one below 100 rows.
+        assert recommend_conservative([100] * 15) is False
+        assert recommend_conservative([60] * 6) is False
+        assert recommend_conservative([150, 200, 120]) is False
+        assert recommend_conservative([40, 80, 90]) is True
+        with pytest.raises(ValidationError):
+            recommend_conservative([])
 
     def test_result_persistence(self, tmp_path):
         result = CalibrationResult(0.42, 0.1, 375, "pooled", 0.0)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from churnpool.data import (Dataset, apply_standardization,
@@ -114,6 +114,77 @@ class TestLoadCsv:
         path = _write(tmp_path, "marginal.csv", "\n".join(lines) + "\n")
         ds = load_csv(path)
         assert int(ds.labels.sum()) == sum(i % 3 == 0 for i in range(30)) + 1
+
+
+# The fuzz tests below rewrite one file under tmp_path per example.
+_FILE_SETTINGS = settings(
+    max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+_CELLS = st.sampled_from(["0", "1", "2", "-1.5", "1e999", "nan", "na", "",
+                          " ", "inf", "basic", "pro", "caf\u00e9", "target",
+                          "source", "\"", "\"a,b\"", "x=1", "x_missing"])
+_CSV_TEXT = st.lists(st.lists(_CELLS, min_size=1, max_size=5),
+                     max_size=8).map(
+    lambda rows: "".join(",".join(row) + "\n" for row in rows))
+
+_VALID_CSV = ("tenure,plan,target,source\n3.5,basic,0,caf\u00e9\n"
+              ",pro,1,bank\n7,,0,caf\u00e9\n1e2,basic,1,bank\n")
+
+
+def _dataset_or_rejected(path):
+    """``load_csv`` returns a Dataset or raises DataError/ValidationError;
+    any other exception fails the calling test."""
+    try:
+        ds = load_csv(path)
+    except (DataError, ValidationError):
+        return None
+    assert isinstance(ds, Dataset)
+    return ds
+
+
+class TestLoadCsvFuzz:
+    @given(raw=st.binary(max_size=300))
+    @_FILE_SETTINGS
+    def test_random_bytes(self, tmp_path, raw):
+        path = tmp_path / "random.csv"
+        path.write_bytes(raw)
+        _dataset_or_rejected(path)
+
+    @given(text=_CSV_TEXT)
+    @_FILE_SETTINGS
+    def test_random_cells(self, tmp_path, text):
+        path = tmp_path / "cells.csv"
+        path.write_text(text, encoding="utf-8")
+        _dataset_or_rejected(path)
+
+    @given(data=st.data())
+    @_FILE_SETTINGS
+    def test_truncation(self, tmp_path, data):
+        raw = _VALID_CSV.encode("utf-8")
+        cut = data.draw(st.integers(0, len(raw)))
+        path = tmp_path / "cut.csv"
+        path.write_bytes(raw[:cut])
+        _dataset_or_rejected(path)
+
+    @given(data=st.data())
+    @_FILE_SETTINGS
+    def test_ragged_rows(self, tmp_path, data):
+        rows = [line.split(",") for line in _VALID_CSV.splitlines()]
+        victim = data.draw(st.integers(1, len(rows) - 1))
+        width = data.draw(st.integers(1, 8).filter(lambda w: w != 4))
+        rows[victim] = ["9"] * width
+        path = tmp_path / "ragged.csv"
+        path.write_text("".join(",".join(r) + "\n" for r in rows),
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=f":{victim + 1}:"):
+            load_csv(path)
+
+    def test_non_utf8_byte_is_data_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(_VALID_CSV.encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.csv"):
+            load_csv(path)
 
 
 class TestStandardize:

@@ -13,8 +13,8 @@ from churnpool.data import Dataset, generate_hierarchical_population
 from churnpool.errors import ConvergenceError, ValidationError
 import churnpool.evaluate as evaluate
 from churnpool.evaluate import (ExperimentConfig, auc, classification_metrics,
-                                cohens_d_paired, fit_baselines, fit_logreg_l2,
-                                paired_t_test, run_experiment, student_t_sf)
+                                cohens_d_paired, fit_logreg_l2, paired_t_test,
+                                run_experiment, student_t_sf)
 from churnpool.shap_prior import PriorSpec
 
 from _oracles import damped_newton_logreg
@@ -72,33 +72,6 @@ class TestLogregL2:
                      np.ones(10, dtype=int), ("a", "b"))
         with pytest.raises(ValidationError):
             fit_logreg_l2(ds)
-
-
-class TestBaselines:
-    def test_single_entity_collections_coincide(self):
-        from churnpool.data import SMECollection
-        ds = _toy_dataset(n=60, seed=8)
-        collection = SMECollection((ds,), ("only",))
-        independent, pooled = fit_baselines(collection, C=1.0)
-        np.testing.assert_allclose(independent[0], pooled, atol=1e-8)
-
-    def test_duplicated_entities_match_scaled_c(self):
-        from churnpool.data import SMECollection
-        ds = _toy_dataset(n=50, seed=9)
-        collection = SMECollection((ds, ds, ds), ("a", "b", "c"))
-        _, pooled = fit_baselines(collection, C=1.0)
-        single = fit_logreg_l2(ds, C=3.0)
-        np.testing.assert_allclose(pooled, single, atol=1e-6)
-
-    def test_single_class_entity_flagged(self):
-        from churnpool.data import SMECollection
-        good = _toy_dataset(n=40, seed=10)
-        bad = Dataset(np.random.default_rng(11).normal(size=(20, 3)),
-                      np.zeros(20, dtype=int), good.feature_names)
-        collection = SMECollection((good, bad), ("g", "b"))
-        independent, pooled = fit_baselines(collection)
-        assert independent[1] is None
-        assert independent[0] is not None and pooled is not None
 
 
 class TestAuc:
@@ -254,7 +227,8 @@ class TestRunExperiment:
         assert test["n_pairs"] == 6
 
     def test_conformal_block(self, tiny_report):
-        assert tiny_report.conformal["strategy"] == "cross"
+        assert tiny_report.conformal["strategy"] == "pooled"
+        assert tiny_report.conformal["conservative_recommended"] is True
         assert 0.0 <= tiny_report.conformal["empirical_coverage"] <= 1.0
         assert tiny_report.conformal["n"] == 120
 

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 import churnpool.gbdt as gbdt
-from churnpool.data import Dataset
 from churnpool.errors import ValidationError
 from churnpool.gbdt import (GradientBoostedTrees, TreeEnsemble, TreeNode,
-                            feature_importance, fit_gbdt)
+                            feature_importance)
 
 from _oracles import argsort_grow_tree
 
@@ -116,9 +115,8 @@ class TestTrainingDynamics:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(600, 5))
         y = (x[:, 0] + x[:, 1] + rng.normal(size=600) > 0).astype(int)
-        ensemble = fit_gbdt(Dataset(x, y, tuple("abcde")),
-                            Dataset(x[:100], y[:100], tuple("abcde")),
-                            iterations=40, seed=1)
+        ensemble = GradientBoostedTrees(iterations=40, seed=1).fit(
+            x, y, x[:100], y[:100], feature_names=tuple("abcde")).ensemble_
 
         def walk(node, depth):
             if node.is_leaf:

@@ -9,9 +9,9 @@ import pytest
 from churnpool.data import generate_hierarchical_population
 from churnpool.errors import ValidationError
 from churnpool.hier_model import (HierData, HierHyper, HierParams, HierTarget,
-                                  centered_betas, grad_log_posterior,
-                                  log_posterior, posterior_predict,
-                                  shrinkage_report, shrinkage_weight)
+                                  posterior_predict_matrix, shrinkage_report,
+                                  shrinkage_weight)
+from churnpool.numerics import sigmoid
 from churnpool.nuts import PosteriorTrace
 
 from _oracles import longdouble_grad_log_posterior, longdouble_log_posterior
@@ -35,6 +35,14 @@ def _random_instance(p, sizes, seed):
     return data, hyper, params
 
 
+def _logp(params, data, hyper):
+    return HierTarget(data, hyper).logp_and_grad(params.pack())[0]
+
+
+def _grad(params, data, hyper):
+    return HierTarget(data, hyper).logp_and_grad(params.pack())[1]
+
+
 # (p, J): J entities of one size, or an explicit tuple of entity sizes.
 LAYOUTS = [(2, 1), (2, 5), (10, 1), (10, 5),
            pytest.param(3, (5, 17, 9, 40), id="3-unequal"),
@@ -51,7 +59,7 @@ def _extreme_margin_instance(p, sizes, seed):
     some rows sit on the wrong side with a loss near 750."""
     data, hyper, params = _random_instance(p, sizes, seed)
     rng = np.random.default_rng(seed + 1)
-    betas = centered_betas(params)
+    betas = params.mu + math.exp(params.log_sigma) * params.beta_raw
     Xs = []
     for X, beta in zip(data.Xs, betas):
         z = X @ beta
@@ -68,7 +76,7 @@ class TestLogPosterior:
         data, hyper, _ = _random_instance(p, (0,) * J, seed=2)
         hyper = HierHyper(beta0, sigma0, tau=2.0)
         params = HierParams(beta0, 0.3, np.zeros((J, p)))
-        value = log_posterior(params, data, hyper)
+        value = _logp(params, data, hyper)
         expected = longdouble_log_posterior(
             beta0, 0.3, np.zeros((J, p)), data.Xs, data.ys, beta0, sigma0, 2.0)
         assert value == pytest.approx(expected, rel=1e-12)
@@ -82,8 +90,8 @@ class TestLogPosterior:
         hyper = HierHyper(np.zeros(p), np.ones(p))
         params = HierParams(np.array([3.0, -1.0]), 0.1,
                             np.array([[0.5, 0.5]]))
-        delta = (log_posterior(params, data_with, hyper)
-                 - log_posterior(params, data_empty, hyper))
+        delta = (_logp(params, data_with, hyper)
+                 - _logp(params, data_empty, hyper))
         assert delta == pytest.approx(math.log(0.5), abs=1e-14)
 
     @pytest.mark.parametrize("p,J", LAYOUTS)
@@ -91,7 +99,7 @@ class TestLogPosterior:
         for seed in range(5):
             data, hyper, params = _random_instance(p, _sizes(J, 12),
                                                    seed=100 + seed)
-            value = log_posterior(params, data, hyper)
+            value = _logp(params, data, hyper)
             expected = longdouble_log_posterior(
                 params.mu, params.log_sigma, params.beta_raw, data.Xs,
                 data.ys, hyper.beta0, hyper.sigma0_diag, hyper.tau)
@@ -99,20 +107,20 @@ class TestLogPosterior:
 
     def test_invariant_to_entity_and_row_order(self):
         data, hyper, params = _random_instance(3, (15,) * 4, seed=7)
-        value = log_posterior(params, data, hyper)
+        value = _logp(params, data, hyper)
         perm = [2, 0, 3, 1]
         data_perm = HierData(tuple(data.Xs[j] for j in perm),
                              tuple(data.ys[j] for j in perm),
                              data.feature_names)
         params_perm = HierParams(params.mu, params.log_sigma,
                                  params.beta_raw[perm])
-        assert log_posterior(params_perm, data_perm, hyper) == pytest.approx(
+        assert _logp(params_perm, data_perm, hyper) == pytest.approx(
             value, rel=1e-14)
         row_perm = np.arange(15)[::-1]
         data_rows = HierData(
             tuple(X[row_perm] for X in data.Xs),
             tuple(y[row_perm] for y in data.ys), data.feature_names)
-        assert log_posterior(params, data_rows, hyper) == pytest.approx(
+        assert _logp(params, data_rows, hyper) == pytest.approx(
             value, rel=1e-14)
 
     def test_rejects_nonfinite(self):
@@ -141,7 +149,7 @@ class TestGradient:
                         tuple(f"x{k}" for k in range(p)))
         # HalfNormal-with-Jacobian mode in log space is log(tau).
         params = HierParams(beta0, math.log(1.7), np.zeros((J, p)))
-        grad = grad_log_posterior(params, data, hyper)
+        grad = _grad(params, data, hyper)
         np.testing.assert_array_equal(grad[:p], np.zeros(p))
         np.testing.assert_array_equal(grad[p + 1:], np.zeros(J * p))
         assert grad[p] == pytest.approx(0.0, abs=1e-12)
@@ -192,28 +200,40 @@ class TestGradient:
         empty = HierData((np.empty((0, p)),), (np.empty(0, dtype=int),), names)
         once = HierData((row,), (np.array([1]),), names)
         twice = HierData((np.vstack([row, row]),), (np.array([1, 1]),), names)
-        g0 = grad_log_posterior(params, empty, hyper)
-        g1 = grad_log_posterior(params, once, hyper)
-        g2 = grad_log_posterior(params, twice, hyper)
+        g0 = _grad(params, empty, hyper)
+        g1 = _grad(params, once, hyper)
+        g2 = _grad(params, twice, hyper)
         np.testing.assert_allclose(g2 - g0, 2.0 * (g1 - g0), rtol=1e-12)
 
 
 class TestCenteredBetas:
+    """Entity j's coefficients are ``mu + exp(log_sigma) * beta_raw[j]``:
+    with one draw and unit rows, the predictive mean is their sigmoid."""
+
+    @staticmethod
+    def _predicted(params):
+        trace = _trace_from_flat(params.pack()[None, :], params.mu.size,
+                                 params.beta_raw.shape[0])
+        unit_rows = np.eye(params.mu.size)
+        return np.array([posterior_predict_matrix(trace, unit_rows, j)[0]
+                         for j in range(params.beta_raw.shape[0])])
+
     def test_zero_raw_gives_mu(self):
         params = HierParams(np.array([1.0, -2.0]), 0.7, np.zeros((3, 2)))
-        np.testing.assert_array_equal(centered_betas(params),
-                                      np.tile([1.0, -2.0], (3, 1)))
+        np.testing.assert_array_equal(self._predicted(params),
+                                      sigmoid(np.tile([1.0, -2.0], (3, 1))))
 
     def test_sigma_zero_limit(self):
         params = HierParams(np.array([1.0]), -745.0, np.ones((2, 1)))
-        np.testing.assert_allclose(centered_betas(params),
-                                   np.ones((2, 1)), atol=1e-300)
+        np.testing.assert_array_equal(self._predicted(params),
+                                      sigmoid(np.ones((2, 1))))
 
     def test_linear_map(self):
         params = HierParams(np.zeros(2), math.log(2.0),
                             np.array([[1.0, -1.0]]))
-        np.testing.assert_allclose(centered_betas(params),
-                                   [[2.0, -2.0]], rtol=1e-15)
+        np.testing.assert_allclose(self._predicted(params),
+                                   sigmoid(np.array([[2.0, -2.0]])),
+                                   rtol=1e-15)
 
 
 def _trace_from_flat(flat, p, J):
@@ -226,12 +246,19 @@ def _trace_from_flat(flat, p, J):
         seed=0)
 
 
+def _predict_row(trace, x, sme_index, interval_mass=0.90):
+    """Mean and bounds for one row through ``posterior_predict_matrix``."""
+    mean, lower, upper = posterior_predict_matrix(trace, x[None, :],
+                                                  sme_index, interval_mass)
+    return float(mean[0]), float(lower[0]), float(upper[0])
+
+
 class TestPosteriorPredict:
     def test_all_zero_draws(self):
         p, J = 2, 2
         D = p + 1 + J * p
         trace = _trace_from_flat(np.zeros((10, D)), p, J)
-        mean, lo, hi = posterior_predict(trace, np.array([1.0, -1.0]), 0)
+        mean, lo, hi = _predict_row(trace, np.array([1.0, -1.0]), 0)
         assert (mean, lo, hi) == (0.5, 0.5, 0.5)
 
     def test_two_draw_quantiles(self):
@@ -243,8 +270,8 @@ class TestPosteriorPredict:
         flat[:, 0] = logits          # mu
         flat[:, 1] = -60.0           # log_sigma -> sigma ~ 0
         trace = _trace_from_flat(flat, p, J)
-        mean, lo, hi = posterior_predict(trace, np.array([1.0]), 0,
-                                         interval_mass=0.90)
+        mean, lo, hi = _predict_row(trace, np.array([1.0]), 0,
+                                    interval_mass=0.90)
         assert mean == pytest.approx(0.5, abs=1e-12)
         assert lo == pytest.approx(0.2, abs=1e-12)
         assert hi == pytest.approx(0.8, abs=1e-12)
@@ -255,8 +282,8 @@ class TestPosteriorPredict:
         flat[:, 0] = [math.log(0.2 / 0.8), math.log(0.8 / 0.2)]
         flat[:, 1] = -60.0
         trace = _trace_from_flat(flat, p, J)
-        _, lo, hi = posterior_predict(trace, np.array([1.0]), 0,
-                                      interval_mass=0.0)
+        _, lo, hi = _predict_row(trace, np.array([1.0]), 0,
+                                 interval_mass=0.0)
         assert lo == hi == pytest.approx(0.2, abs=1e-12)
 
     def test_intervals_nested_in_mass(self):
@@ -265,7 +292,7 @@ class TestPosteriorPredict:
         D = p + 1 + J * p
         trace = _trace_from_flat(rng.normal(size=(500, D)), p, J)
         x = np.array([0.3, -0.8])
-        intervals = [posterior_predict(trace, x, 1, m)[1:]
+        intervals = [_predict_row(trace, x, 1, m)[1:]
                      for m in (0.5, 0.8, 0.95)]
         for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
             assert lo2 <= lo1 and hi2 >= hi1
@@ -278,13 +305,13 @@ class TestPosteriorPredict:
         trace_a = _trace_from_flat(flat, p, J)
         trace_b = _trace_from_flat(flat[::-1], p, J)
         x = np.array([1.0, 1.0])
-        assert posterior_predict(trace_a, x, 0) == posterior_predict(
+        assert _predict_row(trace_a, x, 0) == _predict_row(
             trace_b, x, 0)
 
     def test_unknown_entity_rejected(self):
         trace = _trace_from_flat(np.zeros((4, 5)), 2, 1)
         with pytest.raises(ValidationError):
-            posterior_predict(trace, np.array([1.0, 1.0]), 3)
+            _predict_row(trace, np.array([1.0, 1.0]), 3)
 
 
 class TestShrinkageWeight:

@@ -10,7 +10,7 @@ from churnpool.data import Dataset, StandardizationStats
 from churnpool.errors import ValidationError
 from churnpool.gbdt import GradientBoostedTrees, TreeEnsemble, TreeNode
 from churnpool.shap_prior import (PriorSpec, TreeShapExplainer, extract_priors,
-                                  mean_abs_shap, prior_only_auc, tree_shap)
+                                  prior_only_auc)
 
 from _oracles import brute_force_shapley
 
@@ -49,11 +49,17 @@ def _fitted(seed, p=6, depth=3, n=300, iterations=8):
     return model.ensemble_, X
 
 
+def _shap_row(ensemble, x):
+    """Attributions of one input and the base value."""
+    explainer = TreeShapExplainer(ensemble)
+    return explainer.shap_values(x), explainer.expected_value
+
+
 class TestTreeShap:
     def test_single_stump_single_player(self):
         ensemble = TreeEnsemble(0.3, 1.0, [_stump()], ("a", "b"))
         x = np.array([-2.0, 5.0])
-        phi, base = tree_shap(ensemble, x)
+        phi, base = _shap_row(ensemble, x)
         margin = ensemble.predict_margin(x)
         assert phi[1] == 0.0
         assert phi[0] == pytest.approx(margin - base, abs=1e-12)
@@ -72,7 +78,7 @@ class TestTreeShap:
         rng = np.random.default_rng(0)
         rows = rng.choice(X.shape[0], size=12, replace=False)
         for i in rows:
-            phi, base = tree_shap(ensemble, X[i])
+            phi, base = _shap_row(ensemble, X[i])
             phi_ref, base_ref = brute_force_shapley(ensemble, X[i])
             np.testing.assert_allclose(phi, phi_ref, atol=1e-8)
             assert base == pytest.approx(base_ref, abs=1e-8)
@@ -83,7 +89,7 @@ class TestTreeShap:
         for x in ([-2.0, -1.0], [0.0, -1.0], [2.0, -1.0], [0.0, 1.0],
                   [-1.0, 0.0], [1.5, -0.5]):
             x = np.array(x)
-            phi, base = tree_shap(ensemble, x)
+            phi, base = _shap_row(ensemble, x)
             phi_ref, base_ref = brute_force_shapley(ensemble, x)
             np.testing.assert_allclose(phi, phi_ref, atol=1e-8)
             assert base == pytest.approx(base_ref, abs=1e-8)
@@ -106,23 +112,31 @@ class TestTreeShap:
     def test_dimension_mismatch(self):
         ensemble = TreeEnsemble(0.0, 1.0, [_stump()], ("a", "b"))
         with pytest.raises(ValidationError):
-            tree_shap(ensemble, np.array([1.0]))
+            _shap_row(ensemble, np.array([1.0]))
 
 
 class TestMeanAbsShap:
+    """The prior location is the mean absolute attribution over the
+    validation rows; unit stds leave it on attribution scale."""
+
+    @staticmethod
+    def _mean_abs(ensemble, ds):
+        unit = StandardizationStats(np.zeros(ds.p), np.ones(ds.p))
+        return extract_priors(ensemble, ds, unit).beta0
+
     def test_single_row_identity(self):
         ensemble, X = _fitted(seed=24, p=4, depth=2)
         ds = Dataset(X[:1], [1], tuple(f"f{k}" for k in range(4)))
-        phi_row, _ = tree_shap(ensemble, X[0])
-        np.testing.assert_allclose(mean_abs_shap(ensemble, ds),
+        phi_row, _ = _shap_row(ensemble, X[0])
+        np.testing.assert_allclose(self._mean_abs(ensemble, ds),
                                    np.abs(phi_row), atol=1e-12)
 
     def test_matches_hand_sum(self):
         ensemble, X = _fitted(seed=25, p=4, depth=2)
         ds = Dataset(X[:5], [0, 1, 0, 1, 0], tuple(f"f{k}" for k in range(4)))
         expected = np.mean(
-            [np.abs(tree_shap(ensemble, X[i])[0]) for i in range(5)], axis=0)
-        np.testing.assert_allclose(mean_abs_shap(ensemble, ds), expected,
+            [np.abs(_shap_row(ensemble, X[i])[0]) for i in range(5)], axis=0)
+        np.testing.assert_allclose(self._mean_abs(ensemble, ds), expected,
                                    atol=1e-12)
 
     def test_empty_rejected(self):
@@ -130,7 +144,7 @@ class TestMeanAbsShap:
         empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=int),
                         ("f0", "f1", "f2"))
         with pytest.raises(ValidationError):
-            mean_abs_shap(ensemble, empty)
+            self._mean_abs(ensemble, empty)
 
 
 def _tagged_stump_dataset():

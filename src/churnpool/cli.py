@@ -372,6 +372,7 @@ def cmd_fit(config: RunConfig, args) -> int:
         "min_ess": diag.min_ess(),
         "n_divergent": diag.n_divergent,
         "mean_accept": diag.mean_accept,
+        "n_grad": diag.n_grad,
         "calibration_dir": str(calib_dir.relative_to(out)),
         "config": config.echo(),
     })

@@ -31,7 +31,8 @@ import numpy as np
 from .conformal import (calibrate_pooled, coverage_audit, predict_set,
                         recommend_conservative)
 from .data import Dataset, SMECollection, stratified_kfold
-from .errors import ChurnpoolError, ConvergenceError, ValidationError
+from .errors import (ChurnpoolError, ConvergenceError, DataError,
+                     ValidationError)
 from .hier_model import HierarchicalLogistic
 from .logreg import fit_penalized_logreg
 from .numerics import average_ranks, binary_log_loss, sigmoid
@@ -357,7 +358,9 @@ def run_experiment(collection: SMECollection, prior, config: ExperimentConfig,
     the hierarchical model follows ``config.protocol``.  A baseline fit
     that fails to converge is flagged and its rows for that fold are left
     out.  Conformal calibration pools nonconformity scores across
-    entities, holding out the audited fold from its own threshold.
+    entities, holding out the audited fold from its own threshold.  A
+    collection where no entity can be split into folds raises
+    ``DataError`` before any fit.
     """
     config.validate()
     start = time.perf_counter()
@@ -370,6 +373,9 @@ def run_experiment(collection: SMECollection, prior, config: ExperimentConfig,
             folds_per_sme[j] = stratified_kfold(ds, K, seed + j)
         except ValidationError as exc:
             flags.append(f"sme {collection.ids[j]} excluded from folds: {exc}")
+    if not folds_per_sme:
+        raise DataError(f"no entity can be split into {K} stratified folds: "
+                        + "; ".join(flags))
 
     def make_hier(train_collection: SMECollection, fit_seed: int):
         model = HierarchicalLogistic(
@@ -414,6 +420,7 @@ def run_experiment(collection: SMECollection, prior, config: ExperimentConfig,
                                for m in diag_models),
             "mean_accept": float(np.mean([m.diagnostics_.mean_accept
                                           for m in diag_models])),
+            "n_grad": sum(m.diagnostics_.n_grad for m in diag_models),
         }
     else:
         diagnostics = {}

@@ -3,13 +3,26 @@
 The sampler is the multinomial variant with biased progressive state
 selection: each doubling proposes a state from the new subtree with
 probability proportional to the subtree's total weight ``exp(-energy)``.
+
 Warmup interleaves dual-averaging step-size adaptation with expanding
-diagonal mass-matrix windows; both freeze before the sampling phase.
+metric windows (Stan's windowed adaptation; Betancourt, arXiv:1701.02434
+section 4.2).  All chains share one inverse metric
+
+    Sigma = D (I + U diag(lam - 1) U^T) D,
+
+rebuilt at the end of every window from that window's draws pooled across
+chains.  ``D^2`` is the pooled variance shrunk toward 1 with five
+pseudo-draws; ``(lam, U)`` are the eigenpairs of the pooled sample
+correlation that lie outside the Marchenko-Pastur noise band (Laloux et
+al., PRL 1999) and outside ``[1/2, 2]``, ranked by ``|log lam|`` and
+capped at ``_MAX_RANK``.  With no eigenpair kept the metric is diagonal.
+Step size and metric both freeze before the sampling phase.
 
 Targets are anything with a ``dim`` attribute and a ``logp_and_grad(theta)``
-method returning ``(float, ndarray)``.  Chains are pure functions of
-``(target, config, chain_index)`` given per-chain generator streams, so runs
-are bit-reproducible and chains may execute in any order.
+method returning ``(float, ndarray)``.  Each chain draws from its own
+generator stream, but the chains advance in lockstep, window by window, in
+chain order, so a run is a pure function of ``(target, config)`` and is
+bit-reproducible; it is not a function of each chain alone.
 """
 
 from __future__ import annotations
@@ -50,6 +63,18 @@ ESS_CAP_FACTOR = 10.0
 
 _LOG_2 = math.log(2.0)
 
+# Most correlation eigen-directions the metric keeps.  At the paper's upper
+# end (J=50, p=21, dim 1,072) the first window's noise band leaves over a
+# hundred directions, whose products cost more leapfrog time than they save.
+_MAX_RANK = 22
+
+# A direction must also change the metric by more than a factor of 2.
+# Warmup draws are autocorrelated and come from a moving step size, so
+# their correlation spectrum spreads past the band's asymptotic edges (by
+# 10-30% on isotropic Gaussians); such near-edge directions are noise, and
+# a metric off by less than 2x in one direction costs little.
+_MIN_LOG_EIGENVALUE = math.log(2.0)
+
 
 class FunctionTarget:
     """Adapter wrapping plain ``logp``/``grad`` callables into a target."""
@@ -71,7 +96,9 @@ class SamplerConfig:
     ``init`` selects the starting strategy: ``"zero"`` starts every chain at
     the origin, ``"point"`` at ``init_point``; both add uniform jitter of
     half-width ``jitter`` per chain so split-chain diagnostics stay
-    meaningful.  ``adapt_mass`` can be disabled to keep a unit mass matrix.
+    meaningful.  ``adapt_mass`` adapts the shared inverse metric from draws
+    pooled across chains at every warmup window's end; disabled, the metric
+    stays the identity.
     """
 
     chains: int = 4
@@ -122,7 +149,10 @@ class PosteriorTrace:
     """Retained post-warmup states of every chain.
 
     ``draws`` has shape ``(chains, draws, dim)`` in the documented flat
-    parameter order of ``param_names``.
+    parameter order of ``param_names``.  ``mass_diag`` has shape
+    ``(chains, dim)``; each row is the diagonal of the inverse metric the
+    chains sampled with, so all rows are equal.  The low-rank part of that
+    metric is not stored.
     """
 
     draws: np.ndarray
@@ -218,13 +248,18 @@ class PosteriorTrace:
 
 @dataclass
 class Diagnostics:
-    """Split-chain convergence summaries for every parameter."""
+    """Split-chain convergence summaries for every parameter.
+
+    ``n_grad`` counts every ``logp_and_grad`` call the sampler made,
+    step-size searches included.
+    """
 
     rhat: np.ndarray
     ess_bulk: np.ndarray
     ess_tail: np.ndarray
     n_divergent: int
     mean_accept: float
+    n_grad: int = 0
 
     def max_rhat(self) -> float:
         return float(np.nanmax(self.rhat))
@@ -239,6 +274,7 @@ class Diagnostics:
             "ess_tail": [float(v) for v in self.ess_tail],
             "n_divergent": int(self.n_divergent),
             "mean_accept": float(self.mean_accept),
+            "n_grad": int(self.n_grad),
         }
         if param_names is not None:
             doc["param_names"] = list(param_names)
@@ -249,44 +285,155 @@ class Diagnostics:
 # Hamiltonian pieces
 # ---------------------------------------------------------------------------
 
+class _Metric:
+    """Inverse metric ``Sigma = D (I + U diag(lam - 1) U^T) D``.
+
+    ``diag`` is ``D^2``; the orthonormal columns of ``u`` and the entries of
+    ``lam`` are the ``k`` eigenpairs of the pooled draw correlation kept by
+    ``_PooledMoments.metric``.  With ``k = 0`` the metric is the diagonal
+    ``D^2``.
+    """
+
+    # The low-rank factors are stored transposed, (k, dim) and contiguous:
+    # two ``ndarray.dot`` calls on them cost about 60% of the time of two
+    # ``@`` products on the (dim, k) factors at dim 177, k = 22.
+    __slots__ = ("diag", "u", "lam", "_sqrt_diag", "_du_t", "_du_scaled_t",
+                 "_u_t", "_u_momentum_t")
+
+    def __init__(self, diag: np.ndarray, u: np.ndarray | None = None,
+                 lam: np.ndarray | None = None):
+        self.diag = diag
+        self.u = np.zeros((diag.size, 0)) if u is None else u
+        self.lam = np.zeros(0) if lam is None else lam
+        self._sqrt_diag = np.sqrt(diag)
+        du_t = self.u.T * self._sqrt_diag
+        self._du_t = np.ascontiguousarray(du_t)
+        self._du_scaled_t = np.ascontiguousarray(
+            du_t * (self.lam - 1.0)[:, None])
+        self._u_t = np.ascontiguousarray(self.u.T)
+        self._u_momentum_t = np.ascontiguousarray(
+            self.u.T * (1.0 / np.sqrt(self.lam) - 1.0)[:, None])
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``Sigma @ x``."""
+        out = self.diag * x
+        if self.lam.size:
+            out += self._du_t.dot(x).dot(self._du_scaled_t)
+        return out
+
+    def momentum(self, z: np.ndarray) -> np.ndarray:
+        """Map a standard normal ``z`` to ``r ~ N(0, Sigma^-1)``:
+        ``r = D^-1 (z + U ((lam^-1/2 - 1) * (U^T z)))``."""
+        if self.lam.size:
+            z = z + self._u_t.dot(z).dot(self._u_momentum_t)
+        return z / self._sqrt_diag
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of ``Sigma``."""
+        return self.diag * (1.0 + (self.u * self.u) @ (self.lam - 1.0))
+
+
+class _PooledMoments:
+    """Mean and scatter of one warmup window's draws pooled across chains.
+
+    Each chain's block of draws is merged whole (the pairwise update of
+    Chan, Golub & LeVeque), in chain order, so the pooled statistics cost
+    one matrix product per block rather than an outer product per draw.
+    """
+
+    def __init__(self, dim: int):
+        self.n = 0
+        self.mean = np.zeros(dim)
+        self.scatter = np.zeros((dim, dim))
+
+    def merge(self, block: np.ndarray) -> None:
+        m = block.shape[0]
+        if m == 0:
+            return
+        block_mean = block.mean(axis=0)
+        centered = block - block_mean
+        total = self.n + m
+        delta = block_mean - self.mean
+        self.scatter += centered.T @ centered
+        self.scatter += np.outer(delta, delta * (self.n * m / total))
+        self.mean += delta * (m / total)
+        self.n = total
+
+    def metric(self) -> _Metric:
+        """Shrunk pooled variances plus the correlation eigenpairs outside
+        the Marchenko-Pastur noise band and outside ``[1/2, 2]``, at most
+        ``_MAX_RANK`` of them, ranked by ``|log lam|``."""
+        n, dim = self.n, self.mean.size
+        if n < 2:
+            return _Metric(np.ones(dim))
+        scatter_diag = np.diag(self.scatter)
+        var = scatter_diag / (n - 1)
+        diag = (n * var + 5.0) / (n + 5.0)
+        sd = np.sqrt(scatter_diag)
+        inv_sd = np.divide(1.0, sd, out=np.zeros(dim), where=sd > 0.0)
+        corr = self.scatter * inv_sd[:, None] * inv_sd[None, :]
+        np.fill_diagonal(corr, 1.0)
+        lam, vecs = np.linalg.eigh(corr)
+        ratio = math.sqrt(dim / n)
+        lower = (1.0 - ratio) ** 2 if n > dim else 0.0
+        floor = dim * np.finfo(np.float64).eps
+        size = np.abs(np.log(np.maximum(lam, floor)))
+        outside = (lam > (1.0 + ratio) ** 2) | ((lam < lower) & (lam > floor))
+        keep = np.flatnonzero(outside & (size > _MIN_LOG_EIGENVALUE))
+        keep = keep[np.argsort(-size[keep], kind="stable")][:_MAX_RANK]
+        return _Metric(diag, np.ascontiguousarray(vecs[:, keep]), lam[keep])
+
+
 class _State:
     """Phase-space point with its cached gradient and log density; ``v`` is
-    the velocity ``inv_mass * r``, read by the kinetic energy and the
-    U-turn check."""
+    the velocity ``Sigma r``, read by the kinetic energy and the U-turn
+    check, and ``w`` is ``Sigma grad``, so a leapfrog step makes one metric
+    product."""
 
-    __slots__ = ("q", "r", "grad", "logp", "v")
+    __slots__ = ("q", "r", "grad", "logp", "v", "w")
 
-    def __init__(self, q, r, grad, logp, v):
+    def __init__(self, q, r, grad, logp, v, w):
         self.q = q
         self.r = r
         self.grad = grad
         self.logp = logp
         self.v = v
+        self.w = w
 
 
 def _leapfrog(state: _State, eps: float, target,
-              inv_mass: np.ndarray) -> _State | None:
+              metric: _Metric) -> _State | None:
     """One velocity-Verlet step from ``state``, which carries the gradient
-    at its position; None when the new point is not finite."""
-    r_half = state.r + 0.5 * eps * state.grad
-    q_new = state.q + eps * inv_mass * r_half
+    at its position and its metric products; None when the new point is
+    not finite."""
+    half = 0.5 * eps
+    v_half = state.v + half * state.w
+    q_new = state.q + eps * v_half
     logp, grad = target.logp_and_grad(q_new)
     if not (math.isfinite(logp) and np.isfinite(grad).all()):
         return None
-    r_new = r_half + 0.5 * eps * grad
-    return _State(q_new, r_new, grad, logp, inv_mass * r_new)
+    w = metric.apply(grad)
+    return _State(q_new, state.r + half * (state.grad + grad), grad, logp,
+                  v_half + half * w, w)
 
 
-def find_reasonable_step_size(target, q0: np.ndarray, inv_mass: np.ndarray,
+def find_reasonable_step_size(target, q0: np.ndarray, inv_metric,
                               rng: np.random.Generator) -> float:
-    """Doubling/halving search for a step size with ~50% acceptance."""
+    """Doubling/halving search for a step size with ~50% acceptance.
+
+    ``inv_metric`` is a diagonal inverse metric (an array) or the
+    sampler's own low-rank metric.
+    """
+    if not isinstance(inv_metric, _Metric):
+        inv_metric = _Metric(np.asarray(inv_metric, dtype=np.float64))
     logp0, grad0 = target.logp_and_grad(q0)
-    r0 = rng.standard_normal(q0.size) / np.sqrt(inv_mass)
-    start = _State(q0, r0, grad0, logp0, inv_mass * r0)
+    r0 = inv_metric.momentum(rng.standard_normal(q0.size))
+    start = _State(q0, r0, grad0, logp0, inv_metric.apply(r0),
+                   inv_metric.apply(grad0))
     h0 = -logp0 + 0.5 * float(np.dot(start.v, r0))
 
     def accept_logprob(eps: float) -> float:
-        new = _leapfrog(start, eps, target, inv_mass)
+        new = _leapfrog(start, eps, target, inv_metric)
         if new is None:
             return -np.inf
         return min(0.0, h0 - (-new.logp + 0.5 * float(np.dot(new.v, new.r))))
@@ -337,30 +484,8 @@ class _DualAveraging:
         return math.exp(self.log_eps_bar)
 
 
-class _Welford:
-    """Running mean/variance accumulator for mass-matrix windows."""
-
-    def __init__(self, dim: int):
-        self.n = 0
-        self.mean = np.zeros(dim)
-        self.m2 = np.zeros(dim)
-
-    def push(self, x: np.ndarray) -> None:
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
-
-    def regularized_variance(self) -> np.ndarray:
-        """Sample variance shrunk toward unit with 5 pseudo-draws."""
-        if self.n < 2:
-            return np.ones_like(self.mean)
-        var = self.m2 / (self.n - 1)
-        return (self.n * var + 5.0) / (self.n + 5.0)
-
-
 def _mass_windows(warmup: int) -> list[tuple[int, int]]:
-    """Expanding (25/50/100/...) mass-estimation windows inside warmup.
+    """Expanding (25/50/100/...) metric-estimation windows inside warmup.
 
     Step-size-only buffers at both ends; the final window is stretched to
     meet the terminal buffer so its estimate is frozen for sampling.
@@ -381,6 +506,21 @@ def _mass_windows(warmup: int) -> list[tuple[int, int]]:
         windows.append((start, end))
         start, size = end, size * 2
     return windows
+
+
+class _CountingTarget:
+    """Forwards ``logp_and_grad`` to a target and counts the calls."""
+
+    __slots__ = ("target", "dim", "calls")
+
+    def __init__(self, target):
+        self.target = target
+        self.dim = target.dim
+        self.calls = 0
+
+    def logp_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        self.calls += 1
+        return self.target.logp_and_grad(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -422,21 +562,75 @@ def _no_uturn(minus: _State, plus: _State) -> bool:
     return np.dot(dq, minus.v) >= 0.0 and np.dot(dq, plus.v) >= 0.0
 
 
-class _ChainRunner:
-    """Per-chain sampler state: step size, mass matrix, tree builder."""
+class _Chain:
+    """One chain: its position, step-size adaptation and tree builder.
 
-    def __init__(self, target, config: SamplerConfig, rng: np.random.Generator):
+    Warmup advances in segments (``warm``) so that every chain can stop at
+    a window barrier, where ``adopt`` installs the shared metric.
+    """
+
+    def __init__(self, target, config: SamplerConfig,
+                 rng: np.random.Generator, q0: np.ndarray, metric: _Metric):
         self.target = target
         self.config = config
         self.rng = rng
-        self.inv_mass = np.ones(target.dim)
-        self.eps = 1.0
+        self.metric = metric
+        logp, grad = target.logp_and_grad(q0)
+        if not (np.isfinite(logp) and np.all(np.isfinite(grad))):
+            raise ValidationError("target is not finite at the initial point")
+        zeros = np.zeros_like(q0)
+        self.state = _State(q0, zeros, grad, logp, zeros, metric.apply(grad))
+        self.iteration = 0
+        self.warmup_divergent = 0
+        self.initial_eps = self._restart_step_size()
+        self.eps = self.initial_eps
+
+    def _restart_step_size(self) -> float:
+        eps0 = find_reasonable_step_size(self.target, self.state.q,
+                                         self.metric, self.rng)
+        self.averaging = _DualAveraging(eps0)
+        return eps0
+
+    def adopt(self, metric: _Metric) -> None:
+        """Switch to ``metric``: refresh the cached ``Sigma grad`` and restart
+        step-size adaptation."""
+        self.metric = metric
+        s = self.state
+        self.state = _State(s.q, s.r, s.grad, s.logp, s.v,
+                            metric.apply(s.grad))
+        self._restart_step_size()
+
+    def warm(self, stop: int, block: np.ndarray | None = None,
+             start: int = 0) -> None:
+        """Warmup iterations up to ``stop``; the position after iteration
+        ``m >= start`` is written to ``block[m - start]``."""
+        target_accept = self.config.target_accept
+        while self.iteration < stop:
+            self.eps = self.averaging.current
+            divergent, accept_stat = self.transition()
+            self.warmup_divergent += divergent
+            self.averaging.step(target_accept - accept_stat)
+            if block is not None and self.iteration >= start:
+                block[self.iteration - start] = self.state.q
+            self.iteration += 1
+
+    def draw(self, n: int) -> dict:
+        """``n`` sampling transitions at the averaged warmup step size."""
+        self.eps = self.averaging.averaged
+        draws = np.empty((n, self.target.dim))
+        divergent_flags = np.zeros(n, dtype=bool)
+        accept_stats = np.empty(n)
+        for s in range(n):
+            divergent_flags[s], accept_stats[s] = self.transition()
+            draws[s] = self.state.q
+        return {"draws": draws, "divergent": divergent_flags,
+                "mean_accept": float(accept_stats.mean())}
 
     def _build_tree(self, depth: int, edge: _State, direction: float,
                     h0: float) -> _Subtree:
         if depth == 0:
             new = _leapfrog(edge, direction * self.eps, self.target,
-                            self.inv_mass)
+                            self.metric)
             if new is None:
                 return _Subtree(edge, edge, None, -np.inf, 0.0, 1, False, True)
             energy_error = (-new.logp + 0.5 * float(np.dot(new.v, new.r))) - h0
@@ -467,12 +661,14 @@ class _ChainRunner:
                         second.cont and ok,
                         first.divergent or second.divergent)
 
-    def transition(self, state: _State) -> tuple[_State, bool, float]:
-        """One NUTS draw with biased progressive multinomial selection."""
+    def transition(self) -> tuple[bool, float]:
+        """One NUTS draw with biased progressive multinomial selection;
+        moves ``state`` and returns (divergent, mean acceptance)."""
         rng = self.rng
-        r0 = rng.standard_normal(self.target.dim) / np.sqrt(self.inv_mass)
+        state, metric = self.state, self.metric
+        r0 = metric.momentum(rng.standard_normal(self.target.dim))
         current = _State(state.q, r0, state.grad, state.logp,
-                         self.inv_mass * r0)
+                         metric.apply(r0), state.w)
         h0 = -current.logp + 0.5 * float(np.dot(current.v, r0))
         minus, plus, proposal = current, current, current
         log_sum_weight = 0.0
@@ -500,63 +696,8 @@ class _ChainRunner:
                 minus = subtree.outer
             if not _no_uturn(minus, plus):
                 break
-        return proposal, divergent, sum_accept / max(n_accept, 1)
-
-
-def _run_chain(target, config: SamplerConfig, rng: np.random.Generator,
-               q0: np.ndarray) -> dict:
-    runner = _ChainRunner(target, config, rng)
-    logp, grad = target.logp_and_grad(q0)
-    if not (np.isfinite(logp) and np.all(np.isfinite(grad))):
-        raise ValidationError("target is not finite at the initial point")
-    state = _State(q0, np.zeros_like(q0), grad, logp, np.zeros_like(q0))
-
-    eps0 = find_reasonable_step_size(target, q0, runner.inv_mass, rng)
-    initial_eps = eps0
-    averaging = _DualAveraging(eps0)
-    windows = _mass_windows(config.warmup) if config.adapt_mass else []
-    window_idx = 0
-    welford = _Welford(target.dim)
-
-    warmup_divergent = 0
-    for m in range(config.warmup):
-        runner.eps = averaging.current
-        state, divergent, accept_stat = runner.transition(state)
-        warmup_divergent += divergent
-        averaging.step(config.target_accept - accept_stat)
-        if window_idx < len(windows):
-            start, end = windows[window_idx]
-            if start <= m < end:
-                welford.push(state.q)
-            if m == end - 1:
-                runner.inv_mass = welford.regularized_variance()
-                welford = _Welford(target.dim)
-                window_idx += 1
-                eps0 = find_reasonable_step_size(target, state.q,
-                                                 runner.inv_mass, rng)
-                averaging = _DualAveraging(eps0)
-    if warmup_divergent == config.warmup:
-        raise DiagnosticError(
-            "every warmup iteration diverged; increase target_accept "
-            "(for example 0.95) or reparameterize the model")
-
-    runner.eps = averaging.averaged
-    draws = np.empty((config.draws, target.dim))
-    divergent_flags = np.zeros(config.draws, dtype=bool)
-    accept_stats = np.empty(config.draws)
-    for s in range(config.draws):
-        state, divergent, accept_stat = runner.transition(state)
-        draws[s] = state.q
-        divergent_flags[s] = divergent
-        accept_stats[s] = accept_stat
-    return {
-        "draws": draws,
-        "divergent": divergent_flags,
-        "mean_accept": float(accept_stats.mean()),
-        "final_eps": runner.eps,
-        "initial_eps": initial_eps,
-        "inv_mass": runner.inv_mass,
-    }
+        self.state = proposal
+        return divergent, sum_accept / max(n_accept, 1)
 
 
 def sample(target, config: SamplerConfig,
@@ -564,9 +705,11 @@ def sample(target, config: SamplerConfig,
     """Run NUTS chains on ``target`` and compute convergence diagnostics.
 
     Warmup draws are discarded; the trace holds exactly ``chains x draws``
-    post-warmup states.  Chains use independent generator streams, so
-    identical ``(target, config)`` produce bit-identical traces whatever
-    order the chains run in.
+    post-warmup states.  Chains run one after another in lockstep through
+    the warmup windows: at each window's end the shared metric is rebuilt
+    from that window's draws of every chain, pooled in chain order.  Each
+    chain keeps its own generator stream, so identical ``(target, config)``
+    produce bit-identical traces.
     """
     config.validate()
     dim = target.dim
@@ -582,28 +725,50 @@ def sample(target, config: SamplerConfig,
     elif len(param_names) != dim:
         raise ValidationError("param_names length must equal target dim")
 
+    counted = _CountingTarget(target)
     rngs = spawn(config.seed, config.chains)
     starts = [base + rngs[c].uniform(-config.jitter, config.jitter, dim)
               for c in range(config.chains)]
-    results = [_run_chain(target, config, rngs[c], starts[c])
-               for c in range(config.chains)]
+    metric = _Metric(np.ones(dim))
+    chains = [_Chain(counted, config, rngs[c], starts[c], metric)
+              for c in range(config.chains)]
+
+    windows = _mass_windows(config.warmup) if config.adapt_mass else []
+    block = np.empty((max((end - start for start, end in windows), default=0),
+                      dim))
+    for start, end in windows:
+        moments = _PooledMoments(dim)
+        for chain in chains:
+            chain.warm(end, block, start)
+            moments.merge(block[:end - start])
+        metric = moments.metric()
+        for chain in chains:
+            chain.adopt(metric)
+    del block
+    for chain in chains:
+        chain.warm(config.warmup)
+        if chain.warmup_divergent == config.warmup:
+            raise DiagnosticError(
+                "every warmup iteration diverged; increase target_accept "
+                "(for example 0.95) or reparameterize the model")
+    results = [chain.draw(config.draws) for chain in chains]
 
     trace = PosteriorTrace(
         draws=np.stack([r["draws"] for r in results]),
         divergent=np.stack([r["divergent"] for r in results]),
-        step_sizes=np.array([r["final_eps"] for r in results]),
-        initial_step_sizes=np.array([r["initial_eps"] for r in results]),
-        mass_diag=np.stack([r["inv_mass"] for r in results]),
+        step_sizes=np.array([chain.eps for chain in chains]),
+        initial_step_sizes=np.array([chain.initial_eps for chain in chains]),
+        mass_diag=np.tile(metric.diagonal(), (config.chains, 1)),
         param_names=tuple(param_names),
         seed=config.seed,
         config=config.to_dict(),
     )
     mean_accept = float(np.mean([r["mean_accept"] for r in results]))
-    return trace, compute_diagnostics(trace, mean_accept)
+    return trace, compute_diagnostics(trace, mean_accept, counted.calls)
 
 
-def compute_diagnostics(trace: PosteriorTrace,
-                        mean_accept: float = math.nan) -> Diagnostics:
+def compute_diagnostics(trace: PosteriorTrace, mean_accept: float = math.nan,
+                        n_grad: int = 0) -> Diagnostics:
     """Per-parameter split R-hat and bulk/tail ESS for a stored trace."""
     dim = trace.dim
     rhats = np.full(dim, np.nan)
@@ -615,7 +780,7 @@ def compute_diagnostics(trace: PosteriorTrace,
             rhats[d] = rhat(chains)
         bulk[d], tail[d] = ess(chains)
     return Diagnostics(rhats, bulk, tail,
-                       int(trace.divergent.sum()), mean_accept)
+                       int(trace.divergent.sum()), mean_accept, n_grad)
 
 
 # ---------------------------------------------------------------------------

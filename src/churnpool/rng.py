@@ -22,9 +22,8 @@ def default_rng(seed: int) -> np.random.Generator:
 def spawn(seed: int, n: int) -> list[np.random.Generator]:
     """Return ``n`` independent child generators derived from ``seed``.
 
-    Children are independent streams, so consumers (for example parallel
-    sampler chains) may run in any order or concurrently without
-    affecting determinism.
+    Children are independent streams: what one consumer draws (for
+    example one sampler chain) never shifts another consumer's stream.
     """
     seq = np.random.SeedSequence(seed)
     return [np.random.Generator(np.random.Philox(key=child.generate_state(2, np.uint64)))

@@ -4,7 +4,8 @@ Everything here is deliberately written as straight-line, readable code on
 a separate path from the library: exhaustive subset enumeration for
 Shapley values, damped Newton for the penalized logistic objective, an
 extended-precision log-posterior evaluation, the two-branch logistic
-function and the argsort-per-node boosted-tree grower.
+function, the argsort-per-node boosted-tree grower and the sampler's
+inverse metric as an explicit dense matrix.
 """
 
 import math
@@ -246,3 +247,17 @@ def argsort_grow_tree(X, r, rows, features, depth, max_depth, min_leaf,
                               max_depth, min_leaf, l2_leaf)
     return TreeNode(feature_index=best_feature, threshold=best_threshold,
                     left=left, right=right, gain=best_gain, cover=n)
+
+
+# ---------------------------------------------------------------------------
+# Dense inverse metric D (I + U diag(lam - 1) U^T) D
+# ---------------------------------------------------------------------------
+
+def dense_inverse_metric(diag, u, lam):
+    """The sampler's inverse metric built as a full matrix from ``D^2``
+    (``diag``) and the eigenpairs ``(lam, u)``."""
+    d = np.diag(np.sqrt(np.asarray(diag, dtype=np.float64)))
+    inner = np.eye(len(diag))
+    for k in range(len(lam)):
+        inner += (lam[k] - 1.0) * np.outer(u[:, k], u[:, k])
+    return d @ inner @ d

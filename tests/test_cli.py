@@ -147,6 +147,9 @@ class TestFitCalibrate:
         assert meta["max_rhat"] < 1.01
         diag = json.loads((pipeline_dir / "diagnostics.json").read_text())
         assert diag["n_divergent"] >= 0
+        # 2 chains x (1000 + 2000) transitions, one gradient call at least
+        # per transition.
+        assert meta["n_grad"] == diag["n_grad"] >= 2 * 3000
 
     def test_fit_meta_names_calibration_dir_relative_to_out(self,
                                                             pipeline_dir):
@@ -331,6 +334,17 @@ class TestEvaluate:
         report = json.loads((tmp_path / "report.json").read_text())
         assert any("pooled fit skipped" in f for f in report["flags"])
         assert set(report["aggregates"]) == {"hierarchical"}
+
+
+    def test_no_entity_with_folds_is_data_error(self, tmp_path):
+        # Ten rows per entity leave a class too small for the default
+        # folds in both entities.
+        assert main(["--out", str(tmp_path), "--seed", "3", "gen-data",
+                     "--mode", "simulate", "--smes", "2", "--n-per", "10",
+                     "--features", "2"]) == 0
+        assert main(["--out", str(tmp_path), "--seed", "3", "evaluate",
+                     "--weak-prior"]) == 4
+        assert not (tmp_path / "report.json").exists()
 
 
 def _config_path(tmp_path):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from churnpool.data import Dataset, generate_hierarchical_population
-from churnpool.errors import ConvergenceError, ValidationError
+from churnpool.data import (Dataset, SMECollection,
+                           generate_hierarchical_population)
+from churnpool.errors import ConvergenceError, DataError, ValidationError
 import churnpool.evaluate as evaluate
 from churnpool.evaluate import (ExperimentConfig, auc, classification_metrics,
                                 cohens_d_paired, fit_logreg_l2, paired_t_test,
@@ -235,6 +236,8 @@ class TestRunExperiment:
     def test_diagnostics_block(self, tiny_report):
         assert tiny_report.diagnostics["total_draws"] == 2 * 200
         assert tiny_report.diagnostics["max_rhat"] > 0
+        # Each chain makes at least one gradient call per transition.
+        assert tiny_report.diagnostics["n_grad"] >= 2 * (150 + 200)
 
     def test_report_serialization(self, tiny_report, tmp_path):
         path = tmp_path / "report.json"
@@ -327,3 +330,20 @@ class TestRunExperiment:
         assert "pooled" not in report.aggregates
         assert "hierarchical_vs_pooled" not in report.paired_tests
         assert report.n_evaluations == 6
+
+    def test_no_entity_with_folds_is_data_error(self, monkeypatch):
+        # Two positives per entity cannot fill 5 stratified folds, so no
+        # entity has folds; that is a data error raised before any fit.
+        labels = np.array([1, 1, 0, 0, 0, 0, 0, 0, 0, 0])
+        rng = np.random.default_rng(2)
+        smes = tuple(Dataset(rng.normal(size=(10, 2)), labels, ("a", "b"))
+                     for _ in range(2))
+        collection = SMECollection(smes, ("s0", "s1"))
+        prior = PriorSpec(("a", "b"), np.zeros(2), np.ones(2), 0.0, {})
+        fits = []
+        monkeypatch.setattr(evaluate.HierarchicalLogistic, "fit",
+                            lambda self, c: fits.append(c))
+        config = ExperimentConfig(folds=5, chains=2, warmup=120, draws=100)
+        with pytest.raises(DataError, match="no entity can be split"):
+            run_experiment(collection, prior, config, seed=4)
+        assert fits == []

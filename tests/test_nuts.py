@@ -1,18 +1,25 @@
-"""Integrator properties, sampling accuracy on analytic targets, funnel
-behavior of centered vs non-centered parameterizations, diagnostics
-oracles, determinism, and trace persistence."""
+"""Integrator properties, the shared low-rank metric, sampling accuracy on
+analytic targets, funnel behavior of centered vs non-centered
+parameterizations, diagnostics oracles, determinism, gradient counts and
+trace persistence."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import churnpool.nuts as nuts
 from churnpool.errors import DiagnosticError, ValidationError
 from churnpool.nuts import (Diagnostics, FunctionTarget, PosteriorTrace,
-                            SamplerConfig, _leapfrog, _log_add_exp, _run_chain,
-                            _State, ess, find_reasonable_step_size, rhat,
-                            sample)
-from churnpool.rng import default_rng, spawn
+                            SamplerConfig, _leapfrog, _log_add_exp, _Metric,
+                            _PooledMoments, _State, ess,
+                            find_reasonable_step_size, rhat, sample)
+from churnpool.rng import default_rng
+
+from _oracles import dense_inverse_metric
 
 
 def gaussian_target(mean, sd):
@@ -28,16 +35,48 @@ def gaussian_target(mean, sd):
     return FunctionTarget(mean.size, logp, grad)
 
 
+def equicorrelated_target(dim, rho):
+    """Zero-mean Gaussian with unit variances and every correlation rho."""
+    cov = np.full((dim, dim), rho) + (1.0 - rho) * np.eye(dim)
+    precision = np.linalg.inv(cov)
+    return FunctionTarget(dim, lambda q: float(-0.5 * q @ precision @ q),
+                          lambda q: -precision @ q)
+
+
 def _step(state, step_size, target, inv_mass=None):
     """``(position, momentum) -> (position, momentum)`` through the
     sampler's integrator step; None when the new point is not finite."""
     q, r = state
     if inv_mass is None:
-        inv_mass = np.ones_like(q)
+        metric = _Metric(np.ones_like(q))
+    elif isinstance(inv_mass, _Metric):
+        metric = inv_mass
+    else:
+        metric = _Metric(np.asarray(inv_mass, dtype=np.float64))
     logp, grad = target.logp_and_grad(q)
-    new = _leapfrog(_State(q, r, grad, logp, inv_mass * r), step_size, target,
-                    inv_mass)
+    new = _leapfrog(_State(q, r, grad, logp, metric.apply(r),
+                           metric.apply(grad)), step_size, target, metric)
     return None if new is None else (new.q, new.r)
+
+
+def _record_windows(monkeypatch):
+    """Record every warmup window's pooled draws, in merge order, and the
+    metric built from them."""
+    windows = []
+    merge, build = _PooledMoments.merge, _PooledMoments.metric
+
+    def recording_merge(self, block):
+        self.__dict__.setdefault("blocks", []).append(block.copy())
+        merge(self, block)
+
+    def recording_metric(self):
+        metric = build(self)
+        windows.append((np.concatenate(self.blocks), metric))
+        return metric
+
+    monkeypatch.setattr(_PooledMoments, "merge", recording_merge)
+    monkeypatch.setattr(_PooledMoments, "metric", recording_metric)
+    return windows
 
 
 class TestLeapfrog:
@@ -82,28 +121,32 @@ class TestLeapfrog:
 
     def test_volume_preservation_jacobian(self):
         # Linear gradient field (random quadratic log-density): the
-        # finite-difference Jacobian of one step has determinant 1.
+        # finite-difference Jacobian of one step has determinant 1, for a
+        # diagonal metric and for one with a low-rank part.
         rng = default_rng(3)
         A = rng.standard_normal((2, 2))
         precision = A @ A.T + 0.5 * np.eye(2)
         target = FunctionTarget(
             2, lambda q: float(-0.5 * q @ precision @ q),
             lambda q: -precision @ q)
-        inv_mass = np.array([1.3, 0.6])
-
-        def step(state):
-            q, r = _step((state[:2], state[2:]), 0.2, target, inv_mass)
-            return np.concatenate([q, r])
-
+        diag = np.array([1.3, 0.6])
         x0 = rng.standard_normal(4)
-        h = 1e-6
-        jac = np.empty((4, 4))
-        for i in range(4):
-            plus, minus = x0.copy(), x0.copy()
-            plus[i] += h
-            minus[i] -= h
-            jac[:, i] = (step(plus) - step(minus)) / (2 * h)
-        assert abs(np.linalg.det(jac) - 1.0) < 1e-8
+        for metric in (_Metric(diag),
+                       _Metric(diag, np.array([[0.6], [0.8]]),
+                               np.array([3.0]))):
+
+            def step(state):
+                q, r = _step((state[:2], state[2:]), 0.2, target, metric)
+                return np.concatenate([q, r])
+
+            h = 1e-6
+            jac = np.empty((4, 4))
+            for i in range(4):
+                plus, minus = x0.copy(), x0.copy()
+                plus[i] += h
+                minus[i] -= h
+                jac[:, i] = (step(plus) - step(minus)) / (2 * h)
+            assert abs(np.linalg.det(jac) - 1.0) < 1e-8
 
 
 def test_log_add_exp_matches_numpy_bitwise():
@@ -186,19 +229,16 @@ class TestSampling:
         assert np.array_equal(trace_a.draws, trace_b.draws)
         assert np.array_equal(trace_a.divergent, trace_b.divergent)
 
-    def test_parallel_chains_match_sequential(self):
-        # Each chain depends only on its own generator stream, so running
-        # the chains in reverse order reproduces sample's trace exactly.
-        target = gaussian_target([0.5], [1.5])
-        config = SamplerConfig(chains=3, warmup=200, draws=150, seed=13)
-        trace, _ = sample(target, config)
-        rngs = spawn(config.seed, config.chains)
-        starts = [rngs[c].uniform(-config.jitter, config.jitter, target.dim)
-                  for c in range(config.chains)]
-        draws = {c: _run_chain(target, config, rngs[c], starts[c])["draws"]
-                 for c in reversed(range(config.chains))}
-        for c in range(config.chains):
-            assert np.array_equal(trace.draws[c], draws[c])
+    def test_repeat_runs_byte_identical(self, tmp_path):
+        # Lockstep chains share the metric, so the run as a whole is the
+        # unit of reproducibility; the correlated target exercises the
+        # low-rank part.
+        target = equicorrelated_target(6, 0.9)
+        config = SamplerConfig(chains=3, warmup=300, draws=150, seed=13)
+        for name in ("first", "second"):
+            sample(target, config)[0].save(tmp_path / f"{name}.bin")
+        assert ((tmp_path / "first.bin").read_bytes()
+                == (tmp_path / "second.bin").read_bytes())
 
     def test_nonfinite_init_rejected(self):
         target = FunctionTarget(1, lambda q: math.nan,
@@ -226,6 +266,145 @@ class TestSampling:
         with pytest.raises(DiagnosticError, match="target_accept"):
             sample(BrokenGradient(),
                    SamplerConfig(chains=1, warmup=100, draws=10, seed=3))
+
+
+class TestSharedMetric:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_block_merge_matches_concatenation(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        dim = 4
+        blocks = [rng.normal(loc=rng.normal(scale=5.0, size=dim),
+                             scale=rng.uniform(0.1, 3.0, size=dim),
+                             size=(m, dim)) for m in sizes]
+        moments = _PooledMoments(dim)
+        for block in blocks:
+            moments.merge(block)
+        pooled = np.concatenate(blocks)
+        assert moments.n == pooled.shape[0]
+        if moments.n:
+            np.testing.assert_allclose(moments.mean, pooled.mean(axis=0),
+                                       rtol=1e-12, atol=1e-12)
+        if moments.n >= 2:
+            np.testing.assert_allclose(moments.scatter / (moments.n - 1),
+                                       np.cov(pooled, rowvar=False),
+                                       rtol=1e-10, atol=1e-10)
+
+    def test_products_match_dense_oracle(self):
+        rng = default_rng(4)
+        dim = 7
+        diag = rng.uniform(0.2, 3.0, dim)
+        u, _ = np.linalg.qr(rng.standard_normal((dim, 3)))
+        lam = np.array([6.0, 0.2, 3.0])
+        metric = _Metric(diag, u, lam)
+        sigma = dense_inverse_metric(diag, u, lam)
+        for x in rng.standard_normal((5, dim)):
+            np.testing.assert_allclose(metric.apply(x), sigma @ x,
+                                       rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(metric.diagonal(), np.diag(sigma),
+                                   rtol=1e-12)
+        # Momentum is linear in the standard normal draw, r = M z, so
+        # Cov(r) = M M^T, which must be the metric Sigma^-1.
+        m = np.column_stack([metric.momentum(e) for e in np.eye(dim)])
+        np.testing.assert_allclose(m @ m.T, np.linalg.inv(sigma),
+                                   rtol=1e-10, atol=1e-10)
+
+    def test_isotropic_gaussian_stays_diagonal(self, monkeypatch):
+        windows = _record_windows(monkeypatch)
+        dim, chains = 10, 4
+        trace, _ = sample(gaussian_target(np.zeros(dim), np.ones(dim)),
+                          SamplerConfig(chains=chains, warmup=1000, draws=100,
+                                        seed=3))
+        assert len(windows) == 5
+        for draws, metric in windows:
+            n = draws.shape[0]
+            var = draws.var(axis=0, ddof=1)
+            np.testing.assert_allclose(metric.diag, (n * var + 5.0) / (n + 5.0),
+                                       rtol=1e-10)
+        final = windows[-1][1]
+        assert final.lam.size == 0
+        np.testing.assert_array_equal(trace.mass_diag,
+                                      np.tile(final.diag, (chains, 1)))
+
+    def test_equicorrelated_spike_kept(self, monkeypatch):
+        # One eigenvalue 1 + 9 * 0.95 = 9.55, nine of 0.05: a diagonal
+        # metric needs about 11 gradient calls per transition here.
+        windows = _record_windows(monkeypatch)
+        calls = [0]
+        inner = equicorrelated_target(10, 0.95)
+
+        def grad(q):
+            calls[0] += 1
+            return inner.logp_and_grad(q)[1]
+
+        target = FunctionTarget(10, lambda q: inner.logp_and_grad(q)[0], grad)
+        config = SamplerConfig(chains=4, warmup=500, draws=500, seed=5)
+        _, diag = sample(target, config)
+        final = windows[-1][1]
+        assert final.lam.size >= 1
+        assert 7.0 < final.lam.max() < 12.0
+        per_transition = calls[0] / (config.chains
+                                     * (config.warmup + config.draws))
+        assert per_transition < 8.0
+        assert diag.max_rhat() < 1.02
+
+    def test_window_smaller_than_dim_is_finite(self, monkeypatch):
+        windows = _record_windows(monkeypatch)
+        dim = 60
+        trace, _ = sample(equicorrelated_target(dim, 0.5),
+                          SamplerConfig(chains=2, warmup=200, draws=50,
+                                        seed=9))
+        assert windows[0][0].shape[0] < dim
+        for _, metric in windows:
+            for values in (metric.diag, metric.u, metric.lam,
+                           metric.diagonal()):
+                assert np.isfinite(values).all()
+        assert np.isfinite(trace.mass_diag).all()
+        # A coordinate that never moved has zero variance.
+        block = default_rng(1).standard_normal((8, 20))
+        block[:, 3] = 1.0
+        moments = _PooledMoments(20)
+        moments.merge(block)
+        metric = moments.metric()
+        assert np.isfinite(metric.diagonal()).all()
+        assert np.isfinite(metric.momentum(np.ones(20))).all()
+
+
+class TestGradientCount:
+    def _counting_target(self):
+        calls = [0]
+
+        def grad(q):
+            calls[0] += 1
+            return -(q - 1.0)
+
+        return FunctionTarget(3, lambda q: float(-0.5 * np.sum((q - 1.0) ** 2)),
+                              grad), calls
+
+    def test_counts_every_call(self):
+        target, calls = self._counting_target()
+        _, diag = sample(target, SamplerConfig(chains=2, warmup=150,
+                                               draws=100, seed=4))
+        assert diag.n_grad == calls[0] > 2 * 250
+        assert json.loads(diag.to_json())["n_grad"] == calls[0]
+
+    def test_counter_leaves_trace_unchanged(self, tmp_path, monkeypatch):
+        config = SamplerConfig(chains=2, warmup=150, draws=100, seed=4)
+        sample(self._counting_target()[0], config)[0].save(
+            tmp_path / "counted.bin")
+
+        class Uncounted:
+            def __init__(self, target):
+                self.dim = target.dim
+                self.calls = 0
+                self.logp_and_grad = target.logp_and_grad
+
+        monkeypatch.setattr(nuts, "_CountingTarget", Uncounted)
+        sample(self._counting_target()[0], config)[0].save(
+            tmp_path / "plain.bin")
+        assert ((tmp_path / "counted.bin").read_bytes()
+                == (tmp_path / "plain.bin").read_bytes())
 
 
 def funnel_centered():

@@ -39,7 +39,8 @@ from .errors import (ChurnpoolError, DataError, DiagnosticError,
                      ValidationError, malformed_artifact)
 from .evaluate import ExperimentConfig, classification_metrics, run_experiment
 from .gbdt import GradientBoostedTrees, TreeEnsemble
-from .hier_model import HierarchicalLogistic, posterior_predict_matrix
+from .hier_model import (HierarchicalLogistic, check_trace_collection,
+                         posterior_predict_matrix, with_intercept)
 from .nuts import PosteriorTrace
 from .shap_prior import PriorSpec, extract_priors, prior_only_auc
 
@@ -159,9 +160,7 @@ class RunConfig:
     def _assign(self, key: str, raw) -> None:
         current = getattr(self, key)
         try:
-            if isinstance(current, bool):
-                value = str(raw).lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
+            if isinstance(current, int):
                 value = int(str(raw))
             elif isinstance(current, float):
                 value = float(str(raw))
@@ -197,6 +196,18 @@ class RunConfig:
             "row_subsample": self.subsample_ratio,
             "feature_subsample": self.feature_subsample_ratio,
             "early_stopping_rounds": self.early_stopping_rounds,
+            "seed": self.seed,
+        }
+
+    def hier_params(self) -> dict:
+        return {
+            "tau": self.tau,
+            "chains": self.chains,
+            "warmup": self.warmup_iterations,
+            "draws": self.sampling_iterations,
+            "target_accept": self.target_accept_rate,
+            "max_tree_depth": self.max_tree_depth,
+            "divergence_energy_threshold": self.divergence_threshold,
             "seed": self.seed,
         }
 
@@ -330,13 +341,8 @@ def cmd_fit(config: RunConfig, args) -> int:
     _check_force([trace_path, diag_path, meta_path], args.force)
 
     collection = load_collection(_require(out / "smes", "entity collection"))
-    if args.weak_prior:
-        prior = PriorSpec(collection.feature_names,
-                          np.zeros(collection.p), np.ones(collection.p),
-                          0.0, {"fallback": True, "tags": [],
-                                "note": "weak prior requested"})
-    else:
-        prior = PriorSpec.load(_require(out / "prior.json", "prior artifact"))
+    prior = (None if args.weak_prior else
+             PriorSpec.load(_require(out / "prior.json", "prior artifact")))
 
     fit_parts, cal_parts = [], []
     for j, ds in enumerate(collection.smes):
@@ -348,13 +354,7 @@ def cmd_fit(config: RunConfig, args) -> int:
     save_collection(SMECollection(tuple(cal_parts), collection.ids),
                     calib_dir, force=True)
 
-    model = HierarchicalLogistic(
-        prior=prior, tau=config.tau, chains=config.chains,
-        warmup=config.warmup_iterations, draws=config.sampling_iterations,
-        target_accept=config.target_accept_rate,
-        max_tree_depth=config.max_tree_depth,
-        divergence_energy_threshold=config.divergence_threshold,
-        seed=config.seed)
+    model = HierarchicalLogistic(prior=prior, **config.hier_params())
     try:
         model.fit(fit_collection)
     except DiagnosticError as exc:
@@ -395,12 +395,13 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     trace = PosteriorTrace.load(_require(out / "trace.bin", "trace artifact"))
     cal_collection = load_collection(
         _require(out / "calibration_data", "calibration rows"))
+    check_trace_collection(trace, cal_collection)
     conservative = recommend_conservative(
         [ds.n for ds in cal_collection.smes])
     per_sme_scores = []
     for j, ds in enumerate(cal_collection.smes):
-        X = np.column_stack([ds.features, np.ones(ds.n)])
-        mean, _, _ = posterior_predict_matrix(trace, X, j)
+        mean, _, _ = posterior_predict_matrix(trace,
+                                              with_intercept(ds.features), j)
         per_sme_scores.append(np.abs(ds.labels.astype(float) - mean))
     result = calibrate_pooled(per_sme_scores, config.miscoverage_alpha)
     if args.inflation is not None:
@@ -442,6 +443,7 @@ def cmd_predict(config: RunConfig, args) -> int:
     calibration = CalibrationResult.load(
         _require(out / "calibration.json", "calibration artifact"))
     collection = load_collection(_require(out / "smes", "entity collection"))
+    check_trace_collection(trace, collection)
     if args.customers is None:
         raise ConfigError("predict requires --customers CSV")
     X, tags = _load_prediction_rows(Path(args.customers),
@@ -457,7 +459,7 @@ def cmd_predict(config: RunConfig, args) -> int:
         if sme not in ids:
             raise DataError(f"unknown entity id {sme!r}")
     entity = np.array([ids.index(sme) for sme in smes])
-    X = np.column_stack([X, np.ones(X.shape[0])])
+    X = with_intercept(X)
     mean = np.empty(X.shape[0])
     lo = np.empty(X.shape[0])
     hi = np.empty(X.shape[0])
@@ -500,19 +502,14 @@ def cmd_evaluate(config: RunConfig, args) -> int:
         if not args.weak_prior:
             print("note: no prior.json found; evaluating with a "
                   "standard-normal prior", file=sys.stderr)
-        prior = PriorSpec(collection.feature_names, np.zeros(collection.p),
-                          np.ones(collection.p), 0.0,
-                          {"fallback": True, "tags": [],
-                           "note": "weak prior for evaluation"})
+        prior = None
     else:
         prior = PriorSpec.load(out / "prior.json")
+    model = HierarchicalLogistic(prior=prior, **config.hier_params())
     experiment = ExperimentConfig(
         folds=config.folds, l2_c=config.l2_c, alpha=config.miscoverage_alpha,
-        tau=config.tau, chains=config.chains, warmup=config.warmup_iterations,
-        draws=config.sampling_iterations,
-        target_accept=config.target_accept_rate,
-        max_tree_depth=config.max_tree_depth, protocol=args.protocol)
-    report = run_experiment(collection, prior, experiment, config.seed)
+        protocol=args.protocol)
+    report = run_experiment(collection, model, experiment, config.seed)
     report.save(report_path)
     report.rows_to_csv(rows_path)
     hier = report.aggregates.get("hierarchical", {})

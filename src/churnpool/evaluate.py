@@ -4,10 +4,11 @@ cross-validation experiment harness.
 The harness compares three predictors on the same stratified folds:
 per-entity L2 logistic regression (no pooling), one global L2 logistic
 regression (complete pooling), and the hierarchical Bayesian model
-(partial pooling).  The default "fit-once" protocol fits the hierarchical
-model once on complete data and evaluates it across folds through the
-posterior predictive; this leaks evaluation rows into the Bayesian fit
-and is flagged in the report, with a leakage-free refit-per-fold variant
+(partial pooling), which arrives as an unfitted estimator carrying its
+prior and sampler settings.  The default "fit-once" protocol fits it once
+on complete data and evaluates it across folds through the posterior
+predictive; this leaks evaluation rows into the Bayesian fit and is
+flagged in the report, with a leakage-free refit-per-fold variant
 available behind ``protocol="refit"``.
 
 The conformal audit is pooled split conformal: each fold's prediction sets
@@ -19,6 +20,7 @@ apply.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -260,20 +262,13 @@ def cohens_d_paired(a, b) -> float:
 
 @dataclass
 class ExperimentConfig:
-    """Protocol settings for :func:`run_experiment`."""
+    """Protocol settings for :func:`run_experiment`; the hierarchical
+    model's own settings travel on the estimator passed alongside."""
 
     folds: int = 5
     l2_c: float = 1.0
     alpha: float = 0.10
-    tau: float = 2.0
-    chains: int = 4
-    warmup: int = 2000
-    draws: int = 4000
-    target_accept: float = 0.90
-    max_tree_depth: int = 10
     protocol: str = "fit-once"  # fit once on complete data, or "refit"
-    add_intercept: bool = True
-    interval_mass: float = 0.90
 
     def validate(self):
         if self.protocol not in ("fit-once", "refit"):
@@ -324,10 +319,10 @@ class ExperimentReport:
     def rows_to_csv(self, path) -> None:
         columns = ["sme", "fold", "method", "auc", "accuracy", "precision",
                    "recall", "f1", "log_loss", "n"]
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(str(row[c]) for c in columns) + "\n")
+        with Path(path).open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([row[c] for c in columns] for row in self.rows)
 
 
 def _aggregate(rows: list[dict]) -> dict:
@@ -349,22 +344,24 @@ def _aggregate(rows: list[dict]) -> dict:
     return out
 
 
-def run_experiment(collection: SMECollection, prior, config: ExperimentConfig,
-                   seed: int) -> ExperimentReport:
+def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
+                   config: ExperimentConfig, seed: int) -> ExperimentReport:
     """Run the multi-entity cross-validation comparison.
 
     Per entity, stratified folds are built deterministically from
     ``seed``; baselines are refitted on every fold's training data while
-    the hierarchical model follows ``config.protocol``.  A baseline fit
-    that fails to converge is flagged and its rows for that fold are left
-    out.  Conformal calibration pools nonconformity scores across
-    entities, holding out the audited fold from its own threshold.  A
-    collection where no entity can be split into folds raises
-    ``DataError`` before any fit.
+    the hierarchical model follows ``config.protocol``.  Each hierarchical
+    fit clones the unfitted ``model`` with seed ``seed`` (fit-once) or
+    ``seed + 1000 + k`` (refit, fold k).  A baseline fit that fails to
+    converge is flagged and its rows for that fold are left out.
+    Conformal calibration pools nonconformity scores across entities,
+    holding out the audited fold from its own threshold.  A collection
+    where no entity can be split into folds raises ``DataError`` before
+    any fit.
     """
     config.validate()
     start = time.perf_counter()
-    J, K = collection.J, config.folds
+    K = config.folds
     flags: list[str] = []
 
     folds_per_sme: dict[int, list] = {}
@@ -378,12 +375,8 @@ def run_experiment(collection: SMECollection, prior, config: ExperimentConfig,
                         + "; ".join(flags))
 
     def make_hier(train_collection: SMECollection, fit_seed: int):
-        model = HierarchicalLogistic(
-            prior=prior, tau=config.tau, add_intercept=config.add_intercept,
-            chains=config.chains, warmup=config.warmup, draws=config.draws,
-            target_accept=config.target_accept,
-            max_tree_depth=config.max_tree_depth, seed=fit_seed)
-        return model.fit(train_collection)
+        params = {**model.get_params(deep=False), "seed": fit_seed}
+        return type(model)(**params).fit(train_collection)
 
     hier_models: dict | None = {}
     try:
@@ -391,23 +384,16 @@ def run_experiment(collection: SMECollection, prior, config: ExperimentConfig,
             hier_models[None] = make_hier(collection, seed)
         else:
             for k in range(K):
-                train_smes = []
-                for j in range(J):
-                    if j in folds_per_sme:
-                        train_smes.append(folds_per_sme[j][k][0])
-                    else:
-                        train_smes.append(collection.smes[j])
+                train_smes = tuple(folds_per_sme[j][k][0]
+                                   if j in folds_per_sme else ds
+                                   for j, ds in enumerate(collection.smes))
                 hier_models[k] = make_hier(
-                    SMECollection(tuple(train_smes), collection.ids),
+                    SMECollection(train_smes, collection.ids),
                     seed + 1000 + k)
     except ChurnpoolError as exc:
         # Partial report: baselines still run, hierarchical rows are absent.
         flags.append(f"hierarchical stage failed: {exc}")
         hier_models = None
-
-    def hier_probs(j: int, k: int, X) -> np.ndarray:
-        model = hier_models[None if config.protocol == "fit-once" else k]
-        return model.predict_proba(X, j)
 
     if hier_models is not None:
         diag_models = list(hier_models.values())
@@ -448,7 +434,9 @@ def run_experiment(collection: SMECollection, prior, config: ExperimentConfig,
             evals = {}
             probs_h = None
             if hier_models is not None:
-                probs_h = hier_probs(j, k, test.features)
+                fitted = hier_models[None if config.protocol == "fit-once"
+                                     else k]
+                probs_h = fitted.predict_proba(test.features, j)
                 evals["hierarchical"] = probs_h
             if k in pooled_models:
                 evals["pooled"] = logreg_predict(pooled_models[k],

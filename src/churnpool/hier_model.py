@@ -25,12 +25,11 @@ import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .data import SMECollection
-from .errors import ValidationError
+from .errors import ConvergenceError, DataError, ValidationError
 from .logreg import fit_penalized_logreg
 from .numerics import sigmoid
 from .nuts import Diagnostics, PosteriorTrace, SamplerConfig, sample
 from .validation import as_float_matrix, as_float_vector, check_binary_labels
-from .errors import ConvergenceError
 
 __all__ = [
     "HierData",
@@ -44,6 +43,8 @@ __all__ = [
     "HierarchicalLogistic",
     "INTERCEPT_NAME",
     "INTERCEPT_PRIOR_VAR",
+    "with_intercept",
+    "check_trace_collection",
 ]
 
 INTERCEPT_NAME = "intercept"
@@ -57,6 +58,11 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # separation and excluded from shrinkage summaries.
 _SEPARATION_LIMIT = 1e2
 _MLE_RIDGE = 1e-6
+
+
+def with_intercept(X: np.ndarray) -> np.ndarray:
+    """``X`` with the constant-1 intercept column appended last."""
+    return np.column_stack([X, np.ones(X.shape[0])])
 
 
 @dataclass(frozen=True)
@@ -115,7 +121,7 @@ class HierData:
                 raise ValidationError(
                     f"feature {INTERCEPT_NAME!r} already present")
             names = names + (INTERCEPT_NAME,)
-            Xs = [np.column_stack([X, np.ones(X.shape[0])]) for X in Xs]
+            Xs = [with_intercept(X) for X in Xs]
         return cls(tuple(Xs), tuple(ds.labels for ds in collection.smes), names)
 
     @property
@@ -151,15 +157,21 @@ class HierHyper:
         object.__setattr__(self, "sigma0_diag", sigma0)
 
     @classmethod
-    def from_prior(cls, prior, tau: float = 2.0,
-                   add_intercept: bool = True) -> "HierHyper":
-        """Extend a transfer prior with the intercept entry when needed."""
-        beta0 = np.asarray(prior.beta0, dtype=np.float64)
-        sigma0 = np.asarray(prior.sigma0_diag, dtype=np.float64)
-        if add_intercept:
-            beta0 = np.append(beta0, 0.0)
-            sigma0 = np.append(sigma0, INTERCEPT_PRIOR_VAR)
-        return cls(beta0, sigma0, tau)
+    def from_prior(cls, prior, p_features: int,
+                   tau: float = 2.0) -> "HierHyper":
+        """Extend a transfer prior over ``p_features`` features, or the
+        weak prior (``prior=None``: zeros and ones), with the intercept
+        entry: mean 0, variance ``INTERCEPT_PRIOR_VAR``."""
+        if prior is None:
+            beta0, sigma0 = np.zeros(p_features), np.ones(p_features)
+        elif len(prior.beta0) != p_features:
+            raise ValidationError(
+                f"prior has {len(prior.beta0)} entries for "
+                f"{p_features} features")
+        else:
+            beta0, sigma0 = prior.beta0, prior.sigma0_diag
+        return cls(np.append(beta0, 0.0),
+                   np.append(sigma0, INTERCEPT_PRIOR_VAR), tau)
 
     @property
     def p(self) -> int:
@@ -289,6 +301,22 @@ def _trace_dims(trace: PosteriorTrace, p: int) -> int:
         raise ValidationError(
             f"trace dim {trace.dim} incompatible with p={p}")
     return J
+
+
+def check_trace_collection(trace: PosteriorTrace,
+                           collection: SMECollection) -> None:
+    """Raise ``DataError`` unless the trace's ``mu[...]`` names are the
+    collection's features plus the intercept, over the same entity count."""
+    fitted = tuple(name[3:-1] for name in trace.param_names
+                   if name.startswith("mu[") and name.endswith("]"))
+    expected = collection.feature_names + (INTERCEPT_NAME,)
+    if fitted != expected:
+        raise DataError(f"trace was fitted on features {list(fitted)}, "
+                        f"the collection has {list(expected)}")
+    J = _trace_dims(trace, len(fitted))
+    if J != collection.J:
+        raise DataError(f"trace was fitted on {J} entities, "
+                        f"the collection has {collection.J}")
 
 
 def _order_statistic(sorted_values: np.ndarray, q: float) -> np.ndarray:
@@ -439,20 +467,19 @@ def shrinkage_report(trace: PosteriorTrace, data: HierData,
 class HierarchicalLogistic(BaseEstimator):
     """Hierarchical Bayesian logistic regression fitted with NUTS.
 
-    Parameters mirror the sampler configuration; the transfer prior is a
-    ``PriorSpec``-shaped object (``beta0``/``sigma0_diag`` vectors) or None
-    for a standard-normal prior on the population mean.  When
-    ``add_intercept`` is set, a constant-1 feature is appended and given a
-    weakly informative prior entry.
+    Parameters are the transfer prior and the sampler configuration.  The
+    prior is a ``PriorSpec``-shaped object (``beta0``/``sigma0_diag``
+    vectors over the features) or None for the weak prior (zeros and
+    ones).  A constant-1 intercept feature is always appended, with the
+    prior entry of :meth:`HierHyper.from_prior`.
     """
 
-    def __init__(self, prior=None, tau: float = 2.0, add_intercept: bool = True,
-                 chains: int = 4, warmup: int = 1000, draws: int = 2000,
+    def __init__(self, prior=None, tau: float = 2.0, chains: int = 4,
+                 warmup: int = 1000, draws: int = 2000,
                  target_accept: float = 0.90, max_tree_depth: int = 10,
                  divergence_energy_threshold: float = 1000.0, seed: int = 0):
         self.prior = prior
         self.tau = tau
-        self.add_intercept = add_intercept
         self.chains = chains
         self.warmup = warmup
         self.draws = draws
@@ -463,19 +490,9 @@ class HierarchicalLogistic(BaseEstimator):
         self.trace_: PosteriorTrace | None = None
         self.diagnostics_: Diagnostics | None = None
 
-    def _hyper(self, p_features: int) -> HierHyper:
-        if self.prior is None:
-            p = p_features + (1 if self.add_intercept else 0)
-            return HierHyper(np.zeros(p), np.ones(p), self.tau)
-        if len(self.prior.beta0) != p_features:
-            raise ValidationError(
-                f"prior has {len(self.prior.beta0)} entries for "
-                f"{p_features} features")
-        return HierHyper.from_prior(self.prior, self.tau, self.add_intercept)
-
     def fit(self, collection: SMECollection) -> "HierarchicalLogistic":
-        data = HierData.from_collection(collection, self.add_intercept)
-        hyper = self._hyper(collection.p)
+        data = HierData.from_collection(collection)
+        hyper = HierHyper.from_prior(self.prior, collection.p, self.tau)
         target = HierTarget(data, hyper)
         config = SamplerConfig(
             chains=self.chains, warmup=self.warmup, draws=self.draws,
@@ -487,17 +504,14 @@ class HierarchicalLogistic(BaseEstimator):
                                                 param_names=target.names())
         self.data_ = data
         self.hyper_ = hyper
-        self.sme_ids_ = tuple(collection.ids)
         return self
 
     def _prepare(self, X) -> np.ndarray:
-        X = as_float_matrix(X)
-        if self.add_intercept:
-            X = np.column_stack([X, np.ones(X.shape[0])])
+        X = with_intercept(as_float_matrix(X))
         if X.shape[1] != self.data_.p:
             raise ValidationError(
-                f"X has {X.shape[1]} columns, model expects "
-                f"{self.data_.p - (1 if self.add_intercept else 0)}")
+                f"X has {X.shape[1] - 1} columns, model expects "
+                f"{self.data_.p - 1}")
         return X
 
     def predict_proba(self, X, sme_index: int) -> np.ndarray:

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import churnpool.evaluate as evaluate
+import churnpool.hier_model as hier_model
 from churnpool.cli import main
+from churnpool.conformal import calibrate_pooled
 from churnpool.errors import ConvergenceError
-from churnpool.hier_model import posterior_predict_matrix
+from churnpool.hier_model import param_names, posterior_predict_matrix
 from churnpool.nuts import PosteriorTrace
 
 SIM_ARGS = ["--smes", "4", "--n-per", "50", "--features", "2",
@@ -302,6 +304,105 @@ class TestPredict:
 
     def test_predict_without_artifacts(self, tmp_path):
         assert run(tmp_path, "predict", "--customers", "none.csv") == 4
+
+
+def _hand_trace(feature_names, J):
+    """A two-chain, four-draw trace at theta = 0 fitted on ``feature_names``
+    (intercept included) and ``J`` entities."""
+    names = param_names(len(feature_names), J, feature_names)
+    return PosteriorTrace(
+        draws=np.zeros((2, 4, len(names))),
+        divergent=np.zeros((2, 4), bool), step_sizes=np.full(2, 0.5),
+        initial_step_sizes=np.ones(2), mass_diag=np.ones((2, len(names))),
+        param_names=names, seed=0)
+
+
+class TestTraceMatchesCollection:
+    """``calibrate`` and ``predict`` refuse a collection whose features or
+    entity count differ from the ones the trace was fitted on."""
+
+    @pytest.fixture()
+    def run_dir(self, tmp_path):
+        # Three entities with the single feature x00.
+        assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "30",
+                   "--features", "1") == 0
+        shutil.copytree(tmp_path / "smes", tmp_path / "calibration_data")
+        calibrate_pooled([np.linspace(0.05, 0.95, 40)], 0.1).save(
+            tmp_path / "calibration.json")
+        (tmp_path / "customers.csv").write_text(
+            "x00,source\n0.1,sme_00\n-0.3,sme_02\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("stage", ["calibrate", "predict"])
+    @pytest.mark.parametrize("features, J", [
+        (("x00", "x01", "x02", "intercept"), 3),
+        (("tenure", "intercept"), 3),
+        (("x00", "intercept"), 5),
+    ], ids=["feature-count", "feature-names", "entity-count"])
+    def test_mismatched_trace_is_data_error(self, run_dir, stage, features,
+                                            J):
+        args = ["--out", str(run_dir), "--force", stage]
+        if stage == "predict":
+            args += ["--customers", str(run_dir / "customers.csv")]
+        written = run_dir / ("calibration.json" if stage == "calibrate"
+                             else "predictions.csv")
+        _hand_trace(("x00", "intercept"), 3).save(run_dir / "trace.bin")
+        assert main(args) == 0
+        before = written.read_bytes()
+        # Each trace's dimension also fits the collection's p = 2 design
+        # (17 = 2 + 1 + 7 * 2, 9 = 2 + 1 + 3 * 2, 13 = 2 + 1 + 5 * 2), so
+        # only the names and the entity count tell them apart.
+        _hand_trace(features, J).save(run_dir / "trace.bin")
+        assert main(args) == 4
+        assert written.read_bytes() == before
+
+
+class _Stop(Exception):
+    """Raised by a stand-in sampler once it has seen its inputs."""
+
+
+class TestHierarchicalKeysReachSampler:
+    INI = ("[hierarchical]\n"
+           "tau = 3.5\n"
+           "prior_scaling_lambda = 1.5\n"
+           "warmup_iterations = 1500\n"
+           "sampling_iterations = 1200\n"
+           "chains = 3\n"
+           "target_accept_rate = 0.85\n"
+           "max_tree_depth = 7\n"
+           "divergence_threshold = 500.0\n"
+           "[run]\n"
+           "seed = 13\n"
+           "folds = 2\n")
+
+    def test_every_key_reaches_sample(self, tmp_path, monkeypatch):
+        # prior_scaling_lambda is read by extract-priors; every other
+        # [hierarchical] key, and the [run] seed, must reach the sampler
+        # unchanged from both commands that fit the model.
+        assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "60",
+                   "--features", "2") == 0
+        ini = tmp_path / "run.ini"
+        ini.write_text(self.INI)
+        seen = []
+
+        def record(target, config, **kwargs):
+            seen.append((config, target.hyper.tau))
+            raise _Stop
+
+        monkeypatch.setattr(hier_model, "sample", record)
+        for command in ("fit", "evaluate"):
+            with pytest.raises(_Stop):
+                main(["--config", str(ini), "--out", str(tmp_path), command,
+                      "--weak-prior"])
+        assert len(seen) == 2
+        for config, tau in seen:
+            assert tau == 3.5
+            assert (config.warmup, config.draws, config.chains) == (
+                1500, 1200, 3)
+            assert config.target_accept == 0.85
+            assert config.max_tree_depth == 7
+            assert config.divergence_energy_threshold == 500.0
+            assert config.seed == 13
 
 
 class TestEvaluate:

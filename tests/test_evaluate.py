@@ -2,6 +2,7 @@
 significance statistics against library oracles, and the experiment
 harness at toy scale."""
 
+import csv
 import json
 import math
 
@@ -13,9 +14,11 @@ from churnpool.data import (Dataset, SMECollection,
                            generate_hierarchical_population)
 from churnpool.errors import ConvergenceError, DataError, ValidationError
 import churnpool.evaluate as evaluate
-from churnpool.evaluate import (ExperimentConfig, auc, classification_metrics,
-                                cohens_d_paired, fit_logreg_l2, paired_t_test,
-                                run_experiment, student_t_sf)
+from churnpool.evaluate import (ExperimentConfig, ExperimentReport, auc,
+                                classification_metrics, cohens_d_paired,
+                                fit_logreg_l2, paired_t_test, run_experiment,
+                                student_t_sf)
+from churnpool.hier_model import HierarchicalLogistic
 from churnpool.shap_prior import PriorSpec
 
 from _oracles import damped_newton_logreg
@@ -210,9 +213,10 @@ def tiny_report():
         p=2, J=3, n_per=40, mu_scale=1.0, sigma_true=0.4, seed=21)
     prior = PriorSpec(collection.feature_names, np.zeros(2), np.ones(2),
                       0.0, {})
-    config = ExperimentConfig(folds=2, chains=2, warmup=150, draws=200,
-                              alpha=0.2)
-    return run_experiment(collection, prior, config, seed=5)
+    model = HierarchicalLogistic(prior=prior, chains=2, warmup=150,
+                                 draws=200)
+    config = ExperimentConfig(folds=2, alpha=0.2)
+    return run_experiment(collection, model, config, seed=5)
 
 
 class TestRunExperiment:
@@ -255,10 +259,11 @@ class TestRunExperiment:
             p=2, J=2, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=22)
         prior = PriorSpec(collection.feature_names, np.zeros(2), np.ones(2),
                           0.0, {})
-        config = ExperimentConfig(folds=2, chains=2, warmup=120, draws=100,
-                                  alpha=0.2)
-        a = run_experiment(collection, prior, config, seed=3)
-        b = run_experiment(collection, prior, config, seed=3)
+        model = HierarchicalLogistic(prior=prior, chains=2, warmup=120,
+                                     draws=100)
+        config = ExperimentConfig(folds=2, alpha=0.2)
+        a = run_experiment(collection, model, config, seed=3)
+        b = run_experiment(collection, model, config, seed=3)
         assert a.rows == b.rows
         assert a.aggregates == b.aggregates
 
@@ -267,9 +272,10 @@ class TestRunExperiment:
             p=2, J=2, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=23)
         prior = PriorSpec(collection.feature_names, np.zeros(2), np.ones(2),
                           0.0, {})
-        config = ExperimentConfig(folds=2, chains=2, warmup=120, draws=100,
-                                  alpha=0.2, protocol="refit")
-        report = run_experiment(collection, prior, config, seed=4)
+        model = HierarchicalLogistic(prior=prior, chains=2, warmup=120,
+                                     draws=100)
+        config = ExperimentConfig(folds=2, alpha=0.2, protocol="refit")
+        report = run_experiment(collection, model, config, seed=4)
         assert report.protocol == "refit"
         assert report.n_evaluations == 4
 
@@ -285,9 +291,10 @@ class TestRunExperiment:
         source = Dataset(X, y, ("a", "b", "c"))
         collection = make_synthetic_smes(source, J=6, n_per=60, seed=9)
         prior = PriorSpec(("a", "b", "c"), np.zeros(3), np.ones(3), 0.0, {})
-        config = ExperimentConfig(folds=2, chains=2, warmup=600, draws=800,
-                                  alpha=0.2)
-        report = run_experiment(collection, prior, config, seed=9)
+        model = HierarchicalLogistic(prior=prior, chains=2, warmup=600,
+                                     draws=800)
+        config = ExperimentConfig(folds=2, alpha=0.2)
+        report = run_experiment(collection, model, config, seed=9)
         agg = report.aggregates
         assert agg["pooled"]["auc_mean"] > agg["independent"]["auc_mean"]
         assert agg["hierarchical"]["auc_mean"] >= agg["pooled"]["auc_mean"] - 0.01
@@ -297,9 +304,10 @@ class TestRunExperiment:
             p=2, J=2, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=24)
         wrong_prior = PriorSpec(("a", "b", "c"), np.zeros(3), np.ones(3),
                                 0.0, {})
-        config = ExperimentConfig(folds=2, chains=2, warmup=120, draws=100,
-                                  alpha=0.2)
-        report = run_experiment(collection, wrong_prior, config, seed=4)
+        model = HierarchicalLogistic(prior=wrong_prior, chains=2, warmup=120,
+                                     draws=100)
+        config = ExperimentConfig(folds=2, alpha=0.2)
+        report = run_experiment(collection, model, config, seed=4)
         assert any("hierarchical stage failed" in f for f in report.flags)
         assert report.n_evaluations == 0
         methods = {row["method"] for row in report.rows}
@@ -311,8 +319,9 @@ class TestRunExperiment:
             p=2, J=3, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=25)
         prior = PriorSpec(collection.feature_names, np.zeros(2), np.ones(2),
                           0.0, {})
-        config = ExperimentConfig(folds=2, chains=2, warmup=120, draws=100,
-                                  alpha=0.2)
+        model = HierarchicalLogistic(prior=prior, chains=2, warmup=120,
+                                     draws=100)
+        config = ExperimentConfig(folds=2, alpha=0.2)
 
         def fit_failing_on_pooled(train, C=1.0):
             # Entity training folds hold 15 rows; the pooled fold holds 45.
@@ -321,7 +330,7 @@ class TestRunExperiment:
             return fit_logreg_l2(train, C)
 
         monkeypatch.setattr(evaluate, "fit_logreg_l2", fit_failing_on_pooled)
-        report = run_experiment(collection, prior, config, seed=4)
+        report = run_experiment(collection, model, config, seed=4)
         assert [f for f in report.flags if "pooled fit skipped" in f] == [
             "fold 0: pooled fit skipped: no convergence (forced)",
             "fold 1: pooled fit skipped: no convergence (forced)"]
@@ -343,7 +352,30 @@ class TestRunExperiment:
         fits = []
         monkeypatch.setattr(evaluate.HierarchicalLogistic, "fit",
                             lambda self, c: fits.append(c))
-        config = ExperimentConfig(folds=5, chains=2, warmup=120, draws=100)
+        model = HierarchicalLogistic(prior=prior, chains=2, warmup=120,
+                                     draws=100)
+        config = ExperimentConfig(folds=5)
         with pytest.raises(DataError, match="no entity can be split"):
-            run_experiment(collection, prior, config, seed=4)
+            run_experiment(collection, model, config, seed=4)
         assert fits == []
+
+
+class TestRowsToCsv:
+    def test_comma_in_entity_id_round_trips(self, tmp_path):
+        rows = [{"sme": sme, "fold": 0, "method": "hierarchical", "auc": 0.75,
+                 "accuracy": 0.5, "precision": 1.0, "recall": 0.25, "f1": 0.4,
+                 "log_loss": 0.6931471805599453, "n": 8}
+                for sme in ("sme_00", "acme, inc")]
+        report = ExperimentReport(rows, {}, {}, {}, {}, [], "fit-once", 2, 0.0)
+        path = tmp_path / "evaluations.csv"
+        report.rows_to_csv(path)
+        # A plain id is written unquoted, as a bare comma join would.
+        assert path.read_bytes().split(b"\n")[:2] == [
+            b"sme,fold,method,auc,accuracy,precision,recall,f1,log_loss,n",
+            b"sme_00,0,hierarchical,0.75,0.5,1.0,0.25,0.4,"
+            b"0.6931471805599453,8"]
+        with path.open(newline="", encoding="utf-8") as fh:
+            read = list(csv.DictReader(fh))
+        assert [row["sme"] for row in read] == ["sme_00", "acme, inc"]
+        assert all(None not in row for row in read)  # no extra columns
+        assert [(row["auc"], row["n"]) for row in read] == [("0.75", "8")] * 2

@@ -6,13 +6,16 @@ import math
 import numpy as np
 import pytest
 
+import churnpool.hier_model as hier_model
 from churnpool.data import generate_hierarchical_population
 from churnpool.errors import ValidationError
-from churnpool.hier_model import (HierData, HierHyper, HierParams, HierTarget,
+from churnpool.hier_model import (INTERCEPT_PRIOR_VAR, HierData, HierHyper,
+                                  HierParams, HierTarget, HierarchicalLogistic,
                                   posterior_predict_matrix, shrinkage_report,
                                   shrinkage_weight)
 from churnpool.numerics import sigmoid
 from churnpool.nuts import PosteriorTrace
+from churnpool.shap_prior import PriorSpec
 
 from _oracles import longdouble_grad_log_posterior, longdouble_log_posterior
 
@@ -382,3 +385,32 @@ class TestShrinkageReport:
         trace, _ = sample(target, config)
         report = shrinkage_report(trace, data, hyper)
         assert report.lambda_bar < 0.1
+
+
+class _Stop(Exception):
+    """Raised by a stand-in sampler once it has seen the target."""
+
+
+class TestWeakPrior:
+    def test_none_is_zeros_ones_prior_plus_intercept_entry(self, monkeypatch):
+        collection, _ = generate_hierarchical_population(
+            p=3, J=2, n_per=20, mu_scale=1.0, sigma_true=0.3, seed=31)
+        hypers = []
+
+        def record(target, config, **kwargs):
+            hypers.append(target.hyper)
+            raise _Stop
+
+        monkeypatch.setattr(hier_model, "sample", record)
+        zeros_ones = PriorSpec(collection.feature_names, np.zeros(3),
+                               np.ones(3), 0.0, {})
+        for prior in (None, zeros_ones):
+            with pytest.raises(_Stop):
+                HierarchicalLogistic(prior=prior, tau=1.5).fit(collection)
+        weak, spec = hypers
+        np.testing.assert_array_equal(weak.beta0, spec.beta0)
+        np.testing.assert_array_equal(weak.sigma0_diag, spec.sigma0_diag)
+        assert weak.tau == spec.tau == 1.5
+        np.testing.assert_array_equal(weak.beta0, np.zeros(4))
+        np.testing.assert_array_equal(
+            weak.sigma0_diag, [1.0, 1.0, 1.0, INTERCEPT_PRIOR_VAR])

@@ -4,7 +4,8 @@ The package does not depend on scikit-learn; this mirrors just enough of
 the ``BaseEstimator`` contract (``get_params`` / ``set_params`` driven by
 the ``__init__`` signature, ``repr`` showing parameters) for estimators
 here to duck-type into pipelines and grid-search tooling that follow the
-same protocol.
+same protocol.  Parameters are flat: no estimator here nests another, so
+there are no ``name__sub`` parameter names.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ __all__ = ["BaseEstimator", "check_is_fitted"]
 
 
 class BaseEstimator:
-    """get_params/set_params support derived from the ``__init__`` signature."""
+    """Flat get_params/set_params derived from the ``__init__`` signature."""
 
     @classmethod
     def _param_names(cls) -> list[str]:
@@ -26,30 +27,19 @@ class BaseEstimator:
         return [name for name, p in sig.parameters.items()
                 if name != "self" and p.kind != p.VAR_KEYWORD]
 
-    def get_params(self, deep: bool = True) -> dict[str, Any]:
-        params = {}
-        for name in self._param_names():
-            value = getattr(self, name)
-            params[name] = value
-            if deep and hasattr(value, "get_params"):
-                for sub, subval in value.get_params(deep=True).items():
-                    params[f"{name}__{sub}"] = subval
-        return params
+    def get_params(self) -> dict[str, Any]:
+        return {name: getattr(self, name) for name in self._param_names()}
 
     def set_params(self, **params: Any) -> "BaseEstimator":
         valid = set(self._param_names())
         for name, value in params.items():
-            key, _, subkey = name.partition("__")
-            if key not in valid:
+            if name not in valid:
                 raise ValueError(f"unknown parameter {name!r} for {type(self).__name__}")
-            if subkey:
-                getattr(self, key).set_params(**{subkey: value})
-            else:
-                setattr(self, key, value)
+            setattr(self, name, value)
         return self
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params(deep=False).items())
+        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
 
 

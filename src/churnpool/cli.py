@@ -351,8 +351,6 @@ def cmd_fit(config: RunConfig, args) -> int:
         fit_parts.append(train)
         cal_parts.append(cal)
     fit_collection = SMECollection(tuple(fit_parts), collection.ids)
-    save_collection(SMECollection(tuple(cal_parts), collection.ids),
-                    calib_dir, force=True)
 
     model = HierarchicalLogistic(prior=prior, **config.hier_params())
     try:
@@ -360,6 +358,9 @@ def cmd_fit(config: RunConfig, args) -> int:
     except DiagnosticError as exc:
         print(f"sampling failed: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
+    # Only a fit that ran replaces the calibration rows of an earlier one.
+    save_collection(SMECollection(tuple(cal_parts), collection.ids),
+                    calib_dir, force=True)
 
     diag = model.diagnostics_
     converged = (diag.max_rhat() < RHAT_GATE and diag.min_ess() > ESS_GATE)

@@ -184,15 +184,15 @@ class CoverageAudit:
     average_set_size: float
     n: int
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "empirical_coverage": self.coverage,
             "singleton_rate": self.singleton_rate,
             "doubleton_rate": self.doubleton_rate,
             "empty_set_rate": self.empty_rate,
             "average_set_size": self.average_set_size,
             "n": self.n,
-        }, indent=2)
+        }
 
 
 def coverage_audit(sets, labels) -> CoverageAudit:

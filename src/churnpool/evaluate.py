@@ -375,7 +375,7 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
                         + "; ".join(flags))
 
     def make_hier(train_collection: SMECollection, fit_seed: int):
-        params = {**model.get_params(deep=False), "seed": fit_seed}
+        params = {**model.get_params(), "seed": fit_seed}
         return type(model)(**params).fit(train_collection)
 
     hier_models: dict | None = {}
@@ -507,7 +507,7 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
                        "fold_thresholds": thresholds}
     if sets:
         audit = coverage_audit(sets, labels_audited)
-        conformal.update(json.loads(audit.to_json()))
+        conformal.update(audit.to_dict())
 
     runtime = time.perf_counter() - start
     return ExperimentReport(

@@ -121,25 +121,21 @@ class TreeEnsemble:
     def p(self) -> int:
         return len(self.feature_names)
 
-    def predict_margin(self, X) -> np.ndarray | float:
-        """Raw log-odds margin; accepts one vector or a matrix of rows."""
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
+    def predict_margin(self, X) -> np.ndarray:
+        """Raw log-odds margin of every row of the matrix ``X``."""
+        X = as_float_matrix(X)
         if X.shape[1] != self.p:
-            raise ValidationError(f"x has {X.shape[1]} features, expected {self.p}")
+            raise ValidationError(f"X has {X.shape[1]} features, expected {self.p}")
         margins = np.full(X.shape[0], self.init_logodds)
         # Fixed tree-index order keeps the reduction bit-deterministic.
         for tree in self.trees:
             margins += self.learning_rate * _tree_predict(tree, X)
-        return float(margins[0]) if single else margins
+        return margins
 
-    def predict_proba(self, X) -> np.ndarray | float:
+    def predict_proba(self, X) -> np.ndarray:
         """Churn probability, clipped away from 0/1 for log-loss stability."""
-        margin = self.predict_margin(X)
-        prob = np.clip(sigmoid(margin), PROB_CLIP, 1.0 - PROB_CLIP)
-        return float(prob) if np.ndim(margin) == 0 else prob
+        return np.clip(sigmoid(self.predict_margin(X)), PROB_CLIP,
+                       1.0 - PROB_CLIP)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -365,17 +361,9 @@ class GradientBoostedTrees(BaseEstimator):
         self.val_log_loss_ = val_losses
         return self
 
-    def predict_margin(self, X):
-        check_is_fitted(self, "ensemble_")
-        return self.ensemble_.predict_margin(X)
-
     def predict_proba(self, X):
         check_is_fitted(self, "ensemble_")
         return self.ensemble_.predict_proba(X)
-
-    def predict(self, X):
-        proba = np.atleast_1d(self.predict_proba(X))
-        return (proba >= 0.5).astype(np.int8)
 
     @property
     def feature_importances_(self) -> np.ndarray:

@@ -17,7 +17,6 @@ the log transform), so independent evaluations can match it exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -112,17 +111,14 @@ class HierData:
                            float(rows.size - sizes.sum()) * math.log(2.0))
 
     @classmethod
-    def from_collection(cls, collection: SMECollection,
-                        add_intercept: bool = True) -> "HierData":
+    def from_collection(cls, collection: SMECollection) -> "HierData":
+        """The collection's entities with the intercept column appended."""
         names = collection.feature_names
-        Xs = [ds.features for ds in collection.smes]
-        if add_intercept:
-            if INTERCEPT_NAME in names:
-                raise ValidationError(
-                    f"feature {INTERCEPT_NAME!r} already present")
-            names = names + (INTERCEPT_NAME,)
-            Xs = [with_intercept(X) for X in Xs]
-        return cls(tuple(Xs), tuple(ds.labels for ds in collection.smes), names)
+        if INTERCEPT_NAME in names:
+            raise ValidationError(f"feature {INTERCEPT_NAME!r} already present")
+        return cls(tuple(with_intercept(ds.features) for ds in collection.smes),
+                   tuple(ds.labels for ds in collection.smes),
+                   names + (INTERCEPT_NAME,))
 
     @property
     def J(self) -> int:
@@ -157,17 +153,22 @@ class HierHyper:
         object.__setattr__(self, "sigma0_diag", sigma0)
 
     @classmethod
-    def from_prior(cls, prior, p_features: int,
+    def from_prior(cls, prior, feature_names: tuple[str, ...],
                    tau: float = 2.0) -> "HierHyper":
-        """Extend a transfer prior over ``p_features`` features, or the
-        weak prior (``prior=None``: zeros and ones), with the intercept
-        entry: mean 0, variance ``INTERCEPT_PRIOR_VAR``."""
+        """Extend a transfer prior over ``feature_names``, or the weak
+        prior (``prior=None``: zeros and ones), with the intercept entry:
+        mean 0, variance ``INTERCEPT_PRIOR_VAR``.
+
+        Raises ``DataError`` unless the prior was extracted for exactly
+        these features, in this order.
+        """
+        p = len(feature_names)
         if prior is None:
-            beta0, sigma0 = np.zeros(p_features), np.ones(p_features)
-        elif len(prior.beta0) != p_features:
-            raise ValidationError(
-                f"prior has {len(prior.beta0)} entries for "
-                f"{p_features} features")
+            beta0, sigma0 = np.zeros(p), np.ones(p)
+        elif tuple(prior.feature_names) != tuple(feature_names):
+            raise DataError(f"prior is over features "
+                            f"{list(prior.feature_names)}, the collection "
+                            f"has {list(feature_names)}")
         else:
             beta0, sigma0 = prior.beta0, prior.sigma0_diag
         return cls(np.append(beta0, 0.0),
@@ -200,16 +201,9 @@ class HierParams:
     def pack(self) -> np.ndarray:
         return np.concatenate([self.mu, [self.log_sigma], self.beta_raw.ravel()])
 
-    @classmethod
-    def unpack(cls, theta: np.ndarray, p: int, J: int) -> "HierParams":
-        theta = as_float_vector(theta, "theta", p + 1 + J * p)
-        return cls(theta[:p], float(theta[p]), theta[p + 1:].reshape(J, p))
 
-
-def param_names(p: int, J: int, feature_names=None) -> tuple[str, ...]:
+def param_names(J: int, feature_names) -> tuple[str, ...]:
     """Documented flat order: mu, log_sigma, beta_raw row-major."""
-    if feature_names is None:
-        feature_names = [str(k) for k in range(p)]
     names = [f"mu[{name}]" for name in feature_names]
     names.append("log_sigma")
     for j in range(J):
@@ -288,7 +282,7 @@ class HierTarget:
                           np.zeros((self.J, self.p))).pack()
 
     def names(self) -> tuple[str, ...]:
-        return param_names(self.p, self.J, self.data.feature_names)
+        return param_names(self.J, self.data.feature_names)
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +386,6 @@ class ShrinkageReport:
     n_j: tuple[int, ...]
     lambda_bar: float
 
-    def to_json(self, feature_names=None) -> str:
-        doc = {
-            "lambda_bar": self.lambda_bar,
-            "sigma_industry_sq": self.sigma_industry_sq,
-            "n_j": list(self.n_j),
-            "flagged_entities": [int(j) for j in np.flatnonzero(self.flagged)],
-            "population_mean": [float(v) for v in self.population_mean],
-            "lambda": [[float(v) for v in row] for row in self.lambda_jk],
-            "mle": [[None if not np.isfinite(v) else float(v) for v in row]
-                    for row in self.mle],
-            "posterior_mean": [[float(v) for v in row]
-                               for row in self.posterior_means],
-        }
-        if feature_names is not None:
-            doc["feature_names"] = list(feature_names)
-        return json.dumps(doc, indent=2)
-
 
 def shrinkage_report(trace: PosteriorTrace, data: HierData,
                      hyper: HierHyper) -> ShrinkageReport:
@@ -492,18 +469,18 @@ class HierarchicalLogistic(BaseEstimator):
 
     def fit(self, collection: SMECollection) -> "HierarchicalLogistic":
         data = HierData.from_collection(collection)
-        hyper = HierHyper.from_prior(self.prior, collection.p, self.tau)
+        hyper = HierHyper.from_prior(self.prior, collection.feature_names,
+                                     self.tau)
         target = HierTarget(data, hyper)
         config = SamplerConfig(
             chains=self.chains, warmup=self.warmup, draws=self.draws,
             target_accept=self.target_accept,
             max_tree_depth=self.max_tree_depth,
             divergence_energy_threshold=self.divergence_energy_threshold,
-            seed=self.seed, init="point", init_point=target.init_point())
+            seed=self.seed, init_point=target.init_point())
         self.trace_, self.diagnostics_ = sample(target, config,
                                                 param_names=target.names())
         self.data_ = data
-        self.hyper_ = hyper
         return self
 
     def _prepare(self, X) -> np.ndarray:
@@ -519,7 +496,3 @@ class HierarchicalLogistic(BaseEstimator):
         mean, _, _ = posterior_predict_matrix(self.trace_, self._prepare(X),
                                               sme_index)
         return mean
-
-    def shrinkage(self) -> ShrinkageReport:
-        check_is_fitted(self, "trace_")
-        return shrinkage_report(self.trace_, self.data_, self.hyper_)

@@ -2,8 +2,9 @@
 
 Minimizes ``0.5 * l2 * ||w||^2 + loss_weight * sum_i log(1 + exp(-s_i z_i))``
 with ``s = 2y - 1`` and ``z = X w`` (optionally with an appended intercept
-column, unpenalized by default).  Convergence is declared when the gradient
-max-norm drops below tolerance; the solver is fully deterministic.
+column, which is never penalized).  Convergence is declared when the
+gradient max-norm drops below ``_TOL`` within ``_MAX_ITER`` iterations; the
+solver is fully deterministic.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ __all__ = ["fit_penalized_logreg"]
 _LBFGS_MEMORY = 10
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
+_TOL = 1e-6
+_MAX_ITER = 500
 
 
 def _objective_and_grad(w, X, y, penalty_mask, l2, loss_weight):
@@ -33,21 +36,20 @@ def _objective_and_grad(w, X, y, penalty_mask, l2, loss_weight):
 
 
 def fit_penalized_logreg(X, y, l2: float = 1.0, loss_weight: float = 1.0,
-                         fit_intercept: bool = True,
-                         penalize_intercept: bool = False,
-                         tol: float = 1e-6, max_iter: int = 500) -> np.ndarray:
+                         fit_intercept: bool = True) -> np.ndarray:
     """Fit and return the coefficient vector.
 
     With ``fit_intercept`` the intercept is the last entry of the returned
-    vector (a constant-1 column is appended internally).
+    vector (a constant-1 column is appended internally) and is left out of
+    the penalty.
 
     Raises
     ------
     ValidationError
         On malformed inputs or single-class labels.
     ConvergenceError
-        When the gradient max-norm has not reached ``tol`` after
-        ``max_iter`` iterations; the message reports the final norm.
+        When the gradient max-norm has not reached ``_TOL`` after
+        ``_MAX_ITER`` iterations; the message reports the final norm.
     """
     X = as_float_matrix(X)
     y = check_binary_labels(y).astype(np.float64)
@@ -62,7 +64,7 @@ def fit_penalized_logreg(X, y, l2: float = 1.0, loss_weight: float = 1.0,
         X = np.column_stack([X, np.ones(X.shape[0])])
     d = X.shape[1]
     penalty_mask = np.ones(d)
-    if fit_intercept and not penalize_intercept:
+    if fit_intercept:
         penalty_mask[-1] = 0.0
 
     w = np.zeros(d)
@@ -70,8 +72,8 @@ def fit_penalized_logreg(X, y, l2: float = 1.0, loss_weight: float = 1.0,
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
 
-    for _ in range(max_iter):
-        if np.max(np.abs(grad)) < tol:
+    for _ in range(_MAX_ITER):
+        if np.max(np.abs(grad)) < _TOL:
             return w
 
         # L-BFGS two-loop recursion
@@ -119,8 +121,8 @@ def fit_penalized_logreg(X, y, l2: float = 1.0, loss_weight: float = 1.0,
                 y_hist.pop(0)
         w, value, grad = w_new, value_new, grad_new
 
-    if np.max(np.abs(grad)) < tol:
+    if np.max(np.abs(grad)) < _TOL:
         return w
     raise ConvergenceError(
-        f"no convergence in {max_iter} iterations; gradient max-norm "
+        f"no convergence in {_MAX_ITER} iterations; gradient max-norm "
         f"{np.max(np.abs(grad)):.3e}")

@@ -48,7 +48,6 @@ __all__ = [
     "PosteriorTrace",
     "Diagnostics",
     "FunctionTarget",
-    "find_reasonable_step_size",
     "sample",
     "compute_diagnostics",
     "rhat",
@@ -75,6 +74,10 @@ _MAX_RANK = 22
 # a metric off by less than 2x in one direction costs little.
 _MIN_LOG_EIGENVALUE = math.log(2.0)
 
+# Half-width of the uniform jitter added to each chain's starting point, so
+# that the chains start apart and split-chain diagnostics stay meaningful.
+_JITTER = 0.1
+
 
 class FunctionTarget:
     """Adapter wrapping plain ``logp``/``grad`` callables into a target."""
@@ -93,10 +96,9 @@ class FunctionTarget:
 class SamplerConfig:
     """Sampler settings.
 
-    ``init`` selects the starting strategy: ``"zero"`` starts every chain at
-    the origin, ``"point"`` at ``init_point``; both add uniform jitter of
-    half-width ``jitter`` per chain so split-chain diagnostics stay
-    meaningful.  ``adapt_mass`` adapts the shared inverse metric from draws
+    Every chain starts at ``init_point``, or at the origin when it is None,
+    plus uniform jitter of half-width ``_JITTER`` drawn from its own
+    stream.  ``adapt_mass`` adapts the shared inverse metric from draws
     pooled across chains at every warmup window's end; disabled, the metric
     stays the identity.
     """
@@ -108,9 +110,7 @@ class SamplerConfig:
     max_tree_depth: int = 10
     divergence_energy_threshold: float = 1000.0
     seed: int = 0
-    init: str = "zero"
     init_point: np.ndarray | None = None
-    jitter: float = 0.1
     adapt_mass: bool = True
 
     def validate(self) -> None:
@@ -124,18 +124,18 @@ class SamplerConfig:
             raise ValidationError("target_accept must be in (0, 1)")
         if self.max_tree_depth < 1:
             raise ValidationError("max_tree_depth must be >= 1")
-        if self.init not in ("zero", "point"):
-            raise ValidationError(f"unknown init strategy {self.init!r}")
-        if self.init == "point" and self.init_point is None:
-            raise ValidationError("init='point' requires init_point")
 
     def to_dict(self) -> dict:
+        """Settings as recorded in a trace header; ``init`` names the start
+        (``"point"`` or ``"zero"``) and ``jitter`` its half-width."""
         doc = {
             "chains": self.chains, "warmup": self.warmup, "draws": self.draws,
             "target_accept": self.target_accept,
             "max_tree_depth": self.max_tree_depth,
             "divergence_energy_threshold": self.divergence_energy_threshold,
-            "seed": self.seed, "init": self.init, "jitter": self.jitter,
+            "seed": self.seed,
+            "init": "zero" if self.init_point is None else "point",
+            "jitter": _JITTER,
             "adapt_mass": self.adapt_mass,
             "variant": "multinomial-biased-progressive",
         }
@@ -417,15 +417,9 @@ def _leapfrog(state: _State, eps: float, target,
                   v_half + half * w, w)
 
 
-def find_reasonable_step_size(target, q0: np.ndarray, inv_metric,
-                              rng: np.random.Generator) -> float:
-    """Doubling/halving search for a step size with ~50% acceptance.
-
-    ``inv_metric`` is a diagonal inverse metric (an array) or the
-    sampler's own low-rank metric.
-    """
-    if not isinstance(inv_metric, _Metric):
-        inv_metric = _Metric(np.asarray(inv_metric, dtype=np.float64))
+def _find_reasonable_step_size(target, q0: np.ndarray, inv_metric: _Metric,
+                               rng: np.random.Generator) -> float:
+    """Doubling/halving search for a step size with ~50% acceptance."""
     logp0, grad0 = target.logp_and_grad(q0)
     r0 = inv_metric.momentum(rng.standard_normal(q0.size))
     start = _State(q0, r0, grad0, logp0, inv_metric.apply(r0),
@@ -586,8 +580,8 @@ class _Chain:
         self.eps = self.initial_eps
 
     def _restart_step_size(self) -> float:
-        eps0 = find_reasonable_step_size(self.target, self.state.q,
-                                         self.metric, self.rng)
+        eps0 = _find_reasonable_step_size(self.target, self.state.q,
+                                          self.metric, self.rng)
         self.averaging = _DualAveraging(eps0)
         return eps0
 
@@ -713,13 +707,13 @@ def sample(target, config: SamplerConfig,
     """
     config.validate()
     dim = target.dim
-    if config.init == "point":
+    if config.init_point is None:
+        base = np.zeros(dim)
+    else:
         base = np.asarray(config.init_point, dtype=np.float64)
         if base.shape != (dim,):
             raise ValidationError(
                 f"init_point has shape {base.shape}, expected ({dim},)")
-    else:
-        base = np.zeros(dim)
     if param_names is None:
         param_names = tuple(f"theta[{i}]" for i in range(dim))
     elif len(param_names) != dim:
@@ -727,7 +721,7 @@ def sample(target, config: SamplerConfig,
 
     counted = _CountingTarget(target)
     rngs = spawn(config.seed, config.chains)
-    starts = [base + rngs[c].uniform(-config.jitter, config.jitter, dim)
+    starts = [base + rngs[c].uniform(-_JITTER, _JITTER, dim)
               for c in range(config.chains)]
     metric = _Metric(np.ones(dim))
     chains = [_Chain(counted, config, rngs[c], starts[c], metric)

@@ -36,7 +36,7 @@ from .errors import ValidationError, malformed_artifact
 from .gbdt import TreeEnsemble, TreeNode
 from .numerics import sigmoid
 from .rng import default_rng
-from .validation import as_name_tuple
+from .validation import as_float_matrix, as_name_tuple
 
 __all__ = [
     "TreeShapExplainer",
@@ -159,14 +159,12 @@ class TreeShapExplainer:
             g.value * g.weight_empty for games in self._games for g in games)
 
     def shap_values(self, X) -> np.ndarray:
-        """Attribution matrix of shape (n, p) in margin space."""
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
+        """Attribution matrix of shape (n, p) in margin space for the rows
+        of the matrix ``X``."""
+        X = as_float_matrix(X)
         if X.shape[1] != self.ensemble.p:
             raise ValidationError(
-                f"x has {X.shape[1]} features, expected {self.ensemble.p}")
+                f"X has {X.shape[1]} features, expected {self.ensemble.p}")
         out = np.zeros((X.shape[0], self.ensemble.p))
         lr = self.ensemble.learning_rate
         for games in self._games:
@@ -176,7 +174,7 @@ class TreeShapExplainer:
                 rows = game.tables[game.patterns(X)]
                 # Accumulate in fixed (tree, leaf) order for determinism.
                 out[:, game.features] += lr * rows
-        return out[0] if single else out
+        return out
 
 
 @dataclass(frozen=True)

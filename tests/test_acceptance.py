@@ -232,17 +232,19 @@ def test_criterion_06_shapley_correctness():
                                       min_samples_leaf=5, row_subsample=1.0,
                                       feature_subsample=1.0, seed=seed)
         fitted.fit(Xp, yp, Xp, yp)
+        explainer = TreeShapExplainer(fitted.ensemble_)
         for i in range(6):
-            phi, base = TreeShapExplainer(fitted.ensemble_).shap_values(
-                Xp[i]), TreeShapExplainer(fitted.ensemble_).expected_value
+            phi = explainer.shap_values(Xp[i][None, :])[0]
+            base = explainer.expected_value
             phi_ref, base_ref = brute_force_shapley(fitted.ensemble_, Xp[i])
             worst_brute = max(worst_brute,
                               float(np.max(np.abs(phi - phi_ref))),
                               abs(base - base_ref))
     handmade = TreeEnsemble(0.1, 0.7, [_repeated_feature_tree()], ("a", "b"))
     for x in ([-2.0, -1.0], [0.0, -1.0], [2.0, -1.0], [0.0, 1.0]):
-        phi, base = TreeShapExplainer(handmade).shap_values(np.array(x)), \
-            TreeShapExplainer(handmade).expected_value
+        explainer = TreeShapExplainer(handmade)
+        phi = explainer.shap_values(np.array(x)[None, :])[0]
+        base = explainer.expected_value
         phi_ref, base_ref = brute_force_shapley(handmade, np.array(x))
         worst_brute = max(worst_brute, float(np.max(np.abs(phi - phi_ref))),
                           abs(base - base_ref))
@@ -271,11 +273,13 @@ def test_criterion_07_conformal_guarantee_simulation():
 def _shrinkage_sim(p, J, n_per, mu_scale, sigma_true, seed):
     collection, _ = generate_hierarchical_population(
         p, J, n_per, mu_scale, sigma_true, seed)
-    data = HierData.from_collection(collection, add_intercept=False)
+    data = HierData(tuple(ds.features for ds in collection.smes),
+                    tuple(ds.labels for ds in collection.smes),
+                    collection.feature_names)
     hyper = HierHyper(np.zeros(p), np.ones(p), tau=2.0)
     target = HierTarget(data, hyper)
     config = SamplerConfig(chains=4, warmup=800, draws=800, seed=seed,
-                           init="point", init_point=target.init_point())
+                           init_point=target.init_point())
     trace, _ = sample(target, config)
     return shrinkage_report(trace, data, hyper)
 

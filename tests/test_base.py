@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from churnpool.base import BaseEstimator, check_is_fitted
+from churnpool.base import check_is_fitted
 from churnpool.errors import NotFittedError
 from churnpool.gbdt import GradientBoostedTrees
 from churnpool.hier_model import HierarchicalLogistic
@@ -37,15 +37,3 @@ def test_unfitted_guard():
     with pytest.raises(NotFittedError):
         check_is_fitted(GradientBoostedTrees(), "ensemble_")
 
-
-def test_nested_params():
-    class Outer(BaseEstimator):
-        def __init__(self, inner=None, alpha=0.1):
-            self.inner = inner
-            self.alpha = alpha
-
-    outer = Outer(inner=GradientBoostedTrees(iterations=9))
-    params = outer.get_params()
-    assert params["inner__iterations"] == 9
-    outer.set_params(inner__iterations=11)
-    assert outer.inner.iterations == 11

@@ -14,6 +14,7 @@ from churnpool.conformal import calibrate_pooled
 from churnpool.errors import ConvergenceError
 from churnpool.hier_model import param_names, posterior_predict_matrix
 from churnpool.nuts import PosteriorTrace
+from churnpool.shap_prior import PriorSpec
 
 SIM_ARGS = ["--smes", "4", "--n-per", "50", "--features", "2",
             "--sigma-true", "0.4", "--mu-scale", "1.0"]
@@ -196,6 +197,35 @@ class TestFitCalibrate:
         assert run(tmp_path, "fit", "--weak-prior") == 4
         assert not (tmp_path / "trace.bin").exists()
 
+    @staticmethod
+    def _fit_with_prior(tmp_path, monkeypatch, names):
+        """``fit`` on three entities of x00..x02 with a prior over
+        ``names``; the sampler must not be reached."""
+        assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "30",
+                   "--features", "3") == 0
+        PriorSpec(names, np.zeros(len(names)), np.ones(len(names)), 0.0,
+                  {}).save(tmp_path / "prior.json")
+
+        def refuse(*args, **kwargs):
+            raise _Stop
+
+        monkeypatch.setattr(hier_model, "sample", refuse)
+        return run(tmp_path, "fit")
+
+    def test_prior_over_other_features_is_data_error(self, tmp_path,
+                                                      monkeypatch):
+        assert self._fit_with_prior(tmp_path, monkeypatch,
+                                    ("tenure", "spend", "age")) == 4
+        assert not (tmp_path / "trace.bin").exists()
+
+    def test_failed_fit_keeps_calibration_rows(self, tmp_path, monkeypatch):
+        sentinel = tmp_path / "calibration_data" / "manifest.json"
+        sentinel.parent.mkdir()
+        sentinel.write_bytes(b'{"sentinel": true}')
+        assert self._fit_with_prior(tmp_path, monkeypatch,
+                                    ("x00", "x01")) == 4
+        assert sentinel.read_bytes() == b'{"sentinel": true}'
+
 
 class TestPredict:
     def test_prediction_rows(self, pipeline_dir, tmp_path):
@@ -309,7 +339,7 @@ class TestPredict:
 def _hand_trace(feature_names, J):
     """A two-chain, four-draw trace at theta = 0 fitted on ``feature_names``
     (intercept included) and ``J`` entities."""
-    names = param_names(len(feature_names), J, feature_names)
+    names = param_names(J, feature_names)
     return PosteriorTrace(
         draws=np.zeros((2, 4, len(names))),
         divergent=np.zeros((2, 4), bool), step_sizes=np.full(2, 0.5),

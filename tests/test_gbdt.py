@@ -133,12 +133,12 @@ class TestTrainingDynamics:
 class TestPrediction:
     def test_empty_tree_list_returns_init(self):
         ensemble = TreeEnsemble(0.7, 0.1, [], ("a",))
-        assert ensemble.predict_margin(np.array([3.0])) == 0.7
+        assert ensemble.predict_margin(np.array([[3.0]]))[0] == 0.7
 
     def test_single_stump_paths(self):
         ensemble = TreeEnsemble(0.0, 1.0, [_stump()], ("a",))
-        assert ensemble.predict_margin(np.array([-1.0])) == -1.0
-        assert ensemble.predict_margin(np.array([2.0])) == 1.0
+        assert ensemble.predict_margin(np.array([[-1.0]]))[0] == -1.0
+        assert ensemble.predict_margin(np.array([[2.0]]))[0] == 1.0
 
     def test_two_tree_margin_hand_trace(self):
         # Tree 1 splits at 0 with leaves -1/+1; tree 2 splits at 1 with
@@ -147,28 +147,33 @@ class TestPrediction:
         t2 = _stump(threshold=1.0, left=0.5, right=2.0)
         ensemble = TreeEnsemble(0.25, 0.1, [t1, t2], ("a",))
         expected = 0.25 + 0.1 * (1.0 + 0.5)
-        assert ensemble.predict_margin(np.array([0.5])) == pytest.approx(
+        assert ensemble.predict_margin(np.array([[0.5]]))[0] == pytest.approx(
             expected, abs=1e-15)
 
     def test_proba_at_zero_margin(self):
         ensemble = TreeEnsemble(0.0, 1.0, [], ("a",))
-        assert ensemble.predict_proba(np.array([0.0])) == 0.5
+        assert ensemble.predict_proba(np.array([[0.0]]))[0] == 0.5
 
     def test_proba_inverts_base_rate(self):
         ensemble = TreeEnsemble(math.log(0.214 / 0.786), 1.0, [], ("a",))
-        assert ensemble.predict_proba(np.array([0.0])) == pytest.approx(
+        assert ensemble.predict_proba(np.array([[0.0]]))[0] == pytest.approx(
             0.214, abs=1e-12)
 
     def test_extreme_margins_clipped(self):
         lo = TreeEnsemble(-40.0, 1.0, [], ("a",))
         hi = TreeEnsemble(40.0, 1.0, [], ("a",))
-        assert lo.predict_proba(np.array([0.0])) == 1e-12
-        assert hi.predict_proba(np.array([0.0])) == 1.0 - 1e-12
+        assert lo.predict_proba(np.array([[0.0]]))[0] == 1e-12
+        assert hi.predict_proba(np.array([[0.0]]))[0] == 1.0 - 1e-12
 
     def test_dimension_mismatch(self):
         ensemble = TreeEnsemble(0.0, 1.0, [_stump()], ("a",))
         with pytest.raises(ValidationError):
-            ensemble.predict_margin(np.array([1.0, 2.0]))
+            ensemble.predict_margin(np.array([[1.0, 2.0]]))
+
+    def test_vector_input_rejected(self):
+        ensemble = TreeEnsemble(0.0, 1.0, [_stump()], ("a",))
+        with pytest.raises(ValidationError, match="2-dimensional"):
+            ensemble.predict_margin(np.array([1.0]))
 
 
 class TestImportance:

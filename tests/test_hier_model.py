@@ -8,7 +8,7 @@ import pytest
 
 import churnpool.hier_model as hier_model
 from churnpool.data import generate_hierarchical_population
-from churnpool.errors import ValidationError
+from churnpool.errors import DataError, ValidationError
 from churnpool.hier_model import (INTERCEPT_PRIOR_VAR, HierData, HierHyper,
                                   HierParams, HierTarget, HierarchicalLogistic,
                                   posterior_predict_matrix, shrinkage_report,
@@ -343,7 +343,9 @@ class TestShrinkageReport:
     def test_shapes_and_flags(self):
         collection, _ = generate_hierarchical_population(
             p=2, J=3, n_per=40, mu_scale=0.8, sigma_true=0.3, seed=12)
-        data = HierData.from_collection(collection, add_intercept=False)
+        data = HierData(tuple(ds.features for ds in collection.smes),
+                        tuple(ds.labels for ds in collection.smes),
+                        collection.feature_names)
         hyper = HierHyper(np.zeros(2), np.ones(2))
         rng = np.random.default_rng(13)
         D = 2 + 1 + 3 * 2
@@ -377,11 +379,13 @@ class TestShrinkageReport:
 
         collection, _ = generate_hierarchical_population(
             p=40, J=10, n_per=50, mu_scale=0.2, sigma_true=0.3, seed=41)
-        data = HierData.from_collection(collection, add_intercept=False)
+        data = HierData(tuple(ds.features for ds in collection.smes),
+                        tuple(ds.labels for ds in collection.smes),
+                        collection.feature_names)
         hyper = HierHyper(np.zeros(40), np.ones(40), 2.0)
         target = HierTarget(data, hyper)
         config = SamplerConfig(chains=2, warmup=600, draws=600, seed=41,
-                               init="point", init_point=target.init_point())
+                               init_point=target.init_point())
         trace, _ = sample(target, config)
         report = shrinkage_report(trace, data, hyper)
         assert report.lambda_bar < 0.1
@@ -414,3 +418,19 @@ class TestWeakPrior:
         np.testing.assert_array_equal(weak.beta0, np.zeros(4))
         np.testing.assert_array_equal(
             weak.sigma0_diag, [1.0, 1.0, 1.0, INTERCEPT_PRIOR_VAR])
+
+
+class TestTransferPrior:
+    def test_prior_over_other_features_is_data_error(self, monkeypatch):
+        collection, _ = generate_hierarchical_population(
+            p=3, J=2, n_per=20, mu_scale=1.0, sigma_true=0.3, seed=31)
+        assert collection.feature_names == ("x00", "x01", "x02")
+
+        def refuse(target, config, **kwargs):
+            raise _Stop
+
+        monkeypatch.setattr(hier_model, "sample", refuse)
+        prior = PriorSpec(("tenure", "spend", "age"), np.zeros(3),
+                          np.ones(3), 0.0, {})
+        with pytest.raises(DataError, match="tenure"):
+            HierarchicalLogistic(prior=prior).fit(collection)

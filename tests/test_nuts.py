@@ -15,8 +15,8 @@ import churnpool.nuts as nuts
 from churnpool.errors import DiagnosticError, ValidationError
 from churnpool.nuts import (Diagnostics, FunctionTarget, PosteriorTrace,
                             SamplerConfig, _leapfrog, _log_add_exp, _Metric,
-                            _PooledMoments, _State, ess,
-                            find_reasonable_step_size, rhat, sample)
+                            _PooledMoments, _State, _find_reasonable_step_size,
+                            ess, rhat, sample)
 from churnpool.rng import default_rng
 
 from _oracles import dense_inverse_metric
@@ -166,14 +166,14 @@ def test_log_add_exp_matches_numpy_bitwise():
 class TestFindReasonableStepSize:
     def test_unit_gaussian_order_one(self):
         target = gaussian_target([0.0], [1.0])
-        eps = find_reasonable_step_size(target, np.zeros(1), np.ones(1),
-                                        default_rng(0))
+        eps = _find_reasonable_step_size(target, np.zeros(1),
+                                         _Metric(np.ones(1)), default_rng(0))
         assert 0.1 < eps < 10.0
 
     def test_narrow_gaussian_small_step(self):
         target = gaussian_target([0.0], [1e-3])
-        eps = find_reasonable_step_size(target, np.zeros(1), np.ones(1),
-                                        default_rng(0))
+        eps = _find_reasonable_step_size(target, np.zeros(1),
+                                         _Metric(np.ones(1)), default_rng(0))
         assert eps < 0.1
 
 
@@ -209,8 +209,7 @@ class TestSampling:
         # overshoots what a 0.9 target tolerates, so averaging adapts down.
         target = gaussian_target([5.0], [0.1])
         trace, _ = self._run(target, chains=2, warmup=600, draws=200,
-                             adapt_mass=False, init="point",
-                             init_point=np.array([5.0]), jitter=0.01)
+                             adapt_mass=False, init_point=np.array([5.0]))
         assert np.all(trace.step_sizes < trace.initial_step_sizes)
 
     def test_trace_shape_and_flags(self):

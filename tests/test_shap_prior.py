@@ -52,7 +52,7 @@ def _fitted(seed, p=6, depth=3, n=300, iterations=8):
 def _shap_row(ensemble, x):
     """Attributions of one input and the base value."""
     explainer = TreeShapExplainer(ensemble)
-    return explainer.shap_values(x), explainer.expected_value
+    return explainer.shap_values(x[None, :])[0], explainer.expected_value
 
 
 class TestTreeShap:
@@ -60,7 +60,7 @@ class TestTreeShap:
         ensemble = TreeEnsemble(0.3, 1.0, [_stump()], ("a", "b"))
         x = np.array([-2.0, 5.0])
         phi, base = _shap_row(ensemble, x)
-        margin = ensemble.predict_margin(x)
+        margin = ensemble.predict_margin(x[None, :])[0]
         assert phi[1] == 0.0
         assert phi[0] == pytest.approx(margin - base, abs=1e-12)
         assert base == pytest.approx(0.3 + 0.0, abs=1e-12)  # equal covers
@@ -94,7 +94,7 @@ class TestTreeShap:
             np.testing.assert_allclose(phi, phi_ref, atol=1e-8)
             assert base == pytest.approx(base_ref, abs=1e-8)
             assert base + phi.sum() == pytest.approx(
-                ensemble.predict_margin(x), abs=1e-8)
+                ensemble.predict_margin(x[None, :])[0], abs=1e-8)
 
     def test_null_player_is_exactly_zero(self):
         # Feature 2 is constant, so no split ever uses it.

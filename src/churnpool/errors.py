@@ -32,14 +32,14 @@ class NotFittedError(ChurnpoolError, RuntimeError):
 def malformed_artifact(what: str):
     """Re-raise any parse failure inside the block as ``DataError``.
 
-    Loaders of saved artifacts run inside it, so bad JSON, a missing key, a
-    wrong type or a short binary payload ends in the data exit code rather
-    than a traceback.
+    Loaders of saved artifacts run inside it, so bad JSON, nesting too deep
+    to parse, a missing key, a wrong type or a short binary payload ends in
+    the data exit code rather than a traceback.
     """
     try:
         yield
     except DataError:
         raise
     except (ValueError, KeyError, TypeError, IndexError, OverflowError,
-            struct.error) as exc:
+            RecursionError, struct.error) as exc:
         raise DataError(f"malformed {what}: {type(exc).__name__}: {exc}") from None

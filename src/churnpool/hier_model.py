@@ -387,8 +387,7 @@ class ShrinkageReport:
     lambda_bar: float
 
 
-def shrinkage_report(trace: PosteriorTrace, data: HierData,
-                     hyper: HierHyper) -> ShrinkageReport:
+def shrinkage_report(trace: PosteriorTrace, data: HierData) -> ShrinkageReport:
     """Estimate per-entity shrinkage weights from a converged trace.
 
     The between-entity variance is the posterior mean of sigma^2; the

@@ -7,7 +7,6 @@ oracle and property suites pinned to their stated tolerances.
 """
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -56,19 +55,6 @@ def flagship_experiment():
     return run_experiment(collection, model, config, FLAGSHIP_SEED)
 
 
-@pytest.fixture(scope="module")
-def flagship_fit():
-    collection, _ = generate_hierarchical_population(
-        FLAGSHIP["p"], FLAGSHIP["J"], FLAGSHIP["n_per"],
-        FLAGSHIP["mu_scale"], FLAGSHIP["sigma_true"], FLAGSHIP_SEED)
-    model = HierarchicalLogistic(prior=_weak_prior(FLAGSHIP["p"]),
-                                 chains=4, warmup=2000, draws=4000,
-                                 seed=FLAGSHIP_SEED)
-    start = time.perf_counter()
-    model.fit(collection)
-    return model, time.perf_counter() - start
-
-
 def test_criterion_01_pooling_gain(flagship_experiment):
     report = flagship_experiment
     agg = report.aggregates
@@ -99,18 +85,20 @@ def test_criterion_02_conformal_coverage(flagship_experiment):
                 f"empty={conformal['empty_set_rate']:.4f} n={conformal['n']}")
 
 
-def test_criterion_03_mcmc_health(flagship_fit):
-    model, seconds = flagship_fit
-    diag = model.diagnostics_
-    total = model.trace_.n_chains * model.trace_.n_draws
-    ok = (diag.max_rhat() < 1.01
-          and float(np.nanmin(diag.ess_bulk)) > 400
-          and float(np.nanmin(diag.ess_tail)) > 400
-          and diag.n_divergent / total < 0.001
+def test_criterion_03_mcmc_health(flagship_experiment):
+    # The fit-once experiment's single fit is the flagship fit: the report's
+    # min_ess is the smaller of the bulk and tail minima, and its runtime
+    # also covers the baselines, so neither check is looser.
+    diag = flagship_experiment.diagnostics
+    seconds = flagship_experiment.runtime_seconds
+    total = diag["total_draws"]
+    ok = (diag["max_rhat"] < 1.01
+          and diag["min_ess"] > 400
+          and diag["n_divergent"] / total < 0.001
           and seconds < 45 * 60)
     report_line(3, "flagship MCMC health", ok,
-                f"max_rhat={diag.max_rhat():.4f} min_ess={diag.min_ess():.0f} "
-                f"divergent={diag.n_divergent}/{total} time={seconds:.0f}s")
+                f"max_rhat={diag['max_rhat']:.4f} min_ess={diag['min_ess']:.0f} "
+                f"divergent={diag['n_divergent']}/{total} time={seconds:.0f}s")
 
 
 def _gaussian_target(mean, sd):
@@ -276,12 +264,11 @@ def _shrinkage_sim(p, J, n_per, mu_scale, sigma_true, seed):
     data = HierData(tuple(ds.features for ds in collection.smes),
                     tuple(ds.labels for ds in collection.smes),
                     collection.feature_names)
-    hyper = HierHyper(np.zeros(p), np.ones(p), tau=2.0)
-    target = HierTarget(data, hyper)
+    target = HierTarget(data, HierHyper(np.zeros(p), np.ones(p), tau=2.0))
     config = SamplerConfig(chains=4, warmup=800, draws=800, seed=seed,
                            init_point=target.init_point())
     trace, _ = sample(target, config)
-    return shrinkage_report(trace, data, hyper)
+    return shrinkage_report(trace, data)
 
 
 def test_criterion_08_shrinkage_law():

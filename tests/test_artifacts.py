@@ -116,7 +116,9 @@ class TestJsonArtifacts:
         _loads_or_data_error(load, json.dumps(doc))
 
     @pytest.mark.parametrize("text", ["", "{", "[]", "null", "7", '"x"',
-                                      "{}", "\xff"])
+                                      "{}", "\xff",
+                                      pytest.param("[" * 100_000,
+                                                   id="deep-nesting")])
     def test_not_an_object_is_data_error(self, kind, text):
         with pytest.raises(DataError):
             _LOADERS[kind][1](text)

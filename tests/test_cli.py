@@ -141,6 +141,13 @@ class TestPretrainAndPriors:
         assert run(tmp_path, "extract-priors", "--prior-draws", "10") == 4
         assert not (tmp_path / "prior.json").exists()
 
+    def test_deeply_nested_model_is_data_error(self, trained_dir, tmp_path):
+        for name in ("standardization.json", "pretrain_val.csv"):
+            shutil.copy(trained_dir / name, tmp_path / name)
+        (tmp_path / "model.json").write_text("[" * 100_000)
+        assert run(tmp_path, "extract-priors", "--prior-draws", "10") == 4
+        assert not (tmp_path / "prior.json").exists()
+
 
 class TestFitCalibrate:
     def test_artifacts_written(self, pipeline_dir):

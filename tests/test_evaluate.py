@@ -19,6 +19,7 @@ from churnpool.evaluate import (ExperimentConfig, ExperimentReport, auc,
                                 fit_logreg_l2, paired_t_test, run_experiment,
                                 student_t_sf)
 from churnpool.hier_model import HierarchicalLogistic
+from churnpool.logreg import fit_penalized_logreg
 from churnpool.shap_prior import PriorSpec
 
 from _oracles import damped_newton_logreg
@@ -46,12 +47,39 @@ class TestLogregL2:
         assert coefs[-1] == pytest.approx(math.log(rate / (1 - rate)),
                                           abs=5e-3)
 
-    @pytest.mark.parametrize("seed,n,p", [(2, 60, 2), (3, 120, 5), (4, 90, 3)])
-    def test_matches_damped_newton(self, seed, n, p):
+    # The last case is the shrinkage MLE's setting: a near-zero ridge and
+    # no intercept.
+    @pytest.mark.parametrize("seed,n,p,l2,fit_intercept", [
+        (2, 60, 2, 1.0, True), (3, 120, 5, 1.0, True), (4, 90, 3, 1.0, True),
+        (8, 150, 4, 1e-6, False)],
+        ids=["2-60-2", "3-120-5", "4-90-3", "shrinkage-mle"])
+    def test_matches_damped_newton(self, seed, n, p, l2, fit_intercept):
         ds = _toy_dataset(n=n, p=p, seed=seed)
-        mine = fit_logreg_l2(ds, C=1.0)
-        reference = damped_newton_logreg(ds.features, ds.labels, C=1.0)
+        mine = fit_penalized_logreg(ds.features, ds.labels, l2=l2,
+                                    fit_intercept=fit_intercept)
+        reference = damped_newton_logreg(ds.features, ds.labels, C=1.0, l2=l2,
+                                         fit_intercept=fit_intercept)
         np.testing.assert_allclose(mine, reference, atol=1e-6)
+
+    @pytest.mark.parametrize("seed", [176, 191])
+    def test_pooled_fit_reaches_tolerance(self, seed):
+        # Every row of these populations pooled: a solver whose line search
+        # compares summed losses stalls here at gradient max-norm ~2e-6.
+        collection, _ = generate_hierarchical_population(
+            p=10, J=12, n_per=160, mu_scale=0.5, sigma_true=0.5, seed=seed)
+        X = np.concatenate([ds.features for ds in collection.smes])
+        y = np.concatenate([ds.labels for ds in collection.smes])
+        coefs = fit_logreg_l2(Dataset(X, y, collection.feature_names), C=1.0)
+        X1 = np.column_stack([X, np.ones(y.size)])
+        probs = 1.0 / (1.0 + np.exp(-(X1 @ coefs)))
+        grad = np.append(coefs[:-1], 0.0) + X1.T @ (probs - y)
+        assert np.max(np.abs(grad)) < 1e-6
+
+    @pytest.mark.parametrize("l2", [0.0, -1.0])
+    def test_nonpositive_l2_rejected(self, l2):
+        ds = _toy_dataset(n=40, seed=9)
+        with pytest.raises(ValidationError):
+            fit_penalized_logreg(ds.features, ds.labels, l2=l2)
 
     def test_separable_matches_newton(self):
         rng = np.random.default_rng(5)

@@ -1,10 +1,13 @@
 """Public names: every exported name resolves, so a deleted function cannot
-linger in an ``__all__`` list or in the package namespace."""
+linger in an ``__all__`` list or in the package namespace, and every
+function the benchmark's tracer wraps still exists where it is looked up."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import types
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +39,17 @@ def test_package_reexports_public_names():
                 f"{module.__name__} does not list as public")
             assert getattr(churnpool, alias.name) is getattr(module,
                                                              alias.name)
+
+
+def test_benchmark_trace_patches_resolve():
+    # Compiled from source rather than imported, so no bytecode cache is
+    # written next to the benchmark.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("perfbench_tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         tracing.__dict__)
+    assert tracing.PATCHES
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _, _ in tracing.PATCHES
+               if attr not in vars(owner)]
+    assert not missing, f"tracing.PATCHES names missing attributes {missing}"

@@ -346,12 +346,11 @@ class TestShrinkageReport:
         data = HierData(tuple(ds.features for ds in collection.smes),
                         tuple(ds.labels for ds in collection.smes),
                         collection.feature_names)
-        hyper = HierHyper(np.zeros(2), np.ones(2))
         rng = np.random.default_rng(13)
         D = 2 + 1 + 3 * 2
         flat = 0.1 * rng.normal(size=(200, D))
         trace = _trace_from_flat(flat, 2, 3)
-        report = shrinkage_report(trace, data, hyper)
+        report = shrinkage_report(trace, data)
         assert report.lambda_jk.shape == (3, 2)
         valid = report.lambda_jk[~report.flagged]
         assert np.all((valid >= 0) & (valid <= 1))
@@ -364,9 +363,8 @@ class TestShrinkageReport:
         ys = (np.ones(20, dtype=int),
               np.tile([0, 1], 10))
         data = HierData(Xs, ys, names)
-        hyper = HierHyper(np.zeros(1), np.ones(1))
         trace = _trace_from_flat(np.zeros((50, 4)), 1, 2)
-        report = shrinkage_report(trace, data, hyper)
+        report = shrinkage_report(trace, data)
         assert report.flagged[0] and not report.flagged[1]
         assert np.isnan(report.mle[0, 0])
 
@@ -382,12 +380,11 @@ class TestShrinkageReport:
         data = HierData(tuple(ds.features for ds in collection.smes),
                         tuple(ds.labels for ds in collection.smes),
                         collection.feature_names)
-        hyper = HierHyper(np.zeros(40), np.ones(40), 2.0)
-        target = HierTarget(data, hyper)
+        target = HierTarget(data, HierHyper(np.zeros(40), np.ones(40), 2.0))
         config = SamplerConfig(chains=2, warmup=600, draws=600, seed=41,
                                init_point=target.init_point())
         trace, _ = sample(target, config)
-        report = shrinkage_report(trace, data, hyper)
+        report = shrinkage_report(trace, data)
         assert report.lambda_bar < 0.1
 
 

@@ -22,6 +22,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import (CalibrationResult, calibrate_pooled, conservative_adjust,
-                        predict_set, recommend_conservative)
+                        predict_sets, recommend_conservative)
 from .data import (SMECollection, apply_standardization,
                    StandardizationStats, generate_hierarchical_population,
                    _csv_rows, _write_dataset_csv, load_collection,
@@ -58,13 +59,14 @@ ESS_GATE = 400.0
 # little speed for a lot of transient memory.
 PREDICT_CHUNK_ROWS = 32
 
-_UNCERTAINTY_WORD = {0: "invalid", 1: "low", 2: "high"}
-_ACTION_TIER = {
-    frozenset({1}): "high-risk churner",
-    frozenset({0}): "low-risk retained",
-    frozenset({0, 1}): "uncertain: gather more data",
-    frozenset(): "recalibrate",
-}
+# (conformal_set, uncertainty, action) of a prediction set, indexed by
+# contains-0 + 2 * contains-1.
+_SET_COLUMNS = (
+    ("{}", "invalid", "recalibrate"),
+    ("{0}", "low", "low-risk retained"),
+    ("{1}", "low", "high-risk churner"),
+    ("{0,1}", "high", "uncertain: gather more data"),
+)
 
 
 class ConfigError(ChurnpoolError):
@@ -133,6 +135,9 @@ class RunConfig:
         "target_accept_rate": (0.80, 0.95),
         "miscoverage_alpha": (0.05, 0.20),
         "calibration_split": (0.15, 0.30),
+        "seed": (0, math.inf),
+        "n_per": (10, math.inf),
+        "sigma_true": (0.0, math.inf),
     }
 
     @classmethod
@@ -177,10 +182,12 @@ class RunConfig:
                 raise ConfigError(
                     f"{key}={value} outside allowed range [{low}, {high}]")
         for key in ("iterations", "tree_depth", "min_samples_leaf",
-                    "early_stopping_rounds", "smes", "n_per", "features",
-                    "folds"):
+                    "early_stopping_rounds", "smes", "features", "folds"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
+        for key in ("mu_scale", "sigma_true"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
 
     def echo(self) -> dict:
         return {section: {key: getattr(self, key) for key in keys}
@@ -308,6 +315,8 @@ def cmd_pretrain(config: RunConfig, args) -> int:
 
 
 def cmd_extract_priors(config: RunConfig, args) -> int:
+    if args.prior_draws < 1:
+        raise ConfigError(f"--prior-draws must be >= 1, got {args.prior_draws}")
     out = Path(args.out)
     prior_path = out / "prior.json"
     check_path = out / "prior_check.json"
@@ -389,6 +398,8 @@ def cmd_fit(config: RunConfig, args) -> int:
 
 
 def cmd_calibrate(config: RunConfig, args) -> int:
+    if args.inflation is not None and not args.inflation >= 0:
+        raise ConfigError(f"--inflation must be >= 0, got {args.inflation}")
     out = Path(args.out)
     calib_path = out / "calibration.json"
     _check_force([calib_path], args.force)
@@ -471,18 +482,19 @@ def cmd_predict(config: RunConfig, args) -> int:
             mean[chunk], lo[chunk], hi[chunk] = posterior_predict_matrix(
                 trace, X[chunk], int(j))
 
+    sets = predict_sets(mean, calibration.q_hat)
     rows = []
-    for i, sme in enumerate(smes):
-        pset = predict_set(float(mean[i]), calibration.q_hat)
+    for i, (sme, code) in enumerate(zip(smes, sets[:, 0] + 2 * sets[:, 1])):
+        conformal_set, uncertainty, action = _SET_COLUMNS[code]
         rows.append({
             "sme": sme,
             "probability": float(mean[i]),
             "prediction": int(mean[i] >= 0.5),
             "ci_lower": float(lo[i]),
             "ci_upper": float(hi[i]),
-            "conformal_set": str(pset),
-            "uncertainty": _UNCERTAINTY_WORD[pset.size],
-            "action": _ACTION_TIER[pset.labels],
+            "conformal_set": conformal_set,
+            "uncertainty": uncertainty,
+            "action": action,
         })
     with pred_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

@@ -1,15 +1,17 @@
-"""Split/pooled conformal calibration and set-valued prediction.
+"""Pooled split conformal calibration and set-valued prediction on arrays.
 
-Nonconformity is ``|y - p_hat|``.  The split threshold is the
-``ceil((1-alpha)(n+1))``-th smallest calibration score, which under
-exchangeability guarantees coverage of at least
+Nonconformity is ``|y - p_hat|``.  The threshold is the
+``ceil((1-alpha)(n+1))``-th smallest calibration score, pooled across
+entities, which under exchangeability guarantees coverage of at least
 ``ceil((1-alpha)(n+1)) / (n+1)`` for the binary prediction sets
 
     C(x) = {y in {0,1} : |y - p_hat(x)| <= q_hat}.
 
-The membership rule is applied literally: 0 is included iff
-``p_hat <= q_hat`` and 1 iff ``p_hat >= 1 - q_hat``, so the empty set is a
-possible (audited) outcome whenever ``q_hat < 0.5``.
+Sets for ``n`` rows are one ``(n, 2)`` bool array whose entry ``[i, y]``
+says whether label ``y`` is in ``C(x_i)``.  The membership rule is applied
+literally: 0 is included iff ``p_hat <= q_hat`` and 1 iff
+``p_hat >= 1 - q_hat``, so the empty set is a possible (audited) outcome
+whenever ``q_hat < 0.5``.
 """
 
 from __future__ import annotations
@@ -24,15 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, malformed_artifact
+from .validation import as_float_vector, check_binary_labels
 
 __all__ = [
     "CalibrationResult",
-    "calibrate_split",
     "calibrate_pooled",
     "conservative_adjust",
-    "PredictionSet",
-    "predict_set",
-    "CoverageAudit",
+    "predict_sets",
     "coverage_audit",
     "recommend_conservative",
 ]
@@ -81,43 +81,33 @@ class CalibrationResult:
         return cls.from_json(Path(path).read_bytes())
 
 
-def _check_alpha(alpha: float) -> float:
+def calibrate_pooled(per_sme_scores, alpha: float) -> CalibrationResult:
+    """Threshold from held-out nonconformity scores pooled across entities.
+
+    ``q_hat`` is the k-th smallest pooled score with
+    ``k = ceil((1-alpha)(n+1))`` (stable ascending sort, ties share ranks
+    naturally).  When ``k > n`` the sample is too small for the requested
+    level; the threshold degenerates to 1.0, which covers trivially, and a
+    warning is issued.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    return float(alpha)
-
-
-def calibrate_split(scores, alpha: float,
-                    strategy: str = "split") -> CalibrationResult:
-    """Threshold from held-out nonconformity scores.
-
-    ``q_hat`` is the k-th smallest score with ``k = ceil((1-alpha)(n+1))``
-    (stable ascending sort, ties share ranks naturally).  When ``k > n``
-    the sample is too small for the requested level; the threshold
-    degenerates to 1.0, which covers trivially, and a warning is issued.
-    """
-    alpha = _check_alpha(alpha)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise ValidationError("scores must be a nonempty 1-D sequence")
+    alpha = float(alpha)
+    arrays = [np.asarray(s, dtype=np.float64) for s in per_sme_scores]
+    if any(a.ndim != 1 for a in arrays):
+        raise ValidationError("each score list must be 1-D")
+    if not arrays or all(a.size == 0 for a in arrays):
+        raise ValidationError("all calibration score lists are empty")
+    scores = np.concatenate(arrays)
     n = scores.size
     k = math.ceil((1.0 - alpha) * (n + 1))
     if k > n:
         warnings.warn(
             f"degenerate calibration: need rank {k} of {n} scores; "
             "q_hat set to 1.0", stacklevel=2)
-        return CalibrationResult(1.0, alpha, n, strategy)
+        return CalibrationResult(1.0, alpha, n, "pooled")
     ordered = np.sort(scores, kind="stable")
-    return CalibrationResult(float(ordered[k - 1]), alpha, n, strategy)
-
-
-def calibrate_pooled(per_sme_scores, alpha: float) -> CalibrationResult:
-    """Pool per-entity calibration scores into one split calibration."""
-    arrays = [np.asarray(s, dtype=np.float64) for s in per_sme_scores]
-    if not arrays or all(a.size == 0 for a in arrays):
-        raise ValidationError("all calibration score lists are empty")
-    pooled = np.concatenate([a for a in arrays if a.size])
-    return calibrate_split(pooled, alpha, strategy="pooled")
+    return CalibrationResult(float(ordered[k - 1]), alpha, n, "pooled")
 
 
 def conservative_adjust(result: CalibrationResult,
@@ -134,84 +124,42 @@ def conservative_adjust(result: CalibrationResult,
                              "conservative-wrapped", float(inflation))
 
 
-@dataclass(frozen=True)
-class PredictionSet:
-    """Subset of {0, 1} delivered for one prediction."""
+def predict_sets(p_hat, q_hat: float) -> np.ndarray:
+    """Conformal sets of a probability vector as an ``(n, 2)`` bool array.
 
-    contains_zero: bool
-    contains_one: bool
-
-    @property
-    def size(self) -> int:
-        return int(self.contains_zero) + int(self.contains_one)
-
-    @property
-    def labels(self) -> frozenset:
-        members = []
-        if self.contains_zero:
-            members.append(0)
-        if self.contains_one:
-            members.append(1)
-        return frozenset(members)
-
-    def __contains__(self, label) -> bool:
-        return (self.contains_zero if label == 0
-                else self.contains_one if label == 1 else False)
-
-    def __str__(self) -> str:
-        inner = ",".join(str(v) for v in sorted(self.labels))
-        return "{" + inner + "}"
-
-
-def predict_set(p_hat: float, q_hat: float) -> PredictionSet:
-    """Literal membership rule: 0 iff ``p_hat <= q_hat``, 1 iff
-    ``p_hat >= 1 - q_hat``; empty only possible when ``q_hat < 0.5``."""
-    if not 0.0 <= p_hat <= 1.0:
-        raise ValidationError(f"p_hat must be in [0, 1], got {p_hat}")
+    ``sets[i, y]`` says whether label ``y`` is in ``C(x_i)``: column 0 is
+    ``p_hat <= q_hat`` and column 1 is ``p_hat >= 1 - q_hat``.
+    """
+    p_hat = as_float_vector(p_hat, "p_hat")
+    if not np.all((p_hat >= 0.0) & (p_hat <= 1.0)):
+        raise ValidationError("p_hat must be in [0, 1]")
     if not 0.0 <= q_hat <= 1.0:
         raise ValidationError(f"q_hat must be in [0, 1], got {q_hat}")
-    return PredictionSet(p_hat <= q_hat, p_hat >= 1.0 - q_hat)
+    return np.column_stack((p_hat <= q_hat, p_hat >= 1.0 - q_hat))
 
 
-@dataclass(frozen=True)
-class CoverageAudit:
-    """Empirical coverage and set-size profile of delivered sets."""
-
-    coverage: float
-    singleton_rate: float
-    doubleton_rate: float
-    empty_rate: float
-    average_set_size: float
-    n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "empirical_coverage": self.coverage,
-            "singleton_rate": self.singleton_rate,
-            "doubleton_rate": self.doubleton_rate,
-            "empty_set_rate": self.empty_rate,
-            "average_set_size": self.average_set_size,
-            "n": self.n,
-        }
-
-
-def coverage_audit(sets, labels) -> CoverageAudit:
-    """Audit delivered sets against realized labels (empty sets count 0)."""
-    sets = list(sets)
-    labels = np.asarray(labels)
-    if len(sets) != labels.size or not sets:
+def coverage_audit(sets, labels) -> dict:
+    """Empirical coverage and set-size profile of delivered sets against
+    realized labels; an empty set covers nothing."""
+    sets = np.asarray(sets)
+    if sets.dtype != bool or sets.ndim != 2 or sets.shape[1] != 2:
+        raise ValidationError(
+            f"sets must be an (n, 2) bool array, got {sets.dtype} "
+            f"{sets.shape}")
+    labels = check_binary_labels(labels)
+    n = sets.shape[0]
+    if n == 0 or labels.size != n:
         raise ValidationError("sets and labels must be nonempty, equal length")
-    covered = sum(int(label in s) for s, label in zip(sets, labels))
-    sizes = np.array([s.size for s in sets])
-    n = len(sets)
-    return CoverageAudit(
-        coverage=covered / n,
-        singleton_rate=float((sizes == 1).mean()),
-        doubleton_rate=float((sizes == 2).mean()),
-        empty_rate=float((sizes == 0).mean()),
-        average_set_size=float(sizes.mean()),
-        n=n,
-    )
+    covered = int(np.count_nonzero(sets[np.arange(n), labels]))
+    sizes = sets.sum(axis=1)
+    return {
+        "empirical_coverage": covered / n,
+        "singleton_rate": float((sizes == 1).mean()),
+        "doubleton_rate": float((sizes == 2).mean()),
+        "empty_set_rate": float((sizes == 0).mean()),
+        "average_set_size": float(sizes.mean()),
+        "n": n,
+    }
 
 
 def recommend_conservative(n_js) -> bool:

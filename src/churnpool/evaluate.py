@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import (calibrate_pooled, coverage_audit, predict_set,
+from .conformal import (calibrate_pooled, coverage_audit, predict_sets,
                         recommend_conservative)
 from .data import Dataset, SMECollection, stratified_kfold
 from .errors import (ChurnpoolError, ConvergenceError, DataError,
@@ -353,11 +353,15 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
     the hierarchical model follows ``config.protocol``.  Each hierarchical
     fit clones the unfitted ``model`` with seed ``seed`` (fit-once) or
     ``seed + 1000 + k`` (refit, fold k).  A baseline fit that fails to
-    converge is flagged and its rows for that fold are left out.
-    Conformal calibration pools nonconformity scores across entities,
-    holding out the audited fold from its own threshold.  A collection
-    where no entity can be split into folds raises ``DataError`` before
-    any fit.
+    converge is flagged and its rows for that fold are left out.  A
+    failed hierarchical fit, such as a sampler failure, is flagged and the
+    report has no hierarchical rows; a ``DataError`` from it (a prior over
+    other features) propagates.  The conformal audit keeps each fold's
+    ``(probs, labels)`` per entity: a fold's threshold pools the other
+    folds' nonconformity scores across entities, its sets come from one
+    ``predict_sets`` call, and the folds' sets are audited together.  A
+    collection where no entity can be split into folds raises
+    ``DataError`` before any fit.
     """
     config.validate()
     start = time.perf_counter()
@@ -390,6 +394,8 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
                 hier_models[k] = make_hier(
                     SMECollection(train_smes, collection.ids),
                     seed + 1000 + k)
+    except DataError:
+        raise
     except ChurnpoolError as exc:
         # Partial report: baselines still run, hierarchical rows are absent.
         flags.append(f"hierarchical stage failed: {exc}")
@@ -426,8 +432,9 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
             flags.append(f"fold {k}: pooled fit skipped: {exc}")
 
     rows: list[dict] = []
-    hier_scores: dict[int, list] = {k: [] for k in range(K)}  # fold -> scores
-    hier_eval: list[tuple[int, np.ndarray, np.ndarray]] = []  # fold, probs, labels
+    # Per fold, the (probs, labels) of each entity's scored held-out rows.
+    hier_folds: list[list[tuple[np.ndarray, np.ndarray]]] = [
+        [] for _ in range(K)]
 
     for j in sorted(folds_per_sme):
         for k, (train, test) in enumerate(folds_per_sme[j]):
@@ -460,9 +467,7 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
                 row.update(report.to_dict())
                 rows.append(row)
             if probs_h is not None:
-                hier_scores[k].append(
-                    np.abs(test.labels.astype(np.float64) - probs_h))
-                hier_eval.append((k, probs_h, test.labels))
+                hier_folds[k].append((probs_h, test.labels))
 
     # Paired tests on per-evaluation AUC, restricted to complete pairs.
     auc_by_method: dict[str, dict] = {m: {} for m in METHODS}
@@ -490,24 +495,24 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
     sets, labels_audited = [], []
     thresholds = {}
     for k in range(K):
-        calibration = [s for kk in range(K) if kk != k for s in hier_scores[kk]]
+        calibration = [np.abs(labels.astype(np.float64) - probs)
+                       for kk in range(K) if kk != k
+                       for probs, labels in hier_folds[kk]]
         if not calibration:
             continue
         result = calibrate_pooled(calibration, config.alpha)
         thresholds[k] = result.q_hat
-        for fold, probs, labels in hier_eval:
-            if fold != k:
-                continue
-            for prob, label in zip(probs, labels):
-                sets.append(predict_set(float(prob), result.q_hat))
-                labels_audited.append(int(label))
+        if hier_folds[k]:
+            probs, labels = map(np.concatenate, zip(*hier_folds[k]))
+            sets.append(predict_sets(probs, result.q_hat))
+            labels_audited.append(labels)
     conformal: dict = {"strategy": "pooled",
                        "conservative_recommended": conservative,
                        "alpha": config.alpha,
                        "fold_thresholds": thresholds}
     if sets:
-        audit = coverage_audit(sets, labels_audited)
-        conformal.update(audit.to_dict())
+        conformal.update(coverage_audit(np.concatenate(sets),
+                                        np.concatenate(labels_audited)))
 
     runtime = time.perf_counter() - start
     return ExperimentReport(

@@ -149,6 +149,21 @@ class TestPretrainAndPriors:
         assert not (tmp_path / "prior.json").exists()
 
 
+def _run_with_prior(tmp_path, monkeypatch, names, stage):
+    """``stage`` on three entities of x00..x02 with a prior over
+    ``names``; the sampler must not be reached."""
+    assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "30",
+               "--features", "3") == 0
+    PriorSpec(names, np.zeros(len(names)), np.ones(len(names)), 0.0,
+              {}).save(tmp_path / "prior.json")
+
+    def refuse(*args, **kwargs):
+        raise _Stop
+
+    monkeypatch.setattr(hier_model, "sample", refuse)
+    return run(tmp_path, stage)
+
+
 class TestFitCalibrate:
     def test_artifacts_written(self, pipeline_dir):
         assert (pipeline_dir / "trace.bin").exists()
@@ -204,33 +219,18 @@ class TestFitCalibrate:
         assert run(tmp_path, "fit", "--weak-prior") == 4
         assert not (tmp_path / "trace.bin").exists()
 
-    @staticmethod
-    def _fit_with_prior(tmp_path, monkeypatch, names):
-        """``fit`` on three entities of x00..x02 with a prior over
-        ``names``; the sampler must not be reached."""
-        assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "30",
-                   "--features", "3") == 0
-        PriorSpec(names, np.zeros(len(names)), np.ones(len(names)), 0.0,
-                  {}).save(tmp_path / "prior.json")
-
-        def refuse(*args, **kwargs):
-            raise _Stop
-
-        monkeypatch.setattr(hier_model, "sample", refuse)
-        return run(tmp_path, "fit")
-
     def test_prior_over_other_features_is_data_error(self, tmp_path,
                                                       monkeypatch):
-        assert self._fit_with_prior(tmp_path, monkeypatch,
-                                    ("tenure", "spend", "age")) == 4
+        assert _run_with_prior(tmp_path, monkeypatch,
+                               ("tenure", "spend", "age"), "fit") == 4
         assert not (tmp_path / "trace.bin").exists()
 
     def test_failed_fit_keeps_calibration_rows(self, tmp_path, monkeypatch):
         sentinel = tmp_path / "calibration_data" / "manifest.json"
         sentinel.parent.mkdir()
         sentinel.write_bytes(b'{"sentinel": true}')
-        assert self._fit_with_prior(tmp_path, monkeypatch,
-                                    ("x00", "x01")) == 4
+        assert _run_with_prior(tmp_path, monkeypatch, ("x00", "x01"),
+                               "fit") == 4
         assert sentinel.read_bytes() == b'{"sentinel": true}'
 
 
@@ -473,6 +473,11 @@ class TestEvaluate:
         assert any("pooled fit skipped" in f for f in report["flags"])
         assert set(report["aggregates"]) == {"hierarchical"}
 
+    def test_prior_over_other_features_is_data_error(self, tmp_path,
+                                                      monkeypatch):
+        assert _run_with_prior(tmp_path, monkeypatch,
+                               ("tenure", "spend", "age"), "evaluate") == 4
+        assert not (tmp_path / "report.json").exists()
 
     def test_no_entity_with_folds_is_data_error(self, tmp_path):
         # Ten rows per entity leave a class too small for the default
@@ -541,6 +546,27 @@ class TestConfig:
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path), "gen-data"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["extract-priors", "--prior-draws", "0"],
+        ["calibrate", "--inflation", "-1"],
+        ["gen-data", "--n-per", "5"],
+        ["gen-data", "--sigma-true", "-1"],
+        ["gen-data", "--sigma-true", "inf"],
+        ["gen-data", "--mu-scale", "nan"],
+        ["--seed", "-1", "gen-data"],
+    ], ids=["prior-draws", "inflation", "n-per", "sigma-true", "sigma-inf",
+            "mu-scale-nan", "seed"])
+    def test_out_of_range_value_exits_before_writing(
+            self, trained_dir, tmp_path, args):
+        # The pretrain artifacts let extract-priors get as far as writing
+        # prior.json unless the value is rejected first.
+        for name in ("model.json", "standardization.json",
+                     "pretrain_val.csv"):
+            shutil.copy(trained_dir / name, tmp_path / name)
+        assert main(["--out", str(tmp_path), *args]) == 2
+        assert not (tmp_path / "prior.json").exists()
+        assert not (tmp_path / "smes").exists()
 
     def test_alpha_override(self, pipeline_dir):
         assert main(["--out", str(pipeline_dir), "--force", "calibrate",

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from churnpool.conformal import (CalibrationResult, calibrate_pooled,
-                                 calibrate_split, conservative_adjust,
-                                 coverage_audit, predict_set,
-                                 recommend_conservative)
+                                 conservative_adjust, coverage_audit,
+                                 predict_sets, recommend_conservative)
 from churnpool.errors import ValidationError
 from churnpool.rng import default_rng
 
@@ -23,20 +22,34 @@ class TestNonconformity:
     @pytest.mark.parametrize("y,p,expected", [(1, 1.0, 0.0), (0, 0.73, 0.73),
                                               (1, 0.73, 0.27)])
     def test_absolute_error(self, y, p, expected):
-        assert y in predict_set(p, expected + 1e-15)
+        assert predict_sets([p], expected + 1e-15)[0, y]
         if expected > 0.0:
-            assert y not in predict_set(p, expected - 1e-15)
+            assert not predict_sets([p], expected - 1e-15)[0, y]
 
     def test_rejects_bad_inputs(self):
-        assert 2 not in predict_set(0.5, 1.0)
-        with pytest.raises(ValidationError):
-            predict_set(1.5, 0.5)
+        assert predict_sets([0.5], 1.0).shape == (1, 2)
+        for p, q in [([1.5], 0.5), ([-0.1], 0.5), ([0.2, math.nan], 0.5),
+                     ([0.5], math.nan), ([0.5], 1.5), ([[0.5]], 0.5)]:
+            with pytest.raises(ValidationError):
+                predict_sets(p, q)
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_literal_rule(self, ps, q):
+        # The ties p == q and p == 1 - q are always among the rows.
+        ps = ps + [q, 1.0 - q]
+        expected = [[p <= q, p >= 1.0 - q] for p in ps]
+        assert predict_sets(ps, q).tolist() == expected
 
 
 class TestCalibrateSplit:
+    """The split-conformal order statistic, through ``calibrate_pooled``
+    with one score list."""
+
     def test_coverage_rank_at_hundred(self):
         scores = np.linspace(0.001, 0.999, 100)
-        result = calibrate_split(scores, alpha=0.10)
+        result = calibrate_pooled([scores], alpha=0.10)
         k = math.ceil(0.9 * 101)
         assert k == 91
         assert result.q_hat == scores[90]
@@ -45,18 +58,18 @@ class TestCalibrateSplit:
         assert k / 101 == pytest.approx(0.90099, abs=1e-5)
 
     def test_hand_case(self):
-        result = calibrate_split([0.1, 0.2, 0.3, 0.4], alpha=0.2)
+        result = calibrate_pooled([[0.1, 0.2, 0.3, 0.4]], alpha=0.2)
         assert result.q_hat == 0.4
 
     def test_small_sample_degenerates(self):
         with pytest.warns(UserWarning, match="degenerate"):
-            result = calibrate_split([0.1, 0.2, 0.3, 0.4], alpha=0.05)
+            result = calibrate_pooled([[0.1, 0.2, 0.3, 0.4]], alpha=0.05)
         assert result.q_hat == 1.0
 
     def test_threshold_is_order_statistic(self):
         rng = default_rng(1)
         scores = rng.uniform(size=37)
-        result = calibrate_split(scores, alpha=0.25)
+        result = calibrate_pooled([scores], alpha=0.25)
         assert result.q_hat in scores
 
     @given(st.floats(min_value=0.02, max_value=0.45),
@@ -65,13 +78,13 @@ class TestCalibrateSplit:
     def test_monotone_in_confidence(self, a1, a2):
         scores = default_rng(2).uniform(size=60)
         lo, hi = sorted((a1, a2))
-        q_strict = calibrate_split(scores, alpha=lo).q_hat
-        q_loose = calibrate_split(scores, alpha=hi).q_hat
+        q_strict = calibrate_pooled([scores], alpha=lo).q_hat
+        q_loose = calibrate_pooled([scores], alpha=hi).q_hat
         assert q_strict >= q_loose
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            calibrate_split([], alpha=0.1)
+            calibrate_pooled([[]], alpha=0.1)
 
 
 class TestCalibratePooled:
@@ -83,9 +96,9 @@ class TestCalibratePooled:
 
     def test_single_entity_reduces_to_split(self):
         scores = default_rng(7).uniform(size=40)
-        pooled = calibrate_pooled([scores], alpha=0.2)
-        split = calibrate_split(scores, alpha=0.2)
-        assert pooled.q_hat == split.q_hat
+        whole = calibrate_pooled([scores], alpha=0.2)
+        halves = calibrate_pooled([scores[:17], scores[17:]], alpha=0.2)
+        assert halves.q_hat == whole.q_hat
 
     def test_order_invariance(self):
         lists = [default_rng(i).uniform(size=10) for i in range(6)]
@@ -127,49 +140,66 @@ class TestConservativeAdjust:
 
 class TestPredictSet:
     def test_wide_threshold_gives_doubleton(self):
-        assert predict_set(0.5, 0.5).labels == frozenset({0, 1})
-        assert predict_set(0.5, 0.8).labels == frozenset({0, 1})
+        assert predict_sets([0.5], 0.5).tolist() == [[True, True]]
+        assert predict_sets([0.5], 0.8).tolist() == [[True, True]]
 
     def test_narrow_threshold_regions(self):
-        assert predict_set(0.2, 0.40).labels == frozenset({0})
-        assert predict_set(0.95, 0.40).labels == frozenset({1})
-        assert predict_set(0.5, 0.40).labels == frozenset()
+        assert predict_sets([0.2, 0.95, 0.5], 0.40).tolist() == [
+            [True, False], [False, True], [False, False]]
 
     def test_empty_only_below_half(self):
         rng = default_rng(8)
         for q in rng.uniform(0.5, 1.0, size=50):
-            for p in rng.uniform(0.0, 1.0, size=20):
-                assert predict_set(float(p), float(q)).size >= 1
+            p = rng.uniform(0.0, 1.0, size=20)
+            assert predict_sets(p, float(q)).any(axis=1).all()
 
     def test_nested_as_threshold_grows(self):
-        rng = default_rng(9)
-        for p in rng.uniform(0, 1, size=30):
-            previous = frozenset()
-            for q in np.linspace(0.0, 1.0, 21):
-                labels = predict_set(float(p), float(q)).labels
-                assert previous <= labels
-                previous = labels
+        p = default_rng(9).uniform(0, 1, size=30)
+        previous = np.zeros((30, 2), dtype=bool)
+        for q in np.linspace(0.0, 1.0, 21):
+            sets = predict_sets(p, float(q))
+            assert not (previous & ~sets).any()
+            previous = sets
 
 
 class TestCoverageAudit:
     def test_vacuous_sets(self):
-        sets = [predict_set(0.5, 1.0)] * 10
+        sets = predict_sets(np.full(10, 0.5), 1.0)
         audit = coverage_audit(sets, [0, 1] * 5)
-        assert audit.coverage == 1.0
-        assert audit.average_set_size == 2.0
-        assert audit.doubleton_rate == 1.0
+        assert audit["empirical_coverage"] == 1.0
+        assert audit["average_set_size"] == 2.0
+        assert audit["doubleton_rate"] == 1.0
 
     def test_correct_singletons(self):
         labels = [0, 1, 0, 1]
-        sets = [predict_set(0.1 if y == 0 else 0.9, 0.2) for y in labels]
+        sets = predict_sets([0.1 if y == 0 else 0.9 for y in labels], 0.2)
         audit = coverage_audit(sets, labels)
-        assert audit.coverage == 1.0
-        assert audit.singleton_rate == 1.0
-        assert audit.average_set_size == 1.0
+        assert audit["empirical_coverage"] == 1.0
+        assert audit["singleton_rate"] == 1.0
+        assert audit["average_set_size"] == 1.0
+
+    def test_empty_set_is_uncovered(self):
+        sets = predict_sets([0.5, 0.5, 0.1, 0.9], 0.4)
+        audit = coverage_audit(sets, [0, 1, 0, 0])
+        assert list(audit) == ["empirical_coverage", "singleton_rate",
+                               "doubleton_rate", "empty_set_rate",
+                               "average_set_size", "n"]
+        assert audit["empirical_coverage"] == 0.25
+        assert audit["empty_set_rate"] == 0.5
+        assert audit["singleton_rate"] == 0.5
+        assert audit["average_set_size"] == 0.5
+        assert audit["n"] == 4
 
     def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            coverage_audit([predict_set(0.5, 0.5)], [0, 1])
+        pair = predict_sets([0.5], 0.5)
+        for sets, labels in [(pair, [0, 1]),
+                             (np.ones((2, 3), dtype=bool), [0, 1]),
+                             (np.ones(2, dtype=bool), [0, 1]),
+                             (pair.astype(int), [0]),
+                             (pair, [2]),
+                             (pair[:0], [])]:
+            with pytest.raises(ValidationError):
+                coverage_audit(sets, labels)
 
     def test_exchangeable_coverage_guarantee(self):
         # 2,000 trials here; the acceptance suite runs the full 10,000.

@@ -12,8 +12,10 @@ import scipy.stats
 
 from churnpool.data import (Dataset, SMECollection,
                            generate_hierarchical_population)
-from churnpool.errors import ConvergenceError, DataError, ValidationError
+from churnpool.errors import (ConvergenceError, DataError, DiagnosticError,
+                              ValidationError)
 import churnpool.evaluate as evaluate
+import churnpool.hier_model as hier_model
 from churnpool.evaluate import (ExperimentConfig, ExperimentReport, auc,
                                 classification_metrics, cohens_d_paired,
                                 fit_logreg_l2, paired_t_test, run_experiment,
@@ -327,12 +329,17 @@ class TestRunExperiment:
         assert agg["pooled"]["auc_mean"] > agg["independent"]["auc_mean"]
         assert agg["hierarchical"]["auc_mean"] >= agg["pooled"]["auc_mean"] - 0.01
 
-    def test_partial_report_when_hier_stage_fails(self):
+    def test_partial_report_when_hier_stage_fails(self, monkeypatch):
         collection, _ = generate_hierarchical_population(
             p=2, J=2, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=24)
-        wrong_prior = PriorSpec(("a", "b", "c"), np.zeros(3), np.ones(3),
-                                0.0, {})
-        model = HierarchicalLogistic(prior=wrong_prior, chains=2, warmup=120,
+        prior = PriorSpec(collection.feature_names, np.zeros(2), np.ones(2),
+                          0.0, {})
+
+        def failing_sample(*args, **kwargs):
+            raise DiagnosticError("sampler failed (forced)")
+
+        monkeypatch.setattr(hier_model, "sample", failing_sample)
+        model = HierarchicalLogistic(prior=prior, chains=2, warmup=120,
                                      draws=100)
         config = ExperimentConfig(folds=2, alpha=0.2)
         report = run_experiment(collection, model, config, seed=4)
@@ -341,6 +348,17 @@ class TestRunExperiment:
         methods = {row["method"] for row in report.rows}
         assert methods == {"pooled", "independent"}
         assert report.diagnostics == {}
+
+    def test_prior_over_other_features_is_data_error(self):
+        collection, _ = generate_hierarchical_population(
+            p=2, J=2, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=24)
+        wrong_prior = PriorSpec(("a", "b", "c"), np.zeros(3), np.ones(3),
+                                0.0, {})
+        model = HierarchicalLogistic(prior=wrong_prior, chains=2, warmup=120,
+                                     draws=100)
+        config = ExperimentConfig(folds=2, alpha=0.2)
+        with pytest.raises(DataError, match="prior is over features"):
+            run_experiment(collection, model, config, seed=4)
 
     def test_pooled_convergence_failure_flagged(self, monkeypatch):
         collection, _ = generate_hierarchical_population(

@@ -1,11 +1,13 @@
 """Public names: every exported name resolves, so a deleted function cannot
-linger in an ``__all__`` list or in the package namespace, and every
-function the benchmark's tracer wraps still exists where it is looked up."""
+linger in an ``__all__`` list, in the package namespace or in the README's
+examples, and every function the benchmark's tracer wraps still exists
+where it is looked up."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import types
 from pathlib import Path
 
@@ -53,3 +55,18 @@ def test_benchmark_trace_patches_resolve():
                for owner, attr, _, _ in tracing.PATCHES
                if attr not in vars(owner)]
     assert not missing, f"tracing.PATCHES names missing attributes {missing}"
+
+
+def test_readme_imports_resolve():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```",
+                        readme.read_text(encoding="utf-8"), flags=re.S)
+    assert blocks
+    imported = [alias.name for block in blocks
+                for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "churnpool"
+                for alias in node.names]
+    assert imported
+    missing = [name for name in imported if not hasattr(churnpool, name)]
+    assert not missing, f"README imports {missing} from churnpool"

@@ -10,7 +10,7 @@ from .data import (Dataset, HierGroundTruth, SMECollection,
                    stratified_kfold, stratified_split)
 from .errors import (ChurnpoolError, ConvergenceError, DataError,
                      DiagnosticError, NotFittedError, ValidationError)
-from .evaluate import (ExperimentConfig, ExperimentReport, MetricReport, auc,
+from .evaluate import (ExperimentConfig, ExperimentReport, auc,
                        classification_metrics, cohens_d_paired, fit_logreg_l2,
                        logreg_predict, paired_t_test, run_experiment,
                        student_t_sf)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import math
 import sys
@@ -33,7 +32,7 @@ from .conformal import (CalibrationResult, calibrate_pooled, conservative_adjust
                         predict_sets, recommend_conservative)
 from .data import (SMECollection, apply_standardization,
                    StandardizationStats, generate_hierarchical_population,
-                   _csv_rows, _write_dataset_csv, load_collection,
+                   _csv_rows, _write_csv, _write_dataset_csv, load_collection,
                    load_csv, make_synthetic_smes, save_collection, standardize,
                    stratified_split)
 from .errors import (ChurnpoolError, DataError, DiagnosticError,
@@ -42,7 +41,7 @@ from .evaluate import ExperimentConfig, classification_metrics, run_experiment
 from .gbdt import GradientBoostedTrees, TreeEnsemble
 from .hier_model import (HierarchicalLogistic, check_trace_collection,
                          posterior_predict_matrix, with_intercept)
-from .nuts import PosteriorTrace
+from .nuts import PosteriorTrace, SamplerConfig
 from .shap_prior import PriorSpec, extract_priors, prior_only_auc
 
 EXIT_OK = 0
@@ -58,6 +57,9 @@ ESS_GATE = 400.0
 # holds a (rows x retained draws) probability matrix, so bigger chunks buy
 # little speed for a lot of transient memory.
 PREDICT_CHUNK_ROWS = 32
+
+_PREDICTION_COLUMNS = ("sme", "probability", "prediction", "ci_lower",
+                       "ci_upper", "conformal_set", "uncertainty", "action")
 
 # (conformal_set, uncertainty, action) of a prediction set, indexed by
 # contains-0 + 2 * contains-1.
@@ -78,7 +80,9 @@ class RunConfig:
     """Flat configuration with range validation.
 
     Field names follow the hyperparameter table keys; bounds are enforced
-    at parse time so downstream stages can trust the values.
+    at parse time so downstream stages can trust the values: the table's
+    ranges here, and the boosted-tree, sampler and experiment settings
+    through the checks of the objects that will receive them.
     """
 
     # [gbdt]
@@ -181,13 +185,20 @@ class RunConfig:
             if not low <= value <= high:
                 raise ConfigError(
                     f"{key}={value} outside allowed range [{low}, {high}]")
-        for key in ("iterations", "tree_depth", "min_samples_leaf",
-                    "early_stopping_rounds", "smes", "features", "folds"):
+        for key in ("smes", "features"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
         for key in ("mu_scale", "sigma_true"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite")
+        sampler = self.hier_params()
+        del sampler["tau"]
+        try:
+            GradientBoostedTrees(**self.gbdt_params())._check_params()
+            SamplerConfig(**sampler).validate()
+            ExperimentConfig(**self.experiment_params()).validate()
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from None
 
     def echo(self) -> dict:
         return {section: {key: getattr(self, key) for key in keys}
@@ -218,6 +229,10 @@ class RunConfig:
             "seed": self.seed,
         }
 
+    def experiment_params(self) -> dict:
+        return {"folds": self.folds, "l2_c": self.l2_c,
+                "alpha": self.miscoverage_alpha}
+
 
 def _load_stats(path: Path) -> StandardizationStats:
     """The means and stds that ``pretrain`` writes; damage is a DataError."""
@@ -235,6 +250,14 @@ def _require(path: Path, what: str) -> Path:
     if not path.exists():
         raise DataError(f"missing {what}: {path} (run the earlier stage first)")
     return path
+
+
+def _load_prior(out: Path, weak: bool) -> PriorSpec | None:
+    """None, the weak prior, with ``--weak-prior``; else ``prior.json``,
+    which must exist."""
+    if weak:
+        return None
+    return PriorSpec.load(_require(out / "prior.json", "prior artifact"))
 
 
 def _check_force(paths, force: bool) -> None:
@@ -301,16 +324,16 @@ def cmd_pretrain(config: RunConfig, args) -> int:
     probs = model.predict_proba(val_std.features)
     report = classification_metrics(probs, val_std.labels)
     _write_json(metrics_path, {
-        "auc_roc": report.auc, "accuracy": report.accuracy,
-        "precision": report.precision, "recall": report.recall,
-        "f1_score": report.f1, "log_loss": report.log_loss,
+        "auc_roc": report["auc"], "accuracy": report["accuracy"],
+        "precision": report["precision"], "recall": report["recall"],
+        "f1_score": report["f1"], "log_loss": report["log_loss"],
         "best_iteration": model.best_iteration_,
-        "n_validation": report.n,
+        "n_validation": report["n"],
     })
     _write_dataset_csv(val_std, val_path, config.label_column,
                        config.tag_column)
     print(f"pretrained {model.best_iteration_} trees; "
-          f"validation AUC {report.auc:.4f}")
+          f"validation AUC {report['auc']:.4f}")
     return EXIT_OK
 
 
@@ -350,8 +373,7 @@ def cmd_fit(config: RunConfig, args) -> int:
     _check_force([trace_path, diag_path, meta_path], args.force)
 
     collection = load_collection(_require(out / "smes", "entity collection"))
-    prior = (None if args.weak_prior else
-             PriorSpec.load(_require(out / "prior.json", "prior artifact")))
+    prior = _load_prior(out, args.weak_prior)
 
     fit_parts, cal_parts = [], []
     for j, ds in enumerate(collection.smes):
@@ -410,12 +432,11 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     check_trace_collection(trace, cal_collection)
     conservative = recommend_conservative(
         [ds.n for ds in cal_collection.smes])
-    per_sme_scores = []
-    for j, ds in enumerate(cal_collection.smes):
-        mean, _, _ = posterior_predict_matrix(trace,
-                                              with_intercept(ds.features), j)
-        per_sme_scores.append(np.abs(ds.labels.astype(float) - mean))
-    result = calibrate_pooled(per_sme_scores, config.miscoverage_alpha)
+    p_hat = np.concatenate([
+        posterior_predict_matrix(trace, with_intercept(ds.features), j)[0]
+        for j, ds in enumerate(cal_collection.smes)])
+    labels = np.concatenate([ds.labels for ds in cal_collection.smes])
+    result = calibrate_pooled(p_hat, labels, config.miscoverage_alpha)
     if args.inflation is not None:
         result = conservative_adjust(result, args.inflation)
     elif args.strategy == "auto" and conservative:
@@ -483,24 +504,12 @@ def cmd_predict(config: RunConfig, args) -> int:
                 trace, X[chunk], int(j))
 
     sets = predict_sets(mean, calibration.q_hat)
-    rows = []
-    for i, (sme, code) in enumerate(zip(smes, sets[:, 0] + 2 * sets[:, 1])):
-        conformal_set, uncertainty, action = _SET_COLUMNS[code]
-        rows.append({
-            "sme": sme,
-            "probability": float(mean[i]),
-            "prediction": int(mean[i] >= 0.5),
-            "ci_lower": float(lo[i]),
-            "ci_upper": float(hi[i]),
-            "conformal_set": conformal_set,
-            "uncertainty": uncertainty,
-            "action": action,
-        })
-    with pred_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} predictions to {pred_path}")
+    _write_csv(pred_path, _PREDICTION_COLUMNS, (
+        [sme, float(mean[i]), int(mean[i] >= 0.5), float(lo[i]),
+         float(hi[i]), *_SET_COLUMNS[code]]
+        for i, (sme, code) in enumerate(zip(smes,
+                                            sets[:, 0] + 2 * sets[:, 1]))))
+    print(f"wrote {len(smes)} predictions to {pred_path}")
     return EXIT_OK
 
 
@@ -511,17 +520,10 @@ def cmd_evaluate(config: RunConfig, args) -> int:
     _check_force([report_path, rows_path], args.force)
 
     collection = load_collection(_require(out / "smes", "entity collection"))
-    if args.weak_prior or not (out / "prior.json").exists():
-        if not args.weak_prior:
-            print("note: no prior.json found; evaluating with a "
-                  "standard-normal prior", file=sys.stderr)
-        prior = None
-    else:
-        prior = PriorSpec.load(out / "prior.json")
-    model = HierarchicalLogistic(prior=prior, **config.hier_params())
-    experiment = ExperimentConfig(
-        folds=config.folds, l2_c=config.l2_c, alpha=config.miscoverage_alpha,
-        protocol=args.protocol)
+    model = HierarchicalLogistic(prior=_load_prior(out, args.weak_prior),
+                                 **config.hier_params())
+    experiment = ExperimentConfig(**config.experiment_params(),
+                                  protocol=args.protocol)
     report = run_experiment(collection, model, experiment, config.seed)
     report.save(report_path)
     report.rows_to_csv(rows_path)

@@ -81,32 +81,39 @@ class CalibrationResult:
         return cls.from_json(Path(path).read_bytes())
 
 
-def calibrate_pooled(per_sme_scores, alpha: float) -> CalibrationResult:
-    """Threshold from held-out nonconformity scores pooled across entities.
+def _probabilities(p_hat) -> np.ndarray:
+    """``p_hat`` as a 1-D float vector, every entry in [0, 1]."""
+    p_hat = as_float_vector(p_hat, "p_hat")
+    if not np.all((p_hat >= 0.0) & (p_hat <= 1.0)):
+        raise ValidationError("p_hat must be in [0, 1]")
+    return p_hat
 
-    ``q_hat`` is the k-th smallest pooled score with
-    ``k = ceil((1-alpha)(n+1))`` (stable ascending sort, ties share ranks
-    naturally).  When ``k > n`` the sample is too small for the requested
-    level; the threshold degenerates to 1.0, which covers trivially, and a
-    warning is issued.
+
+def calibrate_pooled(p_hat, labels, alpha: float) -> CalibrationResult:
+    """Threshold from held-out probabilities and labels pooled across
+    entities.
+
+    Each row scores ``|y - p_hat|``; ``q_hat`` is the k-th smallest score
+    with ``k = ceil((1-alpha)(n+1))`` (stable ascending sort, ties share
+    ranks naturally).  When ``k > n`` the sample is too small for the
+    requested level; the threshold degenerates to 1.0, which covers
+    trivially, and a warning is issued.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     alpha = float(alpha)
-    arrays = [np.asarray(s, dtype=np.float64) for s in per_sme_scores]
-    if any(a.ndim != 1 for a in arrays):
-        raise ValidationError("each score list must be 1-D")
-    if not arrays or all(a.size == 0 for a in arrays):
-        raise ValidationError("all calibration score lists are empty")
-    scores = np.concatenate(arrays)
-    n = scores.size
+    p_hat = _probabilities(p_hat)
+    labels = check_binary_labels(labels)
+    n = p_hat.size
+    if n == 0 or labels.size != n:
+        raise ValidationError("p_hat and labels must be nonempty, equal length")
     k = math.ceil((1.0 - alpha) * (n + 1))
     if k > n:
         warnings.warn(
             f"degenerate calibration: need rank {k} of {n} scores; "
             "q_hat set to 1.0", stacklevel=2)
         return CalibrationResult(1.0, alpha, n, "pooled")
-    ordered = np.sort(scores, kind="stable")
+    ordered = np.sort(np.abs(labels - p_hat), kind="stable")
     return CalibrationResult(float(ordered[k - 1]), alpha, n, "pooled")
 
 
@@ -130,9 +137,7 @@ def predict_sets(p_hat, q_hat: float) -> np.ndarray:
     ``sets[i, y]`` says whether label ``y`` is in ``C(x_i)``: column 0 is
     ``p_hat <= q_hat`` and column 1 is ``p_hat >= 1 - q_hat``.
     """
-    p_hat = as_float_vector(p_hat, "p_hat")
-    if not np.all((p_hat >= 0.0) & (p_hat <= 1.0)):
-        raise ValidationError("p_hat must be in [0, 1]")
+    p_hat = _probabilities(p_hat)
     if not 0.0 <= q_hat <= 1.0:
         raise ValidationError(f"q_hat must be in [0, 1], got {q_hat}")
     return np.column_stack((p_hat <= q_hat, p_hat >= 1.0 - q_hat))

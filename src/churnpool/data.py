@@ -480,20 +480,24 @@ def generate_hierarchical_population(
 # Collection persistence: one CSV per entity plus a manifest
 # ---------------------------------------------------------------------------
 
+def _write_csv(path, header, rows) -> None:
+    """A header row, then ``rows``: comma-separated, quoted where a cell
+    needs it, each line ending in ``\\n``."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_dataset_csv(ds: Dataset, path: Path, label_column: str = "target",
                        tag_column: str = "source") -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = list(ds.feature_names) + [label_column]
-        if ds.source_tags is not None:
-            header.append(tag_column)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.features[i]]
-            row.append(str(int(ds.labels[i])))
-            if ds.source_tags is not None:
-                row.append(ds.source_tags[i])
-            writer.writerow(row)
+    header = list(ds.feature_names) + [label_column]
+    rows = ([*map(repr, ds.features[i].tolist()), str(int(ds.labels[i]))]
+            for i in range(ds.n))
+    if ds.source_tags is not None:
+        header.append(tag_column)
+        rows = (row + [tag] for row, tag in zip(rows, ds.source_tags))
+    _write_csv(path, header, rows)
 
 
 def save_collection(collection: SMECollection, out_dir,

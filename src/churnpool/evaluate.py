@@ -20,7 +20,6 @@ apply.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -32,8 +31,8 @@ import numpy as np
 
 from .conformal import (calibrate_pooled, coverage_audit, predict_sets,
                         recommend_conservative)
-from .data import Dataset, SMECollection, stratified_kfold
-from .errors import (ChurnpoolError, ConvergenceError, DataError,
+from .data import Dataset, SMECollection, _write_csv, stratified_kfold
+from .errors import (ConvergenceError, DataError, DiagnosticError,
                      ValidationError)
 from .hier_model import HierarchicalLogistic
 from .logreg import fit_penalized_logreg
@@ -41,7 +40,6 @@ from .numerics import average_ranks, binary_log_loss, sigmoid
 from .validation import as_float_vector
 
 __all__ = [
-    "MetricReport",
     "auc",
     "classification_metrics",
     "fit_logreg_l2",
@@ -58,28 +56,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Scalar classification metrics at one threshold."""
-
-    auc: float
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    log_loss: float
-    threshold: float
-    n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "auc": self.auc, "accuracy": self.accuracy,
-            "precision": self.precision, "recall": self.recall,
-            "f1": self.f1, "log_loss": self.log_loss,
-            "threshold": self.threshold, "n": self.n,
-        }
-
 
 def auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative,
@@ -98,8 +74,10 @@ def auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def classification_metrics(probs, labels, threshold: float = 0.5) -> MetricReport:
-    """Confusion-matrix metrics at a threshold (``>=`` predicts positive).
+def classification_metrics(probs, labels, threshold: float = 0.5) -> dict:
+    """Confusion-matrix metrics at a threshold (``>=`` predicts positive),
+    keyed ``auc``, ``accuracy``, ``precision``, ``recall``, ``f1``,
+    ``log_loss``, ``threshold`` and ``n``.
 
     Precision is defined as 0 when nothing is predicted positive.  AUC is
     included when both classes are present, NaN otherwise.
@@ -130,8 +108,10 @@ def classification_metrics(probs, labels, threshold: float = 0.5) -> MetricRepor
         auc_value = auc(probs, labels)
     except ValidationError:
         auc_value = math.nan
-    return MetricReport(auc_value, accuracy, precision, recall, f1,
-                        binary_log_loss(labels, probs), threshold, probs.size)
+    return {"auc": auc_value, "accuracy": accuracy, "precision": precision,
+            "recall": recall, "f1": f1,
+            "log_loss": binary_log_loss(labels, probs),
+            "threshold": threshold, "n": probs.size}
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +255,8 @@ class ExperimentConfig:
             raise ValidationError(f"unknown protocol {self.protocol!r}")
         if self.folds < 2:
             raise ValidationError("folds must be >= 2")
+        if not self.l2_c > 0.0:
+            raise ValidationError("l2_c must be > 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
 
@@ -319,10 +301,8 @@ class ExperimentReport:
     def rows_to_csv(self, path) -> None:
         columns = ["sme", "fold", "method", "auc", "accuracy", "precision",
                    "recall", "f1", "log_loss", "n"]
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows([row[c] for c in columns] for row in self.rows)
+        _write_csv(path, columns,
+                   ([row[c] for c in columns] for row in self.rows))
 
 
 def _aggregate(rows: list[dict]) -> dict:
@@ -354,11 +334,12 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
     fit clones the unfitted ``model`` with seed ``seed`` (fit-once) or
     ``seed + 1000 + k`` (refit, fold k).  A baseline fit that fails to
     converge is flagged and its rows for that fold are left out.  A
-    failed hierarchical fit, such as a sampler failure, is flagged and the
-    report has no hierarchical rows; a ``DataError`` from it (a prior over
-    other features) propagates.  The conformal audit keeps each fold's
-    ``(probs, labels)`` per entity: a fold's threshold pools the other
-    folds' nonconformity scores across entities, its sets come from one
+    sampler failure (``DiagnosticError``) in a hierarchical fit is flagged
+    and the report has no hierarchical rows; any other error from the fit,
+    such as a prior over other features or a bad sampler setting,
+    propagates.  The conformal audit keeps each fold's hierarchical
+    ``(p_hat, y)`` per entity: a fold's threshold comes from the other
+    folds' rows pooled across entities, its sets come from one
     ``predict_sets`` call, and the folds' sets are audited together.  A
     collection where no entity can be split into folds raises
     ``DataError`` before any fit.
@@ -378,44 +359,40 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
         raise DataError(f"no entity can be split into {K} stratified folds: "
                         + "; ".join(flags))
 
-    def make_hier(train_collection: SMECollection, fit_seed: int):
+    def fit_hier(train_collection: SMECollection, fit_seed: int):
         params = {**model.get_params(), "seed": fit_seed}
         return type(model)(**params).fit(train_collection)
 
-    hier_models: dict | None = {}
+    # fits holds the distinct hierarchical fits, by_fold[k] the one that
+    # scores fold k.
     try:
         if config.protocol == "fit-once":
-            hier_models[None] = make_hier(collection, seed)
+            fits = [fit_hier(collection, seed)]
+            by_fold = fits * K
         else:
-            for k in range(K):
-                train_smes = tuple(folds_per_sme[j][k][0]
-                                   if j in folds_per_sme else ds
-                                   for j, ds in enumerate(collection.smes))
-                hier_models[k] = make_hier(
-                    SMECollection(train_smes, collection.ids),
-                    seed + 1000 + k)
-    except DataError:
-        raise
-    except ChurnpoolError as exc:
+            fits = by_fold = [
+                fit_hier(SMECollection(
+                    tuple(folds_per_sme[j][k][0] if j in folds_per_sme else ds
+                          for j, ds in enumerate(collection.smes)),
+                    collection.ids), seed + 1000 + k)
+                for k in range(K)]
+    except DiagnosticError as exc:
         # Partial report: baselines still run, hierarchical rows are absent.
         flags.append(f"hierarchical stage failed: {exc}")
-        hier_models = None
+        fits = by_fold = None
 
-    if hier_models is not None:
-        diag_models = list(hier_models.values())
+    diagnostics = {}
+    if fits is not None:
         diagnostics = {
-            "max_rhat": max(m.diagnostics_.max_rhat() for m in diag_models),
-            "min_ess": min(m.diagnostics_.min_ess() for m in diag_models),
-            "n_divergent": sum(m.diagnostics_.n_divergent
-                               for m in diag_models),
+            "max_rhat": max(m.diagnostics_.max_rhat() for m in fits),
+            "min_ess": min(m.diagnostics_.min_ess() for m in fits),
+            "n_divergent": sum(m.diagnostics_.n_divergent for m in fits),
             "total_draws": sum(m.trace_.n_chains * m.trace_.n_draws
-                               for m in diag_models),
+                               for m in fits),
             "mean_accept": float(np.mean([m.diagnostics_.mean_accept
-                                          for m in diag_models])),
-            "n_grad": sum(m.diagnostics_.n_grad for m in diag_models),
+                                          for m in fits])),
+            "n_grad": sum(m.diagnostics_.n_grad for m in fits),
         }
-    else:
-        diagnostics = {}
 
     # Pooled baseline per fold: concatenation of all entities' training folds.
     pooled_models = {}
@@ -432,7 +409,8 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
             flags.append(f"fold {k}: pooled fit skipped: {exc}")
 
     rows: list[dict] = []
-    # Per fold, the (probs, labels) of each entity's scored held-out rows.
+    # Per fold, the hierarchical (p_hat, y) of each entity's scored
+    # held-out rows.
     hier_folds: list[list[tuple[np.ndarray, np.ndarray]]] = [
         [] for _ in range(K)]
 
@@ -440,10 +418,8 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
         for k, (train, test) in enumerate(folds_per_sme[j]):
             evals = {}
             probs_h = None
-            if hier_models is not None:
-                fitted = hier_models[None if config.protocol == "fit-once"
-                                     else k]
-                probs_h = fitted.predict_proba(test.features, j)
+            if by_fold is not None:
+                probs_h = by_fold[k].predict_proba(test.features, j)
                 evals["hierarchical"] = probs_h
             if k in pooled_models:
                 evals["pooled"] = logreg_predict(pooled_models[k],
@@ -462,10 +438,9 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
                     "fold excluded")
                 continue
             for method, probs in evals.items():
-                report = classification_metrics(probs, test.labels)
-                row = {"sme": collection.ids[j], "fold": k, "method": method}
-                row.update(report.to_dict())
-                rows.append(row)
+                rows.append({"sme": collection.ids[j], "fold": k,
+                             "method": method,
+                             **classification_metrics(probs, test.labels)})
             if probs_h is not None:
                 hier_folds[k].append((probs_h, test.labels))
 
@@ -488,19 +463,19 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
                 "n_pairs": len(keys),
             }
 
-    # Conformal audit: per fold, calibrate on the other folds' pooled
-    # scores, predict sets for the held-out fold.
+    # Conformal audit: per fold, calibrate on the other folds' rows pooled
+    # across entities, predict sets for the held-out fold.
     conservative = recommend_conservative(
         [collection.smes[j].n for j in folds_per_sme])
     sets, labels_audited = [], []
     thresholds = {}
     for k in range(K):
-        calibration = [np.abs(labels.astype(np.float64) - probs)
-                       for kk in range(K) if kk != k
-                       for probs, labels in hier_folds[kk]]
+        calibration = [pair for kk in range(K) if kk != k
+                       for pair in hier_folds[kk]]
         if not calibration:
             continue
-        result = calibrate_pooled(calibration, config.alpha)
+        p_cal, y_cal = map(np.concatenate, zip(*calibration))
+        result = calibrate_pooled(p_cal, y_cal, config.alpha)
         thresholds[k] = result.q_hat
         if hier_folds[k]:
             probs, labels = map(np.concatenate, zip(*hier_folds[k]))

@@ -118,12 +118,14 @@ class SamplerConfig:
             raise ValidationError("chains must be >= 1")
         if self.warmup < 100:
             raise ValidationError("warmup must be >= 100")
-        if self.draws < 1:
-            raise ValidationError("draws must be >= 1")
+        if self.draws < 8:
+            raise ValidationError("draws must be >= 8 (ess needs 8 per chain)")
         if not 0.0 < self.target_accept < 1.0:
             raise ValidationError("target_accept must be in (0, 1)")
         if self.max_tree_depth < 1:
             raise ValidationError("max_tree_depth must be >= 1")
+        if not self.divergence_energy_threshold > 0.0:
+            raise ValidationError("divergence_energy_threshold must be > 0")
 
     def to_dict(self) -> dict:
         """Settings as recorded in a trace header; ``init`` names the start
@@ -212,7 +214,7 @@ class PosteriorTrace:
             fh.write(_TRACE_MAGIC)
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            fh.write(np.ascontiguousarray(self.draws, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(self.draws, dtype="<f8").data)
 
     @classmethod
     def load(cls, path) -> "PosteriorTrace":
@@ -417,14 +419,14 @@ def _leapfrog(state: _State, eps: float, target,
                   v_half + half * w, w)
 
 
-def _find_reasonable_step_size(target, q0: np.ndarray, inv_metric: _Metric,
+def _find_reasonable_step_size(target, state: _State, inv_metric: _Metric,
                                rng: np.random.Generator) -> float:
-    """Doubling/halving search for a step size with ~50% acceptance."""
-    logp0, grad0 = target.logp_and_grad(q0)
-    r0 = inv_metric.momentum(rng.standard_normal(q0.size))
-    start = _State(q0, r0, grad0, logp0, inv_metric.apply(r0),
-                   inv_metric.apply(grad0))
-    h0 = -logp0 + 0.5 * float(np.dot(start.v, r0))
+    """Doubling/halving search for a step size with ~50% acceptance from
+    ``state``, whose log density, gradient and ``Sigma grad`` are reused."""
+    r0 = inv_metric.momentum(rng.standard_normal(state.q.size))
+    start = _State(state.q, r0, state.grad, state.logp, inv_metric.apply(r0),
+                   state.w)
+    h0 = -state.logp + 0.5 * float(np.dot(start.v, r0))
 
     def accept_logprob(eps: float) -> float:
         new = _leapfrog(start, eps, target, inv_metric)
@@ -580,7 +582,7 @@ class _Chain:
         self.eps = self.initial_eps
 
     def _restart_step_size(self) -> float:
-        eps0 = _find_reasonable_step_size(self.target, self.state.q,
+        eps0 = _find_reasonable_step_size(self.target, self.state,
                                           self.metric, self.rng)
         self.averaging = _DualAveraging(eps0)
         return eps0
@@ -608,17 +610,15 @@ class _Chain:
                 block[self.iteration - start] = self.state.q
             self.iteration += 1
 
-    def draw(self, n: int) -> dict:
-        """``n`` sampling transitions at the averaged warmup step size."""
+    def draw(self, draws: np.ndarray, divergent: np.ndarray,
+             accept: np.ndarray) -> None:
+        """One sampling transition per row of ``draws`` at the averaged
+        warmup step size; row ``s`` of each array gets the position, the
+        divergence flag and the acceptance statistic of transition ``s``."""
         self.eps = self.averaging.averaged
-        draws = np.empty((n, self.target.dim))
-        divergent_flags = np.zeros(n, dtype=bool)
-        accept_stats = np.empty(n)
-        for s in range(n):
-            divergent_flags[s], accept_stats[s] = self.transition()
+        for s in range(draws.shape[0]):
+            divergent[s], accept[s] = self.transition()
             draws[s] = self.state.q
-        return {"draws": draws, "divergent": divergent_flags,
-                "mean_accept": float(accept_stats.mean())}
 
     def _build_tree(self, depth: int, edge: _State, direction: float,
                     h0: float) -> _Subtree:
@@ -745,11 +745,15 @@ def sample(target, config: SamplerConfig,
             raise DiagnosticError(
                 "every warmup iteration diverged; increase target_accept "
                 "(for example 0.95) or reparameterize the model")
-    results = [chain.draw(config.draws) for chain in chains]
+    draws = np.empty((config.chains, config.draws, dim))
+    divergent = np.empty((config.chains, config.draws), dtype=bool)
+    accept = np.empty((config.chains, config.draws))
+    for c, chain in enumerate(chains):
+        chain.draw(draws[c], divergent[c], accept[c])
 
     trace = PosteriorTrace(
-        draws=np.stack([r["draws"] for r in results]),
-        divergent=np.stack([r["divergent"] for r in results]),
+        draws=draws,
+        divergent=divergent,
         step_sizes=np.array([chain.eps for chain in chains]),
         initial_step_sizes=np.array([chain.initial_eps for chain in chains]),
         mass_diag=np.tile(metric.diagonal(), (config.chains, 1)),
@@ -757,7 +761,8 @@ def sample(target, config: SamplerConfig,
         seed=config.seed,
         config=config.to_dict(),
     )
-    mean_accept = float(np.mean([r["mean_accept"] for r in results]))
+    # Diagnostics.mean_accept is the mean of the per-chain means.
+    mean_accept = float(np.mean([row.mean() for row in accept]))
     return trace, compute_diagnostics(trace, mean_accept, counted.calls)
 
 

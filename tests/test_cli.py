@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+import churnpool.cli as cli
 import churnpool.evaluate as evaluate
 import churnpool.hier_model as hier_model
 from churnpool.cli import main
@@ -364,8 +365,8 @@ class TestTraceMatchesCollection:
         assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "30",
                    "--features", "1") == 0
         shutil.copytree(tmp_path / "smes", tmp_path / "calibration_data")
-        calibrate_pooled([np.linspace(0.05, 0.95, 40)], 0.1).save(
-            tmp_path / "calibration.json")
+        calibrate_pooled(np.linspace(0.05, 0.95, 40), np.zeros(40, int),
+                         0.1).save(tmp_path / "calibration.json")
         (tmp_path / "customers.csv").write_text(
             "x00,source\n0.1,sme_00\n-0.3,sme_02\n")
         return tmp_path
@@ -479,6 +480,18 @@ class TestEvaluate:
                                ("tenure", "spend", "age"), "evaluate") == 4
         assert not (tmp_path / "report.json").exists()
 
+    def test_missing_prior_is_data_error(self, tmp_path, monkeypatch):
+        # Like fit, evaluate uses prior.json unless --weak-prior is given.
+        assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "30",
+                   "--features", "2") == 0
+
+        def refuse(*args, **kwargs):
+            raise _Stop
+
+        monkeypatch.setattr(hier_model, "sample", refuse)
+        assert run(tmp_path, "evaluate") == 4
+        assert not (tmp_path / "report.json").exists()
+
     def test_no_entity_with_folds_is_data_error(self, tmp_path):
         # Ten rows per entity leave a class too small for the default
         # folds in both entities.
@@ -542,6 +555,29 @@ class TestConfig:
         bad.write_text("[hierarchical]\nturbo = yes\n")
         assert main(["--config", str(bad), "--out", str(tmp_path),
                      "gen-data"]) == 2
+
+    @pytest.mark.parametrize("section, key, value, command", [
+        ("run", "l2_c", "0", ["evaluate", "--weak-prior"]),
+        ("hierarchical", "max_tree_depth", "0", ["fit", "--weak-prior"]),
+        ("run", "folds", "1", ["evaluate", "--weak-prior"]),
+        ("gbdt", "learning_rate", "0", ["pretrain", "--source", "in.csv"]),
+        ("hierarchical", "divergence_threshold", "-5",
+         ["fit", "--weak-prior"]),
+    ], ids=["l2_c", "max_tree_depth", "folds", "learning_rate",
+            "divergence_threshold"])
+    def test_bad_key_exits_before_reading_data(self, tmp_path, monkeypatch,
+                                               section, key, value, command):
+        # Each key is checked by the object that will receive it, at parse
+        # time: no stage starts reading its inputs.
+        def refuse(*args, **kwargs):
+            raise _Stop
+
+        monkeypatch.setattr(cli, "load_collection", refuse)
+        monkeypatch.setattr(cli, "load_csv", refuse)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["--config", str(bad), "--out", str(tmp_path),
+                     *command]) == 2
 
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.ini"),

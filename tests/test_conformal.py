@@ -43,13 +43,20 @@ class TestNonconformity:
         assert predict_sets(ps, q).tolist() == expected
 
 
+def _negatives(scores):
+    """``(p_hat, y)`` whose nonconformity scores are ``scores`` exactly:
+    every label is 0, so ``|y - p_hat| = p_hat``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return scores, np.zeros(scores.size, dtype=int)
+
+
 class TestCalibrateSplit:
     """The split-conformal order statistic, through ``calibrate_pooled``
-    with one score list."""
+    on one entity's rows."""
 
     def test_coverage_rank_at_hundred(self):
         scores = np.linspace(0.001, 0.999, 100)
-        result = calibrate_pooled([scores], alpha=0.10)
+        result = calibrate_pooled(*_negatives(scores), alpha=0.10)
         k = math.ceil(0.9 * 101)
         assert k == 91
         assert result.q_hat == scores[90]
@@ -58,57 +65,87 @@ class TestCalibrateSplit:
         assert k / 101 == pytest.approx(0.90099, abs=1e-5)
 
     def test_hand_case(self):
-        result = calibrate_pooled([[0.1, 0.2, 0.3, 0.4]], alpha=0.2)
+        result = calibrate_pooled(*_negatives([0.1, 0.2, 0.3, 0.4]),
+                                  alpha=0.2)
         assert result.q_hat == 0.4
+
+    def test_ties_share_a_rank(self):
+        # k = ceil(0.6 * 5) = 3 lands inside the run of tied 0.2 scores.
+        result = calibrate_pooled(*_negatives([0.5, 0.2, 0.2, 0.2]),
+                                  alpha=0.4)
+        assert result.q_hat == 0.2
+
+    def test_score_is_absolute_error(self):
+        # Scores |1 - 0.9| and |1 - 0.2|; k = ceil(0.3 * 3) = 1 picks the
+        # smaller, k = ceil(0.5 * 3) = 2 the larger.
+        p_hat, y = [0.9, 0.2], [1, 1]
+        assert calibrate_pooled(p_hat, y, alpha=0.7).q_hat == 1.0 - 0.9
+        assert calibrate_pooled(p_hat, y, alpha=0.5).q_hat == 1.0 - 0.2
 
     def test_small_sample_degenerates(self):
         with pytest.warns(UserWarning, match="degenerate"):
-            result = calibrate_pooled([[0.1, 0.2, 0.3, 0.4]], alpha=0.05)
+            result = calibrate_pooled(*_negatives([0.1, 0.2, 0.3, 0.4]),
+                                      alpha=0.05)
         assert result.q_hat == 1.0
 
     def test_threshold_is_order_statistic(self):
         rng = default_rng(1)
         scores = rng.uniform(size=37)
-        result = calibrate_pooled([scores], alpha=0.25)
+        result = calibrate_pooled(*_negatives(scores), alpha=0.25)
         assert result.q_hat in scores
 
     @given(st.floats(min_value=0.02, max_value=0.45),
            st.floats(min_value=0.02, max_value=0.45))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_confidence(self, a1, a2):
-        scores = default_rng(2).uniform(size=60)
+        p_hat, y = _negatives(default_rng(2).uniform(size=60))
         lo, hi = sorted((a1, a2))
-        q_strict = calibrate_pooled([scores], alpha=lo).q_hat
-        q_loose = calibrate_pooled([scores], alpha=hi).q_hat
+        q_strict = calibrate_pooled(p_hat, y, alpha=lo).q_hat
+        q_loose = calibrate_pooled(p_hat, y, alpha=hi).q_hat
         assert q_strict >= q_loose
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            calibrate_pooled([[]], alpha=0.1)
+            calibrate_pooled([], [], alpha=0.1)
 
 
 class TestCalibratePooled:
     def test_pooled_count(self):
-        lists = [default_rng(i).uniform(size=25) for i in range(15)]
-        result = calibrate_pooled(lists, alpha=0.1)
+        scores = np.concatenate([default_rng(i).uniform(size=25)
+                                 for i in range(15)])
+        result = calibrate_pooled(*_negatives(scores), alpha=0.1)
         assert result.n_cal == 375
         assert result.strategy == "pooled"
 
     def test_single_entity_reduces_to_split(self):
-        scores = default_rng(7).uniform(size=40)
-        whole = calibrate_pooled([scores], alpha=0.2)
-        halves = calibrate_pooled([scores[:17], scores[17:]], alpha=0.2)
+        # Dyadic scores make 1 - (1 - s) == s exact, so an entity whose
+        # rows are all positives scores exactly like one of negatives.
+        scores = default_rng(7).integers(0, 1025, size=40) / 1024
+        whole = calibrate_pooled(*_negatives(scores), alpha=0.2)
+        p_hat = np.concatenate([scores[:17], 1.0 - scores[17:]])
+        y = np.concatenate([np.zeros(17, int), np.ones(23, int)])
+        halves = calibrate_pooled(p_hat, y, alpha=0.2)
         assert halves.q_hat == whole.q_hat
 
     def test_order_invariance(self):
-        lists = [default_rng(i).uniform(size=10) for i in range(6)]
-        a = calibrate_pooled(lists, alpha=0.15)
-        b = calibrate_pooled(lists[::-1], alpha=0.15)
+        p_hat = default_rng(6).uniform(size=60)
+        y = (default_rng(5).random(60) < 0.4).astype(int)
+        a = calibrate_pooled(p_hat, y, alpha=0.15)
+        b = calibrate_pooled(p_hat[::-1], y[::-1], alpha=0.15)
         assert a.q_hat == b.q_hat
 
     def test_all_empty_rejected(self):
+        # Two entities without calibration rows.
         with pytest.raises(ValidationError):
-            calibrate_pooled([[], []], alpha=0.1)
+            calibrate_pooled(np.concatenate([[], []]),
+                             np.concatenate([[], []]), alpha=0.1)
+
+    def test_rejects_bad_inputs(self):
+        for p_hat, y in [([0.2, 0.3], [0]), ([0.2], [0, 1]), ([1.5], [0]),
+                         ([-0.1], [1]), ([math.nan], [0]), ([0.5], [2]),
+                         ([[0.5]], [[0]])]:
+            with pytest.raises(ValidationError):
+                calibrate_pooled(p_hat, y, alpha=0.1)
 
 
 class TestConservativeAdjust:

@@ -134,46 +134,52 @@ class TestAuc:
 class TestClassificationMetrics:
     def test_perfect_probabilities(self):
         report = classification_metrics([0.0, 1.0, 0.0, 1.0], [0, 1, 0, 1])
-        assert (report.accuracy, report.precision, report.recall,
-                report.f1) == (1.0, 1.0, 1.0, 1.0)
-        assert report.log_loss < 1e-10
+        assert (report["accuracy"], report["precision"], report["recall"],
+                report["f1"]) == (1.0, 1.0, 1.0, 1.0)
+        assert report["log_loss"] < 1e-10
+
+    def test_row_keys_in_report_order(self):
+        report = classification_metrics([0.2, 0.7, 0.4], [0, 1, 1])
+        assert list(report) == ["auc", "accuracy", "precision", "recall",
+                                "f1", "log_loss", "threshold", "n"]
+        assert (report["threshold"], report["n"]) == (0.5, 3)
 
     def test_constant_half_balanced(self):
         report = classification_metrics([0.5] * 10, [0, 1] * 5)
         # Ties predict positive at threshold 0.5.
-        assert report.accuracy == 0.5
-        assert report.recall == 1.0
-        assert report.log_loss == pytest.approx(math.log(2.0), abs=1e-12)
+        assert report["accuracy"] == 0.5
+        assert report["recall"] == 1.0
+        assert report["log_loss"] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_hand_confusion_matrix(self):
         probs = [0.9, 0.8, 0.7, 0.6, 0.2, 0.1, 0.2, 0.3]
         labels = [1, 1, 1, 0, 1, 1, 0, 0]
         # TP=3, FP=1, FN=2, TN=2
         report = classification_metrics(probs, labels)
-        assert report.precision == pytest.approx(0.75)
-        assert report.recall == pytest.approx(0.6)
-        assert report.f1 == pytest.approx(2 * 0.75 * 0.6 / 1.35)
-        assert report.f1 == pytest.approx(2 * (0.45) / 1.35, abs=1e-12)
+        assert report["precision"] == pytest.approx(0.75)
+        assert report["recall"] == pytest.approx(0.6)
+        assert report["f1"] == pytest.approx(2 * 0.75 * 0.6 / 1.35)
+        assert report["f1"] == pytest.approx(2 * (0.45) / 1.35, abs=1e-12)
 
     def test_threshold_zero_full_recall(self):
         report = classification_metrics([0.0, 0.4, 0.9], [1, 0, 1],
                                         threshold=0.0)
-        assert report.recall == 1.0
+        assert report["recall"] == 1.0
 
     def test_no_positive_predictions_flagged(self):
         with pytest.warns(UserWarning, match="no positive predictions"):
             report = classification_metrics([0.1, 0.2], [0, 1])
-        assert report.precision == 0.0
+        assert report["precision"] == 0.0
 
     def test_f1_consistency_invariant(self):
         rng = np.random.default_rng(13)
         probs = rng.uniform(size=50)
         labels = (rng.random(50) < 0.3).astype(int)
         report = classification_metrics(probs, labels)
-        if report.precision + report.recall > 0:
-            expected = (2 * report.precision * report.recall
-                        / (report.precision + report.recall))
-            assert abs(report.f1 - expected) < 1e-12
+        if report["precision"] + report["recall"] > 0:
+            expected = (2 * report["precision"] * report["recall"]
+                        / (report["precision"] + report["recall"]))
+            assert abs(report["f1"] - expected) < 1e-12
 
 
 class TestStudentT:
@@ -348,6 +354,32 @@ class TestRunExperiment:
         methods = {row["method"] for row in report.rows}
         assert methods == {"pooled", "independent"}
         assert report.diagnostics == {}
+
+    def test_bad_sampler_setting_propagates(self):
+        # Only a sampler failure makes a partial report; a setting the
+        # sampler rejects is the caller's error.
+        collection, _ = generate_hierarchical_population(
+            p=2, J=2, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=24)
+        model = HierarchicalLogistic(chains=2, warmup=120, draws=100,
+                                     max_tree_depth=0)
+        config = ExperimentConfig(folds=2, alpha=0.2)
+        with pytest.raises(ValidationError, match="max_tree_depth"):
+            run_experiment(collection, model, config, seed=4)
+
+    @pytest.mark.parametrize("field, value", [
+        ("folds", 1), ("l2_c", 0.0), ("alpha", 1.0), ("protocol", "twice")])
+    def test_bad_config_rejected_before_any_fit(self, monkeypatch, field,
+                                                value):
+        collection, _ = generate_hierarchical_population(
+            p=2, J=2, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=24)
+        fits = []
+        monkeypatch.setattr(evaluate.HierarchicalLogistic, "fit",
+                            lambda self, c: fits.append(c))
+        config = ExperimentConfig(folds=2, alpha=0.2)
+        setattr(config, field, value)
+        with pytest.raises(ValidationError, match=field):
+            run_experiment(collection, HierarchicalLogistic(), config, seed=4)
+        assert fits == []
 
     def test_prior_over_other_features_is_data_error(self):
         collection, _ = generate_hierarchical_population(

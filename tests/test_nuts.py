@@ -164,17 +164,40 @@ def test_log_add_exp_matches_numpy_bitwise():
 
 
 class TestFindReasonableStepSize:
+    @staticmethod
+    def _search(target, q0):
+        metric = _Metric(np.ones(q0.size))
+        logp, grad = target.logp_and_grad(q0)
+        zeros = np.zeros_like(q0)
+        state = _State(q0, zeros, grad, logp, zeros, metric.apply(grad))
+        return _find_reasonable_step_size(target, state, metric,
+                                          default_rng(0))
+
     def test_unit_gaussian_order_one(self):
-        target = gaussian_target([0.0], [1.0])
-        eps = _find_reasonable_step_size(target, np.zeros(1),
-                                         _Metric(np.ones(1)), default_rng(0))
+        eps = self._search(gaussian_target([0.0], [1.0]), np.zeros(1))
         assert 0.1 < eps < 10.0
 
     def test_narrow_gaussian_small_step(self):
-        target = gaussian_target([0.0], [1e-3])
-        eps = _find_reasonable_step_size(target, np.zeros(1),
-                                         _Metric(np.ones(1)), default_rng(0))
+        eps = self._search(gaussian_target([0.0], [1e-3]), np.zeros(1))
         assert eps < 0.1
+
+    def test_start_state_is_not_reevaluated(self):
+        # The state carries its log density and gradient, so every call
+        # the search makes is at a leapfrog step away from it.
+        inner = gaussian_target([0.0, 0.0], [1.0, 2.0])
+        points = []
+
+        class Recording:
+            dim = 2
+
+            def logp_and_grad(self, q):
+                points.append(q.copy())
+                return inner.logp_and_grad(q)
+
+        q0 = np.array([0.3, -0.2])
+        self._search(Recording(), q0)
+        assert np.array_equal(points[0], q0) and len(points) > 1
+        assert not any(np.array_equal(q, q0) for q in points[1:])
 
 
 class TestSampling:
@@ -387,6 +410,21 @@ class TestGradientCount:
                                                draws=100, seed=4))
         assert diag.n_grad == calls[0] > 2 * 250
         assert json.loads(diag.to_json())["n_grad"] == calls[0]
+
+    @pytest.mark.parametrize("setting", [
+        {"draws": 7}, {"divergence_energy_threshold": 0.0},
+        {"divergence_energy_threshold": -5.0}, {"max_tree_depth": 0}],
+        ids=["draws", "threshold-zero", "threshold-negative", "tree-depth"])
+    def test_bad_setting_rejected_before_any_gradient_call(self, setting):
+        # ess needs 8 draws per chain, and a divergence threshold of 0 or
+        # less flags every step: both fail before the sampler runs.
+        target, calls = self._counting_target()
+        config = SamplerConfig(chains=2, warmup=150, draws=100, seed=4)
+        for key, value in setting.items():
+            setattr(config, key, value)
+        with pytest.raises(ValidationError, match=next(iter(setting))):
+            sample(target, config)
+        assert calls[0] == 0
 
     def test_counter_leaves_trace_unchanged(self, tmp_path, monkeypatch):
         config = SamplerConfig(chains=2, warmup=150, draws=100, seed=4)

@@ -16,7 +16,7 @@ from .evaluate import (ExperimentConfig, ExperimentReport, auc,
                        student_t_sf)
 from .gbdt import (GradientBoostedTrees, TreeEnsemble, TreeNode,
                    feature_importance)
-from .hier_model import (HierData, HierHyper, HierParams, HierTarget,
+from .hier_model import (HierData, HierHyper, HierTarget,
                          HierarchicalLogistic, posterior_predict_matrix,
                          shrinkage_report, shrinkage_weight)
 from .nuts import (Diagnostics, FunctionTarget, PosteriorTrace, SamplerConfig,

@@ -40,7 +40,7 @@ from .errors import (ChurnpoolError, DataError, DiagnosticError,
 from .evaluate import ExperimentConfig, classification_metrics, run_experiment
 from .gbdt import GradientBoostedTrees, TreeEnsemble
 from .hier_model import (HierarchicalLogistic, check_trace_collection,
-                         posterior_predict_matrix, with_intercept)
+                         posterior_predict_matrix)
 from .nuts import PosteriorTrace, SamplerConfig
 from .shap_prior import PriorSpec, extract_priors, prior_only_auc
 
@@ -52,11 +52,6 @@ EXIT_DATA = 4
 # Convergence gates for persisting a fit as converged.
 RHAT_GATE = 1.01
 ESS_GATE = 400.0
-
-# Customer rows per posterior_predict_matrix call in `predict`: each call
-# holds a (rows x retained draws) probability matrix, so bigger chunks buy
-# little speed for a lot of transient memory.
-PREDICT_CHUNK_ROWS = 32
 
 _PREDICTION_COLUMNS = ("sme", "probability", "prediction", "ci_lower",
                        "ci_upper", "conformal_set", "uncertainty", "action")
@@ -234,10 +229,16 @@ class RunConfig:
                 "alpha": self.miscoverage_alpha}
 
 
-def _load_stats(path: Path) -> StandardizationStats:
-    """The means and stds that ``pretrain`` writes; damage is a DataError."""
+def _load_stats(path: Path, feature_names) -> StandardizationStats:
+    """The means and stds that ``pretrain`` writes, which must be over
+    ``feature_names`` in that order; damage or other columns is a
+    DataError."""
     with malformed_artifact(f"standardization stats {path}"):
         doc = json.loads(path.read_bytes())
+        if doc["feature_names"] != list(feature_names):
+            raise DataError(f"{path} standardizes columns "
+                            f"{doc['feature_names']}, the data has "
+                            f"{list(feature_names)}")
         return StandardizationStats(np.asarray(doc["means"], dtype=np.float64),
                                     np.asarray(doc["stds"], dtype=np.float64))
 
@@ -288,7 +289,8 @@ def cmd_gen_data(config: RunConfig, args) -> int:
         source = load_csv(args.source, config.label_column, config.tag_column)
         if args.stats is not None:
             stats = _load_stats(_require(Path(args.stats),
-                                         "standardization stats"))
+                                         "standardization stats"),
+                                source.feature_names)
             source = apply_standardization(source, stats)
         collection = make_synthetic_smes(source, config.smes, config.n_per,
                                          config.seed)
@@ -346,10 +348,11 @@ def cmd_extract_priors(config: RunConfig, args) -> int:
     _check_force([prior_path, check_path], args.force)
 
     ensemble = TreeEnsemble.load(_require(out / "model.json", "model artifact"))
-    stats = _load_stats(_require(out / "standardization.json",
-                                 "standardization stats"))
     val = load_csv(_require(out / "pretrain_val.csv", "validation data"),
                    config.label_column, config.tag_column)
+    stats = _load_stats(_require(out / "standardization.json",
+                                 "standardization stats"),
+                        val.feature_names)
     if val.source_tags is None or len(set(val.source_tags)) < 2:
         print("warning: no usable source tags; "
               "falling back to single-source prior widths", file=sys.stderr)
@@ -432,9 +435,11 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     check_trace_collection(trace, cal_collection)
     conservative = recommend_conservative(
         [ds.n for ds in cal_collection.smes])
-    p_hat = np.concatenate([
-        posterior_predict_matrix(trace, with_intercept(ds.features), j)[0]
-        for j, ds in enumerate(cal_collection.smes)])
+    entity = np.repeat(np.arange(cal_collection.J),
+                       [ds.n for ds in cal_collection.smes])
+    p_hat, _, _ = posterior_predict_matrix(
+        trace, np.concatenate([ds.features for ds in cal_collection.smes]),
+        entity)
     labels = np.concatenate([ds.labels for ds in cal_collection.smes])
     result = calibrate_pooled(p_hat, labels, config.miscoverage_alpha)
     if args.inflation is not None:
@@ -491,17 +496,8 @@ def cmd_predict(config: RunConfig, args) -> int:
                 "customer rows need a tag column or --sme override")
         if sme not in ids:
             raise DataError(f"unknown entity id {sme!r}")
-    entity = np.array([ids.index(sme) for sme in smes])
-    X = with_intercept(X)
-    mean = np.empty(X.shape[0])
-    lo = np.empty(X.shape[0])
-    hi = np.empty(X.shape[0])
-    for j in np.unique(entity):
-        members = np.flatnonzero(entity == j)
-        for start in range(0, members.size, PREDICT_CHUNK_ROWS):
-            chunk = members[start:start + PREDICT_CHUNK_ROWS]
-            mean[chunk], lo[chunk], hi[chunk] = posterior_predict_matrix(
-                trace, X[chunk], int(j))
+    mean, lo, hi = posterior_predict_matrix(
+        trace, X, np.array([ids.index(sme) for sme in smes]))
 
     sets = predict_sets(mean, calibration.q_hat)
     _write_csv(pred_path, _PREDICTION_COLUMNS, (
@@ -624,8 +620,6 @@ def main(argv=None) -> int:
                  if hasattr(args, arg_key)}
     try:
         config = RunConfig.load(args.config, overrides)
-        if args.command == "fit" and config.chains < 2:
-            raise ConfigError("fit needs at least 2 chains for rhat")
     except (ConfigError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

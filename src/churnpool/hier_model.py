@@ -33,7 +33,6 @@ from .validation import as_float_matrix, as_float_vector, check_binary_labels
 __all__ = [
     "HierData",
     "HierHyper",
-    "HierParams",
     "HierTarget",
     "posterior_predict_matrix",
     "shrinkage_weight",
@@ -42,7 +41,6 @@ __all__ = [
     "HierarchicalLogistic",
     "INTERCEPT_NAME",
     "INTERCEPT_PRIOR_VAR",
-    "with_intercept",
     "check_trace_collection",
 ]
 
@@ -50,6 +48,14 @@ INTERCEPT_NAME = "intercept"
 # Weakly informative prior variance for the appended intercept coefficient
 # (the transfer prior has no intercept entry).
 INTERCEPT_PRIOR_VAR = 4.0
+
+# Credible mass of the predictive interval.
+_INTERVAL_MASS = 0.90
+
+# Rows per probability matrix in posterior_predict_matrix: each holds
+# (rows x retained draws) floats, so bigger chunks buy little speed for a
+# lot of transient memory.
+PREDICT_CHUNK_ROWS = 32
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -179,29 +185,6 @@ class HierHyper:
         return self.beta0.size
 
 
-@dataclass(frozen=True)
-class HierParams:
-    """Unconstrained parameter point."""
-
-    mu: np.ndarray
-    log_sigma: float
-    beta_raw: np.ndarray
-
-    def __post_init__(self):
-        mu = as_float_vector(self.mu, "mu")
-        beta_raw = as_float_matrix(self.beta_raw, "beta_raw")
-        if beta_raw.shape[1] != mu.size:
-            raise ValidationError("beta_raw column count must match mu")
-        if not np.isfinite(self.log_sigma):
-            raise ValidationError("log_sigma must be finite")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "beta_raw", beta_raw)
-        object.__setattr__(self, "log_sigma", float(self.log_sigma))
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.mu, [self.log_sigma], self.beta_raw.ravel()])
-
-
 def param_names(J: int, feature_names) -> tuple[str, ...]:
     """Documented flat order: mu, log_sigma, beta_raw row-major."""
     names = [f"mu[{name}]" for name in feature_names]
@@ -278,8 +261,8 @@ class HierTarget:
 
     def init_point(self) -> np.ndarray:
         """Population mean at the transfer prior, sigma = 1, deviations 0."""
-        return HierParams(self.hyper.beta0, 0.0,
-                          np.zeros((self.J, self.p))).pack()
+        return np.concatenate([self.hyper.beta0,
+                               np.zeros(1 + self.J * self.p)])
 
     def names(self) -> tuple[str, ...]:
         return param_names(self.J, self.data.feature_names)
@@ -295,6 +278,12 @@ def _trace_dims(trace: PosteriorTrace, p: int) -> int:
         raise ValidationError(
             f"trace dim {trace.dim} incompatible with p={p}")
     return J
+
+
+def _entity_betas(flat: np.ndarray, p: int, j: int) -> np.ndarray:
+    """Entity j's coefficient draws ``mu + sigma * beta_raw_j``: (M, p)."""
+    braw = flat[:, p + 1 + j * p: p + 1 + (j + 1) * p]
+    return flat[:, :p] + np.exp(flat[:, p])[:, None] * braw
 
 
 def check_trace_collection(trace: PosteriorTrace,
@@ -320,35 +309,54 @@ def _order_statistic(sorted_values: np.ndarray, q: float) -> np.ndarray:
     return sorted_values[..., k - 1]
 
 
-def posterior_predict_matrix(trace: PosteriorTrace, X, sme_index: int,
-                             interval_mass: float = 0.90
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Posterior predictive mean and credible bounds for rows of ``X``.
+def _check_entity(entity, n: int, J: int) -> np.ndarray:
+    """One entity index per row: a scalar is repeated ``n`` times."""
+    entity = np.asarray(entity)
+    if entity.ndim == 0:
+        entity = np.full(n, entity)
+    if entity.dtype.kind not in "iu" or entity.shape != (n,):
+        raise ValidationError(f"entity must be one integer or {n} integers, "
+                              f"got {entity.dtype} of shape {entity.shape}")
+    if n and not (entity.min() >= 0 and entity.max() < J):
+        raise ValidationError(f"entity indices must lie in [0, {J})")
+    return entity
 
-    Pools every retained draw of every chain.  Interval endpoints are the
-    empirical ``(1-mass)/2`` and ``1-(1-mass)/2`` quantiles of the per-draw
-    probabilities under the lower-order-statistic rule (so endpoints are
-    always realized draws; ``interval_mass=0`` collapses both to the lower
-    median).
+
+def posterior_predict_matrix(trace: PosteriorTrace, X, entity
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Posterior predictive mean and 90% credible bounds for rows of ``X``.
+
+    ``X`` holds raw feature rows, without the intercept column, which is
+    appended here.  ``entity`` is one entity index for every row, or one
+    index per row, each in ``[0, J)``.  Each entity's coefficient draws
+    are decoded once, every retained draw of every chain is pooled, and
+    rows are scored in chunks of at most ``PREDICT_CHUNK_ROWS``.  The
+    bounds are the empirical 0.05 and 0.95 quantiles of the per-draw
+    probabilities under the lower-order-statistic rule, so they are
+    always realized draws.  The three arrays follow the input row order.
     """
     X = as_float_matrix(X)
-    p = X.shape[1]
+    p = X.shape[1] + 1
     J = _trace_dims(trace, p)
-    if not 0 <= sme_index < J:
-        raise ValidationError(f"sme_index {sme_index} out of range for J={J}")
-    if not 0.0 <= interval_mass < 1.0:
-        raise ValidationError("interval_mass must be in [0, 1)")
+    # The draw count alone can fit several widths; the names pin one.
+    if trace.param_names[p:p + 1] != ("log_sigma",):
+        raise ValidationError(f"X has {p - 1} feature columns; the trace "
+                              f"was fitted on a different number")
+    entity = _check_entity(entity, X.shape[0], J)
+    X = with_intercept(X)
     flat = trace.flat()
-    mu = flat[:, :p]
-    sigma = np.exp(flat[:, p])
-    braw = flat[:, p + 1 + sme_index * p: p + 1 + (sme_index + 1) * p]
-    betas = mu + sigma[:, None] * braw              # (M, p)
-    probs = sigmoid(X @ betas.T)                    # (n, M)
-    mean = probs.mean(axis=1)
-    sorted_probs = np.sort(probs, axis=1)
-    lo_q = (1.0 - interval_mass) / 2.0
-    lower = _order_statistic(sorted_probs, lo_q)
-    upper = _order_statistic(sorted_probs, 1.0 - lo_q)
+    lo_q = (1.0 - _INTERVAL_MASS) / 2.0
+    mean, lower, upper = np.empty((3, X.shape[0]))
+    for j in np.unique(entity):
+        betas = _entity_betas(flat, p, j)                  # (M, p)
+        rows = np.flatnonzero(entity == j)
+        for start in range(0, rows.size, PREDICT_CHUNK_ROWS):
+            chunk = rows[start:start + PREDICT_CHUNK_ROWS]
+            probs = sigmoid(X[chunk] @ betas.T)            # (rows, M)
+            mean[chunk] = probs.mean(axis=1)
+            probs.sort(axis=1)
+            lower[chunk] = _order_statistic(probs, lo_q)
+            upper[chunk] = _order_statistic(probs, 1.0 - lo_q)
     return mean, lower, upper
 
 
@@ -408,8 +416,7 @@ def shrinkage_report(trace: PosteriorTrace, data: HierData) -> ShrinkageReport:
     posterior_means = np.empty((J, p))
     flagged = np.zeros(J, dtype=bool)
     for j in range(J):
-        braw = flat[:, p + 1 + j * p: p + 1 + (j + 1) * p]
-        posterior_means[j] = (flat[:, :p] + sigma_draws[:, None] * braw).mean(axis=0)
+        posterior_means[j] = _entity_betas(flat, p, j).mean(axis=0)
         X, y = data.Xs[j], data.ys[j]
         if y.size == 0 or y.min() == y.max():
             flagged[j] = True
@@ -479,19 +486,10 @@ class HierarchicalLogistic(BaseEstimator):
             seed=self.seed, init_point=target.init_point())
         self.trace_, self.diagnostics_ = sample(target, config,
                                                 param_names=target.names())
-        self.data_ = data
         return self
 
-    def _prepare(self, X) -> np.ndarray:
-        X = with_intercept(as_float_matrix(X))
-        if X.shape[1] != self.data_.p:
-            raise ValidationError(
-                f"X has {X.shape[1] - 1} columns, model expects "
-                f"{self.data_.p - 1}")
-        return X
-
-    def predict_proba(self, X, sme_index: int) -> np.ndarray:
+    def predict_proba(self, X, entity) -> np.ndarray:
+        """Posterior predictive mean for raw rows of ``X``; ``entity`` as
+        in :func:`posterior_predict_matrix`."""
         check_is_fitted(self, "trace_")
-        mean, _, _ = posterior_predict_matrix(self.trace_, self._prepare(X),
-                                              sme_index)
-        return mean
+        return posterior_predict_matrix(self.trace_, X, entity)[0]

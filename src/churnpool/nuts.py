@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -219,27 +220,25 @@ class PosteriorTrace:
     @classmethod
     def load(cls, path) -> "PosteriorTrace":
         """Inverse of ``save``; a damaged container raises ``DataError``."""
-        raw = Path(path).read_bytes()
-        if raw[:len(_TRACE_MAGIC)] != _TRACE_MAGIC:
-            raise DataError(f"{path} is not a trace container")
-        with malformed_artifact(f"trace container {path}"):
-            offset = len(_TRACE_MAGIC)
-            (header_len,) = struct.unpack_from("<Q", raw, offset)
-            offset += 8
-            header = json.loads(raw[offset:offset + header_len])
-            offset += header_len
+        with Path(path).open("rb") as fh, \
+                malformed_artifact(f"trace container {path}"):
+            if fh.read(len(_TRACE_MAGIC)) != _TRACE_MAGIC:
+                raise DataError(f"{path} is not a trace container")
+            (header_len,) = struct.unpack("<Q", fh.read(8))
+            header = json.loads(fh.read(header_len))
             shape = tuple(operator.index(header[key])
                           for key in ("chains", "draws", "dim"))
             count = shape[0] * shape[1] * shape[2]
-            if len(raw) != offset + 8 * count:
-                raise ValueError(f"payload holds {len(raw) - offset} bytes, "
+            payload = os.fstat(fh.fileno()).st_size - fh.tell()
+            if payload != 8 * count:
+                raise ValueError(f"payload holds {payload} bytes, "
                                  f"expected {8 * count}")
-            draws = np.frombuffer(raw, dtype="<f8", offset=offset,
-                                  count=count).reshape(shape)
+            # Read straight into the one float64 array the trace keeps.
+            draws = np.fromfile(fh, dtype="<f8", count=count).reshape(shape)
             divergent = np.zeros(shape[:2], dtype=bool)
             for c, idx in enumerate(header["divergent_draws"]):
                 divergent[c, idx] = True
-            return cls(draws.astype(np.float64), divergent,
+            return cls(draws, divergent,
                        np.asarray(header["step_sizes"], dtype=np.float64),
                        np.asarray(header["initial_step_sizes"],
                                   dtype=np.float64),
@@ -873,8 +872,6 @@ def ess(chain_draws) -> tuple[float, float]:
     warning.
     """
     chains = np.asarray(chain_draws, dtype=np.float64)
-    if chains.ndim == 1:
-        chains = chains[None, :]
     if chains.ndim != 2:
         raise ValidationError("ess needs a (chains, draws) array")
     if chains.shape[1] < 8:

@@ -75,6 +75,25 @@ class TestGenData:
         manifest = json.loads((tmp_path / "smes" / "manifest.json").read_text())
         assert len(manifest["files"]) == 2
 
+    @pytest.mark.parametrize("header, code", [("a,b", 0), ("b,a", 4)])
+    def test_resample_stats_match_columns_by_name(self, tmp_path, header,
+                                                  code):
+        # Stats recorded over columns a, b; a source with its columns in
+        # the other order must not be standardized by position.
+        stats = tmp_path / "standardization.json"
+        stats.write_text(json.dumps({"means": [100.0, 0.0],
+                                     "stds": [1.0, 1.0],
+                                     "feature_names": ["a", "b"]}))
+        source = tmp_path / "source.csv"
+        rng = np.random.default_rng(1)
+        source.write_text(header + ",target\n" + "".join(
+            f"{rng.normal():.6f},{rng.normal():.6f},{i % 4 == 0:d}\n"
+            for i in range(40)))
+        assert main(["--out", str(tmp_path), "gen-data", "--mode",
+                     "resample", "--source", str(source), "--stats",
+                     str(stats), "--smes", "2", "--n-per", "10"]) == code
+        assert (tmp_path / "smes").exists() == (code == 0)
+
     def test_resample_requires_source(self, tmp_path):
         assert run(tmp_path, "gen-data", "--mode", "resample") == 2
 
@@ -281,8 +300,8 @@ class TestPredict:
         trace = PosteriorTrace.load(pipeline_dir / "trace.bin")
         assert [row["sme"] for row in out_rows] == [ids[j] for j in owner]
         for row, x, j in zip(out_rows, X, owner):
-            mean, lo, hi = posterior_predict_matrix(
-                trace, np.append(x, 1.0)[None, :], int(j))
+            mean, lo, hi = posterior_predict_matrix(trace, x[None, :],
+                                                    int(j))
             assert float(row["probability"]) == pytest.approx(mean[0],
                                                               rel=1e-12)
             assert float(row["ci_lower"]) == pytest.approx(lo[0], rel=1e-12)

@@ -2,6 +2,7 @@
 shrinkage arithmetic."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ import pytest
 import churnpool.hier_model as hier_model
 from churnpool.data import generate_hierarchical_population
 from churnpool.errors import DataError, ValidationError
-from churnpool.hier_model import (INTERCEPT_PRIOR_VAR, HierData, HierHyper,
-                                  HierParams, HierTarget, HierarchicalLogistic,
+from churnpool.hier_model import (INTERCEPT_PRIOR_VAR, PREDICT_CHUNK_ROWS,
+                                  HierData, HierHyper, HierTarget,
+                                  HierarchicalLogistic, param_names,
                                   posterior_predict_matrix, shrinkage_report,
                                   shrinkage_weight)
 from churnpool.numerics import sigmoid
@@ -18,6 +20,18 @@ from churnpool.nuts import PosteriorTrace
 from churnpool.shap_prior import PriorSpec
 
 from _oracles import longdouble_grad_log_posterior, longdouble_log_posterior
+
+
+class _Params(NamedTuple):
+    """A point in the documented flat order of theta."""
+
+    mu: np.ndarray
+    log_sigma: float
+    beta_raw: np.ndarray
+
+    def pack(self) -> np.ndarray:
+        return np.concatenate([self.mu, [self.log_sigma],
+                               np.ravel(self.beta_raw)])
 
 
 def _random_instance(p, sizes, seed):
@@ -33,7 +47,7 @@ def _random_instance(p, sizes, seed):
     data = HierData(tuple(Xs), tuple(ys), tuple(f"x{k}" for k in range(p)))
     hyper = HierHyper(rng.normal(size=p), rng.uniform(0.5, 2.0, size=p),
                       tau=2.0)
-    params = HierParams(rng.normal(size=p), float(rng.uniform(-1, 1)),
+    params = _Params(rng.normal(size=p), float(rng.uniform(-1, 1)),
                         rng.normal(size=(len(sizes), p)))
     return data, hyper, params
 
@@ -78,7 +92,7 @@ class TestLogPosterior:
         sigma0 = rng.uniform(0.5, 2.0, size=p)
         data, hyper, _ = _random_instance(p, (0,) * J, seed=2)
         hyper = HierHyper(beta0, sigma0, tau=2.0)
-        params = HierParams(beta0, 0.3, np.zeros((J, p)))
+        params = _Params(beta0, 0.3, np.zeros((J, p)))
         value = _logp(params, data, hyper)
         expected = longdouble_log_posterior(
             beta0, 0.3, np.zeros((J, p)), data.Xs, data.ys, beta0, sigma0, 2.0)
@@ -91,7 +105,7 @@ class TestLogPosterior:
         data_empty = HierData((np.empty((0, p)),),
                               (np.empty(0, dtype=int),), ("a", "b"))
         hyper = HierHyper(np.zeros(p), np.ones(p))
-        params = HierParams(np.array([3.0, -1.0]), 0.1,
+        params = _Params(np.array([3.0, -1.0]), 0.1,
                             np.array([[0.5, 0.5]]))
         delta = (_logp(params, data_with, hyper)
                  - _logp(params, data_empty, hyper))
@@ -115,7 +129,7 @@ class TestLogPosterior:
         data_perm = HierData(tuple(data.Xs[j] for j in perm),
                              tuple(data.ys[j] for j in perm),
                              data.feature_names)
-        params_perm = HierParams(params.mu, params.log_sigma,
+        params_perm = _Params(params.mu, params.log_sigma,
                                  params.beta_raw[perm])
         assert _logp(params_perm, data_perm, hyper) == pytest.approx(
             value, rel=1e-14)
@@ -125,10 +139,6 @@ class TestLogPosterior:
             tuple(y[row_perm] for y in data.ys), data.feature_names)
         assert _logp(params, data_rows, hyper) == pytest.approx(
             value, rel=1e-14)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError):
-            HierParams(np.array([np.inf]), 0.0, np.zeros((1, 1)))
 
     def test_extreme_log_sigma_underflows_to_neg_inf(self):
         # The HalfNormal factor drives the density to zero long before
@@ -151,7 +161,7 @@ class TestGradient:
                         tuple(np.empty(0, dtype=int) for _ in range(J)),
                         tuple(f"x{k}" for k in range(p)))
         # HalfNormal-with-Jacobian mode in log space is log(tau).
-        params = HierParams(beta0, math.log(1.7), np.zeros((J, p)))
+        params = _Params(beta0, math.log(1.7), np.zeros((J, p)))
         grad = _grad(params, data, hyper)
         np.testing.assert_array_equal(grad[:p], np.zeros(p))
         np.testing.assert_array_equal(grad[p + 1:], np.zeros(J * p))
@@ -198,7 +208,7 @@ class TestGradient:
         rng = np.random.default_rng(9)
         row = rng.normal(size=(1, p))
         hyper = HierHyper(np.zeros(p), np.ones(p))
-        params = HierParams(rng.normal(size=p), 0.2, rng.normal(size=(J, p)))
+        params = _Params(rng.normal(size=p), 0.2, rng.normal(size=(J, p)))
         names = tuple(f"x{k}" for k in range(p))
         empty = HierData((np.empty((0, p)),), (np.empty(0, dtype=int),), names)
         once = HierData((row,), (np.array([1]),), names)
@@ -215,44 +225,57 @@ class TestCenteredBetas:
 
     @staticmethod
     def _predicted(params):
-        trace = _trace_from_flat(params.pack()[None, :], params.mu.size,
-                                 params.beta_raw.shape[0])
-        unit_rows = np.eye(params.mu.size)
+        p, J = params.mu.size, params.beta_raw.shape[0]
+        trace = _predict_trace(params.pack()[None, :], p, J)
+        unit_rows = np.eye(p)
         return np.array([posterior_predict_matrix(trace, unit_rows, j)[0]
-                         for j in range(params.beta_raw.shape[0])])
+                         for j in range(J)])
 
     def test_zero_raw_gives_mu(self):
-        params = HierParams(np.array([1.0, -2.0]), 0.7, np.zeros((3, 2)))
+        params = _Params(np.array([1.0, -2.0]), 0.7, np.zeros((3, 2)))
         np.testing.assert_array_equal(self._predicted(params),
                                       sigmoid(np.tile([1.0, -2.0], (3, 1))))
 
     def test_sigma_zero_limit(self):
-        params = HierParams(np.array([1.0]), -745.0, np.ones((2, 1)))
+        params = _Params(np.array([1.0]), -745.0, np.ones((2, 1)))
         np.testing.assert_array_equal(self._predicted(params),
                                       sigmoid(np.ones((2, 1))))
 
     def test_linear_map(self):
-        params = HierParams(np.zeros(2), math.log(2.0),
-                            np.array([[1.0, -1.0]]))
+        params = _Params(np.zeros(2), math.log(2.0),
+                         np.array([[1.0, -1.0]]))
         np.testing.assert_allclose(self._predicted(params),
                                    sigmoid(np.array([[2.0, -2.0]])),
                                    rtol=1e-15)
 
 
 def _trace_from_flat(flat, p, J):
+    """One chain of draws over ``p`` coefficients and ``J`` entities."""
     flat = np.asarray(flat, dtype=np.float64)
     return PosteriorTrace(
         draws=flat[None, :, :], divergent=np.zeros((1, flat.shape[0]), bool),
         step_sizes=np.array([0.5]), initial_step_sizes=np.array([1.0]),
         mass_diag=np.ones((1, flat.shape[1])),
-        param_names=tuple(f"t{i}" for i in range(flat.shape[1])),
-        seed=0)
+        param_names=param_names(J, [f"x{k}" for k in range(p)]), seed=0)
 
 
-def _predict_row(trace, x, sme_index, interval_mass=0.90):
-    """Mean and bounds for one row through ``posterior_predict_matrix``."""
-    mean, lower, upper = posterior_predict_matrix(trace, x[None, :],
-                                                  sme_index, interval_mass)
+def _predict_trace(flat, p, J):
+    """``_trace_from_flat`` over ``p`` raw features, with a zero intercept
+    coordinate appended to mu and to every beta_raw row, as a fit lays
+    them out."""
+    flat = np.asarray(flat, dtype=np.float64)
+    M = flat.shape[0]
+    braw = flat[:, p + 1:].reshape(M, J, p)
+    zero = np.zeros((M, 1))
+    return _trace_from_flat(np.hstack([
+        flat[:, :p], zero, flat[:, p:p + 1],
+        np.concatenate([braw, np.zeros((M, J, 1))], axis=2).reshape(M, -1),
+    ]), p + 1, J)
+
+
+def _predict_row(trace, x, entity):
+    """Mean and bounds for one raw row through ``posterior_predict_matrix``."""
+    mean, lower, upper = posterior_predict_matrix(trace, x[None, :], entity)
     return float(mean[0]), float(lower[0]), float(upper[0])
 
 
@@ -260,7 +283,7 @@ class TestPosteriorPredict:
     def test_all_zero_draws(self):
         p, J = 2, 2
         D = p + 1 + J * p
-        trace = _trace_from_flat(np.zeros((10, D)), p, J)
+        trace = _predict_trace(np.zeros((10, D)), p, J)
         mean, lo, hi = _predict_row(trace, np.array([1.0, -1.0]), 0)
         assert (mean, lo, hi) == (0.5, 0.5, 0.5)
 
@@ -272,49 +295,61 @@ class TestPosteriorPredict:
         flat = np.zeros((2, 3))
         flat[:, 0] = logits          # mu
         flat[:, 1] = -60.0           # log_sigma -> sigma ~ 0
-        trace = _trace_from_flat(flat, p, J)
-        mean, lo, hi = _predict_row(trace, np.array([1.0]), 0,
-                                    interval_mass=0.90)
+        trace = _predict_trace(flat, p, J)
+        mean, lo, hi = _predict_row(trace, np.array([1.0]), 0)
         assert mean == pytest.approx(0.5, abs=1e-12)
         assert lo == pytest.approx(0.2, abs=1e-12)
         assert hi == pytest.approx(0.8, abs=1e-12)
-
-    def test_zero_mass_degenerates_to_median(self):
-        p, J = 1, 1
-        flat = np.zeros((2, 3))
-        flat[:, 0] = [math.log(0.2 / 0.8), math.log(0.8 / 0.2)]
-        flat[:, 1] = -60.0
-        trace = _trace_from_flat(flat, p, J)
-        _, lo, hi = _predict_row(trace, np.array([1.0]), 0,
-                                 interval_mass=0.0)
-        assert lo == hi == pytest.approx(0.2, abs=1e-12)
-
-    def test_intervals_nested_in_mass(self):
-        rng = np.random.default_rng(10)
-        p, J = 2, 3
-        D = p + 1 + J * p
-        trace = _trace_from_flat(rng.normal(size=(500, D)), p, J)
-        x = np.array([0.3, -0.8])
-        intervals = [_predict_row(trace, x, 1, m)[1:]
-                     for m in (0.5, 0.8, 0.95)]
-        for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
-            assert lo2 <= lo1 and hi2 >= hi1
 
     def test_mean_invariant_to_draw_permutation(self):
         rng = np.random.default_rng(11)
         p, J = 2, 1
         D = p + 1 + J * p
         flat = rng.normal(size=(100, D))
-        trace_a = _trace_from_flat(flat, p, J)
-        trace_b = _trace_from_flat(flat[::-1], p, J)
+        trace_a = _predict_trace(flat, p, J)
+        trace_b = _predict_trace(flat[::-1], p, J)
         x = np.array([1.0, 1.0])
         assert _predict_row(trace_a, x, 0) == _predict_row(
             trace_b, x, 0)
 
     def test_unknown_entity_rejected(self):
-        trace = _trace_from_flat(np.zeros((4, 5)), 2, 1)
+        trace = _predict_trace(np.zeros((4, 5)), 2, 1)
         with pytest.raises(ValidationError):
             _predict_row(trace, np.array([1.0, 1.0]), 3)
+
+    def test_mixed_entities_match_per_entity_calls(self):
+        # Entity 1 has more rows than one chunk holds, so its rows cross a
+        # chunk boundary in both the mixed call and its own call.
+        rng = np.random.default_rng(12)
+        p, J = 3, 4
+        trace = _predict_trace(rng.normal(size=(300, p + 1 + J * p)), p, J)
+        entity = rng.permutation(np.repeat(
+            np.arange(J), [5, PREDICT_CHUNK_ROWS + 9, 1, 20]))
+        X = rng.normal(size=(entity.size, p))
+        mixed = posterior_predict_matrix(trace, X, entity)
+        for j in range(J):
+            rows = np.flatnonzero(entity == j)
+            alone = posterior_predict_matrix(trace, X[rows], j)
+            for together, own in zip(mixed, alone):
+                np.testing.assert_array_equal(together[rows], own)
+
+    @pytest.mark.parametrize("entity", [
+        np.array([0, 1, 2]), np.array([0, -1, 1]), 1.5,
+        np.array([0.0, 1.0, 0.0]), np.array([0, 1]), np.array([[0, 1, 0]]),
+    ], ids=["out-of-range", "negative", "float", "float-rows",
+            "wrong-length", "two-dimensional"])
+    def test_bad_entity_rejected(self, entity):
+        trace = _predict_trace(np.zeros((4, 4)), 1, 2)
+        with pytest.raises(ValidationError):
+            posterior_predict_matrix(trace, np.ones((3, 1)), entity)
+
+    def test_wrong_feature_count_rejected(self):
+        # The draws' length also fits one raw feature over 5 entities
+        # (13 = 2 + 1 + 5 * 2); only the trace's layout tells them apart.
+        trace = _predict_trace(np.zeros((4, 2 + 1 + 3 * 2)), 2, 3)
+        assert trace.dim == 13
+        with pytest.raises(ValidationError):
+            posterior_predict_matrix(trace, np.ones((1, 1)), 0)
 
 
 class TestShrinkageWeight:

@@ -5,6 +5,7 @@ trace persistence."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -565,6 +566,23 @@ class TestTracePersistence:
         assert loaded.param_names == trace.param_names
         assert loaded.seed == trace.seed
         assert loaded.config == trace.config
+
+    def test_load_holds_the_payload_once(self, tmp_path):
+        draws = np.random.default_rng(5).normal(size=(2, 2048, 160))
+        assert draws.nbytes >= 4 * 2 ** 20
+        PosteriorTrace(draws=draws, divergent=np.zeros((2, 2048), bool),
+                       step_sizes=np.ones(2), initial_step_sizes=np.ones(2),
+                       mass_diag=np.ones((2, 160)),
+                       param_names=tuple(f"t{i}" for i in range(160)),
+                       seed=0).save(tmp_path / "trace.bin")
+        tracemalloc.start()
+        try:
+            loaded = PosteriorTrace.load(tmp_path / "trace.bin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.draws, draws)
+        assert peak < 1.5 * draws.nbytes
 
     def test_nan_draws_rejected(self):
         with pytest.raises(ValidationError):

@@ -23,7 +23,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -135,7 +135,9 @@ class RunConfig:
         "miscoverage_alpha": (0.05, 0.20),
         "calibration_split": (0.15, 0.30),
         "seed": (0, math.inf),
+        "smes": (1, math.inf),
         "n_per": (10, math.inf),
+        "features": (1, math.inf),
         "sigma_true": (0.0, math.inf),
     }
 
@@ -180,9 +182,6 @@ class RunConfig:
             if not low <= value <= high:
                 raise ConfigError(
                     f"{key}={value} outside allowed range [{low}, {high}]")
-        for key in ("smes", "features"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be positive")
         for key in ("mu_scale", "sigma_true"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite")
@@ -565,18 +564,21 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="attribution-based prior extraction")
     ext.add_argument("--prior-draws", type=int, default=200,
                      help="draws for the prior-only AUC check")
-    ext.add_argument("--lambda", dest="lambda_scale", type=float,
+    ext.add_argument("--lambda", dest="prior_scaling_lambda", type=float,
                      help="override prior_scaling_lambda")
 
     fit = sub.add_parser("fit", help="hierarchical Bayesian fit")
     fit.add_argument("--chains", type=int, help="override chain count")
-    fit.add_argument("--warmup", type=int, help="override warmup iterations")
-    fit.add_argument("--draws", type=int, help="override sampling iterations")
+    fit.add_argument("--warmup", dest="warmup_iterations", type=int,
+                     help="override warmup iterations")
+    fit.add_argument("--draws", dest="sampling_iterations", type=int,
+                     help="override sampling iterations")
     fit.add_argument("--weak-prior", action="store_true",
                      help="use a standard-normal prior instead of prior.json")
 
     cal = sub.add_parser("calibrate", help="conformal calibration")
-    cal.add_argument("--alpha", type=float, help="override miscoverage rate")
+    cal.add_argument("--alpha", dest="miscoverage_alpha", type=float,
+                     help="override miscoverage rate")
     cal.add_argument("--strategy", choices=("auto", "pooled"), default="auto",
                      help="'pooled' suppresses the automatic conservative "
                           "wrapper for small samples")
@@ -594,13 +596,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = {
-    "seed": "seed", "smes": "smes", "n_per": "n_per", "features": "features",
-    "sigma_true": "sigma_true", "mu_scale": "mu_scale", "chains": "chains",
-    "warmup": "warmup_iterations", "draws": "sampling_iterations",
-    "alpha": "miscoverage_alpha", "lambda_scale": "prior_scaling_lambda",
-}
-
 _COMMANDS = {
     "gen-data": cmd_gen_data,
     "pretrain": cmd_pretrain,
@@ -615,9 +610,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    overrides = {config_key: getattr(args, arg_key)
-                 for arg_key, config_key in _OVERRIDE_KEYS.items()
-                 if hasattr(args, arg_key)}
+    # An override flag's dest is the RunConfig field it sets.
+    keys = {f.name for f in fields(RunConfig)}
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in keys}
     try:
         config = RunConfig.load(args.config, overrides)
     except (ConfigError, ValidationError) as exc:

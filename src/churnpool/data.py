@@ -421,6 +421,12 @@ def stratified_kfold(data: Dataset, K: int,
 # Generators
 # ---------------------------------------------------------------------------
 
+def _entity_ids(J: int) -> tuple[str, ...]:
+    """``sme_00`` .. ``sme_{J-1}``, zero-padded to at least two digits."""
+    width = max(2, len(str(J - 1)))
+    return tuple(f"sme_{j:0{width}d}" for j in range(J))
+
+
 def make_synthetic_smes(source: Dataset, J: int, n_per: int,
                         seed: int) -> SMECollection:
     """Build ``J`` synthetic entities by resampling rows with replacement."""
@@ -431,15 +437,13 @@ def make_synthetic_smes(source: Dataset, J: int, n_per: int,
     if n_per < 10:
         raise ValidationError(f"n_per must be >= 10, got {n_per}")
     rng = default_rng(seed)
-    width = max(2, len(str(J - 1)))
-    smes, ids = [], []
-    for j in range(J):
-        sme_id = f"sme_{j:0{width}d}"
+    ids = _entity_ids(J)
+    smes = []
+    for sme_id in ids:
         rows = rng.integers(0, source.n, size=n_per)
         smes.append(Dataset(source.features[rows], source.labels[rows],
                             source.feature_names, (sme_id,) * n_per))
-        ids.append(sme_id)
-    return SMECollection(tuple(smes), tuple(ids))
+    return SMECollection(tuple(smes), ids)
 
 
 def generate_hierarchical_population(
@@ -463,17 +467,15 @@ def generate_hierarchical_population(
     mu_true = mu_scale * rng.standard_normal(p)
     betas_true = mu_true + sigma_true * rng.standard_normal((J, p))
     names = tuple(f"x{k:02d}" for k in range(p))
-    width = max(2, len(str(J - 1)))
-    smes, ids = [], []
-    for j in range(J):
-        sme_id = f"sme_{j:0{width}d}"
+    ids = _entity_ids(J)
+    smes = []
+    for sme_id, beta in zip(ids, betas_true):
         X = rng.standard_normal((n_per, p))
-        probs = 1.0 / (1.0 + np.exp(-X @ betas_true[j]))
+        probs = 1.0 / (1.0 + np.exp(-X @ beta))
         y = (rng.uniform(size=n_per) < probs).astype(np.int8)
         smes.append(Dataset(X, y, names, (sme_id,) * n_per))
-        ids.append(sme_id)
     truth = HierGroundTruth(mu_true, float(sigma_true), betas_true, seed)
-    return SMECollection(tuple(smes), tuple(ids)), truth
+    return SMECollection(tuple(smes), ids), truth
 
 
 # ---------------------------------------------------------------------------

@@ -150,25 +150,18 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 400):
         m2 = 2 * m
-        coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coeff / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        coeff = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coeff / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # The even and then the odd term of step m, one Lentz update each.
+        for coeff in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                      -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + coeff * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + coeff / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 3e-16:
             break
     return h

@@ -94,8 +94,11 @@ class HierData:
         p = len(self.feature_names)
         Xs, ys = [], []
         for X, y in zip(self.Xs, self.ys):
-            X = np.asarray(X, dtype=np.float64).reshape(-1, p)
-            y = check_binary_labels(np.asarray(y).reshape(-1))
+            X = as_float_matrix(X, "entity X")
+            if X.shape[1] != p:
+                raise ValidationError(f"entity X has {X.shape[1]} columns, "
+                                      f"expected {p} feature names")
+            y = check_binary_labels(y, "entity labels")
             if X.shape[0] != y.shape[0]:
                 raise ValidationError("entity X and y row counts differ")
             Xs.append(X)
@@ -405,7 +408,10 @@ def shrinkage_report(trace: PosteriorTrace, data: HierData) -> ShrinkageReport:
     from the mean weight.
     """
     p, J = data.p, data.J
-    _trace_dims(trace, p)
+    fitted_J = _trace_dims(trace, p)
+    if fitted_J != J:
+        raise ValidationError(f"trace was fitted on {fitted_J} entities, "
+                              f"the data has {J}")
     flat = trace.flat()
     sigma_draws = np.exp(flat[:, p])
     sigma_ind_sq = float(np.mean(sigma_draws ** 2))

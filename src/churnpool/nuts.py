@@ -99,9 +99,8 @@ class SamplerConfig:
 
     Every chain starts at ``init_point``, or at the origin when it is None,
     plus uniform jitter of half-width ``_JITTER`` drawn from its own
-    stream.  ``adapt_mass`` adapts the shared inverse metric from draws
-    pooled across chains at every warmup window's end; disabled, the metric
-    stays the identity.
+    stream.  Warmup always adapts the step size and the shared inverse
+    metric (see the module docstring); nothing here switches either off.
     """
 
     chains: int = 4
@@ -112,7 +111,6 @@ class SamplerConfig:
     divergence_energy_threshold: float = 1000.0
     seed: int = 0
     init_point: np.ndarray | None = None
-    adapt_mass: bool = True
 
     def validate(self) -> None:
         if self.chains < 1:
@@ -130,7 +128,8 @@ class SamplerConfig:
 
     def to_dict(self) -> dict:
         """Settings as recorded in a trace header; ``init`` names the start
-        (``"point"`` or ``"zero"``) and ``jitter`` its half-width."""
+        (``"point"`` or ``"zero"``), ``jitter`` its half-width, and the
+        constant ``adapt_mass`` keeps the header's bytes unchanged."""
         doc = {
             "chains": self.chains, "warmup": self.warmup, "draws": self.draws,
             "target_accept": self.target_accept,
@@ -139,7 +138,7 @@ class SamplerConfig:
             "seed": self.seed,
             "init": "zero" if self.init_point is None else "point",
             "jitter": _JITTER,
-            "adapt_mass": self.adapt_mass,
+            "adapt_mass": True,
             "variant": "multinomial-biased-progressive",
         }
         if self.init_point is not None:
@@ -447,14 +446,14 @@ def _find_reasonable_step_size(target, state: _State, inv_metric: _Metric,
 
 
 class _DualAveraging:
-    """Nesterov dual averaging on log step size (gamma/t0/kappa as published)."""
+    """Nesterov dual averaging on log step size from ``eps0``, shrinking
+    toward ``log(10 eps0)`` with Hoffman & Gelman's published constants
+    (arXiv:1111.4246 section 3.2): gamma 0.05, t0 10, kappa 0.75."""
 
-    def __init__(self, eps0: float, gamma: float = 0.05, t0: float = 10.0,
-                 kappa: float = 0.75):
+    _GAMMA, _T0, _KAPPA = 0.05, 10.0, 0.75
+
+    def __init__(self, eps0: float):
         self.mu = math.log(10.0 * eps0)
-        self.gamma = gamma
-        self.t0 = t0
-        self.kappa = kappa
         self.log_eps = math.log(eps0)
         self.log_eps_bar = 0.0
         self.h_bar = 0.0
@@ -463,10 +462,10 @@ class _DualAveraging:
     def step(self, adapt_stat: float) -> None:
         """``adapt_stat`` is target acceptance minus observed acceptance."""
         self.t += 1
-        eta = 1.0 / (self.t + self.t0)
+        eta = 1.0 / (self.t + self._T0)
         self.h_bar = (1.0 - eta) * self.h_bar + eta * adapt_stat
-        self.log_eps = self.mu - math.sqrt(self.t) / self.gamma * self.h_bar
-        weight = self.t ** (-self.kappa)
+        self.log_eps = self.mu - math.sqrt(self.t) / self._GAMMA * self.h_bar
+        weight = self.t ** (-self._KAPPA)
         self.log_eps_bar = (weight * self.log_eps
                             + (1.0 - weight) * self.log_eps_bar)
 
@@ -595,19 +594,19 @@ class _Chain:
                             metric.apply(s.grad))
         self._restart_step_size()
 
-    def warm(self, stop: int, block: np.ndarray | None = None,
-             start: int = 0) -> None:
-        """Warmup iterations up to ``stop``; the position after iteration
-        ``m >= start`` is written to ``block[m - start]``."""
+    def warm(self, stop: int) -> np.ndarray:
+        """Warmup iterations up to ``stop``; returns the position after each
+        of them, one row per iteration (no rows when already at ``stop``)."""
         target_accept = self.config.target_accept
-        while self.iteration < stop:
+        visited = np.empty((max(stop - self.iteration, 0), self.target.dim))
+        for row in visited:
             self.eps = self.averaging.current
             divergent, accept_stat = self.transition()
             self.warmup_divergent += divergent
             self.averaging.step(target_accept - accept_stat)
-            if block is not None and self.iteration >= start:
-                block[self.iteration - start] = self.state.q
+            row[:] = self.state.q
             self.iteration += 1
+        return visited
 
     def draw(self, draws: np.ndarray, divergent: np.ndarray,
              accept: np.ndarray) -> None:
@@ -726,18 +725,14 @@ def sample(target, config: SamplerConfig,
     chains = [_Chain(counted, config, rngs[c], starts[c], metric)
               for c in range(config.chains)]
 
-    windows = _mass_windows(config.warmup) if config.adapt_mass else []
-    block = np.empty((max((end - start for start, end in windows), default=0),
-                      dim))
-    for start, end in windows:
+    for start, end in _mass_windows(config.warmup):
         moments = _PooledMoments(dim)
         for chain in chains:
-            chain.warm(end, block, start)
-            moments.merge(block[:end - start])
+            chain.warm(start)
+            moments.merge(chain.warm(end))
         metric = moments.metric()
         for chain in chains:
             chain.adopt(metric)
-    del block
     for chain in chains:
         chain.warm(config.warmup)
         if chain.warmup_divergent == config.warmup:

@@ -606,12 +606,14 @@ class TestConfig:
         ["extract-priors", "--prior-draws", "0"],
         ["calibrate", "--inflation", "-1"],
         ["gen-data", "--n-per", "5"],
+        ["gen-data", "--smes", "0"],
+        ["gen-data", "--features", "0"],
         ["gen-data", "--sigma-true", "-1"],
         ["gen-data", "--sigma-true", "inf"],
         ["gen-data", "--mu-scale", "nan"],
         ["--seed", "-1", "gen-data"],
-    ], ids=["prior-draws", "inflation", "n-per", "sigma-true", "sigma-inf",
-            "mu-scale-nan", "seed"])
+    ], ids=["prior-draws", "inflation", "n-per", "smes", "features",
+            "sigma-true", "sigma-inf", "mu-scale-nan", "seed"])
     def test_out_of_range_value_exits_before_writing(
             self, trained_dir, tmp_path, args):
         # The pretrain artifacts let extract-priors get as far as writing
@@ -622,6 +624,36 @@ class TestConfig:
         assert main(["--out", str(tmp_path), *args]) == 2
         assert not (tmp_path / "prior.json").exists()
         assert not (tmp_path / "smes").exists()
+
+    @pytest.mark.parametrize("args, key, value", [
+        (["--seed", "7", "gen-data"], "seed", 7),
+        (["gen-data", "--smes", "3"], "smes", 3),
+        (["gen-data", "--n-per", "12"], "n_per", 12),
+        (["gen-data", "--features", "3"], "features", 3),
+        (["gen-data", "--sigma-true", "0.25"], "sigma_true", 0.25),
+        (["gen-data", "--mu-scale", "0.5"], "mu_scale", 0.5),
+        (["fit", "--chains", "3"], "chains", 3),
+        (["fit", "--warmup", "1500"], "warmup_iterations", 1500),
+        (["fit", "--draws", "1200"], "sampling_iterations", 1200),
+        (["calibrate", "--alpha", "0.15"], "miscoverage_alpha", 0.15),
+        (["extract-priors", "--lambda", "1.5"], "prior_scaling_lambda", 1.5),
+    ], ids=["seed", "smes", "n-per", "features", "sigma-true", "mu-scale",
+            "chains", "warmup", "draws", "alpha", "lambda"])
+    def test_override_flag_reaches_its_key(self, tmp_path, monkeypatch, args,
+                                           key, value):
+        # main keeps only the parsed values whose dest names a RunConfig
+        # field, so a flag with a mistyped dest would be dropped silently.
+        seen = []
+
+        def record(config, parsed):
+            seen.append(config)
+            return 0
+
+        monkeypatch.setattr(cli, "_COMMANDS",
+                            {name: record for name in cli._COMMANDS})
+        assert getattr(cli.RunConfig(), key) != value
+        assert main(["--out", str(tmp_path), *args]) == 0
+        assert getattr(seen[0], key) == value
 
     def test_alpha_override(self, pipeline_dir):
         assert main(["--out", str(pipeline_dir), "--force", "calibrate",

@@ -1,22 +1,24 @@
-"""Log-posterior and gradient correctness, predictive quantiles, and
-shrinkage arithmetic."""
+"""Log-posterior and gradient correctness, predictive quantiles,
+shrinkage arithmetic, and simulation-based calibration of the sampled
+posterior."""
 
 import math
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import churnpool.hier_model as hier_model
 from churnpool.data import generate_hierarchical_population
 from churnpool.errors import DataError, ValidationError
-from churnpool.hier_model import (INTERCEPT_PRIOR_VAR, PREDICT_CHUNK_ROWS,
-                                  HierData, HierHyper, HierTarget,
-                                  HierarchicalLogistic, param_names,
-                                  posterior_predict_matrix, shrinkage_report,
-                                  shrinkage_weight)
+from churnpool.hier_model import (INTERCEPT_NAME, INTERCEPT_PRIOR_VAR,
+                                  PREDICT_CHUNK_ROWS, HierData, HierHyper,
+                                  HierTarget, HierarchicalLogistic,
+                                  param_names, posterior_predict_matrix,
+                                  shrinkage_report, shrinkage_weight)
 from churnpool.numerics import sigmoid
-from churnpool.nuts import PosteriorTrace
+from churnpool.nuts import PosteriorTrace, SamplerConfig, sample
 from churnpool.shap_prior import PriorSpec
 
 from _oracles import longdouble_grad_log_posterior, longdouble_log_posterior
@@ -82,6 +84,30 @@ def _extreme_margin_instance(p, sizes, seed):
         z = X @ beta
         Xs.append(X * (rng.uniform(700.0, 800.0, z.size) / np.abs(z))[:, None])
     return HierData(tuple(Xs), data.ys, data.feature_names), hyper, params
+
+
+class TestHierData:
+    def test_wrong_width_rejected(self):
+        # Ten rows of four columns are not twenty rows of two.
+        with pytest.raises(ValidationError, match="columns"):
+            HierData((np.zeros((10, 4)),), (np.zeros(10, dtype=int),),
+                     ("a", "b"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_feature_rejected(self, bad):
+        X = np.zeros((3, 2))
+        X[1, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            HierData((X,), (np.array([0, 1, 0]),), ("a", "b"))
+
+    def test_one_dimensional_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="2-dimensional"):
+            HierData((np.zeros(4),), (np.zeros(2, dtype=int),), ("a", "b"))
+
+    def test_two_dimensional_labels_rejected(self):
+        with pytest.raises(ValidationError, match="1-dimensional"):
+            HierData((np.zeros((4, 2)),), (np.zeros((2, 2), dtype=int),),
+                     ("a", "b"))
 
 
 class TestLogPosterior:
@@ -403,6 +429,20 @@ class TestShrinkageReport:
         assert report.flagged[0] and not report.flagged[1]
         assert np.isnan(report.mle[0, 0])
 
+    @pytest.mark.parametrize("fitted_J", [2, 5])
+    def test_trace_of_other_entity_count_rejected(self, fitted_J):
+        # A 5-entity trace used to report entities 0-2 of the other fit,
+        # and a 2-entity trace ended in a numpy broadcasting error.
+        collection, _ = generate_hierarchical_population(
+            p=2, J=3, n_per=20, mu_scale=0.8, sigma_true=0.3, seed=12)
+        data = HierData(tuple(ds.features for ds in collection.smes),
+                        tuple(ds.labels for ds in collection.smes),
+                        collection.feature_names)
+        trace = _trace_from_flat(np.zeros((50, 3 + 2 * fitted_J)), 2,
+                                 fitted_J)
+        with pytest.raises(ValidationError, match="entities"):
+            shrinkage_report(trace, data)
+
     def test_strong_shrinkage_regime_near_underdetermined(self):
         # At 50 rows against 40 features the per-entity likelihood barely
         # constrains anything, so hierarchical estimates keep almost none
@@ -466,3 +506,62 @@ class TestTransferPrior:
                           np.ones(3), 0.0, {})
         with pytest.raises(DataError, match="tenure"):
             HierarchicalLogistic(prior=prior).fit(collection)
+
+
+class TestSimulationBasedCalibration:
+    """Simulation-based calibration (Talts et al., arXiv:1804.06788).
+
+    Each fit draws ``(mu, sigma, beta_raw)`` from ``HierTarget``'s own
+    prior, simulates labels on fixed features and samples the posterior.
+    When the sampler targets exactly the density that this prior and the
+    likelihood define, the rank of each true quantity among independent
+    posterior draws is uniform on ``0 .. L``.  Thinning by ``THIN`` makes
+    the retained draws close to independent.  A log density without the
+    ``+ log sigma`` Jacobian leaves log sigma's posterior improper toward
+    zero, and its true value then ranks near the top in most fits.
+    """
+
+    J, ROWS, FITS, DRAWS, THIN, BINS = 3, 20, 30, 100, 10, 7
+    NAMES = ("x0", "x1", INTERCEPT_NAME)
+
+    def _ranks(self, fit: int, X: np.ndarray, hyper: HierHyper) -> np.ndarray:
+        """Ranks of mu_0, log sigma, beta_{1,0} and the log-likelihood."""
+        J, n, p = X.shape
+        rng = np.random.default_rng(fit)
+        mu = hyper.beta0 + np.sqrt(hyper.sigma0_diag) * rng.standard_normal(p)
+        sigma = hyper.tau * abs(rng.standard_normal())
+        braw = rng.standard_normal((J, p))
+        truth = np.concatenate([mu, [math.log(sigma)], braw.ravel()])
+        z = np.einsum("jnp,jp->jn", X, mu + sigma * braw)
+        y = (rng.uniform(size=(J, n)) < sigmoid(z)).astype(np.int8)
+        target = HierTarget(HierData(tuple(X), tuple(y), self.NAMES), hyper)
+        trace, _ = sample(target, SamplerConfig(chains=2, warmup=150,
+                                                draws=self.DRAWS, seed=fit))
+        draws = trace.draws[:, self.THIN - 1::self.THIN].reshape(-1, target.dim)
+
+        def quantities(theta):
+            mu, log_sigma = theta[..., :p], theta[..., p]
+            braw = theta[..., p + 1:].reshape(theta.shape[:-1] + (J, p))
+            betas = (mu[..., None, :]
+                     + np.exp(log_sigma)[..., None, None] * braw)
+            z = np.einsum("jnp,...jp->...jn", X, betas)
+            loglik = (y * z - np.logaddexp(0.0, z)).sum(axis=(-2, -1))
+            return np.stack([mu[..., 0], log_sigma, betas[..., 1, 0], loglik],
+                            axis=-1)
+
+        return (quantities(draws) < quantities(truth)).sum(axis=0)
+
+    def test_ranks_uniform(self):
+        X = np.random.default_rng(2024).standard_normal(
+            (self.J, self.ROWS, len(self.NAMES)))
+        X[..., -1] = 1.0
+        hyper = HierHyper(np.zeros(3), np.ones(3), tau=1.0)
+        ranks = np.array([self._ranks(fit, X, hyper)
+                          for fit in range(self.FITS)])
+        n_ranks = 2 * (self.DRAWS // self.THIN) + 1
+        for name, column in zip(("mu_0", "log_sigma", "beta_1_0", "loglik"),
+                                ranks.T):
+            counts = np.bincount(column * self.BINS // n_ranks,
+                                 minlength=self.BINS)
+            pvalue = scipy.stats.chisquare(counts).pvalue
+            assert pvalue > 1e-3, f"{name} rank counts {counts}, p={pvalue:.2g}"

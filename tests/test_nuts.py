@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 import churnpool.nuts as nuts
 from churnpool.errors import DiagnosticError, ValidationError
 from churnpool.nuts import (Diagnostics, FunctionTarget, PosteriorTrace,
-                            SamplerConfig, _leapfrog, _log_add_exp, _Metric,
-                            _PooledMoments, _State, _find_reasonable_step_size,
-                            ess, rhat, sample)
-from churnpool.rng import default_rng
+                            SamplerConfig, _Chain, _leapfrog, _log_add_exp,
+                            _Metric, _PooledMoments, _State,
+                            _find_reasonable_step_size, ess, rhat, sample)
+from churnpool.rng import default_rng, spawn
 
 from _oracles import dense_inverse_metric
 
@@ -229,12 +229,19 @@ class TestSampling:
         assert 0.83 <= diag.mean_accept <= 0.97
 
     def test_step_size_adapts_down_from_coarse_start(self):
-        # Unit mass matrix on a sd=0.1 target: the 50%-acceptance search
+        # Unit metric on a sd=0.1 target: the 50%-acceptance search
         # overshoots what a 0.9 target tolerates, so averaging adapts down.
+        # The chains start as sample() starts them, but never leave the
+        # identity metric.
         target = gaussian_target([5.0], [0.1])
-        trace, _ = self._run(target, chains=2, warmup=600, draws=200,
-                             adapt_mass=False, init_point=np.array([5.0]))
-        assert np.all(trace.step_sizes < trace.initial_step_sizes)
+        config = SamplerConfig(chains=2, warmup=600, draws=200, seed=101)
+        for rng in spawn(config.seed, config.chains):
+            start = 5.0 + rng.uniform(-nuts._JITTER, nuts._JITTER, 1)
+            chain = _Chain(target, config, rng, start, _Metric(np.ones(1)))
+            assert chain.warm(config.warmup).shape == (config.warmup, 1)
+            assert chain.averaging.averaged < chain.initial_eps
+        # Metric adaptation is always on, and trace headers still say so.
+        assert config.to_dict()["adapt_mass"] is True
 
     def test_trace_shape_and_flags(self):
         trace, diag = self._run(gaussian_target([0.0], [1.0]),

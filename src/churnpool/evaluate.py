@@ -407,12 +407,24 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
     hier_folds: list[list[tuple[np.ndarray, np.ndarray]]] = [
         [] for _ in range(K)]
 
-    for j in sorted(folds_per_sme):
+    # Hierarchical scores, one call per fold over every entity's held-out
+    # rows; hier_probs[j, k] holds entity j's share of fold k.
+    hier_probs: dict[tuple[int, int], np.ndarray] = {}
+    entities = sorted(folds_per_sme)
+    for k, fitted in enumerate(by_fold or ()):
+        tests = [folds_per_sme[j][k][1] for j in entities]
+        sizes = [test.n for test in tests]
+        probs = fitted.predict_proba(
+            np.concatenate([test.features for test in tests]),
+            np.repeat(entities, sizes))
+        for j, part in zip(entities, np.split(probs, np.cumsum(sizes)[:-1])):
+            hier_probs[j, k] = part
+
+    for j in entities:
         for k, (train, test) in enumerate(folds_per_sme[j]):
             evals = {}
-            probs_h = None
-            if by_fold is not None:
-                probs_h = by_fold[k].predict_proba(test.features, j)
+            probs_h = hier_probs.get((j, k))
+            if probs_h is not None:
                 evals["hierarchical"] = probs_h
             if k in pooled_models:
                 evals["pooled"] = logreg_predict(pooled_models[k],

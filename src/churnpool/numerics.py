@@ -29,14 +29,23 @@ def binary_log_loss(labels, probs) -> float:
 
 
 def average_ranks(x) -> np.ndarray:
-    """1-based ranks of a 1-D array, ties sharing their average rank.
+    """1-based ranks of a 1-D array without NaN, ties sharing their
+    average rank.
 
     A value's tie block occupies sorted positions ``left+1 .. right``, so
     its average rank is ``(left + right + 1) / 2``: an exact half-integer.
+    The blocks come from one sort; the order within a block is immaterial.
     """
-    s = np.sort(x)
-    return (np.searchsorted(s, x, "left") + np.searchsorted(s, x, "right")
-            + 1) / 2.0
+    x = np.asarray(x)
+    order = np.argsort(x)
+    s = x[order]
+    # Sorted positions where a tie block starts, then the end of the last.
+    bounds = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1],
+                                            [True])))
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0,
+                             np.diff(bounds))
+    return ranks
 
 
 def norm_ppf(q):

@@ -20,13 +20,28 @@ Step size and metric both freeze before the sampling phase.
 
 Targets are anything with a ``dim`` attribute and a ``logp_and_grad(theta)``
 method returning ``(float, ndarray)``.  Each chain draws from its own
-generator stream, but the chains advance in lockstep, window by window, in
-chain order, so a run is a pure function of ``(target, config)`` and is
-bit-reproducible; it is not a function of each chain alone.
+generator stream, but the chains advance in lockstep, window by window,
+and their window draws are pooled in chain order, so a run is a pure
+function of ``(target, config)`` and is bit-reproducible; it is not a
+function of each chain alone.
+
+The chains run in up to ``min(chains, usable CPUs)`` forked worker
+processes, worker ``w`` holding chains ``c = w (mod W)``.  Between window
+barriers a chain depends only on its own state and stream, so the result
+is the same for any worker count, one included.  The window metric is
+built in the calling process with numpy's bundled OpenBLAS on one thread,
+so it is also the same for any BLAS thread count; with another BLAS the
+trace header records ``"blas_pinned": false``.  Target callables may run
+in child processes, so side effects of their calls are not seen by the
+caller.  ``taskset`` limits the worker count through the CPU affinity
+mask.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import json
 import math
 import operator
@@ -333,6 +348,48 @@ class _Metric:
         return self.diag * (1.0 + (self.u * self.u) @ (self.lam - 1.0))
 
 
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS bundled with
+    numpy, or None when numpy links another BLAS."""
+    import ctypes
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with the bundled OpenBLAS on one thread and restore
+    the count afterwards; unpinned when that OpenBLAS is not there.
+
+    The pooled scatter product and ``eigh`` sum in an order that follows
+    the BLAS thread count; on one thread they give the same bits whatever
+    count the process runs with.
+    """
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, put = api
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 class _PooledMoments:
     """Mean and scatter of one warmup window's draws pooled across chains.
 
@@ -346,6 +403,7 @@ class _PooledMoments:
         self.mean = np.zeros(dim)
         self.scatter = np.zeros((dim, dim))
 
+    @_one_blas_thread()
     def merge(self, block: np.ndarray) -> None:
         m = block.shape[0]
         if m == 0:
@@ -359,6 +417,7 @@ class _PooledMoments:
         self.mean += delta * (m / total)
         self.n = total
 
+    @_one_blas_thread()
     def metric(self) -> _Metric:
         """Shrunk pooled variances plus the correlation eigenpairs outside
         the Marchenko-Pastur noise band and outside ``[1/2, 2]``, at most
@@ -692,16 +751,213 @@ class _Chain:
         return divergent, sum_accept / max(n_accept, 1)
 
 
+class _Group:
+    """One worker's chains, advanced in this process.
+
+    Each generator yields one item per chain, in the group's chain order,
+    so that the caller can take the groups' items round-robin back into
+    the chains' order.
+    """
+
+    def __init__(self, chains: list[_Chain]):
+        self.chains = chains
+
+    def blocks(self, start: int, end: int):
+        """Each chain's positions over warmup iterations ``[start, end)``."""
+        for chain in self.chains:
+            chain.warm(start)
+            yield chain.warm(end)
+
+    def adopt(self, metric: _Metric) -> None:
+        for chain in self.chains:
+            chain.adopt(metric)
+
+    def finish(self, rows):
+        """Warm each chain to the end of warmup, then draw into its
+        ``(draws, divergent, accept)`` row of ``rows``; yields the chain's
+        step size."""
+        for chain, row in zip(self.chains, rows):
+            warmup = chain.config.warmup
+            chain.warm(warmup)
+            if chain.warmup_divergent == warmup:
+                raise DiagnosticError(
+                    "every warmup iteration diverged; increase target_accept "
+                    "(for example 0.95) or reparameterize the model")
+            chain.draw(*row)
+            yield chain.eps
+
+
+def _send_array(conn, array: np.ndarray) -> None:
+    """Write a contiguous array's bytes to ``conn``'s socket, unframed:
+    the reader knows the shape."""
+    view = memoryview(array).cast("B")
+    while view:
+        view = view[os.write(conn.fileno(), view):]
+
+
+def _serve(group: _Group, windows, counter, conn, parent_ends) -> None:
+    """Body of a forked chain worker: run ``group`` through ``windows`` and
+    sampling, streaming every block, step size and draw row to the parent
+    over ``conn``, then the gradient calls the worker made.
+
+    Closing the inherited parent-side pipe ends makes the next message on
+    ``conn`` fail once the parent is gone, and the worker then exits.
+    """
+    for parent_end in parent_ends:
+        parent_end.close()
+    calls = counter.calls
+    try:
+        with _one_blas_thread():
+            for start, end in windows:
+                for block in group.blocks(start, end):
+                    conn.send(None)
+                    _send_array(conn, block)
+                group.adopt(_Metric(*conn.recv()))
+            chain = group.chains[0]
+            row = (np.empty((chain.config.draws, chain.target.dim)),
+                   np.empty(chain.config.draws, dtype=bool),
+                   np.empty(chain.config.draws))
+            for eps in group.finish(itertools.repeat(row)):
+                conn.send(eps)
+                for out in row:
+                    _send_array(conn, out)
+            conn.send(counter.calls - calls)
+    except Exception as exc:
+        try:
+            conn.send(exc)
+        except OSError:
+            pass  # the parent has gone
+        except Exception:  # the exception does not pickle
+            conn.send(RuntimeError(f"sampler worker failed: {exc!r}"))
+
+
+_WORKER_GONE = "a sampler worker exited unexpectedly"
+
+
+class _Worker:
+    """Parent side of a forked process that runs one ``_Group``, with the
+    same generators as the group; an exception raised in the worker is
+    raised again here."""
+
+    def __init__(self, ctx, group: _Group, windows, counter, ends: list):
+        self.conn, child_end = ctx.Pipe()
+        ends.append(self.conn)
+        self.n_chains = len(group.chains)
+        self.dim = counter.dim
+        self.process = ctx.Process(
+            target=_serve, args=(group, windows, counter, child_end,
+                                 list(ends)), daemon=True)
+        self.process.start()
+        child_end.close()
+
+    def _reply(self):
+        try:
+            reply = self.conn.recv()
+        except EOFError:
+            raise RuntimeError(_WORKER_GONE) from None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def _read_into(self, out: np.ndarray) -> None:
+        """Read ``_send_array``'s bytes straight into the contiguous
+        ``out``, with no intermediate copy."""
+        view = memoryview(out).cast("B")
+        while view:
+            size = os.readv(self.conn.fileno(), [view])
+            if not size:
+                raise RuntimeError(_WORKER_GONE)
+            view = view[size:]
+
+    def blocks(self, start: int, end: int):
+        block = np.empty((end - start, self.dim))
+        for _ in range(self.n_chains):
+            self._reply()
+            self._read_into(block)
+            yield block
+
+    def adopt(self, metric: _Metric) -> None:
+        self.conn.send((metric.diag, metric.u, metric.lam))
+
+    def finish(self, rows):
+        for row in rows:
+            eps = self._reply()
+            for out in row:
+                self._read_into(out)
+            yield eps
+
+    def grad_calls(self) -> int:
+        return self._reply()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run chain workers on: 1 without
+    ``os.sched_getaffinity`` or the fork start method, and in a daemon
+    process, which may not have children."""
+    try:
+        count = len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+    if count < 2:
+        return 1
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return count
+
+
+@contextlib.contextmanager
+def _forked(groups: list[_Group], windows, counter):
+    """Run each group in a forked daemon worker and yield the workers.
+
+    The workers inherit the target, so only commands and results cross
+    the pipes.  On exit every pipe is closed and every worker joined; on
+    an error the workers are terminated first.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    ends, workers = [], []
+    try:
+        for group in groups:
+            workers.append(_Worker(ctx, group, windows, counter, ends))
+        yield workers
+    except BaseException:
+        for worker in workers:
+            worker.process.terminate()
+        raise
+    finally:
+        for end in ends:
+            end.close()
+        for worker in workers:
+            worker.process.join()
+
+
+def _round_robin(streams, n: int):
+    """``n`` items taken from ``streams`` in turn: item ``c`` comes from
+    stream ``c mod len(streams)``."""
+    for c in range(n):
+        yield next(streams[c % len(streams)])
+
+
 def sample(target, config: SamplerConfig,
            param_names=None) -> tuple[PosteriorTrace, Diagnostics]:
     """Run NUTS chains on ``target`` and compute convergence diagnostics.
 
     Warmup draws are discarded; the trace holds exactly ``chains x draws``
-    post-warmup states.  Chains run one after another in lockstep through
-    the warmup windows: at each window's end the shared metric is rebuilt
-    from that window's draws of every chain, pooled in chain order.  Each
-    chain keeps its own generator stream, so identical ``(target, config)``
-    produce bit-identical traces.
+    post-warmup states.  The chains advance in lockstep through the warmup
+    windows: at each window's end the shared metric is rebuilt from that
+    window's draws of every chain, pooled in chain order.  Each chain keeps
+    its own generator stream, so identical ``(target, config)`` produce
+    bit-identical traces.
+
+    The chains are built here, then run in ``W = min(chains, usable
+    CPUs)`` forked worker processes (in this process when ``W`` is 1);
+    the trace, diagnostics and gradient-call count are the same for any
+    ``W``.  ``target`` may therefore be called in child processes, and
+    side effects of its calls there are not seen by the caller.
     """
     config.validate()
     dim = target.dim
@@ -724,40 +980,52 @@ def sample(target, config: SamplerConfig,
     metric = _Metric(np.ones(dim))
     chains = [_Chain(counted, config, rngs[c], starts[c], metric)
               for c in range(config.chains)]
+    initial_step_sizes = np.array([chain.initial_eps for chain in chains])
 
-    for start, end in _mass_windows(config.warmup):
-        moments = _PooledMoments(dim)
-        for chain in chains:
-            chain.warm(start)
-            moments.merge(chain.warm(end))
-        metric = moments.metric()
-        for chain in chains:
-            chain.adopt(metric)
-    for chain in chains:
-        chain.warm(config.warmup)
-        if chain.warmup_divergent == config.warmup:
-            raise DiagnosticError(
-                "every warmup iteration diverged; increase target_accept "
-                "(for example 0.95) or reparameterize the model")
     draws = np.empty((config.chains, config.draws, dim))
     divergent = np.empty((config.chains, config.draws), dtype=bool)
     accept = np.empty((config.chains, config.draws))
-    for c, chain in enumerate(chains):
-        chain.draw(draws[c], divergent[c], accept[c])
+    step_sizes = np.empty(config.chains)
+    windows = _mass_windows(config.warmup)
+    n_workers = min(config.chains, _usable_cpus()) if config.chains > 1 else 1
+    groups = [_Group(chains[w::n_workers]) for w in range(n_workers)]
+    with (_forked(groups, windows, counted) if n_workers > 1
+          else contextlib.nullcontext([])) as workers:
+        # Each worker, or with one worker the group itself, serves group
+        # w's chains; their items are taken back in chain order.
+        runners = workers or groups
+        for start, end in windows:
+            moments = _PooledMoments(dim)
+            for block in _round_robin(
+                    [runner.blocks(start, end) for runner in runners],
+                    config.chains):
+                moments.merge(block)
+            metric = moments.metric()
+            for runner in runners:
+                runner.adopt(metric)
+        rows = list(zip(draws, divergent, accept))
+        step_sizes[:] = list(_round_robin(
+            [runner.finish(rows[w::n_workers])
+             for w, runner in enumerate(runners)], config.chains))
+        n_grad = counted.calls + sum(worker.grad_calls()
+                                     for worker in workers)
 
+    header = config.to_dict()
+    if _openblas_threads() is None:
+        header["blas_pinned"] = False
     trace = PosteriorTrace(
         draws=draws,
         divergent=divergent,
-        step_sizes=np.array([chain.eps for chain in chains]),
-        initial_step_sizes=np.array([chain.initial_eps for chain in chains]),
+        step_sizes=step_sizes,
+        initial_step_sizes=initial_step_sizes,
         mass_diag=np.tile(metric.diagonal(), (config.chains, 1)),
         param_names=tuple(param_names),
         seed=config.seed,
-        config=config.to_dict(),
+        config=header,
     )
     # Diagnostics.mean_accept is the mean of the per-chain means.
     mean_accept = float(np.mean([row.mean() for row in accept]))
-    return trace, compute_diagnostics(trace, mean_accept, counted.calls)
+    return trace, compute_diagnostics(trace, mean_accept, n_grad)
 
 
 def compute_diagnostics(trace: PosteriorTrace, mean_accept: float = math.nan,
@@ -834,17 +1102,14 @@ def _ess_from_chains(chains: np.ndarray) -> float:
 
     rho = 1.0 - (mean_var - acov.mean(axis=0)) / var_plus
     rho[0] = 1.0
-    total = 0.0
-    prev_pair = math.inf
-    k = 0
-    while 2 * k + 1 < rho.size:
-        pair = rho[2 * k] + rho[2 * k + 1]
-        if not pair > 0.0:
-            break
-        pair = min(pair, prev_pair)
-        prev_pair = pair
-        total += pair
-        k += 1
+    # Geyer: sum the pair sums up to the first that is not positive, each
+    # capped by the ones before it; cumsum adds them left to right.
+    half = rho.size // 2
+    pairs = rho[0:2 * half:2] + rho[1:2 * half:2]
+    positive = pairs > 0.0
+    stop = half if positive.all() else int(np.argmin(positive))
+    capped = np.minimum.accumulate(pairs[:stop])
+    total = float(np.cumsum(capped)[-1]) if stop else 0.0
     tau = max(-1.0 + 2.0 * total, 1.0 / ESS_CAP_FACTOR)
     return float(min(c * n / tau, ESS_CAP_FACTOR * c * n))
 

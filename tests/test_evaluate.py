@@ -315,6 +315,36 @@ class TestRunExperiment:
         assert report.protocol == "refit"
         assert report.n_evaluations == 4
 
+    def test_one_scoring_call_per_fold(self, monkeypatch):
+        # Every entity's held-out rows of a fold are scored in one call,
+        # and each entity's share has the bits a call on its rows alone
+        # gives.
+        collection, _ = generate_hierarchical_population(
+            p=2, J=3, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=24)
+        prior = PriorSpec(collection.feature_names, np.zeros(2), np.ones(2),
+                          0.0, {})
+        model = HierarchicalLogistic(prior=prior, chains=2, warmup=120,
+                                     draws=100)
+        score = hier_model.posterior_predict_matrix
+        calls = []
+
+        def scored_once(trace, X, entity):
+            result = score(trace, X, entity)
+            for j in np.unique(entity):
+                rows = entity == j
+                alone = score(trace, X[rows], j)
+                assert all(np.array_equal(a, b[rows])
+                           for a, b in zip(alone, result))
+            calls.append(np.unique(entity).size)
+            return result
+
+        monkeypatch.setattr(hier_model, "posterior_predict_matrix",
+                            scored_once)
+        report = run_experiment(collection, model,
+                                ExperimentConfig(folds=2, alpha=0.2), seed=6)
+        assert calls == [3, 3]
+        assert report.n_evaluations == 6
+
     def test_homogeneous_entities_pooling_ordering(self):
         # Entities resampled from one source share a single generating
         # model, so complete pooling must beat per-entity fits, with the

@@ -1,17 +1,24 @@
 """Integrator properties, the shared low-rank metric, sampling accuracy on
 analytic targets, funnel behavior of centered vs non-centered
-parameterizations, diagnostics oracles, determinism, gradient counts and
-trace persistence."""
+parameterizations, diagnostics oracles, determinism across worker and BLAS
+thread counts, forked-worker hygiene, gradient counts and trace
+persistence."""
 
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import churnpool
 import churnpool.nuts as nuts
 from churnpool.errors import DiagnosticError, ValidationError
 from churnpool.nuts import (Diagnostics, FunctionTarget, PosteriorTrace,
@@ -259,16 +266,18 @@ class TestSampling:
         assert np.array_equal(trace_a.draws, trace_b.draws)
         assert np.array_equal(trace_a.divergent, trace_b.divergent)
 
-    def test_repeat_runs_byte_identical(self, tmp_path):
+    def test_repeat_runs_byte_identical(self, tmp_path, monkeypatch):
         # Lockstep chains share the metric, so the run as a whole is the
         # unit of reproducibility; the correlated target exercises the
-        # low-rank part.
+        # low-rank part.  The last run spreads the chains over two workers.
         target = equicorrelated_target(6, 0.9)
         config = SamplerConfig(chains=3, warmup=300, draws=150, seed=13)
-        for name in ("first", "second"):
+        for name, workers in (("first", 1), ("second", 1), ("forked", 2)):
+            monkeypatch.setattr(nuts, "_usable_cpus", lambda: workers)
             sample(target, config)[0].save(tmp_path / f"{name}.bin")
-        assert ((tmp_path / "first.bin").read_bytes()
-                == (tmp_path / "second.bin").read_bytes())
+        first = (tmp_path / "first.bin").read_bytes()
+        assert first == (tmp_path / "second.bin").read_bytes()
+        assert first == (tmp_path / "forked.bin").read_bytes()
 
     def test_nonfinite_init_rejected(self):
         target = FunctionTarget(1, lambda q: math.nan,
@@ -361,21 +370,14 @@ class TestSharedMetric:
         # One eigenvalue 1 + 9 * 0.95 = 9.55, nine of 0.05: a diagonal
         # metric needs about 11 gradient calls per transition here.
         windows = _record_windows(monkeypatch)
-        calls = [0]
-        inner = equicorrelated_target(10, 0.95)
-
-        def grad(q):
-            calls[0] += 1
-            return inner.logp_and_grad(q)[1]
-
-        target = FunctionTarget(10, lambda q: inner.logp_and_grad(q)[0], grad)
+        target = equicorrelated_target(10, 0.95)
         config = SamplerConfig(chains=4, warmup=500, draws=500, seed=5)
         _, diag = sample(target, config)
         final = windows[-1][1]
         assert final.lam.size >= 1
         assert 7.0 < final.lam.max() < 12.0
-        per_transition = calls[0] / (config.chains
-                                     * (config.warmup + config.draws))
+        per_transition = diag.n_grad / (config.chains
+                                        * (config.warmup + config.draws))
         assert per_transition < 8.0
         assert diag.max_rhat() < 1.02
 
@@ -412,12 +414,18 @@ class TestGradientCount:
         return FunctionTarget(3, lambda q: float(-0.5 * np.sum((q - 1.0) ** 2)),
                               grad), calls
 
-    def test_counts_every_call(self):
+    def test_counts_every_call(self, monkeypatch):
+        # The closure counter sees only calls made in this process, so the
+        # exact count is taken on one worker; two workers must report it.
+        config = SamplerConfig(chains=2, warmup=150, draws=100, seed=4)
+        monkeypatch.setattr(nuts, "_usable_cpus", lambda: 1)
         target, calls = self._counting_target()
-        _, diag = sample(target, SamplerConfig(chains=2, warmup=150,
-                                               draws=100, seed=4))
+        _, diag = sample(target, config)
         assert diag.n_grad == calls[0] > 2 * 250
         assert json.loads(diag.to_json())["n_grad"] == calls[0]
+        monkeypatch.setattr(nuts, "_usable_cpus", lambda: 2)
+        assert sample(self._counting_target()[0], config)[1].n_grad \
+            == diag.n_grad
 
     @pytest.mark.parametrize("setting", [
         {"draws": 7}, {"divergence_energy_threshold": 0.0},
@@ -450,6 +458,98 @@ class TestGradientCount:
             tmp_path / "plain.bin")
         assert ((tmp_path / "counted.bin").read_bytes()
                 == (tmp_path / "plain.bin").read_bytes())
+
+
+class _WorkerFailure(Exception):
+    """Raised by a target only when it runs in a forked worker."""
+
+
+# A sample() on a 99-dimensional equicorrelated Gaussian whose precision is
+# built without BLAS, saved to argv[1].  At dim 99 OpenBLAS 0.3.31 splits
+# the window scatter product and eigh across threads, and the sum order
+# then follows the thread count.
+_BLAS_THREADS_RUN = """
+import sys
+import numpy as np
+from churnpool.nuts import FunctionTarget, SamplerConfig, sample
+dim, rho = 99, 0.9
+precision = (np.eye(dim) - rho / (1 + (dim - 1) * rho)) / (1 - rho)
+target = FunctionTarget(dim, lambda q: float(-0.5 * q @ precision @ q),
+                        lambda q: -precision @ q)
+sample(target, SamplerConfig(chains=2, warmup=150, draws=10, seed=5)
+       )[0].save(sys.argv[1])
+"""
+
+
+class TestWorkers:
+    """Chains spread over forked workers; the CPU count is the seam."""
+
+    def test_any_worker_count_gives_the_same_run(self, tmp_path,
+                                                 monkeypatch):
+        runs = []
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(nuts, "_usable_cpus", lambda: workers)
+            trace, diag = sample(equicorrelated_target(8, 0.8),
+                                 SamplerConfig(chains=4, warmup=300,
+                                               draws=100, seed=21))
+            trace.save(tmp_path / f"{workers}.bin")
+            runs.append(((tmp_path / f"{workers}.bin").read_bytes(),
+                         diag.to_json()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert json.loads(runs[0][1])["n_grad"] > 4 * 400
+
+    def test_worker_exception_keeps_its_type(self, monkeypatch):
+        parent = os.getpid()
+
+        def grad(q):
+            if os.getpid() != parent:
+                raise _WorkerFailure("boom")
+            return -q
+
+        monkeypatch.setattr(nuts, "_usable_cpus", lambda: 2)
+        target = FunctionTarget(2, lambda q: float(-0.5 * q @ q), grad)
+        with pytest.raises(_WorkerFailure, match="boom"):
+            sample(target, SamplerConfig(chains=2, warmup=150, draws=10,
+                                         seed=1))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exits_when_parent_end_closes(self):
+        config = SamplerConfig(chains=1, warmup=150, draws=10, seed=1)
+        counted = nuts._CountingTarget(gaussian_target([0.0], [1.0]))
+        chain = _Chain(counted, config, default_rng(1), np.zeros(1),
+                       _Metric(np.ones(1)))
+        windows = nuts._mass_windows(config.warmup)
+        with nuts._forked([nuts._Group([chain])], windows,
+                          counted) as (worker,):
+            next(worker.blocks(*windows[0]))
+            # The worker now waits for the window's metric.
+            worker.conn.close()
+            worker.process.join(timeout=60)
+            assert worker.process.exitcode == 0
+        assert multiprocessing.active_children() == []
+
+    def test_trace_independent_of_blas_threads(self, tmp_path):
+        src = str(Path(churnpool.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        for threads in (1, 2):
+            subprocess.run(
+                [sys.executable, "-c", _BLAS_THREADS_RUN,
+                 str(tmp_path / f"{threads}.bin")],
+                env={**os.environ, "PYTHONPATH": path,
+                     "OPENBLAS_NUM_THREADS": str(threads)},
+                check=True, timeout=300)
+        assert ((tmp_path / "1.bin").read_bytes()
+                == (tmp_path / "2.bin").read_bytes())
+
+    def test_unpinned_blas_recorded_in_header(self, monkeypatch):
+        config = SamplerConfig(chains=1, warmup=150, draws=10, seed=1)
+        target = gaussian_target([0.0], [1.0])
+        pinned = nuts._openblas_threads() is not None
+        assert ("blas_pinned" not in sample(target, config)[0].config) \
+            == pinned
+        monkeypatch.setattr(nuts, "_openblas_threads", lambda: None)
+        assert sample(target, config)[0].config["blas_pinned"] is False
 
 
 def funnel_centered():

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import json
 import math
 import operator
@@ -817,7 +816,7 @@ def _serve(group: _Group, windows, counter, conn, parent_ends) -> None:
             row = (np.empty((chain.config.draws, chain.target.dim)),
                    np.empty(chain.config.draws, dtype=bool),
                    np.empty(chain.config.draws))
-            for eps in group.finish(itertools.repeat(row)):
+            for eps in group.finish([row] * len(group.chains)):
                 conn.send(eps)
                 for out in row:
                     _send_array(conn, out)

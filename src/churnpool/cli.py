@@ -363,6 +363,10 @@ def cmd_extract_priors(config: RunConfig, args) -> int:
     _write_json(check_path, {"prior_only_auc": sanity_auc,
                              "draws": args.prior_draws, "seed": config.seed})
     print(f"prior-only AUC over {args.prior_draws} draws: {sanity_auc:.4f}")
+    if sanity_auc < 0.5:
+        print(f"warning: prior-only AUC {sanity_auc:.4f} is below chance; "
+              "the prior points away from the validation labels",
+              file=sys.stderr)
     return EXIT_OK
 
 

@@ -9,6 +9,20 @@ order per feature, and a split partitions those orders with a stable
 boolean filter, so no node sorts (the exact-greedy layout of XGBoost,
 Chen & Guestrin, arXiv:1603.02754).
 
+Each node scores all of its features in one search: it gathers the
+residuals in every feature's order as one (features x rows) block, takes
+the prefix sums along the rows, evaluates the gain of every cut on the
+whole block and takes the first maximum per feature, then the first
+feature reaching the largest gain.  The choice and the bits are those of a
+per-feature search.  Three details keep them so, and keep memory flat:
+
+* the parent term ``total ** 2 / n`` is a scalar power per feature, since
+  ``np.square`` of the totals differs from it in the last bit now and then;
+* only features whose training column repeats a value get a tie mask,
+  because a column with no ties has none in any row subset;
+* features go through in blocks of at most ``_BLOCK_ELEMENTS`` elements
+  per temporary, so the root of a large fit adds no large arrays.
+
 Node covers (fitting-subsample counts) are recorded on every node: the
 attribution layer weighs tree paths by them, so they are part of the
 persisted model.
@@ -39,6 +53,8 @@ __all__ = [
 ]
 
 _MIN_SPLIT_GAIN = 1e-12
+# Largest temporary of the split search, in elements (1 MiB of float64).
+_BLOCK_ELEMENTS = 2 ** 17
 
 
 class TreeNode:
@@ -80,16 +96,29 @@ class TreeNode:
 
     @classmethod
     def from_dict(cls, doc: dict, p: int) -> "TreeNode":
-        """Inverse of ``to_dict`` for a model of ``p`` features."""
+        """Inverse of ``to_dict`` for a model of ``p`` features.
+
+        A non-finite number or a negative cover raises ``ValueError``.
+        """
+        cover = _finite(doc, "cover")
+        if cover < 0.0:
+            raise ValueError(f"cover {cover} is negative")
         if "value" in doc:
-            return cls(value=float(doc["value"]), cover=doc["cover"])
+            return cls(value=_finite(doc, "value"), cover=cover)
         feature = operator.index(doc["feature_index"])
         if not 0 <= feature < p:
             raise IndexError(f"feature_index {feature} outside [0, {p})")
-        return cls(feature_index=feature, threshold=float(doc["threshold"]),
-                   gain=float(doc["gain"]), cover=doc["cover"],
+        return cls(feature_index=feature, threshold=_finite(doc, "threshold"),
+                   gain=_finite(doc, "gain"), cover=cover,
                    left=cls.from_dict(doc["left"], p),
                    right=cls.from_dict(doc["right"], p))
+
+
+def _finite(doc: dict, key: str) -> float:
+    value = float(doc[key])
+    if not math.isfinite(value):
+        raise ValueError(f"{key} is {value}")
+    return value
 
 
 def _tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -151,7 +180,8 @@ class TreeEnsemble:
         with malformed_artifact("tree ensemble"):
             doc = json.loads(text)
             names = as_name_tuple(doc["feature_names"])
-            return cls(float(doc["init_logodds"]), float(doc["learning_rate"]),
+            return cls(_finite(doc, "init_logodds"),
+                       _finite(doc, "learning_rate"),
                        [TreeNode.from_dict(t, len(names)) for t in doc["trees"]],
                        names)
 
@@ -163,65 +193,93 @@ class TreeEnsemble:
         return cls.from_json(Path(path).read_bytes())
 
 
-def _best_split(xs: np.ndarray, rs: np.ndarray, min_leaf: int):
-    """Best squared-error split of one feature column, given sorted.
+def _best_node_split(X: np.ndarray, r: np.ndarray, order: np.ndarray,
+                     features: np.ndarray, tied: np.ndarray, min_leaf: int):
+    """Best squared-error split of one node over all of its features.
 
-    ``xs`` holds the node's values of the feature in ascending order and
-    ``rs`` the residuals in the same order.  Returns ``(gain, threshold)``
-    or ``None``.  Gain is the parent SSE minus the children SSE under mean
-    predictions, via the prefix-sum identity.
+    ``order[k]`` holds the node's rows sorted by feature ``features[k]``
+    and ``tied[k]`` says whether that feature's training column repeats a
+    value.  Returns ``(gain, k, cut, threshold)`` for the winning feature
+    position ``k`` and its first ``cut`` rows of ``order[k]``, or ``None``.
+    Gain is the parent SSE minus the children SSE under mean predictions,
+    via the prefix-sum identity; the first feature and then the first cut
+    reaching the largest gain wins, and no gain at or below
+    ``_MIN_SPLIT_GAIN`` counts.  The node must hold at least
+    ``2 * min_leaf`` rows.
     """
-    n = xs.size
-    if n < 2 * min_leaf:
+    n = order.shape[1]
+    lo, hi = min_leaf, n - min_leaf
+    # Cut c leaves c rows on the left; every c in [lo, hi] is scored.
+    left_counts = np.arange(lo, hi + 1, dtype=np.float64)
+    right_counts = n - left_counts
+    best = None
+    best_gain = _MIN_SPLIT_GAIN
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for k0 in range(0, len(features), step):
+        block = order[k0:k0 + step]
+        csum = r.take(block)
+        np.cumsum(csum, axis=1, out=csum)
+        totals = csum[:, -1].copy()
+        # The parent term is a scalar power per feature: np.square of the
+        # totals can differ from it in the last bit and change the model.
+        parents = np.array([t ** 2 / n for t in totals])
+        left_sums = csum[:, lo - 1:hi]
+        gains = np.square(left_sums)
+        gains /= left_counts
+        right = np.subtract(totals[:, None], left_sums, out=left_sums)
+        np.square(right, out=right)
+        right /= right_counts
+        gains += right
+        gains -= parents[:, None]
+        # A cut between equal values is invalid; columns with no ties in
+        # the training data have none in any node.
+        ties = np.flatnonzero(tied[k0:k0 + step])
+        if ties.size:
+            xs = X[block[ties], features[k0 + ties, None]]
+            gains[ties] = np.where(xs[:, lo - 1:hi] < xs[:, lo:hi + 1],
+                                   gains[ties], -np.inf)
+        cuts = np.argmax(gains, axis=1)
+        block_gains = gains[np.arange(cuts.size), cuts]
+        j = int(np.argmax(block_gains))
+        if block_gains[j] > best_gain:
+            best_gain = block_gains[j]
+            best = (k0 + j, int(cuts[j]) + lo)
+    if best is None:
         return None
-    # A cut after the first c rows is valid where xs[c - 1] < xs[c].
-    valid = xs[min_leaf - 1:n - min_leaf] < xs[min_leaf:n - min_leaf + 1]
-    if not valid.any():
-        return None
-    csum = np.cumsum(rs)
-    total = csum[-1]
-    left_counts = np.flatnonzero(valid) + min_leaf
-    left_sums = csum[left_counts - 1]
-    gains = (left_sums ** 2 / left_counts
-             + (total - left_sums) ** 2 / (n - left_counts)
-             - total ** 2 / n)
-    best = int(np.argmax(gains))
-    if gains[best] <= _MIN_SPLIT_GAIN:
-        return None
-    cut = left_counts[best]
-    return float(gains[best]), float((xs[cut - 1] + xs[cut]) / 2.0)
+    k, cut = best
+    f = features[k]
+    threshold = (X[order[k, cut - 1], f] + X[order[k, cut], f]) / 2.0
+    return float(best_gain), k, cut, float(threshold)
 
 
 def _grow_tree(X: np.ndarray, r: np.ndarray, rows: np.ndarray,
-               order: np.ndarray, features: np.ndarray, mark: np.ndarray,
-               depth: int, max_depth: int, min_leaf: int,
+               order: np.ndarray, features: np.ndarray, tied: np.ndarray,
+               mark: np.ndarray, depth: int, max_depth: int, min_leaf: int,
                l2_leaf: float) -> TreeNode:
     """Grow one node and its subtree on the presorted layout.
 
     ``rows`` holds the node's fitting rows in ascending order, and
     ``order[k]`` holds the same rows sorted by feature ``features[k]``,
     ties in row order: exactly what a stable ``argsort`` of ``X[rows, f]``
-    would give, so no node sorts.  A split marks its left rows in ``mark``
-    (a length-``n`` boolean scratch array shared by all nodes) and filters
-    every row of ``order`` by that mark, which keeps the sorted order and
-    the row order of ties in both children.
+    would give, so no node sorts.  ``tied[k]`` flags the features whose
+    training column repeats a value.  A split marks its left rows in
+    ``mark`` (a length-``n`` boolean scratch array shared by all nodes)
+    and filters every row of ``order`` by that mark, which keeps the
+    sorted order and the row order of ties in both children.
 
     Memory: the fit holds ``presorted``, p * n int32 indices, and every
     node on the current root-to-leaf path holds its own ``order``, at most
-    ``len(features) * rows.size`` int32 per level.
+    ``len(features) * rows.size`` int32 per level.  The split search adds
+    a few temporaries of at most ``_BLOCK_ELEMENTS`` elements each.
     """
     n = rows.size
     if depth >= max_depth or n < 2 * min_leaf:
         return TreeNode(value=float(r[rows].sum() / (n + l2_leaf)), cover=n)
-    best_gain, best_feature, best_threshold = 0.0, None, None
-    for k, f in enumerate(features):
-        idx = order[k]
-        found = _best_split(X[idx, f], r.take(idx), min_leaf)
-        if found is not None and found[0] > best_gain:
-            best_gain, best_threshold = found
-            best_feature = int(f)
-    if best_feature is None:
+    found = _best_node_split(X, r, order, features, tied, min_leaf)
+    if found is None:
         return TreeNode(value=float(r[rows].sum() / (n + l2_leaf)), cover=n)
+    best_gain, k, _, best_threshold = found
+    best_feature = int(features[k])
     go_left = X[rows, best_feature] <= best_threshold
     n_left = int(np.count_nonzero(go_left))
     mark[rows] = go_left
@@ -230,10 +288,11 @@ def _grow_tree(X: np.ndarray, r: np.ndarray, rows: np.ndarray,
     # and runs several times faster on these half-and-half masks.
     left = _grow_tree(X, r, rows[go_left],
                       np.extract(sel, order).reshape(-1, n_left),
-                      features, mark, depth + 1, max_depth, min_leaf, l2_leaf)
+                      features, tied, mark, depth + 1, max_depth, min_leaf,
+                      l2_leaf)
     right = _grow_tree(X, r, rows[~go_left],
                        np.extract(~sel, order).reshape(-1, n - n_left),
-                       features, mark, depth + 1, max_depth, min_leaf,
+                       features, tied, mark, depth + 1, max_depth, min_leaf,
                        l2_leaf)
     return TreeNode(feature_index=best_feature, threshold=best_threshold,
                     left=left, right=right, gain=best_gain, cover=n)
@@ -299,8 +358,19 @@ class GradientBoostedTrees(BaseEstimator):
         if X_val.shape[0] == 0:
             raise ValidationError("validation set is empty")
         n, p = X.shape
+        if X_val.shape[1] != p:
+            raise ValidationError(
+                f"X_val has {X_val.shape[1]} features, expected {p}")
+        for name, labels, rows in (("y", y, n),
+                                   ("y_val", y_val, X_val.shape[0])):
+            if labels.size != rows:
+                raise ValidationError(
+                    f"{name} has {labels.size} labels for {rows} rows")
         if feature_names is None:
             feature_names = tuple(f"f{k}" for k in range(p))
+        elif len(feature_names) != p:
+            raise ValidationError(
+                f"{len(feature_names)} feature names for {p} features")
         p_bar = float(y.mean())
         if p_bar in (0.0, 1.0):
             raise ValidationError(
@@ -324,6 +394,9 @@ class GradientBoostedTrees(BaseEstimator):
         presorted = np.empty((p, n), dtype=np.int32)
         for f in range(p):
             presorted[f] = np.argsort(X[:, f], kind="stable")
+        # A column with no repeated value has no ties in any row subset.
+        tied = np.array([bool(np.any(np.diff(X[column, f]) == 0.0))
+                         for f, column in enumerate(presorted)])
         in_sample = np.zeros(n, dtype=bool)
         mark = np.empty(n, dtype=bool)
 
@@ -339,9 +412,9 @@ class GradientBoostedTrees(BaseEstimator):
                 column = presorted[f]
                 order[k] = column[in_sample.take(column)]
             residual = y - sigmoid(margins)
-            tree = _grow_tree(X, residual, rows, order, feats, mark, 0,
-                              self.max_depth, self.min_samples_leaf,
-                              self.l2_leaf)
+            tree = _grow_tree(X, residual, rows, order, feats, tied[feats],
+                              mark, 0, self.max_depth,
+                              self.min_samples_leaf, self.l2_leaf)
             trees.append(tree)
             margins += self.learning_rate * _tree_predict(tree, X)
             val_margins += self.learning_rate * _tree_predict(tree, X_val)

@@ -169,6 +169,38 @@ class TestPretrainAndPriors:
         assert not (tmp_path / "prior.json").exists()
 
 
+    @pytest.mark.parametrize("key, bad", [
+        ("threshold", float("nan")), ("gain", float("inf")),
+        ("value", float("nan")), ("cover", float("nan")), ("cover", -1.0)])
+    def test_non_finite_tree_number_is_data_error(self, trained_dir,
+                                                  tmp_path, capsys, key,
+                                                  bad):
+        for name in ("standardization.json", "pretrain_val.csv"):
+            shutil.copy(trained_dir / name, tmp_path / name)
+        doc = json.loads((trained_dir / "model.json").read_text())
+        node = doc["trees"][0]
+        while key not in node:
+            node = node["right"]
+        node[key] = bad
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        assert run(tmp_path, "extract-priors", "--prior-draws", "10") == 4
+        assert "malformed tree ensemble" in capsys.readouterr().err
+        assert not (tmp_path / "prior.json").exists()
+
+    @pytest.mark.parametrize("auc, warned", [(0.3, True), (0.7, False)])
+    def test_below_chance_prior_warns(self, trained_dir, tmp_path,
+                                      monkeypatch, capsys, auc, warned):
+        for name in ("model.json", "standardization.json",
+                     "pretrain_val.csv"):
+            shutil.copy(trained_dir / name, tmp_path / name)
+        monkeypatch.setattr(cli, "prior_only_auc", lambda *a, **k: auc)
+        assert run(tmp_path, "extract-priors", "--prior-draws", "10") == 0
+        err = capsys.readouterr().err
+        assert ("below chance" in err) == warned
+        check = json.loads((tmp_path / "prior_check.json").read_text())
+        assert check["prior_only_auc"] == auc
+
+
 def _run_with_prior(tmp_path, monkeypatch, names, stage):
     """``stage`` on three entities of x00..x02 with a prior over
     ``names``; the sampler must not be reached."""

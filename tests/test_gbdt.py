@@ -13,7 +13,7 @@ from churnpool.errors import ValidationError
 from churnpool.gbdt import (GradientBoostedTrees, TreeEnsemble, TreeNode,
                             feature_importance)
 
-from _oracles import argsort_grow_tree
+from _oracles import argsort_best_split, argsort_grow_tree
 
 
 def _stump(feature=0, threshold=0.0, left=-1.0, right=1.0, cover=(2.0, 2.0),
@@ -59,6 +59,36 @@ class TestInitialization:
         y = np.ones(30, dtype=int)
         with pytest.raises(ValidationError, match="single class"):
             GradientBoostedTrees(iterations=1).fit(x, y, x, y)
+
+
+class TestInputShapes:
+    """Mismatched fit inputs are rejected before any tree grows."""
+
+    @staticmethod
+    def _fit(X, y, X_val, y_val, **kwargs):
+        GradientBoostedTrees(iterations=2, min_samples_leaf=2).fit(
+            X, y, X_val, y_val, **kwargs)
+
+    def test_narrow_validation_matrix(self):
+        x, y = _separable(40, seed=12)
+        X = np.column_stack([x, -x])
+        with pytest.raises(ValidationError, match="X_val has 1 features"):
+            self._fit(X, y, x, y)
+
+    def test_short_training_labels(self):
+        x, y = _separable(40, seed=13)
+        with pytest.raises(ValidationError, match="y has 39 labels"):
+            self._fit(x, y[:-1], x, y)
+
+    def test_short_validation_labels(self):
+        x, y = _separable(40, seed=14)
+        with pytest.raises(ValidationError, match="y_val has 39 labels"):
+            self._fit(x, y, x, y[:-1])
+
+    def test_feature_names_of_wrong_length(self):
+        x, y = _separable(40, seed=15)
+        with pytest.raises(ValidationError, match="2 feature names"):
+            self._fit(x, y, x, y, feature_names=("a", "b"))
 
 
 class TestTrainingDynamics:
@@ -278,12 +308,27 @@ class TestPresortedGrower:
                                                  monkeypatch):
         X, y = _tied_problem(500, seed)
         X_val, y_val = _tied_problem(120, seed + 100)
+        self._check(X, y, X_val, y_val, seed, params, monkeypatch)
+
+    def test_untied_columns_match_argsort_oracle_exactly(self, monkeypatch):
+        # No column repeats a value, so the search builds no tie mask.
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(620, 4))
+        assert all(np.unique(col).size == 500 for col in X[:500].T)
+        margin = X[:, 0] * X[:, 1]
+        y = (rng.random(620) < 1 / (1 + np.exp(-margin))).astype(int)
+        self._check(X[:500], y[:500], X[500:], y[500:], 6,
+                    dict(max_depth=5, min_samples_leaf=3, row_subsample=0.8),
+                    monkeypatch)
+
+    @staticmethod
+    def _check(X, y, X_val, y_val, seed, params, monkeypatch):
         params = dict(dict(iterations=12, learning_rate=0.3, seed=seed,
                            row_subsample=1.0, feature_subsample=1.0,
                            early_stopping_rounds=100), **params)
         presorted = GradientBoostedTrees(**params).fit(X, y, X_val, y_val)
 
-        def oracle(X, r, rows, order, features, mark, *limits):
+        def oracle(X, r, rows, order, features, tied, mark, *limits):
             return argsort_grow_tree(X, r, rows, features, *limits)
 
         monkeypatch.setattr(gbdt, "_grow_tree", oracle)
@@ -293,3 +338,74 @@ class TestPresortedGrower:
         assert len(reference.val_log_loss_) == 12
         assert presorted.val_log_loss_ == reference.val_log_loss_
         assert presorted.train_log_loss_ == reference.train_log_loss_
+
+
+def _oracle_node_split(X, r, rows, features, min_leaf):
+    """``(gain, feature, threshold)`` of the first feature whose argsort
+    split has the strictly largest gain, or ``None``."""
+    best = None
+    for f in features:
+        found = argsort_best_split(X[rows, f], r[rows], min_leaf)
+        if found is not None and (best is None or found[0] > best[0]):
+            best = (found[0], int(f), found[1])
+    return best
+
+
+class TestNodeSplitSearch:
+    """The one-call-per-node search must pick the argsort oracle's split
+    with the same gain and threshold bits, on random nodes."""
+
+    @pytest.mark.parametrize("block", [gbdt._BLOCK_ELEMENTS, 600])
+    @pytest.mark.parametrize("min_leaf", [1, 3, 20])
+    def test_matches_argsort_oracle_bit_for_bit(self, min_leaf, block,
+                                                monkeypatch):
+        # A small block splits most nodes' features over several blocks.
+        monkeypatch.setattr(gbdt, "_BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng([min_leaf, block])
+        size = 300
+        kinds = [
+            lambda: rng.normal(size=size),
+            lambda: np.round(rng.normal(size=size)),         # heavy ties
+            lambda: (rng.random(size) < 0.3).astype(float),  # 0/1
+            lambda: np.full(size, 2.5),                      # constant
+            lambda: np.round(2.0 * rng.normal(size=size)) / 2,
+            lambda: 1e3 * rng.normal(size=size),
+        ]
+        X = np.column_stack([kind() for kind in kinds + kinds])
+        # The last column orders the rows as the first does, so its gains
+        # tie with the first column's, and the first column must win.
+        X = np.column_stack([X, 2.0 * X[:, 0]])
+        tied = np.array([np.unique(col).size < size for col in X.T])
+        assert tied.tolist() == 2 * [False, True, True, True, True,
+                                     False] + [False]
+        compared = chosen = 0
+        for trial in range(500):
+            n = (2 * min_leaf if trial % 5 == 0
+                 else int(rng.integers(2 * min_leaf, size + 1)))
+            rows = np.sort(rng.choice(size, n, replace=False))
+            features = np.sort(rng.choice(X.shape[1],
+                                          int(rng.integers(1, 14)),
+                                          replace=False))
+            r = rng.uniform(-1.0, 1.0, size=size)
+            order = np.array([rows[np.argsort(X[rows, f], kind="stable")]
+                              for f in features], dtype=np.int32)
+            # The whole node, then each feature alone: the second also pins
+            # the gain bits of the features that lose.
+            cases = [(features, order)] + [
+                (features[k:k + 1], order[k:k + 1])
+                for k in range(features.size)]
+            for feats, ords in cases:
+                found = gbdt._best_node_split(X, r, ords, feats, tied[feats],
+                                              min_leaf)
+                expected = _oracle_node_split(X, r, rows, feats, min_leaf)
+                compared += 1
+                if expected is None:
+                    assert found is None
+                    continue
+                chosen += 1
+                gain, k, cut, threshold = found
+                assert int(feats[k]) == expected[1]
+                assert gain.hex() == expected[0].hex()
+                assert threshold.hex() == expected[2].hex()
+                assert cut == np.count_nonzero(X[rows, feats[k]] <= threshold)
+        assert chosen > compared // 2

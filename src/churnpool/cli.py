@@ -352,10 +352,10 @@ def cmd_extract_priors(config: RunConfig, args) -> int:
     stats = _load_stats(_require(out / "standardization.json",
                                  "standardization stats"),
                         val.feature_names)
-    if val.source_tags is None or len(set(val.source_tags)) < 2:
+    prior = extract_priors(ensemble, val, stats, config.prior_scaling_lambda)
+    if prior.provenance["fallback"]:
         print("warning: no usable source tags; "
               "falling back to single-source prior widths", file=sys.stderr)
-    prior = extract_priors(ensemble, val, stats, config.prior_scaling_lambda)
     prior.save(prior_path)
 
     sanity_auc = prior_only_auc(prior, val, draws=args.prior_draws,
@@ -426,8 +426,6 @@ def cmd_fit(config: RunConfig, args) -> int:
 
 
 def cmd_calibrate(config: RunConfig, args) -> int:
-    if args.inflation is not None and not args.inflation >= 0:
-        raise ConfigError(f"--inflation must be >= 0, got {args.inflation}")
     out = Path(args.out)
     calib_path = out / "calibration.json"
     _check_force([calib_path], args.force)
@@ -436,19 +434,14 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     cal_collection = load_collection(
         _require(out / "calibration_data", "calibration rows"))
     check_trace_collection(trace, cal_collection)
-    conservative = recommend_conservative(
-        [ds.n for ds in cal_collection.smes])
-    entity = np.repeat(np.arange(cal_collection.J),
-                       [ds.n for ds in cal_collection.smes])
+    sizes = [ds.n for ds in cal_collection.smes]
     p_hat, _, _ = posterior_predict_matrix(
         trace, np.concatenate([ds.features for ds in cal_collection.smes]),
-        entity)
+        np.repeat(np.arange(cal_collection.J), sizes))
     labels = np.concatenate([ds.labels for ds in cal_collection.smes])
-    result = calibrate_pooled(p_hat, labels, config.miscoverage_alpha)
-    if args.inflation is not None:
-        result = conservative_adjust(result, args.inflation)
-    elif args.strategy == "auto" and conservative:
-        result = conservative_adjust(result, 0.2)
+    conditional = args.strategy == "auto" and recommend_conservative(sizes)
+    result = (conservative_adjust if conditional else calibrate_pooled)(
+        p_hat, labels, config.miscoverage_alpha)
     result.save(calib_path)
     print(f"q_hat {result.q_hat:.4f} from {result.n_cal} scores "
           f"({result.strategy})")
@@ -584,10 +577,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--alpha", dest="miscoverage_alpha", type=float,
                      help="override miscoverage rate")
     cal.add_argument("--strategy", choices=("auto", "pooled"), default="auto",
-                     help="'pooled' suppresses the automatic conservative "
-                          "wrapper for small samples")
-    cal.add_argument("--inflation", type=float,
-                     help="force a conservative inflation factor")
+                     help="'auto' takes the calibration-conditional rank "
+                          "when fewer than 5 entities include one under "
+                          "100 rows; 'pooled' always takes the split rank")
 
     prd = sub.add_parser("predict", help="per-customer prediction rows")
     prd.add_argument("--customers", help="CSV of customers to score")

@@ -1,9 +1,16 @@
 """Pooled split conformal calibration and set-valued prediction on arrays.
 
-Nonconformity is ``|y - p_hat|``.  The threshold is the
-``ceil((1-alpha)(n+1))``-th smallest calibration score, pooled across
-entities, which under exchangeability guarantees coverage of at least
-``ceil((1-alpha)(n+1)) / (n+1)`` for the binary prediction sets
+Nonconformity is ``|y - p_hat|``, and ``q_hat`` is the k-th smallest
+calibration score, pooled across entities.  ``calibrate_pooled`` takes the
+split rank ``k = ceil((1-alpha)(n+1))``, whose sets cover at least
+``k / (n+1)`` on average over calibration sets (exchangeability).
+``conservative_adjust`` takes the smallest ``k`` with
+``P(Beta(k, n+1-k) >= 1-alpha) >= 1-alpha``: coverage given the
+calibration set follows ``Beta(k, n+1-k)``, so it is at least ``1-alpha``
+for all but an ``alpha`` share of calibration sets (Vovk, "Conditional
+validity of inductive conformal predictors", arXiv:1209.2673).  At
+alpha = 0.1 that needs ``n >= 22``; when ``k > n``, ``q_hat`` is 1.0.  The
+binary prediction sets are
 
     C(x) = {y in {0,1} : |y - p_hat(x)| <= q_hat}.
 
@@ -20,12 +27,13 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError, malformed_artifact
+from .numerics import regularized_incomplete_beta
 from .validation import as_float_vector, check_binary_labels
 
 __all__ = [
@@ -37,10 +45,6 @@ __all__ = [
     "recommend_conservative",
 ]
 
-# Documented band for the conservative inflation factor; values outside it
-# are applied with a warning.
-INFLATION_BAND = (0.1, 0.3)
-
 
 @dataclass(frozen=True)
 class CalibrationResult:
@@ -50,28 +54,21 @@ class CalibrationResult:
     alpha: float
     n_cal: int
     strategy: str
-    inflation: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps({
-            "q_hat": self.q_hat,
-            "alpha": self.alpha,
-            "n_cal": self.n_cal,
-            "strategy": self.strategy,
-            "inflation": self.inflation,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "CalibrationResult":
-        """Inverse of ``to_json``; a malformed document raises ``DataError``."""
+        """Inverse of ``to_json``; a malformed document raises ``DataError``,
+        and the ``inflation`` key of older files is ignored."""
         with malformed_artifact("calibration result"):
             doc = json.loads(text)
             strategy = doc["strategy"]
             if not isinstance(strategy, str):
                 raise TypeError("strategy must be a string")
             return cls(float(doc["q_hat"]), float(doc["alpha"]),
-                       operator.index(doc["n_cal"]), strategy,
-                       float(doc["inflation"]))
+                       operator.index(doc["n_cal"]), strategy)
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -89,16 +86,20 @@ def _probabilities(p_hat) -> np.ndarray:
     return p_hat
 
 
-def calibrate_pooled(p_hat, labels, alpha: float) -> CalibrationResult:
-    """Threshold from held-out probabilities and labels pooled across
-    entities.
+def _split_rank(n: int, alpha: float) -> int:
+    return math.ceil((1.0 - alpha) * (n + 1))
 
-    Each row scores ``|y - p_hat|``; ``q_hat`` is the k-th smallest score
-    with ``k = ceil((1-alpha)(n+1))`` (stable ascending sort, ties share
-    ranks naturally).  When ``k > n`` the sample is too small for the
-    requested level; the threshold degenerates to 1.0, which covers
-    trivially, and a warning is issued.
-    """
+
+def _conditional_rank(n: int, alpha: float) -> int:
+    k = _split_rank(n, alpha)
+    while k <= n and regularized_incomplete_beta(k, n + 1 - k,
+                                                 1.0 - alpha) > alpha:
+        k += 1
+    return k
+
+
+def _calibrate(p_hat, labels, alpha, rank, strategy) -> CalibrationResult:
+    """The ``rank(n, alpha)``-th smallest score, or 1.0 past ``n``."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     alpha = float(alpha)
@@ -107,28 +108,25 @@ def calibrate_pooled(p_hat, labels, alpha: float) -> CalibrationResult:
     n = p_hat.size
     if n == 0 or labels.size != n:
         raise ValidationError("p_hat and labels must be nonempty, equal length")
-    k = math.ceil((1.0 - alpha) * (n + 1))
+    k = rank(n, alpha)
     if k > n:
         warnings.warn(
             f"degenerate calibration: need rank {k} of {n} scores; "
-            "q_hat set to 1.0", stacklevel=2)
-        return CalibrationResult(1.0, alpha, n, "pooled")
+            "q_hat set to 1.0", stacklevel=3)
+        return CalibrationResult(1.0, alpha, n, strategy)
     ordered = np.sort(np.abs(labels - p_hat), kind="stable")
-    return CalibrationResult(float(ordered[k - 1]), alpha, n, "pooled")
+    return CalibrationResult(float(ordered[k - 1]), alpha, n, strategy)
 
 
-def conservative_adjust(result: CalibrationResult,
-                        inflation: float) -> CalibrationResult:
-    """Inflate a threshold, trading set size for guaranteed coverage."""
-    if inflation < 0:
-        raise ValidationError("inflation must be >= 0")
-    if not INFLATION_BAND[0] <= inflation <= INFLATION_BAND[1]:
-        warnings.warn(
-            f"inflation {inflation} outside the documented band "
-            f"{INFLATION_BAND}; applied anyway", stacklevel=2)
-    return CalibrationResult(min(1.0, result.q_hat * (1.0 + inflation)),
-                             result.alpha, result.n_cal,
-                             "conservative-wrapped", float(inflation))
+def calibrate_pooled(p_hat, labels, alpha: float) -> CalibrationResult:
+    """Split-rank threshold of held-out rows pooled across entities."""
+    return _calibrate(p_hat, labels, alpha, _split_rank, "pooled")
+
+
+def conservative_adjust(p_hat, labels, alpha: float) -> CalibrationResult:
+    """Calibration-conditional threshold of the same pooled rows."""
+    return _calibrate(p_hat, labels, alpha, _conditional_rank,
+                      "pooled-conditional")
 
 
 def predict_sets(p_hat, q_hat: float) -> np.ndarray:
@@ -168,11 +166,12 @@ def coverage_audit(sets, labels) -> dict:
 
 
 def recommend_conservative(n_js) -> bool:
-    """Whether the scale table recommends the conservative wrapper.
+    """Whether the scale table recommends the calibration-conditional
+    rank of ``conservative_adjust`` over the split rank.
 
     Pooling five or more entities gives enough calibration scores; below
-    that, the wrapper is recommended once the smallest entity has fewer
-    than 100 rows.  Callers can always override explicitly.
+    that, the conditional rank is recommended once the smallest entity has
+    fewer than 100 rows.  Callers can always override explicitly.
     """
     n_js = [int(n) for n in n_js]
     if not n_js:

@@ -13,9 +13,9 @@ available behind ``protocol="refit"``.
 
 The conformal audit is pooled split conformal: each fold's prediction sets
 use a threshold calibrated on the other folds' hierarchical scores, pooled
-across entities.  The report names it ``"pooled"`` and records whether the
-scale table recommends the conservative wrapper, which the audit does not
-apply.
+across entities.  The report names it ``"pooled"``, records whether the
+scale table recommends the calibration-conditional rank (which the audit
+does not apply) and breaks the audited coverage down per entity.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .errors import (ConvergenceError, DataError, DiagnosticError,
                      ValidationError)
 from .hier_model import HierarchicalLogistic
 from .logreg import fit_penalized_logreg
-from .numerics import average_ranks, binary_log_loss, sigmoid
+from .numerics import (average_ranks, binary_log_loss,
+                       regularized_incomplete_beta, sigmoid)
 from .validation import as_float_vector
 
 __all__ = [
@@ -138,48 +139,6 @@ def logreg_predict(coefs: np.ndarray, X) -> np.ndarray:
 # Significance statistics
 # ---------------------------------------------------------------------------
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Lentz continued fraction for the regularized incomplete beta."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        # The even and then the odd term of step m, one Lentz update each.
-        for coeff in (m * (b - m) * x / ((qam + m2) * (a + m2)),
-                      -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
-            d = 1.0 + coeff * d
-            if abs(d) < tiny:
-                d = tiny
-            c = 1.0 + coeff / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-        if abs(delta - 1.0) < 3e-16:
-            break
-    return h
-
-
-def _regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                 + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
 def student_t_sf(t: float, df: float) -> float:
     """Survival function of Student's t via the incomplete beta function."""
     if df <= 0:
@@ -187,7 +146,7 @@ def student_t_sf(t: float, df: float) -> float:
     if math.isinf(t):
         return 0.0 if t > 0 else 1.0
     x = df / (df + t * t)
-    tail = 0.5 * _regularized_incomplete_beta(df / 2.0, 0.5, x)
+    tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
     return tail if t >= 0 else 1.0 - tail
 
 
@@ -333,9 +292,9 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
     propagates.  The conformal audit keeps each fold's hierarchical
     ``(p_hat, y)`` per entity: a fold's threshold comes from the other
     folds' rows pooled across entities, its sets come from one
-    ``predict_sets`` call, and the folds' sets are audited together.  A
-    collection where no entity can be split into folds raises
-    ``DataError`` before any fit.
+    ``predict_sets`` call, and the folds' sets are audited together, in
+    total and per entity.  A collection where no entity can be split into
+    folds raises ``DataError`` before any fit.
     """
     config.validate()
     start = time.perf_counter()
@@ -402,9 +361,9 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
             flags.append(f"fold {k}: pooled fit skipped: {exc}")
 
     rows: list[dict] = []
-    # Per fold, the hierarchical (p_hat, y) of each entity's scored
-    # held-out rows.
-    hier_folds: list[list[tuple[np.ndarray, np.ndarray]]] = [
+    # Per fold, the hierarchical (entity index, p_hat, y) of each entity's
+    # scored held-out rows.
+    hier_folds: list[list[tuple[int, np.ndarray, np.ndarray]]] = [
         [] for _ in range(K)]
 
     # Hierarchical scores, one call per fold over every entity's held-out
@@ -447,7 +406,7 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
                              "method": method,
                              **classification_metrics(probs, test.labels)})
             if probs_h is not None:
-                hier_folds[k].append((probs_h, test.labels))
+                hier_folds[k].append((j, probs_h, test.labels))
 
     # Paired tests on per-evaluation AUC, restricted to complete pairs.
     auc_by_method: dict[str, dict] = {m: {} for m in METHODS}
@@ -472,27 +431,34 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
     # across entities, predict sets for the held-out fold.
     conservative = recommend_conservative(
         [collection.smes[j].n for j in folds_per_sme])
-    sets, labels_audited = [], []
+    sets, labels_audited, owners = [], [], []
     thresholds = {}
     for k in range(K):
-        calibration = [pair for kk in range(K) if kk != k
-                       for pair in hier_folds[kk]]
+        calibration = [(p, y) for kk in range(K) if kk != k
+                       for _, p, y in hier_folds[kk]]
         if not calibration:
             continue
         p_cal, y_cal = map(np.concatenate, zip(*calibration))
         result = calibrate_pooled(p_cal, y_cal, config.alpha)
         thresholds[k] = result.q_hat
         if hier_folds[k]:
-            probs, labels = map(np.concatenate, zip(*hier_folds[k]))
-            sets.append(predict_sets(probs, result.q_hat))
-            labels_audited.append(labels)
+            owner, probs, labels = zip(*hier_folds[k])
+            sets.append(predict_sets(np.concatenate(probs), result.q_hat))
+            labels_audited.extend(labels)
+            owners.extend(np.full(y.size, j) for j, y in zip(owner, labels))
     conformal: dict = {"strategy": "pooled",
                        "conservative_recommended": conservative,
                        "alpha": config.alpha,
                        "fold_thresholds": thresholds}
     if sets:
-        conformal.update(coverage_audit(np.concatenate(sets),
-                                        np.concatenate(labels_audited)))
+        sets, labels_audited, owners = map(
+            np.concatenate, (sets, labels_audited, owners))
+        conformal.update(coverage_audit(sets, labels_audited))
+        # The group-conditional (Mondrian) view: no guarantee of its own.
+        covered = np.where(labels_audited == 1, sets[:, 1], sets[:, 0])
+        conformal["per_entity_coverage"] = {
+            collection.ids[j]: float(covered[owners == j].mean())
+            for j in np.unique(owners)}
 
     runtime = time.perf_counter() - start
     return ExperimentReport(

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["PROB_CLIP", "sigmoid", "binary_log_loss", "average_ranks",
-           "norm_ppf"]
+           "norm_ppf", "regularized_incomplete_beta"]
 
 # Probabilities are clipped to [PROB_CLIP, 1 - PROB_CLIP] before any log.
 PROB_CLIP = 1e-12
@@ -102,3 +104,46 @@ def norm_ppf(q):
 
     out[inner] = vals
     return out if out.ndim else float(out)
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Lentz continued fraction for the regularized incomplete beta."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 400):
+        m2 = 2 * m
+        # The even and then the odd term of step m, one Lentz update each.
+        for coeff in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                      -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + coeff * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + coeff / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < 3e-16:
+            break
+    return h
+
+
+def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
+    """``I_x(a, b)``: the CDF of ``Beta(a, b)`` at ``x``."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 + a * math.log(x) + b * math.log1p(-x))
+    front = math.exp(log_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_continued_fraction(a, b, x) / a
+    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b

@@ -270,25 +270,18 @@ def extract_priors(ensemble: TreeEnsemble, val: Dataset,
 
     tags = val.source_tags
     unique_tags = sorted(set(tags)) if tags is not None else []
-    provenance: dict = {"lambda": float(lambda_scale)}
-    if len(unique_tags) >= 2:
-        tag_arr = np.asarray(tags)
+    tag_arr = np.asarray(tags)
+    fallback = len(unique_tags) < 2
+    if fallback:
+        sigma_sq = VARIANCE_FLOOR + phi ** 2
+    else:
         per_tag = np.stack([
             all_abs[tag_arr == tag].mean(axis=0) for tag in unique_tags])
         sigma_sq = per_tag.var(axis=0)  # population variance over tags
-        provenance.update({
-            "tags": unique_tags,
-            "counts": {tag: int((tag_arr == tag).sum()) for tag in unique_tags},
-            "fallback": False,
-        })
-    else:
-        sigma_sq = VARIANCE_FLOOR + phi ** 2
-        only = unique_tags or [None]
-        provenance.update({
-            "tags": [t for t in only if t is not None],
-            "counts": {only[0]: val.n} if only[0] is not None else {},
-            "fallback": True,
-        })
+    provenance = {
+        "lambda": float(lambda_scale), "tags": unique_tags,
+        "counts": {tag: int((tag_arr == tag).sum()) for tag in unique_tags},
+        "fallback": fallback}
     sigma0 = np.maximum(sigma_sq, VARIANCE_FLOOR) * (1.0 + lambda_scale)
     return PriorSpec(ensemble.feature_names, beta0, sigma0,
                      float(lambda_scale), provenance)

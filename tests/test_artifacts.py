@@ -67,8 +67,7 @@ def _priors(draw):
 
 
 _calibrations = st.builds(CalibrationResult, _finite, _finite,
-                          st.integers(0, 10**6), st.text(max_size=8),
-                          _finite)
+                          st.integers(0, 10**6), st.text(max_size=8))
 
 _LOADERS = {
     "model": (_ensembles(), TreeEnsemble.from_json),

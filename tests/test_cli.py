@@ -12,6 +12,7 @@ import churnpool.evaluate as evaluate
 import churnpool.hier_model as hier_model
 from churnpool.cli import main
 from churnpool.conformal import calibrate_pooled
+from churnpool.data import load_collection
 from churnpool.errors import ConvergenceError
 from churnpool.hier_model import param_names, posterior_predict_matrix
 from churnpool.nuts import PosteriorTrace
@@ -187,6 +188,29 @@ class TestPretrainAndPriors:
         assert "malformed tree ensemble" in capsys.readouterr().err
         assert not (tmp_path / "prior.json").exists()
 
+    @pytest.mark.parametrize("tags, warned", [
+        (None, True), (["alpha"], True), (["alpha", "beta"], False),
+        (["alpha", "beta", "gamma"], False)],
+        ids=["no-tag-column", "one-tag", "two-tags", "three-tags"])
+    def test_single_tag_warning_follows_prior_fallback(
+            self, trained_dir, tmp_path, capsys, tags, warned):
+        for name in ("model.json", "standardization.json"):
+            shutil.copy(trained_dir / name, tmp_path / name)
+        with (trained_dir / "pretrain_val.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        columns = [c for c in rows[0] if c != "source"]
+        with (tmp_path / "pretrain_val.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns + (["source"] if tags else []))
+            for i, row in enumerate(rows):
+                writer.writerow([row[c] for c in columns]
+                                + ([tags[i % len(tags)]] if tags else []))
+        assert run(tmp_path, "extract-priors", "--prior-draws", "10") == 0
+        err = capsys.readouterr().err
+        assert ("no usable source tags" in err) == warned
+        prior = json.loads((tmp_path / "prior.json").read_text())
+        assert prior["provenance"]["fallback"] is warned
+
     @pytest.mark.parametrize("auc, warned", [(0.3, True), (0.7, False)])
     def test_below_chance_prior_warns(self, trained_dir, tmp_path,
                                       monkeypatch, capsys, auc, warned):
@@ -199,6 +223,17 @@ class TestPretrainAndPriors:
         assert ("below chance" in err) == warned
         check = json.loads((tmp_path / "prior_check.json").read_text())
         assert check["prior_only_auc"] == auc
+
+
+def _calibration_rows(out):
+    """Posterior-mean ``(p_hat, y)`` of the calibration rows under ``out``,
+    entities in manifest order, as ``calibrate`` scores them."""
+    trace = PosteriorTrace.load(out / "trace.bin")
+    cal = load_collection(out / "calibration_data")
+    p_hat, _, _ = posterior_predict_matrix(
+        trace, np.concatenate([ds.features for ds in cal.smes]),
+        np.repeat(np.arange(cal.J), [ds.n for ds in cal.smes]))
+    return p_hat, np.concatenate([ds.labels for ds in cal.smes])
 
 
 def _run_with_prior(tmp_path, monkeypatch, names, stage):
@@ -238,12 +273,34 @@ class TestFitCalibrate:
 
     def test_calibration_artifact(self, pipeline_dir):
         doc = json.loads((pipeline_dir / "calibration.json").read_text())
-        assert 0.0 <= doc["q_hat"] <= 1.0
+        assert sorted(doc) == ["alpha", "n_cal", "q_hat", "strategy"]
         assert doc["alpha"] == 0.10
         # J=4 entities with 10-row calibration holdouts: the scale table
-        # recommends the conservative wrapper on the pooled threshold.
-        assert doc["strategy"] == "conservative-wrapped"
-        assert doc["inflation"] == 0.2
+        # recommends the calibration-conditional rank, 39 of the 40
+        # scores where the split rank would be 37.
+        assert doc["strategy"] == "pooled-conditional"
+        p_hat, labels = _calibration_rows(pipeline_dir)
+        scores = np.sort(np.abs(labels - p_hat))
+        assert doc["n_cal"] == scores.size == 40
+        assert doc["q_hat"] == scores[39 - 1]
+        assert calibrate_pooled(p_hat, labels, 0.1).q_hat == scores[37 - 1]
+
+    def test_pooled_strategy_writes_split_threshold(self, pipeline_dir,
+                                                    tmp_path):
+        shutil.copy(pipeline_dir / "trace.bin", tmp_path)
+        shutil.copytree(pipeline_dir / "calibration_data",
+                        tmp_path / "calibration_data")
+        assert main(["--out", str(tmp_path), "calibrate", "--strategy",
+                     "pooled"]) == 0
+        doc = json.loads((tmp_path / "calibration.json").read_text())
+        expected = calibrate_pooled(*_calibration_rows(pipeline_dir), 0.1)
+        assert doc == json.loads(expected.to_json())
+        assert doc["strategy"] == "pooled"
+
+    def test_inflation_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as stop:
+            main(["--out", str(tmp_path), "calibrate", "--inflation", "0.2"])
+        assert stop.value.code == 2
 
     def test_single_chain_rejected(self, tmp_path):
         assert run(tmp_path, "fit", "--weak-prior", "--chains", "1") == 2
@@ -310,6 +367,28 @@ class TestPredict:
             assert row["uncertainty"] in ("low", "high", "invalid")
             if row["conformal_set"] == "{1}":
                 assert row["action"] == "high-risk churner"
+
+    def test_calibration_with_inflation_key_still_loads(self, pipeline_dir,
+                                                        tmp_path):
+        # Files of the retired x1.2 wrapper carry "inflation"; their q_hat
+        # already includes it, so predict applies q_hat as it stands.
+        shutil.copy(pipeline_dir / "trace.bin", tmp_path)
+        shutil.copytree(pipeline_dir / "smes", tmp_path / "smes")
+        (tmp_path / "calibration.json").write_text(json.dumps({
+            "q_hat": 0.35, "alpha": 0.1, "n_cal": 40,
+            "strategy": "conservative-wrapped", "inflation": 0.2}))
+        customers = tmp_path / "customers.csv"
+        shutil.copy(next((pipeline_dir / "smes").glob("sme_*.csv")),
+                    customers)
+        assert main(["--out", str(tmp_path), "predict", "--customers",
+                     str(customers)]) == 0
+        with (tmp_path / "predictions.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        probs = np.array([float(row["probability"]) for row in rows])
+        expected = [("{}", "{0}", "{1}", "{0,1}")[a + 2 * b]
+                    for a, b in zip(probs <= 0.35, probs >= 1.0 - 0.35)]
+        assert [row["conformal_set"] for row in rows] == expected
+        assert "{}" in expected and "{0}" in expected
 
     def test_rows_match_per_row_prediction_in_input_order(self, pipeline_dir,
                                                           tmp_path):
@@ -636,7 +715,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("args", [
         ["extract-priors", "--prior-draws", "0"],
-        ["calibrate", "--inflation", "-1"],
         ["gen-data", "--n-per", "5"],
         ["gen-data", "--smes", "0"],
         ["gen-data", "--features", "0"],
@@ -644,7 +722,7 @@ class TestConfig:
         ["gen-data", "--sigma-true", "inf"],
         ["gen-data", "--mu-scale", "nan"],
         ["--seed", "-1", "gen-data"],
-    ], ids=["prior-draws", "inflation", "n-per", "smes", "features",
+    ], ids=["prior-draws", "n-per", "smes", "features",
             "sigma-true", "sigma-inf", "mu-scale-nan", "seed"])
     def test_out_of_range_value_exits_before_writing(
             self, trained_dir, tmp_path, args):

@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from churnpool.conformal import (CalibrationResult, calibrate_pooled,
-                                 conservative_adjust, coverage_audit,
-                                 predict_sets, recommend_conservative)
+from churnpool.conformal import (CalibrationResult, _conditional_rank,
+                                 calibrate_pooled, conservative_adjust,
+                                 coverage_audit, predict_sets,
+                                 recommend_conservative)
 from churnpool.errors import ValidationError
 from churnpool.rng import default_rng
 
@@ -149,30 +151,57 @@ class TestCalibratePooled:
 
 
 class TestConservativeAdjust:
-    def test_arithmetic(self):
-        base = CalibrationResult(0.5, 0.1, 50, "split")
-        adjusted = conservative_adjust(base, 0.2)
-        assert adjusted.q_hat == pytest.approx(0.6, abs=1e-15)
-        assert adjusted.strategy == "conservative-wrapped"
-        assert adjusted.inflation == 0.2
+    """The calibration-conditional rank: the smallest ``k`` with
+    ``P(Beta(k, n+1-k) >= 1-alpha) >= 1-alpha``."""
 
-    def test_cap_at_one(self):
-        base = CalibrationResult(0.9, 0.1, 50, "split")
-        assert conservative_adjust(base, 0.3).q_hat == 1.0
+    @pytest.mark.parametrize("n,k", [(22, 22), (24, 24), (36, 36), (40, 39),
+                                     (60, 58), (150, 141)])
+    def test_rank_at_alpha_tenth(self, n, k):
+        scores = default_rng(n).permutation(np.arange(1, n + 1) / (n + 1))
+        result = conservative_adjust(*_negatives(scores), alpha=0.1)
+        assert result.q_hat == k / (n + 1)
+        assert result.n_cal == n
+        assert result.strategy == "pooled-conditional"
 
-    def test_band_endpoints_silent(self):
-        base = CalibrationResult(0.4, 0.1, 50, "split")
-        import warnings as w
-        with w.catch_warnings():
-            w.simplefilter("error")
-            conservative_adjust(base, 0.1)
-            conservative_adjust(base, 0.3)
+    @pytest.mark.parametrize("n", [1, 10, 21])
+    def test_small_sample_degenerates(self, n):
+        with pytest.warns(UserWarning, match="degenerate"):
+            result = conservative_adjust(*_negatives(np.full(n, 0.1)),
+                                         alpha=0.1)
+        assert result.q_hat == 1.0
 
-    def test_outside_band_warns_but_applies(self):
-        base = CalibrationResult(0.4, 0.1, 50, "split")
-        with pytest.warns(UserWarning, match="band"):
-            adjusted = conservative_adjust(base, 0.5)
-        assert adjusted.q_hat == pytest.approx(0.6, abs=1e-15)
+    def test_rank_matches_scipy_beta(self):
+        # For every n up to 2,000 the rank is the first k whose Beta
+        # distribution puts at most alpha below 1 - alpha; n + 1 when no
+        # k does.
+        for n in range(1, 2001):
+            ks = np.arange(1, n + 1)
+            tail = scipy.stats.beta.cdf(0.9, ks, n + 1 - ks)
+            below = np.flatnonzero(tail <= 0.1)
+            expected = int(ks[below[0]]) if below.size else n + 1
+            assert _conditional_rank(n, 0.1) == expected, n
+
+    def test_shares_input_checks(self):
+        for p_hat, y, alpha in [([0.2, 0.3], [0], 0.1), ([1.5], [0], 0.1),
+                                ([], [], 0.1), ([0.5] * 30, [0] * 30, 0.0)]:
+            with pytest.raises(ValidationError):
+                conservative_adjust(p_hat, y, alpha)
+
+    @pytest.mark.parametrize("calibrate, holds", [
+        (conservative_adjust, True), (calibrate_pooled, False)])
+    def test_coverage_given_calibration_set(self, calibrate, holds):
+        # All labels 0 with p_hat ~ U(0, 1): a fresh row is covered iff
+        # its score is at most q_hat, so the coverage given the
+        # calibration set is q_hat itself.  Below 1 - alpha it may be for
+        # at most an alpha share of calibration sets (expected 0.023 at
+        # n = 36); the split rank's share is 0.288.
+        trials = 20_000
+        rng = default_rng(36)
+        labels = np.zeros(36, dtype=int)
+        short = np.mean([calibrate(rng.uniform(size=36), labels, 0.1).q_hat
+                         < 0.9 for _ in range(trials)])
+        bound = 0.1 + 3 * math.sqrt(0.1 * 0.9 / trials)
+        assert bool(short <= bound) == holds, short
 
 
 class TestPredictSet:
@@ -253,8 +282,8 @@ class TestCoverageAudit:
 
 class TestSelectStrategy:
     def test_scale_table(self):
-        # Pooled throughout; the conservative wrapper is recommended only
-        # for fewer than five entities with one below 100 rows.
+        # The split rank throughout; the conditional rank is recommended
+        # only for fewer than five entities with one below 100 rows.
         assert recommend_conservative([100] * 15) is False
         assert recommend_conservative([60] * 6) is False
         assert recommend_conservative([150, 200, 120]) is False
@@ -263,7 +292,7 @@ class TestSelectStrategy:
             recommend_conservative([])
 
     def test_result_persistence(self, tmp_path):
-        result = CalibrationResult(0.42, 0.1, 375, "pooled", 0.0)
+        result = CalibrationResult(0.42, 0.1, 375, "pooled")
         path = tmp_path / "calibration.json"
         result.save(path)
         assert CalibrationResult.load(path) == result

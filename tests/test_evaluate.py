@@ -273,6 +273,17 @@ class TestRunExperiment:
         assert 0.0 <= tiny_report.conformal["empirical_coverage"] <= 1.0
         assert tiny_report.conformal["n"] == 120
 
+    def test_per_entity_coverage(self, tiny_report):
+        # Three entities of 40 rows, every row audited: the per-entity
+        # coverages weighted by row count give back the pooled coverage.
+        conformal = tiny_report.conformal
+        per_entity = conformal["per_entity_coverage"]
+        assert list(per_entity) == ["sme_00", "sme_01", "sme_02"]
+        assert all(0.0 <= c <= 1.0 for c in per_entity.values())
+        assert conformal["n"] == 3 * 40
+        weighted = sum(40 * c for c in per_entity.values()) / conformal["n"]
+        assert abs(weighted - conformal["empirical_coverage"]) <= 1e-12
+
     def test_diagnostics_block(self, tiny_report):
         assert tiny_report.diagnostics["total_draws"] == 2 * 200
         assert tiny_report.diagnostics["max_rhat"] > 0

@@ -1,12 +1,17 @@
 """Average ranks against the scipy oracle, heavy ties included; the
-logistic function against its two-branch form."""
+logistic function against its two-branch form; the incomplete beta against
+scipy where the calibration-conditional rank evaluates it."""
+
+import math
 
 import numpy as np
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from churnpool.numerics import average_ranks, sigmoid
+from churnpool.numerics import (average_ranks, regularized_incomplete_beta,
+                                sigmoid)
 
 from _oracles import two_branch_sigmoid
 
@@ -69,3 +74,23 @@ class TestSigmoid:
     def test_shape_preserved(self):
         z = np.linspace(-5, 5, 12).reshape(3, 4)
         assert sigmoid(z).shape == (3, 4)
+
+
+class TestRegularizedIncompleteBeta:
+    def test_matches_scipy_at_rank_rule_parameters(self):
+        # a = k, b = n + 1 - k for ranks from the split rank upward, as
+        # the conditional rank steps through them, at x = 1 - alpha.
+        worst = 0.0
+        for n in np.unique(np.geomspace(22, 10_000, 60).astype(int)):
+            for x in (0.8, 0.9, 0.95):
+                start = math.ceil(x * (n + 1))
+                for k in range(start, min(n, start + 4 * int(math.sqrt(n))
+                                           + 4) + 1):
+                    mine = regularized_incomplete_beta(k, n + 1 - k, x)
+                    worst = max(worst, abs(
+                        mine - scipy.special.betainc(k, n + 1 - k, x)))
+        assert worst < 1e-10
+
+    def test_endpoints(self):
+        assert regularized_incomplete_beta(3.0, 4.0, 0.0) == 0.0
+        assert regularized_incomplete_beta(3.0, 4.0, 1.0) == 1.0

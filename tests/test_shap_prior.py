@@ -220,10 +220,18 @@ class TestExtractPriors:
         ensemble, ds, stats = _tagged_stump_dataset()
         untagged = Dataset(ds.features, ds.labels, ds.feature_names, None)
         prior = extract_priors(ensemble, untagged, stats, lambda_scale=1.0)
-        assert prior.provenance["fallback"] is True
+        assert prior.provenance == {"lambda": 1.0, "tags": [], "counts": {},
+                                    "fallback": True}
         phi0 = 2.0
         assert prior.sigma0_diag[0] == pytest.approx((1e-4 + phi0 ** 2) * 2.0,
                                                      rel=1e-12)
+        # One tag on every row takes the same fallback and counts its rows.
+        one_tag = Dataset(ds.features, ds.labels, ds.feature_names,
+                          ("t",) * ds.n)
+        single = extract_priors(ensemble, one_tag, stats, lambda_scale=1.0)
+        assert single.provenance == {"lambda": 1.0, "tags": ["t"],
+                                     "counts": {"t": ds.n}, "fallback": True}
+        np.testing.assert_array_equal(single.sigma0_diag, prior.sigma0_diag)
 
     def test_persistence_round_trip(self, tmp_path):
         ensemble, ds, stats = _tagged_stump_dataset()

@@ -384,12 +384,13 @@ def stratified_split(data: Dataset, test_fraction: float,
     return data.subset(train), data.subset(test)
 
 
-def stratified_kfold(data: Dataset, K: int,
-                     seed: int) -> list[tuple[Dataset, Dataset]]:
-    """Deterministic stratified K-fold partition.
+def stratified_kfold(data: Dataset, K: int, seed: int) -> np.ndarray:
+    """Deterministic stratified K-fold partition: the ``(n,)`` int array
+    of each row's test fold in ``[0, K)``.
 
-    Test folds are disjoint and cover the data; per-fold class counts deviate
-    from exact proportionality by at most one.
+    Fold k's test rows are ``fold == k`` and its training rows
+    ``fold != k``.  Fold sizes, and each class's per-fold counts, differ
+    by at most one.
     """
     if K < 2:
         raise ValidationError(f"K must be >= 2, got {K}")
@@ -409,12 +410,7 @@ def stratified_kfold(data: Dataset, K: int,
         perm = rng.permutation(idx.size)
         fold_of[idx[perm]] = (np.arange(idx.size) + offset) % K
         offset += idx.size % K
-    folds = []
-    for k in range(K):
-        test = np.flatnonzero(fold_of == k)
-        train = np.flatnonzero(fold_of != k)
-        folds.append((data.subset(train), data.subset(test)))
-    return folds
+    return fold_of
 
 
 # ---------------------------------------------------------------------------

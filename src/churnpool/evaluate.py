@@ -11,11 +11,17 @@ predictive; this leaks evaluation rows into the Bayesian fit and is
 flagged in the report, with a leakage-free refit-per-fold variant
 available behind ``protocol="refit"``.
 
-The conformal audit is pooled split conformal: each fold's prediction sets
-use a threshold calibrated on the other folds' hierarchical scores, pooled
-across entities.  The report names it ``"pooled"``, records whether the
-scale table recommends the calibration-conditional rank (which the audit
-does not apply) and breaks the audited coverage down per entity.
+The conformal audit calibrates each fold's threshold on the other folds'
+hierarchical scores, pooled across entities, and breaks the audited
+coverage down per entity.  It also records whether the scale table
+recommends the calibration-conditional rank, which the audit does not
+apply.  Under fit-once the report names the audit ``"pooled"``; the fit
+saw the calibration rows, so the audit carries no coverage guarantee.
+Under refit, fold k's threshold comes from scores of models that did not
+see those rows but differ from the one scoring fold k: that is
+cross-conformal prediction, named ``"cross-conformal"``, whose guarantee
+is coverage of at least ``1 - 2 alpha`` (Barber et al., "Predictive
+inference with the jackknife+", arXiv:1905.02928), not ``1 - alpha``.
 """
 
 from __future__ import annotations
@@ -237,7 +243,9 @@ class ExperimentReport:
                 "hierarchical model fitted once on complete data and "
                 "evaluated across folds (evaluation rows enter the fit)"
                 if self.protocol == "fit-once" else
-                "hierarchical model refitted per fold (leakage-free)"),
+                "hierarchical model refitted per fold (leakage-free); "
+                "the conformal audit is cross-conformal, guaranteeing "
+                "coverage of at least 1 - 2 alpha"),
             "n_evaluations": self.n_evaluations,
             "aggregates": self.aggregates,
             "paired_tests": self.paired_tests,
@@ -260,19 +268,15 @@ class ExperimentReport:
 def _aggregate(rows: list[dict]) -> dict:
     out = {}
     for method in METHODS:
-        values = {m: [] for m in ("auc", "accuracy", "precision", "recall",
-                                  "f1", "log_loss")}
-        for row in rows:
-            if row["method"] == method:
-                for m in values:
-                    values[m].append(row[m])
-        if values["auc"]:
+        picked = [row for row in rows if row["method"] == method]
+        if picked:
             out[method] = {}
-            for m, vals in values.items():
-                arr = np.asarray(vals)
+            for m in ("auc", "accuracy", "precision", "recall", "f1",
+                      "log_loss"):
+                arr = np.asarray([row[m] for row in picked])
                 out[method][f"{m}_mean"] = float(arr.mean())
                 out[method][f"{m}_std"] = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-            out[method]["n"] = len(values["auc"])
+            out[method]["n"] = len(picked)
     return out
 
 
@@ -280,36 +284,44 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
                    config: ExperimentConfig, seed: int) -> ExperimentReport:
     """Run the multi-entity cross-validation comparison.
 
-    Per entity, stratified folds are built deterministically from
-    ``seed``; baselines are refitted on every fold's training data while
-    the hierarchical model follows ``config.protocol``.  Each hierarchical
-    fit clones the unfitted ``model`` with seed ``seed`` (fit-once) or
-    ``seed + 1000 + k`` (refit, fold k).  A baseline fit that fails to
+    Entity j's folds are ``stratified_kfold(ds, K, seed + j)``; an entity
+    it rejects is flagged and gets no rows.  The entities that split form
+    one row table (``X``, ``y``, ``entity``, ``fold``), entity by entity
+    in row order, and every fit, score and audit set is a mask on it.
+    Baselines are refitted on every fold's training rows while the
+    hierarchical model follows ``config.protocol``: one fit with seed
+    ``seed`` (fit-once), or fold k's training rows plus every row of the
+    unsplit entities with seed ``seed + 1000 + k`` (refit).  Each fold is
+    scored in one ``predict_proba`` call.  A baseline fit that fails to
     converge is flagged and its rows for that fold are left out.  A
     sampler failure (``DiagnosticError``) in a hierarchical fit is flagged
     and the report has no hierarchical rows; any other error from the fit,
     such as a prior over other features or a bad sampler setting,
-    propagates.  The conformal audit keeps each fold's hierarchical
-    ``(p_hat, y)`` per entity: a fold's threshold comes from the other
-    folds' rows pooled across entities, its sets come from one
-    ``predict_sets`` call, and the folds' sets are audited together, in
-    total and per entity.  A collection where no entity can be split into
-    folds raises ``DataError`` before any fit.
+    propagates.  The conformal audit keeps the rows of every (entity,
+    fold) test set with both classes: a fold's threshold comes from the
+    other folds' kept rows, its sets from one ``predict_sets`` call, and
+    the sets are audited in total and per entity.  A collection where no
+    entity can be split into folds raises ``DataError`` before any fit.
     """
     config.validate()
     start = time.perf_counter()
     K = config.folds
     flags: list[str] = []
 
-    folds_per_sme: dict[int, list] = {}
+    fold_of: dict[int, np.ndarray] = {}
     for j, ds in enumerate(collection.smes):
         try:
-            folds_per_sme[j] = stratified_kfold(ds, K, seed + j)
+            fold_of[j] = stratified_kfold(ds, K, seed + j)
         except ValidationError as exc:
             flags.append(f"sme {collection.ids[j]} excluded from folds: {exc}")
-    if not folds_per_sme:
+    if not fold_of:
         raise DataError(f"no entity can be split into {K} stratified folds: "
                         + "; ".join(flags))
+    split = [collection.smes[j] for j in fold_of]
+    X = np.concatenate([ds.features for ds in split])
+    y = np.concatenate([ds.labels for ds in split])
+    entity = np.repeat(list(fold_of), [ds.n for ds in split])
+    fold = np.concatenate(list(fold_of.values()))
 
     def fit_hier(train_collection: SMECollection, fit_seed: int):
         params = {**model.get_params(), "seed": fit_seed}
@@ -324,7 +336,8 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
         else:
             fits = by_fold = [
                 fit_hier(SMECollection(
-                    tuple(folds_per_sme[j][k][0] if j in folds_per_sme else ds
+                    tuple(ds.subset(np.flatnonzero(fold_of[j] != k))
+                          if j in fold_of else ds
                           for j, ds in enumerate(collection.smes)),
                     collection.ids), seed + 1000 + k)
                 for k in range(K)]
@@ -334,6 +347,7 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
         fits = by_fold = None
 
     diagnostics = {}
+    p_hier = None
     if fits is not None:
         diagnostics = {
             "max_rhat": max(m.diagnostics_.max_rhat() for m in fits),
@@ -345,58 +359,45 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
                                           for m in fits])),
             "n_grad": sum(m.diagnostics_.n_grad for m in fits),
         }
+        p_hier = np.empty(y.size)
+        for k, fitted in enumerate(by_fold):
+            test = fold == k
+            p_hier[test] = fitted.predict_proba(X[test], entity[test])
 
-    # Pooled baseline per fold: concatenation of all entities' training folds.
+    # Pooled baseline per fold: every split entity's training rows.
     pooled_models = {}
     for k in range(K):
-        features = np.concatenate([folds_per_sme[j][k][0].features
-                                   for j in folds_per_sme])
-        labels = np.concatenate([folds_per_sme[j][k][0].labels
-                                 for j in folds_per_sme])
-        pooled_ds = Dataset(features, labels, collection.feature_names)
+        train = fold != k
         try:
-            pooled_models[k] = fit_logreg_l2(pooled_ds, config.l2_c)
+            pooled_models[k] = fit_logreg_l2(
+                Dataset(X[train], y[train], collection.feature_names),
+                config.l2_c)
         except ConvergenceError as exc:
             # Like a skipped independent fit: this fold has no pooled rows.
             flags.append(f"fold {k}: pooled fit skipped: {exc}")
 
     rows: list[dict] = []
-    # Per fold, the hierarchical (entity index, p_hat, y) of each entity's
-    # scored held-out rows.
-    hier_folds: list[list[tuple[int, np.ndarray, np.ndarray]]] = [
-        [] for _ in range(K)]
-
-    # Hierarchical scores, one call per fold over every entity's held-out
-    # rows; hier_probs[j, k] holds entity j's share of fold k.
-    hier_probs: dict[tuple[int, int], np.ndarray] = {}
-    entities = sorted(folds_per_sme)
-    for k, fitted in enumerate(by_fold or ()):
-        tests = [folds_per_sme[j][k][1] for j in entities]
-        sizes = [test.n for test in tests]
-        probs = fitted.predict_proba(
-            np.concatenate([test.features for test in tests]),
-            np.repeat(entities, sizes))
-        for j, part in zip(entities, np.split(probs, np.cumsum(sizes)[:-1])):
-            hier_probs[j, k] = part
-
-    for j in entities:
-        for k, (train, test) in enumerate(folds_per_sme[j]):
+    # The rows of every (entity, fold) test set that holds both classes.
+    kept = np.zeros(y.size, dtype=bool)
+    for j in fold_of:
+        for k in range(K):
+            test = (entity == j) & (fold == k)
+            train = (entity == j) & (fold != k)
             evals = {}
-            probs_h = hier_probs.get((j, k))
-            if probs_h is not None:
-                evals["hierarchical"] = probs_h
+            if p_hier is not None:
+                evals["hierarchical"] = p_hier[test]
             if k in pooled_models:
-                evals["pooled"] = logreg_predict(pooled_models[k],
-                                                 test.features)
+                evals["pooled"] = logreg_predict(pooled_models[k], X[test])
             try:
-                coefs = fit_logreg_l2(train, config.l2_c)
-                evals["independent"] = logreg_predict(coefs, test.features)
+                coefs = fit_logreg_l2(
+                    Dataset(X[train], y[train], collection.feature_names),
+                    config.l2_c)
+                evals["independent"] = logreg_predict(coefs, X[test])
             except (ValidationError, ConvergenceError) as exc:
                 flags.append(
                     f"sme {collection.ids[j]} fold {k}: independent fit "
                     f"skipped: {exc}")
-            neg, pos = test.class_counts()
-            if neg == 0 or pos == 0:
+            if np.unique(y[test]).size < 2:
                 flags.append(
                     f"sme {collection.ids[j]} fold {k}: single-class test "
                     "fold excluded")
@@ -404,9 +405,8 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
             for method, probs in evals.items():
                 rows.append({"sme": collection.ids[j], "fold": k,
                              "method": method,
-                             **classification_metrics(probs, test.labels)})
-            if probs_h is not None:
-                hier_folds[k].append((j, probs_h, test.labels))
+                             **classification_metrics(probs, y[test])})
+            kept |= test
 
     # Paired tests on per-evaluation AUC, restricted to complete pairs.
     auc_by_method: dict[str, dict] = {m: {} for m in METHODS}
@@ -427,38 +427,35 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
                 "n_pairs": len(keys),
             }
 
-    # Conformal audit: per fold, calibrate on the other folds' rows pooled
-    # across entities, predict sets for the held-out fold.
-    conservative = recommend_conservative(
-        [collection.smes[j].n for j in folds_per_sme])
-    sets, labels_audited, owners = [], [], []
+    # Conformal audit: per fold, calibrate on the other folds' kept rows
+    # pooled across entities, predict sets for the fold's kept rows.
+    conservative = recommend_conservative([ds.n for ds in split])
+    sets = np.zeros((y.size, 2), dtype=bool)
+    audited = np.zeros(y.size, dtype=bool)
     thresholds = {}
     for k in range(K):
-        calibration = [(p, y) for kk in range(K) if kk != k
-                       for _, p, y in hier_folds[kk]]
-        if not calibration:
+        calibration = kept & (fold != k)
+        if p_hier is None or not calibration.any():
             continue
-        p_cal, y_cal = map(np.concatenate, zip(*calibration))
-        result = calibrate_pooled(p_cal, y_cal, config.alpha)
+        result = calibrate_pooled(p_hier[calibration], y[calibration],
+                                  config.alpha)
         thresholds[k] = result.q_hat
-        if hier_folds[k]:
-            owner, probs, labels = zip(*hier_folds[k])
-            sets.append(predict_sets(np.concatenate(probs), result.q_hat))
-            labels_audited.extend(labels)
-            owners.extend(np.full(y.size, j) for j, y in zip(owner, labels))
-    conformal: dict = {"strategy": "pooled",
-                       "conservative_recommended": conservative,
-                       "alpha": config.alpha,
-                       "fold_thresholds": thresholds}
-    if sets:
-        sets, labels_audited, owners = map(
-            np.concatenate, (sets, labels_audited, owners))
-        conformal.update(coverage_audit(sets, labels_audited))
+        test = kept & (fold == k)
+        sets[test] = predict_sets(p_hier[test], result.q_hat)
+        audited |= test
+    conformal: dict = {
+        "strategy": "pooled" if config.protocol == "fit-once"
+        else "cross-conformal",
+        "conservative_recommended": conservative,
+        "alpha": config.alpha,
+        "fold_thresholds": thresholds}
+    if audited.any():
+        conformal.update(coverage_audit(sets[audited], y[audited]))
         # The group-conditional (Mondrian) view: no guarantee of its own.
-        covered = np.where(labels_audited == 1, sets[:, 1], sets[:, 0])
+        covered = sets[np.arange(y.size), y]
         conformal["per_entity_coverage"] = {
-            collection.ids[j]: float(covered[owners == j].mean())
-            for j in np.unique(owners)}
+            collection.ids[j]: float(covered[audited & (entity == j)].mean())
+            for j in np.unique(entity[audited])}
 
     runtime = time.perf_counter() - start
     return ExperimentReport(

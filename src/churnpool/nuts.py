@@ -168,7 +168,9 @@ class PosteriorTrace:
     parameter order of ``param_names``.  ``mass_diag`` has shape
     ``(chains, dim)``; each row is the diagonal of the inverse metric the
     chains sampled with, so all rows are equal.  The low-rank part of that
-    metric is not stored.
+    metric is not stored.  ``divergent`` has shape ``(chains, draws)`` and
+    the step sizes one entry per chain; any other shape, or a name count
+    other than ``dim``, raises ``ValidationError``.
     """
 
     draws: np.ndarray
@@ -186,10 +188,22 @@ class PosteriorTrace:
             raise ValidationError("draws must have shape (chains, draws, dim)")
         if np.isnan(draws).any():
             raise ValidationError("trace contains NaN draws")
+        chains, n_draws, dim = draws.shape
         object.__setattr__(self, "draws", draws)
-        object.__setattr__(self, "divergent",
-                           np.asarray(self.divergent, dtype=bool))
-        object.__setattr__(self, "param_names", tuple(self.param_names))
+        for name, shape, dtype in (
+                ("divergent", (chains, n_draws), bool),
+                ("step_sizes", (chains,), np.float64),
+                ("initial_step_sizes", (chains,), np.float64),
+                ("mass_diag", (chains, dim), np.float64)):
+            value = np.asarray(getattr(self, name), dtype=dtype)
+            if value.shape != shape:
+                raise ValidationError(
+                    f"{name} has shape {value.shape}, expected {shape}")
+            object.__setattr__(self, name, value)
+        names = tuple(self.param_names)
+        if len(names) != dim:
+            raise ValidationError(f"{len(names)} param_names for dim {dim}")
+        object.__setattr__(self, "param_names", names)
 
     @property
     def n_chains(self) -> int:
@@ -248,14 +262,17 @@ class PosteriorTrace:
                                  f"expected {8 * count}")
             # Read straight into the one float64 array the trace keeps.
             draws = np.fromfile(fh, dtype="<f8", count=count).reshape(shape)
+            marks = [[operator.index(i) for i in row]
+                     for row in header["divergent_draws"]]
+            if len(marks) != shape[0] or not all(
+                    0 <= i < shape[1] for row in marks for i in row):
+                raise ValueError("divergent_draws needs one list of draw "
+                                 "indices in [0, draws) per chain")
             divergent = np.zeros(shape[:2], dtype=bool)
-            for c, idx in enumerate(header["divergent_draws"]):
+            for c, idx in enumerate(marks):
                 divergent[c, idx] = True
-            return cls(draws, divergent,
-                       np.asarray(header["step_sizes"], dtype=np.float64),
-                       np.asarray(header["initial_step_sizes"],
-                                  dtype=np.float64),
-                       np.asarray(header["mass_diag"], dtype=np.float64),
+            return cls(draws, divergent, header["step_sizes"],
+                       header["initial_step_sizes"], header["mass_diag"],
                        as_name_tuple(header["param_names"], "param_names"),
                        header["seed"], header["config"])
 

@@ -290,7 +290,9 @@ def extract_priors(ensemble: TreeEnsemble, val: Dataset,
 def prior_only_auc(prior: PriorSpec, holdout: Dataset, draws: int,
                    seed: int) -> float:
     """Mean AUC of coefficient draws from the prior scored on held-out data."""
-    from .evaluate import auc  # local import; evaluate depends on this module
+    # Imported at call time, so a wrapper installed on evaluate.auc (as
+    # perfbench's tracer does) also sees these calls.
+    from .evaluate import auc
 
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")

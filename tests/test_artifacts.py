@@ -6,6 +6,7 @@ as a raw ``json``, ``struct``, numpy or ``KeyError`` exception.
 """
 
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -13,11 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from churnpool.cli import main
 from churnpool.conformal import CalibrationResult
 from churnpool.data import (generate_hierarchical_population, load_collection,
                             save_collection)
 from churnpool.errors import DataError
 from churnpool.gbdt import TreeEnsemble, TreeNode
+from churnpool.hier_model import param_names
 from churnpool.nuts import PosteriorTrace
 from churnpool.shap_prior import PriorSpec
 
@@ -171,6 +174,17 @@ def _container(header, payload):
 
 
 @pytest.fixture(scope="module")
+def calibrate_dir(tmp_path_factory):
+    """A run directory that ``calibrate`` reads: 3 entities of 30 rows with
+    one feature, also used as the calibration rows."""
+    out = tmp_path_factory.mktemp("calibrate")
+    assert main(["--out", str(out), "--seed", "11", "gen-data", "--smes",
+                 "3", "--n-per", "30", "--features", "1"]) == 0
+    shutil.copytree(out / "smes", out / "calibration_data")
+    return out
+
+
+@pytest.fixture(scope="module")
 def trace_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("trace") / "trace.bin"
     _small_trace().save(path)
@@ -231,6 +245,39 @@ class TestTraceContainer:
         path.write_bytes(b"PK\x03\x04")
         with pytest.raises(DataError, match="not a trace container"):
             PosteriorTrace.load(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("divergent_draws", [[-1], [], []]),
+        ("divergent_draws", [[0], [], [4]]),
+        ("divergent_draws", [[]]),
+        ("param_names", ["mu[x00]", "mu[intercept]", "log_sigma"]),
+        ("step_sizes", [0.5]),
+        ("initial_step_sizes", [1.0, 1.0, 1.0, 1.0]),
+        ("mass_diag", [[1.0]]),
+    ], ids=["negative-draw", "draw-past-end", "one-list", "names",
+            "step-sizes", "initial-step-sizes", "mass-diag"])
+    def test_header_disagreeing_with_payload(self, calibrate_dir, key,
+                                             value):
+        # A three-chain, four-draw trace over one feature and 3 entities,
+        # which calibrate accepts before its header is damaged.
+        names = param_names(3, ("x00", "intercept"))
+        trace = PosteriorTrace(
+            draws=np.zeros((3, 4, len(names))),
+            divergent=np.zeros((3, 4), bool), step_sizes=np.full(3, 0.5),
+            initial_step_sizes=np.ones(3), mass_diag=np.ones((3, len(names))),
+            param_names=names, seed=0)
+        path = calibrate_dir / "trace.bin"
+        trace.save(path)
+        calibrate = ["--out", str(calibrate_dir), "--force", "calibrate"]
+        assert main(calibrate) == 0
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16:16 + header_len])
+        header[key] = value
+        path.write_bytes(_container(header, raw[16 + header_len:]))
+        with pytest.raises(DataError):
+            PosteriorTrace.load(path)
+        assert main(calibrate) == 4
 
 
 @pytest.fixture(scope="module")

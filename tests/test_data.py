@@ -269,25 +269,23 @@ class TestStratifiedSplit:
 class TestStratifiedKfold:
     def test_fold_class_balance(self):
         ds = _toy(n=100, positives=21, seed=9)
-        folds = stratified_kfold(ds, 5, seed=3)
-        for train, test in folds:
-            assert test.n == 20
-            assert int(test.labels.sum()) in (4, 5)
+        fold = stratified_kfold(ds, 5, seed=3)
+        np.testing.assert_array_equal(np.bincount(fold), [20] * 5)
+        for k in range(5):
+            assert int(ds.labels[fold == k].sum()) in (4, 5)
 
     def test_partition_property(self):
         ds = _toy(n=37, positives=11, seed=10)
-        folds = stratified_kfold(ds, 4, seed=1)
-        keys = []
-        for _, test in folds:
-            keys.extend(test.features[:, 0].tolist())
-        assert len(keys) == 37
-        np.testing.assert_array_equal(np.sort(keys), np.sort(ds.features[:, 0]))
+        fold = stratified_kfold(ds, 4, seed=1)
+        # One test fold per row, and every fold is used.
+        assert fold.shape == (37,)
+        assert np.issubdtype(fold.dtype, np.integer)
+        assert set(fold.tolist()) == {0, 1, 2, 3}
 
     def test_leave_one_out_on_balanced(self):
         ds = _toy(n=8, positives=4, seed=11)
-        folds = stratified_kfold(ds, 8, seed=1)
-        assert len(folds) == 8
-        assert all(test.n == 1 for _, test in folds)
+        fold = stratified_kfold(ds, 8, seed=1)
+        np.testing.assert_array_equal(np.sort(fold), np.arange(8))
 
     def test_class_smaller_than_k_rejected(self):
         ds = _toy(n=20, positives=3, seed=12)
@@ -298,9 +296,23 @@ class TestStratifiedKfold:
     @settings(max_examples=20, deadline=None)
     def test_partition_for_any_seed(self, seed):
         ds = _toy(n=30, positives=9, seed=13)
-        folds = stratified_kfold(ds, 3, seed=seed)
-        total = sum(test.n for _, test in folds)
-        assert total == 30
+        fold = stratified_kfold(ds, 3, seed=seed)
+        assert fold.shape == (30,)
+        np.testing.assert_array_equal(np.bincount(fold, minlength=3),
+                                      [10] * 3)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sizes_and_class_counts_within_one(self, data):
+        K = data.draw(st.integers(2, 6))
+        n = data.draw(st.integers(2 * K, 60))
+        positives = data.draw(st.integers(K, n - K))
+        ds = _toy(n=n, positives=positives, seed=14)
+        fold = stratified_kfold(ds, K, data.draw(
+            st.integers(0, 2 ** 31 - 1)))
+        for rows in (np.ones(n, bool), ds.labels == 0, ds.labels == 1):
+            counts = np.bincount(fold[rows], minlength=K)
+            assert counts.max() - counts.min() <= 1
 
 
 class TestGenerators:

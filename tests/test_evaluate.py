@@ -325,6 +325,10 @@ class TestRunExperiment:
         report = run_experiment(collection, model, config, seed=4)
         assert report.protocol == "refit"
         assert report.n_evaluations == 4
+        # Fold k's threshold comes from other models' scores: the audit
+        # is cross-conformal, and the report names its 1 - 2 alpha bound.
+        assert report.conformal["strategy"] == "cross-conformal"
+        assert "1 - 2 alpha" in json.loads(report.to_json())["protocol_note"]
 
     def test_one_scoring_call_per_fold(self, monkeypatch):
         # Every entity's held-out rows of a fold are scored in one call,
@@ -477,6 +481,88 @@ class TestRunExperiment:
         with pytest.raises(DataError, match="no entity can be split"):
             run_experiment(collection, model, config, seed=4)
         assert fits == []
+
+    @pytest.mark.parametrize("protocol", ["fit-once", "refit"])
+    def test_entity_without_folds(self, monkeypatch, protocol):
+        # One positive in ten rows cannot fill 2 stratified folds.  The
+        # entity sits between split ones, so entity indices are not row
+        # positions among the split entities.
+        population, _ = generate_hierarchical_population(
+            p=2, J=3, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=26)
+        rng = np.random.default_rng(3)
+        lone = Dataset(rng.normal(size=(10, 2)), np.eye(10, dtype=int)[0],
+                       population.feature_names)
+        smes = population.smes
+        collection = SMECollection((smes[0], lone, *smes[1:]),
+                                   ("a", "lone", "b", "c"))
+        fitted = []
+        fit = HierarchicalLogistic.fit
+
+        def recording_fit(self, train):
+            fitted.append(train)
+            return fit(self, train)
+
+        monkeypatch.setattr(evaluate.HierarchicalLogistic, "fit",
+                            recording_fit)
+        model = HierarchicalLogistic(
+            prior=PriorSpec(collection.feature_names, np.zeros(2),
+                            np.ones(2), 0.0, {}),
+            chains=2, warmup=120, draws=100)
+        report = run_experiment(
+            collection, model,
+            ExperimentConfig(folds=2, alpha=0.2, protocol=protocol), seed=7)
+        assert [f for f in report.flags if "lone" in f] == [
+            "sme lone excluded from folds: class 1 has 1 members, need >= K=2"]
+        assert {row["sme"] for row in report.rows} == {"a", "b", "c"}
+        assert report.n_evaluations == 6
+        assert list(report.conformal["per_entity_coverage"]) == ["a", "b", "c"]
+        assert report.conformal["n"] == 90
+        # Every fit, one per fold under refit, holds all of the lone rows;
+        # a split entity enters a refit with the other fold's rows only.
+        assert len(fitted) == (2 if protocol == "refit" else 1)
+        for train in fitted:
+            assert train.ids == collection.ids
+            np.testing.assert_array_equal(train.smes[1].features,
+                                          lone.features)
+            assert [ds.n for ds in train.smes] == (
+                [15, 10, 15, 15] if protocol == "refit" else [30, 10, 30, 30])
+
+    def test_leave_one_out_entity(self, monkeypatch):
+        # An entity of K rows has one row per test fold: every fold is
+        # single-class, so it has no metric and no audited rows, yet each
+        # of its training rows still enters the pooled baseline.
+        population, _ = generate_hierarchical_population(
+            p=2, J=3, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=27)
+        pair = Dataset(np.array([[0.25, -0.5], [-1.0, 0.75]]), [0, 1],
+                       population.feature_names)
+        collection = SMECollection((*population.smes, pair),
+                                   (*population.ids, "pair"))
+        baseline_fits = []
+
+        def recording_fit(train, C=1.0):
+            baseline_fits.append(train)
+            return fit_logreg_l2(train, C)
+
+        monkeypatch.setattr(evaluate, "fit_logreg_l2", recording_fit)
+        model = HierarchicalLogistic(
+            prior=PriorSpec(collection.feature_names, np.zeros(2),
+                            np.ones(2), 0.0, {}),
+            chains=2, warmup=120, draws=100)
+        report = run_experiment(collection, model,
+                                ExperimentConfig(folds=2, alpha=0.2), seed=8)
+        assert [f for f in report.flags if "pair" in f] == [
+            f"sme pair fold {k}: {what}" for k in range(2) for what in (
+                "independent fit skipped: training data contains a single "
+                "class", "single-class test fold excluded")]
+        assert "pair" not in {row["sme"] for row in report.rows}
+        assert report.n_evaluations == 6
+        assert report.conformal["n"] == 90
+        assert "pair" not in report.conformal["per_entity_coverage"]
+        pooled = [train for train in baseline_fits if train.n == 46]
+        assert len(pooled) == 2
+        held = [[row.tolist() in train.features.tolist()
+                 for row in pair.features] for train in pooled]
+        assert sorted(held) == [[False, True], [True, False]]
 
 
 class TestRowsToCsv:

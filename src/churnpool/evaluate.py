@@ -285,15 +285,16 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
     """Run the multi-entity cross-validation comparison.
 
     Entity j's folds are ``stratified_kfold(ds, K, seed + j)``; an entity
-    it rejects is flagged and gets no rows.  The entities that split form
-    one row table (``X``, ``y``, ``entity``, ``fold``), entity by entity
-    in row order, and every fit, score and audit set is a mask on it.
-    Baselines are refitted on every fold's training rows while the
-    hierarchical model follows ``config.protocol``: one fit with seed
-    ``seed`` (fit-once), or fold k's training rows plus every row of the
-    unsplit entities with seed ``seed + 1000 + k`` (refit).  Each fold is
-    scored in one ``predict_proba`` call.  A baseline fit that fails to
-    converge is flagged and its rows for that fold are left out.  A
+    it rejects is flagged and its rows get fold -1, which is never a test
+    fold: every pooled and hierarchical fit trains on them and nothing
+    scores them.  All entities form one row table (``X``, ``y``,
+    ``entity``, ``fold``), entity by entity in row order, and every fit,
+    score and audit set is a mask on it.  Baselines are refitted on every
+    fold's training rows while the hierarchical model follows
+    ``config.protocol``: one fit with seed ``seed`` (fit-once), or the
+    rows outside fold k with seed ``seed + 1000 + k`` (refit).  Each fold
+    is scored in one ``predict_proba`` call.  A baseline fit that fails
+    to converge is flagged and its rows for that fold are left out.  A
     sampler failure (``DiagnosticError``) in a hierarchical fit is flagged
     and the report has no hierarchical rows; any other error from the fit,
     such as a prior over other features or a bad sampler setting,
@@ -308,20 +309,23 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
     K = config.folds
     flags: list[str] = []
 
-    fold_of: dict[int, np.ndarray] = {}
+    split: list[int] = []
+    folds: list[np.ndarray] = []
     for j, ds in enumerate(collection.smes):
         try:
-            fold_of[j] = stratified_kfold(ds, K, seed + j)
+            folds.append(stratified_kfold(ds, K, seed + j))
+            split.append(j)
         except ValidationError as exc:
             flags.append(f"sme {collection.ids[j]} excluded from folds: {exc}")
-    if not fold_of:
+            folds.append(np.full(ds.n, -1))
+    if not split:
         raise DataError(f"no entity can be split into {K} stratified folds: "
                         + "; ".join(flags))
-    split = [collection.smes[j] for j in fold_of]
-    X = np.concatenate([ds.features for ds in split])
-    y = np.concatenate([ds.labels for ds in split])
-    entity = np.repeat(list(fold_of), [ds.n for ds in split])
-    fold = np.concatenate(list(fold_of.values()))
+    sizes = [ds.n for ds in collection.smes]
+    X = np.concatenate([ds.features for ds in collection.smes])
+    y = np.concatenate([ds.labels for ds in collection.smes])
+    entity = np.repeat(np.arange(len(sizes)), sizes)
+    fold = np.concatenate(folds)
 
     def fit_hier(train_collection: SMECollection, fit_seed: int):
         params = {**model.get_params(), "seed": fit_seed}
@@ -336,9 +340,8 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
         else:
             fits = by_fold = [
                 fit_hier(SMECollection(
-                    tuple(ds.subset(np.flatnonzero(fold_of[j] != k))
-                          if j in fold_of else ds
-                          for j, ds in enumerate(collection.smes)),
+                    tuple(ds.subset(np.flatnonzero(f != k))
+                          for ds, f in zip(collection.smes, folds)),
                     collection.ids), seed + 1000 + k)
                 for k in range(K)]
     except DiagnosticError as exc:
@@ -364,7 +367,7 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
             test = fold == k
             p_hier[test] = fitted.predict_proba(X[test], entity[test])
 
-    # Pooled baseline per fold: every split entity's training rows.
+    # Pooled baseline per fold: every row outside the fold.
     pooled_models = {}
     for k in range(K):
         train = fold != k
@@ -379,7 +382,7 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
     rows: list[dict] = []
     # The rows of every (entity, fold) test set that holds both classes.
     kept = np.zeros(y.size, dtype=bool)
-    for j in fold_of:
+    for j in split:
         for k in range(K):
             test = (entity == j) & (fold == k)
             train = (entity == j) & (fold != k)
@@ -429,7 +432,7 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
 
     # Conformal audit: per fold, calibrate on the other folds' kept rows
     # pooled across entities, predict sets for the fold's kept rows.
-    conservative = recommend_conservative([ds.n for ds in split])
+    conservative = recommend_conservative([sizes[j] for j in split])
     sets = np.zeros((y.size, 2), dtype=bool)
     audited = np.zeros(y.size, dtype=bool)
     thresholds = {}

@@ -170,7 +170,9 @@ class PosteriorTrace:
     chains sampled with, so all rows are equal.  The low-rank part of that
     metric is not stored.  ``divergent`` has shape ``(chains, draws)`` and
     the step sizes one entry per chain; any other shape, or a name count
-    other than ``dim``, raises ``ValidationError``.
+    other than ``dim``, raises ``ValidationError``, as do non-finite draws
+    and step sizes or ``mass_diag`` entries that are not finite and
+    positive.
     """
 
     draws: np.ndarray
@@ -186,8 +188,8 @@ class PosteriorTrace:
         draws = np.asarray(self.draws, dtype=np.float64)
         if draws.ndim != 3:
             raise ValidationError("draws must have shape (chains, draws, dim)")
-        if np.isnan(draws).any():
-            raise ValidationError("trace contains NaN draws")
+        if not np.isfinite(draws).all():
+            raise ValidationError("trace contains non-finite draws")
         chains, n_draws, dim = draws.shape
         object.__setattr__(self, "draws", draws)
         for name, shape, dtype in (
@@ -199,6 +201,9 @@ class PosteriorTrace:
             if value.shape != shape:
                 raise ValidationError(
                     f"{name} has shape {value.shape}, expected {shape}")
+            if dtype is np.float64 and not (np.isfinite(value)
+                                            & (value > 0)).all():
+                raise ValidationError(f"{name} must be finite and positive")
             object.__setattr__(self, name, value)
         names = tuple(self.param_names)
         if len(names) != dim:

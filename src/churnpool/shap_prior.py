@@ -57,8 +57,13 @@ def _shapley_order_weights(d: int) -> np.ndarray:
                      / math.factorial(d) for s in range(d)])
 
 
+# Element budget of one temporary in the batched table DP (2 MiB of float64).
+_CHUNK_CELLS = 1 << 18
+
+
 class _LeafGame:
-    """Per-leaf precomputation: constraints, cover fractions, Shapley tables."""
+    """One leaf's game: value, distinct path features with their constraints
+    and cover fractions, and its attribution table (see ``_set_tables``)."""
 
     __slots__ = ("value", "features", "constraints", "q", "weight_empty", "tables")
 
@@ -71,49 +76,62 @@ class _LeafGame:
         # Weight of this leaf in the tree expectation: product of all
         # branch cover fractions along the path.
         self.weight_empty = float(np.prod(q))
-        self.tables = self._build_tables()
+        self.tables: np.ndarray | None = None
 
-    def _build_tables(self) -> np.ndarray:
-        """Attribution table of shape (2**d, d): row = presence pattern."""
-        d = self.q.size
-        n_pat = 1 << d
-        bits = ((np.arange(n_pat)[:, None] >> np.arange(d)[None, :]) & 1
-                ).astype(np.float64)
-        # Leave-one-out polynomial products via prefix/suffix DP over
-        # factors (q_k + p_k t); coefficient arrays indexed [pattern, power].
-        prefix = [np.zeros((n_pat, k + 1)) for k in range(d + 1)]
-        prefix[0][:, 0] = 1.0
-        for k in range(d):
-            cur, nxt = prefix[k], prefix[k + 1]
-            nxt[:, :k + 1] = cur * self.q[k]
-            nxt[:, 1:k + 2] += cur * bits[:, k:k + 1]
-        suffix = [np.zeros((n_pat, k + 1)) for k in range(d + 1)]
-        suffix[0][:, 0] = 1.0
-        for i, k in enumerate(range(d - 1, -1, -1)):
-            cur, nxt = suffix[i], suffix[i + 1]
-            nxt[:, :i + 1] = cur * self.q[k]
-            nxt[:, 1:i + 2] += cur * bits[:, k:k + 1]
-        w = _shapley_order_weights(d)
-        table = np.empty((n_pat, d))
-        for j in range(d):
-            # prod_{k != j} = prefix[j] * suffix[d-1-j], degree d-1
-            loo = np.zeros((n_pat, d))
-            pre, suf = prefix[j], suffix[d - 1 - j]
-            for a in range(pre.shape[1]):
-                loo[:, a:a + suf.shape[1]] += pre[:, a:a + 1] * suf
-            table[:, j] = (bits[:, j] - self.q[j]) * (loo @ w)
-        return table * self.value
 
-    def patterns(self, X: np.ndarray) -> np.ndarray:
-        """Presence-pattern index of every row of X for this leaf."""
-        idx = np.zeros(X.shape[0], dtype=np.intp)
-        for k, (feat, conds) in enumerate(zip(self.features, self.constraints)):
-            ok = np.ones(X.shape[0], dtype=bool)
-            for threshold, went_left in conds:
-                col = X[:, feat]
-                ok &= (col <= threshold) if went_left else (col > threshold)
-            idx |= ok.astype(np.intp) << k
-        return idx
+def _factor_products(q: np.ndarray, bits: np.ndarray, order) -> list[np.ndarray]:
+    """Coefficients of prod over the first m factors (q_k + p_k t) in
+    ``order``, for m = 0..d, as arrays indexed [leaf, pattern, power]."""
+    products = [np.zeros((q.shape[0], bits.shape[0], 1))]
+    products[0][:, :, 0] = 1.0
+    for m, k in enumerate(order):
+        cur = products[-1]
+        nxt = np.zeros(cur.shape[:2] + (m + 2,))
+        nxt[:, :, :m + 1] = cur * q[:, k, None, None]
+        nxt[:, :, 1:m + 2] += cur * bits[:, k:k + 1]
+        products.append(nxt)
+    return products
+
+
+def _attribution_tables(q: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Tables of shape (L, 2**d, d) for L leaves with d path features each:
+    entry [l, pattern, j] is feature j's attribution in leaf l."""
+    d = q.shape[1]
+    n_pat = 1 << d
+    bits = ((np.arange(n_pat)[:, None] >> np.arange(d)[None, :]) & 1
+            ).astype(np.float64)
+    # Leave-one-out polynomial products via prefix/suffix DP.
+    prefix = _factor_products(q, bits, range(d))
+    suffix = _factor_products(q, bits, range(d - 1, -1, -1))
+    w = _shapley_order_weights(d)
+    table = np.empty((q.shape[0], n_pat, d))
+    for j in range(d):
+        # prod_{k != j} = prefix[j] * suffix[d-1-j], degree d-1
+        loo = np.zeros((q.shape[0], n_pat, d))
+        pre, suf = prefix[j], suffix[d - 1 - j]
+        for a in range(pre.shape[2]):
+            loo[:, :, a:a + suf.shape[2]] += pre[:, :, a:a + 1] * suf
+        table[:, :, j] = (bits[:, j] - q[:, j, None]) * (loo @ w)
+    return table * value[:, None, None]
+
+
+def _set_tables(games: list[_LeafGame], learning_rate: float) -> None:
+    """Give every game its table times ``learning_rate``, stored transposed
+    as (d, 2**d): row k holds path feature k's attribution per presence
+    pattern.  Leaves of equal d share one DP pass, chunked so that no
+    temporary exceeds ``_CHUNK_CELLS`` elements."""
+    by_depth: dict[int, list[_LeafGame]] = {}
+    for game in games:
+        by_depth.setdefault(game.q.size, []).append(game)
+    for d, group in by_depth.items():
+        chunk = max(1, _CHUNK_CELLS // ((1 << d) * (d + 1)))
+        for start in range(0, len(group), chunk):
+            part = group[start:start + chunk]
+            tables = learning_rate * _attribution_tables(
+                np.array([g.q for g in part]),
+                np.array([g.value for g in part]))
+            for game, table in zip(part, tables):
+                game.tables = np.ascontiguousarray(table.T)
 
 
 def _leaf_games(root: TreeNode) -> list[_LeafGame]:
@@ -154,9 +172,11 @@ class TreeShapExplainer:
     def __init__(self, ensemble: TreeEnsemble):
         self.ensemble = ensemble
         self._games = [_leaf_games(t) for t in ensemble.trees]
+        leaves = [g for games in self._games for g in games]
         lr = ensemble.learning_rate
         self.expected_value = ensemble.init_logodds + lr * sum(
-            g.value * g.weight_empty for games in self._games for g in games)
+            g.value * g.weight_empty for g in leaves)
+        _set_tables(leaves, lr)
 
     def shap_values(self, X) -> np.ndarray:
         """Attribution matrix of shape (n, p) in margin space for the rows
@@ -165,16 +185,32 @@ class TreeShapExplainer:
         if X.shape[1] != self.ensemble.p:
             raise ValidationError(
                 f"X has {X.shape[1]} features, expected {self.ensemble.p}")
-        out = np.zeros((X.shape[0], self.ensemble.p))
-        lr = self.ensemble.learning_rate
+        XT = np.ascontiguousarray(X.T)
+        outT = np.zeros(XT.shape)
         for games in self._games:
+            # X is finite, so a right branch is the negation of its node's
+            # decision; each (feature, threshold) is compared once per tree.
+            decisions: dict[tuple[int, float], np.ndarray] = {}
             for game in games:
                 if game.features.size == 0:
                     continue
-                rows = game.tables[game.patterns(X)]
+                idx = np.zeros(XT.shape[1], dtype=np.intp)
+                for k, (feat, conds) in enumerate(
+                        zip(game.features, game.constraints)):
+                    ok = None
+                    for threshold, went_left in conds:
+                        left = decisions.get((feat, threshold))
+                        if left is None:
+                            left = decisions[feat, threshold] = (
+                                XT[feat] <= threshold)
+                        hit = left if went_left else ~left
+                        ok = hit if ok is None else ok & hit
+                    idx |= ok.astype(np.intp) << k
                 # Accumulate in fixed (tree, leaf) order for determinism.
-                out[:, game.features] += lr * rows
-        return out
+                rows = np.take(game.tables, idx, axis=1)
+                for feat, row in zip(game.features, rows):
+                    outT[feat] += row
+        return np.ascontiguousarray(outT.T)
 
 
 @dataclass(frozen=True)

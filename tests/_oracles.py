@@ -2,17 +2,23 @@
 
 Everything here is deliberately written as straight-line, readable code on
 a separate path from the library: exhaustive subset enumeration for
-Shapley values, damped Newton for the penalized logistic objective, an
-extended-precision log-posterior evaluation, the two-branch logistic
-function, the argsort-per-node boosted-tree grower and the sampler's
-inverse metric as an explicit dense matrix.
+Shapley values, per-leaf TreeSHAP tables scored one leaf at a time, CSV
+feature columns parsed one cell at a time, damped Newton for the
+penalized logistic objective, an extended-precision log-posterior
+evaluation, the two-branch logistic function, the argsort-per-node
+boosted-tree grower and the sampler's inverse metric as an explicit dense
+matrix.
 """
 
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
+from churnpool.data import (_MISSING_TOKENS, MISSING_INDICATOR_THRESHOLD,
+                            Dataset, _csv_rows)
+from churnpool.errors import DataError, ValidationError
 from churnpool.gbdt import _MIN_SPLIT_GAIN, TreeNode
 
 
@@ -57,6 +63,162 @@ def brute_force_shapley(ensemble, x):
                              - expvalue(tree, x, s))
                     phi[j] += ensemble.learning_rate * weight * delta
     return phi, base
+
+
+# ---------------------------------------------------------------------------
+# Per-leaf TreeSHAP: one table and one pattern pass per leaf
+# ---------------------------------------------------------------------------
+
+def _leaf_paths(root):
+    """(value, features, constraints, q) of every leaf, left to right."""
+    leaves = []
+
+    def walk(node, path):
+        if node.is_leaf:
+            by_feature = {}
+            for feat, threshold, went_left, frac in path:
+                conds, q = by_feature.get(feat, ([], 1.0))
+                conds.append((threshold, went_left))
+                by_feature[feat] = (conds, q * frac)
+            feats = sorted(by_feature)
+            leaves.append((node.value, feats,
+                           [by_feature[f][0] for f in feats],
+                           np.array([by_feature[f][1] for f in feats])))
+            return
+        for child, went_left in ((node.left, True), (node.right, False)):
+            path.append((node.feature_index, node.threshold, went_left,
+                         child.cover / node.cover))
+            walk(child, path)
+            path.pop()
+
+    walk(root, [])
+    return leaves
+
+
+def _leaf_table(value, q):
+    """Attribution table of shape (2**d, d): row = presence pattern."""
+    d = q.size
+    n_pat = 1 << d
+    bits = ((np.arange(n_pat)[:, None] >> np.arange(d)[None, :]) & 1
+            ).astype(np.float64)
+    prefix = [np.zeros((n_pat, k + 1)) for k in range(d + 1)]
+    prefix[0][:, 0] = 1.0
+    for k in range(d):
+        cur, nxt = prefix[k], prefix[k + 1]
+        nxt[:, :k + 1] = cur * q[k]
+        nxt[:, 1:k + 2] += cur * bits[:, k:k + 1]
+    suffix = [np.zeros((n_pat, k + 1)) for k in range(d + 1)]
+    suffix[0][:, 0] = 1.0
+    for i, k in enumerate(range(d - 1, -1, -1)):
+        cur, nxt = suffix[i], suffix[i + 1]
+        nxt[:, :i + 1] = cur * q[k]
+        nxt[:, 1:i + 2] += cur * bits[:, k:k + 1]
+    w = np.array([math.factorial(s) * math.factorial(d - 1 - s)
+                  / math.factorial(d) for s in range(d)])
+    table = np.empty((n_pat, d))
+    for j in range(d):
+        loo = np.zeros((n_pat, d))
+        pre, suf = prefix[j], suffix[d - 1 - j]
+        for a in range(pre.shape[1]):
+            loo[:, a:a + suf.shape[1]] += pre[:, a:a + 1] * suf
+        table[:, j] = (bits[:, j] - q[j]) * (loo @ w)
+    return table * value
+
+
+def per_leaf_shap_values(ensemble, X):
+    """(phi, expected_value) of path-dependent TreeSHAP, built and scored
+    one leaf at a time on the rows of ``X`` in (tree, leaf) order."""
+    X = np.asarray(X, dtype=np.float64)
+    lr = ensemble.learning_rate
+    leaves = [_leaf_paths(tree) for tree in ensemble.trees]
+    expected = ensemble.init_logodds + lr * sum(
+        value * float(np.prod(q)) for tree in leaves for value, _, _, q in tree)
+    out = np.zeros((X.shape[0], ensemble.p))
+    for tree in leaves:
+        for value, feats, constraints, q in tree:
+            if not feats:
+                continue
+            table = _leaf_table(value, q)
+            idx = np.zeros(X.shape[0], dtype=np.intp)
+            for k, (feat, conds) in enumerate(zip(feats, constraints)):
+                ok = np.ones(X.shape[0], dtype=bool)
+                for threshold, went_left in conds:
+                    col = X[:, feat]
+                    ok &= (col <= threshold) if went_left else (col > threshold)
+                idx |= ok.astype(np.intp) << k
+            out[:, feats] += lr * table[idx]
+    return out, expected
+
+
+# ---------------------------------------------------------------------------
+# CSV feature columns parsed one cell at a time
+# ---------------------------------------------------------------------------
+
+def per_cell_load_csv(path, label_column="target", tag_column="source"):
+    """``load_csv`` with every feature cell checked for a missing token and
+    parsed on its own, column by column."""
+    def parse(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+
+    reader = _csv_rows(Path(path))
+    header = next(reader)
+    rows = list(reader)
+    if not rows:
+        raise ValidationError(f"{path} contains a header but no data rows")
+    if label_column not in header:
+        raise ValidationError(f"label column {label_column!r} not found in {path}")
+    label_idx = header.index(label_column)
+    tag_idx = header.index(tag_column) if tag_column in header else None
+    labels = np.empty(len(rows), dtype=np.int8)
+    for i, row in enumerate(rows):
+        value = parse(row[label_idx])
+        if value is None or value not in (0.0, 1.0):
+            raise ValidationError(
+                f"{path}: data row {i + 1}: label {row[label_idx]!r} is not 0/1")
+        labels[i] = int(value)
+    tags = None
+    if tag_idx is not None:
+        tags = tuple(row[tag_idx].strip() for row in rows)
+
+    n = len(rows)
+    columns, names, indicators = [], [], []
+    for j in range(len(header)):
+        if j in (label_idx, tag_idx):
+            continue
+        name = header[j]
+        raw = [row[j] for row in rows]
+        missing = np.array([c.strip().lower() in _MISSING_TOKENS for c in raw],
+                           dtype=bool)
+        present = [raw[i] for i in range(n) if not missing[i]]
+        if not present:
+            raise DataError(f"{path}: column {name!r} has no observed values")
+        parsed = [parse(c) for c in present]
+        if all(v is not None for v in parsed):
+            values = np.full(n, np.nan)
+            values[~missing] = parsed
+            values[missing] = float(np.median(np.asarray(parsed)))
+            columns.append(values)
+            names.append(name)
+        else:
+            levels = sorted(set(c.strip() for c in present))
+            counts = {lv: 0 for lv in levels}
+            for c in present:
+                counts[c.strip()] += 1
+            mode = min(levels, key=lambda lv: (-counts[lv], lv))
+            filled = [mode if missing[i] else raw[i].strip() for i in range(n)]
+            for lv in levels:
+                columns.append(np.array([1.0 if c == lv else 0.0 for c in filled]))
+                names.append(f"{name}={lv}")
+        if missing.mean() > MISSING_INDICATOR_THRESHOLD:
+            indicators.append((f"{name}_missing", missing.astype(np.float64)))
+    for ind_name, ind_col in indicators:
+        columns.append(ind_col)
+        names.append(ind_name)
+    features = np.column_stack(columns) if columns else np.empty((n, 0))
+    return Dataset(features, labels, tuple(names), tags)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ as a raw ``json``, ``struct``, numpy or ``KeyError`` exception.
 """
 
 import json
+import math
 import shutil
 import struct
 
@@ -184,6 +185,27 @@ def calibrate_dir(tmp_path_factory):
     return out
 
 
+def _calibrate(run_dir):
+    return main(["--out", str(run_dir), "--force", "calibrate"])
+
+
+def _accepted_trace(calibrate_dir):
+    """Save a three-chain, four-draw trace over one feature and 3 entities,
+    check that calibrate accepts it, and return (path, header, payload)."""
+    names = param_names(3, ("x00", "intercept"))
+    trace = PosteriorTrace(
+        draws=np.zeros((3, 4, len(names))),
+        divergent=np.zeros((3, 4), bool), step_sizes=np.full(3, 0.5),
+        initial_step_sizes=np.ones(3), mass_diag=np.ones((3, len(names))),
+        param_names=names, seed=0)
+    path = calibrate_dir / "trace.bin"
+    trace.save(path)
+    assert _calibrate(calibrate_dir) == 0
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, 8)
+    return path, json.loads(raw[16:16 + header_len]), raw[16 + header_len:]
+
+
 @pytest.fixture(scope="module")
 def trace_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("trace") / "trace.bin"
@@ -258,26 +280,31 @@ class TestTraceContainer:
             "step-sizes", "initial-step-sizes", "mass-diag"])
     def test_header_disagreeing_with_payload(self, calibrate_dir, key,
                                              value):
-        # A three-chain, four-draw trace over one feature and 3 entities,
-        # which calibrate accepts before its header is damaged.
-        names = param_names(3, ("x00", "intercept"))
-        trace = PosteriorTrace(
-            draws=np.zeros((3, 4, len(names))),
-            divergent=np.zeros((3, 4), bool), step_sizes=np.full(3, 0.5),
-            initial_step_sizes=np.ones(3), mass_diag=np.ones((3, len(names))),
-            param_names=names, seed=0)
-        path = calibrate_dir / "trace.bin"
-        trace.save(path)
-        calibrate = ["--out", str(calibrate_dir), "--force", "calibrate"]
-        assert main(calibrate) == 0
-        raw = path.read_bytes()
-        (header_len,) = struct.unpack_from("<Q", raw, 8)
-        header = json.loads(raw[16:16 + header_len])
+        path, header, payload = _accepted_trace(calibrate_dir)
         header[key] = value
-        path.write_bytes(_container(header, raw[16 + header_len:]))
+        path.write_bytes(_container(header, payload))
         with pytest.raises(DataError):
             PosteriorTrace.load(path)
-        assert main(calibrate) == 4
+        assert _calibrate(calibrate_dir) == 4
+
+    @pytest.mark.parametrize("key, bad", [
+        (key, bad)
+        for key in ("step_sizes", "initial_step_sizes", "mass_diag")
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+    ] + [("draws", bad) for bad in (math.nan, math.inf, -math.inf)])
+    def test_value_out_of_range(self, calibrate_dir, key, bad):
+        # Step sizes and mass_diag must be finite and positive, draws finite.
+        path, header, payload = _accepted_trace(calibrate_dir)
+        if key == "draws":
+            payload = struct.pack("<d", bad) + payload[8:]
+        elif key == "mass_diag":
+            header[key][1][2] = bad
+        else:
+            header[key][1] = bad
+        path.write_bytes(_container(header, payload))
+        with pytest.raises(DataError, match="finite"):
+            PosteriorTrace.load(path)
+        assert _calibrate(calibrate_dir) == 4
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 """Container, ingestion, standardization, split, and generator contracts."""
 
+import csv
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -13,6 +15,8 @@ from churnpool.data import (Dataset, apply_standardization,
                             load_csv, make_synthetic_smes, save_collection,
                             standardize, stratified_kfold, stratified_split)
 from churnpool.errors import DataError, ValidationError
+
+from _oracles import per_cell_load_csv
 
 
 def _write(tmp_path, name, text):
@@ -185,6 +189,66 @@ class TestLoadCsvFuzz:
         path.write_bytes(_VALID_CSV.encode("latin-1"))
         with pytest.raises(DataError, match="latin1.csv"):
             load_csv(path)
+
+
+def _mixed_case(token, upper):
+    return "".join(c.upper() if u else c for c, u in zip(token, upper))
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+_MISSING_CELL = st.tuples(
+    _PAD, st.sampled_from(["", "na", "nan", "null", "none"]),
+    st.lists(st.booleans(), min_size=4, max_size=4), _PAD).map(
+    lambda t: t[0] + _mixed_case(t[1], t[2]) + t[3])
+_NUMBER_CELL = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1_000", " 2.5 ", "1e3", "-0", "+7"]))
+_ODD_CELL = st.one_of(_MISSING_CELL, st.sampled_from(
+    ["inf", "-Inf", "1e999", "-nan", "NaN", "basic", "pro", " pro ",
+     "caf\u00e9", "1,5"]))
+
+
+@st.composite
+def _column_table(draw):
+    """CSV text with a 0/1 target and 1-4 feature columns; each column is
+    all numbers, or numbers mixed with missing tokens, infinities and text."""
+    n = draw(st.integers(1, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        cell = _NUMBER_CELL if draw(st.booleans()) else st.one_of(
+            _NUMBER_CELL, _ODD_CELL)
+        columns.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([f"c{k}" for k in range(len(columns))] + ["target"])
+    for i in range(n):
+        writer.writerow([col[i] for col in columns] + [i % 2])
+    return out.getvalue()
+
+
+def _load_or_error(loader, path):
+    try:
+        return loader(path)
+    except (DataError, ValidationError) as exc:
+        return exc
+
+
+class TestLoadCsvColumns:
+    @given(text=_column_table())
+    @_FILE_SETTINGS
+    def test_matches_per_cell_parse(self, tmp_path, text):
+        path = _write(tmp_path, "columns.csv", text)
+        got = _load_or_error(load_csv, path)
+        expected = _load_or_error(per_cell_load_csv, path)
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected)
+            assert str(got) == str(expected)
+            return
+        assert got.feature_names == expected.feature_names
+        np.testing.assert_array_equal(got.features.view(np.int64),
+                                      expected.features.view(np.int64))
+        np.testing.assert_array_equal(got.labels, expected.labels)
 
 
 class TestStandardize:

@@ -502,8 +502,15 @@ class TestRunExperiment:
             fitted.append(train)
             return fit(self, train)
 
+        baseline_fits = []
+
+        def recording_baseline(train, C=1.0):
+            baseline_fits.append(train)
+            return fit_logreg_l2(train, C)
+
         monkeypatch.setattr(evaluate.HierarchicalLogistic, "fit",
                             recording_fit)
+        monkeypatch.setattr(evaluate, "fit_logreg_l2", recording_baseline)
         model = HierarchicalLogistic(
             prior=PriorSpec(collection.feature_names, np.zeros(2),
                             np.ones(2), 0.0, {}),
@@ -526,6 +533,13 @@ class TestRunExperiment:
                                           lone.features)
             assert [ds.n for ds in train.smes] == (
                 [15, 10, 15, 15] if protocol == "refit" else [30, 10, 30, 30])
+        # Each fold's pooled baseline sees the rows a refit sees: the other
+        # fold of every split entity and all of the lone rows.
+        pooled = [train for train in baseline_fits if train.n > 15]
+        assert [train.n for train in pooled] == [55, 55]
+        for train in pooled:
+            rows = train.features.tolist()
+            assert all(row in rows for row in lone.features.tolist())
 
     def test_leave_one_out_entity(self, monkeypatch):
         # An entity of K rows has one row per test fold: every fold is

@@ -9,10 +9,10 @@ import pytest
 from churnpool.data import Dataset, StandardizationStats
 from churnpool.errors import ValidationError
 from churnpool.gbdt import GradientBoostedTrees, TreeEnsemble, TreeNode
-from churnpool.shap_prior import (PriorSpec, TreeShapExplainer, extract_priors,
-                                  prior_only_auc)
+from churnpool.shap_prior import (VARIANCE_FLOOR, PriorSpec, TreeShapExplainer,
+                                  extract_priors, prior_only_auc)
 
-from _oracles import brute_force_shapley
+from _oracles import brute_force_shapley, per_leaf_shap_values
 
 NAMES6 = tuple(f"f{k}" for k in range(6))
 
@@ -113,6 +113,79 @@ class TestTreeShap:
         ensemble = TreeEnsemble(0.0, 1.0, [_stump()], ("a", "b"))
         with pytest.raises(ValidationError):
             _shap_row(ensemble, np.array([1.0]))
+
+
+def _internal_nodes(ensemble):
+    stack = list(ensemble.trees)
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            yield node
+            stack += [node.left, node.right]
+
+
+def _on_thresholds(ensemble, X):
+    """A copy of X in which every split threshold of the ensemble appears
+    in its feature's column, on successive rows."""
+    X = X.copy()
+    for i, node in enumerate(_internal_nodes(ensemble)):
+        X[i % X.shape[0], node.feature_index] = node.threshold
+    return X
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestMatchesPerLeafOracle:
+    """Batched tables and the one-pass-per-leaf scoring give the per-leaf
+    result bit for bit, as a C-ordered array."""
+
+    @staticmethod
+    def _assert_same_bits(ensemble, X):
+        explainer = TreeShapExplainer(ensemble)
+        phi = explainer.shap_values(X)
+        ref, expected = per_leaf_shap_values(ensemble, X)
+        assert phi.flags.c_contiguous
+        np.testing.assert_array_equal(_bits(phi), _bits(ref))
+        assert _bits(explainer.expected_value) == _bits(expected)
+
+    @pytest.mark.parametrize("depth", range(1, 8))
+    def test_fitted_ensembles(self, depth):
+        ensemble, X = _fitted(seed=40 + depth, p=6, depth=depth, n=500,
+                              iterations=10)
+        X = _on_thresholds(ensemble, X)
+        self._assert_same_bits(ensemble, X)
+        self._assert_same_bits(ensemble, X[:1])
+
+    def test_repeated_feature_and_root_only_trees(self):
+        root_only = TreeNode(value=0.7, cover=3.0)
+        ensemble = TreeEnsemble(
+            0.1, 0.7, [_repeated_feature_tree(), root_only, _stump(1)],
+            ("a", "b"))
+        grid = np.array([-2.0, -1.0, 0.0, 1.5, 2.0])
+        X = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+        self._assert_same_bits(ensemble, X)
+        self._assert_same_bits(TreeEnsemble(0.2, 0.5, [root_only], ("a",)),
+                               np.ones((3, 1)))
+
+    def test_extract_priors_bits(self):
+        ensemble, X = _fitted(seed=48, p=5, depth=5, n=500, iterations=20)
+        tags = tuple(f"t{i % 3}" for i in range(X.shape[0]))
+        ds = Dataset(X, np.arange(X.shape[0]) % 2, ensemble.feature_names,
+                     tags)
+        stats = StandardizationStats(np.zeros(5),
+                                     np.array([0.5, 1.0, 2.0, 3.0, 7.0]))
+        prior = extract_priors(ensemble, ds, stats, lambda_scale=0.5)
+        ref, _ = per_leaf_shap_values(ensemble, X)
+        all_abs = np.abs(ref)
+        per_tag = np.stack([all_abs[np.asarray(tags) == tag].mean(axis=0)
+                            for tag in ("t0", "t1", "t2")])
+        np.testing.assert_array_equal(
+            _bits(prior.beta0), _bits(all_abs.mean(axis=0) / stats.stds))
+        np.testing.assert_array_equal(
+            _bits(prior.sigma0_diag),
+            _bits(np.maximum(per_tag.var(axis=0), VARIANCE_FLOOR) * 1.5))
 
 
 class TestMeanAbsShap:

@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,9 @@ _MISSING_TOKENS = frozenset({"", "na", "nan", "null", "none"})
 MISSING_INDICATOR_THRESHOLD = 0.05
 
 _STD_FLOOR_EPS = 1e-12
+
+# Rows that load_csv reads and converts at a time.
+_CSV_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -253,6 +257,15 @@ def load_csv(path, label_column: str = "target",
     appended for any column whose missing rate exceeds
     :data:`MISSING_INDICATOR_THRESHOLD`.
 
+    Rows are converted as they are read, ``_CSV_CHUNK_ROWS`` at a time,
+    into float blocks joined once the file ends, so the file's records
+    are never held all at once.  A column with a cell that does not parse
+    or is NaN is text from then on, and a second read of the file takes
+    the raw strings of those columns alone, so such a file must be a
+    regular file (not a pipe); a file whose columns are all numeric is
+    read once.  A malformed record anywhere in the file is reported
+    before a bad label earlier in it.
+
     Parameters
     ----------
     path : str or Path
@@ -269,41 +282,76 @@ def load_csv(path, label_column: str = "target",
     path = Path(path)
     reader = _csv_rows(path)
     header = next(reader)
-    rows = list(reader)
-    if not rows:
-        raise ValidationError(f"{path} contains a header but no data rows")
-    if label_column not in header:
-        raise ValidationError(f"label column {label_column!r} not found in {path}")
-
-    label_idx = header.index(label_column)
+    label_idx = header.index(label_column) if label_column in header else None
     tag_idx = header.index(tag_column) if tag_column in header else None
-
-    labels = np.empty(len(rows), dtype=np.int8)
-    for i, row in enumerate(rows):
-        value = _parse_float(row[label_idx])
-        if value is None or value not in (0.0, 1.0):
-            raise ValidationError(
-                f"{path}: data row {i + 1}: label {row[label_idx]!r} is not 0/1")
-        labels[i] = int(value)
-
-    tags = None
-    if tag_idx is not None:
-        tags = tuple(row[tag_idx].strip() for row in rows)
-
     feature_cols = [j for j in range(len(header)) if j not in (label_idx, tag_idx)]
+
+    blocks: list[np.ndarray] = []
+    label_blocks: list[np.ndarray] = []
+    tags: list[str] | None = None if tag_idx is None else []
+    interned: dict[str, str] = {}
+    text: set[int] = set()  # positions in feature_cols
+    bad_label = None
+    n = 0
+    while chunk := list(islice(reader, _CSV_CHUNK_ROWS)):
+        block = np.empty((len(chunk), len(feature_cols)))
+        for k, j in enumerate(feature_cols):
+            if k not in text:
+                values = _float_column([row[j] for row in chunk])
+                if values is None:
+                    text.add(k)
+                else:
+                    block[:, k] = values
+        blocks.append(block)
+        if label_idx is not None:
+            labels = np.empty(len(chunk), dtype=np.int8)
+            for i, row in enumerate(chunk):
+                value = _parse_float(row[label_idx])
+                if value is not None and value in (0.0, 1.0):
+                    labels[i] = int(value)
+                elif bad_label is None:
+                    bad_label = ValidationError(f"{path}: data row {n + i + 1}: "
+                                                f"label {row[label_idx]!r} is not 0/1")
+            label_blocks.append(labels)
+        if tags is not None:
+            for row in chunk:
+                tag = row[tag_idx].strip()
+                tags.append(interned.setdefault(tag, tag))
+        n += len(chunk)
+    if n == 0:
+        raise ValidationError(f"{path} contains a header but no data rows")
+    if label_idx is None:
+        raise ValidationError(f"label column {label_column!r} not found in {path}")
+    if bad_label is not None:
+        raise bad_label
+    block = np.concatenate(blocks)
+    del blocks  # so at most two copies of the matrix live while Dataset copies it
+    labels = np.concatenate(label_blocks)
+    if not text:
+        return Dataset(block, labels, tuple(header[j] for j in feature_cols), tags)
+    if not path.is_file():
+        raise DataError(f"{path}: a file with text or missing cells is read "
+                        "twice, so it must be a regular file")
+
+    raws: dict[int, list[str]] = {k: [] for k in text}
+    rows = _csv_rows(path)
+    if next(rows) == header:
+        for row in rows:
+            for k, raw in raws.items():
+                raw.append(row[feature_cols[k]])
+    if any(len(raw) != n for raw in raws.values()):
+        raise DataError(f"{path} changed while it was being read")
+
     columns: list[np.ndarray] = []
     names: list[str] = []
     indicators: list[tuple[str, np.ndarray]] = []
-    n = len(rows)
-
-    for j in feature_cols:
+    for k, j in enumerate(feature_cols):
         name = header[j]
-        raw = [row[j] for row in rows]
-        values = _float_column(raw)
-        if values is not None:
-            columns.append(values)
+        if k not in text:
+            columns.append(block[:, k])
             names.append(name)
             continue
+        raw = raws.pop(k)
         missing = np.array([_is_missing(c) for c in raw], dtype=bool)
         present = [raw[i] for i in range(n) if not missing[i]]
         if not present:
@@ -536,7 +584,11 @@ def save_collection(collection: SMECollection, out_dir,
 
 
 def load_collection(path) -> SMECollection:
-    """Load a collection from a manifest path or its directory."""
+    """Load a collection from a manifest path or its directory.
+
+    Each ``files`` entry must be a bare file name, so every entity CSV
+    is read from the manifest's own directory.
+    """
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
     if not manifest_path.exists():
@@ -547,5 +599,8 @@ def load_collection(path) -> SMECollection:
         files = as_name_tuple(manifest["files"], "files")
         if len(ids) != len(files):
             raise ValueError(f"{len(ids)} ids for {len(files)} files")
+        for fname in files:
+            if Path(fname).name != fname or fname in ("", ".", ".."):
+                raise ValueError(f"file {fname!r} is not a bare file name")
     smes = [load_csv(manifest_path.parent / fname) for fname in files]
     return SMECollection(tuple(smes), ids)

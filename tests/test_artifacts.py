@@ -332,8 +332,16 @@ class TestManifest:
         (["sme_00", 1], ["sme_00.csv", "sme_01.csv"]),
         (["sme_00", "sme_01"], ["sme_00.csv"]),
         (None, ["sme_00.csv"]),
+        # Entries that would read a CSV from outside the collection's
+        # directory; "{dir}" is that directory's absolute path.
+        (["sme_00"], ["../{name}/sme_00.csv"]),
+        (["sme_00"], ["{dir}/sme_00.csv"]),
+        (["sme_00"], ["./sme_00.csv"]),
+        (["sme_00"], [".."]),
     ])
     def test_damaged_field_is_data_error(self, collection_dir, ids, files):
+        files = [f.format(dir=collection_dir, name=collection_dir.name)
+                 for f in files]
         path = collection_dir / "damaged.json"
         path.write_text(json.dumps({"ids": ids, "files": files}))
         with pytest.raises(DataError):

@@ -4,13 +4,16 @@ import csv
 import hashlib
 import io
 import math
+import os
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from churnpool.data import (Dataset, apply_standardization,
+from churnpool.data import (Dataset, _csv_rows, apply_standardization,
                             generate_hierarchical_population, load_collection,
                             load_csv, make_synthetic_smes, save_collection,
                             standardize, stratified_kfold, stratified_split)
@@ -234,21 +237,151 @@ def _load_or_error(loader, path):
         return exc
 
 
+def _assert_matches_per_cell(path):
+    """``load_csv`` gives the per-cell oracle's Dataset bit for bit, or the
+    same error type with the same message."""
+    got = _load_or_error(load_csv, path)
+    expected = _load_or_error(per_cell_load_csv, path)
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected)
+        assert str(got) == str(expected)
+        return
+    assert got.feature_names == expected.feature_names
+    np.testing.assert_array_equal(got.features.view(np.int64),
+                                  expected.features.view(np.int64))
+    np.testing.assert_array_equal(got.labels, expected.labels)
+
+
 class TestLoadCsvColumns:
     @given(text=_column_table())
     @_FILE_SETTINGS
     def test_matches_per_cell_parse(self, tmp_path, text):
-        path = _write(tmp_path, "columns.csv", text)
-        got = _load_or_error(load_csv, path)
-        expected = _load_or_error(per_cell_load_csv, path)
-        if isinstance(expected, Exception):
-            assert type(got) is type(expected)
-            assert str(got) == str(expected)
-            return
-        assert got.feature_names == expected.feature_names
-        np.testing.assert_array_equal(got.features.view(np.int64),
-                                      expected.features.view(np.int64))
-        np.testing.assert_array_equal(got.labels, expected.labels)
+        _assert_matches_per_cell(_write(tmp_path, "columns.csv", text))
+
+    @given(text=_column_table())
+    @_FILE_SETTINGS
+    def test_matches_per_cell_parse_in_chunks_of_two(self, tmp_path,
+                                                     monkeypatch, text):
+        # 1-12 rows in chunks of 2: a column can parse in one chunk and
+        # turn to text or missing in a later one.
+        monkeypatch.setattr("churnpool.data._CSV_CHUNK_ROWS", 2)
+        _assert_matches_per_cell(_write(tmp_path, "columns.csv", text))
+
+
+class TestLoadCsvStreaming:
+    """Rows are converted a chunk at a time; errors keep the order of a
+    whole-file read."""
+
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        monkeypatch.setattr("churnpool.data._CSV_CHUNK_ROWS", 2)
+
+    def test_ragged_row_wins_over_earlier_bad_label(self, tmp_path):
+        path = _write(tmp_path, "both.csv", "a,target\n1,0\n2,2\n3,1\n4\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:5: expected 2 fields, got 1"
+
+    def test_no_rows_wins_over_missing_label_column(self, tmp_path):
+        path = _write(tmp_path, "header.csv", "a,b\n\n")
+        with pytest.raises(ValidationError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path} contains a header but no data rows"
+
+    def test_first_bad_label_in_a_later_chunk(self, tmp_path):
+        path = _write(tmp_path, "late.csv",
+                      "a,target\n1,0\n2,1\n3,0\n4,1\n5,7\n6,x\n")
+        with pytest.raises(ValidationError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: data row 5: label '7' is not 0/1"
+
+    def test_tags_cross_chunks_as_shared_strings(self, tmp_path):
+        path = _write(tmp_path, "tags.csv", "a,target,source\n"
+                      + "".join(f"{i},{i % 2}, s{i % 2} \n" for i in range(7)))
+        ds = load_csv(path)
+        assert ds.source_tags == tuple(f"s{i % 2}" for i in range(7))
+        assert ds.source_tags[0] is ds.source_tags[6]
+        np.testing.assert_array_equal(ds.labels, [i % 2 for i in range(7)])
+        np.testing.assert_array_equal(ds.features[:, 0], np.arange(7.0))
+
+    @pytest.mark.parametrize("mode,text", [
+        ("a", "pro,0\n"),
+        ("w", "plan,target,extra\nbasic,0,1\npro,1,2\n"),
+    ])
+    def test_file_that_changes_between_reads(self, tmp_path, monkeypatch,
+                                             mode, text):
+        # A text column sends load_csv back to the file for its cells.
+        path = _write(tmp_path, "changes.csv", "plan,target\nbasic,0\npro,1\n")
+        reads = []
+
+        def rows_after_edit(p):
+            reads.append(p)
+            if len(reads) == 2:
+                with p.open(mode, encoding="utf-8") as fh:
+                    fh.write(text)
+            return _csv_rows(p)
+
+        monkeypatch.setattr("churnpool.data._csv_rows", rows_after_edit)
+        with pytest.raises(DataError, match="changed while it was being read"):
+            load_csv(path)
+        assert len(reads) == 2
+
+    @staticmethod
+    def _pipe(text):
+        """The read end of a pipe that holds ``text`` and has no writer
+        left, as a shell's ``<(...)`` hands it over."""
+        r, w = os.pipe()
+        os.write(w, text.encode("utf-8"))
+        os.close(w)
+        return r
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+    def test_numeric_pipe_is_read_once(self):
+        fd = self._pipe("a,target\n1,0\n2,1\n3,0\n")
+        try:
+            ds = load_csv(f"/dev/fd/{fd}")
+        finally:
+            os.close(fd)
+        np.testing.assert_array_equal(ds.features[:, 0], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(ds.labels, [0, 1, 0])
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+    @pytest.mark.parametrize("cell", ["pro", "NA"])
+    def test_pipe_with_text_or_missing_cells_is_data_error(self, cell):
+        fd = self._pipe(f"a,target\n1,0\n{cell},1\n3,0\n")
+        path = Path(f"/dev/fd/{fd}")
+        try:
+            with pytest.raises(DataError) as info:
+                load_csv(path)
+        finally:
+            os.close(fd)
+        assert str(info.value) == (f"{path}: a file with text or missing cells "
+                                   "is read twice, so it must be a regular file")
+
+
+def test_load_csv_peak_memory_is_a_few_feature_matrices(tmp_path):
+    # 20,000 x 20 numeric cells and a tag column.  Holding every record
+    # as Python strings peaks near 14x the feature matrix; streaming the
+    # rows stays near 2x.
+    rng = np.random.default_rng(0)
+    n, p = 20_000, 20
+    X = rng.normal(size=(n, p))
+    header = [f"x{k:02d}" for k in range(p)] + ["target", "source"]
+    rows = ([*map(repr, X[i].tolist()), str(i % 2), f"src_{i % 4}"]
+            for i in range(n))
+    path = tmp_path / "wide.csv"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    tracemalloc.start()
+    try:
+        ds = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (n, p)
+    assert peak < 8 * ds.features.nbytes, peak / ds.features.nbytes
 
 
 class TestStandardize:

@@ -30,10 +30,10 @@ import numpy as np
 
 from .conformal import (CalibrationResult, calibrate_pooled, conservative_adjust,
                         predict_sets, recommend_conservative)
-from .data import (SMECollection, apply_standardization,
-                   StandardizationStats, generate_hierarchical_population,
-                   _csv_rows, _write_csv, _write_dataset_csv, load_collection,
-                   load_csv, make_synthetic_smes, save_collection, standardize,
+from .data import (apply_standardization, StandardizationStats,
+                   generate_hierarchical_population, _csv_rows, _write_csv,
+                   _write_dataset_csv, load_collection, load_csv,
+                   make_synthetic_smes, save_collection, standardize,
                    stratified_split)
 from .errors import (ChurnpoolError, DataError, DiagnosticError,
                      ValidationError, malformed_artifact)
@@ -310,9 +310,10 @@ def cmd_pretrain(config: RunConfig, args) -> int:
     if args.source is None:
         raise ConfigError("pretrain requires --source CSV")
     corpus = load_csv(args.source, config.label_column, config.tag_column)
-    train_raw, val_raw = stratified_split(corpus, 0.2, config.seed)
-    train_std, stats = standardize(train_raw)
-    val_std = apply_standardization(val_raw, stats)
+    val = stratified_split(corpus.labels, 0.2, config.seed)
+    train_std, stats = standardize(corpus.subset(np.flatnonzero(~val)))
+    val_std = apply_standardization(corpus.subset(np.flatnonzero(val)), stats)
+    del corpus  # the fit reads only the standardized rows
 
     model = GradientBoostedTrees(**config.gbdt_params())
     model.fit(train_std.features, train_std.labels, val_std.features,
@@ -381,23 +382,20 @@ def cmd_fit(config: RunConfig, args) -> int:
     collection = load_collection(_require(out / "smes", "entity collection"))
     prior = _load_prior(out, args.weak_prior)
 
-    fit_parts, cal_parts = [], []
-    for j, ds in enumerate(collection.smes):
-        train, cal = stratified_split(ds, config.calibration_split,
-                                      config.seed + j)
-        fit_parts.append(train)
-        cal_parts.append(cal)
-    fit_collection = SMECollection(tuple(fit_parts), collection.ids)
+    cal = np.zeros(collection.y.size, dtype=bool)
+    for j in range(collection.J):
+        rows = collection.entity == j
+        cal[rows] = stratified_split(collection.y[rows],
+                                     config.calibration_split, config.seed + j)
 
     model = HierarchicalLogistic(prior=prior, **config.hier_params())
     try:
-        model.fit(fit_collection)
+        model.fit(collection.take(~cal))
     except DiagnosticError as exc:
         print(f"sampling failed: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     # Only a fit that ran replaces the calibration rows of an earlier one.
-    save_collection(SMECollection(tuple(cal_parts), collection.ids),
-                    calib_dir, force=True)
+    save_collection(collection.take(cal), calib_dir, force=True)
 
     diag = model.diagnostics_
     converged = (diag.max_rhat() < RHAT_GATE and diag.min_ess() > ESS_GATE)
@@ -431,17 +429,13 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     _check_force([calib_path], args.force)
 
     trace = PosteriorTrace.load(_require(out / "trace.bin", "trace artifact"))
-    cal_collection = load_collection(
-        _require(out / "calibration_data", "calibration rows"))
-    check_trace_collection(trace, cal_collection)
-    sizes = [ds.n for ds in cal_collection.smes]
-    p_hat, _, _ = posterior_predict_matrix(
-        trace, np.concatenate([ds.features for ds in cal_collection.smes]),
-        np.repeat(np.arange(cal_collection.J), sizes))
-    labels = np.concatenate([ds.labels for ds in cal_collection.smes])
-    conditional = args.strategy == "auto" and recommend_conservative(sizes)
+    cal = load_collection(_require(out / "calibration_data",
+                                   "calibration rows"))
+    check_trace_collection(trace, cal)
+    p_hat, _, _ = posterior_predict_matrix(trace, cal.X, cal.entity)
+    conditional = args.strategy == "auto" and recommend_conservative(cal.sizes)
     result = (conservative_adjust if conditional else calibrate_pooled)(
-        p_hat, labels, config.miscoverage_alpha)
+        p_hat, cal.y, config.miscoverage_alpha)
     result.save(calib_path)
     print(f"q_hat {result.q_hat:.4f} from {result.n_cal} scores "
           f"({result.strategy})")
@@ -483,17 +477,17 @@ def cmd_predict(config: RunConfig, args) -> int:
     X, tags = _load_prediction_rows(Path(args.customers),
                                     collection.feature_names,
                                     config.tag_column)
-    ids = list(collection.ids)
+    index = {sme: j for j, sme in enumerate(collection.ids)}
 
     smes = [tag if tag else args.sme for tag in tags]
     for sme in smes:
         if sme is None:
             raise ConfigError(
                 "customer rows need a tag column or --sme override")
-        if sme not in ids:
+        if sme not in index:
             raise DataError(f"unknown entity id {sme!r}")
     mean, lo, hi = posterior_predict_matrix(
-        trace, X, np.array([ids.index(sme) for sme in smes]))
+        trace, X, np.array([index[sme] for sme in smes]))
 
     sets = predict_sets(mean, calibration.q_hat)
     _write_csv(pred_path, _PREDICTION_COLUMNS, (

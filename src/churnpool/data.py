@@ -1,9 +1,11 @@
 """Data containers, CSV ingestion, harmonization, splits, and generators.
 
-The universal sample container is :class:`Dataset`: an immutable bundle of a
-float feature matrix, binary labels, feature names, and optional per-row
-source tags.  Everything downstream (boosting, priors, hierarchical fit,
-conformal calibration, evaluation) consumes Datasets or collections of them.
+The single-source sample container is :class:`Dataset`: an immutable
+bundle of a float feature matrix, binary labels, feature names, and
+optional per-row source tags.  Boosting and prior extraction consume
+Datasets; the hierarchical fit, conformal calibration and evaluation
+consume an :class:`SMECollection`, which holds every entity's rows in one
+table.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -137,40 +139,72 @@ class StandardizationStats:
         object.__setattr__(self, "stds", stds)
 
 
-@dataclass(frozen=True)
+def _check_bare_names(names, what: str) -> None:
+    """Raise ``ValidationError`` unless every name is a bare file name."""
+    for name in names:
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise ValidationError(f"{what} {name!r} is not a bare file name")
+
+
 class SMECollection:
-    """A list of per-entity Datasets sharing one feature space."""
+    """Every entity's rows, in one feature space, as one row table.
 
-    smes: tuple[Dataset, ...]
-    ids: tuple[str, ...]
+    ``X`` (n, p) and ``y`` (n,) hold entity 0's rows first, then entity
+    1's and so on, each entity's rows in their own order; ``entity`` (n,)
+    gives each row's index into ``ids`` and ``sizes`` each entity's row
+    count, which may be 0.  The arrays are read-only.
 
-    def __post_init__(self):
-        smes = tuple(self.smes)
-        ids = tuple(str(i) for i in self.ids)
+    The constructor takes one Dataset per entity, joins them into the
+    table and keeps none of them; their source tags are not kept.  Each
+    id names its entity's CSV on disk, so it must be a bare file name.
+    """
+
+    def __init__(self, smes, ids):
+        smes = tuple(smes)
+        ids = tuple(str(i) for i in ids)
         if len(smes) < 1:
             raise ValidationError("collection needs at least one entity")
         if len(ids) != len(smes):
             raise ValidationError("ids length must match number of entities")
         if len(set(ids)) != len(ids):
             raise ValidationError("entity ids must be unique")
+        _check_bare_names(ids, "entity id")
         names = smes[0].feature_names
-        for ds in smes[1:]:
-            if ds.feature_names != names:
-                raise ValidationError("all entities must share feature names")
-        object.__setattr__(self, "smes", smes)
-        object.__setattr__(self, "ids", ids)
+        if any(ds.feature_names != names for ds in smes):
+            raise ValidationError("all entities must share feature names")
+        self._set_table(np.concatenate([ds.features for ds in smes]),
+                        np.concatenate([ds.labels for ds in smes]),
+                        np.repeat(np.arange(len(smes)), [ds.n for ds in smes]),
+                        ids, names)
 
-    @property
-    def J(self) -> int:
-        return len(self.smes)
+    @classmethod
+    def _from_table(cls, X, y, entity, ids, feature_names) -> "SMECollection":
+        """A collection that takes over checked, entity-major arrays."""
+        collection = cls.__new__(cls)
+        collection._set_table(X, y, entity, ids, feature_names)
+        return collection
 
-    @property
-    def p(self) -> int:
-        return self.smes[0].p
+    def _set_table(self, X, y, entity, ids, feature_names) -> None:
+        for array in (X, y, entity):
+            array.setflags(write=False)
+        self.X, self.y, self.entity, self.ids = X, y, entity, ids
+        self.feature_names, self.J = feature_names, len(ids)
+        self.sizes = tuple(np.bincount(entity, minlength=self.J).tolist())
 
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return self.smes[0].feature_names
+    def take(self, mask) -> "SMECollection":
+        """The rows where the ``(n,)`` bool ``mask`` holds, in table
+        order, with the same ids; an entity may be left with no rows."""
+        if np.asarray(mask).dtype != bool:
+            raise ValidationError("take needs a bool row mask")
+        return SMECollection._from_table(self.X[mask], self.y[mask],
+                                         self.entity[mask], self.ids,
+                                         self.feature_names)
+
+    def dataset(self, j: int) -> Dataset:
+        """Entity j's rows as a Dataset with ``ids[j]`` as every tag."""
+        rows = self.entity == j
+        return Dataset(self.X[rows], self.y[rows], self.feature_names,
+                       (self.ids[j],) * self.sizes[j])
 
 
 @dataclass(frozen=True)
@@ -424,9 +458,9 @@ def _class_indices(labels: np.ndarray) -> dict[int, np.ndarray]:
     return {c: np.flatnonzero(labels == c) for c in (0, 1)}
 
 
-def stratified_split(data: Dataset, test_fraction: float,
-                     seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic stratified train/test split.
+def stratified_split(labels, test_fraction: float, seed: int) -> np.ndarray:
+    """Deterministic stratified train/test split of the 0/1 ``labels``:
+    the ``(n,)`` bool array that is True on the test rows.
 
     Per-class test counts are ``round(count * test_fraction)`` clipped so both
     partitions keep at least one member of each class.
@@ -434,41 +468,39 @@ def stratified_split(data: Dataset, test_fraction: float,
     if not 0.0 < test_fraction < 1.0:
         raise ValidationError(f"test_fraction must be in (0,1), got {test_fraction}")
     rng = default_rng(seed)
-    train_idx, test_idx = [], []
-    for c, idx in sorted(_class_indices(data.labels).items()):
+    test = np.zeros(len(labels), dtype=bool)
+    for c, idx in sorted(_class_indices(np.asarray(labels)).items()):
         if idx.size < 2:
             raise ValidationError(f"class {c} has {idx.size} members, need >= 2")
         n_test = int(math.floor(idx.size * test_fraction + 0.5))
         n_test = min(max(n_test, 1), idx.size - 1)
         perm = rng.permutation(idx.size)
-        test_idx.append(idx[perm[:n_test]])
-        train_idx.append(idx[perm[n_test:]])
-    train = np.sort(np.concatenate(train_idx))
-    test = np.sort(np.concatenate(test_idx))
-    return data.subset(train), data.subset(test)
+        test[idx[perm[:n_test]]] = True
+    return test
 
 
-def stratified_kfold(data: Dataset, K: int, seed: int) -> np.ndarray:
-    """Deterministic stratified K-fold partition: the ``(n,)`` int array
-    of each row's test fold in ``[0, K)``.
+def stratified_kfold(labels, K: int, seed: int) -> np.ndarray:
+    """Deterministic stratified K-fold partition of the 0/1 ``labels``:
+    the ``(n,)`` int array of each row's test fold in ``[0, K)``.
 
     Fold k's test rows are ``fold == k`` and its training rows
     ``fold != k``.  Fold sizes, and each class's per-fold counts, differ
     by at most one.
     """
+    n = len(labels)
     if K < 2:
         raise ValidationError(f"K must be >= 2, got {K}")
-    if K > data.n:
-        raise ValidationError(f"K={K} exceeds row count {data.n}")
+    if K > n:
+        raise ValidationError(f"K={K} exceeds row count {n}")
     rng = default_rng(seed)
-    fold_of = np.empty(data.n, dtype=np.intp)
+    fold_of = np.empty(n, dtype=np.intp)
     # Each class is dealt round-robin starting where the previous class's
     # remainder stopped, so fold sizes stay within one of each other.
     offset = 0
-    for c, idx in sorted(_class_indices(data.labels).items()):
+    for c, idx in sorted(_class_indices(np.asarray(labels)).items()):
         # K == n is the leave-one-out boundary: singleton test folds are
         # returned and the per-class floor cannot apply.
-        if idx.size < K and K != data.n:
+        if idx.size < K and K != n:
             raise ValidationError(
                 f"class {c} has {idx.size} members, need >= K={K}")
         perm = rng.permutation(idx.size)
@@ -481,10 +513,14 @@ def stratified_kfold(data: Dataset, K: int, seed: int) -> np.ndarray:
 # Generators
 # ---------------------------------------------------------------------------
 
-def _entity_ids(J: int) -> tuple[str, ...]:
-    """``sme_00`` .. ``sme_{J-1}``, zero-padded to at least two digits."""
+def _equal_entities(X, y, J: int, feature_names) -> SMECollection:
+    """``J`` entities of equal size over the entity-major ``X`` and ``y``,
+    with ids ``sme_00`` .. ``sme_{J-1}`` zero-padded to at least two
+    digits."""
     width = max(2, len(str(J - 1)))
-    return tuple(f"sme_{j:0{width}d}" for j in range(J))
+    return SMECollection._from_table(
+        X, y, np.repeat(np.arange(J), y.size // J),
+        tuple(f"sme_{j:0{width}d}" for j in range(J)), feature_names)
 
 
 def make_synthetic_smes(source: Dataset, J: int, n_per: int,
@@ -497,13 +533,10 @@ def make_synthetic_smes(source: Dataset, J: int, n_per: int,
     if n_per < 10:
         raise ValidationError(f"n_per must be >= 10, got {n_per}")
     rng = default_rng(seed)
-    ids = _entity_ids(J)
-    smes = []
-    for sme_id in ids:
-        rows = rng.integers(0, source.n, size=n_per)
-        smes.append(Dataset(source.features[rows], source.labels[rows],
-                            source.feature_names, (sme_id,) * n_per))
-    return SMECollection(tuple(smes), ids)
+    rows = np.concatenate([rng.integers(0, source.n, size=n_per)
+                           for _ in range(J)])
+    return _equal_entities(source.features[rows], source.labels[rows], J,
+                           source.feature_names)
 
 
 def generate_hierarchical_population(
@@ -526,16 +559,14 @@ def generate_hierarchical_population(
     rng = default_rng(seed)
     mu_true = mu_scale * rng.standard_normal(p)
     betas_true = mu_true + sigma_true * rng.standard_normal((J, p))
+    X = np.empty((J, n_per, p))
+    y = np.empty((J, n_per), dtype=np.int8)
+    for j, beta in enumerate(betas_true):
+        X[j] = X_j = rng.standard_normal((n_per, p))
+        y[j] = rng.uniform(size=n_per) < 1.0 / (1.0 + np.exp(-X_j @ beta))
     names = tuple(f"x{k:02d}" for k in range(p))
-    ids = _entity_ids(J)
-    smes = []
-    for sme_id, beta in zip(ids, betas_true):
-        X = rng.standard_normal((n_per, p))
-        probs = 1.0 / (1.0 + np.exp(-X @ beta))
-        y = (rng.uniform(size=n_per) < probs).astype(np.int8)
-        smes.append(Dataset(X, y, names, (sme_id,) * n_per))
     truth = HierGroundTruth(mu_true, float(sigma_true), betas_true, seed)
-    return SMECollection(tuple(smes), ids), truth
+    return _equal_entities(X.reshape(-1, p), y.ravel(), J, names), truth
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +595,21 @@ def _write_dataset_csv(ds: Dataset, path: Path, label_column: str = "target",
 
 def save_collection(collection: SMECollection, out_dir,
                     force: bool = False) -> Path:
-    """Write per-entity CSVs plus ``manifest.json``; returns the manifest path."""
+    """Write per-entity CSVs plus ``manifest.json``; returns the manifest
+    path.  Entity j's CSV is ``<ids[j]>.csv``, and its ``source`` column
+    holds ``ids[j]`` on every row."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
     if manifest_path.exists() and not force:
         raise DataError(f"{manifest_path} exists (use force to overwrite)")
     files = []
-    for sme_id, ds in zip(collection.ids, collection.smes):
+    for j, sme_id in enumerate(collection.ids):
         fname = f"{sme_id}.csv"
         target = out_dir / fname
         if target.exists() and not force:
             raise DataError(f"{target} exists (use force to overwrite)")
-        _write_dataset_csv(ds, target)
+        _write_dataset_csv(collection.dataset(j), target)
         files.append(fname)
     manifest = {"ids": list(collection.ids), "files": files}
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
@@ -586,8 +619,8 @@ def save_collection(collection: SMECollection, out_dir,
 def load_collection(path) -> SMECollection:
     """Load a collection from a manifest path or its directory.
 
-    Each ``files`` entry must be a bare file name, so every entity CSV
-    is read from the manifest's own directory.
+    Each ``ids`` and ``files`` entry must be a bare file name, so entity
+    CSVs are read from and written to a collection's own directory.
     """
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
@@ -599,8 +632,6 @@ def load_collection(path) -> SMECollection:
         files = as_name_tuple(manifest["files"], "files")
         if len(ids) != len(files):
             raise ValueError(f"{len(ids)} ids for {len(files)} files")
-        for fname in files:
-            if Path(fname).name != fname or fname in ("", ".", ".."):
-                raise ValueError(f"file {fname!r} is not a bare file name")
-    smes = [load_csv(manifest_path.parent / fname) for fname in files]
-    return SMECollection(tuple(smes), ids)
+        _check_bare_names(ids + files, "manifest entry")
+    return SMECollection([load_csv(manifest_path.parent / fname)
+                          for fname in files], ids)

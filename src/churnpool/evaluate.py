@@ -284,48 +284,44 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
                    config: ExperimentConfig, seed: int) -> ExperimentReport:
     """Run the multi-entity cross-validation comparison.
 
-    Entity j's folds are ``stratified_kfold(ds, K, seed + j)``; an entity
-    it rejects is flagged and its rows get fold -1, which is never a test
-    fold: every pooled and hierarchical fit trains on them and nothing
-    scores them.  All entities form one row table (``X``, ``y``,
-    ``entity``, ``fold``), entity by entity in row order, and every fit,
-    score and audit set is a mask on it.  Baselines are refitted on every
-    fold's training rows while the hierarchical model follows
-    ``config.protocol``: one fit with seed ``seed`` (fit-once), or the
-    rows outside fold k with seed ``seed + 1000 + k`` (refit).  Each fold
-    is scored in one ``predict_proba`` call.  A baseline fit that fails
-    to converge is flagged and its rows for that fold are left out.  A
-    sampler failure (``DiagnosticError``) in a hierarchical fit is flagged
-    and the report has no hierarchical rows; any other error from the fit,
-    such as a prior over other features or a bad sampler setting,
-    propagates.  The conformal audit keeps the rows of every (entity,
-    fold) test set with both classes: a fold's threshold comes from the
-    other folds' kept rows, its sets from one ``predict_sets`` call, and
-    the sets are audited in total and per entity.  A collection where no
-    entity can be split into folds raises ``DataError`` before any fit.
+    Entity j's folds are ``stratified_kfold(y_j, K, seed + j)`` of its
+    labels ``y_j``; an entity it rejects is flagged and its rows get fold
+    -1, which is never a test fold: every pooled and hierarchical fit
+    trains on them and nothing scores them.  Every fit, score and audit
+    set is a mask on the collection's row table and ``fold``.  Baselines
+    are refitted on every fold's training rows while the hierarchical
+    model follows ``config.protocol``: one fit with seed ``seed``
+    (fit-once), or one on ``collection.take(fold != k)`` with seed
+    ``seed + 1000 + k`` (refit).  Each fold is scored in one
+    ``predict_proba`` call.  A baseline fit that fails to converge is
+    flagged and its rows for that fold are left out.  A sampler failure
+    (``DiagnosticError``) in a hierarchical fit is flagged and the report
+    has no hierarchical rows; any other error from the fit, such as a
+    prior over other features or a bad sampler setting, propagates.  The
+    conformal audit keeps the rows of every (entity, fold) test set with
+    both classes: a fold's threshold comes from the other folds' kept
+    rows, its sets from one ``predict_sets`` call, and the sets are
+    audited in total and per entity.  A collection where no entity can be
+    split into folds raises ``DataError`` before any fit.
     """
     config.validate()
     start = time.perf_counter()
     K = config.folds
     flags: list[str] = []
 
+    X, y, entity = collection.X, collection.y, collection.entity
     split: list[int] = []
-    folds: list[np.ndarray] = []
-    for j, ds in enumerate(collection.smes):
+    fold = np.full(y.size, -1)
+    for j in range(collection.J):
+        rows = entity == j
         try:
-            folds.append(stratified_kfold(ds, K, seed + j))
+            fold[rows] = stratified_kfold(y[rows], K, seed + j)
             split.append(j)
         except ValidationError as exc:
             flags.append(f"sme {collection.ids[j]} excluded from folds: {exc}")
-            folds.append(np.full(ds.n, -1))
     if not split:
         raise DataError(f"no entity can be split into {K} stratified folds: "
                         + "; ".join(flags))
-    sizes = [ds.n for ds in collection.smes]
-    X = np.concatenate([ds.features for ds in collection.smes])
-    y = np.concatenate([ds.labels for ds in collection.smes])
-    entity = np.repeat(np.arange(len(sizes)), sizes)
-    fold = np.concatenate(folds)
 
     def fit_hier(train_collection: SMECollection, fit_seed: int):
         params = {**model.get_params(), "seed": fit_seed}
@@ -339,10 +335,7 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
             by_fold = fits * K
         else:
             fits = by_fold = [
-                fit_hier(SMECollection(
-                    tuple(ds.subset(np.flatnonzero(f != k))
-                          for ds, f in zip(collection.smes, folds)),
-                    collection.ids), seed + 1000 + k)
+                fit_hier(collection.take(fold != k), seed + 1000 + k)
                 for k in range(K)]
     except DiagnosticError as exc:
         # Partial report: baselines still run, hierarchical rows are absent.
@@ -432,7 +425,8 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
 
     # Conformal audit: per fold, calibrate on the other folds' kept rows
     # pooled across entities, predict sets for the fold's kept rows.
-    conservative = recommend_conservative([sizes[j] for j in split])
+    conservative = recommend_conservative(
+        [collection.sizes[j] for j in split])
     sets = np.zeros((y.size, 2), dtype=bool)
     audited = np.zeros(y.size, dtype=bool)
     thresholds = {}

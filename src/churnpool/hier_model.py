@@ -70,76 +70,54 @@ def with_intercept(X: np.ndarray) -> np.ndarray:
     return np.column_stack([X, np.ones(X.shape[0])])
 
 
-@dataclass(frozen=True)
 class HierData:
-    """Per-entity design matrices and labels sharing one feature space.
+    """The likelihood's copy of an entity-major row table.
 
-    The likelihood reads one zero-padded block: ``_X3`` has shape
-    ``(J, n_max, p)`` with entity j's rows first and zero rows after them,
-    and the flat ``_y`` / ``_one_minus_y`` are 0 on padded rows.  A padded
-    row has z = 0, so it adds exactly log 2 to the summed softplus (undone
-    by the constant ``_pad_softplus``) and a zero row to the gradient;
-    entities with no rows need no special case.  The block costs
-    ``J * n_max * p`` float64s, so a collection with one very large entity
-    pays for padding every other entity to that size.
+    ``X`` (n, p) and ``y`` (n,) hold entity 0's rows first, then entity
+    1's and so on; ``sizes`` gives each entity's row count, 0 allowed.
+    They are copied into one zero-padded block and not kept: ``_X3`` has
+    shape ``(J, n_max, p)`` with entity j's rows first and zero rows after
+    them, and the flat ``_y`` / ``_one_minus_y`` are 0 on padded rows.  A
+    padded row has z = 0, so it adds exactly log 2 to the summed softplus
+    (undone by the constant ``_pad_softplus``) and a zero row to the
+    gradient; entities with no rows need no special case.  The block
+    costs ``J * n_max * p`` float64s, so a collection with one very large
+    entity pays for padding every other entity to that size.
     """
 
-    Xs: tuple[np.ndarray, ...]
-    ys: tuple[np.ndarray, ...]
-    feature_names: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.Xs) != len(self.ys) or len(self.Xs) == 0:
-            raise ValidationError("need matching, nonempty Xs and ys")
-        p = len(self.feature_names)
-        Xs, ys = [], []
-        for X, y in zip(self.Xs, self.ys):
-            X = as_float_matrix(X, "entity X")
-            if X.shape[1] != p:
-                raise ValidationError(f"entity X has {X.shape[1]} columns, "
-                                      f"expected {p} feature names")
-            y = check_binary_labels(y, "entity labels")
-            if X.shape[0] != y.shape[0]:
-                raise ValidationError("entity X and y row counts differ")
-            Xs.append(X)
-            ys.append(y)
-        object.__setattr__(self, "Xs", tuple(Xs))
-        object.__setattr__(self, "ys", tuple(ys))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        sizes = np.array([x.shape[0] for x in Xs])
-        J, n_max = sizes.size, int(sizes.max())
+    def __init__(self, X, y, sizes, feature_names):
+        self.feature_names = tuple(feature_names)
+        self.p = p = len(self.feature_names)
+        X = as_float_matrix(X)
+        if X.shape[1] != p:
+            raise ValidationError(f"X has {X.shape[1]} columns, "
+                                  f"expected {p} feature names")
+        y = check_binary_labels(y)
+        sizes = np.asarray(sizes)
+        if (y.size != X.shape[0] or sizes.ndim != 1 or sizes.size == 0
+                or sizes.dtype.kind not in "iu" or sizes.min() < 0
+                or sizes.sum() != X.shape[0]):
+            raise ValidationError("sizes must be one or more entity row "
+                                  "counts that sum to the rows of X and y")
+        self.n_j = tuple(sizes.tolist())
+        self.J, n_max = sizes.size, int(sizes.max())
         rows = np.arange(n_max) < sizes[:, None]    # real (not padded) rows
-        X3 = np.zeros((J, n_max, p))
-        X3[rows] = np.concatenate(Xs)
-        y = np.zeros((J, n_max))
-        y[rows] = np.concatenate(ys)
-        object.__setattr__(self, "_X3", X3)
-        object.__setattr__(self, "_y", y.ravel())
-        object.__setattr__(self, "_one_minus_y", (rows - y).ravel())
-        object.__setattr__(self, "_pad_softplus",
-                           float(rows.size - sizes.sum()) * math.log(2.0))
+        self._X3 = np.zeros((self.J, n_max, p))
+        self._X3[rows] = X
+        y3 = np.zeros((self.J, n_max))
+        y3[rows] = y
+        self._y = y3.ravel()
+        self._one_minus_y = (rows - y3).ravel()
+        self._pad_softplus = float(rows.size - sizes.sum()) * math.log(2.0)
 
     @classmethod
     def from_collection(cls, collection: SMECollection) -> "HierData":
-        """The collection's entities with the intercept column appended."""
+        """The collection's table with the intercept column appended."""
         names = collection.feature_names
         if INTERCEPT_NAME in names:
             raise ValidationError(f"feature {INTERCEPT_NAME!r} already present")
-        return cls(tuple(with_intercept(ds.features) for ds in collection.smes),
-                   tuple(ds.labels for ds in collection.smes),
-                   names + (INTERCEPT_NAME,))
-
-    @property
-    def J(self) -> int:
-        return len(self.Xs)
-
-    @property
-    def p(self) -> int:
-        return len(self.feature_names)
-
-    @property
-    def n_j(self) -> tuple[int, ...]:
-        return tuple(x.shape[0] for x in self.Xs)
+        return cls(with_intercept(collection.X), collection.y,
+                   collection.sizes, names + (INTERCEPT_NAME,))
 
 
 @dataclass(frozen=True)
@@ -421,9 +399,10 @@ def shrinkage_report(trace: PosteriorTrace, data: HierData) -> ShrinkageReport:
     lambda_jk = np.full((J, p), np.nan)
     posterior_means = np.empty((J, p))
     flagged = np.zeros(J, dtype=bool)
-    for j in range(J):
+    y3 = data._y.reshape(data._X3.shape[:2])
+    for j, n in enumerate(data.n_j):
         posterior_means[j] = _entity_betas(flat, p, j).mean(axis=0)
-        X, y = data.Xs[j], data.ys[j]
+        X, y = data._X3[j, :n], y3[j, :n]
         if y.size == 0 or y.min() == y.max():
             flagged[j] = True
             continue

@@ -5,7 +5,8 @@ a separate path from the library: exhaustive subset enumeration for
 Shapley values, per-leaf TreeSHAP tables scored one leaf at a time, CSV
 feature columns parsed one cell at a time, damped Newton for the
 penalized logistic objective, an extended-precision log-posterior
-evaluation, the two-branch logistic function, the argsort-per-node
+evaluation, the hierarchical model's padded block filled one entity at a
+time, the two-branch logistic function, the argsort-per-node
 boosted-tree grower and the sampler's inverse metric as an explicit dense
 matrix.
 """
@@ -338,6 +339,28 @@ def longdouble_grad_log_posterior(mu, log_sigma, beta_raw, Xs, ys, beta0,
             grad[p + 1 + j * p + k] = sigma * g_beta[j, k] - beta_raw[j, k]
     grad[p] = sigma * total - sigma * sigma / (tau * tau) + ld(1)
     return grad.astype(np.float64)
+
+
+# ---------------------------------------------------------------------------
+# HierData's padded block filled from per-entity arrays
+# ---------------------------------------------------------------------------
+
+def padded_block(Xs, ys):
+    """``(X3, y, one_minus_y, pad_softplus)`` of entities given as their
+    own ``Xs[j]`` / ``ys[j]``: entity j's rows first in ``X3[j]`` and
+    zeros after them, flat labels and ``1 - y`` that are 0 on padding,
+    and log 2 for each padded row."""
+    sizes = [len(y) for y in ys]
+    J, n_max, p = len(sizes), max(sizes), Xs[0].shape[1]
+    X3 = np.zeros((J, n_max, p))
+    y = np.zeros((J, n_max))
+    one_minus_y = np.zeros((J, n_max))
+    for j, (X_j, y_j) in enumerate(zip(Xs, ys)):
+        X3[j, :sizes[j]] = X_j
+        y[j, :sizes[j]] = y_j
+        one_minus_y[j, :sizes[j]] = 1.0 - np.asarray(y_j, dtype=np.float64)
+    pad_softplus = float(J * n_max - sum(sizes)) * math.log(2.0)
+    return X3, y.ravel(), one_minus_y.ravel(), pad_softplus
 
 
 # ---------------------------------------------------------------------------

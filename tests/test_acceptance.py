@@ -140,11 +140,12 @@ def _random_hier_instance(p, J, n, seed):
         probs = 1 / (1 + np.exp(-X @ beta))
         Xs.append(X)
         ys.append((rng.random(n) < probs).astype(int))
-    data = HierData(tuple(Xs), tuple(ys), tuple(f"x{k}" for k in range(p)))
+    data = HierData(np.concatenate(Xs), np.concatenate(ys), (n,) * J,
+                    tuple(f"x{k}" for k in range(p)))
     hyper = HierHyper(rng.normal(size=p), rng.uniform(0.5, 2.0, size=p), 2.0)
     theta = np.concatenate([rng.normal(size=p), [float(rng.uniform(-1, 1))],
                             rng.normal(size=J * p)])
-    return data, hyper, theta
+    return data, hyper, theta, Xs, ys
 
 
 def test_criterion_05_gradient_correctness():
@@ -155,14 +156,14 @@ def test_criterion_05_gradient_correctness():
     ok = True
     for p, J in ((2, 1), (2, 5), (10, 1), (10, 5)):
         for seed in range(25):
-            data, hyper, theta = _random_hier_instance(p, J, 10,
-                                                       5000 + seed)
+            data, hyper, theta, Xs, ys = _random_hier_instance(
+                p, J, 10, 5000 + seed)
             target = HierTarget(data, hyper)
             logp, grad = target.logp_and_grad(theta)
             mu = theta[:p]
             braw = theta[p + 1:].reshape(J, p)
-            oracle = longdouble_log_posterior(mu, theta[p], braw, data.Xs,
-                                              data.ys, hyper.beta0,
+            oracle = longdouble_log_posterior(mu, theta[p], braw, Xs,
+                                              ys, hyper.beta0,
                                               hyper.sigma0_diag, hyper.tau)
             rel = abs(logp - oracle) / abs(oracle)
             worst_logp = max(worst_logp, rel)
@@ -261,8 +262,7 @@ def test_criterion_07_conformal_guarantee_simulation():
 def _shrinkage_sim(p, J, n_per, mu_scale, sigma_true, seed):
     collection, _ = generate_hierarchical_population(
         p, J, n_per, mu_scale, sigma_true, seed)
-    data = HierData(tuple(ds.features for ds in collection.smes),
-                    tuple(ds.labels for ds in collection.smes),
+    data = HierData(collection.X, collection.y, collection.sizes,
                     collection.feature_names)
     target = HierTarget(data, HierHyper(np.zeros(p), np.ones(p), tau=2.0))
     config = SamplerConfig(chains=4, warmup=800, draws=800, seed=seed,

@@ -338,10 +338,21 @@ class TestManifest:
         (["sme_00"], ["{dir}/sme_00.csv"]),
         (["sme_00"], ["./sme_00.csv"]),
         (["sme_00"], [".."]),
+        # Ids that would write an entity's CSV outside a collection's
+        # directory when the collection is saved.
+        (["../../escaped", "sme_01"], ["sme_00.csv", "sme_01.csv"]),
+        (["sub/sme_00"], ["sme_00.csv"]),
+        (["{dir}/sme_00"], ["sme_00.csv"]),
+        ([""], ["sme_00.csv"]),
+        (["."], ["sme_00.csv"]),
+        ([".."], ["sme_00.csv"]),
     ])
     def test_damaged_field_is_data_error(self, collection_dir, ids, files):
         files = [f.format(dir=collection_dir, name=collection_dir.name)
                  for f in files]
+        if isinstance(ids, list):
+            ids = [i.format(dir=collection_dir) if isinstance(i, str) else i
+                   for i in ids]
         path = collection_dir / "damaged.json"
         path.write_text(json.dumps({"ids": ids, "files": files}))
         with pytest.raises(DataError):

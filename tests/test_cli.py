@@ -230,10 +230,8 @@ def _calibration_rows(out):
     entities in manifest order, as ``calibrate`` scores them."""
     trace = PosteriorTrace.load(out / "trace.bin")
     cal = load_collection(out / "calibration_data")
-    p_hat, _, _ = posterior_predict_matrix(
-        trace, np.concatenate([ds.features for ds in cal.smes]),
-        np.repeat(np.arange(cal.J), [ds.n for ds in cal.smes]))
-    return p_hat, np.concatenate([ds.labels for ds in cal.smes])
+    p_hat, _, _ = posterior_predict_matrix(trace, cal.X, cal.entity)
+    return p_hat, cal.y
 
 
 def _run_with_prior(tmp_path, monkeypatch, names, stage):
@@ -318,6 +316,25 @@ class TestFitCalibrate:
         manifest.write_bytes(manifest.read_bytes()[:15])
         assert run(tmp_path, "fit", "--weak-prior") == 4
         assert not (tmp_path / "trace.bin").exists()
+
+    @pytest.mark.parametrize("stage", [["fit", "--weak-prior"],
+                                       ["evaluate", "--weak-prior"]],
+                             ids=["fit", "evaluate"])
+    def test_entity_id_with_a_directory_part_is_data_error(self, tmp_path,
+                                                           stage):
+        # fit writes each entity's calibration rows to <id>.csv, so this
+        # id would put one two directories above calibration_data/.
+        out = tmp_path / "a" / "b"
+        assert run(out, "gen-data", "--smes", "2", "--n-per", "30",
+                   "--features", "3") == 0
+        manifest = out / "smes" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["ids"][0] = "../../escaped"
+        manifest.write_text(json.dumps(doc))
+        assert run(out, *stage) == 4
+        assert not (tmp_path / "a" / "escaped.csv").exists()
+        assert not (out / "trace.bin").exists()
+        assert not (out / "report.json").exists()
 
     def test_non_utf8_entity_csv_is_data_error(self, tmp_path):
         assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "30",

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from churnpool.data import (Dataset, _csv_rows, apply_standardization,
+from churnpool.data import (Dataset, SMECollection, _csv_rows,
+                            apply_standardization,
                             generate_hierarchical_population, load_collection,
                             load_csv, make_synthetic_smes, save_collection,
                             standardize, stratified_kfold, stratified_split)
@@ -428,52 +429,59 @@ class TestStandardize:
         np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-10)
 
 
+def _split(ds, test_fraction, seed):
+    """``ds`` as (train, test) Datasets, by ``stratified_split``'s mask."""
+    test = stratified_split(ds.labels, test_fraction, seed)
+    assert test.dtype == bool and test.shape == (ds.n,)
+    return ds.subset(np.flatnonzero(~test)), ds.subset(np.flatnonzero(test))
+
+
 class TestStratifiedSplit:
     def test_counting_rule(self):
         ds = _toy(n=100, positives=21, seed=4)
-        train, test = stratified_split(ds, 0.2, seed=42)
+        train, test = _split(ds, 0.2, seed=42)
         assert test.n == 20
         assert int(test.labels.sum()) in (4, 5)
         assert train.n + test.n == 100
 
     def test_union_is_input(self):
         ds = _toy(n=50, positives=13, seed=5)
-        train, test = stratified_split(ds, 0.3, seed=0)
+        train, test = _split(ds, 0.3, seed=0)
         merged = np.sort(np.concatenate([train.features[:, 0],
                                          test.features[:, 0]]))
         np.testing.assert_array_equal(merged, np.sort(ds.features[:, 0]))
 
     def test_keeps_one_per_class_each_side(self):
         ds = _toy(n=10, positives=2, seed=6)
-        train, test = stratified_split(ds, 0.9, seed=0)
+        train, test = _split(ds, 0.9, seed=0)
         for part in (train, test):
             neg, pos = part.class_counts()
             assert neg >= 1 and pos >= 1
 
     def test_deterministic(self):
         ds = _toy(seed=7)
-        a = stratified_split(ds, 0.25, seed=9)
-        b = stratified_split(ds, 0.25, seed=9)
+        a = _split(ds, 0.25, seed=9)
+        b = _split(ds, 0.25, seed=9)
         np.testing.assert_array_equal(a[0].features, b[0].features)
         np.testing.assert_array_equal(a[1].labels, b[1].labels)
 
     def test_small_class_rejected(self):
         ds = _toy(n=10, positives=1, seed=8)
         with pytest.raises(ValidationError):
-            stratified_split(ds, 0.2, seed=0)
+            stratified_split(ds.labels, 0.2, seed=0)
 
 
 class TestStratifiedKfold:
     def test_fold_class_balance(self):
         ds = _toy(n=100, positives=21, seed=9)
-        fold = stratified_kfold(ds, 5, seed=3)
+        fold = stratified_kfold(ds.labels, 5, seed=3)
         np.testing.assert_array_equal(np.bincount(fold), [20] * 5)
         for k in range(5):
             assert int(ds.labels[fold == k].sum()) in (4, 5)
 
     def test_partition_property(self):
         ds = _toy(n=37, positives=11, seed=10)
-        fold = stratified_kfold(ds, 4, seed=1)
+        fold = stratified_kfold(ds.labels, 4, seed=1)
         # One test fold per row, and every fold is used.
         assert fold.shape == (37,)
         assert np.issubdtype(fold.dtype, np.integer)
@@ -481,19 +489,19 @@ class TestStratifiedKfold:
 
     def test_leave_one_out_on_balanced(self):
         ds = _toy(n=8, positives=4, seed=11)
-        fold = stratified_kfold(ds, 8, seed=1)
+        fold = stratified_kfold(ds.labels, 8, seed=1)
         np.testing.assert_array_equal(np.sort(fold), np.arange(8))
 
     def test_class_smaller_than_k_rejected(self):
         ds = _toy(n=20, positives=3, seed=12)
         with pytest.raises(ValidationError):
-            stratified_kfold(ds, 5, seed=0)
+            stratified_kfold(ds.labels, 5, seed=0)
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_partition_for_any_seed(self, seed):
         ds = _toy(n=30, positives=9, seed=13)
-        fold = stratified_kfold(ds, 3, seed=seed)
+        fold = stratified_kfold(ds.labels, 3, seed=seed)
         assert fold.shape == (30,)
         np.testing.assert_array_equal(np.bincount(fold, minlength=3),
                                       [10] * 3)
@@ -505,7 +513,7 @@ class TestStratifiedKfold:
         n = data.draw(st.integers(2 * K, 60))
         positives = data.draw(st.integers(K, n - K))
         ds = _toy(n=n, positives=positives, seed=14)
-        fold = stratified_kfold(ds, K, data.draw(
+        fold = stratified_kfold(ds.labels, K, data.draw(
             st.integers(0, 2 ** 31 - 1)))
         for rows in (np.ones(n, bool), ds.labels == 0, ds.labels == 1):
             counts = np.bincount(fold[rows], minlength=K)
@@ -517,18 +525,18 @@ class TestGenerators:
         source = _toy(n=60, positives=20, seed=14)
         collection = make_synthetic_smes(source, J=15, n_per=100, seed=5)
         assert collection.J == 15
-        assert sum(ds.n for ds in collection.smes) == 1500
+        assert sum(collection.sizes) == 1500
 
     def test_resample_single_sme_allows_duplicates(self):
         source = _toy(n=12, positives=4, seed=15)
         collection = make_synthetic_smes(source, J=1, n_per=12, seed=5)
-        assert collection.smes[0].n == 12
+        assert collection.sizes[0] == 12
 
     def test_different_seeds_differ(self):
         source = _toy(n=50, positives=15, seed=16)
         def checksum(seed):
             c = make_synthetic_smes(source, J=3, n_per=40, seed=seed)
-            blob = b"".join(ds.features.tobytes() for ds in c.smes)
+            blob = c.X.tobytes()
             return hashlib.sha256(blob).hexdigest()
         assert checksum(1) != checksum(2)
 
@@ -536,8 +544,7 @@ class TestGenerators:
         source = _toy(n=50, positives=15, seed=17)
         a = make_synthetic_smes(source, J=3, n_per=40, seed=9)
         b = make_synthetic_smes(source, J=3, n_per=40, seed=9)
-        for da, db in zip(a.smes, b.smes):
-            np.testing.assert_array_equal(da.features, db.features)
+        np.testing.assert_array_equal(a.X, b.X)
 
     def test_simulator_degenerate_hierarchy(self):
         collection, truth = generate_hierarchical_population(
@@ -550,7 +557,7 @@ class TestGenerators:
         # rate sits near one half; binomial 3-sigma band.
         collection, _ = generate_hierarchical_population(
             p=3, J=10, n_per=200, mu_scale=0.0, sigma_true=0.0, seed=4)
-        labels = np.concatenate([ds.labels for ds in collection.smes])
+        labels = collection.y
         se = 0.5 / math.sqrt(labels.size)
         assert abs(labels.mean() - 0.5) < 3 * se
 
@@ -563,7 +570,8 @@ class TestGenerators:
                 p=2, J=12, n_per=300, mu_scale=0.5, sigma_true=sigma,
                 seed=seed)
             corr = []
-            for ds in collection.smes:
+            for j in range(collection.J):
+                ds = collection.dataset(j)
                 y = ds.labels.astype(float)
                 y = y - y.mean()
                 cols = ds.features - ds.features.mean(axis=0)
@@ -589,10 +597,8 @@ class TestCollectionPersistence:
         manifest = save_collection(collection, tmp_path / "smes")
         loaded = load_collection(manifest)
         assert loaded.ids == collection.ids
-        for da, db in zip(collection.smes, loaded.smes):
-            np.testing.assert_allclose(da.features, db.features, rtol=0,
-                                       atol=0)
-            np.testing.assert_array_equal(da.labels, db.labels)
+        np.testing.assert_allclose(collection.X, loaded.X, rtol=0, atol=0)
+        np.testing.assert_array_equal(collection.y, loaded.y)
 
     def test_refuses_overwrite_without_force(self, tmp_path):
         collection, _ = generate_hierarchical_population(
@@ -601,3 +607,87 @@ class TestCollectionPersistence:
         with pytest.raises(DataError):
             save_collection(collection, tmp_path / "smes")
         save_collection(collection, tmp_path / "smes", force=True)
+
+    def test_source_column_holds_the_id(self, tmp_path):
+        ds = Dataset(np.eye(2), [0, 1], ("a", "b"), ("other", "tags"))
+        save_collection(SMECollection((ds,), ("s0",)), tmp_path)
+        with (tmp_path / "s0.csv").open(encoding="utf-8", newline="") as fh:
+            assert [row["source"] for row in csv.DictReader(fh)] == [
+                "s0", "s0"]
+
+
+def _unequal_collection(seed=20):
+    """Per-entity Datasets of 7, 12 and 9 rows, both classes in each, and
+    the collection of them."""
+    rng = np.random.default_rng(seed)
+    smes = []
+    for n in (7, 12, 9):
+        y = (np.arange(n) < n // 2).astype(int)
+        smes.append(Dataset(rng.normal(size=(n, 2)), rng.permutation(y),
+                            ("a", "b")))
+    return smes, SMECollection(smes, ("s0", "s1", "s2"))
+
+
+class TestCollectionTable:
+    def test_table_joins_entities_in_order(self):
+        smes, collection = _unequal_collection()
+        np.testing.assert_array_equal(
+            collection.X, np.concatenate([ds.features for ds in smes]))
+        np.testing.assert_array_equal(
+            collection.y, np.concatenate([ds.labels for ds in smes]))
+        np.testing.assert_array_equal(collection.entity,
+                                      np.repeat([0, 1, 2], [7, 12, 9]))
+        assert collection.sizes == (7, 12, 9) and collection.J == 3
+        for array in (collection.X, collection.y, collection.entity):
+            assert not array.flags.writeable
+
+    def test_take_keeps_ids_order_and_sizes(self):
+        _, collection = _unequal_collection()
+        mask = np.random.default_rng(1).random(collection.y.size) < 0.5
+        mask[collection.entity == 1] = False
+        sub = collection.take(mask)
+        assert sub.ids == collection.ids
+        assert sub.feature_names == collection.feature_names
+        assert sub.sizes == tuple(int(mask[collection.entity == j].sum())
+                                  for j in range(3))
+        assert sub.sizes[1] == 0
+        np.testing.assert_array_equal(sub.entity, collection.entity[mask])
+        np.testing.assert_array_equal(sub.X, collection.X[mask])
+        np.testing.assert_array_equal(sub.y, collection.y[mask])
+
+    def test_refit_fold_matches_per_entity_subsets(self):
+        # A refit's training rows, taken from the table, are the rows
+        # that subsetting each entity's Dataset outside fold k gives.
+        smes, collection = _unequal_collection()
+        folds = [stratified_kfold(ds.labels, 3, seed=j)
+                 for j, ds in enumerate(smes)]
+        fold = np.concatenate(folds)
+        for k in range(3):
+            sub = collection.take(fold != k)
+            parts = [ds.subset(np.flatnonzero(f != k))
+                     for ds, f in zip(smes, folds)]
+            np.testing.assert_array_equal(
+                sub.X, np.concatenate([ds.features for ds in parts]))
+            np.testing.assert_array_equal(
+                sub.y, np.concatenate([ds.labels for ds in parts]))
+            assert sub.sizes == tuple(ds.n for ds in parts)
+
+    def test_take_needs_bool_mask(self):
+        _, collection = _unequal_collection()
+        with pytest.raises(ValidationError):
+            collection.take(np.arange(3))
+
+    def test_dataset_is_one_entity_tagged_with_its_id(self):
+        smes, collection = _unequal_collection()
+        for j, ds in enumerate(smes):
+            view = collection.dataset(j)
+            np.testing.assert_array_equal(view.features, ds.features)
+            np.testing.assert_array_equal(view.labels, ds.labels)
+            assert view.source_tags == (collection.ids[j],) * ds.n
+
+    @pytest.mark.parametrize("bad", ["", ".", "..", "a/b", "../../escaped",
+                                     "/abs"])
+    def test_id_must_be_bare_file_name(self, bad):
+        smes, _ = _unequal_collection()
+        with pytest.raises(ValidationError, match="bare file name"):
+            SMECollection(smes, ("s0", bad, "s2"))

@@ -69,8 +69,7 @@ class TestLogregL2:
         # compares summed losses stalls here at gradient max-norm ~2e-6.
         collection, _ = generate_hierarchical_population(
             p=10, J=12, n_per=160, mu_scale=0.5, sigma_true=0.5, seed=seed)
-        X = np.concatenate([ds.features for ds in collection.smes])
-        y = np.concatenate([ds.labels for ds in collection.smes])
+        X, y = collection.X, collection.y
         coefs = fit_logreg_l2(Dataset(X, y, collection.feature_names), C=1.0)
         X1 = np.column_stack([X, np.ones(y.size)])
         probs = 1.0 / (1.0 + np.exp(-(X1 @ coefs)))
@@ -492,7 +491,7 @@ class TestRunExperiment:
         rng = np.random.default_rng(3)
         lone = Dataset(rng.normal(size=(10, 2)), np.eye(10, dtype=int)[0],
                        population.feature_names)
-        smes = population.smes
+        smes = [population.dataset(j) for j in range(population.J)]
         collection = SMECollection((smes[0], lone, *smes[1:]),
                                    ("a", "lone", "b", "c"))
         fitted = []
@@ -529,9 +528,9 @@ class TestRunExperiment:
         assert len(fitted) == (2 if protocol == "refit" else 1)
         for train in fitted:
             assert train.ids == collection.ids
-            np.testing.assert_array_equal(train.smes[1].features,
+            np.testing.assert_array_equal(train.dataset(1).features,
                                           lone.features)
-            assert [ds.n for ds in train.smes] == (
+            assert list(train.sizes) == (
                 [15, 10, 15, 15] if protocol == "refit" else [30, 10, 30, 30])
         # Each fold's pooled baseline sees the rows a refit sees: the other
         # fold of every split entity and all of the lone rows.
@@ -549,8 +548,8 @@ class TestRunExperiment:
             p=2, J=3, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=27)
         pair = Dataset(np.array([[0.25, -0.5], [-1.0, 0.75]]), [0, 1],
                        population.feature_names)
-        collection = SMECollection((*population.smes, pair),
-                                   (*population.ids, "pair"))
+        smes = [population.dataset(j) for j in range(population.J)]
+        collection = SMECollection((*smes, pair), (*population.ids, "pair"))
         baseline_fits = []
 
         def recording_fit(train, C=1.0):

@@ -21,7 +21,8 @@ from churnpool.numerics import sigmoid
 from churnpool.nuts import PosteriorTrace, SamplerConfig, sample
 from churnpool.shap_prior import PriorSpec
 
-from _oracles import longdouble_grad_log_posterior, longdouble_log_posterior
+from _oracles import (longdouble_grad_log_posterior,
+                      longdouble_log_posterior, padded_block)
 
 
 class _Params(NamedTuple):
@@ -36,6 +37,19 @@ class _Params(NamedTuple):
                                np.ravel(self.beta_raw)])
 
 
+def _hier_data(Xs, ys, names):
+    """HierData over per-entity arrays joined into one entity-major table."""
+    return HierData(np.concatenate(Xs), np.concatenate(ys),
+                    [len(y) for y in ys], names)
+
+
+def _entities(data):
+    """Per-entity ``(Xs, ys)``: entity j's rows of the padded block."""
+    y3 = data._y.reshape(data._X3.shape[:2])
+    return (tuple(data._X3[j, :n] for j, n in enumerate(data.n_j)),
+            tuple(y3[j, :n] for j, n in enumerate(data.n_j)))
+
+
 def _random_instance(p, sizes, seed):
     """Random data, hyperparameters and point for entities of ``sizes`` rows."""
     rng = np.random.default_rng(seed)
@@ -46,7 +60,7 @@ def _random_instance(p, sizes, seed):
         probs = 1 / (1 + np.exp(-X @ beta))
         Xs.append(X)
         ys.append((rng.random(n) < probs).astype(int))
-    data = HierData(tuple(Xs), tuple(ys), tuple(f"x{k}" for k in range(p)))
+    data = _hier_data(Xs, ys, tuple(f"x{k}" for k in range(p)))
     hyper = HierHyper(rng.normal(size=p), rng.uniform(0.5, 2.0, size=p),
                       tau=2.0)
     params = _Params(rng.normal(size=p), float(rng.uniform(-1, 1)),
@@ -79,18 +93,19 @@ def _extreme_margin_instance(p, sizes, seed):
     data, hyper, params = _random_instance(p, sizes, seed)
     rng = np.random.default_rng(seed + 1)
     betas = params.mu + math.exp(params.log_sigma) * params.beta_raw
+    entity_Xs, ys = _entities(data)
     Xs = []
-    for X, beta in zip(data.Xs, betas):
+    for X, beta in zip(entity_Xs, betas):
         z = X @ beta
         Xs.append(X * (rng.uniform(700.0, 800.0, z.size) / np.abs(z))[:, None])
-    return HierData(tuple(Xs), data.ys, data.feature_names), hyper, params
+    return _hier_data(Xs, ys, data.feature_names), hyper, params
 
 
 class TestHierData:
     def test_wrong_width_rejected(self):
         # Ten rows of four columns are not twenty rows of two.
         with pytest.raises(ValidationError, match="columns"):
-            HierData((np.zeros((10, 4)),), (np.zeros(10, dtype=int),),
+            HierData(np.zeros((10, 4)), np.zeros(10, dtype=int), (10,),
                      ("a", "b"))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -98,16 +113,43 @@ class TestHierData:
         X = np.zeros((3, 2))
         X[1, 0] = bad
         with pytest.raises(ValidationError, match="non-finite"):
-            HierData((X,), (np.array([0, 1, 0]),), ("a", "b"))
+            HierData(X, np.array([0, 1, 0]), (3,), ("a", "b"))
 
     def test_one_dimensional_matrix_rejected(self):
         with pytest.raises(ValidationError, match="2-dimensional"):
-            HierData((np.zeros(4),), (np.zeros(2, dtype=int),), ("a", "b"))
+            HierData(np.zeros(4), np.zeros(2, dtype=int), (2,), ("a", "b"))
 
     def test_two_dimensional_labels_rejected(self):
         with pytest.raises(ValidationError, match="1-dimensional"):
-            HierData((np.zeros((4, 2)),), (np.zeros((2, 2), dtype=int),),
+            HierData(np.zeros((4, 2)), np.zeros((2, 2), dtype=int), (4,),
                      ("a", "b"))
+
+    @pytest.mark.parametrize("y,sizes", [
+        (np.zeros(3, dtype=int), (2, 2)), (np.zeros(4, dtype=int), (3, 2)),
+        (np.zeros(4, dtype=int), (5, -1)), (np.zeros(4, dtype=int), ()),
+        (np.zeros(4, dtype=int), (2.0, 2.0)),
+        (np.zeros(4, dtype=int), ((2, 2),)),
+    ], ids=["short-labels", "sizes-over", "negative", "no-entity", "float",
+            "two-dimensional"])
+    def test_inconsistent_sizes_rejected(self, y, sizes):
+        with pytest.raises(ValidationError, match="sizes"):
+            HierData(np.zeros((4, 2)), y, sizes, ("a", "b"))
+
+    @pytest.mark.parametrize("p,J", LAYOUTS)
+    def test_block_matches_per_entity_fill(self, p, J):
+        # The block built from the joined table, against the fill of
+        # each entity's own arrays that the likelihood was written for.
+        rng = np.random.default_rng(400)
+        Xs = [rng.normal(size=(n, p)) for n in _sizes(J, 12)]
+        ys = [rng.integers(0, 2, size=n) for n in _sizes(J, 12)]
+        data = _hier_data(Xs, ys, tuple(f"x{k}" for k in range(p)))
+        X3, y, one_minus_y, pad_softplus = padded_block(Xs, ys)
+        for mine, reference in ((data._X3, X3), (data._y, y),
+                                (data._one_minus_y, one_minus_y)):
+            assert mine.dtype == reference.dtype == np.float64
+            np.testing.assert_array_equal(mine, reference, strict=True)
+        assert data._pad_softplus == pad_softplus
+        assert data.n_j == tuple(_sizes(J, 12))
 
 
 class TestLogPosterior:
@@ -121,15 +163,16 @@ class TestLogPosterior:
         params = _Params(beta0, 0.3, np.zeros((J, p)))
         value = _logp(params, data, hyper)
         expected = longdouble_log_posterior(
-            beta0, 0.3, np.zeros((J, p)), data.Xs, data.ys, beta0, sigma0, 2.0)
+            beta0, 0.3, np.zeros((J, p)), *_entities(data), beta0, sigma0,
+            2.0)
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_single_row_zero_margin_is_log_half(self):
         p = 2
-        data_with = HierData((np.zeros((1, p)),), (np.array([1]),),
-                             ("a", "b"))
-        data_empty = HierData((np.empty((0, p)),),
-                              (np.empty(0, dtype=int),), ("a", "b"))
+        data_with = _hier_data((np.zeros((1, p)),), (np.array([1]),),
+                               ("a", "b"))
+        data_empty = _hier_data((np.empty((0, p)),),
+                                (np.empty(0, dtype=int),), ("a", "b"))
         hyper = HierHyper(np.zeros(p), np.ones(p))
         params = _Params(np.array([3.0, -1.0]), 0.1,
                             np.array([[0.5, 0.5]]))
@@ -144,25 +187,26 @@ class TestLogPosterior:
                                                    seed=100 + seed)
             value = _logp(params, data, hyper)
             expected = longdouble_log_posterior(
-                params.mu, params.log_sigma, params.beta_raw, data.Xs,
-                data.ys, hyper.beta0, hyper.sigma0_diag, hyper.tau)
+                params.mu, params.log_sigma, params.beta_raw,
+                *_entities(data), hyper.beta0, hyper.sigma0_diag, hyper.tau)
             assert value == pytest.approx(expected, rel=1e-10)
 
     def test_invariant_to_entity_and_row_order(self):
         data, hyper, params = _random_instance(3, (15,) * 4, seed=7)
         value = _logp(params, data, hyper)
         perm = [2, 0, 3, 1]
-        data_perm = HierData(tuple(data.Xs[j] for j in perm),
-                             tuple(data.ys[j] for j in perm),
+        Xs, ys = _entities(data)
+        data_perm = _hier_data(tuple(Xs[j] for j in perm),
+                               tuple(ys[j] for j in perm),
                              data.feature_names)
         params_perm = _Params(params.mu, params.log_sigma,
                                  params.beta_raw[perm])
         assert _logp(params_perm, data_perm, hyper) == pytest.approx(
             value, rel=1e-14)
         row_perm = np.arange(15)[::-1]
-        data_rows = HierData(
-            tuple(X[row_perm] for X in data.Xs),
-            tuple(y[row_perm] for y in data.ys), data.feature_names)
+        data_rows = _hier_data(
+            tuple(X[row_perm] for X in Xs),
+            tuple(y[row_perm] for y in ys), data.feature_names)
         assert _logp(params, data_rows, hyper) == pytest.approx(
             value, rel=1e-14)
 
@@ -183,7 +227,7 @@ class TestGradient:
         rng = np.random.default_rng(8)
         beta0 = rng.normal(size=p)
         hyper = HierHyper(beta0, rng.uniform(0.5, 2.0, size=p), tau=1.7)
-        data = HierData(tuple(np.empty((0, p)) for _ in range(J)),
+        data = _hier_data(tuple(np.empty((0, p)) for _ in range(J)),
                         tuple(np.empty(0, dtype=int) for _ in range(J)),
                         tuple(f"x{k}" for k in range(p)))
         # HalfNormal-with-Jacobian mode in log space is log(tau).
@@ -221,7 +265,7 @@ class TestGradient:
                 p, _sizes(J, 12), seed=300 + seed)
             value, grad = HierTarget(data, hyper).logp_and_grad(params.pack())
             oracle_args = (params.mu, params.log_sigma, params.beta_raw,
-                           data.Xs, data.ys, hyper.beta0, hyper.sigma0_diag,
+                           *_entities(data), hyper.beta0, hyper.sigma0_diag,
                            hyper.tau)
             assert math.isfinite(value) and np.all(np.isfinite(grad))
             assert value == pytest.approx(
@@ -236,9 +280,11 @@ class TestGradient:
         hyper = HierHyper(np.zeros(p), np.ones(p))
         params = _Params(rng.normal(size=p), 0.2, rng.normal(size=(J, p)))
         names = tuple(f"x{k}" for k in range(p))
-        empty = HierData((np.empty((0, p)),), (np.empty(0, dtype=int),), names)
-        once = HierData((row,), (np.array([1]),), names)
-        twice = HierData((np.vstack([row, row]),), (np.array([1, 1]),), names)
+        empty = _hier_data((np.empty((0, p)),), (np.empty(0, dtype=int),),
+                           names)
+        once = _hier_data((row,), (np.array([1]),), names)
+        twice = _hier_data((np.vstack([row, row]),), (np.array([1, 1]),),
+                           names)
         g0 = _grad(params, empty, hyper)
         g1 = _grad(params, once, hyper)
         g2 = _grad(params, twice, hyper)
@@ -404,8 +450,7 @@ class TestShrinkageReport:
     def test_shapes_and_flags(self):
         collection, _ = generate_hierarchical_population(
             p=2, J=3, n_per=40, mu_scale=0.8, sigma_true=0.3, seed=12)
-        data = HierData(tuple(ds.features for ds in collection.smes),
-                        tuple(ds.labels for ds in collection.smes),
+        data = HierData(collection.X, collection.y, collection.sizes,
                         collection.feature_names)
         rng = np.random.default_rng(13)
         D = 2 + 1 + 3 * 2
@@ -423,7 +468,7 @@ class TestShrinkageReport:
               np.random.default_rng(15).normal(size=(20, 1)))
         ys = (np.ones(20, dtype=int),
               np.tile([0, 1], 10))
-        data = HierData(Xs, ys, names)
+        data = _hier_data(Xs, ys, names)
         trace = _trace_from_flat(np.zeros((50, 4)), 1, 2)
         report = shrinkage_report(trace, data)
         assert report.flagged[0] and not report.flagged[1]
@@ -435,8 +480,7 @@ class TestShrinkageReport:
         # and a 2-entity trace ended in a numpy broadcasting error.
         collection, _ = generate_hierarchical_population(
             p=2, J=3, n_per=20, mu_scale=0.8, sigma_true=0.3, seed=12)
-        data = HierData(tuple(ds.features for ds in collection.smes),
-                        tuple(ds.labels for ds in collection.smes),
+        data = HierData(collection.X, collection.y, collection.sizes,
                         collection.feature_names)
         trace = _trace_from_flat(np.zeros((50, 3 + 2 * fitted_J)), 2,
                                  fitted_J)
@@ -452,8 +496,7 @@ class TestShrinkageReport:
 
         collection, _ = generate_hierarchical_population(
             p=40, J=10, n_per=50, mu_scale=0.2, sigma_true=0.3, seed=41)
-        data = HierData(tuple(ds.features for ds in collection.smes),
-                        tuple(ds.labels for ds in collection.smes),
+        data = HierData(collection.X, collection.y, collection.sizes,
                         collection.feature_names)
         target = HierTarget(data, HierHyper(np.zeros(40), np.ones(40), 2.0))
         config = SamplerConfig(chains=2, warmup=600, draws=600, seed=41,
@@ -534,7 +577,8 @@ class TestSimulationBasedCalibration:
         truth = np.concatenate([mu, [math.log(sigma)], braw.ravel()])
         z = np.einsum("jnp,jp->jn", X, mu + sigma * braw)
         y = (rng.uniform(size=(J, n)) < sigmoid(z)).astype(np.int8)
-        target = HierTarget(HierData(tuple(X), tuple(y), self.NAMES), hyper)
+        target = HierTarget(HierData(X.reshape(J * n, p), y.ravel(),
+                                     (n,) * J, self.NAMES), hyper)
         trace, _ = sample(target, SamplerConfig(chains=2, warmup=150,
                                                 draws=self.DRAWS, seed=fit))
         draws = trace.draws[:, self.THIN - 1::self.THIN].reshape(-1, target.dim)

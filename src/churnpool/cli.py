@@ -12,8 +12,11 @@ so each stage can be rerun independently:
     evaluate        cross-validated comparison against baselines
 
 Configuration is a flat INI file with [gbdt], [hierarchical], [conformal],
-and [run] sections; every key can be overridden on the command line.  Exit
-codes: 0 success, 2 configuration error, 3 diagnostic failure, 4 data error.
+and [run] sections; an unknown section or key is a configuration error.
+Some keys also have a command-line flag, which overrides the file: --seed,
+the gen-data sizes, --lambda, the fit chain and iteration counts, and
+--alpha.  Exit codes: 0 success, 2 configuration error, 3 diagnostic
+failure, 4 data error.
 """
 
 from __future__ import annotations
@@ -146,13 +149,23 @@ class RunConfig:
         config = cls()
         if path is not None:
             parser = configparser.ConfigParser()
-            read = parser.read(path, encoding="utf-8")
+            try:
+                read = parser.read(path, encoding="utf-8")
+                items = {section: parser.items(section)
+                         for section in parser.sections()}
+            except (configparser.Error, UnicodeDecodeError) as exc:
+                raise ConfigError(f"malformed config file {path}: "
+                                  f"{type(exc).__name__}: {exc}") from None
             if not read:
                 raise ConfigError(f"cannot read config file {path}")
-            for section, keys in cls._SECTIONS.items():
-                if not parser.has_section(section):
-                    continue
-                for key, raw in parser.items(section):
+            if parser.defaults():  # merged into every section otherwise
+                raise ConfigError(f"unknown section "
+                                  f"[{parser.default_section}] in {path}")
+            for section, pairs in items.items():
+                keys = cls._SECTIONS.get(section)
+                if keys is None:
+                    raise ConfigError(f"unknown section [{section}] in {path}")
+                for key, raw in pairs:
                     if key not in keys:
                         raise ConfigError(
                             f"unknown key {key!r} in section [{section}]")

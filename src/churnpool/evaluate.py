@@ -37,7 +37,7 @@ import numpy as np
 
 from .conformal import (calibrate_pooled, coverage_audit, predict_sets,
                         recommend_conservative)
-from .data import Dataset, SMECollection, _write_csv, stratified_kfold
+from .data import SMECollection, _write_csv, stratified_kfold
 from .errors import (ConvergenceError, DataError, DiagnosticError,
                      ValidationError)
 from .hier_model import HierarchicalLogistic
@@ -125,14 +125,15 @@ def classification_metrics(probs, labels, threshold: float = 0.5) -> dict:
 # Logistic regression baselines
 # ---------------------------------------------------------------------------
 
-def fit_logreg_l2(train: Dataset, C: float = 1.0) -> np.ndarray:
-    """L2 logistic regression minimizing ``0.5 ||beta||^2 + C * sum log-loss``
-    with an unpenalized intercept (returned as the last coefficient)."""
-    neg, pos = train.class_counts()
-    if neg == 0 or pos == 0:
+def fit_logreg_l2(X, y, C: float = 1.0) -> np.ndarray:
+    """L2 logistic regression of 0/1 labels ``y`` on the rows of ``X``,
+    minimizing ``0.5 ||beta||^2 + C * sum log-loss`` with an unpenalized
+    intercept (returned as the last coefficient)."""
+    y = np.asarray(y)
+    if y.size == 0 or y.min() == y.max():
         raise ValidationError("training data contains a single class")
-    return fit_penalized_logreg(train.features, train.labels, l2=1.0,
-                                loss_weight=C, fit_intercept=True)
+    return fit_penalized_logreg(X, y, l2=1.0, loss_weight=C,
+                                fit_intercept=True)
 
 
 def logreg_predict(coefs: np.ndarray, X) -> np.ndarray:
@@ -365,9 +366,7 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
     for k in range(K):
         train = fold != k
         try:
-            pooled_models[k] = fit_logreg_l2(
-                Dataset(X[train], y[train], collection.feature_names),
-                config.l2_c)
+            pooled_models[k] = fit_logreg_l2(X[train], y[train], config.l2_c)
         except ConvergenceError as exc:
             # Like a skipped independent fit: this fold has no pooled rows.
             flags.append(f"fold {k}: pooled fit skipped: {exc}")
@@ -385,9 +384,7 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
             if k in pooled_models:
                 evals["pooled"] = logreg_predict(pooled_models[k], X[test])
             try:
-                coefs = fit_logreg_l2(
-                    Dataset(X[train], y[train], collection.feature_names),
-                    config.l2_c)
+                coefs = fit_logreg_l2(X[train], y[train], config.l2_c)
                 evals["independent"] = logreg_predict(coefs, X[test])
             except (ValidationError, ConvergenceError) as exc:
                 flags.append(

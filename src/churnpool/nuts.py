@@ -26,13 +26,17 @@ function of ``(target, config)`` and is bit-reproducible; it is not a
 function of each chain alone.
 
 The chains run in up to ``min(chains, usable CPUs)`` forked worker
-processes, worker ``w`` holding chains ``c = w (mod W)``.  Between window
-barriers a chain depends only on its own state and stream, so the result
-is the same for any worker count, one included.  The window metric is
-built in the calling process with numpy's bundled OpenBLAS on one thread,
-so it is also the same for any BLAS thread count; with another BLAS the
-trace header records ``"blas_pinned": false``.  Target callables may run
-in child processes, so side effects of their calls are not seen by the
+processes, worker ``w`` holding chains ``c = w (mod W)``.  A worker has
+the calls of a chain and answers for its chains in chain order, so the
+caller drives every chain through one loop, wherever it runs.  Each chain
+counts its own gradient calls (initial point, step-size searches and
+leapfrogs); the run's count is their sum.  Between window barriers a chain
+depends only on its own state and stream, so the result is the same for
+any worker count, one included.  The window metric is built in the
+calling process with numpy's bundled OpenBLAS on one thread, so it is
+also the same for any BLAS thread count; with another BLAS the trace
+header records ``"blas_pinned": false``.  Target callables may run in
+child processes, so side effects of their calls are not seen by the
 caller.  ``taskset`` limits the worker count through the CPU affinity
 mask.
 """
@@ -169,10 +173,10 @@ class PosteriorTrace:
     ``(chains, dim)``; each row is the diagonal of the inverse metric the
     chains sampled with, so all rows are equal.  The low-rank part of that
     metric is not stored.  ``divergent`` has shape ``(chains, draws)`` and
-    the step sizes one entry per chain; any other shape, or a name count
-    other than ``dim``, raises ``ValidationError``, as do non-finite draws
-    and step sizes or ``mass_diag`` entries that are not finite and
-    positive.
+    the step sizes one entry per chain; any other shape, no chain or no
+    draw, or a name count other than ``dim``, raises ``ValidationError``,
+    as do non-finite draws and step sizes or ``mass_diag`` entries that are
+    not finite and positive.
     """
 
     draws: np.ndarray
@@ -191,6 +195,9 @@ class PosteriorTrace:
         if not np.isfinite(draws).all():
             raise ValidationError("trace contains non-finite draws")
         chains, n_draws, dim = draws.shape
+        if chains < 1 or n_draws < 1:
+            raise ValidationError(
+                "a trace needs at least one chain and one draw")
         object.__setattr__(self, "draws", draws)
         for name, shape, dtype in (
                 ("divergent", (chains, n_draws), bool),
@@ -582,21 +589,6 @@ def _mass_windows(warmup: int) -> list[tuple[int, int]]:
     return windows
 
 
-class _CountingTarget:
-    """Forwards ``logp_and_grad`` to a target and counts the calls."""
-
-    __slots__ = ("target", "dim", "calls")
-
-    def __init__(self, target):
-        self.target = target
-        self.dim = target.dim
-        self.calls = 0
-
-    def logp_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        self.calls += 1
-        return self.target.logp_and_grad(theta)
-
-
 # ---------------------------------------------------------------------------
 # Tree construction
 # ---------------------------------------------------------------------------
@@ -639,8 +631,10 @@ def _no_uturn(minus: _State, plus: _State) -> bool:
 class _Chain:
     """One chain: its position, step-size adaptation and tree builder.
 
-    Warmup advances in segments (``warm``) so that every chain can stop at
-    a window barrier, where ``adopt`` installs the shared metric.
+    Warmup advances in blocks (``block``) so that every chain can stop at
+    a window barrier, where ``adopt`` installs the shared metric; ``draw``
+    finishes warmup and samples.  The chain is the target of its own
+    integrator calls, so ``calls`` counts every ``logp_and_grad`` it made.
     """
 
     def __init__(self, target, config: SamplerConfig,
@@ -649,7 +643,8 @@ class _Chain:
         self.config = config
         self.rng = rng
         self.metric = metric
-        logp, grad = target.logp_and_grad(q0)
+        self.calls = 0
+        logp, grad = self.logp_and_grad(q0)
         if not (np.isfinite(logp) and np.all(np.isfinite(grad))):
             raise ValidationError("target is not finite at the initial point")
         zeros = np.zeros_like(q0)
@@ -659,9 +654,13 @@ class _Chain:
         self.initial_eps = self._restart_step_size()
         self.eps = self.initial_eps
 
+    def logp_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        self.calls += 1
+        return self.target.logp_and_grad(theta)
+
     def _restart_step_size(self) -> float:
-        eps0 = _find_reasonable_step_size(self.target, self.state,
-                                          self.metric, self.rng)
+        eps0 = _find_reasonable_step_size(self, self.state, self.metric,
+                                          self.rng)
         self.averaging = _DualAveraging(eps0)
         return eps0
 
@@ -688,21 +687,34 @@ class _Chain:
             self.iteration += 1
         return visited
 
+    def block(self, start: int, end: int) -> np.ndarray:
+        """The positions over warmup iterations ``[start, end)``."""
+        self.warm(start)
+        return self.warm(end)
+
     def draw(self, draws: np.ndarray, divergent: np.ndarray,
-             accept: np.ndarray) -> None:
-        """One sampling transition per row of ``draws`` at the averaged
-        warmup step size; row ``s`` of each array gets the position, the
-        divergence flag and the acceptance statistic of transition ``s``."""
+             accept: np.ndarray) -> tuple[float, int]:
+        """Warm to the end of warmup, then make one sampling transition per
+        row of ``draws`` at the averaged warmup step size; row ``s`` of each
+        array gets the position, the divergence flag and the acceptance
+        statistic of transition ``s``.  Returns the step size and the
+        chain's target calls."""
+        warmup = self.config.warmup
+        self.warm(warmup)
+        if self.warmup_divergent == warmup:
+            raise DiagnosticError(
+                "every warmup iteration diverged; increase target_accept "
+                "(for example 0.95) or reparameterize the model")
         self.eps = self.averaging.averaged
         for s in range(draws.shape[0]):
             divergent[s], accept[s] = self.transition()
             draws[s] = self.state.q
+        return self.eps, self.calls
 
     def _build_tree(self, depth: int, edge: _State, direction: float,
                     h0: float) -> _Subtree:
         if depth == 0:
-            new = _leapfrog(edge, direction * self.eps, self.target,
-                            self.metric)
+            new = _leapfrog(edge, direction * self.eps, self, self.metric)
             if new is None:
                 return _Subtree(edge, edge, None, -np.inf, 0.0, 1, False, True)
             energy_error = (-new.logp + 0.5 * float(np.dot(new.v, new.r))) - h0
@@ -772,42 +784,6 @@ class _Chain:
         return divergent, sum_accept / max(n_accept, 1)
 
 
-class _Group:
-    """One worker's chains, advanced in this process.
-
-    Each generator yields one item per chain, in the group's chain order,
-    so that the caller can take the groups' items round-robin back into
-    the chains' order.
-    """
-
-    def __init__(self, chains: list[_Chain]):
-        self.chains = chains
-
-    def blocks(self, start: int, end: int):
-        """Each chain's positions over warmup iterations ``[start, end)``."""
-        for chain in self.chains:
-            chain.warm(start)
-            yield chain.warm(end)
-
-    def adopt(self, metric: _Metric) -> None:
-        for chain in self.chains:
-            chain.adopt(metric)
-
-    def finish(self, rows):
-        """Warm each chain to the end of warmup, then draw into its
-        ``(draws, divergent, accept)`` row of ``rows``; yields the chain's
-        step size."""
-        for chain, row in zip(self.chains, rows):
-            warmup = chain.config.warmup
-            chain.warm(warmup)
-            if chain.warmup_divergent == warmup:
-                raise DiagnosticError(
-                    "every warmup iteration diverged; increase target_accept "
-                    "(for example 0.95) or reparameterize the model")
-            chain.draw(*row)
-            yield chain.eps
-
-
 def _send_array(conn, array: np.ndarray) -> None:
     """Write a contiguous array's bytes to ``conn``'s socket, unframed:
     the reader knows the shape."""
@@ -816,33 +792,36 @@ def _send_array(conn, array: np.ndarray) -> None:
         view = view[os.write(conn.fileno(), view):]
 
 
-def _serve(group: _Group, windows, counter, conn, parent_ends) -> None:
-    """Body of a forked chain worker: run ``group`` through ``windows`` and
-    sampling, streaming every block, step size and draw row to the parent
-    over ``conn``, then the gradient calls the worker made.
+def _serve(chains: list[_Chain], windows, conn, parent_ends) -> None:
+    """Body of a forked chain worker: run ``chains`` through ``windows`` and
+    sampling, streaming every block, then every chain's step size, target
+    calls and draw rows, to the parent over ``conn``, chain by chain.
 
     Closing the inherited parent-side pipe ends makes the next message on
     ``conn`` fail once the parent is gone, and the worker then exits.
     """
     for parent_end in parent_ends:
         parent_end.close()
-    calls = counter.calls
     try:
         with _one_blas_thread():
             for start, end in windows:
-                for block in group.blocks(start, end):
+                for chain in chains:
+                    # Computed before the marker, so that a failure in the
+                    # block is the next message the parent reads.
+                    block = chain.block(start, end)
                     conn.send(None)
                     _send_array(conn, block)
-                group.adopt(_Metric(*conn.recv()))
-            chain = group.chains[0]
-            row = (np.empty((chain.config.draws, chain.target.dim)),
-                   np.empty(chain.config.draws, dtype=bool),
-                   np.empty(chain.config.draws))
-            for eps in group.finish([row] * len(group.chains)):
-                conn.send(eps)
+                metric = _Metric(*conn.recv())
+                for chain in chains:
+                    chain.adopt(metric)
+            config, dim = chains[0].config, chains[0].target.dim
+            row = (np.empty((config.draws, dim)),
+                   np.empty(config.draws, dtype=bool),
+                   np.empty(config.draws))
+            for chain in chains:
+                conn.send(chain.draw(*row))
                 for out in row:
                     _send_array(conn, out)
-            conn.send(counter.calls - calls)
     except Exception as exc:
         try:
             conn.send(exc)
@@ -856,18 +835,20 @@ _WORKER_GONE = "a sampler worker exited unexpectedly"
 
 
 class _Worker:
-    """Parent side of a forked process that runs one ``_Group``, with the
-    same generators as the group; an exception raised in the worker is
-    raised again here."""
+    """Parent side of a forked process that runs some chains.
 
-    def __init__(self, ctx, group: _Group, windows, counter, ends: list):
+    It has the calls of ``_Chain`` and answers each for the next of its
+    chains in chain order; ``adopt`` sends one metric to all of them.  An
+    exception raised in the worker is raised again here.
+    """
+
+    def __init__(self, ctx, chains: list[_Chain], windows, ends: list):
         self.conn, child_end = ctx.Pipe()
         ends.append(self.conn)
-        self.n_chains = len(group.chains)
-        self.dim = counter.dim
+        self.dim = chains[0].target.dim
         self.process = ctx.Process(
-            target=_serve, args=(group, windows, counter, child_end,
-                                 list(ends)), daemon=True)
+            target=_serve, args=(chains, windows, child_end, list(ends)),
+            daemon=True)
         self.process.start()
         child_end.close()
 
@@ -890,25 +871,21 @@ class _Worker:
                 raise RuntimeError(_WORKER_GONE)
             view = view[size:]
 
-    def blocks(self, start: int, end: int):
+    def block(self, start: int, end: int) -> np.ndarray:
+        self._reply()
         block = np.empty((end - start, self.dim))
-        for _ in range(self.n_chains):
-            self._reply()
-            self._read_into(block)
-            yield block
+        self._read_into(block)
+        return block
 
     def adopt(self, metric: _Metric) -> None:
         self.conn.send((metric.diag, metric.u, metric.lam))
 
-    def finish(self, rows):
-        for row in rows:
-            eps = self._reply()
-            for out in row:
-                self._read_into(out)
-            yield eps
-
-    def grad_calls(self) -> int:
-        return self._reply()
+    def draw(self, draws: np.ndarray, divergent: np.ndarray,
+             accept: np.ndarray) -> tuple[float, int]:
+        reply = self._reply()
+        for out in (draws, divergent, accept):
+            self._read_into(out)
+        return reply
 
 
 def _usable_cpus() -> int:
@@ -930,8 +907,9 @@ def _usable_cpus() -> int:
 
 
 @contextlib.contextmanager
-def _forked(groups: list[_Group], windows, counter):
-    """Run each group in a forked daemon worker and yield the workers.
+def _forked(chains: list[_Chain], n_workers: int, windows):
+    """Run chains ``c = w (mod n_workers)`` in forked daemon worker ``w``
+    and yield the workers.
 
     The workers inherit the target, so only commands and results cross
     the pipes.  On exit every pipe is closed and every worker joined; on
@@ -942,8 +920,8 @@ def _forked(groups: list[_Group], windows, counter):
     ctx = multiprocessing.get_context("fork")
     ends, workers = [], []
     try:
-        for group in groups:
-            workers.append(_Worker(ctx, group, windows, counter, ends))
+        for w in range(n_workers):
+            workers.append(_Worker(ctx, chains[w::n_workers], windows, ends))
         yield workers
     except BaseException:
         for worker in workers:
@@ -954,13 +932,6 @@ def _forked(groups: list[_Group], windows, counter):
             end.close()
         for worker in workers:
             worker.process.join()
-
-
-def _round_robin(streams, n: int):
-    """``n`` items taken from ``streams`` in turn: item ``c`` comes from
-    stream ``c mod len(streams)``."""
-    for c in range(n):
-        yield next(streams[c % len(streams)])
 
 
 def sample(target, config: SamplerConfig,
@@ -994,42 +965,34 @@ def sample(target, config: SamplerConfig,
     elif len(param_names) != dim:
         raise ValidationError("param_names length must equal target dim")
 
-    counted = _CountingTarget(target)
     rngs = spawn(config.seed, config.chains)
     starts = [base + rngs[c].uniform(-_JITTER, _JITTER, dim)
               for c in range(config.chains)]
     metric = _Metric(np.ones(dim))
-    chains = [_Chain(counted, config, rngs[c], starts[c], metric)
+    chains = [_Chain(target, config, rngs[c], starts[c], metric)
               for c in range(config.chains)]
     initial_step_sizes = np.array([chain.initial_eps for chain in chains])
 
     draws = np.empty((config.chains, config.draws, dim))
     divergent = np.empty((config.chains, config.draws), dtype=bool)
     accept = np.empty((config.chains, config.draws))
-    step_sizes = np.empty(config.chains)
     windows = _mass_windows(config.warmup)
     n_workers = min(config.chains, _usable_cpus()) if config.chains > 1 else 1
-    groups = [_Group(chains[w::n_workers]) for w in range(n_workers)]
-    with (_forked(groups, windows, counted) if n_workers > 1
-          else contextlib.nullcontext([])) as workers:
-        # Each worker, or with one worker the group itself, serves group
-        # w's chains; their items are taken back in chain order.
-        runners = workers or groups
+    with (_forked(chains, n_workers, windows) if n_workers > 1
+          else contextlib.nullcontext(chains)) as units:
+        # Chain c runs in unit c mod len(units): itself when the chains run
+        # here, else its worker, which answers for its chains in order.
+        runners = [units[c % len(units)] for c in range(config.chains)]
         for start, end in windows:
             moments = _PooledMoments(dim)
-            for block in _round_robin(
-                    [runner.blocks(start, end) for runner in runners],
-                    config.chains):
-                moments.merge(block)
-            metric = moments.metric()
             for runner in runners:
-                runner.adopt(metric)
-        rows = list(zip(draws, divergent, accept))
-        step_sizes[:] = list(_round_robin(
-            [runner.finish(rows[w::n_workers])
-             for w, runner in enumerate(runners)], config.chains))
-        n_grad = counted.calls + sum(worker.grad_calls()
-                                     for worker in workers)
+                moments.merge(runner.block(start, end))
+            metric = moments.metric()
+            for unit in units:
+                unit.adopt(metric)
+        step_sizes, calls = zip(*[
+            runner.draw(*row)
+            for runner, row in zip(runners, zip(draws, divergent, accept))])
 
     header = config.to_dict()
     if _openblas_threads() is None:
@@ -1037,7 +1000,7 @@ def sample(target, config: SamplerConfig,
     trace = PosteriorTrace(
         draws=draws,
         divergent=divergent,
-        step_sizes=step_sizes,
+        step_sizes=np.array(step_sizes),
         initial_step_sizes=initial_step_sizes,
         mass_diag=np.tile(metric.diagonal(), (config.chains, 1)),
         param_names=tuple(param_names),
@@ -1046,7 +1009,7 @@ def sample(target, config: SamplerConfig,
     )
     # Diagnostics.mean_accept is the mean of the per-chain means.
     mean_accept = float(np.mean([row.mean() for row in accept]))
-    return trace, compute_diagnostics(trace, mean_accept, n_grad)
+    return trace, compute_diagnostics(trace, mean_accept, sum(calls))
 
 
 def compute_diagnostics(trace: PosteriorTrace, mean_accept: float = math.nan,

@@ -19,7 +19,7 @@ from churnpool.cli import main
 from churnpool.conformal import CalibrationResult
 from churnpool.data import (generate_hierarchical_population, load_collection,
                             save_collection)
-from churnpool.errors import DataError
+from churnpool.errors import DataError, ValidationError
 from churnpool.gbdt import TreeEnsemble, TreeNode
 from churnpool.hier_model import param_names
 from churnpool.nuts import PosteriorTrace
@@ -303,6 +303,27 @@ class TestTraceContainer:
             header[key][1] = bad
         path.write_bytes(_container(header, payload))
         with pytest.raises(DataError, match="finite"):
+            PosteriorTrace.load(path)
+        assert _calibrate(calibrate_dir) == 4
+
+    @pytest.mark.parametrize("chains, draws", [(3, 0), (0, 4)],
+                             ids=["no-draw", "no-chain"])
+    def test_empty_trace_rejected(self, chains, draws):
+        with pytest.raises(ValidationError, match="one chain and one draw"):
+            PosteriorTrace(draws=np.zeros((chains, draws, 2)),
+                           divergent=np.zeros((chains, draws), bool),
+                           step_sizes=np.full(chains, 0.5),
+                           initial_step_sizes=np.ones(chains),
+                           mass_diag=np.ones((chains, 2)),
+                           param_names=("a", "b"), seed=0)
+
+    def test_zero_draw_container_is_data_error(self, calibrate_dir):
+        # calibrate and predict would index past the end of no draws.
+        path, header, _ = _accepted_trace(calibrate_dir)
+        header["draws"] = 0
+        header["divergent_draws"] = [[], [], []]
+        path.write_bytes(_container(header, b""))
+        with pytest.raises(DataError, match="one draw"):
             PosteriorTrace.load(path)
         assert _calibrate(calibrate_dir) == 4
 

@@ -606,7 +606,7 @@ class TestEvaluate:
         assert len(lines) == 1 + 18  # header + 3 entities x 2 folds x 3 methods
 
     def test_baseline_convergence_failures_exit_ok(self, tmp_path, monkeypatch):
-        def fail(train, C=1.0):
+        def fail(X, y, C=1.0):
             raise ConvergenceError("no convergence (forced)")
 
         monkeypatch.setattr(evaluate, "fit_logreg_l2", fail)
@@ -725,6 +725,32 @@ class TestConfig:
         bad.write_text(f"[{section}]\n{key} = {value}\n")
         assert main(["--config", str(bad), "--out", str(tmp_path),
                      *command]) == 2
+
+    @pytest.mark.parametrize("section", ["hierarchial", "DEFAULT"])
+    def test_unknown_section_rejected(self, tmp_path, capsys, section):
+        # A misspelt section would otherwise drop every key under it, and
+        # [DEFAULT]'s keys would reach only the sections that the file has.
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[{section}]\nchains = 3\n")
+        assert main(["--config", str(bad), "--out", str(tmp_path),
+                     "gen-data"]) == 2
+        assert f"unknown section [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "smes").exists()
+
+    @pytest.mark.parametrize("content", [
+        b"chains = 3\n",
+        b"[hierarchical]\nchains = 3\nchains = 4\n",
+        b"[run]\nseed = 1\n[run]\nfolds = 2\n",
+        b"[run]\nlabel_column = 50%\n",
+        b"[run]\nlabel_column = churn\xff\n",
+    ], ids=["no-section-header", "duplicate-key", "duplicate-section",
+            "bare-percent", "not-utf8"])
+    def test_malformed_file_is_config_error(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(content)
+        assert main(["--config", str(bad), "--out", str(tmp_path),
+                     "gen-data"]) == 2
+        assert f"malformed config file {bad}" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.ini"),

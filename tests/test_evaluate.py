@@ -43,7 +43,7 @@ class TestLogregL2:
         # the intercept's loss gradient still exceeds the absolute
         # convergence tolerance.
         ds = _toy_dataset(n=200, seed=1)
-        coefs = fit_logreg_l2(ds, C=1e-5)
+        coefs = fit_logreg_l2(ds.features, ds.labels, C=1e-5)
         rate = ds.labels.mean()
         assert np.max(np.abs(coefs[:-1])) < 1e-3
         assert coefs[-1] == pytest.approx(math.log(rate / (1 - rate)),
@@ -70,7 +70,7 @@ class TestLogregL2:
         collection, _ = generate_hierarchical_population(
             p=10, J=12, n_per=160, mu_scale=0.5, sigma_true=0.5, seed=seed)
         X, y = collection.X, collection.y
-        coefs = fit_logreg_l2(Dataset(X, y, collection.feature_names), C=1.0)
+        coefs = fit_logreg_l2(X, y, C=1.0)
         X1 = np.column_stack([X, np.ones(y.size)])
         probs = 1.0 / (1.0 + np.exp(-(X1 @ coefs)))
         grad = np.append(coefs[:-1], 0.0) + X1.T @ (probs - y)
@@ -86,25 +86,21 @@ class TestLogregL2:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(50, 2))
         y = (X[:, 0] + X[:, 1] > 0).astype(int)
-        ds = Dataset(X, y, ("a", "b"))
-        mine = fit_logreg_l2(ds, C=1.0)
+        mine = fit_logreg_l2(X, y, C=1.0)
         reference = damped_newton_logreg(X, y, C=1.0)
         np.testing.assert_allclose(mine, reference, atol=1e-6)
 
     def test_duplication_equals_doubled_c(self):
         ds = _toy_dataset(n=70, seed=6)
-        doubled_rows = Dataset(np.vstack([ds.features, ds.features]),
-                               np.concatenate([ds.labels, ds.labels]),
-                               ds.feature_names)
-        a = fit_logreg_l2(doubled_rows, C=1.0)
-        b = fit_logreg_l2(ds, C=2.0)
+        a = fit_logreg_l2(np.vstack([ds.features, ds.features]),
+                          np.concatenate([ds.labels, ds.labels]), C=1.0)
+        b = fit_logreg_l2(ds.features, ds.labels, C=2.0)
         np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_single_class_rejected(self):
-        ds = Dataset(np.random.default_rng(7).normal(size=(10, 2)),
-                     np.ones(10, dtype=int), ("a", "b"))
-        with pytest.raises(ValidationError):
-            fit_logreg_l2(ds)
+        with pytest.raises(ValidationError, match="single class"):
+            fit_logreg_l2(np.random.default_rng(7).normal(size=(10, 2)),
+                          np.ones(10, dtype=int))
 
 
 class TestAuc:
@@ -445,11 +441,11 @@ class TestRunExperiment:
                                      draws=100)
         config = ExperimentConfig(folds=2, alpha=0.2)
 
-        def fit_failing_on_pooled(train, C=1.0):
+        def fit_failing_on_pooled(X, y, C=1.0):
             # Entity training folds hold 15 rows; the pooled fold holds 45.
-            if train.n > 30:
+            if y.size > 30:
                 raise ConvergenceError("no convergence (forced)")
-            return fit_logreg_l2(train, C)
+            return fit_logreg_l2(X, y, C)
 
         monkeypatch.setattr(evaluate, "fit_logreg_l2", fit_failing_on_pooled)
         report = run_experiment(collection, model, config, seed=4)
@@ -503,9 +499,9 @@ class TestRunExperiment:
 
         baseline_fits = []
 
-        def recording_baseline(train, C=1.0):
-            baseline_fits.append(train)
-            return fit_logreg_l2(train, C)
+        def recording_baseline(X, y, C=1.0):
+            baseline_fits.append(X)
+            return fit_logreg_l2(X, y, C)
 
         monkeypatch.setattr(evaluate.HierarchicalLogistic, "fit",
                             recording_fit)
@@ -534,10 +530,10 @@ class TestRunExperiment:
                 [15, 10, 15, 15] if protocol == "refit" else [30, 10, 30, 30])
         # Each fold's pooled baseline sees the rows a refit sees: the other
         # fold of every split entity and all of the lone rows.
-        pooled = [train for train in baseline_fits if train.n > 15]
-        assert [train.n for train in pooled] == [55, 55]
-        for train in pooled:
-            rows = train.features.tolist()
+        pooled = [X for X in baseline_fits if X.shape[0] > 15]
+        assert [X.shape[0] for X in pooled] == [55, 55]
+        for X in pooled:
+            rows = X.tolist()
             assert all(row in rows for row in lone.features.tolist())
 
     def test_leave_one_out_entity(self, monkeypatch):
@@ -552,9 +548,9 @@ class TestRunExperiment:
         collection = SMECollection((*smes, pair), (*population.ids, "pair"))
         baseline_fits = []
 
-        def recording_fit(train, C=1.0):
-            baseline_fits.append(train)
-            return fit_logreg_l2(train, C)
+        def recording_fit(X, y, C=1.0):
+            baseline_fits.append(X)
+            return fit_logreg_l2(X, y, C)
 
         monkeypatch.setattr(evaluate, "fit_logreg_l2", recording_fit)
         model = HierarchicalLogistic(
@@ -571,10 +567,10 @@ class TestRunExperiment:
         assert report.n_evaluations == 6
         assert report.conformal["n"] == 90
         assert "pair" not in report.conformal["per_entity_coverage"]
-        pooled = [train for train in baseline_fits if train.n == 46]
+        pooled = [X for X in baseline_fits if X.shape[0] == 46]
         assert len(pooled) == 2
-        held = [[row.tolist() in train.features.tolist()
-                 for row in pair.features] for train in pooled]
+        held = [[row.tolist() in X.tolist() for row in pair.features]
+                for X in pooled]
         assert sorted(held) == [[False, True], [True, False]]
 
 

@@ -442,23 +442,6 @@ class TestGradientCount:
             sample(target, config)
         assert calls[0] == 0
 
-    def test_counter_leaves_trace_unchanged(self, tmp_path, monkeypatch):
-        config = SamplerConfig(chains=2, warmup=150, draws=100, seed=4)
-        sample(self._counting_target()[0], config)[0].save(
-            tmp_path / "counted.bin")
-
-        class Uncounted:
-            def __init__(self, target):
-                self.dim = target.dim
-                self.calls = 0
-                self.logp_and_grad = target.logp_and_grad
-
-        monkeypatch.setattr(nuts, "_CountingTarget", Uncounted)
-        sample(self._counting_target()[0], config)[0].save(
-            tmp_path / "plain.bin")
-        assert ((tmp_path / "counted.bin").read_bytes()
-                == (tmp_path / "plain.bin").read_bytes())
-
 
 class _WorkerFailure(Exception):
     """Raised by a target only when it runs in a forked worker."""
@@ -513,15 +496,30 @@ class TestWorkers:
                                          seed=1))
         assert multiprocessing.active_children() == []
 
+    def test_draw_phase_worker_failure_keeps_its_type(self, monkeypatch):
+        # Finite only in this process: the chains start, then every
+        # integrator step in a worker diverges, and each worker's draw
+        # raises.
+        parent = os.getpid()
+
+        def grad(q):
+            return -q if os.getpid() == parent else np.full(2, np.nan)
+
+        monkeypatch.setattr(nuts, "_usable_cpus", lambda: 2)
+        target = FunctionTarget(2, lambda q: float(-0.5 * q @ q), grad)
+        with pytest.raises(DiagnosticError,
+                           match="every warmup iteration diverged"):
+            sample(target, SamplerConfig(chains=2, warmup=150, draws=10,
+                                         seed=1))
+        assert multiprocessing.active_children() == []
+
     def test_worker_exits_when_parent_end_closes(self):
         config = SamplerConfig(chains=1, warmup=150, draws=10, seed=1)
-        counted = nuts._CountingTarget(gaussian_target([0.0], [1.0]))
-        chain = _Chain(counted, config, default_rng(1), np.zeros(1),
-                       _Metric(np.ones(1)))
+        chain = _Chain(gaussian_target([0.0], [1.0]), config, default_rng(1),
+                       np.zeros(1), _Metric(np.ones(1)))
         windows = nuts._mass_windows(config.warmup)
-        with nuts._forked([nuts._Group([chain])], windows,
-                          counted) as (worker,):
-            next(worker.blocks(*windows[0]))
+        with nuts._forked([chain], 1, windows) as (worker,):
+            worker.block(*windows[0])
             # The worker now waits for the window's metric.
             worker.conn.close()
             worker.process.join(timeout=60)

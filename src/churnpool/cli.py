@@ -198,11 +198,9 @@ class RunConfig:
         for key in ("mu_scale", "sigma_true"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite")
-        sampler = self.hier_params()
-        del sampler["tau"]
         try:
-            GradientBoostedTrees(**self.gbdt_params())._check_params()
-            SamplerConfig(**sampler).validate()
+            self.gbdt().validate()
+            self.sampler().validate()
             ExperimentConfig(**self.experiment_params()).validate()
         except ValidationError as exc:
             raise ConfigError(str(exc)) from None
@@ -211,30 +209,22 @@ class RunConfig:
         return {section: {key: getattr(self, key) for key in keys}
                 for section, keys in self._SECTIONS.items()}
 
-    def gbdt_params(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.tree_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "l2_leaf": self.l2_regularization,
-            "row_subsample": self.subsample_ratio,
-            "feature_subsample": self.feature_subsample_ratio,
-            "early_stopping_rounds": self.early_stopping_rounds,
-            "seed": self.seed,
-        }
+    def gbdt(self) -> GradientBoostedTrees:
+        return GradientBoostedTrees(
+            iterations=self.iterations, learning_rate=self.learning_rate,
+            max_depth=self.tree_depth, min_samples_leaf=self.min_samples_leaf,
+            l2_leaf=self.l2_regularization, row_subsample=self.subsample_ratio,
+            feature_subsample=self.feature_subsample_ratio,
+            early_stopping_rounds=self.early_stopping_rounds, seed=self.seed)
 
-    def hier_params(self) -> dict:
-        return {
-            "tau": self.tau,
-            "chains": self.chains,
-            "warmup": self.warmup_iterations,
-            "draws": self.sampling_iterations,
-            "target_accept": self.target_accept_rate,
-            "max_tree_depth": self.max_tree_depth,
-            "divergence_energy_threshold": self.divergence_threshold,
-            "seed": self.seed,
-        }
+    def sampler(self) -> SamplerConfig:
+        return SamplerConfig(
+            chains=self.chains, warmup=self.warmup_iterations,
+            draws=self.sampling_iterations,
+            target_accept=self.target_accept_rate,
+            max_tree_depth=self.max_tree_depth,
+            divergence_energy_threshold=self.divergence_threshold,
+            seed=self.seed)
 
     def experiment_params(self) -> dict:
         return {"folds": self.folds, "l2_c": self.l2_c,
@@ -328,7 +318,7 @@ def cmd_pretrain(config: RunConfig, args) -> int:
     val_std = apply_standardization(corpus.subset(np.flatnonzero(val)), stats)
     del corpus  # the fit reads only the standardized rows
 
-    model = GradientBoostedTrees(**config.gbdt_params())
+    model = config.gbdt()
     model.fit(train_std.features, train_std.labels, val_std.features,
               val_std.labels, feature_names=train_std.feature_names)
     model.ensemble_.save(model_path)
@@ -401,7 +391,7 @@ def cmd_fit(config: RunConfig, args) -> int:
         cal[rows] = stratified_split(collection.y[rows],
                                      config.calibration_split, config.seed + j)
 
-    model = HierarchicalLogistic(prior=prior, **config.hier_params())
+    model = HierarchicalLogistic(prior, config.tau, config.sampler())
     try:
         model.fit(collection.take(~cal))
     except DiagnosticError as exc:
@@ -469,7 +459,7 @@ def _load_prediction_rows(path: Path, feature_names, tag_column: str):
             features.append([float(row[k]) for k in idx])
         except ValueError as exc:
             raise DataError(f"{path}: data row {i + 1}: {exc}") from None
-        tags.append(row[tag_idx] if tag_idx is not None else None)
+        tags.append(row[tag_idx].strip() if tag_idx is not None else None)
     if not features:
         raise DataError(f"{path} has no customer rows")
     return np.asarray(features, dtype=np.float64), tags
@@ -479,14 +469,14 @@ def cmd_predict(config: RunConfig, args) -> int:
     out = Path(args.out)
     pred_path = out / "predictions.csv"
     _check_force([pred_path], args.force)
+    if args.customers is None:
+        raise ConfigError("predict requires --customers CSV")
 
     trace = PosteriorTrace.load(_require(out / "trace.bin", "trace artifact"))
     calibration = CalibrationResult.load(
         _require(out / "calibration.json", "calibration artifact"))
     collection = load_collection(_require(out / "smes", "entity collection"))
     check_trace_collection(trace, collection)
-    if args.customers is None:
-        raise ConfigError("predict requires --customers CSV")
     X, tags = _load_prediction_rows(Path(args.customers),
                                     collection.feature_names,
                                     config.tag_column)
@@ -519,8 +509,8 @@ def cmd_evaluate(config: RunConfig, args) -> int:
     _check_force([report_path, rows_path], args.force)
 
     collection = load_collection(_require(out / "smes", "entity collection"))
-    model = HierarchicalLogistic(prior=_load_prior(out, args.weak_prior),
-                                 **config.hier_params())
+    model = HierarchicalLogistic(_load_prior(out, args.weak_prior),
+                                 config.tau, config.sampler())
     experiment = ExperimentConfig(**config.experiment_params(),
                                   protocol=args.protocol)
     report = run_experiment(collection, model, experiment, config.seed)
@@ -630,7 +620,8 @@ def main(argv=None) -> int:
     except DiagnosticError as exc:
         print(f"diagnostic failure: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
-    except (DataError, ValidationError) as exc:
+    except (DataError, ValidationError, OSError) as exc:
+        # OSError: artifact I/O (a lost sampler worker is a RuntimeError)
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -28,6 +28,13 @@ class NotFittedError(ChurnpoolError, RuntimeError):
     """Raised when an estimator is used before ``fit``."""
 
 
+def check_is_fitted(estimator, attribute: str) -> None:
+    """Raise :class:`NotFittedError` unless ``estimator`` has ``attribute``."""
+    if getattr(estimator, attribute, None) is None:
+        raise NotFittedError(
+            f"{type(estimator).__name__} instance is not fitted; call fit() first")
+
+
 @contextmanager
 def malformed_artifact(what: str):
     """Re-raise any parse failure inside the block as ``DataError``.

@@ -30,7 +30,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -325,8 +325,8 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
                         + "; ".join(flags))
 
     def fit_hier(train_collection: SMECollection, fit_seed: int):
-        params = {**model.get_params(), "seed": fit_seed}
-        return type(model)(**params).fit(train_collection)
+        sampler = replace(model.sampler, seed=fit_seed)
+        return replace(model, sampler=sampler).fit(train_collection)
 
     # fits holds the distinct hierarchical fits, by_fold[k] the one that
     # scores fold k.

@@ -34,13 +34,12 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .base import BaseEstimator, check_is_fitted
-from .errors import ValidationError, malformed_artifact
+from .errors import ValidationError, check_is_fitted, malformed_artifact
 from .numerics import PROB_CLIP, binary_log_loss, sigmoid
 from .rng import default_rng
 from .validation import as_float_matrix, as_name_tuple, check_binary_labels
@@ -298,11 +297,12 @@ def _grow_tree(X: np.ndarray, r: np.ndarray, rows: np.ndarray,
                     left=left, right=right, gain=best_gain, cover=n)
 
 
-class GradientBoostedTrees(BaseEstimator):
+@dataclass(eq=False)
+class GradientBoostedTrees:
     """Boosted-tree classifier with validation early stopping.
 
-    Parameters
-    ----------
+    Fields
+    ------
     iterations : int
         Maximum number of boosting rounds.
     learning_rate : float
@@ -318,28 +318,27 @@ class GradientBoostedTrees(BaseEstimator):
         replacement, features per tree.
     early_stopping_rounds : int
         Stop after this many consecutive rounds without validation
-        improvement; the returned ensemble is truncated at the best round.
+        improvement; the fitted ensemble is truncated at the best round.
     seed : int
         Subsampling seed.
+
+    ``fit`` sets ``ensemble_``, ``best_iteration_`` and the per-round
+    ``train_log_loss_`` and ``val_log_loss_``.
     """
 
-    def __init__(self, iterations: int = 1000, learning_rate: float = 0.03,
-                 max_depth: int = 6, min_samples_leaf: int = 20,
-                 l2_leaf: float = 3.0, row_subsample: float = 0.8,
-                 feature_subsample: float = 0.8,
-                 early_stopping_rounds: int = 50, seed: int = 0):
-        self.iterations = iterations
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.l2_leaf = l2_leaf
-        self.row_subsample = row_subsample
-        self.feature_subsample = feature_subsample
-        self.early_stopping_rounds = early_stopping_rounds
-        self.seed = seed
-        self.ensemble_: TreeEnsemble | None = None
+    iterations: int = 1000
+    learning_rate: float = 0.03
+    max_depth: int = 6
+    min_samples_leaf: int = 20
+    l2_leaf: float = 3.0
+    row_subsample: float = 0.8
+    feature_subsample: float = 0.8
+    early_stopping_rounds: int = 50
+    seed: int = 0
+    ensemble_: TreeEnsemble | None = field(default=None, init=False,
+                                           repr=False)
 
-    def _check_params(self):
+    def validate(self) -> None:
         for name in ("iterations", "learning_rate", "max_depth",
                      "min_samples_leaf", "l2_leaf", "early_stopping_rounds"):
             if getattr(self, name) <= 0:
@@ -350,7 +349,7 @@ class GradientBoostedTrees(BaseEstimator):
                 raise ValidationError(f"{name} must be in (0, 1], got {value}")
 
     def fit(self, X, y, X_val, y_val, feature_names=None) -> "GradientBoostedTrees":
-        self._check_params()
+        self.validate()
         X = as_float_matrix(X)
         y = check_binary_labels(y).astype(np.float64)
         X_val = as_float_matrix(X_val, "X_val")
@@ -437,11 +436,6 @@ class GradientBoostedTrees(BaseEstimator):
     def predict_proba(self, X):
         check_is_fitted(self, "ensemble_")
         return self.ensemble_.predict_proba(X)
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        check_is_fitted(self, "ensemble_")
-        return feature_importance(self.ensemble_)
 
 
 def feature_importance(ensemble: TreeEnsemble) -> np.ndarray:

@@ -18,13 +18,13 @@ the log transform), so independent evaluations can match it exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .base import BaseEstimator, check_is_fitted
 from .data import SMECollection
-from .errors import ConvergenceError, DataError, ValidationError
+from .errors import (ConvergenceError, DataError, ValidationError,
+                     check_is_fitted)
 from .logreg import fit_penalized_logreg
 from .numerics import sigmoid
 from .nuts import Diagnostics, PosteriorTrace, SamplerConfig, sample
@@ -432,43 +432,37 @@ def shrinkage_report(trace: PosteriorTrace, data: HierData) -> ShrinkageReport:
 # Estimator wrapper
 # ---------------------------------------------------------------------------
 
-class HierarchicalLogistic(BaseEstimator):
+@dataclass(eq=False)
+class HierarchicalLogistic:
     """Hierarchical Bayesian logistic regression fitted with NUTS.
 
-    Parameters are the transfer prior and the sampler configuration.  The
-    prior is a ``PriorSpec``-shaped object (``beta0``/``sigma0_diag``
-    vectors over the features) or None for the weak prior (zeros and
-    ones).  A constant-1 intercept feature is always appended, with the
-    prior entry of :meth:`HierHyper.from_prior`.
+    ``prior`` is a ``PriorSpec``-shaped transfer prior (``beta0`` and
+    ``sigma0_diag`` over the features), or None for the weak prior (zeros
+    and ones); a constant-1 intercept feature is always appended, with the
+    prior entry of :meth:`HierHyper.from_prior`.  ``tau`` is the
+    HalfNormal scale of the population deviation.  ``sampler`` holds the
+    NUTS settings but no ``init_point``: ``fit`` sets that to
+    :meth:`HierTarget.init_point`.  ``fit`` sets ``trace_`` and
+    ``diagnostics_``; ``dataclasses.replace`` gives an unfitted clone.
     """
 
-    def __init__(self, prior=None, tau: float = 2.0, chains: int = 4,
-                 warmup: int = 1000, draws: int = 2000,
-                 target_accept: float = 0.90, max_tree_depth: int = 10,
-                 divergence_energy_threshold: float = 1000.0, seed: int = 0):
-        self.prior = prior
-        self.tau = tau
-        self.chains = chains
-        self.warmup = warmup
-        self.draws = draws
-        self.target_accept = target_accept
-        self.max_tree_depth = max_tree_depth
-        self.divergence_energy_threshold = divergence_energy_threshold
-        self.seed = seed
-        self.trace_: PosteriorTrace | None = None
-        self.diagnostics_: Diagnostics | None = None
+    prior: object = None
+    tau: float = 2.0
+    sampler: SamplerConfig = field(default_factory=SamplerConfig)
+    trace_: PosteriorTrace | None = field(default=None, init=False,
+                                          repr=False)
+    diagnostics_: Diagnostics | None = field(default=None, init=False,
+                                             repr=False)
 
     def fit(self, collection: SMECollection) -> "HierarchicalLogistic":
+        if self.sampler.init_point is not None:
+            raise ValidationError("the sampler's init_point must be unset: "
+                                  "fit starts the chains itself")
         data = HierData.from_collection(collection)
         hyper = HierHyper.from_prior(self.prior, collection.feature_names,
                                      self.tau)
         target = HierTarget(data, hyper)
-        config = SamplerConfig(
-            chains=self.chains, warmup=self.warmup, draws=self.draws,
-            target_accept=self.target_accept,
-            max_tree_depth=self.max_tree_depth,
-            divergence_energy_threshold=self.divergence_energy_threshold,
-            seed=self.seed, init_point=target.init_point())
+        config = replace(self.sampler, init_point=target.init_point())
         self.trace_, self.diagnostics_ = sample(target, config,
                                                 param_names=target.names())
         return self

@@ -834,6 +834,16 @@ def _serve(chains: list[_Chain], windows, conn, parent_ends) -> None:
 _WORKER_GONE = "a sampler worker exited unexpectedly"
 
 
+@contextlib.contextmanager
+def _worker_failure(message: str = _WORKER_GONE):
+    """Raise a pipe that ends or breaks, or a fork that fails, as the
+    sampler's ``RuntimeError``, not as an ``OSError`` of artifact I/O."""
+    try:
+        yield
+    except (EOFError, OSError) as exc:
+        raise RuntimeError(message) from exc
+
+
 class _Worker:
     """Parent side of a forked process that runs some chains.
 
@@ -853,10 +863,8 @@ class _Worker:
         child_end.close()
 
     def _reply(self):
-        try:
+        with _worker_failure():
             reply = self.conn.recv()
-        except EOFError:
-            raise RuntimeError(_WORKER_GONE) from None
         if isinstance(reply, BaseException):
             raise reply
         return reply
@@ -865,11 +873,12 @@ class _Worker:
         """Read ``_send_array``'s bytes straight into the contiguous
         ``out``, with no intermediate copy."""
         view = memoryview(out).cast("B")
-        while view:
-            size = os.readv(self.conn.fileno(), [view])
-            if not size:
-                raise RuntimeError(_WORKER_GONE)
-            view = view[size:]
+        with _worker_failure():
+            while view:
+                size = os.readv(self.conn.fileno(), [view])
+                if not size:
+                    raise RuntimeError(_WORKER_GONE)
+                view = view[size:]
 
     def block(self, start: int, end: int) -> np.ndarray:
         self._reply()
@@ -878,7 +887,8 @@ class _Worker:
         return block
 
     def adopt(self, metric: _Metric) -> None:
-        self.conn.send((metric.diag, metric.u, metric.lam))
+        with _worker_failure():
+            self.conn.send((metric.diag, metric.u, metric.lam))
 
     def draw(self, draws: np.ndarray, divergent: np.ndarray,
              accept: np.ndarray) -> tuple[float, int]:
@@ -920,8 +930,10 @@ def _forked(chains: list[_Chain], n_workers: int, windows):
     ctx = multiprocessing.get_context("fork")
     ends, workers = [], []
     try:
-        for w in range(n_workers):
-            workers.append(_Worker(ctx, chains[w::n_workers], windows, ends))
+        with _worker_failure("cannot start a sampler worker"):
+            for w in range(n_workers):
+                workers.append(_Worker(ctx, chains[w::n_workers], windows,
+                                       ends))
         yield workers
     except BaseException:
         for worker in workers:

@@ -57,7 +57,7 @@ def _shapley_order_weights(d: int) -> np.ndarray:
                      / math.factorial(d) for s in range(d)])
 
 
-# Element budget of one temporary in the batched table DP (2 MiB of float64).
+# Element budget of one table DP pass's prefix and suffix products (2 MiB).
 _CHUNK_CELLS = 1 << 18
 
 
@@ -118,13 +118,15 @@ def _attribution_tables(q: np.ndarray, value: np.ndarray) -> np.ndarray:
 def _set_tables(games: list[_LeafGame], learning_rate: float) -> None:
     """Give every game its table times ``learning_rate``, stored transposed
     as (d, 2**d): row k holds path feature k's attribution per presence
-    pattern.  Leaves of equal d share one DP pass, chunked so that no
-    temporary exceeds ``_CHUNK_CELLS`` elements."""
+    pattern.  Leaves of equal d share one DP pass, chunked so that the
+    d + 1 prefix and d + 1 suffix products it keeps alive, 2**d * (d + 1)
+    * (d + 2) elements per leaf, fit in ``_CHUNK_CELLS``; the table and
+    the loop's temporaries add about 3 * 2**d * d per leaf."""
     by_depth: dict[int, list[_LeafGame]] = {}
     for game in games:
         by_depth.setdefault(game.q.size, []).append(game)
     for d, group in by_depth.items():
-        chunk = max(1, _CHUNK_CELLS // ((1 << d) * (d + 1)))
+        chunk = max(1, _CHUNK_CELLS // ((1 << d) * (d + 1) * (d + 2)))
         for start in range(0, len(group), chunk):
             part = group[start:start + chunk]
             tables = learning_rate * _attribution_tables(

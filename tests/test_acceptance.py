@@ -49,8 +49,9 @@ def flagship_experiment():
     collection, _ = generate_hierarchical_population(
         FLAGSHIP["p"], FLAGSHIP["J"], FLAGSHIP["n_per"],
         FLAGSHIP["mu_scale"], FLAGSHIP["sigma_true"], FLAGSHIP_SEED)
-    model = HierarchicalLogistic(prior=_weak_prior(FLAGSHIP["p"]),
-                                 chains=4, warmup=2000, draws=4000)
+    model = HierarchicalLogistic(
+        prior=_weak_prior(FLAGSHIP["p"]),
+        sampler=SamplerConfig(chains=4, warmup=2000, draws=4000))
     config = ExperimentConfig(folds=5, alpha=0.10, protocol="fit-once")
     return run_experiment(collection, model, config, FLAGSHIP_SEED)
 

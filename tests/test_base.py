@@ -1,34 +1,38 @@
-"""Estimator protocol: parameter introspection and fitted-state guards."""
+"""Estimator protocol: dataclass settings, cloning and fitted-state guards."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from churnpool.base import check_is_fitted
-from churnpool.errors import NotFittedError
+from churnpool.errors import NotFittedError, check_is_fitted
 from churnpool.gbdt import GradientBoostedTrees
 from churnpool.hier_model import HierarchicalLogistic
+from churnpool.nuts import SamplerConfig
 
 
-def test_get_params_round_trip():
+def test_replace_round_trip():
     model = GradientBoostedTrees(iterations=50, learning_rate=0.1, seed=3)
-    params = model.get_params()
-    assert params["iterations"] == 50
-    clone = GradientBoostedTrees(**params)
-    assert clone.get_params() == params
+    clone = replace(model, seed=4)
+    assert (clone.iterations, clone.learning_rate, clone.seed) == (50, 0.1, 4)
+    assert repr(replace(clone, seed=3)) == repr(model)
 
 
-def test_set_params_chains():
-    model = HierarchicalLogistic()
-    model.set_params(chains=2, warmup=1500)
-    assert model.chains == 2 and model.warmup == 1500
-    with pytest.raises(ValueError, match="unknown parameter"):
-        model.set_params(bogus=1)
+def test_replace_clones_unfitted():
+    model = HierarchicalLogistic(tau=1.5, sampler=SamplerConfig(chains=2))
+    model.trace_ = object()
+    clone = replace(model, sampler=replace(model.sampler, seed=9))
+    assert clone.trace_ is None and clone.diagnostics_ is None
+    assert (clone.tau, clone.sampler.chains, clone.sampler.seed) == (1.5, 2, 9)
+    assert model.sampler.seed == 0
 
 
 def test_repr_shows_params():
     text = repr(GradientBoostedTrees(iterations=5))
-    assert text.startswith("GradientBoostedTrees(")
-    assert "iterations=5" in text
+    assert text == (
+        "GradientBoostedTrees(iterations=5, learning_rate=0.03, max_depth=6, "
+        "min_samples_leaf=20, l2_leaf=3.0, row_subsample=0.8, "
+        "feature_subsample=0.8, early_stopping_rounds=50, seed=0)")
 
 
 def test_unfitted_guard():
@@ -36,4 +40,3 @@ def test_unfitted_guard():
         HierarchicalLogistic().predict_proba(np.ones((2, 2)), 0)
     with pytest.raises(NotFittedError):
         check_is_fitted(GradientBoostedTrees(), "ensemble_")
-

@@ -62,6 +62,19 @@ class TestGenData:
         run(tmp_path, "gen-data", "--mode", "simulate", *SIM_ARGS)
         assert run(tmp_path, "gen-data", "--mode", "simulate", *SIM_ARGS) == 4
 
+    def test_out_naming_a_file_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("")
+        assert run(out, "gen-data", "--mode", "simulate", *SIM_ARGS) == 4
+        assert "data error" in capsys.readouterr().err
+
+    def test_manifest_that_is_a_directory_is_data_error(self, tmp_path,
+                                                        capsys):
+        (tmp_path / "smes" / "manifest.json").mkdir(parents=True)
+        assert main(["--out", str(tmp_path), "--seed", "11", "--force",
+                     "gen-data", "--mode", "simulate", *SIM_ARGS]) == 4
+        assert "data error" in capsys.readouterr().err
+
     def test_resample_mode(self, tmp_path):
         source = tmp_path / "source.csv"
         rows = ["a,b,target"]
@@ -487,8 +500,24 @@ class TestPredict:
         assert main(["--out", str(pipeline_dir), "--force", "predict",
                      "--customers", str(customers)]) == 4
 
+    def test_tags_are_stripped_and_blank_falls_back(self, pipeline_dir,
+                                                     tmp_path):
+        ids = json.loads((pipeline_dir / "smes" / "manifest.json")
+                         .read_text())["ids"]
+        customers = tmp_path / "customers.csv"
+        customers.write_text(f"x00,x01,source\n0.1,0.2, {ids[-1]} \n"
+                             f"0.3,0.4,  \n")
+        assert main(["--out", str(pipeline_dir), "--force", "predict",
+                     "--customers", str(customers), "--sme", ids[0]]) == 0
+        with (pipeline_dir / "predictions.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["sme"] for row in rows] == [ids[-1], ids[0]]
+
     def test_predict_without_artifacts(self, tmp_path):
         assert run(tmp_path, "predict", "--customers", "none.csv") == 4
+
+    def test_missing_customers_checked_before_artifacts(self, tmp_path):
+        assert run(tmp_path, "predict") == 2
 
 
 def _hand_trace(feature_names, J):

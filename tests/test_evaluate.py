@@ -22,6 +22,7 @@ from churnpool.evaluate import (ExperimentConfig, ExperimentReport, auc,
                                 student_t_sf)
 from churnpool.hier_model import HierarchicalLogistic
 from churnpool.logreg import fit_penalized_logreg
+from churnpool.nuts import SamplerConfig
 from churnpool.shap_prior import PriorSpec
 
 from _oracles import damped_newton_logreg
@@ -244,8 +245,8 @@ def tiny_report():
         p=2, J=3, n_per=40, mu_scale=1.0, sigma_true=0.4, seed=21)
     prior = PriorSpec(collection.feature_names, np.zeros(2), np.ones(2),
                       0.0, {})
-    model = HierarchicalLogistic(prior=prior, chains=2, warmup=150,
-                                 draws=200)
+    model = HierarchicalLogistic(
+        prior=prior, sampler=SamplerConfig(chains=2, warmup=150, draws=200))
     config = ExperimentConfig(folds=2, alpha=0.2)
     return run_experiment(collection, model, config, seed=5)
 
@@ -301,8 +302,9 @@ class TestRunExperiment:
             p=2, J=2, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=22)
         prior = PriorSpec(collection.feature_names, np.zeros(2), np.ones(2),
                           0.0, {})
-        model = HierarchicalLogistic(prior=prior, chains=2, warmup=120,
-                                     draws=100)
+        model = HierarchicalLogistic(
+            prior=prior,
+            sampler=SamplerConfig(chains=2, warmup=120, draws=100))
         config = ExperimentConfig(folds=2, alpha=0.2)
         a = run_experiment(collection, model, config, seed=3)
         b = run_experiment(collection, model, config, seed=3)
@@ -314,8 +316,9 @@ class TestRunExperiment:
             p=2, J=2, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=23)
         prior = PriorSpec(collection.feature_names, np.zeros(2), np.ones(2),
                           0.0, {})
-        model = HierarchicalLogistic(prior=prior, chains=2, warmup=120,
-                                     draws=100)
+        model = HierarchicalLogistic(
+            prior=prior,
+            sampler=SamplerConfig(chains=2, warmup=120, draws=100))
         config = ExperimentConfig(folds=2, alpha=0.2, protocol="refit")
         report = run_experiment(collection, model, config, seed=4)
         assert report.protocol == "refit"
@@ -333,8 +336,9 @@ class TestRunExperiment:
             p=2, J=3, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=24)
         prior = PriorSpec(collection.feature_names, np.zeros(2), np.ones(2),
                           0.0, {})
-        model = HierarchicalLogistic(prior=prior, chains=2, warmup=120,
-                                     draws=100)
+        model = HierarchicalLogistic(
+            prior=prior,
+            sampler=SamplerConfig(chains=2, warmup=120, draws=100))
         score = hier_model.posterior_predict_matrix
         calls = []
 
@@ -367,8 +371,9 @@ class TestRunExperiment:
         source = Dataset(X, y, ("a", "b", "c"))
         collection = make_synthetic_smes(source, J=6, n_per=60, seed=9)
         prior = PriorSpec(("a", "b", "c"), np.zeros(3), np.ones(3), 0.0, {})
-        model = HierarchicalLogistic(prior=prior, chains=2, warmup=600,
-                                     draws=800)
+        model = HierarchicalLogistic(
+            prior=prior,
+            sampler=SamplerConfig(chains=2, warmup=600, draws=800))
         config = ExperimentConfig(folds=2, alpha=0.2)
         report = run_experiment(collection, model, config, seed=9)
         agg = report.aggregates
@@ -385,8 +390,9 @@ class TestRunExperiment:
             raise DiagnosticError("sampler failed (forced)")
 
         monkeypatch.setattr(hier_model, "sample", failing_sample)
-        model = HierarchicalLogistic(prior=prior, chains=2, warmup=120,
-                                     draws=100)
+        model = HierarchicalLogistic(
+            prior=prior,
+            sampler=SamplerConfig(chains=2, warmup=120, draws=100))
         config = ExperimentConfig(folds=2, alpha=0.2)
         report = run_experiment(collection, model, config, seed=4)
         assert any("hierarchical stage failed" in f for f in report.flags)
@@ -400,8 +406,8 @@ class TestRunExperiment:
         # sampler rejects is the caller's error.
         collection, _ = generate_hierarchical_population(
             p=2, J=2, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=24)
-        model = HierarchicalLogistic(chains=2, warmup=120, draws=100,
-                                     max_tree_depth=0)
+        model = HierarchicalLogistic(sampler=SamplerConfig(
+            chains=2, warmup=120, draws=100, max_tree_depth=0))
         config = ExperimentConfig(folds=2, alpha=0.2)
         with pytest.raises(ValidationError, match="max_tree_depth"):
             run_experiment(collection, model, config, seed=4)
@@ -426,8 +432,9 @@ class TestRunExperiment:
             p=2, J=2, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=24)
         wrong_prior = PriorSpec(("a", "b", "c"), np.zeros(3), np.ones(3),
                                 0.0, {})
-        model = HierarchicalLogistic(prior=wrong_prior, chains=2, warmup=120,
-                                     draws=100)
+        model = HierarchicalLogistic(
+            prior=wrong_prior,
+            sampler=SamplerConfig(chains=2, warmup=120, draws=100))
         config = ExperimentConfig(folds=2, alpha=0.2)
         with pytest.raises(DataError, match="prior is over features"):
             run_experiment(collection, model, config, seed=4)
@@ -437,8 +444,9 @@ class TestRunExperiment:
             p=2, J=3, n_per=30, mu_scale=1.0, sigma_true=0.3, seed=25)
         prior = PriorSpec(collection.feature_names, np.zeros(2), np.ones(2),
                           0.0, {})
-        model = HierarchicalLogistic(prior=prior, chains=2, warmup=120,
-                                     draws=100)
+        model = HierarchicalLogistic(
+            prior=prior,
+            sampler=SamplerConfig(chains=2, warmup=120, draws=100))
         config = ExperimentConfig(folds=2, alpha=0.2)
 
         def fit_failing_on_pooled(X, y, C=1.0):
@@ -470,8 +478,9 @@ class TestRunExperiment:
         fits = []
         monkeypatch.setattr(evaluate.HierarchicalLogistic, "fit",
                             lambda self, c: fits.append(c))
-        model = HierarchicalLogistic(prior=prior, chains=2, warmup=120,
-                                     draws=100)
+        model = HierarchicalLogistic(
+            prior=prior,
+            sampler=SamplerConfig(chains=2, warmup=120, draws=100))
         config = ExperimentConfig(folds=5)
         with pytest.raises(DataError, match="no entity can be split"):
             run_experiment(collection, model, config, seed=4)
@@ -509,7 +518,7 @@ class TestRunExperiment:
         model = HierarchicalLogistic(
             prior=PriorSpec(collection.feature_names, np.zeros(2),
                             np.ones(2), 0.0, {}),
-            chains=2, warmup=120, draws=100)
+            sampler=SamplerConfig(chains=2, warmup=120, draws=100))
         report = run_experiment(
             collection, model,
             ExperimentConfig(folds=2, alpha=0.2, protocol=protocol), seed=7)
@@ -556,7 +565,7 @@ class TestRunExperiment:
         model = HierarchicalLogistic(
             prior=PriorSpec(collection.feature_names, np.zeros(2),
                             np.ones(2), 0.0, {}),
-            chains=2, warmup=120, draws=100)
+            sampler=SamplerConfig(chains=2, warmup=120, draws=100))
         report = run_experiment(collection, model,
                                 ExperimentConfig(folds=2, alpha=0.2), seed=8)
         assert [f for f in report.flags if "pair" in f] == [

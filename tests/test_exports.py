@@ -57,16 +57,44 @@ def test_benchmark_trace_patches_resolve():
     assert not missing, f"tracing.PATCHES names missing attributes {missing}"
 
 
-def test_readme_imports_resolve():
+def _readme_blocks():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"```python\n(.*?)```",
                         readme.read_text(encoding="utf-8"), flags=re.S)
     assert blocks
-    imported = [alias.name for block in blocks
-                for node in ast.walk(ast.parse(block))
-                if isinstance(node, ast.ImportFrom)
-                and node.module == "churnpool"
-                for alias in node.names]
+    return [ast.parse(block) for block in blocks]
+
+
+def _churnpool_imports(tree):
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "churnpool"
+            for alias in node.names]
+
+
+def test_readme_imports_resolve():
+    imported = [name for tree in _readme_blocks()
+                for name in _churnpool_imports(tree)]
     assert imported
     missing = [name for name in imported if not hasattr(churnpool, name)]
     assert not missing, f"README imports {missing} from churnpool"
+
+
+def test_readme_calls_bind_to_signatures():
+    # A keyword or argument count that the code no longer takes fails here.
+    bound = 0
+    for tree in _readme_blocks():
+        imported = set(_churnpool_imports(tree))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in imported):
+                continue
+            signature = inspect.signature(getattr(churnpool, node.func.id))
+            try:
+                signature.bind(*node.args, **{kw.arg: kw.value
+                                              for kw in node.keywords})
+            except TypeError as exc:
+                pytest.fail(f"README calls {ast.unparse(node)}, but "
+                            f"{node.func.id} takes {signature}: {exc}")
+            bound += 1
+    assert bound

@@ -230,7 +230,7 @@ class TestImportance:
         x = rng.normal(size=(300, 6))
         y = (x[:, 2] - x[:, 4] + rng.normal(size=300) > 0).astype(int)
         model = GradientBoostedTrees(iterations=25, seed=2).fit(x, y, x, y)
-        assert abs(model.feature_importances_.sum() - 1.0) < 1e-12
+        assert abs(feature_importance(model.ensemble_).sum() - 1.0) < 1e-12
 
     def test_dominant_feature_ranks_first(self):
         # Churn-like toy corpus where tenure carries nearly all the signal.
@@ -245,7 +245,7 @@ class TestImportance:
         names = ("frequency", "tenure_months", "age")
         model = GradientBoostedTrees(iterations=60, seed=3).fit(
             x, y, x, y, feature_names=names)
-        ranked = np.argsort(model.feature_importances_)[::-1]
+        ranked = np.argsort(feature_importance(model.ensemble_))[::-1]
         assert names[ranked[0]] == "tenure_months"
 
 

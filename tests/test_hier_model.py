@@ -551,6 +551,41 @@ class TestTransferPrior:
             HierarchicalLogistic(prior=prior).fit(collection)
 
 
+class TestEstimator:
+    def test_sampler_settings_reach_sample_with_the_model_start(
+            self, monkeypatch):
+        collection, _ = generate_hierarchical_population(
+            p=3, J=2, n_per=20, mu_scale=1.0, sigma_true=0.3, seed=31)
+        seen = []
+
+        def record(target, config, **kwargs):
+            seen.append((target, config))
+            raise _Stop
+
+        monkeypatch.setattr(hier_model, "sample", record)
+        sampler = SamplerConfig(chains=3, warmup=150, draws=40, seed=5)
+        with pytest.raises(_Stop):
+            HierarchicalLogistic(sampler=sampler).fit(collection)
+        (target, config), = seen
+        assert (config.chains, config.warmup, config.draws, config.seed) == (
+            3, 150, 40, 5)
+        np.testing.assert_array_equal(config.init_point, target.init_point())
+        assert sampler.init_point is None
+
+    def test_preset_init_point_rejected(self, monkeypatch):
+        collection, _ = generate_hierarchical_population(
+            p=3, J=2, n_per=20, mu_scale=1.0, sigma_true=0.3, seed=31)
+
+        def refuse(target, config, **kwargs):
+            raise _Stop
+
+        monkeypatch.setattr(hier_model, "sample", refuse)
+        model = HierarchicalLogistic(
+            sampler=SamplerConfig(init_point=np.zeros(12)))
+        with pytest.raises(ValidationError, match="init_point"):
+            model.fit(collection)
+
+
 class TestSimulationBasedCalibration:
     """Simulation-based calibration (Talts et al., arXiv:1804.06788).
 

@@ -526,6 +526,34 @@ class TestWorkers:
             assert worker.process.exitcode == 0
         assert multiprocessing.active_children() == []
 
+    def test_lost_worker_is_runtime_error(self):
+        # A broken pipe is the sampler's failure, not an OSError that the
+        # CLI would report as artifact I/O.
+        config = SamplerConfig(chains=1, warmup=150, draws=10, seed=1)
+        chain = _Chain(gaussian_target([0.0], [1.0]), config, default_rng(1),
+                       np.zeros(1), _Metric(np.ones(1)))
+        windows = nuts._mass_windows(config.warmup)
+        with pytest.raises(RuntimeError, match="exited unexpectedly"):
+            with nuts._forked([chain], 1, windows) as (worker,):
+                worker.block(*windows[0])
+                worker.process.terminate()
+                worker.process.join(timeout=60)
+                worker.adopt(_Metric(np.ones(1)))
+        assert multiprocessing.active_children() == []
+
+    def test_failed_fork_is_runtime_error(self, monkeypatch):
+        def refuse(self):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                            refuse)
+        config = SamplerConfig(chains=1, warmup=150, draws=10, seed=1)
+        chain = _Chain(gaussian_target([0.0], [1.0]), config, default_rng(1),
+                       np.zeros(1), _Metric(np.ones(1)))
+        with pytest.raises(RuntimeError, match="cannot start"):
+            with nuts._forked([chain], 1, nuts._mass_windows(150)):
+                pass
+
     def test_trace_independent_of_blas_threads(self, tmp_path):
         src = str(Path(churnpool.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src,

@@ -2,6 +2,7 @@
 extraction arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,35 @@ class TestTreeShap:
         ensemble = TreeEnsemble(0.0, 1.0, [_stump()], ("a", "b"))
         with pytest.raises(ValidationError):
             _shap_row(ensemble, np.array([1.0]))
+
+
+def _complete_tree(rng, depth, cover=1000.0):
+    """A complete tree whose level-k nodes all split on feature k."""
+    if depth == 6:
+        return TreeNode(value=float(rng.normal()), cover=cover)
+    left = cover * rng.uniform(0.2, 0.8)
+    return TreeNode(feature_index=depth, threshold=0.0, gain=1.0, cover=cover,
+                    left=_complete_tree(rng, depth + 1, left),
+                    right=_complete_tree(rng, depth + 1, cover - left))
+
+
+class TestTableBuildMemory:
+    def test_build_peak_near_what_the_explainer_keeps(self):
+        # 40 complete depth-6 trees: 2,560 leaves with d = 6 share one
+        # chunked DP, whose chunk must bound the prefix and suffix products
+        # it holds, not one temporary.
+        rng = np.random.default_rng(12)
+        ensemble = TreeEnsemble(0.0, 0.1, [_complete_tree(rng, 0)
+                                           for _ in range(40)], NAMES6)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            explainer = TreeShapExplainer(ensemble)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(games) for games in explainer._games) == 2560
+        assert peak - base < 1.5 * (kept - base)
 
 
 def _internal_nodes(ensemble):

@@ -25,6 +25,7 @@ import argparse
 import configparser
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -269,6 +270,14 @@ def _check_force(paths, force: bool) -> None:
             raise DataError(f"{path} exists (use --force to overwrite)")
 
 
+def _calibration_rows(collection, split: float, seed: int) -> np.ndarray:
+    """The bool row mask of the rows ``fit`` holds out for ``calibrate``:
+    entity j's stratified ``split`` of its labels under ``seed + j``."""
+    y, entity = collection.y, collection.entity
+    return np.concatenate([stratified_split(y[entity == j], split, seed + j)
+                           for j in range(collection.J)])
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -379,17 +388,12 @@ def cmd_fit(config: RunConfig, args) -> int:
     trace_path = out / "trace.bin"
     diag_path = out / "diagnostics.json"
     meta_path = out / "fit_meta.json"
-    calib_dir = out / "calibration_data"
     _check_force([trace_path, diag_path, meta_path], args.force)
 
     collection = load_collection(_require(out / "smes", "entity collection"))
     prior = _load_prior(out, args.weak_prior)
 
-    cal = np.zeros(collection.y.size, dtype=bool)
-    for j in range(collection.J):
-        rows = collection.entity == j
-        cal[rows] = stratified_split(collection.y[rows],
-                                     config.calibration_split, config.seed + j)
+    cal = _calibration_rows(collection, config.calibration_split, config.seed)
 
     model = HierarchicalLogistic(prior, config.tau, config.sampler())
     try:
@@ -397,8 +401,6 @@ def cmd_fit(config: RunConfig, args) -> int:
     except DiagnosticError as exc:
         print(f"sampling failed: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
-    # Only a fit that ran replaces the calibration rows of an earlier one.
-    save_collection(collection.take(cal), calib_dir, force=True)
 
     diag = model.diagnostics_
     converged = (diag.max_rhat() < RHAT_GATE and diag.min_ess() > ESS_GATE)
@@ -412,7 +414,6 @@ def cmd_fit(config: RunConfig, args) -> int:
         "n_divergent": diag.n_divergent,
         "mean_accept": diag.mean_accept,
         "n_grad": diag.n_grad,
-        "calibration_dir": str(calib_dir.relative_to(out)),
         "config": config.echo(),
     })
     print(f"max rhat {diag.max_rhat():.4f}, min ess {diag.min_ess():.0f}, "
@@ -432,11 +433,18 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     _check_force([calib_path], args.force)
 
     trace = PosteriorTrace.load(_require(out / "trace.bin", "trace artifact"))
-    cal = load_collection(_require(out / "calibration_data",
-                                   "calibration rows"))
-    check_trace_collection(trace, cal)
+    meta_path = _require(out / "fit_meta.json", "fit metadata")
+    with malformed_artifact(f"fit metadata {meta_path}"):
+        fitted = json.loads(meta_path.read_bytes())["config"]
+        split = float(fitted["conformal"]["calibration_split"])
+        seed = operator.index(fitted["run"]["seed"])
+    if seed != trace.seed:
+        raise DataError(f"{meta_path} records seed {seed}, trace.bin {trace.seed}")
+    collection = load_collection(_require(out / "smes", "entity collection"))
+    check_trace_collection(trace, collection)
+    cal = collection.take(_calibration_rows(collection, split, seed))
     p_hat, _, _ = posterior_predict_matrix(trace, cal.X, cal.entity)
-    conditional = args.strategy == "auto" and recommend_conservative(cal.sizes)
+    conditional = recommend_conservative(cal.sizes)
     result = (conservative_adjust if conditional else calibrate_pooled)(
         p_hat, cal.y, config.miscoverage_alpha)
     result.save(calib_path)
@@ -573,10 +581,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cal = sub.add_parser("calibrate", help="conformal calibration")
     cal.add_argument("--alpha", dest="miscoverage_alpha", type=float,
                      help="override miscoverage rate")
-    cal.add_argument("--strategy", choices=("auto", "pooled"), default="auto",
-                     help="'auto' takes the calibration-conditional rank "
-                          "when fewer than 5 entities include one under "
-                          "100 rows; 'pooled' always takes the split rank")
 
     prd = sub.add_parser("predict", help="per-customer prediction rows")
     prd.add_argument("--customers", help="CSV of customers to score")

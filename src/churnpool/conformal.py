@@ -171,7 +171,8 @@ def recommend_conservative(n_js) -> bool:
 
     Pooling five or more entities gives enough calibration scores; below
     that, the conditional rank is recommended once the smallest entity has
-    fewer than 100 rows.  Callers can always override explicitly.
+    fewer than 100 rows.  ``calibrate`` passes per-entity calibration rows
+    and ``run_experiment`` whole-entity sizes (aligning them changes results).
     """
     n_js = [int(n) for n in n_js]
     if not n_js:

@@ -18,7 +18,7 @@ the log transform), so independent evaluations can match it exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -440,10 +440,9 @@ class HierarchicalLogistic:
     ``sigma0_diag`` over the features), or None for the weak prior (zeros
     and ones); a constant-1 intercept feature is always appended, with the
     prior entry of :meth:`HierHyper.from_prior`.  ``tau`` is the
-    HalfNormal scale of the population deviation.  ``sampler`` holds the
-    NUTS settings but no ``init_point``: ``fit`` sets that to
-    :meth:`HierTarget.init_point`.  ``fit`` sets ``trace_`` and
-    ``diagnostics_``; ``dataclasses.replace`` gives an unfitted clone.
+    HalfNormal scale of the population deviation, ``sampler`` the NUTS
+    settings; chains start at :meth:`HierTarget.init_point`.  ``fit`` sets
+    ``trace_`` and ``diagnostics_``; ``dataclasses.replace`` clones unfitted.
     """
 
     prior: object = None
@@ -455,15 +454,11 @@ class HierarchicalLogistic:
                                              repr=False)
 
     def fit(self, collection: SMECollection) -> "HierarchicalLogistic":
-        if self.sampler.init_point is not None:
-            raise ValidationError("the sampler's init_point must be unset: "
-                                  "fit starts the chains itself")
         data = HierData.from_collection(collection)
         hyper = HierHyper.from_prior(self.prior, collection.feature_names,
                                      self.tau)
         target = HierTarget(data, hyper)
-        config = replace(self.sampler, init_point=target.init_point())
-        self.trace_, self.diagnostics_ = sample(target, config,
+        self.trace_, self.diagnostics_ = sample(target, self.sampler,
                                                 param_names=target.names())
         return self
 

@@ -115,10 +115,10 @@ class FunctionTarget:
 class SamplerConfig:
     """Sampler settings.
 
-    Every chain starts at ``init_point``, or at the origin when it is None,
-    plus uniform jitter of half-width ``_JITTER`` drawn from its own
-    stream.  Warmup always adapts the step size and the shared inverse
-    metric (see the module docstring); nothing here switches either off.
+    Every chain starts at ``target.init_point()`` (the origin for a target
+    without one) plus uniform jitter of half-width ``_JITTER`` drawn from
+    its own stream.  Warmup always adapts the step size and the shared
+    inverse metric (see the module docstring); nothing here switches either off.
     """
 
     chains: int = 4
@@ -128,7 +128,6 @@ class SamplerConfig:
     max_tree_depth: int = 10
     divergence_energy_threshold: float = 1000.0
     seed: int = 0
-    init_point: np.ndarray | None = None
 
     def validate(self) -> None:
         if self.chains < 1:
@@ -144,8 +143,9 @@ class SamplerConfig:
         if not self.divergence_energy_threshold > 0.0:
             raise ValidationError("divergence_energy_threshold must be > 0")
 
-    def to_dict(self) -> dict:
-        """Settings as recorded in a trace header; ``init`` names the start
+    def to_dict(self, init_point: np.ndarray | None = None) -> dict:
+        """Settings as recorded in a trace header with the chains' common
+        start ``init_point`` (None for the origin); ``init`` names the start
         (``"point"`` or ``"zero"``), ``jitter`` its half-width, and the
         constant ``adapt_mass`` keeps the header's bytes unchanged."""
         doc = {
@@ -154,13 +154,13 @@ class SamplerConfig:
             "max_tree_depth": self.max_tree_depth,
             "divergence_energy_threshold": self.divergence_energy_threshold,
             "seed": self.seed,
-            "init": "zero" if self.init_point is None else "point",
+            "init": "zero" if init_point is None else "point",
             "jitter": _JITTER,
             "adapt_mass": True,
             "variant": "multinomial-biased-progressive",
         }
-        if self.init_point is not None:
-            doc["init_point"] = [float(v) for v in np.asarray(self.init_point)]
+        if init_point is not None:
+            doc["init_point"] = [float(v) for v in np.asarray(init_point)]
         return doc
 
 
@@ -965,13 +965,12 @@ def sample(target, config: SamplerConfig,
     """
     config.validate()
     dim = target.dim
-    if config.init_point is None:
-        base = np.zeros(dim)
-    else:
-        base = np.asarray(config.init_point, dtype=np.float64)
-        if base.shape != (dim,):
-            raise ValidationError(
-                f"init_point has shape {base.shape}, expected ({dim},)")
+    init_point = target.init_point() if hasattr(target, "init_point") else None
+    base = (np.zeros(dim) if init_point is None
+            else np.asarray(init_point, dtype=np.float64))
+    if base.shape != (dim,):
+        raise ValidationError(
+            f"init_point has shape {base.shape}, expected ({dim},)")
     if param_names is None:
         param_names = tuple(f"theta[{i}]" for i in range(dim))
     elif len(param_names) != dim:
@@ -1006,7 +1005,7 @@ def sample(target, config: SamplerConfig,
             runner.draw(*row)
             for runner, row in zip(runners, zip(draws, divergent, accept))])
 
-    header = config.to_dict()
+    header = config.to_dict(init_point)
     if _openblas_threads() is None:
         header["blas_pinned"] = False
     trace = PosteriorTrace(

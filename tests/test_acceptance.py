@@ -266,8 +266,7 @@ def _shrinkage_sim(p, J, n_per, mu_scale, sigma_true, seed):
     data = HierData(collection.X, collection.y, collection.sizes,
                     collection.feature_names)
     target = HierTarget(data, HierHyper(np.zeros(p), np.ones(p), tau=2.0))
-    config = SamplerConfig(chains=4, warmup=800, draws=800, seed=seed,
-                           init_point=target.init_point())
+    config = SamplerConfig(chains=4, warmup=800, draws=800, seed=seed)
     trace, _ = sample(target, config)
     return shrinkage_report(trace, data)
 

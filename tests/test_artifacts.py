@@ -7,7 +7,6 @@ as a raw ``json``, ``struct``, numpy or ``KeyError`` exception.
 
 import json
 import math
-import shutil
 import struct
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from churnpool.cli import main
+from churnpool.cli import RunConfig, main
 from churnpool.conformal import CalibrationResult
 from churnpool.data import (generate_hierarchical_population, load_collection,
                             save_collection)
@@ -176,12 +175,14 @@ def _container(header, payload):
 
 @pytest.fixture(scope="module")
 def calibrate_dir(tmp_path_factory):
-    """A run directory that ``calibrate`` reads: 3 entities of 30 rows with
-    one feature, also used as the calibration rows."""
+    """A run directory that ``calibrate`` reads: 3 entities of 40 rows with
+    one feature, whose held-out rows give a threshold below 1, and the
+    ``fit_meta.json`` of a fit with seed 0."""
     out = tmp_path_factory.mktemp("calibrate")
     assert main(["--out", str(out), "--seed", "11", "gen-data", "--smes",
-                 "3", "--n-per", "30", "--features", "1"]) == 0
-    shutil.copytree(out / "smes", out / "calibration_data")
+                 "3", "--n-per", "40", "--features", "1"]) == 0
+    (out / "fit_meta.json").write_text(
+        json.dumps({"config": RunConfig(seed=0).echo()}))
     return out
 
 

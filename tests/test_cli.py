@@ -238,16 +238,34 @@ class TestPretrainAndPriors:
         assert check["prior_only_auc"] == auc
 
 
+def _held_out(out):
+    """The collection under ``out`` and the mask of the rows its fit held
+    out, from the split and seed that ``fit_meta.json`` records."""
+    collection = load_collection(out / "smes")
+    fitted = json.loads((out / "fit_meta.json").read_text())["config"]
+    return collection, cli._calibration_rows(
+        collection, fitted["conformal"]["calibration_split"],
+        fitted["run"]["seed"])
+
+
 def _calibration_rows(out):
     """Posterior-mean ``(p_hat, y)`` of the calibration rows under ``out``,
     entities in manifest order, as ``calibrate`` scores them."""
+    collection, held_out = _held_out(out)
+    cal = collection.take(held_out)
     trace = PosteriorTrace.load(out / "trace.bin")
-    cal = load_collection(out / "calibration_data")
     p_hat, _, _ = posterior_predict_matrix(trace, cal.X, cal.entity)
     return p_hat, cal.y
 
 
-def _run_with_prior(tmp_path, monkeypatch, names, stage):
+def _write_fit_meta(out, seed):
+    """The ``fit_meta.json`` of a fit with the default split and ``seed``,
+    for a hand-made trace of that seed."""
+    (out / "fit_meta.json").write_text(
+        json.dumps({"config": cli.RunConfig(seed=seed).echo()}))
+
+
+def _run_with_prior(tmp_path, monkeypatch, names, *stage):
     """``stage`` on three entities of x00..x02 with a prior over
     ``names``; the sampler must not be reached."""
     assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "30",
@@ -259,7 +277,7 @@ def _run_with_prior(tmp_path, monkeypatch, names, stage):
         raise _Stop
 
     monkeypatch.setattr(hier_model, "sample", refuse)
-    return run(tmp_path, stage)
+    return run(tmp_path, *stage)
 
 
 class TestFitCalibrate:
@@ -274,13 +292,10 @@ class TestFitCalibrate:
         # per transition.
         assert meta["n_grad"] == diag["n_grad"] >= 2 * 3000
 
-    def test_fit_meta_names_calibration_dir_relative_to_out(self,
-                                                            pipeline_dir):
-        # A path relative to --out keeps the same seeded fit byte-identical
-        # across output directories.
+    def test_fit_writes_no_copy_of_the_calibration_rows(self, pipeline_dir):
         meta = json.loads((pipeline_dir / "fit_meta.json").read_text())
-        assert meta["calibration_dir"] == "calibration_data"
-        assert (pipeline_dir / meta["calibration_dir"]).is_dir()
+        assert "calibration_dir" not in meta
+        assert not (pipeline_dir / "calibration_data").exists()
 
     def test_calibration_artifact(self, pipeline_dir):
         doc = json.loads((pipeline_dir / "calibration.json").read_text())
@@ -296,22 +311,69 @@ class TestFitCalibrate:
         assert doc["q_hat"] == scores[39 - 1]
         assert calibrate_pooled(p_hat, labels, 0.1).q_hat == scores[37 - 1]
 
-    def test_pooled_strategy_writes_split_threshold(self, pipeline_dir,
-                                                    tmp_path):
-        shutil.copy(pipeline_dir / "trace.bin", tmp_path)
-        shutil.copytree(pipeline_dir / "calibration_data",
-                        tmp_path / "calibration_data")
-        assert main(["--out", str(tmp_path), "calibrate", "--strategy",
-                     "pooled"]) == 0
+    def test_calibrate_scores_exactly_the_rows_fit_held_out(
+            self, pipeline_dir, tmp_path, monkeypatch):
+        # The fit side is the pipeline's fit again (same seed and data),
+        # stopped once HierarchicalLogistic.fit has its collection.
+        shutil.copytree(pipeline_dir / "smes", tmp_path / "smes")
+        seen = {}
+
+        def record_fit(model, collection):
+            seen["fit"] = collection
+            raise _Stop
+
+        def record_predict(trace, X, entity):
+            seen["calibrate"] = (X, entity)
+            return posterior_predict_matrix(trace, X, entity)
+
+        monkeypatch.setattr(hier_model.HierarchicalLogistic, "fit",
+                            record_fit)
+        with pytest.raises(_Stop):
+            run(tmp_path, "fit", "--weak-prior")
+        for name in ("trace.bin", "fit_meta.json"):
+            shutil.copy(pipeline_dir / name, tmp_path)
+        monkeypatch.setattr(cli, "posterior_predict_matrix", record_predict)
+        assert main(["--out", str(tmp_path), "calibrate"]) == 0
+
+        def rows(X, entity):
+            return {(int(j), *x) for x, j in zip(X.tolist(), entity)}
+
+        collection, held_out = _held_out(tmp_path)
+        fitted = rows(seen["fit"].X, seen["fit"].entity)
+        scored = rows(*seen["calibrate"])
+        assert len(fitted) == seen["fit"].y.size
+        assert len(scored) == seen["calibrate"][0].shape[0]
+        assert not fitted & scored
+        assert fitted | scored == rows(collection.X, collection.entity)
         doc = json.loads((tmp_path / "calibration.json").read_text())
-        expected = calibrate_pooled(*_calibration_rows(pipeline_dir), 0.1)
-        assert doc == json.loads(expected.to_json())
-        assert doc["strategy"] == "pooled"
+        assert doc["n_cal"] == len(scored) == np.count_nonzero(held_out)
+
+    @pytest.mark.parametrize("damage, code", [
+        ("intact", 0), ("missing", 4), ("truncated", 4), ("no-split", 4),
+        ("other-seed", 4)])
+    def test_unusable_fit_meta_is_data_error(self, pipeline_dir, tmp_path,
+                                             damage, code):
+        # calibrate reads only trace.bin, fit_meta.json and smes/.
+        shutil.copy(pipeline_dir / "trace.bin", tmp_path)
+        shutil.copytree(pipeline_dir / "smes", tmp_path / "smes")
+        meta = json.loads((pipeline_dir / "fit_meta.json").read_text())
+        if damage == "no-split":
+            del meta["config"]["conformal"]["calibration_split"]
+        elif damage == "other-seed":
+            meta["config"]["run"]["seed"] += 1
+        text = json.dumps(meta)
+        if damage == "truncated":
+            text = text[:len(text) // 2]
+        if damage != "missing":
+            (tmp_path / "fit_meta.json").write_text(text)
+        assert main(["--out", str(tmp_path), "calibrate"]) == code
+        assert (tmp_path / "calibration.json").exists() == (code == 0)
 
     def test_inflation_flag_is_gone(self, tmp_path):
-        with pytest.raises(SystemExit) as stop:
-            main(["--out", str(tmp_path), "calibrate", "--inflation", "0.2"])
-        assert stop.value.code == 2
+        for flag in (["--inflation", "0.2"], ["--strategy", "pooled"]):
+            with pytest.raises(SystemExit) as stop:
+                main(["--out", str(tmp_path), "calibrate", *flag])
+            assert stop.value.code == 2
 
     def test_single_chain_rejected(self, tmp_path):
         assert run(tmp_path, "fit", "--weak-prior", "--chains", "1") == 2
@@ -335,8 +397,8 @@ class TestFitCalibrate:
                              ids=["fit", "evaluate"])
     def test_entity_id_with_a_directory_part_is_data_error(self, tmp_path,
                                                            stage):
-        # fit writes each entity's calibration rows to <id>.csv, so this
-        # id would put one two directories above calibration_data/.
+        # Each id names its entity's <id>.csv, so this id would name a
+        # file two directories above smes/.
         out = tmp_path / "a" / "b"
         assert run(out, "gen-data", "--smes", "2", "--n-per", "30",
                    "--features", "3") == 0
@@ -364,13 +426,15 @@ class TestFitCalibrate:
                                ("tenure", "spend", "age"), "fit") == 4
         assert not (tmp_path / "trace.bin").exists()
 
-    def test_failed_fit_keeps_calibration_rows(self, tmp_path, monkeypatch):
-        sentinel = tmp_path / "calibration_data" / "manifest.json"
-        sentinel.parent.mkdir()
-        sentinel.write_bytes(b'{"sentinel": true}')
+    def test_failed_fit_keeps_the_earlier_fit(self, tmp_path, monkeypatch):
+        earlier = {"trace.bin": b"earlier trace",
+                   "fit_meta.json": b'{"earlier": true}'}
+        for name, raw in earlier.items():
+            (tmp_path / name).write_bytes(raw)
         assert _run_with_prior(tmp_path, monkeypatch, ("x00", "x01"),
-                               "fit") == 4
-        assert sentinel.read_bytes() == b'{"sentinel": true}'
+                               "--force", "fit") == 4
+        for name, raw in earlier.items():
+            assert (tmp_path / name).read_bytes() == raw
 
 
 class TestPredict:
@@ -537,10 +601,11 @@ class TestTraceMatchesCollection:
 
     @pytest.fixture()
     def run_dir(self, tmp_path):
-        # Three entities with the single feature x00.
-        assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "30",
+        # Three entities with the single feature x00, whose held-out rows
+        # give a threshold below 1.
+        assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "40",
                    "--features", "1") == 0
-        shutil.copytree(tmp_path / "smes", tmp_path / "calibration_data")
+        _write_fit_meta(tmp_path, seed=0)
         calibrate_pooled(np.linspace(0.05, 0.95, 40), np.zeros(40, int),
                          0.1).save(tmp_path / "calibration.json")
         (tmp_path / "customers.csv").write_text(

@@ -1,19 +1,22 @@
 """Public names: every exported name resolves, so a deleted function cannot
 linger in an ``__all__`` list, in the package namespace or in the README's
-examples, and every function the benchmark's tracer wraps still exists
-where it is looked up."""
+examples or CLI flags, and every function the benchmark's tracer wraps
+still exists where it is looked up."""
 
+import argparse
 import ast
 import importlib
 import inspect
 import pkgutil
 import re
+import shlex
 import types
 from pathlib import Path
 
 import pytest
 
 import churnpool
+from churnpool.cli import _build_parser
 
 MODULES = [importlib.import_module(f"churnpool.{info.name}")
            for info in pkgutil.iter_modules(churnpool.__path__)]
@@ -57,10 +60,13 @@ def test_benchmark_trace_patches_resolve():
     assert not missing, f"tracing.PATCHES names missing attributes {missing}"
 
 
-def _readme_blocks():
+def _readme():
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"```python\n(.*?)```",
-                        readme.read_text(encoding="utf-8"), flags=re.S)
+    return readme.read_text(encoding="utf-8")
+
+
+def _readme_blocks():
+    blocks = re.findall(r"```python\n(.*?)```", _readme(), flags=re.S)
     assert blocks
     return [ast.parse(block) for block in blocks]
 
@@ -98,3 +104,31 @@ def test_readme_calls_bind_to_signatures():
                             f"{node.func.id} takes {signature}: {exc}")
             bound += 1
     assert bound
+
+
+def test_readme_cli_lines_parse():
+    lines = [line for block in re.findall(r"```bash\n(.*?)```", _readme(),
+                                          flags=re.S)
+             for line in block.splitlines() if line.startswith("churnpool ")]
+    assert lines
+    for line in lines:
+        try:
+            _build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README runs {line!r}, which the CLI rejects")
+
+
+def test_readme_inline_flags_exist():
+    # Every option string of the parser and of each subcommand's parser.
+    parser = _build_parser()
+    options = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= set(sub._option_string_actions)
+    prose = re.sub(r"```.*?```", "", _readme(), flags=re.S)
+    flags = {flag for span in re.findall(r"`([^`\n]+)`", prose)
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", span)}
+    assert flags
+    missing = sorted(flags - options)
+    assert not missing, f"README names CLI flags {missing} that no parser has"

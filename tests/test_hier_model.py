@@ -499,8 +499,7 @@ class TestShrinkageReport:
         data = HierData(collection.X, collection.y, collection.sizes,
                         collection.feature_names)
         target = HierTarget(data, HierHyper(np.zeros(40), np.ones(40), 2.0))
-        config = SamplerConfig(chains=2, warmup=600, draws=600, seed=41,
-                               init_point=target.init_point())
+        config = SamplerConfig(chains=2, warmup=600, draws=600, seed=41)
         trace, _ = sample(target, config)
         report = shrinkage_report(trace, data)
         assert report.lambda_bar < 0.1
@@ -560,30 +559,20 @@ class TestEstimator:
 
         def record(target, config, **kwargs):
             seen.append((target, config))
-            raise _Stop
+            return sample(target, config, **kwargs)
 
         monkeypatch.setattr(hier_model, "sample", record)
-        sampler = SamplerConfig(chains=3, warmup=150, draws=40, seed=5)
-        with pytest.raises(_Stop):
-            HierarchicalLogistic(sampler=sampler).fit(collection)
+        prior = PriorSpec(collection.feature_names, np.array([0.5, -0.3, 0.2]),
+                          np.ones(3), 0.0, {})
+        sampler = SamplerConfig(chains=2, warmup=100, draws=8, seed=5)
+        model = HierarchicalLogistic(prior, sampler=sampler).fit(collection)
         (target, config), = seen
-        assert (config.chains, config.warmup, config.draws, config.seed) == (
-            3, 150, 40, 5)
-        np.testing.assert_array_equal(config.init_point, target.init_point())
-        assert sampler.init_point is None
-
-    def test_preset_init_point_rejected(self, monkeypatch):
-        collection, _ = generate_hierarchical_population(
-            p=3, J=2, n_per=20, mu_scale=1.0, sigma_true=0.3, seed=31)
-
-        def refuse(target, config, **kwargs):
-            raise _Stop
-
-        monkeypatch.setattr(hier_model, "sample", refuse)
-        model = HierarchicalLogistic(
-            sampler=SamplerConfig(init_point=np.zeros(12)))
-        with pytest.raises(ValidationError, match="init_point"):
-            model.fit(collection)
+        assert config is sampler
+        assert sampler == SamplerConfig(chains=2, warmup=100, draws=8, seed=5)
+        header = model.trace_.config
+        assert header["init"] == "point"
+        assert header["init_point"] == target.init_point().tolist()
+        assert header["init_point"][:3] == [0.5, -0.3, 0.2]
 
 
 class TestSimulationBasedCalibration:

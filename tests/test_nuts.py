@@ -279,6 +279,36 @@ class TestSampling:
         assert first == (tmp_path / "second.bin").read_bytes()
         assert first == (tmp_path / "forked.bin").read_bytes()
 
+    @pytest.mark.parametrize("point", [None, [2.0, -1.0]],
+                             ids=["origin", "target-point"])
+    def test_chains_start_at_the_target_point(self, monkeypatch, point):
+        # A target without init_point() starts every chain near the origin.
+        starts = []
+
+        class RecordingChain(_Chain):
+            def __init__(self, target, config, rng, q0, metric):
+                starts.append(q0.copy())
+                super().__init__(target, config, rng, q0, metric)
+
+        monkeypatch.setattr(nuts, "_Chain", RecordingChain)
+        target = gaussian_target([2.0, -1.0], [1.0, 1.0])
+        if point is not None:
+            target.init_point = lambda: np.array(point)
+        trace, _ = sample(target, SamplerConfig(chains=3, warmup=100,
+                                                draws=8, seed=4))
+        base = np.zeros(2) if point is None else np.array(point)
+        assert len(starts) == 3
+        for start in starts:
+            assert np.all(np.abs(start - base) <= nuts._JITTER)
+        assert trace.config["init"] == ("zero" if point is None else "point")
+        assert trace.config.get("init_point") == point
+
+    def test_target_point_of_wrong_shape_rejected(self):
+        target = gaussian_target([2.0, -1.0], [1.0, 1.0])
+        target.init_point = lambda: np.zeros(3)
+        with pytest.raises(ValidationError, match="init_point has shape"):
+            sample(target, SamplerConfig(chains=2, warmup=100, draws=8))
+
     def test_nonfinite_init_rejected(self):
         target = FunctionTarget(1, lambda q: math.nan,
                                 lambda q: np.zeros(1))

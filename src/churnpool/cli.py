@@ -40,7 +40,7 @@ from .data import (apply_standardization, StandardizationStats,
                    make_synthetic_smes, save_collection, standardize,
                    stratified_split)
 from .errors import (ChurnpoolError, DataError, DiagnosticError,
-                     ValidationError, malformed_artifact)
+                     ValidationError, atomic_write, malformed_artifact)
 from .evaluate import ExperimentConfig, classification_metrics, run_experiment
 from .gbdt import GradientBoostedTrees, TreeEnsemble
 from .hier_model import (HierarchicalLogistic, check_trace_collection,
@@ -247,7 +247,8 @@ def _load_stats(path: Path, feature_names) -> StandardizationStats:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _require(path: Path, what: str) -> Path:
@@ -293,7 +294,8 @@ def cmd_gen_data(config: RunConfig, args) -> int:
             config.features, config.smes, config.n_per, config.mu_scale,
             config.sigma_true, config.seed)
         save_collection(collection, data_dir, force=args.force)
-        truth_path.write_text(truth.to_json() + "\n", encoding="utf-8")
+        with atomic_write(truth_path) as fh:
+            fh.write(truth.to_json() + "\n")
     else:
         if args.source is None:
             raise ConfigError("--mode resample requires --source CSV")
@@ -405,8 +407,8 @@ def cmd_fit(config: RunConfig, args) -> int:
     diag = model.diagnostics_
     converged = (diag.max_rhat() < RHAT_GATE and diag.min_ess() > ESS_GATE)
     model.trace_.save(trace_path)
-    diag_path.write_text(diag.to_json(model.trace_.param_names),
-                         encoding="utf-8")
+    with atomic_write(diag_path) as fh:
+        fh.write(diag.to_json(model.trace_.param_names))
     _write_json(meta_path, {
         "converged": converged,
         "max_rhat": diag.max_rhat(),
@@ -414,6 +416,7 @@ def cmd_fit(config: RunConfig, args) -> int:
         "n_divergent": diag.n_divergent,
         "mean_accept": diag.mean_accept,
         "n_grad": diag.n_grad,
+        "n_grad_warmup": diag.n_grad_warmup,
         "config": config.echo(),
     })
     print(f"max rhat {diag.max_rhat():.4f}, min ess {diag.min_ess():.0f}, "

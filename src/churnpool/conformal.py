@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, malformed_artifact
+from .errors import ValidationError, atomic_write, malformed_artifact
 from .numerics import regularized_incomplete_beta
 from .validation import as_float_vector, check_binary_labels
 
@@ -71,7 +71,8 @@ class CalibrationResult:
                        operator.index(doc["n_cal"]), strategy)
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(self.to_json())
 
     @classmethod
     def load(cls, path) -> "CalibrationResult":

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ValidationError, malformed_artifact
+from .errors import (DataError, ValidationError, atomic_write,
+                     malformed_artifact)
 from .rng import default_rng
 from .validation import as_float_matrix, as_name_tuple, check_binary_labels
 
@@ -576,7 +577,7 @@ def generate_hierarchical_population(
 def _write_csv(path, header, rows) -> None:
     """A header row, then ``rows``: comma-separated, quoted where a cell
     needs it, each line ending in ``\\n``."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -612,7 +613,8 @@ def save_collection(collection: SMECollection, out_dir,
         _write_dataset_csv(collection.dataset(j), target)
         files.append(fname)
     manifest = {"ids": list(collection.ids), "files": files}
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(manifest_path) as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
     return manifest_path
 
 

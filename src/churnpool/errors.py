@@ -1,7 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the guards that load
+and write saved artifacts."""
 
+import os
 import struct
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class ChurnpoolError(Exception):
@@ -50,3 +53,26 @@ def malformed_artifact(what: str):
     except (ValueError, KeyError, TypeError, IndexError, OverflowError,
             RecursionError, struct.error) as exc:
         raise DataError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Write an artifact whole or not at all.
+
+    The block writes to a file open on ``.<name>.tmp`` beside ``path``
+    (UTF-8 text with ``\\n`` line ends, or bytes for a ``"b"`` mode), which
+    ``os.replace`` then moves onto ``path``.  If the block or the move
+    raises, the temporary file is removed and ``path`` keeps what it held
+    before, or stays absent.  One writer per path at a time.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    text = "b" not in mode
+    try:
+        with open(tmp, mode, encoding="utf-8" if text else None,
+                  newline="" if text else None) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

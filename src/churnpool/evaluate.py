@@ -31,7 +31,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .conformal import (calibrate_pooled, coverage_audit, predict_sets,
                         recommend_conservative)
 from .data import SMECollection, _write_csv, stratified_kfold
 from .errors import (ConvergenceError, DataError, DiagnosticError,
-                     ValidationError)
+                     ValidationError, atomic_write)
 from .hier_model import HierarchicalLogistic
 from .logreg import fit_penalized_logreg
 from .numerics import (average_ranks, binary_log_loss,
@@ -257,7 +256,8 @@ class ExperimentReport:
         }, indent=2)
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(self.to_json())
 
     def rows_to_csv(self, path) -> None:
         columns = ["sme", "fold", "method", "auc", "accuracy", "precision",
@@ -355,6 +355,7 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
             "mean_accept": float(np.mean([m.diagnostics_.mean_accept
                                           for m in fits])),
             "n_grad": sum(m.diagnostics_.n_grad for m in fits),
+            "n_grad_warmup": sum(m.diagnostics_.n_grad_warmup for m in fits),
         }
         p_hier = np.empty(y.size)
         for k, fitted in enumerate(by_fold):

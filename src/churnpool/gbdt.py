@@ -39,7 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_is_fitted, malformed_artifact
+from .errors import (ValidationError, atomic_write, check_is_fitted,
+                     malformed_artifact)
 from .numerics import PROB_CLIP, binary_log_loss, sigmoid
 from .rng import default_rng
 from .validation import as_float_matrix, as_name_tuple, check_binary_labels
@@ -185,7 +186,8 @@ class TreeEnsemble:
                        names)
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(self.to_json())
 
     @classmethod
     def load(cls, path) -> "TreeEnsemble":

@@ -27,7 +27,8 @@ from .errors import (ConvergenceError, DataError, ValidationError,
                      check_is_fitted)
 from .logreg import fit_penalized_logreg
 from .numerics import sigmoid
-from .nuts import Diagnostics, PosteriorTrace, SamplerConfig, sample
+from .nuts import (Diagnostics, PosteriorTrace, SamplerConfig,
+                   _one_blas_thread, sample)
 from .validation import as_float_matrix, as_float_vector, check_binary_labels
 
 __all__ = [
@@ -71,19 +72,38 @@ def with_intercept(X: np.ndarray) -> np.ndarray:
 
 
 class HierData:
-    """The likelihood's copy of an entity-major row table.
+    """The likelihood's copy of an entity-major row table, in row tiles.
 
     ``X`` (n, p) and ``y`` (n,) hold entity 0's rows first, then entity
     1's and so on; ``sizes`` gives each entity's row count, 0 allowed.
-    They are copied into one zero-padded block and not kept: ``_X3`` has
-    shape ``(J, n_max, p)`` with entity j's rows first and zero rows after
-    them, and the flat ``_y`` / ``_one_minus_y`` are 0 on padded rows.  A
-    padded row has z = 0, so it adds exactly log 2 to the summed softplus
-    (undone by the constant ``_pad_softplus``) and a zero row to the
-    gradient; entities with no rows need no special case.  The block
-    costs ``J * n_max * p`` float64s, so a collection with one very large
-    entity pays for padding every other entity to that size.
+    They are copied into one stack of equal-length tiles and not kept:
+    ``_tiles`` has shape ``(n_tiles, T, p)``, entity j owns
+    ``ceil(n_j / T)`` consecutive tiles (none when it has no rows), and
+    only its last tile ends in zero rows.  The flat ``_y`` and
+    ``_one_minus_y`` are 0 on those padded rows.  A padded row has z = 0,
+    so it adds exactly log 2 to the summed softplus (undone by the
+    constant ``_pad_softplus``) and a zero row to the gradient.
+
+    ``T`` is the length in ``1 .. n_max`` that minimises
+    ``n_tiles * (T + _TILE_COST_ROWS)``, the rows the kernel walks plus a
+    fixed cost per tile; ties go to the longer tile.  ``T = n_max`` (one
+    tile per entity) is a candidate and never has fewer tiles, so the
+    chosen stack never holds more than ``J * n_max`` rows: the tiles cost
+    ``n_tiles * T * p`` float64s, at most the block that pads every entity
+    to the largest.  Entities of one size always get ``T = n_max``, and
+    the one-tile-per-entity stack is the plain padded block, on which the
+    kernel needs no gather and no per-entity sum (``_tile_entity`` is
+    None).
     """
+
+    # One tile's fixed cost in the gradient, in rows: its two batched
+    # matmul steps, the gather of its betas and its share of the
+    # per-entity sum.  A least-squares fit to kernel times at p = 11 on
+    # one core (T from 8 to n_max, four size mixes) gave 0.09 us per tile
+    # and 0.018 us per row, about 5 rows; kernel times were flat from
+    # T = 32 to 100 on unequal sizes of 50-500 rows, and 8 (T = 100 there,
+    # not 64) gave the faster two-worker fits.
+    _TILE_COST_ROWS = 8
 
     def __init__(self, X, y, sizes, feature_names):
         self.feature_names = tuple(feature_names)
@@ -100,15 +120,57 @@ class HierData:
             raise ValidationError("sizes must be one or more entity row "
                                   "counts that sum to the rows of X and y")
         self.n_j = tuple(sizes.tolist())
-        self.J, n_max = sizes.size, int(sizes.max())
-        rows = np.arange(n_max) < sizes[:, None]    # real (not padded) rows
-        self._X3 = np.zeros((self.J, n_max, p))
-        self._X3[rows] = X
-        y3 = np.zeros((self.J, n_max))
-        y3[rows] = y
-        self._y = y3.ravel()
-        self._one_minus_y = (rows - y3).ravel()
+        self.J = sizes.size
+        self.T = T = self.tile_length(sizes)
+        counts = -(-sizes // T)                     # tiles of each entity
+        self._first_tile = np.cumsum(counts) - counts
+        n_tiles = int(counts.sum())
+        owner = np.repeat(np.arange(self.J), counts)
+        # Real rows of each tile: T, except in an entity's last tile.
+        filled = np.minimum(
+            sizes[owner] - (np.arange(n_tiles) - self._first_tile[owner]) * T,
+            T)
+        rows = np.arange(T) < filled[:, None]       # real (not padded) rows
+        self._tiles = np.zeros((n_tiles, T, p))
+        self._tiles[rows] = X
+        y2 = np.zeros((n_tiles, T))
+        y2[rows] = y
+        self._y = y2.ravel()
+        self._one_minus_y = (rows - y2).ravel()
         self._pad_softplus = float(rows.size - sizes.sum()) * math.log(2.0)
+        self._tile_entity = None if (counts == 1).all() else owner
+        # The per-entity sum runs over the entities that have tiles only:
+        # reduceat gives an empty segment the next tile's row, not zeros.
+        has_tiles = counts > 0
+        self._starts = self._first_tile[has_tiles]
+        self._owners = None if has_tiles.all() else np.flatnonzero(has_tiles)
+
+    @classmethod
+    def tile_length(cls, sizes) -> int:
+        """The tile length ``T`` for entities of ``sizes`` rows (see the
+        class docstring); 1 when no entity has rows."""
+        sizes = np.asarray(sizes)
+        lengths = np.arange(1, max(int(sizes.max()), 1) + 1)
+        n_tiles = (-(-sizes[:, None] // lengths)).sum(axis=0)
+        cost = n_tiles * (lengths + cls._TILE_COST_ROWS)
+        return int(lengths[lengths.size - 1 - np.argmin(cost[::-1])])
+
+    def entity_rows(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Entity j's ``(X, y)`` rows, as views into the tiles; ``y`` is
+        float64."""
+        n, first = self.n_j[j], self._first_tile[j]
+        tiles = slice(first, first + -(-n // self.T))
+        return (self._tiles[tiles].reshape(-1, self.p)[:n],
+                self._y.reshape(-1, self.T)[tiles].ravel()[:n])
+
+    def _entity_sums(self, per_tile: np.ndarray) -> np.ndarray:
+        """Per-entity sums ``(J, p)`` of the per-tile rows ``(n_tiles, p)``."""
+        sums = np.add.reduceat(per_tile, self._starts, axis=0)
+        if self._owners is None:
+            return sums
+        out = np.zeros((self.J, per_tile.shape[1]))
+        out[self._owners] = sums
+        return out
 
     @classmethod
     def from_collection(cls, collection: SMECollection) -> "HierData":
@@ -207,19 +269,26 @@ class HierTarget:
             return -math.inf, np.zeros(self.dim)
         sigma = math.exp(log_sigma)
 
-        # One batched pass over the padded block; see HierData.
+        # One batched pass over the row tiles; see HierData.  With one
+        # tile per entity the tiles are the entities and the betas need
+        # no gather, nor the gradient a per-entity sum.
         # log(1 + exp(-z)) once covers both label cases:
         # ll_i = -softplus(-z) - (1 - y_i) * z, and sigmoid = exp(-softplus).
         # Split form max(-z, 0) + log1p(exp(-|z|)): overflow-safe for any z,
         # and exactly log 2 at z = 0, which _pad_softplus relies on.
         betas = mu + sigma * braw
-        z = np.matmul(data._X3, betas[:, :, None]).ravel()
+        tiles, owner = data._tiles, data._tile_entity
+        tile_betas = betas if owner is None else betas.take(owner, axis=0)
+        z = np.matmul(tiles, tile_betas[:, :, None]).ravel()
         softplus = np.maximum(-z, 0.0)
         softplus += np.log1p(np.exp(-np.abs(z)))
         loglik = data._pad_softplus - (float(softplus.sum())
                                        + float(data._one_minus_y @ z))
         err = data._y - np.exp(-softplus)
-        g_beta = np.matmul(err.reshape(J, 1, -1), data._X3)[:, 0, :]
+        g_beta = np.matmul(err.reshape(tiles.shape[0], 1, data.T),
+                           tiles)[:, 0, :]
+        if owner is not None:
+            g_beta = data._entity_sums(g_beta)
 
         diff = mu - hyper.beta0
         scaled = diff / hyper.sigma0_diag
@@ -315,6 +384,8 @@ def posterior_predict_matrix(trace: PosteriorTrace, X, entity
     bounds are the empirical 0.05 and 0.95 quantiles of the per-draw
     probabilities under the lower-order-statistic rule, so they are
     always realized draws.  The three arrays follow the input row order.
+    The products run on one BLAS thread: they are too small to split, and
+    on a loaded machine a second thread waits for a busy core.
     """
     X = as_float_matrix(X)
     p = X.shape[1] + 1
@@ -328,16 +399,17 @@ def posterior_predict_matrix(trace: PosteriorTrace, X, entity
     flat = trace.flat()
     lo_q = (1.0 - _INTERVAL_MASS) / 2.0
     mean, lower, upper = np.empty((3, X.shape[0]))
-    for j in np.unique(entity):
-        betas = _entity_betas(flat, p, j)                  # (M, p)
-        rows = np.flatnonzero(entity == j)
-        for start in range(0, rows.size, PREDICT_CHUNK_ROWS):
-            chunk = rows[start:start + PREDICT_CHUNK_ROWS]
-            probs = sigmoid(X[chunk] @ betas.T)            # (rows, M)
-            mean[chunk] = probs.mean(axis=1)
-            probs.sort(axis=1)
-            lower[chunk] = _order_statistic(probs, lo_q)
-            upper[chunk] = _order_statistic(probs, 1.0 - lo_q)
+    with _one_blas_thread():
+        for j in np.unique(entity):
+            betas = _entity_betas(flat, p, j)              # (M, p)
+            rows = np.flatnonzero(entity == j)
+            for start in range(0, rows.size, PREDICT_CHUNK_ROWS):
+                chunk = rows[start:start + PREDICT_CHUNK_ROWS]
+                probs = sigmoid(X[chunk] @ betas.T)        # (rows, M)
+                mean[chunk] = probs.mean(axis=1)
+                probs.sort(axis=1)
+                lower[chunk] = _order_statistic(probs, lo_q)
+                upper[chunk] = _order_statistic(probs, 1.0 - lo_q)
     return mean, lower, upper
 
 
@@ -399,10 +471,9 @@ def shrinkage_report(trace: PosteriorTrace, data: HierData) -> ShrinkageReport:
     lambda_jk = np.full((J, p), np.nan)
     posterior_means = np.empty((J, p))
     flagged = np.zeros(J, dtype=bool)
-    y3 = data._y.reshape(data._X3.shape[:2])
-    for j, n in enumerate(data.n_j):
+    for j in range(J):
         posterior_means[j] = _entity_betas(flat, p, j).mean(axis=0)
-        X, y = data._X3[j, :n], y3[j, :n]
+        X, y = data.entity_rows(j)
         if y.size == 0 or y.min() == y.max():
             flagged[j] = True
             continue

@@ -30,12 +30,13 @@ processes, worker ``w`` holding chains ``c = w (mod W)``.  A worker has
 the calls of a chain and answers for its chains in chain order, so the
 caller drives every chain through one loop, wherever it runs.  Each chain
 counts its own gradient calls (initial point, step-size searches and
-leapfrogs); the run's count is their sum.  Between window barriers a chain
-depends only on its own state and stream, so the result is the same for
-any worker count, one included.  The window metric is built in the
-calling process with numpy's bundled OpenBLAS on one thread, so it is
-also the same for any BLAS thread count; with another BLAS the trace
-header records ``"blas_pinned": false``.  Target callables may run in
+leapfrogs); the run's count, and its count at the end of warmup, are
+their sums.  Between window barriers a chain depends only on its own
+state and stream, so the result is the same for any worker count, one
+included.  The window metric is built in the calling process with
+numpy's bundled OpenBLAS on one thread, so it is also the same for any
+BLAS thread count; with another BLAS the trace header records
+``"blas_pinned": false``.  Target callables may run in
 child processes, so side effects of their calls are not seen by the
 caller.  ``taskset`` limits the worker count through the CPU affinity
 mask.
@@ -57,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (DataError, DiagnosticError, ValidationError,
-                     malformed_artifact)
+                     atomic_write, malformed_artifact)
 from .numerics import average_ranks, norm_ppf
 from .rng import spawn
 from .validation import as_name_tuple
@@ -250,7 +251,7 @@ class PosteriorTrace:
             "mass_diag": [[float(v) for v in row] for row in self.mass_diag],
         }
         blob = json.dumps(header).encode("utf-8")
-        with Path(path).open("wb") as fh:
+        with atomic_write(path, "wb") as fh:
             fh.write(_TRACE_MAGIC)
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
@@ -294,7 +295,8 @@ class Diagnostics:
     """Split-chain convergence summaries for every parameter.
 
     ``n_grad`` counts every ``logp_and_grad`` call the sampler made,
-    step-size searches included.
+    step-size searches included; ``n_grad_warmup`` counts those made up to
+    the end of warmup, and ``n_grad - n_grad_warmup`` those of sampling.
     """
 
     rhat: np.ndarray
@@ -303,6 +305,7 @@ class Diagnostics:
     n_divergent: int
     mean_accept: float
     n_grad: int = 0
+    n_grad_warmup: int = 0
 
     def max_rhat(self) -> float:
         return float(np.nanmax(self.rhat))
@@ -318,6 +321,7 @@ class Diagnostics:
             "n_divergent": int(self.n_divergent),
             "mean_accept": float(self.mean_accept),
             "n_grad": int(self.n_grad),
+            "n_grad_warmup": int(self.n_grad_warmup),
         }
         if param_names is not None:
             doc["param_names"] = list(param_names)
@@ -693,23 +697,24 @@ class _Chain:
         return self.warm(end)
 
     def draw(self, draws: np.ndarray, divergent: np.ndarray,
-             accept: np.ndarray) -> tuple[float, int]:
+             accept: np.ndarray) -> tuple[float, int, int]:
         """Warm to the end of warmup, then make one sampling transition per
         row of ``draws`` at the averaged warmup step size; row ``s`` of each
         array gets the position, the divergence flag and the acceptance
-        statistic of transition ``s``.  Returns the step size and the
-        chain's target calls."""
+        statistic of transition ``s``.  Returns the step size, the chain's
+        target calls at the end of warmup and its target calls in all."""
         warmup = self.config.warmup
         self.warm(warmup)
         if self.warmup_divergent == warmup:
             raise DiagnosticError(
                 "every warmup iteration diverged; increase target_accept "
                 "(for example 0.95) or reparameterize the model")
+        warmup_calls = self.calls
         self.eps = self.averaging.averaged
         for s in range(draws.shape[0]):
             divergent[s], accept[s] = self.transition()
             draws[s] = self.state.q
-        return self.eps, self.calls
+        return self.eps, warmup_calls, self.calls
 
     def _build_tree(self, depth: int, edge: _State, direction: float,
                     h0: float) -> _Subtree:
@@ -891,7 +896,7 @@ class _Worker:
             self.conn.send((metric.diag, metric.u, metric.lam))
 
     def draw(self, draws: np.ndarray, divergent: np.ndarray,
-             accept: np.ndarray) -> tuple[float, int]:
+             accept: np.ndarray) -> tuple[float, int, int]:
         reply = self._reply()
         for out in (draws, divergent, accept):
             self._read_into(out)
@@ -1001,7 +1006,7 @@ def sample(target, config: SamplerConfig,
             metric = moments.metric()
             for unit in units:
                 unit.adopt(metric)
-        step_sizes, calls = zip(*[
+        step_sizes, warmup_calls, calls = zip(*[
             runner.draw(*row)
             for runner, row in zip(runners, zip(draws, divergent, accept))])
 
@@ -1020,11 +1025,13 @@ def sample(target, config: SamplerConfig,
     )
     # Diagnostics.mean_accept is the mean of the per-chain means.
     mean_accept = float(np.mean([row.mean() for row in accept]))
-    return trace, compute_diagnostics(trace, mean_accept, sum(calls))
+    return trace, compute_diagnostics(trace, mean_accept, sum(calls),
+                                      sum(warmup_calls))
 
 
 def compute_diagnostics(trace: PosteriorTrace, mean_accept: float = math.nan,
-                        n_grad: int = 0) -> Diagnostics:
+                        n_grad: int = 0, n_grad_warmup: int = 0
+                        ) -> Diagnostics:
     """Per-parameter split R-hat and bulk/tail ESS for a stored trace."""
     dim = trace.dim
     rhats = np.full(dim, np.nan)
@@ -1035,8 +1042,8 @@ def compute_diagnostics(trace: PosteriorTrace, mean_accept: float = math.nan,
         if trace.n_chains >= 2 and trace.n_draws >= 4:
             rhats[d] = rhat(chains)
         bulk[d], tail[d] = ess(chains)
-    return Diagnostics(rhats, bulk, tail,
-                       int(trace.divergent.sum()), mean_accept, n_grad)
+    return Diagnostics(rhats, bulk, tail, int(trace.divergent.sum()),
+                       mean_accept, n_grad, n_grad_warmup)
 
 
 # ---------------------------------------------------------------------------

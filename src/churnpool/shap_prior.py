@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, StandardizationStats
-from .errors import ValidationError, malformed_artifact
+from .errors import ValidationError, atomic_write, malformed_artifact
 from .gbdt import TreeEnsemble, TreeNode
 from .numerics import sigmoid
 from .rng import default_rng
@@ -272,7 +272,8 @@ class PriorSpec:
                        float(doc["lambda"]), provenance)
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(self.to_json())
 
     @classmethod
     def load(cls, path) -> "PriorSpec":

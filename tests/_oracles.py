@@ -5,8 +5,9 @@ a separate path from the library: exhaustive subset enumeration for
 Shapley values, per-leaf TreeSHAP tables scored one leaf at a time, CSV
 feature columns parsed one cell at a time, damped Newton for the
 penalized logistic objective, an extended-precision log-posterior
-evaluation, the hierarchical model's padded block filled one entity at a
-time, the two-branch logistic function, the argsort-per-node
+evaluation, the hierarchical model's row tiles and its earlier padded
+block filled one entity at a time with the padded block's batched
+kernel, the two-branch logistic function, the argsort-per-node
 boosted-tree grower and the sampler's inverse metric as an explicit dense
 matrix.
 """
@@ -342,7 +343,7 @@ def longdouble_grad_log_posterior(mu, log_sigma, beta_raw, Xs, ys, beta0,
 
 
 # ---------------------------------------------------------------------------
-# HierData's padded block filled from per-entity arrays
+# HierData's row tiles and the padded-block kernel, filled per entity
 # ---------------------------------------------------------------------------
 
 def padded_block(Xs, ys):
@@ -361,6 +362,65 @@ def padded_block(Xs, ys):
         one_minus_y[j, :sizes[j]] = 1.0 - np.asarray(y_j, dtype=np.float64)
     pad_softplus = float(J * n_max - sum(sizes)) * math.log(2.0)
     return X3, y.ravel(), one_minus_y.ravel(), pad_softplus
+
+
+def tiled_block(Xs, ys, T):
+    """``(tiles, y, one_minus_y, pad_softplus, tile_entity)`` of entities
+    given as their own arrays, cut one entity at a time into tiles of
+    ``T`` rows: entity j's rows fill ``ceil(n_j / T)`` tiles in order and
+    zeros end its last one."""
+    p = Xs[0].shape[1]
+    tiles, labels, entity = [], [], []
+    for j, (X_j, y_j) in enumerate(zip(Xs, ys)):
+        for start in range(0, len(y_j), T):
+            tile = np.zeros((T, p))
+            tile_y = np.full(T, np.nan)
+            rows = X_j[start:start + T]
+            tile[:len(rows)] = rows
+            tile_y[:len(rows)] = y_j[start:start + T]
+            tiles.append(tile)
+            labels.append(tile_y)
+            entity.append(j)
+    y = np.concatenate(labels) if labels else np.zeros(0)
+    real = ~np.isnan(y)
+    pad_softplus = float(np.count_nonzero(~real)) * math.log(2.0)
+    return (np.array(tiles).reshape(len(tiles), T, p), np.where(real, y, 0.0),
+            np.where(real, 1.0 - y, 0.0), pad_softplus, np.array(entity))
+
+
+def padded_logp_and_grad(theta, Xs, ys, beta0, sigma0_diag, tau):
+    """The hierarchical log posterior and gradient as one batched pass
+    over the ``padded_block`` of ``(J, n_max, p)``: every entity padded
+    to the largest, one matrix product per entity in each direction."""
+    X3, y, one_minus_y, pad_softplus = padded_block(Xs, ys)
+    J, _, p = X3.shape
+    mu, log_sigma, braw = theta[:p], theta[p], theta[p + 1:].reshape(J, p)
+    sigma = math.exp(log_sigma)
+    betas = mu + sigma * braw
+    z = np.matmul(X3, betas[:, :, None]).ravel()
+    softplus = np.maximum(-z, 0.0)
+    softplus += np.log1p(np.exp(-np.abs(z)))
+    loglik = pad_softplus - (float(softplus.sum()) + float(one_minus_y @ z))
+    err = y - np.exp(-softplus)
+    g_beta = np.matmul(err.reshape(J, 1, -1), X3)[:, 0, :]
+
+    diff = mu - beta0
+    scaled = diff / sigma0_diag
+    braw_flat = theta[p + 1:]
+    logp = (loglik
+            - 0.5 * float(diff @ scaled)
+            - float(np.sum(0.5 * np.log(2.0 * math.pi * sigma0_diag)))
+            + (0.5 * math.log(2.0 / math.pi) - math.log(tau))
+            - sigma * sigma / (2.0 * tau ** 2)
+            + log_sigma
+            - 0.5 * float(braw_flat @ braw_flat)
+            - J * p * (0.5 * math.log(2.0 * math.pi)))
+    grad = np.empty(theta.size)
+    grad[:p] = g_beta.sum(axis=0) - scaled
+    grad[p] = (sigma * float(g_beta.ravel() @ braw_flat)
+               - sigma * sigma / tau ** 2 + 1.0)
+    np.subtract(sigma * g_beta, braw, out=grad[p + 1:].reshape(J, p))
+    return logp, grad
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Saved artifacts: JSON round trips, and damaged files end in DataError.
+"""Saved artifacts: JSON round trips, damaged files end in DataError, and
+every writer replaces its file whole or not at all.
 
 Each loader must either return an object or raise ``DataError``: a
 truncated file, a missing key or a value of the wrong type never escapes
@@ -14,11 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import churnpool.cli as cli
+import churnpool.errors as errors
 from churnpool.cli import RunConfig, main
 from churnpool.conformal import CalibrationResult
-from churnpool.data import (generate_hierarchical_population, load_collection,
-                            save_collection)
-from churnpool.errors import DataError, ValidationError
+from churnpool.data import (_write_csv, generate_hierarchical_population,
+                            load_collection, save_collection)
+from churnpool.errors import DataError, ValidationError, atomic_write
+from churnpool.evaluate import ExperimentReport
 from churnpool.gbdt import TreeEnsemble, TreeNode
 from churnpool.hier_model import param_names
 from churnpool.nuts import PosteriorTrace
@@ -382,3 +386,71 @@ class TestManifest:
         path.write_text(json.dumps({"files": files}))
         with pytest.raises(DataError, match="ids"):
             load_collection(path)
+
+
+def _report():
+    return ExperimentReport([], {}, {}, {}, {}, [], "fit-once", 0, 0.0)
+
+
+# Every artifact writer, each writing to ``path``.
+_WRITERS = {
+    "json": lambda path: cli._write_json(path, {"a": 1}),
+    "csv": lambda path: _write_csv(path, ["a"], [[1]]),
+    "trace": lambda path: _small_trace().save(path),
+    "ensemble": lambda path: TreeEnsemble(
+        0.0, 0.1, [TreeNode(value=1.0, cover=1.0)], ("a",)).save(path),
+    "prior": lambda path: PriorSpec(("a",), np.zeros(1), np.ones(1), 0.0,
+                                    {}).save(path),
+    "calibration": lambda path: CalibrationResult(0.5, 0.1, 10,
+                                                  "split").save(path),
+    "report": lambda path: _report().save(path),
+    "manifest": lambda path: save_collection(
+        generate_hierarchical_population(p=1, J=2, n_per=10, mu_scale=1.0,
+                                         sigma_true=0.1, seed=1)[0],
+        path.parent, force=True),
+}
+
+
+class TestAtomicWrites:
+    """An artifact is replaced whole or not at all."""
+
+    @pytest.mark.parametrize("kind", sorted(_WRITERS))
+    def test_failed_move_keeps_the_old_file(self, kind, tmp_path,
+                                            monkeypatch):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(b"old")
+
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(errors.os, "replace", refuse)
+        with pytest.raises(OSError, match="no space"):
+            _WRITERS[kind](path)
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        monkeypatch.undo()
+        _WRITERS[kind](path)
+        assert path.read_bytes() != b"old"
+        assert not list(tmp_path.glob(".*.tmp"))
+
+    def test_writer_that_raises_mid_write_leaves_no_trace(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        _write_csv(path, ["a"], [[1], [2]])
+        before = path.read_bytes()
+
+        def rows():
+            yield [3]
+            raise ValueError("bad row")
+
+        with pytest.raises(ValueError, match="bad row"):
+            _write_csv(path, ["a"], rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_binary_and_text_modes(self, tmp_path):
+        with atomic_write(tmp_path / "a.bin", "wb") as fh:
+            fh.write(b"\x00\r\n")
+        with atomic_write(tmp_path / "a.txt") as fh:
+            fh.write("é\n")
+        assert (tmp_path / "a.bin").read_bytes() == b"\x00\r\n"
+        assert (tmp_path / "a.txt").read_bytes() == "é\n".encode("utf-8")

@@ -291,6 +291,8 @@ class TestFitCalibrate:
         # 2 chains x (1000 + 2000) transitions, one gradient call at least
         # per transition.
         assert meta["n_grad"] == diag["n_grad"] >= 2 * 3000
+        assert meta["n_grad_warmup"] == diag["n_grad_warmup"] >= 2 * 1000
+        assert meta["n_grad"] - meta["n_grad_warmup"] >= 2 * 2000
 
     def test_fit_writes_no_copy_of_the_calibration_rows(self, pipeline_dir):
         meta = json.loads((pipeline_dir / "fit_meta.json").read_text())

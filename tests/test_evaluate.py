@@ -285,6 +285,8 @@ class TestRunExperiment:
         assert tiny_report.diagnostics["max_rhat"] > 0
         # Each chain makes at least one gradient call per transition.
         assert tiny_report.diagnostics["n_grad"] >= 2 * (150 + 200)
+        warmup = tiny_report.diagnostics["n_grad_warmup"]
+        assert 2 * 150 <= warmup <= tiny_report.diagnostics["n_grad"] - 2 * 200
 
     def test_report_serialization(self, tiny_report, tmp_path):
         path = tmp_path / "report.json"

@@ -22,7 +22,8 @@ from churnpool.nuts import PosteriorTrace, SamplerConfig, sample
 from churnpool.shap_prior import PriorSpec
 
 from _oracles import (longdouble_grad_log_posterior,
-                      longdouble_log_posterior, padded_block)
+                      longdouble_log_posterior, padded_logp_and_grad,
+                      tiled_block)
 
 
 class _Params(NamedTuple):
@@ -44,10 +45,9 @@ def _hier_data(Xs, ys, names):
 
 
 def _entities(data):
-    """Per-entity ``(Xs, ys)``: entity j's rows of the padded block."""
-    y3 = data._y.reshape(data._X3.shape[:2])
-    return (tuple(data._X3[j, :n] for j, n in enumerate(data.n_j)),
-            tuple(y3[j, :n] for j, n in enumerate(data.n_j)))
+    """Per-entity ``(Xs, ys)`` read back from the tiles."""
+    rows = [data.entity_rows(j) for j in range(data.J)]
+    return tuple(X for X, _ in rows), tuple(y for _, y in rows)
 
 
 def _random_instance(p, sizes, seed):
@@ -76,10 +76,21 @@ def _grad(params, data, hyper):
     return HierTarget(data, hyper).logp_and_grad(params.pack())[1]
 
 
+# The entity sizes of the seed-1 ``mixed_cv`` benchmark workload.
+MIXED_CV_SIZES = (280, 89, 113, 315, 64, 199, 151, 488, 50, 371, 85, 190)
+
 # (p, J): J entities of one size, or an explicit tuple of entity sizes.
-LAYOUTS = [(2, 1), (2, 5), (10, 1), (10, 5),
-           pytest.param(3, (5, 17, 9, 40), id="3-unequal"),
-           pytest.param(3, (5, 17, 0, 40), id="3-unequal-with-empty")]
+# The equal layouts get one tile per entity; the rest are cut into
+# shorter tiles, except the near-equal one, where any shorter tile would
+# hold more rows than padding every entity to 101.
+UNEQUAL_LAYOUTS = [
+    pytest.param(3, (5, 17, 9, 40), id="3-unequal"),
+    pytest.param(3, (5, 17, 0, 40), id="3-unequal-with-empty"),
+    pytest.param(3, (0, 25, 3, 0), id="3-empty-first-and-last"),
+    pytest.param(3, (1, 30, 12), id="3-one-row"),
+    pytest.param(3, (100, 100, 101), id="3-near-equal"),
+    pytest.param(4, MIXED_CV_SIZES, id="4-mixed-cv")]
+LAYOUTS = [(2, 1), (2, 5), (10, 1), (10, 5)] + UNEQUAL_LAYOUTS
 
 
 def _sizes(J, n):
@@ -137,19 +148,62 @@ class TestHierData:
 
     @pytest.mark.parametrize("p,J", LAYOUTS)
     def test_block_matches_per_entity_fill(self, p, J):
-        # The block built from the joined table, against the fill of
-        # each entity's own arrays that the likelihood was written for.
+        # The tiles built from the joined table, against tiles cut from
+        # each entity's own arrays one entity at a time.
+        sizes = _sizes(J, 12)
         rng = np.random.default_rng(400)
-        Xs = [rng.normal(size=(n, p)) for n in _sizes(J, 12)]
-        ys = [rng.integers(0, 2, size=n) for n in _sizes(J, 12)]
+        Xs = [rng.normal(size=(n, p)) for n in sizes]
+        ys = [rng.integers(0, 2, size=n) for n in sizes]
         data = _hier_data(Xs, ys, tuple(f"x{k}" for k in range(p)))
-        X3, y, one_minus_y, pad_softplus = padded_block(Xs, ys)
-        for mine, reference in ((data._X3, X3), (data._y, y),
+        tiles, y, one_minus_y, pad_softplus, owner = tiled_block(Xs, ys,
+                                                                 data.T)
+        for mine, reference in ((data._tiles, tiles), (data._y, y),
                                 (data._one_minus_y, one_minus_y)):
             assert mine.dtype == reference.dtype == np.float64
             np.testing.assert_array_equal(mine, reference, strict=True)
         assert data._pad_softplus == pad_softplus
-        assert data.n_j == tuple(_sizes(J, 12))
+        assert data.n_j == tuple(sizes)
+        if data._tile_entity is None:
+            np.testing.assert_array_equal(owner, np.arange(len(sizes)))
+        else:
+            np.testing.assert_array_equal(data._tile_entity, owner)
+        n_tiles = tiles.shape[0]
+        assert n_tiles * data.T <= len(sizes) * max(sizes)
+        assert n_tiles <= len(sizes) * max(sizes)
+        for j, (X, y_j) in enumerate(zip(*_entities(data))):
+            np.testing.assert_array_equal(X, Xs[j], strict=True)
+            np.testing.assert_array_equal(y_j, ys[j].astype(np.float64),
+                                          strict=True)
+
+    def test_tile_length_rule(self):
+        # Brute force over every length against the documented rule: the
+        # fewest rows plus a fixed cost per tile, ties to the longer tile.
+        rng = np.random.default_rng(401)
+        cost_rows = HierData._TILE_COST_ROWS
+        for trial in range(300):
+            J = int(rng.integers(1, 9))
+            sizes = rng.integers(0, 3 if trial < 30 else 130, size=J)
+            T = HierData.tile_length(sizes)
+            n_max = int(sizes.max())
+            assert 1 <= T <= max(n_max, 1)
+
+            def tiles(t):
+                return sum(-(-int(n) // t) for n in sizes)
+
+            best = min(range(1, max(n_max, 1) + 1),
+                       key=lambda t: (tiles(t) * (t + cost_rows), -t))
+            assert T == best
+            assert tiles(T) * T <= J * n_max
+            assert tiles(T) <= int(sizes.sum())
+
+    @pytest.mark.parametrize("sizes", [(1,), (7, 7, 7), (100,) * 15,
+                                       (488,) * 12])
+    def test_equal_sizes_get_one_tile_each(self, sizes):
+        assert HierData.tile_length(sizes) == sizes[0]
+        data = _hier_data([np.zeros((n, 2)) for n in sizes],
+                          [np.zeros(n, dtype=int) for n in sizes], ("a", "b"))
+        assert data._tiles.shape == (len(sizes), sizes[0], 2)
+        assert data._tile_entity is None
 
 
 class TestLogPosterior:
@@ -256,6 +310,36 @@ class TestGradient:
                       - target.logp_and_grad(minus)[0]) / (2 * h)
                 denom = max(abs(grad[idx]), abs(fd), 1e-6)
                 assert abs(grad[idx] - fd) / denom < 1e-5
+
+    @pytest.mark.parametrize("p,J", [(2, 1), (2, 5), (10, 5), (11, 15)])
+    def test_equal_sizes_match_padded_kernel_bits(self, p, J):
+        # One tile per entity is the padded block: the same operations
+        # in the same order, so the same bits.
+        for seed in range(3):
+            data, hyper, params = _random_instance(p, _sizes(J, 40),
+                                                   seed=500 + seed)
+            value, grad = HierTarget(data, hyper).logp_and_grad(
+                params.pack())
+            ref_value, ref_grad = padded_logp_and_grad(
+                params.pack(), *_entities(data), hyper.beta0,
+                hyper.sigma0_diag, hyper.tau)
+            assert value == ref_value
+            np.testing.assert_array_equal(grad, ref_grad, strict=True)
+
+    @pytest.mark.parametrize("p,J", UNEQUAL_LAYOUTS)
+    def test_tiles_match_padded_kernel(self, p, J):
+        # Unequal sizes sum in another order than the padded block does.
+        for seed in range(3):
+            data, hyper, params = _random_instance(p, J, seed=510 + seed)
+            value, grad = HierTarget(data, hyper).logp_and_grad(
+                params.pack())
+            ref_value, ref_grad = padded_logp_and_grad(
+                params.pack(), *_entities(data), hyper.beta0,
+                hyper.sigma0_diag, hyper.tau)
+            assert value == pytest.approx(ref_value, rel=1e-13)
+            np.testing.assert_allclose(
+                grad, ref_grad, rtol=1e-12,
+                atol=1e-13 * np.abs(ref_grad).max())
 
     @pytest.mark.parametrize("p,J", LAYOUTS)
     def test_extreme_margins_match_oracle(self, p, J):

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +457,31 @@ class TestGradientCount:
         monkeypatch.setattr(nuts, "_usable_cpus", lambda: 2)
         assert sample(self._counting_target()[0], config)[1].n_grad \
             == diag.n_grad
+
+    def test_warmup_calls_split_the_count(self, monkeypatch):
+        # Warmup does not depend on the number of draws, so a run that
+        # keeps 8 draws makes the same warmup calls, and the sampling
+        # calls of either run are the rest of its count: one at least per
+        # transition, and the same for one worker or two.
+        config = SamplerConfig(chains=2, warmup=150, draws=100, seed=4)
+        runs = {}
+        for workers, draws in ((1, 100), (2, 100), (1, 8)):
+            monkeypatch.setattr(nuts, "_usable_cpus", lambda: workers)
+            target, calls = self._counting_target()
+            _, diag = sample(target, replace(config, draws=draws))
+            runs[workers, draws] = diag
+            if workers == 1:
+                assert diag.n_grad == calls[0]
+            doc = json.loads(diag.to_json())
+            assert doc["n_grad_warmup"] == diag.n_grad_warmup
+            assert diag.n_grad_warmup >= config.chains * config.warmup
+            assert (diag.n_grad - diag.n_grad_warmup
+                    >= config.chains * draws)
+        one, two, short = runs[1, 100], runs[2, 100], runs[1, 8]
+        assert (two.n_grad, two.n_grad_warmup) == (one.n_grad,
+                                                   one.n_grad_warmup)
+        assert short.n_grad_warmup == one.n_grad_warmup
+        assert short.n_grad < one.n_grad
 
     @pytest.mark.parametrize("setting", [
         {"draws": 7}, {"divergence_energy_threshold": 0.0},

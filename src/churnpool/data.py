@@ -75,6 +75,24 @@ class Dataset:
     source_tags: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        self._freeze(copy=True)
+
+    @classmethod
+    def _adopt(cls, features, labels, feature_names,
+               source_tags=None) -> "Dataset":
+        """A Dataset that takes over ``features``, a fresh float64 matrix
+        that nothing else holds, where the constructor would copy it."""
+        data = cls.__new__(cls)
+        for name, value in (("features", features), ("labels", labels),
+                            ("feature_names", feature_names),
+                            ("source_tags", source_tags)):
+            object.__setattr__(data, name, value)
+        data._freeze(copy=False)
+        return data
+
+    def _freeze(self, copy: bool) -> None:
+        """Check the fields and make the arrays read-only, copying the
+        features when ``copy`` (the labels are always a fresh int8 copy)."""
         features = as_float_matrix(self.features, "features")
         labels = check_binary_labels(self.labels)
         names = tuple(str(n) for n in self.feature_names)
@@ -91,9 +109,9 @@ class Dataset:
             tags = tuple(str(t) for t in tags)
             if len(tags) != features.shape[0]:
                 raise ValidationError("source_tags length must match row count")
-        features = features.copy()
+        if copy:
+            features = features.copy()
         features.setflags(write=False)
-        labels = labels.copy()
         labels.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
@@ -114,8 +132,8 @@ class Dataset:
         tags = None
         if self.source_tags is not None:
             tags = tuple(self.source_tags[i] for i in indices)
-        return Dataset(self.features[indices], self.labels[indices],
-                       self.feature_names, tags)
+        return Dataset._adopt(self.features[indices], self.labels[indices],
+                              self.feature_names, tags)
 
     def class_counts(self) -> tuple[int, int]:
         pos = int(self.labels.sum())
@@ -295,11 +313,14 @@ def load_csv(path, label_column: str = "target",
     Rows are converted as they are read, ``_CSV_CHUNK_ROWS`` at a time,
     into float blocks joined once the file ends, so the file's records
     are never held all at once.  A column with a cell that does not parse
-    or is NaN is text from then on, and a second read of the file takes
-    the raw strings of those columns alone, so such a file must be a
-    regular file (not a pipe); a file whose columns are all numeric is
-    read once.  A malformed record anywhere in the file is reported
-    before a bad label earlier in it.
+    or is NaN is text from then on.  A column that turns text in the
+    first chunk keeps its raw strings as they are read, so a file whose
+    text columns all turn text there is read once, as is a file whose
+    columns are all numeric.  A column that turns text in a later chunk
+    has lost its earlier cells, so a second read of the file takes the
+    raw strings of such columns alone, and that file must be a regular
+    file (not a pipe).  A malformed record anywhere in the file is
+    reported before a bad label earlier in it.
 
     Parameters
     ----------
@@ -325,18 +346,26 @@ def load_csv(path, label_column: str = "target",
     label_blocks: list[np.ndarray] = []
     tags: list[str] | None = None if tag_idx is None else []
     interned: dict[str, str] = {}
-    text: set[int] = set()  # positions in feature_cols
+    # Text columns by position in feature_cols: those that turn text in
+    # the first chunk keep every raw cell; the others are read again.
+    raws: dict[int, list[str]] = {}
+    late: set[int] = set()
     bad_label = None
     n = 0
     while chunk := list(islice(reader, _CSV_CHUNK_ROWS)):
         block = np.empty((len(chunk), len(feature_cols)))
         for k, j in enumerate(feature_cols):
-            if k not in text:
-                values = _float_column([row[j] for row in chunk])
-                if values is None:
-                    text.add(k)
-                else:
+            if k in raws:
+                raws[k].extend(row[j] for row in chunk)
+            elif k not in late:
+                cells = [row[j] for row in chunk]
+                values = _float_column(cells)
+                if values is not None:
                     block[:, k] = values
+                elif n == 0:
+                    raws[k] = cells
+                else:
+                    late.add(k)
         blocks.append(block)
         if label_idx is not None:
             labels = np.empty(len(chunk), dtype=np.int8)
@@ -360,29 +389,33 @@ def load_csv(path, label_column: str = "target",
     if bad_label is not None:
         raise bad_label
     block = np.concatenate(blocks)
-    del blocks  # so at most two copies of the matrix live while Dataset copies it
+    del blocks
     labels = np.concatenate(label_blocks)
-    if not text:
-        return Dataset(block, labels, tuple(header[j] for j in feature_cols), tags)
-    if not path.is_file():
-        raise DataError(f"{path}: a file with text or missing cells is read "
-                        "twice, so it must be a regular file")
-
-    raws: dict[int, list[str]] = {k: [] for k in text}
-    rows = _csv_rows(path)
-    if next(rows) == header:
-        for row in rows:
-            for k, raw in raws.items():
-                raw.append(row[feature_cols[k]])
-    if any(len(raw) != n for raw in raws.values()):
-        raise DataError(f"{path} changed while it was being read")
+    if not raws and not late:
+        return Dataset._adopt(block, labels,
+                              tuple(header[j] for j in feature_cols), tags)
+    if late:
+        if not path.is_file():
+            raise DataError(
+                f"{path}: a column with text or missing cells after the first "
+                f"{_CSV_CHUNK_ROWS} rows is read twice, so the file must be "
+                "a regular file")
+        again: dict[int, list[str]] = {k: [] for k in late}
+        rows = _csv_rows(path)
+        if next(rows) == header:
+            for row in rows:
+                for k, raw in again.items():
+                    raw.append(row[feature_cols[k]])
+        if any(len(raw) != n for raw in again.values()):
+            raise DataError(f"{path} changed while it was being read")
+        raws.update(again)
 
     columns: list[np.ndarray] = []
     names: list[str] = []
     indicators: list[tuple[str, np.ndarray]] = []
     for k, j in enumerate(feature_cols):
         name = header[j]
-        if k not in text:
+        if k not in raws:
             columns.append(block[:, k])
             names.append(name)
             continue
@@ -416,7 +449,7 @@ def load_csv(path, label_column: str = "target",
         names.append(ind_name)
 
     features = np.column_stack(columns) if columns else np.empty((n, 0))
-    return Dataset(features, labels, tuple(names), tags)
+    return Dataset._adopt(features, labels, tuple(names), tags)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +480,10 @@ def apply_standardization(data: Dataset, stats: StandardizationStats) -> Dataset
     if data.p != stats.means.shape[0]:
         raise ValidationError(
             f"dataset has {data.p} columns, stats expect {stats.means.shape[0]}")
-    transformed = (data.features - stats.means) / stats.stds
-    return Dataset(transformed, data.labels, data.feature_names, data.source_tags)
+    transformed = data.features - stats.means
+    transformed /= stats.stds
+    return Dataset._adopt(transformed, data.labels, data.feature_names,
+                          data.source_tags)
 
 
 # ---------------------------------------------------------------------------

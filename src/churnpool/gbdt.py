@@ -25,11 +25,28 @@ per-feature search.  Three details keep them so, and keep memory flat:
 
 Node covers (fitting-subsample counts) are recorded on every node: the
 attribution layer weighs tree paths by them, so they are part of the
-persisted model.
+persisted model.  Each leaf writes its value for its fitting rows into
+one per-fit buffer, so only the rows the row subsample left out are
+routed through the new tree to update the training margins.
+
+The two subtrees under a root split share no state.  When the process
+may use two CPUs or more, ``fit`` forks one worker (``forking``) that
+inherits the data and ``presorted``.  For each tree the calling process
+finds the root split, sends the worker the residuals, the smaller
+child's rows, the tree's features and their tie flags as raw bytes, and
+grows the larger child while the worker rebuilds the smaller child's
+order from ``presorted`` and grows it through the same ``_grow_tree``.
+The worker returns the subtree and the leaf value of each of its rows.
+With one usable CPU, or in a daemon process, both children grow here.
+Either way the model has the same bits.  The worker is joined before
+``fit`` returns, and terminated first on an error; a lost worker is a
+``RuntimeError``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 import operator
@@ -41,6 +58,9 @@ import numpy as np
 
 from .errors import (ValidationError, atomic_write, check_is_fitted,
                      malformed_artifact)
+# _usable_cpus is looked up here at each call, so tests can patch it.
+from .forking import forked, read_into, receive, send_array, worker_failure
+from .forking import usable_cpus as _usable_cpus
 from .numerics import PROB_CLIP, binary_log_loss, sigmoid
 from .rng import default_rng
 from .validation import as_float_matrix, as_name_tuple, check_binary_labels
@@ -122,8 +142,14 @@ def _finite(doc: dict, key: str) -> float:
 
 
 def _tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    stack = [(root, np.arange(X.shape[0]))]
+    return _route(root, X, np.arange(X.shape[0]), np.empty(X.shape[0]))
+
+
+def _route(root: TreeNode, X: np.ndarray, rows: np.ndarray,
+           out: np.ndarray) -> np.ndarray:
+    """For each row index ``i`` in ``rows``, write the leaf value of
+    ``X[i]`` to ``out[i]``."""
+    stack = [(root, rows)]
     while stack:
         node, rows = stack.pop()
         if rows.size == 0:
@@ -253,10 +279,30 @@ def _best_node_split(X: np.ndarray, r: np.ndarray, order: np.ndarray,
     return float(best_gain), k, cut, float(threshold)
 
 
+def _node_order(presorted: np.ndarray, features: np.ndarray,
+                member: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out[k]`` with the rows where the length-``n`` bool
+    ``member`` holds, sorted by feature ``features[k]``, ties in row
+    order, from the fit's ``presorted`` columns."""
+    for k, f in enumerate(features):
+        column = presorted[f]
+        np.compress(member.take(column), column, out=out[k])
+    return out
+
+
+def _leaf(r: np.ndarray, rows: np.ndarray, fitted: np.ndarray,
+          l2_leaf: float) -> TreeNode:
+    n = rows.size
+    value = float(r[rows].sum() / (n + l2_leaf))
+    fitted[rows] = value
+    return TreeNode(value=value, cover=n)
+
+
 def _grow_tree(X: np.ndarray, r: np.ndarray, rows: np.ndarray,
                order: np.ndarray, features: np.ndarray, tied: np.ndarray,
-               mark: np.ndarray, depth: int, max_depth: int, min_leaf: int,
-               l2_leaf: float) -> TreeNode:
+               mark: np.ndarray, fitted: np.ndarray, depth: int,
+               max_depth: int, min_leaf: int, l2_leaf: float,
+               worker=None) -> TreeNode:
     """Grow one node and its subtree on the presorted layout.
 
     ``rows`` holds the node's fitting rows in ascending order, and
@@ -266,37 +312,133 @@ def _grow_tree(X: np.ndarray, r: np.ndarray, rows: np.ndarray,
     training column repeats a value.  A split marks its left rows in
     ``mark`` (a length-``n`` boolean scratch array shared by all nodes)
     and filters every row of ``order`` by that mark, which keeps the
-    sorted order and the row order of ties in both children.
+    sorted order and the row order of ties in both children.  Each leaf
+    writes its value to ``fitted`` at its rows.
+
+    The fit passes a ``_SubtreeWorker`` as ``worker`` to the root call
+    when it may use two CPUs.  If the root splits, its smaller child
+    (the right one on a tie) goes to the forked worker, which grows that
+    subtree through this same function while this call grows the other;
+    the tree, and each leaf value, is the one the serial recursion
+    grows.
 
     Memory: the fit holds ``presorted``, p * n int32 indices, and every
     node on the current root-to-leaf path holds its own ``order``, at most
-    ``len(features) * rows.size`` int32 per level.  The split search adds
-    a few temporaries of at most ``_BLOCK_ELEMENTS`` elements each.
+    ``len(features) * rows.size`` int32 per level.  The child that the
+    worker grows gets its ``order`` in the worker's memory, not in this
+    process.  The split search adds a few temporaries of at most
+    ``_BLOCK_ELEMENTS`` elements each.
     """
     n = rows.size
     if depth >= max_depth or n < 2 * min_leaf:
-        return TreeNode(value=float(r[rows].sum() / (n + l2_leaf)), cover=n)
+        return _leaf(r, rows, fitted, l2_leaf)
     found = _best_node_split(X, r, order, features, tied, min_leaf)
     if found is None:
-        return TreeNode(value=float(r[rows].sum() / (n + l2_leaf)), cover=n)
+        return _leaf(r, rows, fitted, l2_leaf)
     best_gain, k, _, best_threshold = found
     best_feature = int(features[k])
     go_left = X[rows, best_feature] <= best_threshold
     n_left = int(np.count_nonzero(go_left))
-    mark[rows] = go_left
-    sel = mark.take(order)
-    # np.extract keeps the same elements in the same order as order[sel]
-    # and runs several times faster on these half-and-half masks.
-    left = _grow_tree(X, r, rows[go_left],
-                      np.extract(sel, order).reshape(-1, n_left),
-                      features, tied, mark, depth + 1, max_depth, min_leaf,
-                      l2_leaf)
-    right = _grow_tree(X, r, rows[~go_left],
-                       np.extract(~sel, order).reshape(-1, n - n_left),
-                       features, tied, mark, depth + 1, max_depth, min_leaf,
-                       l2_leaf)
+    limits = (depth + 1, max_depth, min_leaf, l2_leaf)
+    if worker is not None:
+        # The worker grows the smaller child, whose order it rebuilds from
+        # presorted, while this call grows the other one.
+        keep_left = 2 * n_left >= n
+        keep = go_left if keep_left else ~go_left
+        worker.start(r, rows[~keep], features, tied)
+        mark[rows] = keep
+        kept = _grow_tree(X, r, rows[keep],
+                          np.extract(mark.take(order), order).reshape(
+                              -1, n_left if keep_left else n - n_left),
+                          features, tied, mark, fitted, *limits)
+        handed = worker.finish()
+        left, right = (kept, handed) if keep_left else (handed, kept)
+    else:
+        mark[rows] = go_left
+        sel = mark.take(order)
+        # np.extract keeps the same elements in the same order as
+        # order[sel] and runs several times faster on these half-and-half
+        # masks.
+        left = _grow_tree(X, r, rows[go_left],
+                          np.extract(sel, order).reshape(-1, n_left),
+                          features, tied, mark, fitted, *limits)
+        right = _grow_tree(X, r, rows[~go_left],
+                           np.extract(~sel, order).reshape(-1, n - n_left),
+                           features, tied, mark, fitted, *limits)
     return TreeNode(feature_index=best_feature, threshold=best_threshold,
                     left=left, right=right, gain=best_gain, cover=n)
+
+
+_WORKER_GONE = "a tree worker exited unexpectedly"
+
+
+def _serve_subtrees(X, presorted, limits, conn) -> None:
+    """Body of the forked tree worker: grow each root child the parent
+    sends, at depth 1, and return its subtree and the leaf value of each
+    of its rows, until the parent closes the pipe.
+
+    A job is the ``(rows, features)`` sizes, then the residuals, the
+    child's rows (ascending), the tree's features and their tie flags as
+    raw bytes.  The child's ``order`` is rebuilt from ``presorted``,
+    which gives the same rows in the same order as filtering the root's.
+    """
+    n, p = X.shape
+    r, rows, features = np.empty(n), np.empty(n, np.intp), np.empty(p, np.intp)
+    tied, mark, fitted = np.empty(p, bool), np.empty(n, bool), np.empty(n)
+    while True:
+        try:
+            n_rows, n_feats = conn.recv()
+        except EOFError:
+            return
+        job = (r, rows[:n_rows], features[:n_feats], tied[:n_feats])
+        for out in job:
+            read_into(conn, out, "the parent closed a tree job early")
+        _, child, feats, flags = job
+        mark[:] = False
+        mark[child] = True
+        order = _node_order(presorted, feats, mark,
+                            np.empty((n_feats, n_rows), dtype=np.int32))
+        conn.send(_grow_tree(X, r, child, order, feats, flags, mark, fitted,
+                             1, *limits))
+        send_array(conn, fitted.take(child))
+
+
+class _SubtreeWorker:
+    """Parent side of the forked tree worker.  ``start`` sends it a root
+    child and returns at once; ``finish`` waits for the child's subtree
+    and writes its rows' leaf values to ``fitted``.  The buffers are
+    allocated once per fit."""
+
+    def __init__(self, conn, fitted: np.ndarray):
+        self._conn, self._fitted = conn, fitted
+        self._values = np.empty(fitted.size)
+
+    def start(self, r, rows, features, tied) -> None:
+        self._rows = rows
+        with worker_failure(_WORKER_GONE):
+            self._conn.send((rows.size, features.size))
+            for array in (r, rows, features, tied):
+                send_array(self._conn, array)
+
+    def finish(self) -> TreeNode:
+        tree = receive(self._conn, _WORKER_GONE)
+        values = self._values[:self._rows.size]
+        read_into(self._conn, values, _WORKER_GONE)
+        self._fitted[self._rows] = values
+        return tree
+
+
+@contextlib.contextmanager
+def _subtree_worker(X, presorted, fitted, limits):
+    """Yield a ``_SubtreeWorker`` when this process may use two CPUs, else
+    None.  The worker inherits ``X`` and ``presorted``, and is joined on
+    exit."""
+    if _usable_cpus() < 2:
+        yield None
+        return
+    body = functools.partial(_serve_subtrees, X, presorted, limits)
+    with forked([body], "tree worker") as [(conn, _)]:
+        yield _SubtreeWorker(conn, fitted)
 
 
 @dataclass(eq=False)
@@ -398,35 +540,46 @@ class GradientBoostedTrees:
         # A column with no repeated value has no ties in any row subset.
         tied = np.array([bool(np.any(np.diff(X[column, f]) == 0.0))
                          for f, column in enumerate(presorted)])
+        # Buffers reused by every tree: the root's order, the residuals,
+        # and each row's leaf value (its training-margin step).
+        order = np.empty((n_feats, n_rows), dtype=np.int32)
+        residual, fitted = np.empty(n), np.empty(n)
         in_sample = np.zeros(n, dtype=bool)
         mark = np.empty(n, dtype=bool)
+        limits = (self.max_depth, self.min_samples_leaf, self.l2_leaf)
+        probs = sigmoid(margins)
 
-        for m in range(self.iterations):
-            rows = all_rows if n_rows == n else np.sort(
-                rng.choice(n, size=n_rows, replace=False))
-            feats = all_feats if n_feats == p else np.sort(
-                rng.choice(p, size=n_feats, replace=False))
-            in_sample[:] = False
-            in_sample[rows] = True
-            order = np.empty((n_feats, n_rows), dtype=np.int32)
-            for k, f in enumerate(feats):
-                column = presorted[f]
-                order[k] = column[in_sample.take(column)]
-            residual = y - sigmoid(margins)
-            tree = _grow_tree(X, residual, rows, order, feats, tied[feats],
-                              mark, 0, self.max_depth,
-                              self.min_samples_leaf, self.l2_leaf)
-            trees.append(tree)
-            margins += self.learning_rate * _tree_predict(tree, X)
-            val_margins += self.learning_rate * _tree_predict(tree, X_val)
-            train_losses.append(binary_log_loss(y, sigmoid(margins)))
-            val_loss = binary_log_loss(y_val, sigmoid(val_margins))
-            val_losses.append(val_loss)
-            if val_loss < best_loss:
-                best_loss = val_loss
-                best_iter = m + 1
-            elif (m + 1) - best_iter >= self.early_stopping_rounds:
-                break
+        with _subtree_worker(X, presorted, fitted, limits) as worker:
+            for m in range(self.iterations):
+                rows = all_rows if n_rows == n else np.sort(
+                    rng.choice(n, size=n_rows, replace=False))
+                feats = all_feats if n_feats == p else np.sort(
+                    rng.choice(p, size=n_feats, replace=False))
+                in_sample[:] = False
+                in_sample[rows] = True
+                np.subtract(y, probs, out=residual)
+                tree = _grow_tree(X, residual, rows,
+                                  _node_order(presorted, feats, in_sample,
+                                              order),
+                                  feats, tied[feats], mark, fitted, 0, *limits,
+                                  worker=worker)
+                trees.append(tree)
+                # The leaves wrote the fitting rows' values; the rows the
+                # subsample left out are routed through the tree.
+                if n_rows < n:
+                    _route(tree, X, np.flatnonzero(~in_sample), fitted)
+                margins += np.multiply(fitted, self.learning_rate,
+                                       out=fitted)
+                val_margins += self.learning_rate * _tree_predict(tree, X_val)
+                probs = sigmoid(margins)
+                train_losses.append(binary_log_loss(y, probs))
+                val_loss = binary_log_loss(y_val, sigmoid(val_margins))
+                val_losses.append(val_loss)
+                if val_loss < best_loss:
+                    best_loss = val_loss
+                    best_iter = m + 1
+                elif (m + 1) - best_iter >= self.early_stopping_rounds:
+                    break
 
         self.ensemble_ = TreeEnsemble(init, self.learning_rate,
                                       trees[:best_iter], tuple(feature_names))

@@ -59,6 +59,9 @@ import numpy as np
 
 from .errors import (DataError, DiagnosticError, ValidationError,
                      atomic_write, malformed_artifact)
+# _usable_cpus is looked up here at each call, so tests can patch it.
+from .forking import forked, read_into, receive, send_array, worker_failure
+from .forking import usable_cpus as _usable_cpus
 from .numerics import average_ranks, norm_ppf
 from .rng import spawn
 from .validation import as_name_tuple
@@ -789,64 +792,32 @@ class _Chain:
         return divergent, sum_accept / max(n_accept, 1)
 
 
-def _send_array(conn, array: np.ndarray) -> None:
-    """Write a contiguous array's bytes to ``conn``'s socket, unframed:
-    the reader knows the shape."""
-    view = memoryview(array).cast("B")
-    while view:
-        view = view[os.write(conn.fileno(), view):]
-
-
-def _serve(chains: list[_Chain], windows, conn, parent_ends) -> None:
+def _serve(chains: list[_Chain], windows, conn) -> None:
     """Body of a forked chain worker: run ``chains`` through ``windows`` and
     sampling, streaming every block, then every chain's step size, target
-    calls and draw rows, to the parent over ``conn``, chain by chain.
-
-    Closing the inherited parent-side pipe ends makes the next message on
-    ``conn`` fail once the parent is gone, and the worker then exits.
-    """
-    for parent_end in parent_ends:
-        parent_end.close()
-    try:
-        with _one_blas_thread():
-            for start, end in windows:
-                for chain in chains:
-                    # Computed before the marker, so that a failure in the
-                    # block is the next message the parent reads.
-                    block = chain.block(start, end)
-                    conn.send(None)
-                    _send_array(conn, block)
-                metric = _Metric(*conn.recv())
-                for chain in chains:
-                    chain.adopt(metric)
-            config, dim = chains[0].config, chains[0].target.dim
-            row = (np.empty((config.draws, dim)),
-                   np.empty(config.draws, dtype=bool),
-                   np.empty(config.draws))
+    calls and draw rows, to the parent over ``conn``, chain by chain."""
+    with _one_blas_thread():
+        for start, end in windows:
             for chain in chains:
-                conn.send(chain.draw(*row))
-                for out in row:
-                    _send_array(conn, out)
-    except Exception as exc:
-        try:
-            conn.send(exc)
-        except OSError:
-            pass  # the parent has gone
-        except Exception:  # the exception does not pickle
-            conn.send(RuntimeError(f"sampler worker failed: {exc!r}"))
+                # Computed before the marker, so that a failure in the
+                # block is the next message the parent reads.
+                block = chain.block(start, end)
+                conn.send(None)
+                send_array(conn, block)
+            metric = _Metric(*conn.recv())
+            for chain in chains:
+                chain.adopt(metric)
+        config, dim = chains[0].config, chains[0].target.dim
+        row = (np.empty((config.draws, dim)),
+               np.empty(config.draws, dtype=bool),
+               np.empty(config.draws))
+        for chain in chains:
+            conn.send(chain.draw(*row))
+            for out in row:
+                send_array(conn, out)
 
 
 _WORKER_GONE = "a sampler worker exited unexpectedly"
-
-
-@contextlib.contextmanager
-def _worker_failure(message: str = _WORKER_GONE):
-    """Raise a pipe that ends or breaks, or a fork that fails, as the
-    sampler's ``RuntimeError``, not as an ``OSError`` of artifact I/O."""
-    try:
-        yield
-    except (EOFError, OSError) as exc:
-        raise RuntimeError(message) from exc
 
 
 class _Worker:
@@ -857,98 +828,37 @@ class _Worker:
     exception raised in the worker is raised again here.
     """
 
-    def __init__(self, ctx, chains: list[_Chain], windows, ends: list):
-        self.conn, child_end = ctx.Pipe()
-        ends.append(self.conn)
-        self.dim = chains[0].target.dim
-        self.process = ctx.Process(
-            target=_serve, args=(chains, windows, child_end, list(ends)),
-            daemon=True)
-        self.process.start()
-        child_end.close()
-
-    def _reply(self):
-        with _worker_failure():
-            reply = self.conn.recv()
-        if isinstance(reply, BaseException):
-            raise reply
-        return reply
-
-    def _read_into(self, out: np.ndarray) -> None:
-        """Read ``_send_array``'s bytes straight into the contiguous
-        ``out``, with no intermediate copy."""
-        view = memoryview(out).cast("B")
-        with _worker_failure():
-            while view:
-                size = os.readv(self.conn.fileno(), [view])
-                if not size:
-                    raise RuntimeError(_WORKER_GONE)
-                view = view[size:]
+    def __init__(self, conn, process, dim: int):
+        self.conn, self.process, self.dim = conn, process, dim
 
     def block(self, start: int, end: int) -> np.ndarray:
-        self._reply()
+        receive(self.conn, _WORKER_GONE)
         block = np.empty((end - start, self.dim))
-        self._read_into(block)
+        read_into(self.conn, block, _WORKER_GONE)
         return block
 
     def adopt(self, metric: _Metric) -> None:
-        with _worker_failure():
+        with worker_failure(_WORKER_GONE):
             self.conn.send((metric.diag, metric.u, metric.lam))
 
     def draw(self, draws: np.ndarray, divergent: np.ndarray,
              accept: np.ndarray) -> tuple[float, int, int]:
-        reply = self._reply()
+        reply = receive(self.conn, _WORKER_GONE)
         for out in (draws, divergent, accept):
-            self._read_into(out)
+            read_into(self.conn, out, _WORKER_GONE)
         return reply
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run chain workers on: 1 without
-    ``os.sched_getaffinity`` or the fork start method, and in a daemon
-    process, which may not have children."""
-    try:
-        count = len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-    if count < 2:
-        return 1
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return 1
-    return count
 
 
 @contextlib.contextmanager
 def _forked(chains: list[_Chain], n_workers: int, windows):
     """Run chains ``c = w (mod n_workers)`` in forked daemon worker ``w``
-    and yield the workers.
-
-    The workers inherit the target, so only commands and results cross
-    the pipes.  On exit every pipe is closed and every worker joined; on
-    an error the workers are terminated first.
-    """
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    ends, workers = [], []
-    try:
-        with _worker_failure("cannot start a sampler worker"):
-            for w in range(n_workers):
-                workers.append(_Worker(ctx, chains[w::n_workers], windows,
-                                       ends))
-        yield workers
-    except BaseException:
-        for worker in workers:
-            worker.process.terminate()
-        raise
-    finally:
-        for end in ends:
-            end.close()
-        for worker in workers:
-            worker.process.join()
+    and yield the workers; they inherit the target.  On exit every worker
+    is joined, and on an error terminated first."""
+    bodies = [functools.partial(_serve, chains[w::n_workers], windows)
+              for w in range(n_workers)]
+    with forked(bodies, "sampler worker") as pipes:
+        yield [_Worker(conn, process, chains[0].target.dim)
+               for conn, process in pipes]
 
 
 def sample(target, config: SamplerConfig,

@@ -1,19 +1,20 @@
 """Container, ingestion, standardization, split, and generator contracts."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import math
 import os
+import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from churnpool.data import (Dataset, SMECollection, _csv_rows,
+from churnpool.data import (_CSV_CHUNK_ROWS, Dataset, SMECollection, _csv_rows,
                             apply_standardization,
                             generate_hierarchical_population, load_collection,
                             load_csv, make_synthetic_smes, save_collection,
@@ -54,6 +55,57 @@ class TestDataset:
         ds = _toy()
         with pytest.raises(ValueError):
             ds.features[0, 0] = 1.0
+
+    def test_constructor_copies_what_it_is_given(self):
+        X, y = np.arange(6.0).reshape(3, 2), np.array([0, 1, 0])
+        ds = Dataset(X, y, ("a", "b"))
+        assert not np.shares_memory(ds.features, X)
+        assert not np.shares_memory(ds.labels, y)
+        assert X.flags.writeable and y.flags.writeable
+
+    def test_derived_datasets_own_read_only_arrays(self, tmp_path):
+        # subset, the standardizers and load_csv hand their fresh arrays
+        # to the Dataset instead of having it copy them again.
+        source = _toy(n=30, p=3, positives=12, seed=5)
+        rows = np.array([3, 0, 7, 7, 29])
+        standardized, stats = standardize(source)
+        path = _write(tmp_path, "small.csv", "a,plan,target\n1.5,x,0\n"
+                      "2.5,y,1\n")
+        derived = [
+            (source.subset(rows), source.features[rows],
+             source.labels[rows]),
+            (standardized, (source.features - stats.means) / stats.stds,
+             source.labels),
+            (apply_standardization(source, stats),
+             (source.features - stats.means) / stats.stds, source.labels),
+            (load_csv(path), [[1.5, 1.0, 0.0], [2.5, 0.0, 1.0]], [0, 1]),
+        ]
+        for ds, features, labels in derived:
+            for array in (ds.features, ds.labels):
+                assert not array.flags.writeable
+                assert not np.shares_memory(array, source.features)
+                assert not np.shares_memory(array, source.labels)
+            np.testing.assert_array_equal(ds.features, features)
+            np.testing.assert_array_equal(ds.labels, labels)
+        assert not np.shares_memory(derived[1][0].features,
+                                    derived[2][0].features)
+
+    def test_subset_allocates_one_output_matrix(self):
+        rng = np.random.default_rng(6)
+        n, p = 20_000, 20
+        ds = Dataset(rng.normal(size=(n, p)), np.arange(n) % 2,
+                     tuple(f"x{k}" for k in range(p)))
+        rows = np.arange(0, n, 2)
+        tracemalloc.start()
+        try:
+            half = ds.subset(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert half.n == n // 2
+        # The half-size output, the isfinite mask and the index array;
+        # copying the output again would reach the whole source's size.
+        assert peak < 0.8 * ds.features.nbytes, peak / ds.features.nbytes
 
 
 class TestLoadCsv:
@@ -311,8 +363,10 @@ class TestLoadCsvStreaming:
     ])
     def test_file_that_changes_between_reads(self, tmp_path, monkeypatch,
                                              mode, text):
-        # A text column sends load_csv back to the file for its cells.
-        path = _write(tmp_path, "changes.csv", "plan,target\nbasic,0\npro,1\n")
+        # A column that turns text after the first chunk sends load_csv
+        # back to the file for its cells.
+        path = _write(tmp_path, "changes.csv",
+                      "plan,target\n1,0\n2,1\nbasic,0\n")
         reads = []
 
         def rows_after_edit(p):
@@ -328,36 +382,108 @@ class TestLoadCsvStreaming:
         assert len(reads) == 2
 
     @staticmethod
-    def _pipe(text):
-        """The read end of a pipe that holds ``text`` and has no writer
-        left, as a shell's ``<(...)`` hands it over."""
-        r, w = os.pipe()
-        os.write(w, text.encode("utf-8"))
-        os.close(w)
-        return r
+    @contextlib.contextmanager
+    def _fifo(tmp_path, text):
+        """A named pipe in ``tmp_path`` that a writer thread fills with
+        ``text`` once it is opened for reading, then closes."""
+        path = tmp_path / "corpus.fifo"
+        os.mkfifo(path)
 
-    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
-    def test_numeric_pipe_is_read_once(self):
-        fd = self._pipe("a,target\n1,0\n2,1\n3,0\n")
+        def write():
+            with path.open("w", encoding="utf-8") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
         try:
-            ds = load_csv(f"/dev/fd/{fd}")
+            yield path
         finally:
-            os.close(fd)
+            if writer.is_alive():  # no reader came: let the writer finish
+                os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=60)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no mkfifo")
+    def test_numeric_pipe_is_read_once(self, tmp_path):
+        with self._fifo(tmp_path, "a,target\n1,0\n2,1\n3,0\n") as path:
+            ds = load_csv(path)
         np.testing.assert_array_equal(ds.features[:, 0], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(ds.labels, [0, 1, 0])
 
-    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no mkfifo")
     @pytest.mark.parametrize("cell", ["pro", "NA"])
-    def test_pipe_with_text_or_missing_cells_is_data_error(self, cell):
-        fd = self._pipe(f"a,target\n1,0\n{cell},1\n3,0\n")
-        path = Path(f"/dev/fd/{fd}")
-        try:
+    def test_pipe_with_text_in_the_first_chunk_is_read_once(self, tmp_path,
+                                                             cell):
+        # Chunks of 2 rows: the cell in row 2 turns column a to text in
+        # the first chunk, so its raw cells are kept as they are read.
+        text = f"a,b,target\n1,x,0\n{cell},y,1\n3,x,0\n4,y,1\n5,x,0\n"
+        with self._fifo(tmp_path, text) as path:
+            got = load_csv(path)
+        expected = per_cell_load_csv(_write(tmp_path, "same.csv", text))
+        assert got.feature_names == expected.feature_names
+        np.testing.assert_array_equal(got.features, expected.features)
+        np.testing.assert_array_equal(got.labels, [0, 1, 0, 1, 0])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no mkfifo")
+    @pytest.mark.parametrize("cell", ["pro", "NA"])
+    def test_pipe_with_late_text_or_missing_cells_is_data_error(self,
+                                                                tmp_path,
+                                                                cell):
+        # Row 3 opens the second chunk, so column a needs a second read.
+        with self._fifo(tmp_path,
+                        f"a,target\n1,0\n2,1\n{cell},0\n") as path:
             with pytest.raises(DataError) as info:
                 load_csv(path)
-        finally:
-            os.close(fd)
-        assert str(info.value) == (f"{path}: a file with text or missing cells "
-                                   "is read twice, so it must be a regular file")
+        assert str(info.value) == (
+            f"{path}: a column with text or missing cells after the first "
+            "2 rows is read twice, so the file must be a regular file")
+
+
+class TestLoadCsvReads:
+    """A file is read a second time only for a column that turns text
+    after the first ``_CSV_CHUNK_ROWS`` rows."""
+
+    @staticmethod
+    def _count_reads(monkeypatch):
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return _csv_rows(path)
+
+        monkeypatch.setattr("churnpool.data._csv_rows", counted)
+        return reads
+
+    @staticmethod
+    def _rows(n, late_row):
+        """``n`` rows of a numeric column ``a``, a categorical ``plan`` and
+        a numeric ``b`` whose cell in data row ``late_row`` is missing."""
+        lines = ["a,plan,b,target"]
+        for i in range(1, n + 1):
+            b = "NA" if i == late_row else f"{i / 7!r}"
+            lines.append(f"{i * 0.5!r},{'basic' if i % 3 else 'pro'},{b},"
+                         f"{i % 2}")
+        return "\n".join(lines) + "\n"
+
+    def test_text_in_the_first_chunk_is_read_once(self, tmp_path,
+                                                  monkeypatch):
+        path = _write(tmp_path, "early.csv",
+                      self._rows(_CSV_CHUNK_ROWS + 10, 5))
+        reads = self._count_reads(monkeypatch)
+        _assert_matches_per_cell(path)
+        assert reads == [path]
+
+    def test_text_after_the_first_chunk_is_read_again(self, tmp_path,
+                                                      monkeypatch):
+        n = _CSV_CHUNK_ROWS + 10
+        path = _write(tmp_path, "late.csv",
+                      self._rows(n, _CSV_CHUNK_ROWS + 3))
+        reads = self._count_reads(monkeypatch)
+        _assert_matches_per_cell(path)
+        assert reads == [path, path]
+        ds = load_csv(path)
+        assert ds.feature_names == ("a", "plan=basic", "plan=pro", "b")
+        assert ds.features[_CSV_CHUNK_ROWS + 2, 3] == np.median(
+            [i / 7 for i in range(1, n + 1) if i != _CSV_CHUNK_ROWS + 3])
 
 
 def test_load_csv_peak_memory_is_a_few_feature_matrices(tmp_path):
@@ -422,6 +548,22 @@ class TestStandardize:
         shifted = apply_standardization(fresh, stats)
         # transform uses the training means, so new data is not re-centered
         assert abs(shifted.features.mean()) > 1e-6
+
+    def test_peak_memory_is_about_one_feature_matrix(self):
+        # The transform divides in place and the Dataset takes over its
+        # result; std's one temporary is freed before then.
+        rng = np.random.default_rng(7)
+        n, p = 20_000, 20
+        ds = Dataset(rng.normal(size=(n, p)), np.arange(n) % 2,
+                     tuple(f"x{k}" for k in range(p)))
+        tracemalloc.start()
+        try:
+            out, _ = standardize(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.features.shape == (n, p)
+        assert peak < 1.5 * ds.features.nbytes, peak / ds.features.nbytes
 
     def test_output_moments(self):
         out, _ = standardize(_toy(n=200, seed=3))

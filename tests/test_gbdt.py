@@ -1,9 +1,13 @@
 """Boosting contracts: initialization, monotone training loss, early
-stopping, importance, constraints, determinism, persistence, and the
-presorted grower against the argsort-per-node oracle."""
+stopping, importance, constraints, determinism, persistence, the
+presorted grower against the argsort-per-node oracle, and the forked
+subtree worker."""
 
 import json
 import math
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ import churnpool.gbdt as gbdt
 from churnpool.errors import ValidationError
 from churnpool.gbdt import (GradientBoostedTrees, TreeEnsemble, TreeNode,
                             feature_importance)
+from churnpool.numerics import binary_log_loss, sigmoid
 
 from _oracles import argsort_best_split, argsort_grow_tree
 
@@ -291,19 +296,23 @@ def _tied_problem(n, seed):
     return X, y
 
 
+# (seed, params) of the grower checks, on _tied_problem(500, seed).
+GROWER_CASES = [
+    (0, dict(max_depth=6, min_samples_leaf=1)),
+    (1, dict(max_depth=6, min_samples_leaf=25)),
+    (2, dict(max_depth=1, min_samples_leaf=1)),
+    (3, dict(max_depth=3, min_samples_leaf=29, row_subsample=0.6)),
+    (4, dict(max_depth=6, min_samples_leaf=2, row_subsample=0.7,
+             feature_subsample=0.6)),
+    (5, dict(max_depth=4, min_samples_leaf=5, row_subsample=0.5,
+             feature_subsample=0.4)),
+]
+
+
 class TestPresortedGrower:
     """Every tree must equal the one grown by sorting at every node."""
 
-    @pytest.mark.parametrize("seed, params", [
-        (0, dict(max_depth=6, min_samples_leaf=1)),
-        (1, dict(max_depth=6, min_samples_leaf=25)),
-        (2, dict(max_depth=1, min_samples_leaf=1)),
-        (3, dict(max_depth=3, min_samples_leaf=29, row_subsample=0.6)),
-        (4, dict(max_depth=6, min_samples_leaf=2, row_subsample=0.7,
-                 feature_subsample=0.6)),
-        (5, dict(max_depth=4, min_samples_leaf=5, row_subsample=0.5,
-                 feature_subsample=0.4)),
-    ])
+    @pytest.mark.parametrize("seed, params", GROWER_CASES)
     def test_models_match_argsort_oracle_exactly(self, seed, params,
                                                  monkeypatch):
         X, y = _tied_problem(500, seed)
@@ -328,8 +337,13 @@ class TestPresortedGrower:
                            early_stopping_rounds=100), **params)
         presorted = GradientBoostedTrees(**params).fit(X, y, X_val, y_val)
 
-        def oracle(X, r, rows, order, features, tied, mark, *limits):
-            return argsort_grow_tree(X, r, rows, features, *limits)
+        def oracle(X, r, rows, order, features, tied, mark, fitted, *limits,
+                   worker=None):
+            # The whole tree, root included; the training margins then
+            # come from predicting its fitting rows.
+            tree = argsort_grow_tree(X, r, rows, features, *limits)
+            fitted[rows] = gbdt._tree_predict(tree, X[rows])
+            return tree
 
         monkeypatch.setattr(gbdt, "_grow_tree", oracle)
         reference = GradientBoostedTrees(**params).fit(X, y, X_val, y_val)
@@ -338,6 +352,140 @@ class TestPresortedGrower:
         assert len(reference.val_log_loss_) == 12
         assert presorted.val_log_loss_ == reference.val_log_loss_
         assert presorted.train_log_loss_ == reference.train_log_loss_
+
+
+class _WorkerFailure(Exception):
+    """Raised by the grower only when it runs in the forked worker."""
+
+
+class TestSubtreeWorker:
+    """With two usable CPUs a forked worker grows each root's smaller
+    child; the CPU count is the seam, and the model may not depend on it."""
+
+    @staticmethod
+    def _same_for_one_and_two_workers(monkeypatch, params, X, y, X_val,
+                                      y_val):
+        handed = []
+        start = gbdt._SubtreeWorker.start
+
+        def counted(self, *args):
+            handed.append(args[1].size)
+            start(self, *args)
+
+        monkeypatch.setattr(gbdt._SubtreeWorker, "start", counted)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(gbdt, "_usable_cpus", lambda: workers)
+            model = GradientBoostedTrees(**params).fit(X, y, X_val, y_val)
+            runs.append((model.ensemble_.to_json(), model.train_log_loss_,
+                         model.val_log_loss_))
+        assert runs[1] == runs[0]
+        assert multiprocessing.active_children() == []
+        return handed, runs[0]
+
+    @pytest.mark.parametrize("seed, params", GROWER_CASES)
+    def test_grower_cases(self, seed, params, monkeypatch):
+        X, y = _tied_problem(500, seed)
+        X_val, y_val = _tied_problem(120, seed + 100)
+        params = dict(dict(iterations=12, learning_rate=0.3, seed=seed,
+                           row_subsample=1.0, feature_subsample=1.0,
+                           early_stopping_rounds=100), **params)
+        handed, _ = self._same_for_one_and_two_workers(monkeypatch, params,
+                                                       X, y, X_val, y_val)
+        assert len(handed) == 12 and all(handed)
+
+    def test_root_that_cannot_split(self, monkeypatch):
+        # Constant columns: the root has rows to spare but no cut.
+        X = np.column_stack([np.full(60, 1.5), np.full(60, -2.0)])
+        y = np.tile([0, 1], 30)
+        params = dict(iterations=5, min_samples_leaf=2, seed=1)
+        handed, _ = self._same_for_one_and_two_workers(monkeypatch, params,
+                                                       X, y, X, y)
+        assert handed == []
+
+    def test_depth_one(self, monkeypatch):
+        X, y = _tied_problem(300, 8)
+        params = dict(iterations=8, max_depth=1, min_samples_leaf=3, seed=8)
+        handed, _ = self._same_for_one_and_two_workers(monkeypatch, params,
+                                                       X, y, X[:80], y[:80])
+        # The worker takes the smaller child, the right one on a tie.
+        assert len(handed) == 8 and max(handed) <= 0.5 * 240
+
+    def test_early_stopped_fit(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(240, 3))
+        y = (X[:, 0] + rng.normal(scale=1.5, size=240) > 0).astype(int)
+        params = dict(iterations=400, learning_rate=0.3, max_depth=3,
+                      min_samples_leaf=2, early_stopping_rounds=10, seed=0)
+        _, (_, train_losses, _) = self._same_for_one_and_two_workers(
+            monkeypatch, params, X[:160], y[:160], X[160:], y[160:])
+        assert len(train_losses) < 400, "early stopping never fired"
+
+    @pytest.mark.parametrize("row_subsample", [1.0, 0.8])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_losses_equal_predicting_every_row(self, row_subsample, workers,
+                                               monkeypatch):
+        # The leaves give the fitting rows' margin steps and only the rows
+        # left out are routed; each round's losses must have the bits of
+        # predicting every row with the trees so far.
+        monkeypatch.setattr(gbdt, "_usable_cpus", lambda: workers)
+        X, y = _tied_problem(400, 9)
+        params = dict(iterations=10, learning_rate=0.1, max_depth=4,
+                      min_samples_leaf=5, row_subsample=row_subsample,
+                      feature_subsample=0.8, seed=9)
+        model = GradientBoostedTrees(**params).fit(X, y, X, y)
+        assert model.best_iteration_ == 10
+        ensemble = model.ensemble_
+        for m in range(1, 11):
+            head = TreeEnsemble(ensemble.init_logodds, 0.1,
+                                ensemble.trees[:m], ensemble.feature_names)
+            loss = binary_log_loss(y, sigmoid(head.predict_margin(X)))
+            assert model.train_log_loss_[m - 1] == loss
+            assert model.val_log_loss_[m - 1] == loss
+
+    @staticmethod
+    def _fail_in_worker(monkeypatch, failure):
+        parent = os.getpid()
+        grow = gbdt._grow_tree
+
+        def grow_here(*args, **kwargs):
+            if os.getpid() != parent:
+                failure()
+            return grow(*args, **kwargs)
+
+        monkeypatch.setattr(gbdt, "_grow_tree", grow_here)
+        monkeypatch.setattr(gbdt, "_usable_cpus", lambda: 2)
+        X, y = _tied_problem(200, 10)
+        return lambda: GradientBoostedTrees(iterations=3, seed=10).fit(
+            X, y, X, y)
+
+    def test_worker_exception_keeps_its_type(self, monkeypatch):
+        def boom():
+            raise _WorkerFailure("boom")
+
+        fit = self._fail_in_worker(monkeypatch, boom)
+        with pytest.raises(_WorkerFailure, match="boom"):
+            fit()
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_is_runtime_error(self, monkeypatch):
+        fit = self._fail_in_worker(
+            monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match="tree worker exited"):
+            fit()
+        assert multiprocessing.active_children() == []
+
+    def test_failed_fork_is_runtime_error(self, monkeypatch):
+        def refuse(self):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                            refuse)
+        monkeypatch.setattr(gbdt, "_usable_cpus", lambda: 2)
+        X, y = _tied_problem(100, 11)
+        with pytest.raises(RuntimeError, match="cannot start a tree worker"):
+            GradientBoostedTrees(iterations=2).fit(X, y, X, y)
+        assert multiprocessing.active_children() == []
 
 
 def _oracle_node_split(X, r, rows, features, min_leaf):

@@ -462,6 +462,10 @@ def _load_prediction_rows(path: Path, feature_names, tag_column: str):
     missing = [name for name in feature_names if name not in header]
     if missing:
         raise DataError(f"{path} lacks feature columns {missing}")
+    repeated = [name for name in (*feature_names, tag_column)
+                if header.count(name) > 1]
+    if repeated:
+        raise DataError(f"{path} names columns {repeated} more than once")
     idx = [header.index(name) for name in feature_names]
     tag_idx = header.index(tag_column) if tag_column in header else None
     features, tags = [], []

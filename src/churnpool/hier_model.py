@@ -66,6 +66,20 @@ _SEPARATION_LIMIT = 1e2
 _MLE_RIDGE = 1e-6
 
 
+def _aligned_zeros(shape) -> np.ndarray:
+    """A float64 zero array whose data starts on a 64-byte boundary.
+
+    A ufunc pass over arrays that start mid cache line splits its vectors
+    across lines: on 2,800 rows ``np.subtract(a, b, out=c)`` took 2.0-2.2
+    us with the three arrays 16, 32 or 48 bytes past a boundary and 1.2 us
+    aligned (timeit, one core).  numpy itself aligns data to 16 bytes.
+    """
+    size = int(np.prod(shape))
+    buf = np.zeros(size + 7)
+    start = -(buf.ctypes.data // 8) % 8
+    return buf[start:start + size].reshape(shape)
+
+
 def with_intercept(X: np.ndarray) -> np.ndarray:
     """``X`` with the constant-1 intercept column appended last."""
     return np.column_stack([X, np.ones(X.shape[0])])
@@ -76,13 +90,17 @@ class HierData:
 
     ``X`` (n, p) and ``y`` (n,) hold entity 0's rows first, then entity
     1's and so on; ``sizes`` gives each entity's row count, 0 allowed.
-    They are copied into one stack of equal-length tiles and not kept:
-    ``_tiles`` has shape ``(n_tiles, T, p)``, entity j owns
-    ``ceil(n_j / T)`` consecutive tiles (none when it has no rows), and
-    only its last tile ends in zero rows.  The flat ``_y`` and
-    ``_one_minus_y`` are 0 on those padded rows.  A padded row has z = 0,
-    so it adds exactly log 2 to the summed softplus (undone by the
-    constant ``_pad_softplus``) and a zero row to the gradient.
+    They are copied into one stack of equal-length tiles and not kept.
+    The tiles are feature-major: ``_tiles`` is one C-contiguous, 64-byte
+    aligned ``(n_tiles, p, T)`` array, so that a tile's ``T`` values of
+    one feature are contiguous and both of the kernel's products are long
+    contiguous passes.  Entity j owns ``ceil(n_j / T)`` consecutive tiles
+    (none when it has no rows), and only its last tile ends in zero rows.
+    The flat labels ``_y`` (tile by tile, row order within a tile) are 0
+    on those padded rows, and ``_xt_one_minus_y`` holds each entity's
+    ``X^T (1 - y)``.  A padded row has z = 0, so it adds exactly log 2 to
+    the summed softplus (undone by the constant ``_pad_softplus``) and a
+    zero row to the gradient.
 
     ``T`` is the length in ``1 .. n_max`` that minimises
     ``n_tiles * (T + _TILE_COST_ROWS)``, the rows the kernel walks plus a
@@ -99,10 +117,13 @@ class HierData:
     # One tile's fixed cost in the gradient, in rows: its two batched
     # matmul steps, the gather of its betas and its share of the
     # per-entity sum.  A least-squares fit to kernel times at p = 11 on
-    # one core (T from 8 to n_max, four size mixes) gave 0.09 us per tile
-    # and 0.018 us per row, about 5 rows; kernel times were flat from
-    # T = 32 to 100 on unequal sizes of 50-500 rows, and 8 (T = 100 there,
-    # not 64) gave the faster two-worker fits.
+    # one core (T from 8 to n_max; the seed-1 mixed_cv sizes, two more
+    # draws of 12 log-uniform sizes in 50-500 and 15 x 100 rows) gave
+    # 0.085-0.089 us per tile and 0.0062-0.0075 us per row over three
+    # runs, 11-14 rows.  Every value from 8 to 16 picks the same T on all
+    # four mixes (100, 100, 68 and 100), and kernel times were flat
+    # within noise from T = 40 to 163 on them, so 8 stays: it gave the
+    # faster two-worker fits when T = 100 was set against 64.
     _TILE_COST_ROWS = 8
 
     def __init__(self, X, y, sizes, feature_names):
@@ -131,12 +152,11 @@ class HierData:
             sizes[owner] - (np.arange(n_tiles) - self._first_tile[owner]) * T,
             T)
         rows = np.arange(T) < filled[:, None]       # real (not padded) rows
-        self._tiles = np.zeros((n_tiles, T, p))
-        self._tiles[rows] = X
-        y2 = np.zeros((n_tiles, T))
+        self._tiles = _aligned_zeros((n_tiles, p, T))
+        self._tiles.transpose(0, 2, 1)[rows] = X    # rows are (T, p) views
+        y2 = _aligned_zeros((n_tiles, T))
         y2[rows] = y
         self._y = y2.ravel()
-        self._one_minus_y = (rows - y2).ravel()
         self._pad_softplus = float(rows.size - sizes.sum()) * math.log(2.0)
         self._tile_entity = None if (counts == 1).all() else owner
         # The per-entity sum runs over the entities that have tiles only:
@@ -144,6 +164,12 @@ class HierData:
         has_tiles = counts > 0
         self._starts = self._first_tile[has_tiles]
         self._owners = None if has_tiles.all() else np.flatnonzero(has_tiles)
+        # Each entity's X^T (1 - y), so that the likelihood's label term
+        # sum_i (1 - y_i) z_i is sum_j beta_j . _xt_one_minus_y[j].
+        ends = np.cumsum(sizes)
+        one_minus_y = 1.0 - y
+        self._xt_one_minus_y = np.array(
+            [X[a:b].T @ one_minus_y[a:b] for a, b in zip(ends - sizes, ends)])
 
     @classmethod
     def tile_length(cls, sizes) -> int:
@@ -156,12 +182,13 @@ class HierData:
         return int(lengths[lengths.size - 1 - np.argmin(cost[::-1])])
 
     def entity_rows(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Entity j's ``(X, y)`` rows, as views into the tiles; ``y`` is
+        """Entity j's ``(X, y)`` rows, ``X`` row-major ``(n_j, p)``; both
+        are copies, since the tiles are feature-major, and ``y`` is
         float64."""
         n, first = self.n_j[j], self._first_tile[j]
         tiles = slice(first, first + -(-n // self.T))
-        return (self._tiles[tiles].reshape(-1, self.p)[:n],
-                self._y.reshape(-1, self.T)[tiles].ravel()[:n])
+        X = self._tiles[tiles].transpose(0, 2, 1).reshape(-1, self.p)[:n]
+        return X.copy(), self._y.reshape(-1, self.T)[tiles].ravel()[:n].copy()
 
     def _entity_sums(self, per_tile: np.ndarray) -> np.ndarray:
         """Per-entity sums ``(J, p)`` of the per-tile rows ``(n_tiles, p)``."""
@@ -238,7 +265,14 @@ def param_names(J: int, feature_names) -> tuple[str, ...]:
 
 
 class HierTarget:
-    """Sampler target: fused log-posterior and gradient over flat theta."""
+    """Sampler target: fused log-posterior and gradient over flat theta.
+
+    The target owns its work arrays: two of the tiles' row count and a
+    few small ones, made once here.  ``logp_and_grad`` writes every
+    intermediate into them and allocates only the gradient it returns, so
+    one target serves one call at a time.  A forked sampler worker has its
+    own copy.
+    """
 
     def __init__(self, data: HierData, hyper: HierHyper):
         if data.p != hyper.p:
@@ -246,13 +280,32 @@ class HierTarget:
                 f"data has p={data.p}, hyperparameters have p={hyper.p}")
         self.data = data
         self.hyper = hyper
-        self.p = data.p
-        self.J = data.J
-        self.dim = self.p + 1 + self.J * self.p
-        self._mu_const = float(np.sum(0.5 * np.log(2.0 * math.pi
+        self.p = p = data.p
+        self.J = J = data.J
+        self.dim = p + 1 + J * p
+        self._const = (0.5 * math.log(2.0 / math.pi) - math.log(hyper.tau)
+                       - float(np.sum(0.5 * np.log(2.0 * math.pi
                                                    * hyper.sigma0_diag)))
-        self._half_normal_const = 0.5 * math.log(2.0 / math.pi) - math.log(hyper.tau)
-        self._braw_const = self.J * self.p * _HALF_LOG_2PI
+                       - J * p * _HALF_LOG_2PI)
+        self._tau_sq = hyper.tau ** 2
+        self._two_tau_sq = 2.0 * self._tau_sq
+        # The Gaussian priors of mu and beta_raw as one quadratic form:
+        # with diff = theta - _loc, diff * _neg_prec is their gradient
+        # (-(mu - beta0) / sigma0, 0, -beta_raw) and half its dot with
+        # diff their log density, up to _const.
+        self._loc = np.zeros(self.dim)
+        self._loc[:p] = hyper.beta0
+        self._neg_prec = np.full(self.dim, -1.0)
+        self._neg_prec[:p] = -1.0 / hyper.sigma0_diag
+        self._neg_prec[p] = 0.0
+        n_tiles, T = data._tiles.shape[0], data.T
+        self._diff = np.empty(self.dim)
+        self._betas = np.empty((J, p))
+        self._tile_betas = (self._betas if data._tile_entity is None
+                            else np.empty((n_tiles, p)))
+        self._z = _aligned_zeros((n_tiles, 1, T))
+        self._e = _aligned_zeros(n_tiles * T)
+        self._g_tiles = np.empty((n_tiles, p, 1))
 
     # Beyond this the HalfNormal term -sigma^2/(2 tau^2) underflows the
     # density to zero; exp() itself would overflow float64 near 710.
@@ -260,10 +313,8 @@ class HierTarget:
 
     def logp_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         p, J = self.p, self.J
-        data, hyper = self.data, self.hyper
-        mu = theta[:p]
+        data = self.data
         log_sigma = theta[p]
-        braw = theta[p + 1:].reshape(J, p)
         if log_sigma > self._LOG_SIGMA_CAP:
             # True limit of the log density; the sampler flags the step.
             return -math.inf, np.zeros(self.dim)
@@ -272,41 +323,43 @@ class HierTarget:
         # One batched pass over the row tiles; see HierData.  With one
         # tile per entity the tiles are the entities and the betas need
         # no gather, nor the gradient a per-entity sum.
-        # log(1 + exp(-z)) once covers both label cases:
-        # ll_i = -softplus(-z) - (1 - y_i) * z, and sigmoid = exp(-softplus).
-        # Split form max(-z, 0) + log1p(exp(-|z|)): overflow-safe for any z,
-        # and exactly log 2 at z = 0, which _pad_softplus relies on.
-        betas = mu + sigma * braw
+        betas = np.multiply(theta[p + 1:].reshape(J, p), sigma,
+                            out=self._betas)
+        betas += theta[:p]
         tiles, owner = data._tiles, data._tile_entity
-        tile_betas = betas if owner is None else betas.take(owner, axis=0)
-        z = np.matmul(tiles, tile_betas[:, :, None]).ravel()
-        softplus = np.maximum(-z, 0.0)
-        softplus += np.log1p(np.exp(-np.abs(z)))
-        loglik = data._pad_softplus - (float(softplus.sum())
-                                       + float(data._one_minus_y @ z))
-        err = data._y - np.exp(-softplus)
-        g_beta = np.matmul(err.reshape(tiles.shape[0], 1, data.T),
-                           tiles)[:, 0, :]
+        if owner is not None:
+            betas.take(owner, axis=0, out=self._tile_betas, mode="clip")
+        z = np.matmul(self._tile_betas[:, None, :], tiles,
+                      out=self._z).ravel()
+        # ll_i = -softplus(-z) - (1 - y_i) * z covers both labels, and
+        # sigmoid(z) = exp(-softplus(-z)).  The split form
+        # -softplus(-z) = min(z, 0) - log1p(exp(-|z|)) is overflow-safe for
+        # any z and exactly -log 2 at z = 0, which _pad_softplus relies on.
+        e = self._e
+        np.abs(z, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.log1p(e, out=e)
+        nsp = np.minimum(z, 0.0, out=z)             # z is not read again
+        nsp -= e                                    # -softplus(-z)
+        loglik = (float(nsp.sum()) + data._pad_softplus
+                  - float(betas.ravel() @ data._xt_one_minus_y.ravel()))
+        np.exp(nsp, out=e)                          # sigmoid(z)
+        np.subtract(data._y, e, out=e)
+        g_beta = np.matmul(tiles, e.reshape(-1, data.T, 1),
+                           out=self._g_tiles)[:, :, 0]
         if owner is not None:
             g_beta = data._entity_sums(g_beta)
 
-        diff = mu - hyper.beta0
-        scaled = diff / hyper.sigma0_diag
-        braw_flat = theta[p + 1:]
-        logp = (loglik
-                - 0.5 * float(diff @ scaled)
-                - self._mu_const
-                + self._half_normal_const
-                - sigma * sigma / (2.0 * hyper.tau ** 2)
-                + log_sigma
-                - 0.5 * float(braw_flat @ braw_flat)
-                - self._braw_const)
-
-        grad = np.empty(self.dim)
-        grad[:p] = g_beta.sum(axis=0) - scaled
-        grad[p] = (sigma * float(g_beta.ravel() @ braw_flat)
-                   - sigma * sigma / hyper.tau ** 2 + 1.0)
-        np.subtract(sigma * g_beta, braw, out=grad[p + 1:].reshape(J, p))
+        diff = np.subtract(theta, self._loc, out=self._diff)
+        grad = diff * self._neg_prec
+        logp = (loglik + 0.5 * float(diff @ grad) + self._const
+                - sigma * sigma / self._two_tau_sq + log_sigma)
+        grad[:p] += g_beta.sum(axis=0)
+        grad[p] = (sigma * float(g_beta.ravel() @ theta[p + 1:])
+                   - sigma * sigma / self._tau_sq + 1.0)
+        g_beta *= sigma
+        grad[p + 1:] += g_beta.ravel()
         return logp, grad
 
     def init_point(self) -> np.ndarray:
@@ -338,18 +391,24 @@ def _entity_betas(flat: np.ndarray, p: int, j: int) -> np.ndarray:
 
 def check_trace_collection(trace: PosteriorTrace,
                            collection: SMECollection) -> None:
-    """Raise ``DataError`` unless the trace's ``mu[...]`` names are the
-    collection's features plus the intercept, over the same entity count."""
-    fitted = tuple(name[3:-1] for name in trace.param_names
-                   if name.startswith("mu[") and name.endswith("]"))
-    expected = collection.feature_names + (INTERCEPT_NAME,)
-    if fitted != expected:
-        raise DataError(f"trace was fitted on features {list(fitted)}, "
-                        f"the collection has {list(expected)}")
-    J = _trace_dims(trace, len(fitted))
-    if J != collection.J:
-        raise DataError(f"trace was fitted on {J} entities, "
-                        f"the collection has {collection.J}")
+    """Raise ``DataError`` unless the trace's parameter names are those of
+    a fit on the collection: ``param_names`` over its entity count and its
+    features plus the intercept.  The message names the first parameter
+    that differs."""
+    features = collection.feature_names + (INTERCEPT_NAME,)
+    expected = param_names(collection.J, features)
+    fitted = trace.param_names
+    if fitted == expected:
+        return
+    k = next((k for k, (a, b) in enumerate(zip(fitted, expected)) if a != b),
+             min(len(fitted), len(expected)))
+
+    def name(names):
+        return repr(names[k]) if k < len(names) else "missing"
+
+    raise DataError(f"trace parameter {k} is {name(fitted)}, where a fit on "
+                    f"the collection ({collection.J} entities, features "
+                    f"{list(features)}) has {name(expected)}")
 
 
 def _order_statistic(sorted_values: np.ndarray, q: float) -> np.ndarray:

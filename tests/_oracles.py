@@ -347,36 +347,34 @@ def longdouble_grad_log_posterior(mu, log_sigma, beta_raw, Xs, ys, beta0,
 # ---------------------------------------------------------------------------
 
 def padded_block(Xs, ys):
-    """``(X3, y, one_minus_y, pad_softplus)`` of entities given as their
-    own ``Xs[j]`` / ``ys[j]``: entity j's rows first in ``X3[j]`` and
-    zeros after them, flat labels and ``1 - y`` that are 0 on padding,
-    and log 2 for each padded row."""
+    """``(X3, y, pad_softplus)`` of entities given as their own ``Xs[j]``
+    / ``ys[j]``: feature-major ``X3[j]`` of shape ``(p, n_max)`` holds
+    entity j's rows as its first columns and zeros after them, the flat
+    labels are 0 on padding, and log 2 is counted for each padded row."""
     sizes = [len(y) for y in ys]
     J, n_max, p = len(sizes), max(sizes), Xs[0].shape[1]
-    X3 = np.zeros((J, n_max, p))
+    X3 = np.zeros((J, p, n_max))
     y = np.zeros((J, n_max))
-    one_minus_y = np.zeros((J, n_max))
     for j, (X_j, y_j) in enumerate(zip(Xs, ys)):
-        X3[j, :sizes[j]] = X_j
+        X3[j, :, :sizes[j]] = np.asarray(X_j).T
         y[j, :sizes[j]] = y_j
-        one_minus_y[j, :sizes[j]] = 1.0 - np.asarray(y_j, dtype=np.float64)
     pad_softplus = float(J * n_max - sum(sizes)) * math.log(2.0)
-    return X3, y.ravel(), one_minus_y.ravel(), pad_softplus
+    return X3, y.ravel(), pad_softplus
 
 
 def tiled_block(Xs, ys, T):
-    """``(tiles, y, one_minus_y, pad_softplus, tile_entity)`` of entities
-    given as their own arrays, cut one entity at a time into tiles of
-    ``T`` rows: entity j's rows fill ``ceil(n_j / T)`` tiles in order and
-    zeros end its last one."""
+    """``(tiles, y, pad_softplus, tile_entity)`` of entities
+    given as their own arrays, cut one entity at a time into feature-major
+    tiles of ``(p, T)``: entity j's rows fill the columns of
+    ``ceil(n_j / T)`` tiles in order and zeros end its last one."""
     p = Xs[0].shape[1]
     tiles, labels, entity = [], [], []
     for j, (X_j, y_j) in enumerate(zip(Xs, ys)):
         for start in range(0, len(y_j), T):
-            tile = np.zeros((T, p))
+            tile = np.zeros((p, T))
             tile_y = np.full(T, np.nan)
             rows = X_j[start:start + T]
-            tile[:len(rows)] = rows
+            tile[:, :len(rows)] = rows.T
             tile_y[:len(rows)] = y_j[start:start + T]
             tiles.append(tile)
             labels.append(tile_y)
@@ -384,42 +382,44 @@ def tiled_block(Xs, ys, T):
     y = np.concatenate(labels) if labels else np.zeros(0)
     real = ~np.isnan(y)
     pad_softplus = float(np.count_nonzero(~real)) * math.log(2.0)
-    return (np.array(tiles).reshape(len(tiles), T, p), np.where(real, y, 0.0),
-            np.where(real, 1.0 - y, 0.0), pad_softplus, np.array(entity))
+    return (np.array(tiles).reshape(len(tiles), p, T), np.where(real, y, 0.0),
+            pad_softplus, np.array(entity))
 
 
 def padded_logp_and_grad(theta, Xs, ys, beta0, sigma0_diag, tau):
     """The hierarchical log posterior and gradient as one batched pass
-    over the ``padded_block`` of ``(J, n_max, p)``: every entity padded
-    to the largest, one matrix product per entity in each direction."""
-    X3, y, one_minus_y, pad_softplus = padded_block(Xs, ys)
-    J, _, p = X3.shape
+    over the ``padded_block`` of ``(J, p, n_max)``: every entity padded
+    to the largest, one vector-matrix product per entity in each
+    direction, the label term of the likelihood from each entity's
+    ``X^T (1 - y)``, and the priors of mu and beta_raw as one quadratic
+    form over theta."""
+    X3, y, pad_softplus = padded_block(Xs, ys)
+    J, p, _ = X3.shape
     mu, log_sigma, braw = theta[:p], theta[p], theta[p + 1:].reshape(J, p)
     sigma = math.exp(log_sigma)
-    betas = mu + sigma * braw
-    z = np.matmul(X3, betas[:, :, None]).ravel()
-    softplus = np.maximum(-z, 0.0)
-    softplus += np.log1p(np.exp(-np.abs(z)))
-    loglik = pad_softplus - (float(softplus.sum()) + float(one_minus_y @ z))
-    err = y - np.exp(-softplus)
-    g_beta = np.matmul(err.reshape(J, 1, -1), X3)[:, 0, :]
+    betas = braw * sigma + mu
+    z = np.matmul(betas[:, None, :], X3).ravel()
+    neg_softplus = np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
+    label_products = np.array([np.asarray(X_j).T @ (1.0 - np.asarray(y_j))
+                               for X_j, y_j in zip(Xs, ys)])
+    loglik = (float(neg_softplus.sum()) + pad_softplus
+              - float(betas.ravel() @ label_products.ravel()))
+    err = y - np.exp(neg_softplus)
+    g_beta = np.matmul(X3, err.reshape(J, -1, 1))[:, :, 0]
 
-    diff = mu - beta0
-    scaled = diff / sigma0_diag
-    braw_flat = theta[p + 1:]
-    logp = (loglik
-            - 0.5 * float(diff @ scaled)
-            - float(np.sum(0.5 * np.log(2.0 * math.pi * sigma0_diag)))
-            + (0.5 * math.log(2.0 / math.pi) - math.log(tau))
-            - sigma * sigma / (2.0 * tau ** 2)
-            + log_sigma
-            - 0.5 * float(braw_flat @ braw_flat)
-            - J * p * (0.5 * math.log(2.0 * math.pi)))
-    grad = np.empty(theta.size)
-    grad[:p] = g_beta.sum(axis=0) - scaled
-    grad[p] = (sigma * float(g_beta.ravel() @ braw_flat)
+    diff = theta - np.concatenate([beta0, np.zeros(1 + J * p)])
+    prior_grad = diff * np.concatenate([-1.0 / sigma0_diag, [0.0],
+                                        np.full(J * p, -1.0)])
+    const = (0.5 * math.log(2.0 / math.pi) - math.log(tau)
+             - float(np.sum(0.5 * np.log(2.0 * math.pi * sigma0_diag)))
+             - J * p * (0.5 * math.log(2.0 * math.pi)))
+    logp = (loglik + 0.5 * float(diff @ prior_grad) + const
+            - sigma * sigma / (2.0 * tau ** 2) + log_sigma)
+    grad = prior_grad
+    grad[:p] += g_beta.sum(axis=0)
+    grad[p] = (sigma * float(g_beta.ravel() @ braw.ravel())
                - sigma * sigma / tau ** 2 + 1.0)
-    np.subtract(sigma * g_beta, braw, out=grad[p + 1:].reshape(J, p))
+    grad[p + 1:] += (g_beta * sigma).ravel()
     return logp, grad
 
 

@@ -1,6 +1,7 @@
 """Staged pipeline behavior: artifacts, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 import shutil
 
@@ -560,6 +561,24 @@ class TestPredict:
                      "--customers", str(customers)]) == 4
         assert not (out / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("header", ["x00,x01,x00,source",
+                                        "x00,x01,source,source"],
+                             ids=["feature", "tag"])
+    def test_repeated_column_is_data_error(self, pipeline_dir, tmp_path,
+                                           header, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("trace.bin", "calibration.json"):
+            shutil.copy(pipeline_dir / name, out / name)
+        shutil.copytree(pipeline_dir / "smes", out / "smes")
+        ids = json.loads((out / "smes" / "manifest.json").read_text())["ids"]
+        customers = tmp_path / "customers.csv"
+        customers.write_text(f"{header}\n0.1,0.2,0.3,{ids[0]}\n")
+        assert main(["--out", str(out), "predict",
+                     "--customers", str(customers)]) == 4
+        assert not (out / "predictions.csv").exists()
+        assert "more than once" in capsys.readouterr().err
+
     def test_unknown_entity_rejected(self, pipeline_dir, tmp_path):
         customers = tmp_path / "strangers.csv"
         customers.write_text("x00,x01,source\n0.1,0.2,nobody\n")
@@ -636,6 +655,28 @@ class TestTraceMatchesCollection:
         _hand_trace(features, J).save(run_dir / "trace.bin")
         assert main(args) == 4
         assert written.read_bytes() == before
+
+    @pytest.mark.parametrize("stage", ["calibrate", "predict"])
+    def test_damaged_parameter_name_is_data_error(self, run_dir, stage,
+                                                  capsys):
+        # The right features, entity count and dimension, but one
+        # deviation named for another feature.
+        trace = _hand_trace(("x00", "intercept"), 3)
+        names = list(trace.param_names)
+        k = names.index("beta_raw[1,x00]")
+        names[k] = "beta_raw[1,x0O]"
+        dataclasses.replace(trace, param_names=tuple(names)).save(
+            run_dir / "trace.bin")
+        args = ["--out", str(run_dir), stage]
+        written = run_dir / "calibration.json"
+        if stage == "predict":
+            args += ["--customers", str(run_dir / "customers.csv")]
+            written = run_dir / "predictions.csv"
+        else:
+            written.unlink()
+        assert main(args) == 4
+        assert not written.exists()
+        assert f"parameter {k} is 'beta_raw[1,x0O]'" in capsys.readouterr().err
 
 
 class _Stop(Exception):

@@ -3,6 +3,7 @@ shrinkage arithmetic, and simulation-based calibration of the sampled
 posterior."""
 
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -155,10 +156,11 @@ class TestHierData:
         Xs = [rng.normal(size=(n, p)) for n in sizes]
         ys = [rng.integers(0, 2, size=n) for n in sizes]
         data = _hier_data(Xs, ys, tuple(f"x{k}" for k in range(p)))
-        tiles, y, one_minus_y, pad_softplus, owner = tiled_block(Xs, ys,
-                                                                 data.T)
+        tiles, y, pad_softplus, owner = tiled_block(Xs, ys, data.T)
+        label_products = np.array([X_j.T @ (1.0 - y_j)
+                                   for X_j, y_j in zip(Xs, ys)])
         for mine, reference in ((data._tiles, tiles), (data._y, y),
-                                (data._one_minus_y, one_minus_y)):
+                                (data._xt_one_minus_y, label_products)):
             assert mine.dtype == reference.dtype == np.float64
             np.testing.assert_array_equal(mine, reference, strict=True)
         assert data._pad_softplus == pad_softplus
@@ -170,10 +172,14 @@ class TestHierData:
         n_tiles = tiles.shape[0]
         assert n_tiles * data.T <= len(sizes) * max(sizes)
         assert n_tiles <= len(sizes) * max(sizes)
+        assert data._tiles.flags.c_contiguous
+        assert data._tiles.ctypes.data % 64 == data._y.ctypes.data % 64 == 0
         for j, (X, y_j) in enumerate(zip(*_entities(data))):
             np.testing.assert_array_equal(X, Xs[j], strict=True)
             np.testing.assert_array_equal(y_j, ys[j].astype(np.float64),
                                           strict=True)
+            assert not np.shares_memory(X, data._tiles)
+            assert not np.shares_memory(y_j, data._y)
 
     def test_tile_length_rule(self):
         # Brute force over every length against the documented rule: the
@@ -202,7 +208,7 @@ class TestHierData:
         assert HierData.tile_length(sizes) == sizes[0]
         data = _hier_data([np.zeros((n, 2)) for n in sizes],
                           [np.zeros(n, dtype=int) for n in sizes], ("a", "b"))
-        assert data._tiles.shape == (len(sizes), sizes[0], 2)
+        assert data._tiles.shape == (len(sizes), 2, sizes[0])
         assert data._tile_entity is None
 
 
@@ -340,6 +346,25 @@ class TestGradient:
             np.testing.assert_allclose(
                 grad, ref_grad, rtol=1e-12,
                 atol=1e-13 * np.abs(ref_grad).max())
+
+    @pytest.mark.parametrize("sizes", [(5000,) * 4, (3000, 7000, 0, 10000)],
+                             ids=["equal", "tiled"])
+    def test_calls_allocate_no_row_length_array(self, sizes):
+        # The kernel writes its row-length intermediates into the
+        # target's work arrays, so 50 calls on 20,000 rows must peak
+        # below one row-length float64 array.
+        data, hyper, params = _random_instance(4, sizes, seed=600)
+        target = HierTarget(data, hyper)
+        theta = params.pack()
+        target.logp_and_grad(theta)
+        tracemalloc.start()
+        try:
+            for _ in range(50):
+                target.logp_and_grad(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(sizes) * 8
 
     @pytest.mark.parametrize("p,J", LAYOUTS)
     def test_extreme_margins_match_oracle(self, p, J):

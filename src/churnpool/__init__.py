@@ -1,8 +1,8 @@
 """churnpool: hierarchical Bayesian churn modeling for small multi-entity
 datasets, with boosted-tree prior transfer and conformal prediction sets."""
 
-from .conformal import (CalibrationResult, calibrate_pooled, conservative_adjust,
-                        coverage_audit, predict_sets, recommend_conservative)
+from .conformal import (CalibrationResult, calibrate_pooled, coverage_audit,
+                        predict_sets)
 from .data import (Dataset, HierGroundTruth, SMECollection,
                    StandardizationStats, apply_standardization,
                    generate_hierarchical_population, load_collection, load_csv,

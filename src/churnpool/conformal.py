@@ -1,16 +1,18 @@
 """Pooled split conformal calibration and set-valued prediction on arrays.
 
-Nonconformity is ``|y - p_hat|``, and ``q_hat`` is the k-th smallest
-calibration score, pooled across entities.  ``calibrate_pooled`` takes the
-split rank ``k = ceil((1-alpha)(n+1))``, whose sets cover at least
-``k / (n+1)`` on average over calibration sets (exchangeability).
-``conservative_adjust`` takes the smallest ``k`` with
-``P(Beta(k, n+1-k) >= 1-alpha) >= 1-alpha``: coverage given the
-calibration set follows ``Beta(k, n+1-k)``, so it is at least ``1-alpha``
-for all but an ``alpha`` share of calibration sets (Vovk, "Conditional
-validity of inductive conformal predictors", arXiv:1209.2673).  At
-alpha = 0.1 that needs ``n >= 22``; when ``k > n``, ``q_hat`` is 1.0.  The
-binary prediction sets are
+Nonconformity is ``|y - p_hat|``, and ``q_hat`` is the k-th smallest of
+the ``n`` calibration scores, pooled across entities.  ``calibrate_pooled``
+takes the calibration-conditional rank: the smallest ``k`` with
+``P(Beta(k, n+1-k) >= 1-alpha) >= 1-alpha``.  Coverage given the
+calibration set follows ``Beta(k, n+1-k)`` (exchangeability), so it is at
+least ``1-alpha`` for all but an ``alpha`` share of calibration sets (Vovk,
+"Conditional validity of inductive conformal predictors",
+arXiv:1209.2673).  Its mean ``k/(n+1)`` is then at least ``1-alpha`` too,
+which is the marginal guarantee of the split rank
+``ceil((1-alpha)(n+1))``, where the search for ``k`` starts.  A threshold
+below 1 needs ``n >= log(alpha) / log(1-alpha)`` scores: 59 at
+alpha = 0.05, 22 at 0.10 and 8 at 0.20; when ``k > n``, ``q_hat`` is 1.0.
+The binary prediction sets are
 
     C(x) = {y in {0,1} : |y - p_hat(x)| <= q_hat}.
 
@@ -39,10 +41,8 @@ from .validation import as_float_vector, check_binary_labels
 __all__ = [
     "CalibrationResult",
     "calibrate_pooled",
-    "conservative_adjust",
     "predict_sets",
     "coverage_audit",
-    "recommend_conservative",
 ]
 
 
@@ -60,8 +60,8 @@ class CalibrationResult:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "CalibrationResult":
-        """Inverse of ``to_json``; a malformed document raises ``DataError``,
-        and the ``inflation`` key of older files is ignored."""
+        """Inverse of ``to_json``; a malformed document raises ``DataError``.
+        Older files (``strategy`` ``"pooled"``, an ``inflation`` key) load."""
         with malformed_artifact("calibration result"):
             doc = json.loads(text)
             strategy = doc["strategy"]
@@ -92,6 +92,7 @@ def _split_rank(n: int, alpha: float) -> int:
 
 
 def _conditional_rank(n: int, alpha: float) -> int:
+    # No smaller k has mean coverage k / (n+1) of at least 1 - alpha.
     k = _split_rank(n, alpha)
     while k <= n and regularized_incomplete_beta(k, n + 1 - k,
                                                  1.0 - alpha) > alpha:
@@ -99,8 +100,10 @@ def _conditional_rank(n: int, alpha: float) -> int:
     return k
 
 
-def _calibrate(p_hat, labels, alpha, rank, strategy) -> CalibrationResult:
-    """The ``rank(n, alpha)``-th smallest score, or 1.0 past ``n``."""
+def calibrate_pooled(p_hat, labels, alpha: float) -> CalibrationResult:
+    """Calibration-conditional threshold of held-out rows pooled across
+    entities: the ``_conditional_rank``-th smallest score, or 1.0 (with a
+    warning) when that rank exceeds the number of rows."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     alpha = float(alpha)
@@ -109,25 +112,15 @@ def _calibrate(p_hat, labels, alpha, rank, strategy) -> CalibrationResult:
     n = p_hat.size
     if n == 0 or labels.size != n:
         raise ValidationError("p_hat and labels must be nonempty, equal length")
-    k = rank(n, alpha)
+    k = _conditional_rank(n, alpha)
     if k > n:
         warnings.warn(
             f"degenerate calibration: need rank {k} of {n} scores; "
-            "q_hat set to 1.0", stacklevel=3)
-        return CalibrationResult(1.0, alpha, n, strategy)
-    ordered = np.sort(np.abs(labels - p_hat), kind="stable")
-    return CalibrationResult(float(ordered[k - 1]), alpha, n, strategy)
-
-
-def calibrate_pooled(p_hat, labels, alpha: float) -> CalibrationResult:
-    """Split-rank threshold of held-out rows pooled across entities."""
-    return _calibrate(p_hat, labels, alpha, _split_rank, "pooled")
-
-
-def conservative_adjust(p_hat, labels, alpha: float) -> CalibrationResult:
-    """Calibration-conditional threshold of the same pooled rows."""
-    return _calibrate(p_hat, labels, alpha, _conditional_rank,
-                      "pooled-conditional")
+            "q_hat set to 1.0", stacklevel=2)
+        q_hat = 1.0
+    else:
+        q_hat = float(np.sort(np.abs(labels - p_hat), kind="stable")[k - 1])
+    return CalibrationResult(q_hat, alpha, n, "pooled-conditional")
 
 
 def predict_sets(p_hat, q_hat: float) -> np.ndarray:
@@ -164,18 +157,3 @@ def coverage_audit(sets, labels) -> dict:
         "average_set_size": float(sizes.mean()),
         "n": n,
     }
-
-
-def recommend_conservative(n_js) -> bool:
-    """Whether the scale table recommends the calibration-conditional
-    rank of ``conservative_adjust`` over the split rank.
-
-    Pooling five or more entities gives enough calibration scores; below
-    that, the conditional rank is recommended once the smallest entity has
-    fewer than 100 rows.  ``calibrate`` passes per-entity calibration rows
-    and ``run_experiment`` whole-entity sizes (aligning them changes results).
-    """
-    n_js = [int(n) for n in n_js]
-    if not n_js:
-        raise ValidationError("need at least one entity size")
-    return len(n_js) < 5 and min(n_js) < 100

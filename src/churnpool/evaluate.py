@@ -12,16 +12,16 @@ flagged in the report, with a leakage-free refit-per-fold variant
 available behind ``protocol="refit"``.
 
 The conformal audit calibrates each fold's threshold on the other folds'
-hierarchical scores, pooled across entities, and breaks the audited
-coverage down per entity.  It also records whether the scale table
-recommends the calibration-conditional rank, which the audit does not
-apply.  Under fit-once the report names the audit ``"pooled"``; the fit
-saw the calibration rows, so the audit carries no coverage guarantee.
-Under refit, fold k's threshold comes from scores of models that did not
-see those rows but differ from the one scoring fold k: that is
-cross-conformal prediction, named ``"cross-conformal"``, whose guarantee
-is coverage of at least ``1 - 2 alpha`` (Barber et al., "Predictive
-inference with the jackknife+", arXiv:1905.02928), not ``1 - alpha``.
+hierarchical scores, pooled across entities, at the rank that
+``calibrate`` delivers, and breaks the audited coverage down per entity
+and per label.  Under fit-once the report names the audit ``"pooled"``;
+the fit saw the calibration rows, so the audit carries no coverage
+guarantee.  Under refit, fold k's threshold comes from scores of models
+that did not see those rows but differ from the one scoring fold k: that
+is cross-conformal prediction, named ``"cross-conformal"``, whose
+guarantee is coverage of at least ``1 - 2 alpha`` (Barber et al.,
+"Predictive inference with the jackknife+", arXiv:1905.02928), not
+``1 - alpha``.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conformal import (calibrate_pooled, coverage_audit, predict_sets,
-                        recommend_conservative)
+from .conformal import calibrate_pooled, coverage_audit, predict_sets
 from .data import SMECollection, _write_csv, stratified_kfold
 from .errors import (ConvergenceError, DataError, DiagnosticError,
                      ValidationError, atomic_write)
@@ -423,8 +422,6 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
 
     # Conformal audit: per fold, calibrate on the other folds' kept rows
     # pooled across entities, predict sets for the fold's kept rows.
-    conservative = recommend_conservative(
-        [collection.sizes[j] for j in split])
     sets = np.zeros((y.size, 2), dtype=bool)
     audited = np.zeros(y.size, dtype=bool)
     thresholds = {}
@@ -441,16 +438,18 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
     conformal: dict = {
         "strategy": "pooled" if config.protocol == "fit-once"
         else "cross-conformal",
-        "conservative_recommended": conservative,
         "alpha": config.alpha,
         "fold_thresholds": thresholds}
     if audited.any():
         conformal.update(coverage_audit(sets[audited], y[audited]))
-        # The group-conditional (Mondrian) view: no guarantee of its own.
+        # The group-conditional (Mondrian) views: no guarantee of their own.
         covered = sets[np.arange(y.size), y]
         conformal["per_entity_coverage"] = {
             collection.ids[j]: float(covered[audited & (entity == j)].mean())
             for j in np.unique(entity[audited])}
+        conformal["per_label_coverage"] = {
+            str(label): float(covered[audited & (y == label)].mean())
+            for label in np.unique(y[audited])}
 
     runtime = time.perf_counter() - start
     return ExperimentReport(

@@ -6,8 +6,10 @@ truncated file, a missing key or a value of the wrong type never escapes
 as a raw ``json``, ``struct``, numpy or ``KeyError`` exception.
 """
 
+import csv
 import json
 import math
+import shutil
 import struct
 
 import numpy as np
@@ -386,6 +388,107 @@ class TestManifest:
         path.write_text(json.dumps({"files": files}))
         with pytest.raises(DataError, match="ids"):
             load_collection(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_fit(tmp_path_factory):
+    """A converged two-chain fit of 3 entities of 40 rows with one feature,
+    its ``calibration.json``, and ``customers.csv``: 10 rows of sme_00."""
+    out = tmp_path_factory.mktemp("tiny_fit")
+    args = ["--out", str(out), "--seed", "5"]
+    assert main([*args, "gen-data", "--smes", "3", "--n-per", "40",
+                 "--features", "1"]) == 0
+    assert main([*args, "fit", "--weak-prior", "--chains", "2", "--warmup",
+                 "1000", "--draws", "1000"]) == 0
+    assert main([*args, "calibrate"]) == 0
+    with (out / "smes" / "sme_00.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))[:10]
+    with (out / "customers.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x00", "source"])
+        writer.writerows([row["x00"], row["source"]] for row in rows)
+    return out
+
+
+# Each file that calibrate or predict reads, with the stages that read it,
+# and the file each stage writes.
+_READ_BY = {
+    "trace.bin": ("calibrate", "predict"),
+    "fit_meta.json": ("calibrate",),
+    "calibration.json": ("predict",),
+    "smes/manifest.json": ("calibrate", "predict"),
+    "smes/sme_00.csv": ("calibrate", "predict"),
+    "customers.csv": ("predict",),
+}
+_WRITES = {"calibrate": "calibration.json", "predict": "predictions.csv"}
+
+
+def _damage(path, how):
+    raw = path.read_bytes()
+    if how == "truncated":
+        path.write_bytes(raw[:len(raw) // 2])
+    elif how == "flipped":
+        i = len(raw) // 2
+        path.write_bytes(raw[:i] + bytes([raw[i] ^ 0x01]) + raw[i + 1:])
+    elif how == "non-utf8":
+        # Byte 40 lies in trace.bin's JSON header and in the text of
+        # every other file.
+        path.write_bytes(raw[:40] + b"\xff" + raw[41:])
+    else:
+        path.unlink()
+        if how == "directory":
+            path.mkdir()
+
+
+def _run_stage(run_dir, stage):
+    args = ["--out", str(run_dir), stage]
+    if stage == "predict":
+        args += ["--customers", str(run_dir / "customers.csv")]
+    return main(args)
+
+
+class TestDamageSweep:
+    """``calibrate`` and ``predict`` on a tiny fit whose inputs are damaged
+    one at a time: each run exits 2, 3 or 4 with a one-line message and
+    writes nothing, or exits 0 and writes its artifact; never a
+    traceback."""
+
+    @pytest.mark.parametrize("how", ["truncated", "flipped", "non-utf8",
+                                     "missing", "directory"])
+    @pytest.mark.parametrize("name, stage", [
+        (name, stage) for name, stages in _READ_BY.items()
+        for stage in stages])
+    def test_damaged_input(self, tiny_fit, tmp_path, capsys, name, stage,
+                           how):
+        run_dir = tmp_path / "run"
+        shutil.copytree(tiny_fit, run_dir)
+        written = run_dir / _WRITES[stage]
+        written.unlink(missing_ok=True)
+        _damage(run_dir / name, how)
+        code = _run_stage(run_dir, stage)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        assert written.exists() == (code == 0)
+        if code:
+            assert len(err.splitlines()) == 1, err
+        # No artifact carries a checksum yet, so a flipped byte in a draw
+        # or a CSV digit loads silently; every other damage here must
+        # fail.  On this fit each truncation cuts a JSON document, the
+        # trace payload or a CSV row short.
+        if how != "flipped":
+            assert code != 0
+
+    def test_repeated_customers_column(self, tiny_fit, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(tiny_fit, run_dir)
+        customers = run_dir / "customers.csv"
+        lines = customers.read_text().splitlines()
+        customers.write_text("".join(f"{line.split(',')[0]},{line}\n"
+                                     for line in lines))
+        assert _run_stage(run_dir, "predict") == 4
+        assert "more than once" in capsys.readouterr().err
+        assert not (run_dir / "predictions.csv").exists()
 
 
 def _report():

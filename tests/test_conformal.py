@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from churnpool.conformal import (CalibrationResult, _conditional_rank,
-                                 calibrate_pooled, conservative_adjust,
-                                 coverage_audit, predict_sets,
-                                 recommend_conservative)
+                                 _split_rank, calibrate_pooled,
+                                 coverage_audit, predict_sets)
 from churnpool.errors import ValidationError
 from churnpool.rng import default_rng
 
@@ -53,33 +52,38 @@ def _negatives(scores):
 
 
 class TestCalibrateSplit:
-    """The split-conformal order statistic, through ``calibrate_pooled``
-    on one entity's rows."""
+    """The split-conformal order statistic at the calibration-conditional
+    rank, through ``calibrate_pooled`` on one entity's rows."""
 
     def test_coverage_rank_at_hundred(self):
         scores = np.linspace(0.001, 0.999, 100)
         result = calibrate_pooled(*_negatives(scores), alpha=0.10)
-        k = math.ceil(0.9 * 101)
-        assert k == 91
-        assert result.q_hat == scores[90]
+        k = _conditional_rank(100, 0.10)
+        assert k == 95
+        assert result.q_hat == scores[94]
         assert result.n_cal == 100
-        # Finite-sample bound for this configuration: 91/101.
-        assert k / 101 == pytest.approx(0.90099, abs=1e-5)
+        # Mean coverage at this rank, 95/101, clears 1 - alpha.
+        assert k / 101 == pytest.approx(0.94059, abs=1e-5)
 
     def test_hand_case(self):
+        # n = 4, 1 - alpha = 0.6: k = 3 leaves P(Beta(3, 2) < 0.6) =
+        # 0.4752 > alpha, and k = 4 leaves 0.6**4 = 0.1296, so the largest
+        # score is the threshold.
         result = calibrate_pooled(*_negatives([0.1, 0.2, 0.3, 0.4]),
-                                  alpha=0.2)
+                                  alpha=0.4)
         assert result.q_hat == 0.4
 
     def test_ties_share_a_rank(self):
-        # k = ceil(0.6 * 5) = 3 lands inside the run of tied 0.2 scores.
+        # k = 3 (P(Beta(3, 2) < 0.5) = 0.3125 <= 0.5) lands inside the run
+        # of tied 0.2 scores.
         result = calibrate_pooled(*_negatives([0.5, 0.2, 0.2, 0.2]),
-                                  alpha=0.4)
+                                  alpha=0.5)
         assert result.q_hat == 0.2
 
     def test_score_is_absolute_error(self):
-        # Scores |1 - 0.9| and |1 - 0.2|; k = ceil(0.3 * 3) = 1 picks the
-        # smaller, k = ceil(0.5 * 3) = 2 the larger.
+        # Scores |1 - 0.9| and |1 - 0.2|; at alpha = 0.7 the rank is 1
+        # and picks the smaller, at alpha = 0.5 it is 2 and picks the
+        # larger.
         p_hat, y = [0.9, 0.2], [1, 1]
         assert calibrate_pooled(p_hat, y, alpha=0.7).q_hat == 1.0 - 0.9
         assert calibrate_pooled(p_hat, y, alpha=0.5).q_hat == 1.0 - 0.2
@@ -90,12 +94,19 @@ class TestCalibrateSplit:
                                       alpha=0.05)
         assert result.q_hat == 1.0
 
+    def test_degenerate_warning_names_the_caller(self):
+        with pytest.warns(UserWarning, match="degenerate") as record:
+            calibrate_pooled(*_negatives([0.1]), alpha=0.1)
+        assert record[0].filename == __file__
+
     def test_threshold_is_order_statistic(self):
         rng = default_rng(1)
         scores = rng.uniform(size=37)
         result = calibrate_pooled(*_negatives(scores), alpha=0.25)
         assert result.q_hat in scores
 
+    # Below alpha = 0.05, 60 rows are too few and q_hat is 1.0.
+    @pytest.mark.filterwarnings("ignore:degenerate calibration")
     @given(st.floats(min_value=0.02, max_value=0.45),
            st.floats(min_value=0.02, max_value=0.45))
     @settings(max_examples=40, deadline=None)
@@ -117,7 +128,7 @@ class TestCalibratePooled:
                                  for i in range(15)])
         result = calibrate_pooled(*_negatives(scores), alpha=0.1)
         assert result.n_cal == 375
-        assert result.strategy == "pooled"
+        assert result.strategy == "pooled-conditional"
 
     def test_single_entity_reduces_to_split(self):
         # Dyadic scores make 1 - (1 - s) == s exact, so an entity whose
@@ -151,14 +162,14 @@ class TestCalibratePooled:
 
 
 class TestConservativeAdjust:
-    """The calibration-conditional rank: the smallest ``k`` with
-    ``P(Beta(k, n+1-k) >= 1-alpha) >= 1-alpha``."""
+    """The calibration-conditional rank that ``calibrate_pooled`` takes:
+    the smallest ``k`` with ``P(Beta(k, n+1-k) >= 1-alpha) >= 1-alpha``."""
 
     @pytest.mark.parametrize("n,k", [(22, 22), (24, 24), (36, 36), (40, 39),
                                      (60, 58), (150, 141)])
     def test_rank_at_alpha_tenth(self, n, k):
         scores = default_rng(n).permutation(np.arange(1, n + 1) / (n + 1))
-        result = conservative_adjust(*_negatives(scores), alpha=0.1)
+        result = calibrate_pooled(*_negatives(scores), alpha=0.1)
         assert result.q_hat == k / (n + 1)
         assert result.n_cal == n
         assert result.strategy == "pooled-conditional"
@@ -166,9 +177,16 @@ class TestConservativeAdjust:
     @pytest.mark.parametrize("n", [1, 10, 21])
     def test_small_sample_degenerates(self, n):
         with pytest.warns(UserWarning, match="degenerate"):
-            result = conservative_adjust(*_negatives(np.full(n, 0.1)),
-                                         alpha=0.1)
+            result = calibrate_pooled(*_negatives(np.full(n, 0.1)),
+                                      alpha=0.1)
         assert result.q_hat == 1.0
+
+    @pytest.mark.parametrize("alpha, n_min", [(0.05, 59), (0.10, 22),
+                                              (0.20, 8)])
+    def test_fewest_rows_below_one(self, alpha, n_min):
+        # k = n first clears the test at (1 - alpha)**n <= alpha.
+        assert _conditional_rank(n_min, alpha) == n_min
+        assert _conditional_rank(n_min - 1, alpha) == n_min
 
     def test_rank_matches_scipy_beta(self):
         # For every n up to 2,000 the rank is the first k whose Beta
@@ -185,23 +203,28 @@ class TestConservativeAdjust:
         for p_hat, y, alpha in [([0.2, 0.3], [0], 0.1), ([1.5], [0], 0.1),
                                 ([], [], 0.1), ([0.5] * 30, [0] * 30, 0.0)]:
             with pytest.raises(ValidationError):
-                conservative_adjust(p_hat, y, alpha)
+                calibrate_pooled(p_hat, y, alpha)
 
-    @pytest.mark.parametrize("calibrate, holds", [
-        (conservative_adjust, True), (calibrate_pooled, False)])
-    def test_coverage_given_calibration_set(self, calibrate, holds):
+    @pytest.mark.parametrize("n", [36, 300])
+    @pytest.mark.parametrize("rank", ["conditional", "split"])
+    def test_coverage_given_calibration_set(self, rank, n):
         # All labels 0 with p_hat ~ U(0, 1): a fresh row is covered iff
         # its score is at most q_hat, so the coverage given the
         # calibration set is q_hat itself.  Below 1 - alpha it may be for
-        # at most an alpha share of calibration sets (expected 0.023 at
-        # n = 36); the split rank's share is 0.288.
-        trials = 20_000
-        rng = default_rng(36)
-        labels = np.zeros(36, dtype=int)
-        short = np.mean([calibrate(rng.uniform(size=36), labels, 0.1).q_hat
-                         < 0.9 for _ in range(trials)])
+        # at most an alpha share of calibration sets: expected 0.023 at
+        # n = 36 and 0.070 at n = 300.  The split rank's order statistic,
+        # taken here as the contrast, falls short for 0.288 and 0.472.
+        trials = 10_000
+        cal = default_rng(n).uniform(size=(trials, n))
+        if rank == "conditional":
+            labels = np.zeros(n, dtype=int)
+            q_hat = np.array([calibrate_pooled(u, labels, 0.1).q_hat
+                              for u in cal])
+        else:
+            q_hat = np.sort(cal, axis=1)[:, _split_rank(n, 0.1) - 1]
+        short = float(np.mean(q_hat < 0.9))
         bound = 0.1 + 3 * math.sqrt(0.1 * 0.9 / trials)
-        assert bool(short <= bound) == holds, short
+        assert (short <= bound) == (rank == "conditional"), short
 
 
 class TestPredictSet:
@@ -280,19 +303,11 @@ class TestCoverageAudit:
         assert coverage >= bound - 3 * se
 
 
-class TestSelectStrategy:
-    def test_scale_table(self):
-        # The split rank throughout; the conditional rank is recommended
-        # only for fewer than five entities with one below 100 rows.
-        assert recommend_conservative([100] * 15) is False
-        assert recommend_conservative([60] * 6) is False
-        assert recommend_conservative([150, 200, 120]) is False
-        assert recommend_conservative([40, 80, 90]) is True
-        with pytest.raises(ValidationError):
-            recommend_conservative([])
-
+class TestCalibrationResult:
     def test_result_persistence(self, tmp_path):
-        result = CalibrationResult(0.42, 0.1, 375, "pooled")
-        path = tmp_path / "calibration.json"
-        result.save(path)
-        assert CalibrationResult.load(path) == result
+        # "pooled" names the split rank of older files, which still load.
+        for strategy in ("pooled-conditional", "pooled"):
+            result = CalibrationResult(0.42, 0.1, 375, strategy)
+            path = tmp_path / "calibration.json"
+            result.save(path)
+            assert CalibrationResult.load(path) == result

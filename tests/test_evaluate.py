@@ -240,15 +240,20 @@ class TestCohensD:
 
 
 @pytest.fixture(scope="module")
-def tiny_report():
+def tiny_collection():
     collection, _ = generate_hierarchical_population(
         p=2, J=3, n_per=40, mu_scale=1.0, sigma_true=0.4, seed=21)
-    prior = PriorSpec(collection.feature_names, np.zeros(2), np.ones(2),
+    return collection
+
+
+@pytest.fixture(scope="module")
+def tiny_report(tiny_collection):
+    prior = PriorSpec(tiny_collection.feature_names, np.zeros(2), np.ones(2),
                       0.0, {})
     model = HierarchicalLogistic(
         prior=prior, sampler=SamplerConfig(chains=2, warmup=150, draws=200))
     config = ExperimentConfig(folds=2, alpha=0.2)
-    return run_experiment(collection, model, config, seed=5)
+    return run_experiment(tiny_collection, model, config, seed=5)
 
 
 class TestRunExperiment:
@@ -265,7 +270,6 @@ class TestRunExperiment:
 
     def test_conformal_block(self, tiny_report):
         assert tiny_report.conformal["strategy"] == "pooled"
-        assert tiny_report.conformal["conservative_recommended"] is True
         assert 0.0 <= tiny_report.conformal["empirical_coverage"] <= 1.0
         assert tiny_report.conformal["n"] == 120
 
@@ -278,6 +282,18 @@ class TestRunExperiment:
         assert all(0.0 <= c <= 1.0 for c in per_entity.values())
         assert conformal["n"] == 3 * 40
         weighted = sum(40 * c for c in per_entity.values()) / conformal["n"]
+        assert abs(weighted - conformal["empirical_coverage"]) <= 1e-12
+
+    def test_per_label_coverage(self, tiny_report, tiny_collection):
+        # The same covered rows split by label: weighted by each label's
+        # row count, the two coverages give back the pooled coverage.
+        conformal = tiny_report.conformal
+        per_label = conformal["per_label_coverage"]
+        assert list(per_label) == ["0", "1"]
+        ones = int(tiny_collection.y.sum())
+        assert conformal["n"] == tiny_collection.y.size
+        weighted = ((conformal["n"] - ones) * per_label["0"]
+                    + ones * per_label["1"]) / conformal["n"]
         assert abs(weighted - conformal["empirical_coverage"]) <= 1e-12
 
     def test_diagnostics_block(self, tiny_report):

@@ -420,6 +420,7 @@ def cmd_fit(config: RunConfig, args) -> int:
         "mean_accept": diag.mean_accept,
         "n_grad": diag.n_grad,
         "n_grad_warmup": diag.n_grad_warmup,
+        "n_max_depth": diag.n_max_depth,
         "config": config.echo(),
     })
     print(f"max rhat {diag.max_rhat():.4f}, min ess {diag.min_ess():.0f}, "

@@ -355,6 +355,7 @@ def run_experiment(collection: SMECollection, model: HierarchicalLogistic,
                                           for m in fits])),
             "n_grad": sum(m.diagnostics_.n_grad for m in fits),
             "n_grad_warmup": sum(m.diagnostics_.n_grad_warmup for m in fits),
+            "n_max_depth": sum(m.diagnostics_.n_max_depth for m in fits),
         }
         p_hier = np.empty(y.size)
         for k, fitted in enumerate(by_fold):

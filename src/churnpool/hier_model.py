@@ -268,10 +268,31 @@ class HierTarget:
     """Sampler target: fused log-posterior and gradient over flat theta.
 
     The target owns its work arrays: two of the tiles' row count and a
-    few small ones, made once here.  ``logp_and_grad`` writes every
+    few small ones, made once here, together with every reshaped view of
+    them that the kernel reads.  ``logp_and_grad`` writes every
     intermediate into them and allocates only the gradient it returns, so
     one target serves one call at a time.  A forked sampler worker has its
     own copy.
+
+    It keeps the sampler's target contract: a finite log density comes
+    with a finite gradient.  Entry by entry, where ``G`` is the tiles' row
+    count times the largest ``|x|``:
+
+    - the prior part ``diff * _neg_prec``: its dot with ``diff`` is a term
+      of the log density, and an infinite or NaN entry makes that dot, and
+      so the log density, infinite or NaN;
+    - the likelihood's ``g_beta = X_j^T (y - sigmoid(z))``: each
+      ``|y - sigmoid(z)| <= 1``, so ``|g_beta| <= G``, unless ``z`` is NaN,
+      and then the log density is NaN too.  So ``grad[:p]`` is finite;
+    - ``sigma * g_beta`` in ``grad[p + 1:]``: ``sigma <= exp(300)`` below
+      ``_LOG_SIGMA_CAP``, and the constructor refuses data with
+      ``exp(300) * G`` above half the float64 maximum, so it is finite,
+      and so is its sum with the prior part, whose ``|beta_raw|`` is below
+      ``1.4e154`` (its square is in the log density);
+    - ``grad[p] = sigma (g_beta . beta_raw) - sigma^2 / tau^2 + 1`` can
+      overflow at a finite log density (``sigma^2 / tau^2`` is twice the
+      HalfNormal term), so it is tested, and the log density is ``-inf``
+      when it is not finite.
     """
 
     def __init__(self, data: HierData, hyper: HierHyper):
@@ -298,14 +319,28 @@ class HierTarget:
         self._neg_prec = np.full(self.dim, -1.0)
         self._neg_prec[:p] = -1.0 / hyper.sigma0_diag
         self._neg_prec[p] = 0.0
+        largest = max(float(data._tiles.max(initial=0.0)),
+                      -float(data._tiles.min(initial=0.0)))
+        if (math.exp(self._LOG_SIGMA_CAP) * data._y.size * largest
+                > 0.5 * np.finfo(np.float64).max):
+            raise ValidationError(
+                "feature values too large: sigma times the row count times "
+                "the largest |x| must stay finite for every sigma the "
+                "model admits")
         n_tiles, T = data._tiles.shape[0], data.T
         self._diff = np.empty(self.dim)
         self._betas = np.empty((J, p))
+        self._betas_flat = self._betas.ravel()
+        self._xt_one_minus_y = data._xt_one_minus_y.ravel()
         self._tile_betas = (self._betas if data._tile_entity is None
                             else np.empty((n_tiles, p)))
+        self._tile_beta_rows = self._tile_betas[:, None, :]
         self._z = _aligned_zeros((n_tiles, 1, T))
+        self._z_flat = self._z.ravel()
         self._e = _aligned_zeros(n_tiles * T)
+        self._e_columns = self._e.reshape(-1, T, 1)
         self._g_tiles = np.empty((n_tiles, p, 1))
+        self._g_rows = self._g_tiles[:, :, 0]
 
     # Beyond this the HalfNormal term -sigma^2/(2 tau^2) underflows the
     # density to zero; exp() itself would overflow float64 near 710.
@@ -314,23 +349,25 @@ class HierTarget:
     def logp_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         p, J = self.p, self.J
         data = self.data
-        log_sigma = theta[p]
+        # A Python float, so that logp is one too: the sampler's scalar
+        # work on it costs less than on numpy scalars, with the same bits.
+        log_sigma = theta.item(p)
         if log_sigma > self._LOG_SIGMA_CAP:
             # True limit of the log density; the sampler flags the step.
             return -math.inf, np.zeros(self.dim)
         sigma = math.exp(log_sigma)
+        beta_raw = theta[p + 1:]
 
         # One batched pass over the row tiles; see HierData.  With one
         # tile per entity the tiles are the entities and the betas need
         # no gather, nor the gradient a per-entity sum.
-        betas = np.multiply(theta[p + 1:].reshape(J, p), sigma,
-                            out=self._betas)
+        betas = np.multiply(beta_raw.reshape(J, p), sigma, out=self._betas)
         betas += theta[:p]
         tiles, owner = data._tiles, data._tile_entity
         if owner is not None:
             betas.take(owner, axis=0, out=self._tile_betas, mode="clip")
-        z = np.matmul(self._tile_betas[:, None, :], tiles,
-                      out=self._z).ravel()
+        np.matmul(self._tile_beta_rows, tiles, out=self._z)
+        z = self._z_flat
         # ll_i = -softplus(-z) - (1 - y_i) * z covers both labels, and
         # sigmoid(z) = exp(-softplus(-z)).  The split form
         # -softplus(-z) = min(z, 0) - log1p(exp(-|z|)) is overflow-safe for
@@ -343,11 +380,11 @@ class HierTarget:
         nsp = np.minimum(z, 0.0, out=z)             # z is not read again
         nsp -= e                                    # -softplus(-z)
         loglik = (float(nsp.sum()) + data._pad_softplus
-                  - float(betas.ravel() @ data._xt_one_minus_y.ravel()))
+                  - float(self._betas_flat @ self._xt_one_minus_y))
         np.exp(nsp, out=e)                          # sigmoid(z)
         np.subtract(data._y, e, out=e)
-        g_beta = np.matmul(tiles, e.reshape(-1, data.T, 1),
-                           out=self._g_tiles)[:, :, 0]
+        np.matmul(tiles, self._e_columns, out=self._g_tiles)
+        g_beta = self._g_rows
         if owner is not None:
             g_beta = data._entity_sums(g_beta)
 
@@ -355,9 +392,13 @@ class HierTarget:
         grad = diff * self._neg_prec
         logp = (loglik + 0.5 * float(diff @ grad) + self._const
                 - sigma * sigma / self._two_tau_sq + log_sigma)
+        grad_log_sigma = (sigma * float(g_beta.ravel() @ beta_raw)
+                          - sigma * sigma / self._tau_sq + 1.0)
+        if not math.isfinite(grad_log_sigma):
+            # The one gradient entry that can overflow at a finite logp.
+            return -math.inf, grad
         grad[:p] += g_beta.sum(axis=0)
-        grad[p] = (sigma * float(g_beta.ravel() @ theta[p + 1:])
-                   - sigma * sigma / self._tau_sq + 1.0)
+        grad[p] = grad_log_sigma
         g_beta *= sigma
         grad[p + 1:] += g_beta.ravel()
         return logp, grad

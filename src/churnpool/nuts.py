@@ -19,11 +19,26 @@ capped at ``_MAX_RANK``.  With no eigenpair kept the metric is diagonal.
 Step size and metric both freeze before the sampling phase.
 
 Targets are anything with a ``dim`` attribute and a ``logp_and_grad(theta)``
-method returning ``(float, ndarray)``.  Each chain draws from its own
-generator stream, but the chains advance in lockstep, window by window,
-and their window draws are pooled in chain order, so a run is a pure
-function of ``(target, config)`` and is bit-reproducible; it is not a
-function of each chain alone.
+method returning ``(float, ndarray)``.  The contract: a finite log density
+comes with a finite gradient.  A leapfrog step tests the log density
+alone, and a step to a non-finite one is a divergence; a target that
+cannot bound its gradient returns ``-inf`` where the gradient is not
+finite, as ``FunctionTarget`` does.
+
+The tree builder is the hot path, so it keeps its pieces in plain tuples.
+A leaf state is ``(q, r, grad, logp, v, w)``: position, momentum, the
+gradient and log density at ``q``, the velocity ``v = Sigma r`` (read by
+the kinetic energy and the U-turn test) and ``w = Sigma grad``, so that a
+leapfrog step makes one metric product.  A subtree is ``(inner, outer,
+proposal, log_sum_weight, sum_accept, n_accept, cont, divergent)``.  The
+earlier recursive builder, with an object per leaf and per subtree, is
+kept in ``tests/_oracles.py`` as the reference that the tests hold this
+one to, bit for bit.
+
+Each chain draws from its own generator stream, but the chains advance in
+lockstep, window by window, and their window draws are pooled in chain
+order, so a run is a pure function of ``(target, config)`` and is
+bit-reproducible; it is not a function of each chain alone.
 
 The chains run in up to ``min(chains, usable CPUs)`` forked worker
 processes, worker ``w`` holding chains ``c = w (mod W)``.  A worker has
@@ -103,7 +118,12 @@ _JITTER = 0.1
 
 
 class FunctionTarget:
-    """Adapter wrapping plain ``logp``/``grad`` callables into a target."""
+    """Adapter wrapping plain ``logp``/``grad`` callables into a target.
+
+    It keeps the target contract (see the module docstring) for any
+    callables: where the gradient is not finite, the log density is
+    ``-inf``.
+    """
 
     def __init__(self, dim: int, logp, grad):
         self.dim = dim
@@ -111,8 +131,11 @@ class FunctionTarget:
         self._grad = grad
 
     def logp_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        return float(self._logp(theta)), np.asarray(self._grad(theta),
-                                                    dtype=np.float64)
+        logp = float(self._logp(theta))
+        grad = np.asarray(self._grad(theta), dtype=np.float64)
+        if not np.isfinite(grad).all():
+            return -math.inf, grad
+        return logp, grad
 
 
 @dataclass
@@ -300,6 +323,8 @@ class Diagnostics:
     ``n_grad`` counts every ``logp_and_grad`` call the sampler made,
     step-size searches included; ``n_grad_warmup`` counts those made up to
     the end of warmup, and ``n_grad - n_grad_warmup`` those of sampling.
+    ``n_max_depth`` counts the sampling transitions whose tree reached
+    ``max_tree_depth`` (Stan's ``treedepth__ == max_treedepth``).
     """
 
     rhat: np.ndarray
@@ -309,6 +334,7 @@ class Diagnostics:
     mean_accept: float
     n_grad: int = 0
     n_grad_warmup: int = 0
+    n_max_depth: int = 0
 
     def max_rhat(self) -> float:
         return float(np.nanmax(self.rhat))
@@ -325,6 +351,7 @@ class Diagnostics:
             "mean_accept": float(self.mean_accept),
             "n_grad": int(self.n_grad),
             "n_grad_warmup": int(self.n_grad_warmup),
+            "n_max_depth": int(self.n_max_depth),
         }
         if param_names is not None:
             doc["param_names"] = list(param_names)
@@ -478,53 +505,39 @@ class _PooledMoments:
         return _Metric(diag, np.ascontiguousarray(vecs[:, keep]), lam[keep])
 
 
-class _State:
-    """Phase-space point with its cached gradient and log density; ``v`` is
-    the velocity ``Sigma r``, read by the kinetic energy and the U-turn
-    check, and ``w`` is ``Sigma grad``, so a leapfrog step makes one metric
-    product."""
-
-    __slots__ = ("q", "r", "grad", "logp", "v", "w")
-
-    def __init__(self, q, r, grad, logp, v, w):
-        self.q = q
-        self.r = r
-        self.grad = grad
-        self.logp = logp
-        self.v = v
-        self.w = w
-
-
-def _leapfrog(state: _State, eps: float, target,
-              metric: _Metric) -> _State | None:
-    """One velocity-Verlet step from ``state``, which carries the gradient
-    at its position and its metric products; None when the new point is
-    not finite."""
+def _leapfrog(state: tuple, eps: float, logp_and_grad, apply) -> tuple | None:
+    """One velocity-Verlet step from the leaf ``state`` (see the module
+    docstring), with the target's ``logp_and_grad`` and the metric's
+    ``apply``; None when the log density at the new point is not finite,
+    where the target contract leaves the gradient unread."""
+    q, r, grad, _, v, w = state
     half = 0.5 * eps
-    v_half = state.v + half * state.w
-    q_new = state.q + eps * v_half
-    logp, grad = target.logp_and_grad(q_new)
-    if not (math.isfinite(logp) and np.isfinite(grad).all()):
+    v_half = v + half * w
+    q_new = q + eps * v_half
+    logp, grad_new = logp_and_grad(q_new)
+    if not math.isfinite(logp):
         return None
-    w = metric.apply(grad)
-    return _State(q_new, state.r + half * (state.grad + grad), grad, logp,
-                  v_half + half * w, w)
+    w_new = apply(grad_new)
+    return (q_new, r + half * (grad + grad_new), grad_new, logp,
+            v_half + half * w_new, w_new)
 
 
-def _find_reasonable_step_size(target, state: _State, inv_metric: _Metric,
+def _find_reasonable_step_size(target, state: tuple, inv_metric: _Metric,
                                rng: np.random.Generator) -> float:
     """Doubling/halving search for a step size with ~50% acceptance from
-    ``state``, whose log density, gradient and ``Sigma grad`` are reused."""
-    r0 = inv_metric.momentum(rng.standard_normal(state.q.size))
-    start = _State(state.q, r0, state.grad, state.logp, inv_metric.apply(r0),
-                   state.w)
-    h0 = -state.logp + 0.5 * float(np.dot(start.v, r0))
+    the leaf ``state``, whose log density, gradient and ``Sigma grad`` are
+    reused."""
+    q, _, grad, logp, _, w = state
+    r0 = inv_metric.momentum(rng.standard_normal(q.size))
+    v0 = inv_metric.apply(r0)
+    start = (q, r0, grad, logp, v0, w)
+    h0 = -logp + 0.5 * float(np.dot(v0, r0))
 
     def accept_logprob(eps: float) -> float:
-        new = _leapfrog(start, eps, target, inv_metric)
+        new = _leapfrog(start, eps, target.logp_and_grad, inv_metric.apply)
         if new is None:
             return -np.inf
-        return min(0.0, h0 - (-new.logp + 0.5 * float(np.dot(new.v, new.r))))
+        return min(0.0, h0 - (-new[3] + 0.5 * float(np.dot(new[4], new[1]))))
 
     eps = 1.0
     log_half = math.log(0.5)
@@ -613,35 +626,15 @@ def _log_add_exp(a: float, b: float) -> float:
     return diff
 
 
-class _Subtree:
-    __slots__ = ("outer", "proposal", "log_sum_weight", "sum_accept",
-                 "n_accept", "cont", "divergent", "inner")
-
-    def __init__(self, inner, outer, proposal, log_sum_weight, sum_accept,
-                 n_accept, cont, divergent):
-        self.inner = inner
-        self.outer = outer
-        self.proposal = proposal
-        self.log_sum_weight = log_sum_weight
-        self.sum_accept = sum_accept
-        self.n_accept = n_accept
-        self.cont = cont
-        self.divergent = divergent
-
-
-def _no_uturn(minus: _State, plus: _State) -> bool:
-    """Classic criterion on the trajectory ends, in velocity space."""
-    dq = plus.q - minus.q
-    return np.dot(dq, minus.v) >= 0.0 and np.dot(dq, plus.v) >= 0.0
-
-
 class _Chain:
     """One chain: its position, step-size adaptation and tree builder.
 
     Warmup advances in blocks (``block``) so that every chain can stop at
     a window barrier, where ``adopt`` installs the shared metric; ``draw``
-    finishes warmup and samples.  The chain is the target of its own
-    integrator calls, so ``calls`` counts every ``logp_and_grad`` it made.
+    finishes warmup and samples.  ``calls`` counts every ``logp_and_grad``
+    the chain made: the initial point and the step-size searches go
+    through the chain's own ``logp_and_grad``, and each transition adds
+    its leaves, one call each.
     """
 
     def __init__(self, target, config: SamplerConfig,
@@ -655,7 +648,7 @@ class _Chain:
         if not (np.isfinite(logp) and np.all(np.isfinite(grad))):
             raise ValidationError("target is not finite at the initial point")
         zeros = np.zeros_like(q0)
-        self.state = _State(q0, zeros, grad, logp, zeros, metric.apply(grad))
+        self.state = (q0, zeros, grad, logp, zeros, metric.apply(grad))
         self.iteration = 0
         self.warmup_divergent = 0
         self.initial_eps = self._restart_step_size()
@@ -675,9 +668,8 @@ class _Chain:
         """Switch to ``metric``: refresh the cached ``Sigma grad`` and restart
         step-size adaptation."""
         self.metric = metric
-        s = self.state
-        self.state = _State(s.q, s.r, s.grad, s.logp, s.v,
-                            metric.apply(s.grad))
+        q, r, grad, logp, v, _ = self.state
+        self.state = (q, r, grad, logp, v, metric.apply(grad))
         self._restart_step_size()
 
     def warm(self, stop: int) -> np.ndarray:
@@ -687,10 +679,10 @@ class _Chain:
         visited = np.empty((max(stop - self.iteration, 0), self.target.dim))
         for row in visited:
             self.eps = self.averaging.current
-            divergent, accept_stat = self.transition()
+            divergent, accept_stat, _ = self.transition()
             self.warmup_divergent += divergent
             self.averaging.step(target_accept - accept_stat)
-            row[:] = self.state.q
+            row[:] = self.state[0]
             self.iteration += 1
         return visited
 
@@ -700,12 +692,13 @@ class _Chain:
         return self.warm(end)
 
     def draw(self, draws: np.ndarray, divergent: np.ndarray,
-             accept: np.ndarray) -> tuple[float, int, int]:
+             accept: np.ndarray) -> tuple[float, int, int, int]:
         """Warm to the end of warmup, then make one sampling transition per
         row of ``draws`` at the averaged warmup step size; row ``s`` of each
         array gets the position, the divergence flag and the acceptance
         statistic of transition ``s``.  Returns the step size, the chain's
-        target calls at the end of warmup and its target calls in all."""
+        target calls at the end of warmup, its target calls in all and the
+        number of sampling transitions that reached ``max_tree_depth``."""
         warmup = self.config.warmup
         self.warm(warmup)
         if self.warmup_divergent == warmup:
@@ -714,88 +707,102 @@ class _Chain:
                 "(for example 0.95) or reparameterize the model")
         warmup_calls = self.calls
         self.eps = self.averaging.averaged
+        n_max_depth = 0
         for s in range(draws.shape[0]):
-            divergent[s], accept[s] = self.transition()
-            draws[s] = self.state.q
-        return self.eps, warmup_calls, self.calls
+            divergent[s], accept[s], at_max = self.transition()
+            n_max_depth += at_max
+            draws[s] = self.state[0]
+        return self.eps, warmup_calls, self.calls, n_max_depth
 
-    def _build_tree(self, depth: int, edge: _State, direction: float,
-                    h0: float) -> _Subtree:
-        if depth == 0:
-            new = _leapfrog(edge, direction * self.eps, self, self.metric)
-            if new is None:
-                return _Subtree(edge, edge, None, -np.inf, 0.0, 1, False, True)
-            energy_error = (-new.logp + 0.5 * float(np.dot(new.v, new.r))) - h0
-            accept = math.exp(min(0.0, -energy_error))
-            if energy_error > self.config.divergence_energy_threshold:
-                return _Subtree(new, new, None, -np.inf, accept, 1, False, True)
-            return _Subtree(new, new, new, -energy_error, accept, 1, True, False)
-
-        first = self._build_tree(depth - 1, edge, direction, h0)
-        if not first.cont:
-            return first
-        second = self._build_tree(depth - 1, first.outer, direction, h0)
-        log_sum_weight = _log_add_exp(first.log_sum_weight,
-                                      second.log_sum_weight)
-        proposal = first.proposal
-        if second.proposal is not None and (
-                math.log(self.rng.uniform())
-                < second.log_sum_weight - log_sum_weight):
-            proposal = second.proposal
-        inner, outer = first.inner, second.outer
-        if direction > 0:
-            ok = _no_uturn(inner, outer)
-        else:
-            ok = _no_uturn(outer, inner)
-        return _Subtree(inner, outer, proposal, log_sum_weight,
-                        first.sum_accept + second.sum_accept,
-                        first.n_accept + second.n_accept,
-                        second.cont and ok,
-                        first.divergent or second.divergent)
-
-    def transition(self) -> tuple[bool, float]:
+    def transition(self) -> tuple[bool, float, bool]:
         """One NUTS draw with biased progressive multinomial selection;
-        moves ``state`` and returns (divergent, mean acceptance)."""
-        rng = self.rng
-        state, metric = self.state, self.metric
+        moves ``state`` and returns (divergent, mean acceptance, whether
+        the tree reached ``max_tree_depth``).  The last is Stan's
+        ``treedepth__ == max_treedepth``: the final doubling's subtree was
+        valid, whether or not the merged trajectory then turned."""
+        rng, metric = self.rng, self.metric
+        uniform = rng.random
+        logp_and_grad, apply = self.target.logp_and_grad, metric.apply
+        threshold = self.config.divergence_energy_threshold
+        max_depth = self.config.max_tree_depth
+        q, _, grad, logp, _, w = self.state
         r0 = metric.momentum(rng.standard_normal(self.target.dim))
-        current = _State(state.q, r0, state.grad, state.logp,
-                         metric.apply(r0), state.w)
-        h0 = -current.logp + 0.5 * float(np.dot(current.v, r0))
-        minus, plus, proposal = current, current, current
+        v0 = apply(r0)
+        h0 = -logp + 0.5 * float(np.dot(v0, r0))
+
+        def build(depth: int, edge: tuple, eps: float) -> tuple:
+            """The subtree of ``2**depth`` leaves from ``edge`` at signed
+            step ``eps``: (inner, outer, proposal, log_sum_weight,
+            sum_accept, n_accept, cont, divergent)."""
+            if depth == 0:
+                new = _leapfrog(edge, eps, logp_and_grad, apply)
+                if new is None:
+                    return edge, edge, None, -math.inf, 0.0, 1, False, True
+                energy_error = (-new[3] + 0.5 * float(new[4].dot(new[1]))
+                                - h0)
+                accept = math.exp(min(0.0, -energy_error))
+                # Written so that a NaN energy, from a target that breaks
+                # the contract, diverges too.
+                if not energy_error <= threshold:
+                    return new, new, None, -math.inf, accept, 1, False, True
+                return new, new, new, -energy_error, accept, 1, True, False
+
+            first = build(depth - 1, edge, eps)
+            if not first[6]:
+                return first
+            inner, middle, proposal, weight, accept, n, _, _ = first
+            (_, outer, proposal_2, weight_2, accept_2, n_2, cont,
+             divergent) = build(depth - 1, middle, eps)
+            log_sum_weight = _log_add_exp(weight, weight_2)
+            if proposal_2 is not None and (
+                    math.log(uniform()) < weight_2 - log_sum_weight):
+                proposal = proposal_2
+            if cont:
+                # The classic U-turn criterion on the ends, in velocity
+                # space, from the backward end to the forward one.
+                lo, hi = (inner, outer) if eps > 0 else (outer, inner)
+                dq = hi[0] - lo[0]
+                cont = dq.dot(lo[4]) >= 0.0 and dq.dot(hi[4]) >= 0.0
+            # The first half continued, so it did not diverge.
+            return (inner, outer, proposal, log_sum_weight,
+                    accept + accept_2, n + n_2, cont, divergent)
+
+        minus = plus = proposal = (q, r0, grad, logp, v0, w)
         log_sum_weight = 0.0
         sum_accept, n_accept = 0.0, 0
-        divergent = False
-        for depth in range(self.config.max_tree_depth):
-            direction = 1.0 if rng.uniform() < 0.5 else -1.0
-            edge = plus if direction > 0 else minus
-            subtree = self._build_tree(depth, edge, direction, h0)
-            sum_accept += subtree.sum_accept
-            n_accept += subtree.n_accept
-            divergent = divergent or subtree.divergent
-            if not subtree.cont:
+        step = self.eps
+        for depth in range(max_depth):
+            forward = uniform() < 0.5
+            (_, outer, sub_proposal, weight, accept, n, cont,
+             divergent) = build(depth, plus if forward else minus,
+                                step if forward else -step)
+            sum_accept += accept
+            n_accept += n
+            if not cont:
                 break
             # Biased progressive sampling favors the fresh subtree.
-            if (subtree.log_sum_weight > log_sum_weight
-                    or math.log(rng.uniform())
-                    < subtree.log_sum_weight - log_sum_weight):
-                proposal = subtree.proposal
-            log_sum_weight = _log_add_exp(log_sum_weight,
-                                          subtree.log_sum_weight)
-            if direction > 0:
-                plus = subtree.outer
+            if (weight > log_sum_weight
+                    or math.log(uniform()) < weight - log_sum_weight):
+                proposal = sub_proposal
+            log_sum_weight = _log_add_exp(log_sum_weight, weight)
+            if forward:
+                plus = outer
             else:
-                minus = subtree.outer
-            if not _no_uturn(minus, plus):
+                minus = outer
+            dq = plus[0] - minus[0]
+            if not (dq.dot(minus[4]) >= 0.0 and dq.dot(plus[4]) >= 0.0):
                 break
+        # Every leaf made one gradient call and counts once in n_accept.
+        self.calls += n_accept
         self.state = proposal
-        return divergent, sum_accept / max(n_accept, 1)
+        at_max = depth == max_depth - 1 and bool(cont)
+        return divergent, sum_accept / n_accept, at_max
 
 
 def _serve(chains: list[_Chain], windows, conn) -> None:
     """Body of a forked chain worker: run ``chains`` through ``windows`` and
-    sampling, streaming every block, then every chain's step size, target
-    calls and draw rows, to the parent over ``conn``, chain by chain."""
+    sampling, streaming every block, then every chain's ``draw`` reply and
+    draw rows, to the parent over ``conn``, chain by chain."""
     with _one_blas_thread():
         for start, end in windows:
             for chain in chains:
@@ -842,7 +849,7 @@ class _Worker:
             self.conn.send((metric.diag, metric.u, metric.lam))
 
     def draw(self, draws: np.ndarray, divergent: np.ndarray,
-             accept: np.ndarray) -> tuple[float, int, int]:
+             accept: np.ndarray) -> tuple[float, int, int, int]:
         reply = receive(self.conn, _WORKER_GONE)
         for out in (draws, divergent, accept):
             read_into(self.conn, out, _WORKER_GONE)
@@ -916,7 +923,7 @@ def sample(target, config: SamplerConfig,
             metric = moments.metric()
             for unit in units:
                 unit.adopt(metric)
-        step_sizes, warmup_calls, calls = zip(*[
+        step_sizes, warmup_calls, calls, max_depths = zip(*[
             runner.draw(*row)
             for runner, row in zip(runners, zip(draws, divergent, accept))])
 
@@ -936,12 +943,12 @@ def sample(target, config: SamplerConfig,
     # Diagnostics.mean_accept is the mean of the per-chain means.
     mean_accept = float(np.mean([row.mean() for row in accept]))
     return trace, compute_diagnostics(trace, mean_accept, sum(calls),
-                                      sum(warmup_calls))
+                                      sum(warmup_calls), sum(max_depths))
 
 
 def compute_diagnostics(trace: PosteriorTrace, mean_accept: float = math.nan,
-                        n_grad: int = 0, n_grad_warmup: int = 0
-                        ) -> Diagnostics:
+                        n_grad: int = 0, n_grad_warmup: int = 0,
+                        n_max_depth: int = 0) -> Diagnostics:
     """Per-parameter split R-hat and bulk/tail ESS for a stored trace."""
     dim = trace.dim
     rhats = np.full(dim, np.nan)
@@ -953,7 +960,7 @@ def compute_diagnostics(trace: PosteriorTrace, mean_accept: float = math.nan,
             rhats[d] = rhat(chains)
         bulk[d], tail[d] = ess(chains)
     return Diagnostics(rhats, bulk, tail, int(trace.divergent.sum()),
-                       mean_accept, n_grad, n_grad_warmup)
+                       mean_accept, n_grad, n_grad_warmup, n_max_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ penalized logistic objective, an extended-precision log-posterior
 evaluation, the hierarchical model's row tiles and its earlier padded
 block filled one entity at a time with the padded block's batched
 kernel, the two-branch logistic function, the argsort-per-node
-boosted-tree grower and the sampler's inverse metric as an explicit dense
-matrix.
+boosted-tree grower, the sampler's inverse metric as an explicit dense
+matrix, and the sampler's recursive tree builder with a state object per
+leaf.
 """
 
 import math
@@ -20,8 +21,9 @@ import numpy as np
 
 from churnpool.data import (_MISSING_TOKENS, MISSING_INDICATOR_THRESHOLD,
                             Dataset, _csv_rows)
-from churnpool.errors import DataError, ValidationError
+from churnpool.errors import DataError, DiagnosticError, ValidationError
 from churnpool.gbdt import _MIN_SPLIT_GAIN, TreeNode
+from churnpool.nuts import _DualAveraging, _log_add_exp
 
 
 # ---------------------------------------------------------------------------
@@ -506,3 +508,227 @@ def dense_inverse_metric(diag, u, lam):
     for k in range(len(lam)):
         inner += (lam[k] - 1.0) * np.outer(u[:, k], u[:, k])
     return d @ inner @ d
+
+
+# ---------------------------------------------------------------------------
+# Recursive NUTS builder with a state object per leaf
+# ---------------------------------------------------------------------------
+#
+# The sampler's earlier chain, kept whole as the reference for its tuple
+# builder: a ``_State`` and a ``_Subtree`` object per leaf, every gradient
+# call counted through ``RecursiveChain.logp_and_grad``, and both the log
+# density and the gradient tested for finiteness at every leaf.
+
+class _State:
+    """Phase-space point with its cached gradient and log density; ``v`` is
+    the velocity ``Sigma r``, read by the kinetic energy and the U-turn
+    check, and ``w`` is ``Sigma grad``, so a leapfrog step makes one metric
+    product."""
+
+    __slots__ = ("q", "r", "grad", "logp", "v", "w")
+
+    def __init__(self, q, r, grad, logp, v, w):
+        self.q = q
+        self.r = r
+        self.grad = grad
+        self.logp = logp
+        self.v = v
+        self.w = w
+
+
+def _recursive_leapfrog(state, eps, target, metric):
+    """One velocity-Verlet step from ``state``, which carries the gradient
+    at its position and its metric products; None when the new point is
+    not finite."""
+    half = 0.5 * eps
+    v_half = state.v + half * state.w
+    q_new = state.q + eps * v_half
+    logp, grad = target.logp_and_grad(q_new)
+    if not (math.isfinite(logp) and np.isfinite(grad).all()):
+        return None
+    w = metric.apply(grad)
+    return _State(q_new, state.r + half * (state.grad + grad), grad, logp,
+                  v_half + half * w, w)
+
+
+def _recursive_step_size(target, state, inv_metric, rng):
+    """Doubling/halving search for a step size with ~50% acceptance from
+    ``state``, whose log density, gradient and ``Sigma grad`` are reused."""
+    r0 = inv_metric.momentum(rng.standard_normal(state.q.size))
+    start = _State(state.q, r0, state.grad, state.logp, inv_metric.apply(r0),
+                   state.w)
+    h0 = -state.logp + 0.5 * float(np.dot(start.v, r0))
+
+    def accept_logprob(eps):
+        new = _recursive_leapfrog(start, eps, target, inv_metric)
+        if new is None:
+            return -np.inf
+        return min(0.0, h0 - (-new.logp + 0.5 * float(np.dot(new.v, new.r))))
+
+    eps = 1.0
+    log_half = math.log(0.5)
+    a = 1.0 if accept_logprob(eps) > log_half else -1.0
+    for _ in range(100):
+        if not a * accept_logprob(eps) > a * log_half:
+            break
+        eps *= 2.0 ** a
+        if not 1e-10 < eps < 1e10:
+            break
+    return eps
+
+
+class _Subtree:
+    __slots__ = ("outer", "proposal", "log_sum_weight", "sum_accept",
+                 "n_accept", "cont", "divergent", "inner")
+
+    def __init__(self, inner, outer, proposal, log_sum_weight, sum_accept,
+                 n_accept, cont, divergent):
+        self.inner = inner
+        self.outer = outer
+        self.proposal = proposal
+        self.log_sum_weight = log_sum_weight
+        self.sum_accept = sum_accept
+        self.n_accept = n_accept
+        self.cont = cont
+        self.divergent = divergent
+
+
+def _no_uturn(minus, plus):
+    """Classic criterion on the trajectory ends, in velocity space."""
+    dq = plus.q - minus.q
+    return np.dot(dq, minus.v) >= 0.0 and np.dot(dq, plus.v) >= 0.0
+
+
+class RecursiveChain:
+    """One chain with the recursive builder; the same calls as
+    ``churnpool.nuts._Chain`` (``block``, ``adopt``, ``warm``, ``draw``),
+    and ``draw`` returns the step size, warmup calls and calls only."""
+
+    def __init__(self, target, config, rng, q0, metric):
+        self.target = target
+        self.config = config
+        self.rng = rng
+        self.metric = metric
+        self.calls = 0
+        logp, grad = self.logp_and_grad(q0)
+        if not (np.isfinite(logp) and np.all(np.isfinite(grad))):
+            raise ValidationError("target is not finite at the initial point")
+        zeros = np.zeros_like(q0)
+        self.state = _State(q0, zeros, grad, logp, zeros, metric.apply(grad))
+        self.iteration = 0
+        self.warmup_divergent = 0
+        self.initial_eps = self._restart_step_size()
+        self.eps = self.initial_eps
+
+    def logp_and_grad(self, theta):
+        self.calls += 1
+        return self.target.logp_and_grad(theta)
+
+    def _restart_step_size(self):
+        eps0 = _recursive_step_size(self, self.state, self.metric, self.rng)
+        self.averaging = _DualAveraging(eps0)
+        return eps0
+
+    def adopt(self, metric):
+        self.metric = metric
+        s = self.state
+        self.state = _State(s.q, s.r, s.grad, s.logp, s.v,
+                            metric.apply(s.grad))
+        self._restart_step_size()
+
+    def warm(self, stop):
+        target_accept = self.config.target_accept
+        visited = np.empty((max(stop - self.iteration, 0), self.target.dim))
+        for row in visited:
+            self.eps = self.averaging.current
+            divergent, accept_stat = self.transition()
+            self.warmup_divergent += divergent
+            self.averaging.step(target_accept - accept_stat)
+            row[:] = self.state.q
+            self.iteration += 1
+        return visited
+
+    def block(self, start, end):
+        self.warm(start)
+        return self.warm(end)
+
+    def draw(self, draws, divergent, accept):
+        warmup = self.config.warmup
+        self.warm(warmup)
+        if self.warmup_divergent == warmup:
+            raise DiagnosticError("every warmup iteration diverged")
+        warmup_calls = self.calls
+        self.eps = self.averaging.averaged
+        for s in range(draws.shape[0]):
+            divergent[s], accept[s] = self.transition()
+            draws[s] = self.state.q
+        return self.eps, warmup_calls, self.calls
+
+    def _build_tree(self, depth, edge, direction, h0):
+        if depth == 0:
+            new = _recursive_leapfrog(edge, direction * self.eps, self,
+                                      self.metric)
+            if new is None:
+                return _Subtree(edge, edge, None, -np.inf, 0.0, 1, False, True)
+            energy_error = (-new.logp + 0.5 * float(np.dot(new.v, new.r))) - h0
+            accept = math.exp(min(0.0, -energy_error))
+            if energy_error > self.config.divergence_energy_threshold:
+                return _Subtree(new, new, None, -np.inf, accept, 1, False, True)
+            return _Subtree(new, new, new, -energy_error, accept, 1, True, False)
+
+        first = self._build_tree(depth - 1, edge, direction, h0)
+        if not first.cont:
+            return first
+        second = self._build_tree(depth - 1, first.outer, direction, h0)
+        log_sum_weight = _log_add_exp(first.log_sum_weight,
+                                      second.log_sum_weight)
+        proposal = first.proposal
+        if second.proposal is not None and (
+                math.log(self.rng.uniform())
+                < second.log_sum_weight - log_sum_weight):
+            proposal = second.proposal
+        inner, outer = first.inner, second.outer
+        if direction > 0:
+            ok = _no_uturn(inner, outer)
+        else:
+            ok = _no_uturn(outer, inner)
+        return _Subtree(inner, outer, proposal, log_sum_weight,
+                        first.sum_accept + second.sum_accept,
+                        first.n_accept + second.n_accept,
+                        second.cont and ok,
+                        first.divergent or second.divergent)
+
+    def transition(self):
+        rng = self.rng
+        state, metric = self.state, self.metric
+        r0 = metric.momentum(rng.standard_normal(self.target.dim))
+        current = _State(state.q, r0, state.grad, state.logp,
+                         metric.apply(r0), state.w)
+        h0 = -current.logp + 0.5 * float(np.dot(current.v, r0))
+        minus, plus, proposal = current, current, current
+        log_sum_weight = 0.0
+        sum_accept, n_accept = 0.0, 0
+        divergent = False
+        for depth in range(self.config.max_tree_depth):
+            direction = 1.0 if rng.uniform() < 0.5 else -1.0
+            edge = plus if direction > 0 else minus
+            subtree = self._build_tree(depth, edge, direction, h0)
+            sum_accept += subtree.sum_accept
+            n_accept += subtree.n_accept
+            divergent = divergent or subtree.divergent
+            if not subtree.cont:
+                break
+            if (subtree.log_sum_weight > log_sum_weight
+                    or math.log(rng.uniform())
+                    < subtree.log_sum_weight - log_sum_weight):
+                proposal = subtree.proposal
+            log_sum_weight = _log_add_exp(log_sum_weight,
+                                          subtree.log_sum_weight)
+            if direction > 0:
+                plus = subtree.outer
+            else:
+                minus = subtree.outer
+            if not _no_uturn(minus, plus):
+                break
+        self.state = proposal
+        return divergent, sum_accept / max(n_accept, 1)

@@ -294,6 +294,7 @@ class TestFitCalibrate:
         assert meta["n_grad"] == diag["n_grad"] >= 2 * 3000
         assert meta["n_grad_warmup"] == diag["n_grad_warmup"] >= 2 * 1000
         assert meta["n_grad"] - meta["n_grad_warmup"] >= 2 * 2000
+        assert 0 <= meta["n_max_depth"] == diag["n_max_depth"] <= 2 * 2000
 
     def test_fit_writes_no_copy_of_the_calibration_rows(self, pipeline_dir):
         meta = json.loads((pipeline_dir / "fit_meta.json").read_text())
@@ -801,14 +802,20 @@ class TestFullChain:
     def test_pretrain_to_predictions(self, tmp_path):
         """The complete story: public-style corpus -> base model -> prior
         -> resampled entities on the recorded scale -> fit -> calibrate
-        -> predictions."""
+        -> predictions.  The entities are drawn from rows that pretrain
+        never saw."""
         out = tmp_path
-        source = out / "corpus.csv"
-        _pretrain_corpus(source, n=500, seed=21)
+        corpus = out / "corpus.csv"
+        _pretrain_corpus(corpus, n=500, seed=21)
+        header, *rows = corpus.read_text().splitlines(keepends=True)
+        source, entity_source = out / "pretrain.csv", out / "entities.csv"
+        source.write_text(header + "".join(rows[:300]))
+        entity_source.write_text(header + "".join(rows[300:]))
+        assert not set(rows[:300]) & set(rows[300:])
         assert run(out, "pretrain", "--source", str(source)) == 0
         assert run(out, "extract-priors", "--prior-draws", "25") == 0
         assert run(out, "gen-data", "--mode", "resample",
-                   "--source", str(source),
+                   "--source", str(entity_source),
                    "--stats", str(out / "standardization.json"),
                    "--smes", "5", "--n-per", "60") == 0
         code = run(out, "fit", "--chains", "2", "--warmup", "1000",

@@ -303,6 +303,7 @@ class TestRunExperiment:
         assert tiny_report.diagnostics["n_grad"] >= 2 * (150 + 200)
         warmup = tiny_report.diagnostics["n_grad_warmup"]
         assert 2 * 150 <= warmup <= tiny_report.diagnostics["n_grad"] - 2 * 200
+        assert 0 <= tiny_report.diagnostics["n_max_depth"] <= 2 * 200
 
     def test_report_serialization(self, tiny_report, tmp_path):
         path = tmp_path / "report.json"

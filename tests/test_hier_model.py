@@ -382,6 +382,45 @@ class TestGradient:
             np.testing.assert_allclose(
                 grad, longdouble_grad_log_posterior(*oracle_args), rtol=1e-10)
 
+    def test_finite_logp_comes_with_finite_gradient(self):
+        # The sampler's target contract, at extreme sigma, beta_raw and mu
+        # (magnitudes up to 1e150).  The tau that puts sigma^2 / (2 tau^2)
+        # at 3/4 of the float64 maximum overflows d/dlog_sigma alone.
+        data, hyper, params = _random_instance(3, (5, 17, 9), seed=41)
+        top = np.finfo(np.float64).max
+        finite = nonfinite = 0
+        for tau in (2.0, math.exp(299.0) / math.sqrt(1.5) / math.sqrt(top)):
+            target = HierTarget(data, HierHyper(hyper.beta0,
+                                                hyper.sigma0_diag, tau))
+            for log_sigma in (-700.0, -300.0, -50.0, 0.0, 50.0, 150.0,
+                              299.0):
+                for k in (0, 50, 100, 150):
+                    for mu_scale in (1.0, 1e150):
+                        theta = _Params(params.mu * mu_scale, log_sigma,
+                                        params.beta_raw * 10.0 ** k).pack()
+                        value, grad = target.logp_and_grad(theta)
+                        if math.isfinite(value):
+                            finite += 1
+                            assert np.isfinite(grad).all(), (tau, log_sigma,
+                                                             k, mu_scale)
+                        else:
+                            nonfinite += 1
+        assert finite > 50 and nonfinite > 0
+        theta = _Params(params.mu, 299.0, params.beta_raw).pack()
+        assert target.logp_and_grad(theta)[0] == -math.inf
+
+    def test_features_too_large_for_a_finite_gradient_rejected(self):
+        # exp(300) * |x| column sums must stay finite: sigma * g_beta
+        # could otherwise overflow where the log density does not.
+        data, hyper, _ = _random_instance(2, (4, 6), seed=5)
+        X = np.concatenate(_entities(data)[0])
+        big = HierData(X * 1e178, np.concatenate(_entities(data)[1]),
+                       data.n_j, data.feature_names)
+        with pytest.raises(ValidationError, match="too large"):
+            HierTarget(big, hyper)
+        HierTarget(HierData(X * 1e174, np.concatenate(_entities(data)[1]),
+                            data.n_j, data.feature_names), hyper)
+
     def test_duplicated_row_doubles_likelihood_gradient(self):
         p, J = 3, 1
         rng = np.random.default_rng(9)

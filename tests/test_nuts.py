@@ -24,11 +24,11 @@ import churnpool.nuts as nuts
 from churnpool.errors import DiagnosticError, ValidationError
 from churnpool.nuts import (Diagnostics, FunctionTarget, PosteriorTrace,
                             SamplerConfig, _Chain, _leapfrog, _log_add_exp,
-                            _Metric, _PooledMoments, _State,
+                            _Metric, _PooledMoments,
                             _find_reasonable_step_size, ess, rhat, sample)
 from churnpool.rng import default_rng, spawn
 
-from _oracles import dense_inverse_metric
+from _oracles import RecursiveChain, dense_inverse_metric
 
 
 def gaussian_target(mean, sd):
@@ -63,9 +63,9 @@ def _step(state, step_size, target, inv_mass=None):
     else:
         metric = _Metric(np.asarray(inv_mass, dtype=np.float64))
     logp, grad = target.logp_and_grad(q)
-    new = _leapfrog(_State(q, r, grad, logp, metric.apply(r),
-                           metric.apply(grad)), step_size, target, metric)
-    return None if new is None else (new.q, new.r)
+    new = _leapfrog((q, r, grad, logp, metric.apply(r), metric.apply(grad)),
+                    step_size, target.logp_and_grad, metric.apply)
+    return None if new is None else new[:2]
 
 
 def _record_windows(monkeypatch):
@@ -178,7 +178,7 @@ class TestFindReasonableStepSize:
         metric = _Metric(np.ones(q0.size))
         logp, grad = target.logp_and_grad(q0)
         zeros = np.zeros_like(q0)
-        state = _State(q0, zeros, grad, logp, zeros, metric.apply(grad))
+        state = (q0, zeros, grad, logp, zeros, metric.apply(grad))
         return _find_reasonable_step_size(target, state, metric,
                                           default_rng(0))
 
@@ -336,6 +336,124 @@ class TestSampling:
         with pytest.raises(DiagnosticError, match="target_accept"):
             sample(BrokenGradient(),
                    SamplerConfig(chains=1, warmup=100, draws=10, seed=3))
+
+
+class _RawTarget:
+    """Plain ``logp``/``grad`` callables without ``FunctionTarget``'s
+    contract: the reference builder tests the gradient at every leaf."""
+
+    def __init__(self, dim, logp, grad):
+        self.dim, self._logp, self._grad = dim, logp, grad
+
+    def logp_and_grad(self, q):
+        return float(self._logp(q)), np.asarray(self._grad(q),
+                                                dtype=np.float64)
+
+
+def _scaled_gaussian():
+    """Six coordinates with sds 0.1-3 and every correlation 0.8:
+    ``(logp, grad)`` callables."""
+    dim = 6
+    sd = np.geomspace(0.1, 3.0, dim)
+    cov = (np.full((dim, dim), 0.8) + 0.2 * np.eye(dim)) * np.outer(sd, sd)
+    precision = np.linalg.inv(cov)
+    return (dim, lambda q: -0.5 * q @ precision @ q,
+            lambda q: -precision @ q)
+
+
+def _nan_gradient_gaussian():
+    """The scaled Gaussian, with a NaN gradient but a finite log density
+    beyond q[0] = 0.15, which the chains reach."""
+    dim, logp, grad = _scaled_gaussian()
+    return dim, logp, lambda q: (grad(q) if q[0] < 0.15
+                                 else np.full(dim, np.nan))
+
+
+def _walled_gaussian():
+    """The scaled Gaussian cut at q[0] = 0.15: ``-inf`` beyond."""
+    dim, logp, grad = _scaled_gaussian()
+    return dim, (lambda q: logp(q) if q[0] < 0.15 else -math.inf), grad
+
+
+def _rank_two_metric(dim):
+    u, _ = np.linalg.qr(default_rng(2).standard_normal((dim, 2)))
+    return _Metric(np.linspace(0.5, 2.0, dim), np.ascontiguousarray(u),
+                   np.array([6.0, 0.2]))
+
+
+def _drive(chain_class, target, config, metric):
+    """Run ``config.chains`` chains of ``chain_class`` the way ``sample``
+    does on one worker, from ``metric``; per chain, the initial step size,
+    the ``draw`` reply and the draw, divergence and acceptance rows."""
+    dim = target.dim
+    chains = [chain_class(target, config, rng,
+                          rng.uniform(-0.05, 0.05, dim), metric)
+              for rng in spawn(config.seed, config.chains)]
+    for start, end in nuts._mass_windows(config.warmup):
+        moments = _PooledMoments(dim)
+        for chain in chains:
+            moments.merge(chain.block(start, end))
+        metric = moments.metric()
+        for chain in chains:
+            chain.adopt(metric)
+    runs = []
+    for chain in chains:
+        rows = (np.empty((config.draws, dim)),
+                np.empty(config.draws, dtype=bool), np.empty(config.draws))
+        runs.append((chain.initial_eps, chain.draw(*rows), *rows))
+    return runs, metric
+
+
+class TestReferenceBuilder:
+    """The tuple builder against the recursive one in ``_oracles``: the
+    same draws, acceptance statistics, divergence flags, step sizes and
+    call counts, bit for bit."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make, setting, reached", [
+        (_scaled_gaussian, {}, None),
+        (_nan_gradient_gaussian, {}, "divergent"),
+        (_walled_gaussian, {}, "divergent"),
+        (_scaled_gaussian, {"max_tree_depth": 2}, "max_depth"),
+        (_scaled_gaussian, {"divergence_energy_threshold": 0.3}, "divergent"),
+    ], ids=["rank-k", "nan-gradient", "wall", "max-depth", "threshold"])
+    def test_same_bits_as_recursive_builder(self, make, setting, reached):
+        dim, logp, grad = make()
+        config = replace(SamplerConfig(chains=2, warmup=150, draws=120,
+                                       seed=8), **setting)
+        new, metric = _drive(_Chain, FunctionTarget(dim, logp, grad), config,
+                             _rank_two_metric(dim))
+        old, _ = _drive(RecursiveChain, _RawTarget(dim, logp, grad), config,
+                        _rank_two_metric(dim))
+        assert metric.lam.size > 0
+        for (eps0, reply, *rows), (old_eps0, old_reply, *old_rows) in zip(
+                new, old):
+            assert (eps0, *reply[:3]) == (old_eps0, *old_reply)
+            for row, old_row in zip(rows, old_rows):
+                assert row.tobytes() == old_row.tobytes()
+        # Each case reaches the branch it is there for while sampling.
+        counts = {"divergent": sum(run[3].sum() for run in new),
+                  "max_depth": sum(run[1][3] for run in new)}
+        assert reached is None or counts[reached] > 0
+
+    def test_max_depth_count(self, monkeypatch):
+        # Counted in the workers and summed in chain order: the same for
+        # one worker or two.  At depth 1 every tree is one leaf, so every
+        # sampling transition that does not diverge reaches the cap.
+        dim, logp, grad = _scaled_gaussian()
+        target = FunctionTarget(dim, logp, grad)
+        config = SamplerConfig(chains=3, warmup=150, draws=100, seed=4,
+                               max_tree_depth=3)
+        counts = []
+        for workers in (1, 2):
+            monkeypatch.setattr(nuts, "_usable_cpus", lambda: workers)
+            diag = sample(target, config)[1]
+            counts.append(diag.n_max_depth)
+        assert counts[0] == counts[1] > 0
+        assert json.loads(diag.to_json())["n_max_depth"] == counts[0]
+        _, diag = sample(target, replace(config, max_tree_depth=1))
+        assert diag.n_divergent == 0
+        assert diag.n_max_depth == config.chains * config.draws
 
 
 class TestSharedMetric:

@@ -25,7 +25,6 @@ import argparse
 import configparser
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -391,9 +390,8 @@ def cmd_extract_priors(config: RunConfig, args) -> int:
 def cmd_fit(config: RunConfig, args) -> int:
     out = Path(args.out)
     trace_path = out / "trace.bin"
-    diag_path = out / "diagnostics.json"
     meta_path = out / "fit_meta.json"
-    _check_force([trace_path, diag_path, meta_path], args.force)
+    _check_force([trace_path, meta_path], args.force)
 
     collection = load_collection(_require(out / "smes", "entity collection"))
     prior = _load_prior(out, args.weak_prior)
@@ -407,22 +405,17 @@ def cmd_fit(config: RunConfig, args) -> int:
         print(f"sampling failed: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
 
-    diag = model.diagnostics_
+    diag, trace = model.diagnostics_, model.trace_
     converged = (diag.max_rhat() < RHAT_GATE and diag.min_ess() > ESS_GATE)
-    model.trace_.save(trace_path)
-    with atomic_write(diag_path) as fh:
-        fh.write(diag.to_json(model.trace_.param_names))
-    _write_json(meta_path, {
-        "converged": converged,
-        "max_rhat": diag.max_rhat(),
-        "min_ess": diag.min_ess(),
-        "n_divergent": diag.n_divergent,
-        "mean_accept": diag.mean_accept,
-        "n_grad": diag.n_grad,
-        "n_grad_warmup": diag.n_grad_warmup,
-        "n_max_depth": diag.n_max_depth,
-        "config": config.echo(),
-    })
+    _write_json(meta_path, {"converged": converged,
+                            "max_rhat": diag.max_rhat(),
+                            "min_ess": diag.min_ess(),
+                            **diag.to_dict(trace.param_names),
+                            "config": config.echo()})
+    # The record calibrate reads; trace.bin, written last, commits the fit.
+    trace.config["fit"] = {"calibration_split": config.calibration_split,
+                           "collection_sha256": collection.fingerprint()}
+    trace.save(trace_path)
     print(f"max rhat {diag.max_rhat():.4f}, min ess {diag.min_ess():.0f}, "
           f"{diag.n_divergent} divergences")
     if not converged:
@@ -439,17 +432,20 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     calib_path = out / "calibration.json"
     _check_force([calib_path], args.force)
 
-    trace = PosteriorTrace.load(_require(out / "trace.bin", "trace artifact"))
-    meta_path = _require(out / "fit_meta.json", "fit metadata")
-    with malformed_artifact(f"fit metadata {meta_path}"):
-        fitted = json.loads(meta_path.read_bytes())["config"]
-        split = float(fitted["conformal"]["calibration_split"])
-        seed = operator.index(fitted["run"]["seed"])
-    if seed != trace.seed:
-        raise DataError(f"{meta_path} records seed {seed}, trace.bin {trace.seed}")
+    trace_path = _require(out / "trace.bin", "trace artifact")
+    trace = PosteriorTrace.load(trace_path)
     collection = load_collection(_require(out / "smes", "entity collection"))
     check_trace_collection(trace, collection)
-    cal = collection.take(_calibration_rows(collection, split, seed))
+    with malformed_artifact(f"fit record of {trace_path}"):
+        if "fit" not in trace.config:
+            raise DataError(f"{trace_path} has no fit record "
+                            "(refit with this version)")
+        record = trace.config["fit"]
+        if record["collection_sha256"] != collection.fingerprint():
+            raise DataError(f"{out / 'smes'} is not the collection "
+                            f"{trace_path} was fitted on")
+        cal = collection.take(_calibration_rows(
+            collection, record["calibration_split"], trace.seed))
     p_hat, _, _ = posterior_predict_matrix(trace, cal.X, cal.entity)
     result = calibrate_pooled(p_hat, cal.y, config.miscoverage_alpha)
     result.save(calib_path)

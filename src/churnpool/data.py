@@ -219,6 +219,22 @@ class SMECollection:
                                          self.entity[mask], self.ids,
                                          self.feature_names)
 
+    def fingerprint(self) -> str:
+        """The sha256 of the whole table: ``X`` as little-endian float64,
+        ``y`` as int8, ``sizes`` as little-endian int64, then ``ids`` and
+        ``feature_names`` as one JSON array."""
+        # hashlib loads OpenSSL's libcrypto (3.4 MiB resident with CPython
+        # 3.11 on Linux), so only the stages that take a fingerprint pay it.
+        import hashlib
+
+        digest = hashlib.sha256()
+        for array, dtype in ((self.X, "<f8"), (self.y, "i1"),
+                             (self.sizes, "<i8")):
+            digest.update(np.ascontiguousarray(array, dtype=dtype).data)
+        digest.update(json.dumps([list(self.ids), list(self.feature_names)])
+                      .encode("utf-8"))
+        return digest.hexdigest()
+
     def dataset(self, j: int) -> Dataset:
         """Entity j's rows as a Dataset with ``ids[j]`` as every tag."""
         rows = self.entity == j

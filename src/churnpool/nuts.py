@@ -173,8 +173,7 @@ class SamplerConfig:
     def to_dict(self, init_point: np.ndarray | None = None) -> dict:
         """Settings as recorded in a trace header with the chains' common
         start ``init_point`` (None for the origin); ``init`` names the start
-        (``"point"`` or ``"zero"``), ``jitter`` its half-width, and the
-        constant ``adapt_mass`` keeps the header's bytes unchanged."""
+        (``"point"`` or ``"zero"``) and ``jitter`` its half-width."""
         doc = {
             "chains": self.chains, "warmup": self.warmup, "draws": self.draws,
             "target_accept": self.target_accept,
@@ -183,7 +182,6 @@ class SamplerConfig:
             "seed": self.seed,
             "init": "zero" if init_point is None else "point",
             "jitter": _JITTER,
-            "adapt_mass": True,
             "variant": "multinomial-biased-progressive",
         }
         if init_point is not None:
@@ -342,8 +340,11 @@ class Diagnostics:
     def min_ess(self) -> float:
         return float(min(np.nanmin(self.ess_bulk), np.nanmin(self.ess_tail)))
 
-    def to_json(self, param_names=None) -> str:
-        doc = {
+    def to_dict(self, param_names) -> dict:
+        """Every summary as JSON-ready values, per-parameter ones in the
+        order of ``param_names``."""
+        return {
+            "param_names": list(param_names),
             "rhat": [float(v) for v in self.rhat],
             "ess_bulk": [float(v) for v in self.ess_bulk],
             "ess_tail": [float(v) for v in self.ess_tail],
@@ -353,9 +354,6 @@ class Diagnostics:
             "n_grad_warmup": int(self.n_grad_warmup),
             "n_max_depth": int(self.n_max_depth),
         }
-        if param_names is not None:
-            doc["param_names"] = list(param_names)
-        return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------

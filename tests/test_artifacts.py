@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import churnpool.cli as cli
 import churnpool.errors as errors
-from churnpool.cli import RunConfig, main
+from churnpool.cli import main
 from churnpool.conformal import CalibrationResult
 from churnpool.data import (_write_csv, generate_hierarchical_population,
                             load_collection, save_collection)
@@ -29,6 +29,8 @@ from churnpool.gbdt import TreeEnsemble, TreeNode
 from churnpool.hier_model import param_names
 from churnpool.nuts import PosteriorTrace
 from churnpool.shap_prior import PriorSpec
+
+from _runs import save_fitted_trace
 
 _finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 _positive = st.floats(min_value=1e-300, max_value=1e300)
@@ -181,14 +183,12 @@ def _container(header, payload):
 
 @pytest.fixture(scope="module")
 def calibrate_dir(tmp_path_factory):
-    """A run directory that ``calibrate`` reads: 3 entities of 40 rows with
-    one feature, whose held-out rows give a threshold below 1, and the
-    ``fit_meta.json`` of a fit with seed 0."""
+    """A run directory whose collection ``calibrate`` reads: 3 entities of
+    40 rows with one feature, whose held-out rows give a threshold below
+    1."""
     out = tmp_path_factory.mktemp("calibrate")
     assert main(["--out", str(out), "--seed", "11", "gen-data", "--smes",
                  "3", "--n-per", "40", "--features", "1"]) == 0
-    (out / "fit_meta.json").write_text(
-        json.dumps({"config": RunConfig(seed=0).echo()}))
     return out
 
 
@@ -197,8 +197,9 @@ def _calibrate(run_dir):
 
 
 def _accepted_trace(calibrate_dir):
-    """Save a three-chain, four-draw trace over one feature and 3 entities,
-    check that calibrate accepts it, and return (path, header, payload)."""
+    """Save a three-chain, four-draw trace over one feature and 3 entities
+    with its fit record, check that calibrate accepts it, and return
+    (path, header, payload)."""
     names = param_names(3, ("x00", "intercept"))
     trace = PosteriorTrace(
         draws=np.zeros((3, 4, len(names))),
@@ -206,7 +207,7 @@ def _accepted_trace(calibrate_dir):
         initial_step_sizes=np.ones(3), mass_diag=np.ones((3, len(names))),
         param_names=names, seed=0)
     path = calibrate_dir / "trace.bin"
-    trace.save(path)
+    save_fitted_trace(trace, calibrate_dir)
     assert _calibrate(calibrate_dir) == 0
     raw = path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", raw, 8)
@@ -414,7 +415,6 @@ def tiny_fit(tmp_path_factory):
 # and the file each stage writes.
 _READ_BY = {
     "trace.bin": ("calibrate", "predict"),
-    "fit_meta.json": ("calibrate",),
     "calibration.json": ("predict",),
     "smes/manifest.json": ("calibrate", "predict"),
     "smes/sme_00.csv": ("calibrate", "predict"),
@@ -472,11 +472,13 @@ class TestDamageSweep:
         assert written.exists() == (code == 0)
         if code:
             assert len(err.splitlines()) == 1, err
-        # No artifact carries a checksum yet, so a flipped byte in a draw
-        # or a CSV digit loads silently; every other damage here must
-        # fail.  On this fit each truncation cuts a JSON document, the
-        # trace payload or a CSV row short.
-        if how != "flipped":
+        # The trace records its collection's fingerprint, which calibrate
+        # checks, but no artifact carries a checksum yet: a flipped byte
+        # in a draw, or in what predict reads, loads silently.  Every
+        # other damage here must fail.  On this fit each truncation cuts a
+        # JSON document, the trace payload or a CSV row short.
+        if how != "flipped" or (stage == "calibrate"
+                                and name != "trace.bin"):
             assert code != 0
 
     def test_repeated_customers_column(self, tiny_fit, tmp_path, capsys):

@@ -19,6 +19,8 @@ from churnpool.hier_model import param_names, posterior_predict_matrix
 from churnpool.nuts import PosteriorTrace
 from churnpool.shap_prior import PriorSpec
 
+from _runs import save_fitted_trace
+
 SIM_ARGS = ["--smes", "4", "--n-per", "50", "--features", "2",
             "--sigma-true", "0.4", "--mu-scale", "1.0"]
 
@@ -241,12 +243,11 @@ class TestPretrainAndPriors:
 
 def _held_out(out):
     """The collection under ``out`` and the mask of the rows its fit held
-    out, from the split and seed that ``fit_meta.json`` records."""
+    out, from the split that ``trace.bin`` records and the trace's seed."""
     collection = load_collection(out / "smes")
-    fitted = json.loads((out / "fit_meta.json").read_text())["config"]
+    trace = PosteriorTrace.load(out / "trace.bin")
     return collection, cli._calibration_rows(
-        collection, fitted["conformal"]["calibration_split"],
-        fitted["run"]["seed"])
+        collection, trace.config["fit"]["calibration_split"], trace.seed)
 
 
 def _calibration_rows(out):
@@ -259,11 +260,32 @@ def _calibration_rows(out):
     return p_hat, cal.y
 
 
-def _write_fit_meta(out, seed):
-    """The ``fit_meta.json`` of a fit with the default split and ``seed``,
-    for a hand-made trace of that seed."""
-    (out / "fit_meta.json").write_text(
-        json.dumps({"config": cli.RunConfig(seed=seed).echo()}))
+def _rows(X, entity):
+    return {(int(j), *x) for x, j in zip(X.tolist(), entity)}
+
+
+def _scored_by_calibrate(out, monkeypatch):
+    """The ``(X, entity)`` rows that ``calibrate`` on ``out`` scores; it
+    must exit 0."""
+    seen = []
+
+    def record_predict(trace, X, entity):
+        seen.append((X, entity))
+        return posterior_predict_matrix(trace, X, entity)
+
+    monkeypatch.setattr(cli, "posterior_predict_matrix", record_predict)
+    assert main(["--out", str(out), "calibrate"]) == 0
+    (scored,) = seen
+    return scored
+
+
+def _assert_scores_the_held_out_rows(out, monkeypatch):
+    """``calibrate`` on ``out`` scores exactly the rows that the fit of
+    ``trace.bin`` held out, in table order."""
+    collection, held_out = _held_out(out)
+    X, entity = _scored_by_calibrate(out, monkeypatch)
+    np.testing.assert_array_equal(X, collection.X[held_out])
+    np.testing.assert_array_equal(entity, collection.entity[held_out])
 
 
 def _run_with_prior(tmp_path, monkeypatch, names, *stage):
@@ -283,18 +305,38 @@ def _run_with_prior(tmp_path, monkeypatch, names, *stage):
 
 class TestFitCalibrate:
     def test_artifacts_written(self, pipeline_dir):
-        assert (pipeline_dir / "trace.bin").exists()
+        trace = PosteriorTrace.load(pipeline_dir / "trace.bin")
+        assert not (pipeline_dir / "diagnostics.json").exists()
         meta = json.loads((pipeline_dir / "fit_meta.json").read_text())
         assert meta["converged"] is True
         assert meta["max_rhat"] < 1.01
-        diag = json.loads((pipeline_dir / "diagnostics.json").read_text())
-        assert diag["n_divergent"] >= 0
+        assert meta["n_divergent"] >= 0
+        # The per-parameter summaries, in the trace's parameter order.
+        assert meta["param_names"] == list(trace.param_names)
+        assert meta["max_rhat"] == max(meta["rhat"])
+        assert meta["min_ess"] == min(meta["ess_bulk"] + meta["ess_tail"])
+        assert len(meta["ess_bulk"]) == len(meta["ess_tail"]) == trace.dim
         # 2 chains x (1000 + 2000) transitions, one gradient call at least
         # per transition.
-        assert meta["n_grad"] == diag["n_grad"] >= 2 * 3000
-        assert meta["n_grad_warmup"] == diag["n_grad_warmup"] >= 2 * 1000
+        assert meta["n_grad"] >= 2 * 3000
+        assert meta["n_grad_warmup"] >= 2 * 1000
         assert meta["n_grad"] - meta["n_grad_warmup"] >= 2 * 2000
-        assert 0 <= meta["n_max_depth"] == diag["n_max_depth"] <= 2 * 2000
+        assert 0 <= meta["n_max_depth"] <= 2 * 2000
+
+    def test_fit_writes_the_two_artifacts_the_benchmark_reads(self,
+                                                              tmp_path):
+        # perfbench's flagship check reads max_rhat, min_ess and
+        # n_divergent from fit_meta.json.
+        assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "40",
+                   "--features", "1", seed=5) == 0
+        before = set(tmp_path.iterdir())
+        assert run(tmp_path, "fit", "--weak-prior", "--chains", "2",
+                   "--warmup", "1000", "--draws", "1000", seed=5) == 0
+        assert {p.name for p in set(tmp_path.iterdir()) - before} == {
+            "fit_meta.json", "trace.bin"}
+        meta = json.loads((tmp_path / "fit_meta.json").read_text())
+        for key in ("max_rhat", "min_ess", "n_divergent"):
+            assert isinstance(meta[key], (int, float)), key
 
     def test_fit_writes_no_copy_of_the_calibration_rows(self, pipeline_dir):
         meta = json.loads((pipeline_dir / "fit_meta.json").read_text())
@@ -324,52 +366,97 @@ class TestFitCalibrate:
             seen["fit"] = collection
             raise _Stop
 
-        def record_predict(trace, X, entity):
-            seen["calibrate"] = (X, entity)
-            return posterior_predict_matrix(trace, X, entity)
-
         monkeypatch.setattr(hier_model.HierarchicalLogistic, "fit",
                             record_fit)
         with pytest.raises(_Stop):
             run(tmp_path, "fit", "--weak-prior")
-        for name in ("trace.bin", "fit_meta.json"):
-            shutil.copy(pipeline_dir / name, tmp_path)
-        monkeypatch.setattr(cli, "posterior_predict_matrix", record_predict)
-        assert main(["--out", str(tmp_path), "calibrate"]) == 0
-
-        def rows(X, entity):
-            return {(int(j), *x) for x, j in zip(X.tolist(), entity)}
+        shutil.copy(pipeline_dir / "trace.bin", tmp_path)
+        seen["calibrate"] = _scored_by_calibrate(tmp_path, monkeypatch)
 
         collection, held_out = _held_out(tmp_path)
-        fitted = rows(seen["fit"].X, seen["fit"].entity)
-        scored = rows(*seen["calibrate"])
+        fitted = _rows(seen["fit"].X, seen["fit"].entity)
+        scored = _rows(*seen["calibrate"])
         assert len(fitted) == seen["fit"].y.size
         assert len(scored) == seen["calibrate"][0].shape[0]
         assert not fitted & scored
-        assert fitted | scored == rows(collection.X, collection.entity)
+        assert fitted | scored == _rows(collection.X, collection.entity)
         doc = json.loads((tmp_path / "calibration.json").read_text())
         assert doc["n_cal"] == len(scored) == np.count_nonzero(held_out)
 
-    @pytest.mark.parametrize("damage, code", [
-        ("intact", 0), ("missing", 4), ("truncated", 4), ("no-split", 4),
-        ("other-seed", 4)])
-    def test_unusable_fit_meta_is_data_error(self, pipeline_dir, tmp_path,
-                                             damage, code):
-        # calibrate reads only trace.bin, fit_meta.json and smes/.
+    def test_calibrate_ignores_a_stale_fit_meta(self, pipeline_dir,
+                                                tmp_path, monkeypatch):
+        # fit_meta.json of another split with the same seed: calibrate
+        # reads the split from the trace, so it scores none of the rows
+        # that the trace was fitted on.
         shutil.copy(pipeline_dir / "trace.bin", tmp_path)
         shutil.copytree(pipeline_dir / "smes", tmp_path / "smes")
         meta = json.loads((pipeline_dir / "fit_meta.json").read_text())
-        if damage == "no-split":
-            del meta["config"]["conformal"]["calibration_split"]
-        elif damage == "other-seed":
-            meta["config"]["run"]["seed"] += 1
-        text = json.dumps(meta)
-        if damage == "truncated":
-            text = text[:len(text) // 2]
-        if damage != "missing":
-            (tmp_path / "fit_meta.json").write_text(text)
-        assert main(["--out", str(tmp_path), "calibrate"]) == code
-        assert (tmp_path / "calibration.json").exists() == (code == 0)
+        assert meta["config"]["conformal"]["calibration_split"] == 0.20
+        meta["config"]["conformal"]["calibration_split"] = 0.25
+        (tmp_path / "fit_meta.json").write_text(json.dumps(meta))
+        collection, held_out = _held_out(tmp_path)
+        stale = cli._calibration_rows(collection, 0.25,
+                                      meta["config"]["run"]["seed"])
+        assert (stale & ~held_out).any()
+        _assert_scores_the_held_out_rows(tmp_path, monkeypatch)
+
+    def test_regenerated_collection_is_data_error(self, pipeline_dir,
+                                                  tmp_path, capsys):
+        # Same entity count and feature names, other rows: the trace's
+        # fingerprint tells them apart.
+        for name in ("trace.bin", "fit_meta.json"):
+            shutil.copy(pipeline_dir / name, tmp_path)
+        shutil.copytree(pipeline_dir / "smes", tmp_path / "smes")
+        assert main(["--out", str(tmp_path), "--seed", "6", "--force",
+                     "gen-data", "--mode", "simulate", *SIM_ARGS]) == 0
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path), "calibrate"]) == 4
+        assert "is not the collection" in capsys.readouterr().err
+        assert not (tmp_path / "calibration.json").exists()
+
+    def test_trace_is_the_commit_point(self, pipeline_dir, tmp_path,
+                                       monkeypatch):
+        # A fit at another split that fails on its fit_meta.json write
+        # leaves the earlier trace, which still names its own rows.
+        shutil.copy(pipeline_dir / "trace.bin", tmp_path)
+        shutil.copytree(pipeline_dir / "smes", tmp_path / "smes")
+        (tmp_path / "fit_meta.json").mkdir()
+        ini = tmp_path / "run.ini"
+        ini.write_text("[conformal]\ncalibration_split = 0.25\n")
+        earlier = (tmp_path / "trace.bin").read_bytes()
+        assert run(tmp_path, "--config", str(ini), "--force", "fit",
+                   "--weak-prior", "--chains", "2", "--warmup", "1000",
+                   "--draws", "1000") == 4
+        assert (tmp_path / "trace.bin").read_bytes() == earlier
+        _assert_scores_the_held_out_rows(tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("config", [
+        {}, 5, "fit", {"fit": "calibration_split"},
+        {"fit": [["calibration_split", 0.2], ["collection_sha256", "SHA"]]},
+        {"fit": {"collection_sha256": "SHA"}},
+        {"fit": {"calibration_split": 0.2}},
+        *({"fit": {"calibration_split": split, "collection_sha256": "SHA"}}
+          for split in ("0.2", 0.0, 1.0, -0.2, True)),
+    ], ids=["no-record", "config-not-object", "config-names-fit",
+            "record-not-object", "record-of-pairs", "no-split",
+            "no-fingerprint", "split-text", "split-zero", "split-one",
+            "split-negative", "split-true"])
+    def test_damaged_fit_record_is_data_error(self, pipeline_dir, tmp_path,
+                                              capsys, config):
+        # "SHA" stands for the collection's own fingerprint; the fit's
+        # intact fit_meta.json changes nothing.
+        shutil.copytree(pipeline_dir / "smes", tmp_path / "smes")
+        shutil.copy(pipeline_dir / "fit_meta.json", tmp_path)
+        sha = load_collection(tmp_path / "smes").fingerprint()
+        config = json.loads(json.dumps(config).replace('"SHA"', f'"{sha}"'))
+        trace = PosteriorTrace.load(pipeline_dir / "trace.bin")
+        dataclasses.replace(trace, config=config).save(tmp_path / "trace.bin")
+        assert main(["--out", str(tmp_path), "calibrate"]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        if config == {}:
+            assert "refit with this version" in err
+        assert not (tmp_path / "calibration.json").exists()
 
     def test_inflation_flag_is_gone(self, tmp_path):
         for flag in (["--inflation", "0.2"], ["--strategy", "pooled"]):
@@ -625,7 +712,6 @@ class TestTraceMatchesCollection:
         # give a threshold below 1.
         assert run(tmp_path, "gen-data", "--smes", "3", "--n-per", "40",
                    "--features", "1") == 0
-        _write_fit_meta(tmp_path, seed=0)
         calibrate_pooled(np.linspace(0.05, 0.95, 40), np.zeros(40, int),
                          0.1).save(tmp_path / "calibration.json")
         (tmp_path / "customers.csv").write_text(
@@ -645,13 +731,13 @@ class TestTraceMatchesCollection:
             args += ["--customers", str(run_dir / "customers.csv")]
         written = run_dir / ("calibration.json" if stage == "calibrate"
                              else "predictions.csv")
-        _hand_trace(("x00", "intercept"), 3).save(run_dir / "trace.bin")
+        save_fitted_trace(_hand_trace(("x00", "intercept"), 3), run_dir)
         assert main(args) == 0
         before = written.read_bytes()
         # Each trace's dimension also fits the collection's p = 2 design
         # (17 = 2 + 1 + 7 * 2, 9 = 2 + 1 + 3 * 2, 13 = 2 + 1 + 5 * 2), so
         # only the names and the entity count tell them apart.
-        _hand_trace(features, J).save(run_dir / "trace.bin")
+        save_fitted_trace(_hand_trace(features, J), run_dir)
         assert main(args) == 4
         assert written.read_bytes() == before
 
@@ -664,8 +750,8 @@ class TestTraceMatchesCollection:
         names = list(trace.param_names)
         k = names.index("beta_raw[1,x00]")
         names[k] = "beta_raw[1,x0O]"
-        dataclasses.replace(trace, param_names=tuple(names)).save(
-            run_dir / "trace.bin")
+        save_fitted_trace(
+            dataclasses.replace(trace, param_names=tuple(names)), run_dir)
         args = ["--out", str(run_dir), stage]
         written = run_dir / "calibration.json"
         if stage == "predict":

@@ -248,8 +248,6 @@ class TestSampling:
             chain = _Chain(target, config, rng, start, _Metric(np.ones(1)))
             assert chain.warm(config.warmup).shape == (config.warmup, 1)
             assert chain.averaging.averaged < chain.initial_eps
-        # Metric adaptation is always on, and trace headers still say so.
-        assert config.to_dict()["adapt_mass"] is True
 
     def test_trace_shape_and_flags(self):
         trace, diag = self._run(gaussian_target([0.0], [1.0]),
@@ -447,10 +445,10 @@ class TestReferenceBuilder:
         counts = []
         for workers in (1, 2):
             monkeypatch.setattr(nuts, "_usable_cpus", lambda: workers)
-            diag = sample(target, config)[1]
+            trace, diag = sample(target, config)
             counts.append(diag.n_max_depth)
         assert counts[0] == counts[1] > 0
-        assert json.loads(diag.to_json())["n_max_depth"] == counts[0]
+        assert diag.to_dict(trace.param_names)["n_max_depth"] == counts[0]
         _, diag = sample(target, replace(config, max_tree_depth=1))
         assert diag.n_divergent == 0
         assert diag.n_max_depth == config.chains * config.draws
@@ -569,9 +567,9 @@ class TestGradientCount:
         config = SamplerConfig(chains=2, warmup=150, draws=100, seed=4)
         monkeypatch.setattr(nuts, "_usable_cpus", lambda: 1)
         target, calls = self._counting_target()
-        _, diag = sample(target, config)
+        trace, diag = sample(target, config)
         assert diag.n_grad == calls[0] > 2 * 250
-        assert json.loads(diag.to_json())["n_grad"] == calls[0]
+        assert diag.to_dict(trace.param_names)["n_grad"] == calls[0]
         monkeypatch.setattr(nuts, "_usable_cpus", lambda: 2)
         assert sample(self._counting_target()[0], config)[1].n_grad \
             == diag.n_grad
@@ -586,11 +584,11 @@ class TestGradientCount:
         for workers, draws in ((1, 100), (2, 100), (1, 8)):
             monkeypatch.setattr(nuts, "_usable_cpus", lambda: workers)
             target, calls = self._counting_target()
-            _, diag = sample(target, replace(config, draws=draws))
+            trace, diag = sample(target, replace(config, draws=draws))
             runs[workers, draws] = diag
             if workers == 1:
                 assert diag.n_grad == calls[0]
-            doc = json.loads(diag.to_json())
+            doc = diag.to_dict(trace.param_names)
             assert doc["n_grad_warmup"] == diag.n_grad_warmup
             assert diag.n_grad_warmup >= config.chains * config.warmup
             assert (diag.n_grad - diag.n_grad_warmup
@@ -651,7 +649,7 @@ class TestWorkers:
                                                draws=100, seed=21))
             trace.save(tmp_path / f"{workers}.bin")
             runs.append(((tmp_path / f"{workers}.bin").read_bytes(),
-                         diag.to_json()))
+                         json.dumps(diag.to_dict(trace.param_names))))
         assert runs[1] == runs[0] and runs[2] == runs[0]
         assert json.loads(runs[0][1])["n_grad"] > 4 * 400
 
@@ -903,5 +901,6 @@ class TestTracePersistence:
     def test_diagnostics_json(self):
         diag = Diagnostics(np.array([1.0]), np.array([900.0]),
                            np.array([800.0]), 2, 0.91)
-        doc = diag.to_json(("a",))
-        assert '"n_divergent": 2' in doc
+        doc = diag.to_dict(("a",))
+        assert doc["param_names"] == ["a"] and doc["n_divergent"] == 2
+        assert json.loads(json.dumps(doc)) == doc

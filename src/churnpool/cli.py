@@ -11,8 +11,14 @@ so each stage can be rerun independently:
     predict         per-customer probabilities, intervals, and sets
     evaluate        cross-validated comparison against baselines
 
+``calibrate`` and ``predict`` open a fitted run through one loader, which
+reads the fit record (split and collection fingerprint) in the trace
+header: no record, a damaged one, or an ``smes/`` other than the recorded
+collection is a data error in both.
+
 Configuration is a flat INI file with [gbdt], [hierarchical], [conformal],
 and [run] sections; an unknown section or key is a configuration error.
+Each key is one ``RunConfig`` field, which declares its section and range.
 Some keys also have a command-line flag, which overrides the file: --seed,
 the gen-data sizes, --lambda, the fit chain and iteration counts, and
 --alpha.  Exit codes: 0 success, 2 configuration error, 3 diagnostic
@@ -26,7 +32,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -76,76 +82,53 @@ class ConfigError(ChurnpoolError):
     """Raised for malformed configuration values."""
 
 
+def _key(section: str, default, low=None, high=None):
+    """A ``run.ini`` key under ``[section]``, with the closed range
+    ``[low, high]`` where the hyperparameter table bounds it."""
+    bounds = None if low is None else (low, high)
+    return field(default=default,
+                 metadata={"section": section, "range": bounds})
+
+
 @dataclass
 class RunConfig:
     """Flat configuration with range validation.
 
-    Field names follow the hyperparameter table keys; bounds are enforced
-    at parse time so downstream stages can trust the values: the table's
-    ranges here, and the boosted-tree, sampler and experiment settings
-    through the checks of the objects that will receive them.
+    Each field is a ``run.ini`` key named as in the hyperparameter table,
+    with its section and, where the table bounds it, its range.  Bounds
+    are enforced at parse time so downstream stages can trust the values:
+    the table's ranges here, and the boosted-tree, sampler and experiment
+    settings through the checks of the objects that will receive them.
     """
 
-    # [gbdt]
-    iterations: int = 1000
-    learning_rate: float = 0.03
-    tree_depth: int = 6
-    min_samples_leaf: int = 20
-    l2_regularization: float = 3.0
-    subsample_ratio: float = 0.8
-    feature_subsample_ratio: float = 0.8
-    early_stopping_rounds: int = 50
-    # [hierarchical]
-    tau: float = 2.0
-    prior_scaling_lambda: float = 1.0
-    warmup_iterations: int = 2000
-    sampling_iterations: int = 2000
-    chains: int = 4
-    target_accept_rate: float = 0.90
-    max_tree_depth: int = 10
-    divergence_threshold: float = 1000.0
-    # [conformal]
-    miscoverage_alpha: float = 0.10
-    calibration_split: float = 0.20
-    # [run]
-    seed: int = 42
-    smes: int = 15
-    n_per: int = 100
-    features: int = 20
-    mu_scale: float = 1.0
-    sigma_true: float = 0.5
-    folds: int = 5
-    l2_c: float = 1.0
-    label_column: str = "target"
-    tag_column: str = "source"
-
-    _SECTIONS = {
-        "gbdt": ("iterations", "learning_rate", "tree_depth",
-                 "min_samples_leaf", "l2_regularization", "subsample_ratio",
-                 "feature_subsample_ratio", "early_stopping_rounds"),
-        "hierarchical": ("tau", "prior_scaling_lambda", "warmup_iterations",
-                         "sampling_iterations", "chains", "target_accept_rate",
-                         "max_tree_depth", "divergence_threshold"),
-        "conformal": ("miscoverage_alpha", "calibration_split"),
-        "run": ("seed", "smes", "n_per", "features", "mu_scale", "sigma_true",
-                "folds", "l2_c", "label_column", "tag_column"),
-    }
-
-    _RANGES = {
-        "tau": (1.0, 5.0),
-        "prior_scaling_lambda": (0.5, 2.0),
-        "warmup_iterations": (1000, 3000),
-        "sampling_iterations": (1000, 5000),
-        "chains": (2, 8),
-        "target_accept_rate": (0.80, 0.95),
-        "miscoverage_alpha": (0.05, 0.20),
-        "calibration_split": (0.15, 0.30),
-        "seed": (0, math.inf),
-        "smes": (1, math.inf),
-        "n_per": (10, math.inf),
-        "features": (1, math.inf),
-        "sigma_true": (0.0, math.inf),
-    }
+    iterations: int = _key("gbdt", 1000)
+    learning_rate: float = _key("gbdt", 0.03)
+    tree_depth: int = _key("gbdt", 6)
+    min_samples_leaf: int = _key("gbdt", 20)
+    l2_regularization: float = _key("gbdt", 3.0)
+    subsample_ratio: float = _key("gbdt", 0.8)
+    feature_subsample_ratio: float = _key("gbdt", 0.8)
+    early_stopping_rounds: int = _key("gbdt", 50)
+    tau: float = _key("hierarchical", 2.0, 1.0, 5.0)
+    prior_scaling_lambda: float = _key("hierarchical", 1.0, 0.5, 2.0)
+    warmup_iterations: int = _key("hierarchical", 2000, 1000, 3000)
+    sampling_iterations: int = _key("hierarchical", 2000, 1000, 5000)
+    chains: int = _key("hierarchical", 4, 2, 8)
+    target_accept_rate: float = _key("hierarchical", 0.90, 0.80, 0.95)
+    max_tree_depth: int = _key("hierarchical", 10)
+    divergence_threshold: float = _key("hierarchical", 1000.0)
+    miscoverage_alpha: float = _key("conformal", 0.10, 0.05, 0.20)
+    calibration_split: float = _key("conformal", 0.20, 0.15, 0.30)
+    seed: int = _key("run", 42, 0, math.inf)
+    smes: int = _key("run", 15, 1, math.inf)
+    n_per: int = _key("run", 100, 10, math.inf)
+    features: int = _key("run", 20, 1, math.inf)
+    mu_scale: float = _key("run", 1.0)
+    sigma_true: float = _key("run", 0.5, 0.0, math.inf)
+    folds: int = _key("run", 5)
+    l2_c: float = _key("run", 1.0)
+    label_column: str = _key("run", "target")
+    tag_column: str = _key("run", "source")
 
     @classmethod
     def load(cls, path: str | None, overrides: dict | None = None) -> "RunConfig":
@@ -164,12 +147,12 @@ class RunConfig:
             if parser.defaults():  # merged into every section otherwise
                 raise ConfigError(f"unknown section "
                                   f"[{parser.default_section}] in {path}")
+            sections = {f.name: f.metadata["section"] for f in fields(cls)}
             for section, pairs in items.items():
-                keys = cls._SECTIONS.get(section)
-                if keys is None:
+                if section not in sections.values():
                     raise ConfigError(f"unknown section [{section}] in {path}")
                 for key, raw in pairs:
-                    if key not in keys:
+                    if sections.get(key) != section:
                         raise ConfigError(
                             f"unknown key {key!r} in section [{section}]")
                     config._assign(key, raw)
@@ -193,11 +176,14 @@ class RunConfig:
         setattr(self, key, value)
 
     def validate(self) -> None:
-        for key, (low, high) in self._RANGES.items():
-            value = getattr(self, key)
+        for f in fields(self):
+            if f.metadata["range"] is None:
+                continue
+            low, high = f.metadata["range"]
+            value = getattr(self, f.name)
             if not low <= value <= high:
                 raise ConfigError(
-                    f"{key}={value} outside allowed range [{low}, {high}]")
+                    f"{f.name}={value} outside allowed range [{low}, {high}]")
         for key in ("mu_scale", "sigma_true"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite")
@@ -209,8 +195,11 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
     def echo(self) -> dict:
-        return {section: {key: getattr(self, key) for key in keys}
-                for section, keys in self._SECTIONS.items()}
+        doc = {}
+        for f in fields(self):
+            doc.setdefault(f.metadata["section"], {})[f.name] = getattr(
+                self, f.name)
+        return doc
 
     def gbdt(self) -> GradientBoostedTrees:
         return GradientBoostedTrees(
@@ -279,6 +268,28 @@ def _calibration_rows(collection, split: float, seed: int) -> np.ndarray:
     y, entity = collection.y, collection.entity
     return np.concatenate([stratified_split(y[entity == j], split, seed + j)
                            for j in range(collection.J)])
+
+
+def _load_fit(out: Path):
+    """The fitted run under ``out``: its trace, the collection under
+    ``smes/``, and the mask of the rows that the fit held out.  A trace
+    with no fit record or a damaged one, or a collection other than the
+    one the record names, is a DataError."""
+    trace_path = _require(out / "trace.bin", "trace artifact")
+    trace = PosteriorTrace.load(trace_path)
+    collection = load_collection(_require(out / "smes", "entity collection"))
+    check_trace_collection(trace, collection)
+    with malformed_artifact(f"fit record of {trace_path}"):
+        if "fit" not in trace.config:
+            raise DataError(f"{trace_path} has no fit record "
+                            "(refit with this version)")
+        record = trace.config["fit"]
+        if record["collection_sha256"] != collection.fingerprint():
+            raise DataError(f"{out / 'smes'} is not the collection "
+                            f"{trace_path} was fitted on")
+        held_out = _calibration_rows(collection, record["calibration_split"],
+                                     trace.seed)
+    return trace, collection, held_out
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +443,8 @@ def cmd_calibrate(config: RunConfig, args) -> int:
     calib_path = out / "calibration.json"
     _check_force([calib_path], args.force)
 
-    trace_path = _require(out / "trace.bin", "trace artifact")
-    trace = PosteriorTrace.load(trace_path)
-    collection = load_collection(_require(out / "smes", "entity collection"))
-    check_trace_collection(trace, collection)
-    with malformed_artifact(f"fit record of {trace_path}"):
-        if "fit" not in trace.config:
-            raise DataError(f"{trace_path} has no fit record "
-                            "(refit with this version)")
-        record = trace.config["fit"]
-        if record["collection_sha256"] != collection.fingerprint():
-            raise DataError(f"{out / 'smes'} is not the collection "
-                            f"{trace_path} was fitted on")
-        cal = collection.take(_calibration_rows(
-            collection, record["calibration_split"], trace.seed))
+    trace, collection, held_out = _load_fit(out)
+    cal = collection.take(held_out)
     p_hat, _, _ = posterior_predict_matrix(trace, cal.X, cal.entity)
     result = calibrate_pooled(p_hat, cal.y, config.miscoverage_alpha)
     result.save(calib_path)
@@ -485,11 +484,9 @@ def cmd_predict(config: RunConfig, args) -> int:
     if args.customers is None:
         raise ConfigError("predict requires --customers CSV")
 
-    trace = PosteriorTrace.load(_require(out / "trace.bin", "trace artifact"))
+    trace, collection, _ = _load_fit(out)
     calibration = CalibrationResult.load(
         _require(out / "calibration.json", "calibration artifact"))
-    collection = load_collection(_require(out / "smes", "entity collection"))
-    check_trace_collection(trace, collection)
     X, tags = _load_prediction_rows(Path(args.customers),
                                     collection.feature_names,
                                     config.tag_column)

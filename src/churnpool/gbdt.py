@@ -309,18 +309,19 @@ def _grow_tree(X: np.ndarray, r: np.ndarray, rows: np.ndarray,
     ``order[k]`` holds the same rows sorted by feature ``features[k]``,
     ties in row order: exactly what a stable ``argsort`` of ``X[rows, f]``
     would give, so no node sorts.  ``tied[k]`` flags the features whose
-    training column repeats a value.  A split marks its left rows in
+    training column repeats a value.  A split marks a child's rows in
     ``mark`` (a length-``n`` boolean scratch array shared by all nodes)
     and filters every row of ``order`` by that mark, which keeps the
-    sorted order and the row order of ties in both children.  Each leaf
+    sorted order and the row order of ties in the child.  Each leaf
     writes its value to ``fitted`` at its rows.
 
-    The fit passes a ``_SubtreeWorker`` as ``worker`` to the root call
-    when it may use two CPUs.  If the root splits, its smaller child
-    (the right one on a tie) goes to the forked worker, which grows that
-    subtree through this same function while this call grows the other;
-    the tree, and each leaf value, is the one the serial recursion
-    grows.
+    A split grows its larger child (the left one on a tie) first, in this
+    call.  The fit passes a ``_SubtreeWorker`` as ``worker`` to the root
+    call when it may use two CPUs; the root's smaller child then goes to
+    the forked worker, which grows it through this same function.  Any
+    other smaller child grows next in this call.  The two subtrees write
+    disjoint rows of ``fitted`` and ``mark``, so the tree and each leaf
+    value do not depend on the order of growth.
 
     Memory: the fit holds ``presorted``, p * n int32 indices, and every
     node on the current root-to-leaf path holds its own ``order``, at most
@@ -340,31 +341,24 @@ def _grow_tree(X: np.ndarray, r: np.ndarray, rows: np.ndarray,
     go_left = X[rows, best_feature] <= best_threshold
     n_left = int(np.count_nonzero(go_left))
     limits = (depth + 1, max_depth, min_leaf, l2_leaf)
-    if worker is not None:
-        # The worker grows the smaller child, whose order it rebuilds from
-        # presorted, while this call grows the other one.
-        keep_left = 2 * n_left >= n
-        keep = go_left if keep_left else ~go_left
-        worker.start(r, rows[~keep], features, tied)
-        mark[rows] = keep
-        kept = _grow_tree(X, r, rows[keep],
-                          np.extract(mark.take(order), order).reshape(
-                              -1, n_left if keep_left else n - n_left),
-                          features, tied, mark, fitted, *limits)
-        handed = worker.finish()
-        left, right = (kept, handed) if keep_left else (handed, kept)
-    else:
-        mark[rows] = go_left
-        sel = mark.take(order)
+
+    def grow(side: np.ndarray) -> TreeNode:
         # np.extract keeps the same elements in the same order as
-        # order[sel] and runs several times faster on these half-and-half
-        # masks.
-        left = _grow_tree(X, r, rows[go_left],
-                          np.extract(sel, order).reshape(-1, n_left),
+        # order[mark.take(order)] and runs several times faster on these
+        # half-and-half masks.
+        mark[rows] = side
+        child = rows[side]
+        return _grow_tree(X, r, child, np.extract(mark.take(order), order)
+                          .reshape(-1, child.size),
                           features, tied, mark, fitted, *limits)
-        right = _grow_tree(X, r, rows[~go_left],
-                           np.extract(~sel, order).reshape(-1, n - n_left),
-                           features, tied, mark, fitted, *limits)
+
+    keep_left = 2 * n_left >= n
+    keep = go_left if keep_left else ~go_left
+    if worker is not None:
+        worker.start(r, rows[~keep], features, tied)
+    kept = grow(keep)
+    other = worker.finish() if worker is not None else grow(~keep)
+    left, right = (kept, other) if keep_left else (other, kept)
     return TreeNode(feature_index=best_feature, threshold=best_threshold,
                     left=left, right=right, gain=best_gain, cover=n)
 

@@ -1,5 +1,6 @@
 """Staged pipeline behavior: artifacts, determinism, exit codes."""
 
+import configparser
 import csv
 import dataclasses
 import json
@@ -630,6 +631,42 @@ class TestPredict:
                      "--customers", str(customers)]) == 4
         assert not (out / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("fault", ["reversed-manifest", "regenerated",
+                                       "no-fit-record"])
+    def test_run_other_than_the_fit_is_data_error(self, pipeline_dir,
+                                                  tmp_path, capsys, fault):
+        # predict opens the run as calibrate does: the trace must carry a
+        # fit record that names the collection under smes/.  A reversed
+        # manifest keeps the entity count and the feature names, so it
+        # would score each entity's customers with another one's draws.
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("trace.bin", "calibration.json"):
+            shutil.copy(pipeline_dir / name, out / name)
+        shutil.copytree(pipeline_dir / "smes", out / "smes")
+        manifest = out / "smes" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        if fault == "reversed-manifest":
+            manifest.write_text(json.dumps(
+                {"ids": doc["ids"][::-1], "files": doc["files"][::-1]}))
+        elif fault == "regenerated":
+            assert main(["--out", str(out), "--seed", "6", "--force",
+                         "gen-data", "--mode", "simulate", *SIM_ARGS]) == 0
+        else:
+            trace = PosteriorTrace.load(out / "trace.bin")
+            config = {k: v for k, v in trace.config.items() if k != "fit"}
+            dataclasses.replace(trace, config=config).save(out / "trace.bin")
+        customers = tmp_path / "customers.csv"
+        customers.write_text(f"x00,x01,source\n0.1,0.2,{doc['ids'][0]}\n")
+        capsys.readouterr()
+        assert main(["--out", str(out), "predict",
+                     "--customers", str(customers)]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        assert ("refit with this version" if fault == "no-fit-record"
+                else "is not the collection") in err
+        assert not (out / "predictions.csv").exists()
+
     @pytest.mark.parametrize("body", [
         b"x00,x01,source\n0.1,0.2,sme_\xe900\n",
         b"x00,x01,source\n0.1,0.2,sme_00\n0.3\n",
@@ -916,6 +953,53 @@ class TestFullChain:
         assert run(out, "predict", "--customers", str(customers)) == 0
         rows = (out / "predictions.csv").read_text().splitlines()
         assert len(rows) == 3
+
+
+# A valid value for every run.ini key, each other than its default.
+_EVERY_KEY_CHANGED = {
+    "iterations": 500, "learning_rate": 0.1, "tree_depth": 4,
+    "min_samples_leaf": 10, "l2_regularization": 1.5,
+    "subsample_ratio": 0.7, "feature_subsample_ratio": 0.6,
+    "early_stopping_rounds": 20, "tau": 3.5, "prior_scaling_lambda": 1.25,
+    "warmup_iterations": 1500, "sampling_iterations": 1200, "chains": 3,
+    "target_accept_rate": 0.85, "max_tree_depth": 8,
+    "divergence_threshold": 500.0, "miscoverage_alpha": 0.15,
+    "calibration_split": 0.25, "seed": 7, "smes": 6, "n_per": 30,
+    "features": 3, "mu_scale": 0.5, "sigma_true": 0.25, "folds": 3,
+    "l2_c": 0.3, "label_column": "churned", "tag_column": "entity",
+}
+
+
+class TestConfigTable:
+    """Each ``RunConfig`` field declares its ``run.ini`` section and its
+    range once; ``load``, ``validate`` and ``echo`` read them from there."""
+
+    def test_every_field_names_a_section(self):
+        sections = [f.metadata["section"]
+                    for f in dataclasses.fields(cli.RunConfig)]
+        assert set(sections) == {"gbdt", "hierarchical", "conformal", "run"}
+
+    def test_every_range_holds_its_default(self):
+        for f in dataclasses.fields(cli.RunConfig):
+            if f.metadata["range"] is not None:
+                low, high = f.metadata["range"]
+                assert low <= f.default <= high, f.name
+
+    def test_every_key_changed_changes_every_key(self):
+        config = cli.RunConfig(**_EVERY_KEY_CHANGED)
+        assert all(getattr(config, f.name) != f.default
+                   for f in dataclasses.fields(config))
+
+    @pytest.mark.parametrize("values", [{}, _EVERY_KEY_CHANGED],
+                             ids=["defaults", "every-key-changed"])
+    def test_echo_loads_back_as_the_same_config(self, tmp_path, values):
+        config = cli.RunConfig(**values)
+        parser = configparser.ConfigParser()
+        parser.read_dict(config.echo())
+        ini = tmp_path / "run.ini"
+        with ini.open("w") as fh:
+            parser.write(fh)
+        assert cli.RunConfig.load(str(ini)) == config
 
 
 class TestConfig:

@@ -10,6 +10,7 @@ import inspect
 import pkgutil
 import re
 import shlex
+import sys
 import types
 from pathlib import Path
 
@@ -58,6 +59,24 @@ def test_benchmark_trace_patches_resolve():
                for owner, attr, _, _ in tracing.PATCHES
                if attr not in vars(owner)]
     assert not missing, f"tracing.PATCHES names missing attributes {missing}"
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    """The package is numpy-only: each of its modules imports from the
+    standard library, numpy and the package itself, nothing else."""
+    allowed = {*sys.stdlib_module_names, "numpy"}
+    foreign = []
+    for path in sorted(Path(churnpool.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert not foreign, f"imports outside the stdlib and numpy: {foreign}"
 
 
 def _readme():

@@ -26,21 +26,27 @@ per-feature search.  Three details keep them so, and keep memory flat:
 Node covers (fitting-subsample counts) are recorded on every node: the
 attribution layer weighs tree paths by them, so they are part of the
 persisted model.  Each leaf writes its value for its fitting rows into
-one per-fit buffer, so only the rows the row subsample left out are
-routed through the new tree to update the training margins.
+one per-fit buffer, so only the rows the row subsample left out, and the
+validation rows, are routed through the new tree, each through the root
+child on its side.
 
-The two subtrees under a root split share no state.  When the process
+Every root is grown by two sides that share no state (``_Side``).  The
+lower side searches the lower half of the tree's features for the root
+split and the upper side the upper half, as XGBoost and LightGBM's
+feature-parallel mode split exact split finding by feature; the better
+of the two is the root split.  Each side then rebuilds its root child's
+order from ``presorted``, grows the child, and routes its side's
+left-out training rows and validation rows through it.  The calling
+process is the lower side and takes the larger child.  When the process
 may use two CPUs or more, ``fit`` forks one worker (``forking``) that
-inherits the data and ``presorted``.  For each tree the calling process
-finds the root split, sends the worker the residuals, the smaller
-child's rows, the tree's features and their tie flags as raw bytes, and
-grows the larger child while the worker rebuilds the smaller child's
-order from ``presorted`` and grows it through the same ``_grow_tree``.
-The worker returns the subtree and the leaf value of each of its rows.
-With one usable CPU, or in a daemon process, both children grow here.
-Either way the model has the same bits.  The worker is joined before
-``fit`` returns, and terminated first on an error; a lost worker is a
-``RuntimeError``.
+inherits the data and ``presorted`` and is the upper side: each round
+the calling process sends it the residuals, the fitting rows, the tree's
+features and their tie flags as raw bytes, and it returns its half's
+best split, then its child's subtree and the leaf values of its rows.
+With one usable CPU, or in a daemon process, the upper side runs here
+through the same calls.  Either way the model has the same bits.  The
+worker is joined before ``fit`` returns, and terminated first on an
+error; a lost worker is a ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -301,33 +307,28 @@ def _leaf(r: np.ndarray, rows: np.ndarray, fitted: np.ndarray,
 def _grow_tree(X: np.ndarray, r: np.ndarray, rows: np.ndarray,
                order: np.ndarray, features: np.ndarray, tied: np.ndarray,
                mark: np.ndarray, fitted: np.ndarray, depth: int,
-               max_depth: int, min_leaf: int, l2_leaf: float,
-               worker=None) -> TreeNode:
-    """Grow one node and its subtree on the presorted layout.
+               max_depth: int, min_leaf: int, l2_leaf: float) -> TreeNode:
+    """Grow one node below the root and its subtree on the presorted
+    layout.
 
     ``rows`` holds the node's fitting rows in ascending order, and
     ``order[k]`` holds the same rows sorted by feature ``features[k]``,
     ties in row order: exactly what a stable ``argsort`` of ``X[rows, f]``
     would give, so no node sorts.  ``tied[k]`` flags the features whose
-    training column repeats a value.  A split marks a child's rows in
-    ``mark`` (a length-``n`` boolean scratch array shared by all nodes)
-    and filters every row of ``order`` by that mark, which keeps the
-    sorted order and the row order of ties in the child.  Each leaf
-    writes its value to ``fitted`` at its rows.
+    training column repeats a value.  A split marks its left rows in
+    ``mark`` (a length-``n`` boolean scratch array shared by all nodes),
+    gathers that mark once in ``order``'s layout, and filters every row of
+    ``order`` by it and by its negation, which keeps the sorted order and
+    the row order of ties in both children.  Each leaf writes its value to
+    ``fitted`` at its rows.
 
-    A split grows its larger child (the left one on a tie) first, in this
-    call.  The fit passes a ``_SubtreeWorker`` as ``worker`` to the root
-    call when it may use two CPUs; the root's smaller child then goes to
-    the forked worker, which grows it through this same function.  Any
-    other smaller child grows next in this call.  The two subtrees write
-    disjoint rows of ``fitted`` and ``mark``, so the tree and each leaf
-    value do not depend on the order of growth.
-
-    Memory: the fit holds ``presorted``, p * n int32 indices, and every
-    node on the current root-to-leaf path holds its own ``order``, at most
-    ``len(features) * rows.size`` int32 per level.  The child that the
-    worker grows gets its ``order`` in the worker's memory, not in this
-    process.  The split search adds a few temporaries of at most
+    Memory: the fit holds ``presorted``, p * n ``intp`` indices.  No
+    process holds the whole root's ``order``: each side of the root holds
+    the order of its half of the features during the root search, then
+    its root child's.  Every split on the current root-to-leaf path holds
+    its ``order``, at most ``len(features) * rows.size`` ``intp`` per
+    level, and a boolean mask of the same shape while its children grow.
+    The split search adds a few temporaries of at most
     ``_BLOCK_ELEMENTS`` elements each.
     """
     n = rows.size
@@ -341,44 +342,162 @@ def _grow_tree(X: np.ndarray, r: np.ndarray, rows: np.ndarray,
     go_left = X[rows, best_feature] <= best_threshold
     n_left = int(np.count_nonzero(go_left))
     limits = (depth + 1, max_depth, min_leaf, l2_leaf)
-
-    def grow(side: np.ndarray) -> TreeNode:
-        # np.extract keeps the same elements in the same order as
-        # order[mark.take(order)] and runs several times faster on these
-        # half-and-half masks.
-        mark[rows] = side
-        child = rows[side]
-        return _grow_tree(X, r, child, np.extract(mark.take(order), order)
-                          .reshape(-1, child.size),
-                          features, tied, mark, fitted, *limits)
-
-    keep_left = 2 * n_left >= n
-    keep = go_left if keep_left else ~go_left
-    if worker is not None:
-        worker.start(r, rows[~keep], features, tied)
-    kept = grow(keep)
-    other = worker.finish() if worker is not None else grow(~keep)
-    left, right = (kept, other) if keep_left else (other, kept)
+    mark[rows] = go_left
+    sel = mark.take(order)
+    # np.extract keeps the same elements in the same order as order[sel]
+    # and runs several times faster on these half-and-half masks.
+    left = _grow_tree(X, r, rows[go_left],
+                      np.extract(sel, order).reshape(-1, n_left),
+                      features, tied, mark, fitted, *limits)
+    np.logical_not(sel, out=sel)
+    right = _grow_tree(X, r, rows[~go_left],
+                       np.extract(sel, order).reshape(-1, n - n_left),
+                       features, tied, mark, fitted, *limits)
     return TreeNode(feature_index=best_feature, threshold=best_threshold,
                     left=left, right=right, gain=best_gain, cover=n)
+
+
+def _side_masks(X: np.ndarray, X_val: np.ndarray, split) -> tuple:
+    """The training and validation rows on one side of a root split
+    ``(feature, threshold, left)``, as boolean masks: the rows with
+    ``x[feature] <= threshold`` when ``left``, else the others."""
+    feature, threshold, left = split
+    masks = X[:, feature] <= threshold, X_val[:, feature] <= threshold
+    if not left:
+        for mask in masks:
+            np.logical_not(mask, out=mask)
+    return masks
+
+
+class _Side:
+    """One side of every tree's root: the lower or the upper half of the
+    tree's features in the root split search, then one root child.
+
+    ``start`` takes a round's residuals, fitting rows (ascending),
+    features and their tie flags.  ``split`` builds the root order of this
+    side's half of the features from ``presorted`` and returns its best
+    ``(gain, k, cut, threshold)``, ``k`` counting from the tree's first
+    feature, or ``None``.  ``grow`` takes the root split as ``(feature,
+    threshold, left)``, or ``None`` when the root does not split.  It
+    builds the order of the child on this side from ``presorted``, grows
+    the child at depth 1 and routes the side's left-out training rows and
+    validation rows through it, so that ``fitted`` and ``val_fitted``
+    hold the leaf value of every row on this side.  ``finish`` returns
+    the child's subtree.  The calling process keeps the lower side; the
+    upper one runs in the tree worker, or here with one usable CPU.
+    """
+
+    def __init__(self, X, X_val, presorted, limits, fitted, val_fitted,
+                 upper: bool):
+        self.X, self.X_val, self.presorted = X, X_val, presorted
+        self.limits, self.upper = limits, upper
+        self.fitted, self.val_fitted = fitted, val_fitted
+        self._in_sample = np.empty(X.shape[0], dtype=bool)
+        self._mark = np.empty(X.shape[0], dtype=bool)
+
+    def start(self, r, rows, features, tied) -> None:
+        self._job = r, rows, features, tied
+        self._in_sample[:] = False
+        self._in_sample[rows] = True
+
+    def split(self):
+        r, rows, features, tied = self._job
+        min_leaf = self.limits[1]
+        if rows.size < 2 * min_leaf:
+            return None
+        h = (features.size + 1) // 2
+        lo, hi = (h, features.size) if self.upper else (0, h)
+        feats = features[lo:hi]
+        order = _node_order(self.presorted, feats, self._in_sample,
+                            np.empty((feats.size, rows.size), np.intp))
+        found = _best_node_split(self.X, r, order, feats, tied[lo:hi],
+                                 min_leaf)
+        if found is None:
+            return None
+        gain, k, cut, threshold = found
+        return gain, k + lo, cut, threshold
+
+    def grow(self, split) -> None:
+        if split is None:
+            return
+        r, _, features, tied = self._job
+        train, val = _side_masks(self.X, self.X_val, split)
+        # The child's rows are marked in the grower's scratch mask, which
+        # is free again once the child's order is built from it.
+        member = np.logical_and(train, self._in_sample, out=self._mark)
+        child = np.flatnonzero(member)
+        self._tree = _grow_tree(
+            self.X, r, child,
+            _node_order(self.presorted, features, member,
+                        np.empty((features.size, child.size), np.intp)),
+            features, tied, self._mark, self.fitted, 1, *self.limits)
+        train &= ~self._in_sample
+        _route(self._tree, self.X, np.flatnonzero(train), self.fitted)
+        _route(self._tree, self.X_val, np.flatnonzero(val), self.val_fitted)
+
+    def finish(self) -> TreeNode:
+        return self._tree
+
+
+def _grow_round(own, other, r: np.ndarray, rows: np.ndarray,
+                features: np.ndarray, tied: np.ndarray) -> TreeNode:
+    """Grow one round's tree on the residuals ``r`` of the fitting rows
+    ``rows`` and leave the leaf value of every training row in
+    ``own.fitted`` and of every validation row in ``own.val_fitted``.
+
+    ``own`` is the lower ``_Side`` and ``other`` the upper one, or the
+    ``_SubtreeWorker`` that runs it.  Each side searches its half of
+    ``features`` for the root split; the lower half's result stands
+    unless the upper half's gain is strictly larger, which is the first
+    feature reaching the largest gain, as one search over all of them
+    would find.  The other side then grows the smaller root child (the
+    right one on a tie) while ``own`` grows the larger.  The two subtrees
+    write disjoint rows of ``fitted`` and ``val_fitted``, so the tree and
+    every value are the same wherever a side runs.
+    """
+    other.start(r, rows, features, tied)
+    own.start(r, rows, features, tied)
+    found = own.split()
+    theirs = other.split()
+    if theirs is not None and (found is None or theirs[0] > found[0]):
+        found = theirs
+    if found is None:
+        other.grow(None)
+        tree = _leaf(r, rows, own.fitted, own.limits[-1])
+        own.fitted.fill(tree.value)
+        own.val_fitted.fill(tree.value)
+        return tree
+    gain, k, cut, threshold = found
+    feature = int(features[k])
+    # The left child has cut fitting rows, or one more where the midpoint
+    # threshold rounds onto the next value; either way only which side
+    # grows which child depends on it.
+    keep_left = 2 * cut >= rows.size
+    other.grow((feature, threshold, not keep_left))
+    own.grow((feature, threshold, keep_left))
+    kept, handed = own.finish(), other.finish()
+    left, right = (kept, handed) if keep_left else (handed, kept)
+    return TreeNode(feature_index=feature, threshold=threshold, left=left,
+                    right=right, gain=gain, cover=rows.size)
 
 
 _WORKER_GONE = "a tree worker exited unexpectedly"
 
 
-def _serve_subtrees(X, presorted, limits, conn) -> None:
-    """Body of the forked tree worker: grow each root child the parent
-    sends, at depth 1, and return its subtree and the leaf value of each
-    of its rows, until the parent closes the pipe.
+def _serve_subtrees(side: _Side, conn) -> None:
+    """Body of the forked tree worker: answer the parent's calls of the
+    upper ``side`` for every round until the parent closes the pipe.
 
-    A job is the ``(rows, features)`` sizes, then the residuals, the
-    child's rows (ascending), the tree's features and their tie flags as
-    raw bytes.  The child's ``order`` is rebuilt from ``presorted``,
-    which gives the same rows in the same order as filtering the root's.
+    A round's job is the ``(rows, features)`` sizes, then the residuals,
+    the fitting rows, the tree's features and their tie flags as raw
+    bytes.  The worker replies with its half's best root split, reads the
+    root split, and, if the root splits, replies with its child's subtree
+    and then the leaf values of its side's training rows and validation
+    rows, each in row order.
     """
-    n, p = X.shape
-    r, rows, features = np.empty(n), np.empty(n, np.intp), np.empty(p, np.intp)
-    tied, mark, fitted = np.empty(p, bool), np.empty(n, bool), np.empty(n)
+    n, p = side.X.shape
+    r, rows = np.empty(n), np.empty(n, np.intp)
+    features, tied = np.empty(p, np.intp), np.empty(p, bool)
     while True:
         try:
             n_rows, n_feats = conn.recv()
@@ -387,52 +506,66 @@ def _serve_subtrees(X, presorted, limits, conn) -> None:
         job = (r, rows[:n_rows], features[:n_feats], tied[:n_feats])
         for out in job:
             read_into(conn, out, "the parent closed a tree job early")
-        _, child, feats, flags = job
-        mark[:] = False
-        mark[child] = True
-        order = _node_order(presorted, feats, mark,
-                            np.empty((n_feats, n_rows), dtype=np.int32))
-        conn.send(_grow_tree(X, r, child, order, feats, flags, mark, fitted,
-                             1, *limits))
-        send_array(conn, fitted.take(child))
+        side.start(*job)
+        conn.send(side.split())
+        split = conn.recv()
+        if split is None:
+            continue
+        side.grow(split)
+        conn.send(side.finish())
+        train, val = _side_masks(side.X, side.X_val, split)
+        send_array(conn, side.fitted[train])
+        send_array(conn, side.val_fitted[val])
 
 
 class _SubtreeWorker:
-    """Parent side of the forked tree worker.  ``start`` sends it a root
-    child and returns at once; ``finish`` waits for the child's subtree
-    and writes its rows' leaf values to ``fitted``.  The buffers are
-    allocated once per fit."""
+    """Parent side of the forked tree worker, which runs ``side``: it has
+    the calls of ``_Side``, and answers each with the worker's reply.
+    ``start`` and ``grow`` send and return at once; ``finish`` waits for
+    the subtree and writes the leaf values of the worker's rows to
+    ``side``'s ``fitted`` and ``val_fitted``, this process's buffers."""
 
-    def __init__(self, conn, fitted: np.ndarray):
-        self._conn, self._fitted = conn, fitted
-        self._values = np.empty(fitted.size)
+    def __init__(self, conn, side: _Side):
+        self._conn, self._side = conn, side
 
     def start(self, r, rows, features, tied) -> None:
-        self._rows = rows
         with worker_failure(_WORKER_GONE):
             self._conn.send((rows.size, features.size))
             for array in (r, rows, features, tied):
                 send_array(self._conn, array)
 
+    def split(self):
+        return receive(self._conn, _WORKER_GONE)
+
+    def grow(self, split) -> None:
+        with worker_failure(_WORKER_GONE):
+            self._conn.send(split)
+        self._split = split
+
     def finish(self) -> TreeNode:
+        side = self._side
         tree = receive(self._conn, _WORKER_GONE)
-        values = self._values[:self._rows.size]
-        read_into(self._conn, values, _WORKER_GONE)
-        self._fitted[self._rows] = values
+        for mask, out in zip(_side_masks(side.X, side.X_val, self._split),
+                             (side.fitted, side.val_fitted)):
+            values = np.empty(np.count_nonzero(mask))
+            read_into(self._conn, values, _WORKER_GONE)
+            out[mask] = values
         return tree
 
 
 @contextlib.contextmanager
-def _subtree_worker(X, presorted, fitted, limits):
-    """Yield a ``_SubtreeWorker`` when this process may use two CPUs, else
-    None.  The worker inherits ``X`` and ``presorted``, and is joined on
-    exit."""
+def _sides(X, X_val, presorted, limits, fitted, val_fitted):
+    """Yield the lower and the upper ``_Side`` of every root, the upper
+    one run by a forked worker when this process may use two CPUs.  The
+    worker inherits the data and ``presorted``, and is joined on exit."""
+    own, other = (_Side(X, X_val, presorted, limits, fitted, val_fitted,
+                        upper) for upper in (False, True))
     if _usable_cpus() < 2:
-        yield None
+        yield own, other
         return
-    body = functools.partial(_serve_subtrees, X, presorted, limits)
+    body = functools.partial(_serve_subtrees, other)
     with forked([body], "tree worker") as [(conn, _)]:
-        yield _SubtreeWorker(conn, fitted)
+        yield own, _SubtreeWorker(conn, other)
 
 
 @dataclass(eq=False)
@@ -525,46 +658,34 @@ class GradientBoostedTrees:
         all_feats = np.arange(p)
         n_rows = max(1, int(round(self.row_subsample * n)))
         n_feats = max(1, int(round(self.feature_subsample * p)))
-        # Each column sorted once, ties in row order: p * n int32 indices,
-        # one row per feature, filled column by column to keep the int64
-        # argsort output one column long.
-        presorted = np.empty((p, n), dtype=np.int32)
+        # Each column sorted once, ties in row order: p * n intp indices,
+        # one row per feature, so that no take on them casts its indices.
+        presorted = np.empty((p, n), dtype=np.intp)
         for f in range(p):
             presorted[f] = np.argsort(X[:, f], kind="stable")
         # A column with no repeated value has no ties in any row subset.
         tied = np.array([bool(np.any(np.diff(X[column, f]) == 0.0))
                          for f, column in enumerate(presorted)])
-        # Buffers reused by every tree: the root's order, the residuals,
-        # and each row's leaf value (its training-margin step).
-        order = np.empty((n_feats, n_rows), dtype=np.int32)
+        # Buffers reused by every tree: the residuals, and each training
+        # and validation row's leaf value (its margin step).
         residual, fitted = np.empty(n), np.empty(n)
-        in_sample = np.zeros(n, dtype=bool)
-        mark = np.empty(n, dtype=bool)
+        val_fitted = np.empty(X_val.shape[0])
         limits = (self.max_depth, self.min_samples_leaf, self.l2_leaf)
         probs = sigmoid(margins)
 
-        with _subtree_worker(X, presorted, fitted, limits) as worker:
+        with _sides(X, X_val, presorted, limits, fitted,
+                    val_fitted) as (own, other):
             for m in range(self.iterations):
                 rows = all_rows if n_rows == n else np.sort(
                     rng.choice(n, size=n_rows, replace=False))
                 feats = all_feats if n_feats == p else np.sort(
                     rng.choice(p, size=n_feats, replace=False))
-                in_sample[:] = False
-                in_sample[rows] = True
                 np.subtract(y, probs, out=residual)
-                tree = _grow_tree(X, residual, rows,
-                                  _node_order(presorted, feats, in_sample,
-                                              order),
-                                  feats, tied[feats], mark, fitted, 0, *limits,
-                                  worker=worker)
-                trees.append(tree)
-                # The leaves wrote the fitting rows' values; the rows the
-                # subsample left out are routed through the tree.
-                if n_rows < n:
-                    _route(tree, X, np.flatnonzero(~in_sample), fitted)
+                trees.append(_grow_round(own, other, residual, rows, feats,
+                                         tied[feats]))
                 margins += np.multiply(fitted, self.learning_rate,
                                        out=fitted)
-                val_margins += self.learning_rate * _tree_predict(tree, X_val)
+                val_margins += self.learning_rate * val_fitted
                 probs = sigmoid(margins)
                 train_losses.append(binary_log_loss(y, probs))
                 val_loss = binary_log_loss(y_val, sigmoid(val_margins))

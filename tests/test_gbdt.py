@@ -337,15 +337,16 @@ class TestPresortedGrower:
                            early_stopping_rounds=100), **params)
         presorted = GradientBoostedTrees(**params).fit(X, y, X_val, y_val)
 
-        def oracle(X, r, rows, order, features, tied, mark, fitted, *limits,
-                   worker=None):
-            # The whole tree, root included; the training margins then
-            # come from predicting its fitting rows.
-            tree = argsort_grow_tree(X, r, rows, features, *limits)
-            fitted[rows] = gbdt._tree_predict(tree, X[rows])
+        def oracle(own, other, r, rows, features, tied):
+            # The whole tree, root included; the margin steps then come
+            # from predicting every training and validation row with it.
+            tree = argsort_grow_tree(own.X, r, rows, features, 0,
+                                     *own.limits)
+            own.fitted[:] = gbdt._tree_predict(tree, own.X)
+            own.val_fitted[:] = gbdt._tree_predict(tree, own.X_val)
             return tree
 
-        monkeypatch.setattr(gbdt, "_grow_tree", oracle)
+        monkeypatch.setattr(gbdt, "_grow_round", oracle)
         reference = GradientBoostedTrees(**params).fit(X, y, X_val, y_val)
         assert presorted.ensemble_.to_json() == reference.ensemble_.to_json()
         # The losses cover the trees after the best round as well.
@@ -359,20 +360,23 @@ class _WorkerFailure(Exception):
 
 
 class TestSubtreeWorker:
-    """With two usable CPUs a forked worker grows each root's smaller
-    child; the CPU count is the seam, and the model may not depend on it."""
+    """With two usable CPUs a forked worker searches the upper half of each
+    root's features and grows the root's smaller child; the CPU count is
+    the seam, and the model may not depend on it."""
 
     @staticmethod
     def _same_for_one_and_two_workers(monkeypatch, params, X, y, X_val,
                                       y_val):
+        # The fitting rows of each root child the worker grew.
         handed = []
-        start = gbdt._SubtreeWorker.start
+        finish = gbdt._SubtreeWorker.finish
 
-        def counted(self, *args):
-            handed.append(args[1].size)
-            start(self, *args)
+        def counted(self):
+            tree = finish(self)
+            handed.append(int(tree.cover))
+            return tree
 
-        monkeypatch.setattr(gbdt._SubtreeWorker, "start", counted)
+        monkeypatch.setattr(gbdt._SubtreeWorker, "finish", counted)
         runs = []
         for workers in (1, 2):
             monkeypatch.setattr(gbdt, "_usable_cpus", lambda: workers)
@@ -420,6 +424,36 @@ class TestSubtreeWorker:
         _, (_, train_losses, _) = self._same_for_one_and_two_workers(
             monkeypatch, params, X[:160], y[:160], X[160:], y[160:])
         assert len(train_losses) < 400, "early stopping never fired"
+
+    def test_tie_across_the_halves_keeps_the_lower_feature(self,
+                                                             monkeypatch):
+        # Column 5 copies column 0, the strongest; with six features the
+        # worker searches columns 3-5, so every root split on column 0
+        # ties with the worker's best, and the lower index must win.
+        X, y = _tied_problem(400, 12)
+        X_val, y_val = _tied_problem(100, 112)
+        X, X_val = (np.column_stack([A, A[:, 0]]) for A in (X, X_val))
+        params = dict(iterations=8, learning_rate=0.3, max_depth=3,
+                      min_samples_leaf=5, row_subsample=0.8,
+                      feature_subsample=1.0, seed=12)
+        handed, (text, _, _) = self._same_for_one_and_two_workers(
+            monkeypatch, params, X, y, X_val, y_val)
+        assert len(handed) == 8
+        trees = json.loads(text)["trees"]
+        assert any(tree["feature_index"] == 0 for tree in trees)
+        assert '"feature_index": 5' not in text
+
+    def test_one_feature_per_tree(self, monkeypatch):
+        # feature_subsample gives one feature per tree: the worker's half
+        # is empty, but it still grows the smaller root child.
+        X, y = _tied_problem(300, 13)
+        params = dict(iterations=10, learning_rate=0.3, max_depth=3,
+                      min_samples_leaf=5, feature_subsample=0.2, seed=13)
+        handed, (text, _, _) = self._same_for_one_and_two_workers(
+            monkeypatch, params, X, y, X[:90], y[:90])
+        assert handed and all(handed)
+        assert len({tree["feature_index"]
+                    for tree in json.loads(text)["trees"]}) > 1
 
     @pytest.mark.parametrize("row_subsample", [1.0, 0.8])
     @pytest.mark.parametrize("workers", [1, 2])

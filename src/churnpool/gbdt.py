@@ -37,22 +37,21 @@ feature-parallel mode split exact split finding by feature; the better
 of the two is the root split.  Each side then rebuilds its root child's
 order from ``presorted``, grows the child, and routes its side's
 left-out training rows and validation rows through it.  The calling
-process is the lower side and takes the larger child.  When the process
-may use two CPUs or more, ``fit`` forks one worker (``forking``) that
-inherits the data and ``presorted`` and is the upper side: each round
-the calling process sends it the residuals, the fitting rows, the tree's
-features and their tie flags as raw bytes, and it returns its half's
-best split, then its child's subtree and the leaf values of its rows.
-With one usable CPU, or in a daemon process, the upper side runs here
-through the same calls.  Either way the model has the same bits.  The
-worker is joined before ``fit`` returns, and terminated first on an
-error; a lost worker is a ``RuntimeError``.
+process is the lower side and takes the larger child.  The upper side is
+served through ``forking``: when the process may use two CPUs or more,
+``fit`` forks one worker that inherits the data and ``presorted`` and
+serves it.  Each round makes two calls of it: ``split`` with the
+residuals, the fitting rows, the tree's features and their tie flags,
+which returns its half's best split, and ``grow`` with the root split,
+which returns its child's subtree and the leaf values of its rows.  With
+one usable CPU, or in a daemon process, the upper side runs here through
+the same calls.  Either way the model has the same bits.  The worker is
+joined before ``fit`` returns, and terminated first on an error; a lost
+worker is a ``RuntimeError``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import json
 import math
 import operator
@@ -65,7 +64,7 @@ import numpy as np
 from .errors import (ValidationError, atomic_write, check_is_fitted,
                      malformed_artifact)
 # _usable_cpus is looked up here at each call, so tests can patch it.
-from .forking import forked, read_into, receive, send_array, worker_failure
+from .forking import served
 from .forking import usable_cpus as _usable_cpus
 from .numerics import PROB_CLIP, binary_log_loss, sigmoid
 from .rng import default_rng
@@ -373,18 +372,19 @@ class _Side:
     """One side of every tree's root: the lower or the upper half of the
     tree's features in the root split search, then one root child.
 
-    ``start`` takes a round's residuals, fitting rows (ascending),
-    features and their tie flags.  ``split`` builds the root order of this
-    side's half of the features from ``presorted`` and returns its best
-    ``(gain, k, cut, threshold)``, ``k`` counting from the tree's first
-    feature, or ``None``.  ``grow`` takes the root split as ``(feature,
-    threshold, left)``, or ``None`` when the root does not split.  It
-    builds the order of the child on this side from ``presorted``, grows
-    the child at depth 1 and routes the side's left-out training rows and
-    validation rows through it, so that ``fitted`` and ``val_fitted``
-    hold the leaf value of every row on this side.  ``finish`` returns
-    the child's subtree.  The calling process keeps the lower side; the
-    upper one runs in the tree worker, or here with one usable CPU.
+    ``split`` takes a round's residuals, fitting rows (ascending),
+    features and their tie flags, builds the root order of this side's
+    half of the features from ``presorted`` and returns its best ``(gain,
+    k, cut, threshold)``, ``k`` counting from the tree's first feature,
+    or ``None``.  ``grow`` takes the root split as ``(feature, threshold,
+    left)``.  It builds the order of the child on this side from
+    ``presorted``, grows the child at depth 1 and routes the side's
+    left-out training rows and validation rows through it, so that
+    ``fitted`` and ``val_fitted`` hold the leaf value of every row on
+    this side.  It returns the child's subtree and those leaf values of
+    the side's training and validation rows, each in row order.  The
+    calling process keeps the lower side; the upper one is served through
+    ``forking``, by the tree worker or in this process.
     """
 
     def __init__(self, X, X_val, presorted, limits, fitted, val_fitted,
@@ -395,13 +395,10 @@ class _Side:
         self._in_sample = np.empty(X.shape[0], dtype=bool)
         self._mark = np.empty(X.shape[0], dtype=bool)
 
-    def start(self, r, rows, features, tied) -> None:
-        self._job = r, rows, features, tied
+    def split(self, r, rows, features, tied):
+        self._job = r, features, tied
         self._in_sample[:] = False
         self._in_sample[rows] = True
-
-    def split(self):
-        r, rows, features, tied = self._job
         min_leaf = self.limits[1]
         if rows.size < 2 * min_leaf:
             return None
@@ -417,26 +414,22 @@ class _Side:
         gain, k, cut, threshold = found
         return gain, k + lo, cut, threshold
 
-    def grow(self, split) -> None:
-        if split is None:
-            return
-        r, _, features, tied = self._job
+    def grow(self, split) -> tuple:
+        r, features, tied = self._job
         train, val = _side_masks(self.X, self.X_val, split)
         # The child's rows are marked in the grower's scratch mask, which
         # is free again once the child's order is built from it.
         member = np.logical_and(train, self._in_sample, out=self._mark)
         child = np.flatnonzero(member)
-        self._tree = _grow_tree(
+        tree = _grow_tree(
             self.X, r, child,
             _node_order(self.presorted, features, member,
                         np.empty((features.size, child.size), np.intp)),
             features, tied, self._mark, self.fitted, 1, *self.limits)
-        train &= ~self._in_sample
-        _route(self._tree, self.X, np.flatnonzero(train), self.fitted)
-        _route(self._tree, self.X_val, np.flatnonzero(val), self.val_fitted)
-
-    def finish(self) -> TreeNode:
-        return self._tree
+        left_out = train & ~self._in_sample
+        _route(tree, self.X, np.flatnonzero(left_out), self.fitted)
+        _route(tree, self.X_val, np.flatnonzero(val), self.val_fitted)
+        return tree, self.fitted[train], self.val_fitted[val]
 
 
 def _grow_round(own, other, r: np.ndarray, rows: np.ndarray,
@@ -445,24 +438,22 @@ def _grow_round(own, other, r: np.ndarray, rows: np.ndarray,
     ``rows`` and leave the leaf value of every training row in
     ``own.fitted`` and of every validation row in ``own.val_fitted``.
 
-    ``own`` is the lower ``_Side`` and ``other`` the upper one, or the
-    ``_SubtreeWorker`` that runs it.  Each side searches its half of
-    ``features`` for the root split; the lower half's result stands
-    unless the upper half's gain is strictly larger, which is the first
-    feature reaching the largest gain, as one search over all of them
-    would find.  The other side then grows the smaller root child (the
-    right one on a tie) while ``own`` grows the larger.  The two subtrees
-    write disjoint rows of ``fitted`` and ``val_fitted``, so the tree and
+    ``own`` is the lower ``_Side`` and ``other`` a ``forking`` proxy of
+    the upper one.  Each side searches its half of ``features`` for the
+    root split; the lower half's result stands unless the upper half's
+    gain is strictly larger, which is the first feature reaching the
+    largest gain, as one search over all of them would find.  The other
+    side then grows the smaller root child (the right one on a tie) while
+    ``own`` grows the larger, and its leaf values are written to the rows
+    of its side.  The two subtrees cover disjoint rows, so the tree and
     every value are the same wherever a side runs.
     """
-    other.start(r, rows, features, tied)
-    own.start(r, rows, features, tied)
-    found = own.split()
-    theirs = other.split()
+    other.call("split", r, rows, features, tied)
+    found = own.split(r, rows, features, tied)
+    theirs = other.result()
     if theirs is not None and (found is None or theirs[0] > found[0]):
         found = theirs
     if found is None:
-        other.grow(None)
         tree = _leaf(r, rows, own.fitted, own.limits[-1])
         own.fitted.fill(tree.value)
         own.val_fitted.fill(tree.value)
@@ -473,99 +464,17 @@ def _grow_round(own, other, r: np.ndarray, rows: np.ndarray,
     # threshold rounds onto the next value; either way only which side
     # grows which child depends on it.
     keep_left = 2 * cut >= rows.size
-    other.grow((feature, threshold, not keep_left))
-    own.grow((feature, threshold, keep_left))
-    kept, handed = own.finish(), other.finish()
+    handed_split = (feature, threshold, not keep_left)
+    other.call("grow", handed_split)
+    kept = own.grow((feature, threshold, keep_left))[0]
+    handed, *values = other.result()
+    for mask, out, side_values in zip(
+            _side_masks(own.X, own.X_val, handed_split),
+            (own.fitted, own.val_fitted), values):
+        out[mask] = side_values
     left, right = (kept, handed) if keep_left else (handed, kept)
     return TreeNode(feature_index=feature, threshold=threshold, left=left,
                     right=right, gain=gain, cover=rows.size)
-
-
-_WORKER_GONE = "a tree worker exited unexpectedly"
-
-
-def _serve_subtrees(side: _Side, conn) -> None:
-    """Body of the forked tree worker: answer the parent's calls of the
-    upper ``side`` for every round until the parent closes the pipe.
-
-    A round's job is the ``(rows, features)`` sizes, then the residuals,
-    the fitting rows, the tree's features and their tie flags as raw
-    bytes.  The worker replies with its half's best root split, reads the
-    root split, and, if the root splits, replies with its child's subtree
-    and then the leaf values of its side's training rows and validation
-    rows, each in row order.
-    """
-    n, p = side.X.shape
-    r, rows = np.empty(n), np.empty(n, np.intp)
-    features, tied = np.empty(p, np.intp), np.empty(p, bool)
-    while True:
-        try:
-            n_rows, n_feats = conn.recv()
-        except EOFError:
-            return
-        job = (r, rows[:n_rows], features[:n_feats], tied[:n_feats])
-        for out in job:
-            read_into(conn, out, "the parent closed a tree job early")
-        side.start(*job)
-        conn.send(side.split())
-        split = conn.recv()
-        if split is None:
-            continue
-        side.grow(split)
-        conn.send(side.finish())
-        train, val = _side_masks(side.X, side.X_val, split)
-        send_array(conn, side.fitted[train])
-        send_array(conn, side.val_fitted[val])
-
-
-class _SubtreeWorker:
-    """Parent side of the forked tree worker, which runs ``side``: it has
-    the calls of ``_Side``, and answers each with the worker's reply.
-    ``start`` and ``grow`` send and return at once; ``finish`` waits for
-    the subtree and writes the leaf values of the worker's rows to
-    ``side``'s ``fitted`` and ``val_fitted``, this process's buffers."""
-
-    def __init__(self, conn, side: _Side):
-        self._conn, self._side = conn, side
-
-    def start(self, r, rows, features, tied) -> None:
-        with worker_failure(_WORKER_GONE):
-            self._conn.send((rows.size, features.size))
-            for array in (r, rows, features, tied):
-                send_array(self._conn, array)
-
-    def split(self):
-        return receive(self._conn, _WORKER_GONE)
-
-    def grow(self, split) -> None:
-        with worker_failure(_WORKER_GONE):
-            self._conn.send(split)
-        self._split = split
-
-    def finish(self) -> TreeNode:
-        side = self._side
-        tree = receive(self._conn, _WORKER_GONE)
-        for mask, out in zip(_side_masks(side.X, side.X_val, self._split),
-                             (side.fitted, side.val_fitted)):
-            values = np.empty(np.count_nonzero(mask))
-            read_into(self._conn, values, _WORKER_GONE)
-            out[mask] = values
-        return tree
-
-
-@contextlib.contextmanager
-def _sides(X, X_val, presorted, limits, fitted, val_fitted):
-    """Yield the lower and the upper ``_Side`` of every root, the upper
-    one run by a forked worker when this process may use two CPUs.  The
-    worker inherits the data and ``presorted``, and is joined on exit."""
-    own, other = (_Side(X, X_val, presorted, limits, fitted, val_fitted,
-                        upper) for upper in (False, True))
-    if _usable_cpus() < 2:
-        yield own, other
-        return
-    body = functools.partial(_serve_subtrees, other)
-    with forked([body], "tree worker") as [(conn, _)]:
-        yield own, _SubtreeWorker(conn, other)
 
 
 @dataclass(eq=False)
@@ -673,8 +582,9 @@ class GradientBoostedTrees:
         limits = (self.max_depth, self.min_samples_leaf, self.l2_leaf)
         probs = sigmoid(margins)
 
-        with _sides(X, X_val, presorted, limits, fitted,
-                    val_fitted) as (own, other):
+        own, upper = (_Side(X, X_val, presorted, limits, fitted,
+                            val_fitted, side) for side in (False, True))
+        with served([upper], "tree worker", _usable_cpus() > 1) as [other]:
             for m in range(self.iterations):
                 rows = all_rows if n_rows == n else np.sort(
                     rng.choice(n, size=n_rows, replace=False))

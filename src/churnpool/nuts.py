@@ -40,17 +40,19 @@ lockstep, window by window, and their window draws are pooled in chain
 order, so a run is a pure function of ``(target, config)`` and is
 bit-reproducible; it is not a function of each chain alone.
 
-The chains run in up to ``min(chains, usable CPUs)`` forked worker
-processes, worker ``w`` holding chains ``c = w (mod W)``.  A worker has
-the calls of a chain and answers for its chains in chain order, so the
-caller drives every chain through one loop, wherever it runs.  Each chain
+The chains run in up to ``W = min(chains, usable CPUs)`` units, each a
+``_Chains`` group served through ``forking``: unit ``w`` holds chains
+``c = w (mod W)``, in a forked worker process when ``W > 1`` and in the
+calling process otherwise.  The caller sends each unit the calls of its
+chains and takes the replies in chain order, so every chain goes through
+one loop, wherever it runs.  Each chain
 counts its own gradient calls (initial point, step-size searches and
 leapfrogs); the run's count, and its count at the end of warmup, are
 their sums.  Between window barriers a chain depends only on its own
 state and stream, so the result is the same for any worker count, one
-included.  The window metric is built in the calling process with
-numpy's bundled OpenBLAS on one thread, so it is also the same for any
-BLAS thread count; with another BLAS the trace header records
+included.  The run, window metric included, uses numpy's bundled
+OpenBLAS on one thread, so it is also the same for any BLAS thread
+count; with another BLAS the trace header records
 ``"blas_pinned": false``.  Target callables may run in
 child processes, so side effects of their calls are not seen by the
 caller.  ``taskset`` limits the worker count through the CPU affinity
@@ -75,7 +77,7 @@ import numpy as np
 from .errors import (DataError, DiagnosticError, ValidationError,
                      atomic_write, malformed_artifact)
 # _usable_cpus is looked up here at each call, so tests can patch it.
-from .forking import forked, read_into, receive, send_array, worker_failure
+from .forking import served
 from .forking import usable_cpus as _usable_cpus
 from .numerics import average_ranks, norm_ppf
 from .rng import spawn
@@ -435,7 +437,8 @@ def _one_blas_thread():
 
     The pooled scatter product and ``eigh`` sum in an order that follows
     the BLAS thread count; on one thread they give the same bits whatever
-    count the process runs with.
+    count the process runs with.  ``sample`` runs under it, and the
+    sampler workers it forks keep the setting.
     """
     api = _openblas_threads()
     if api is None:
@@ -463,7 +466,6 @@ class _PooledMoments:
         self.mean = np.zeros(dim)
         self.scatter = np.zeros((dim, dim))
 
-    @_one_blas_thread()
     def merge(self, block: np.ndarray) -> None:
         m = block.shape[0]
         if m == 0:
@@ -477,7 +479,6 @@ class _PooledMoments:
         self.mean += delta * (m / total)
         self.n = total
 
-    @_one_blas_thread()
     def metric(self) -> _Metric:
         """Shrunk pooled variances plus the correlation eigenpairs outside
         the Marchenko-Pastur noise band and outside ``[1/2, 2]``, at most
@@ -689,15 +690,14 @@ class _Chain:
         self.warm(start)
         return self.warm(end)
 
-    def draw(self, draws: np.ndarray, divergent: np.ndarray,
-             accept: np.ndarray) -> tuple[float, int, int, int]:
-        """Warm to the end of warmup, then make one sampling transition per
-        row of ``draws`` at the averaged warmup step size; row ``s`` of each
-        array gets the position, the divergence flag and the acceptance
-        statistic of transition ``s``.  Returns the step size, the chain's
-        target calls at the end of warmup, its target calls in all and the
-        number of sampling transitions that reached ``max_tree_depth``."""
-        warmup = self.config.warmup
+    def draw(self) -> tuple:
+        """Warm to the end of warmup, then make ``config.draws`` sampling
+        transitions at the averaged warmup step size.  Returns the step
+        size, the chain's target calls at the end of warmup, its target
+        calls in all, the number of sampling transitions that reached
+        ``max_tree_depth``, and the position, the divergence flag and the
+        acceptance statistic of every transition, one array each."""
+        warmup, n_draws = self.config.warmup, self.config.draws
         self.warm(warmup)
         if self.warmup_divergent == warmup:
             raise DiagnosticError(
@@ -705,12 +705,16 @@ class _Chain:
                 "(for example 0.95) or reparameterize the model")
         warmup_calls = self.calls
         self.eps = self.averaging.averaged
+        draws = np.empty((n_draws, self.target.dim))
+        divergent = np.empty(n_draws, dtype=bool)
+        accept = np.empty(n_draws)
         n_max_depth = 0
-        for s in range(draws.shape[0]):
+        for s in range(n_draws):
             divergent[s], accept[s], at_max = self.transition()
             n_max_depth += at_max
             draws[s] = self.state[0]
-        return self.eps, warmup_calls, self.calls, n_max_depth
+        return (self.eps, warmup_calls, self.calls, n_max_depth, draws,
+                divergent, accept)
 
     def transition(self) -> tuple[bool, float, bool]:
         """One NUTS draw with biased progressive multinomial selection;
@@ -797,73 +801,23 @@ class _Chain:
         return divergent, sum_accept / n_accept, at_max
 
 
-def _serve(chains: list[_Chain], windows, conn) -> None:
-    """Body of a forked chain worker: run ``chains`` through ``windows`` and
-    sampling, streaming every block, then every chain's ``draw`` reply and
-    draw rows, to the parent over ``conn``, chain by chain."""
-    with _one_blas_thread():
-        for start, end in windows:
-            for chain in chains:
-                # Computed before the marker, so that a failure in the
-                # block is the next message the parent reads.
-                block = chain.block(start, end)
-                conn.send(None)
-                send_array(conn, block)
-            metric = _Metric(*conn.recv())
-            for chain in chains:
-                chain.adopt(metric)
-        config, dim = chains[0].config, chains[0].target.dim
-        row = (np.empty((config.draws, dim)),
-               np.empty(config.draws, dtype=bool),
-               np.empty(config.draws))
-        for chain in chains:
-            conn.send(chain.draw(*row))
-            for out in row:
-                send_array(conn, out)
+class _Chains:
+    """The chains of one unit, served through ``forking``: ``block`` and
+    ``draw`` run the unit's chain ``i``, and ``adopt`` gives all of them
+    the window's metric."""
 
+    def __init__(self, chains: list[_Chain]):
+        self.chains = chains
 
-_WORKER_GONE = "a sampler worker exited unexpectedly"
-
-
-class _Worker:
-    """Parent side of a forked process that runs some chains.
-
-    It has the calls of ``_Chain`` and answers each for the next of its
-    chains in chain order; ``adopt`` sends one metric to all of them.  An
-    exception raised in the worker is raised again here.
-    """
-
-    def __init__(self, conn, process, dim: int):
-        self.conn, self.process, self.dim = conn, process, dim
-
-    def block(self, start: int, end: int) -> np.ndarray:
-        receive(self.conn, _WORKER_GONE)
-        block = np.empty((end - start, self.dim))
-        read_into(self.conn, block, _WORKER_GONE)
-        return block
+    def block(self, i: int, start: int, end: int) -> np.ndarray:
+        return self.chains[i].block(start, end)
 
     def adopt(self, metric: _Metric) -> None:
-        with worker_failure(_WORKER_GONE):
-            self.conn.send((metric.diag, metric.u, metric.lam))
+        for chain in self.chains:
+            chain.adopt(metric)
 
-    def draw(self, draws: np.ndarray, divergent: np.ndarray,
-             accept: np.ndarray) -> tuple[float, int, int, int]:
-        reply = receive(self.conn, _WORKER_GONE)
-        for out in (draws, divergent, accept):
-            read_into(self.conn, out, _WORKER_GONE)
-        return reply
-
-
-@contextlib.contextmanager
-def _forked(chains: list[_Chain], n_workers: int, windows):
-    """Run chains ``c = w (mod n_workers)`` in forked daemon worker ``w``
-    and yield the workers; they inherit the target.  On exit every worker
-    is joined, and on an error terminated first."""
-    bodies = [functools.partial(_serve, chains[w::n_workers], windows)
-              for w in range(n_workers)]
-    with forked(bodies, "sampler worker") as pipes:
-        yield [_Worker(conn, process, chains[0].target.dim)
-               for conn, process in pipes]
+    def draw(self, i: int) -> tuple:
+        return self.chains[i].draw()
 
 
 def sample(target, config: SamplerConfig,
@@ -908,22 +862,31 @@ def sample(target, config: SamplerConfig,
     divergent = np.empty((config.chains, config.draws), dtype=bool)
     accept = np.empty((config.chains, config.draws))
     windows = _mass_windows(config.warmup)
-    n_workers = min(config.chains, _usable_cpus()) if config.chains > 1 else 1
-    with (_forked(chains, n_workers, windows) if n_workers > 1
-          else contextlib.nullcontext(chains)) as units:
-        # Chain c runs in unit c mod len(units): itself when the chains run
-        # here, else its worker, which answers for its chains in order.
-        runners = [units[c % len(units)] for c in range(config.chains)]
+    n_workers = min(config.chains, _usable_cpus())
+    # Chain c runs in unit c mod W, as chain c // W of that unit.  The
+    # workers fork inside the one-BLAS-thread block and keep its setting.
+    placed = [(c % n_workers, c // n_workers) for c in range(config.chains)]
+    groups = [_Chains(chains[w::n_workers]) for w in range(n_workers)]
+    with (_one_blas_thread(),
+          served(groups, "sampler worker", n_workers > 1) as units):
         for start, end in windows:
+            for w, i in placed:
+                units[w].call("block", i, start, end)
             moments = _PooledMoments(dim)
-            for runner in runners:
-                moments.merge(runner.block(start, end))
+            for w, _ in placed:
+                moments.merge(units[w].result())
             metric = moments.metric()
             for unit in units:
-                unit.adopt(metric)
-        step_sizes, warmup_calls, calls, max_depths = zip(*[
-            runner.draw(*row)
-            for runner, row in zip(runners, zip(draws, divergent, accept))])
+                unit.call("adopt", metric)
+            for unit in units:
+                unit.result()
+        for w, i in placed:
+            units[w].call("draw", i)
+        replies = []
+        for c, (w, _) in enumerate(placed):
+            *reply, draws[c], divergent[c], accept[c] = units[w].result()
+            replies.append(reply)
+    step_sizes, warmup_calls, calls, max_depths = zip(*replies)
 
     header = config.to_dict(init_point)
     if _openblas_threads() is None:

@@ -602,7 +602,8 @@ def _no_uturn(minus, plus):
 class RecursiveChain:
     """One chain with the recursive builder; the same calls as
     ``churnpool.nuts._Chain`` (``block``, ``adopt``, ``warm``, ``draw``),
-    and ``draw`` returns the step size, warmup calls and calls only."""
+    and ``draw`` returns the step size, warmup calls and calls, then the
+    draw, divergence and acceptance rows: no max-depth count."""
 
     def __init__(self, target, config, rng, q0, metric):
         self.target = target
@@ -652,17 +653,20 @@ class RecursiveChain:
         self.warm(start)
         return self.warm(end)
 
-    def draw(self, draws, divergent, accept):
+    def draw(self):
         warmup = self.config.warmup
         self.warm(warmup)
         if self.warmup_divergent == warmup:
             raise DiagnosticError("every warmup iteration diverged")
         warmup_calls = self.calls
         self.eps = self.averaging.averaged
-        for s in range(draws.shape[0]):
+        draws = np.empty((self.config.draws, self.target.dim))
+        divergent = np.empty(self.config.draws, dtype=bool)
+        accept = np.empty(self.config.draws)
+        for s in range(self.config.draws):
             divergent[s], accept[s] = self.transition()
             draws[s] = self.state.q
-        return self.eps, warmup_calls, self.calls
+        return self.eps, warmup_calls, self.calls, draws, divergent, accept
 
     def _build_tree(self, depth, edge, direction, h0):
         if depth == 0:

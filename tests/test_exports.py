@@ -79,6 +79,36 @@ def test_package_imports_only_stdlib_and_numpy():
     assert not foreign, f"imports outside the stdlib and numpy: {foreign}"
 
 
+def test_only_forking_speaks_the_worker_protocol():
+    """One protocol for forked workers: no module but ``forking`` imports
+    ``pickle`` or ``multiprocessing``, writes or reads a descriptor with
+    ``os``, or sends or receives on a connection."""
+    wire = {"pickle", "multiprocessing"}
+    raw_io = {"write", "writev", "read", "readv"}
+    messages = {"send", "recv", "send_bytes", "recv_bytes"}
+    found = []
+    for path in sorted(Path(churnpool.__file__).parent.glob("*.py")):
+        if path.name == "forking.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}: import {alias.name}"
+                          for alias in node.names
+                          if alias.name.partition(".")[0] in wire]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                if node.module.partition(".")[0] in wire:
+                    found.append(f"{path.name}: from {node.module}")
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)):
+                attr, owner = node.func.attr, node.func.value
+                if attr in messages or (
+                        attr in raw_io and isinstance(owner, ast.Name)
+                        and owner.id == "os"):
+                    found.append(f"{path.name}:{node.lineno}: "
+                                 f"{ast.unparse(node.func)}()")
+    assert not found, f"worker protocol outside forking.py: {found}"
+
+
 def _readme():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     return readme.read_text(encoding="utf-8")

@@ -12,6 +12,7 @@ import signal
 import numpy as np
 import pytest
 
+import churnpool.forking as forking
 import churnpool.gbdt as gbdt
 from churnpool.errors import ValidationError
 from churnpool.gbdt import (GradientBoostedTrees, TreeEnsemble, TreeNode,
@@ -367,16 +368,18 @@ class TestSubtreeWorker:
     @staticmethod
     def _same_for_one_and_two_workers(monkeypatch, params, X, y, X_val,
                                       y_val):
-        # The fitting rows of each root child the worker grew.
+        # The fitting rows of each root child the worker grew, read from
+        # the worker's replies to grow: (subtree, leaf values...).
         handed = []
-        finish = gbdt._SubtreeWorker.finish
+        result = forking._Proxy.result
 
         def counted(self):
-            tree = finish(self)
-            handed.append(int(tree.cover))
-            return tree
+            reply = result(self)
+            if isinstance(reply, tuple) and isinstance(reply[0], TreeNode):
+                handed.append(int(reply[0].cover))
+            return reply
 
-        monkeypatch.setattr(gbdt._SubtreeWorker, "finish", counted)
+        monkeypatch.setattr(forking._Proxy, "result", counted)
         runs = []
         for workers in (1, 2):
             monkeypatch.setattr(gbdt, "_usable_cpus", lambda: workers)

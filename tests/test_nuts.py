@@ -396,9 +396,9 @@ def _drive(chain_class, target, config, metric):
             chain.adopt(metric)
     runs = []
     for chain in chains:
-        rows = (np.empty((config.draws, dim)),
-                np.empty(config.draws, dtype=bool), np.empty(config.draws))
-        runs.append((chain.initial_eps, chain.draw(*rows), *rows))
+        *reply, draws, divergent, accept = chain.draw()
+        runs.append((chain.initial_eps, tuple(reply), draws, divergent,
+                     accept))
     return runs, metric
 
 
@@ -685,13 +685,21 @@ class TestWorkers:
                                          seed=1))
         assert multiprocessing.active_children() == []
 
-    def test_worker_exits_when_parent_end_closes(self):
+    @staticmethod
+    def _one_chain_worker():
+        """A forked worker serving one chain's group, as ``sample`` makes
+        them, and the chain's warmup windows."""
         config = SamplerConfig(chains=1, warmup=150, draws=10, seed=1)
         chain = _Chain(gaussian_target([0.0], [1.0]), config, default_rng(1),
                        np.zeros(1), _Metric(np.ones(1)))
-        windows = nuts._mass_windows(config.warmup)
-        with nuts._forked([chain], 1, windows) as (worker,):
-            worker.block(*windows[0])
+        return (nuts.served([nuts._Chains([chain])], "sampler worker", True),
+                nuts._mass_windows(config.warmup))
+
+    def test_worker_exits_when_parent_end_closes(self):
+        workers, windows = self._one_chain_worker()
+        with workers as (worker,):
+            worker.call("block", 0, *windows[0])
+            worker.result()
             # The worker now waits for the window's metric.
             worker.conn.close()
             worker.process.join(timeout=60)
@@ -701,16 +709,15 @@ class TestWorkers:
     def test_lost_worker_is_runtime_error(self):
         # A broken pipe is the sampler's failure, not an OSError that the
         # CLI would report as artifact I/O.
-        config = SamplerConfig(chains=1, warmup=150, draws=10, seed=1)
-        chain = _Chain(gaussian_target([0.0], [1.0]), config, default_rng(1),
-                       np.zeros(1), _Metric(np.ones(1)))
-        windows = nuts._mass_windows(config.warmup)
+        workers, windows = self._one_chain_worker()
         with pytest.raises(RuntimeError, match="exited unexpectedly"):
-            with nuts._forked([chain], 1, windows) as (worker,):
-                worker.block(*windows[0])
+            with workers as (worker,):
+                worker.call("block", 0, *windows[0])
+                worker.result()
                 worker.process.terminate()
                 worker.process.join(timeout=60)
-                worker.adopt(_Metric(np.ones(1)))
+                worker.call("adopt", _Metric(np.ones(1)))
+                worker.result()
         assert multiprocessing.active_children() == []
 
     def test_failed_fork_is_runtime_error(self, monkeypatch):
@@ -719,12 +726,11 @@ class TestWorkers:
 
         monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
                             refuse)
-        config = SamplerConfig(chains=1, warmup=150, draws=10, seed=1)
-        chain = _Chain(gaussian_target([0.0], [1.0]), config, default_rng(1),
-                       np.zeros(1), _Metric(np.ones(1)))
+        monkeypatch.setattr(nuts, "_usable_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match="cannot start"):
-            with nuts._forked([chain], 1, nuts._mass_windows(150)):
-                pass
+            sample(gaussian_target([0.0], [1.0]),
+                   SamplerConfig(chains=2, warmup=150, draws=10, seed=1))
+        assert multiprocessing.active_children() == []
 
     def test_trace_independent_of_blas_threads(self, tmp_path):
         src = str(Path(churnpool.__file__).resolve().parents[1])
